@@ -33,8 +33,6 @@ package chameleon
 import (
 	"context"
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
 	"chameleon/internal/analyzer"
@@ -64,13 +62,11 @@ type (
 	Network = sim.Network
 	// Prefix is a destination prefix (equivalence class).
 	Prefix = bgp.Prefix
-	// TableKind selects the RIB storage engine of a network (see RIBMap /
-	// RIBCow).
-	TableKind = bgp.TableKind
-	// RIB is the prefix-keyed route-table contract both engines implement.
+	// RIB is a prefix-keyed route table: a copy-on-write radix trie with
+	// ordered allocation-free walks and O(1) Clone.
 	RIB = bgp.RIB
 	// ScenarioConfig tweaks CaseStudy construction (seed, spare egress,
-	// extra prefixes, RIB engine, …).
+	// extra prefixes, …).
 	ScenarioConfig = scenario.Config
 	// StormConfig parameterizes a prefix-scale announcement storm.
 	StormConfig = scenario.StormConfig
@@ -131,18 +127,9 @@ const (
 	OutcomeInitial = supervisor.OutcomeInitial
 )
 
-// RIB engine selectors: RIBMap is the legacy map-backed table (the zero
-// value, and still the default); RIBCow is the prefix-scale copy-on-write
-// radix engine. Select via sim.Options.RIB, ScenarioConfig.RIB or
-// StormConfig.RIB; both engines produce byte-identical routing outcomes.
-const (
-	RIBMap = bgp.TableMap
-	RIBCow = bgp.TableCOW
-)
-
-// NewRIB returns an empty route table on the given engine, for callers
-// building RIB-shaped state of their own against the redesigned API.
-func NewRIB(kind TableKind) RIB { return bgp.NewRIB(kind) }
+// NewRIB returns an empty route table, for callers building RIB-shaped
+// state of their own.
+func NewRIB() *RIB { return bgp.NewRIB() }
 
 // NewMonitor returns a transient-state monitor over cfg. Hand it to
 // PlanOptions.Monitor (the compiled specification is then tracked as an
@@ -190,8 +177,7 @@ func NewCaseStudy(topo string, seed uint64) (*Scenario, error) {
 }
 
 // NewCaseStudyConfig is NewCaseStudy with full control over scenario
-// construction — including ScenarioConfig.RIB to run the scenario on the
-// prefix-scale COW table engine.
+// construction.
 func NewCaseStudyConfig(topo string, cfg ScenarioConfig) (*Scenario, error) {
 	return scenario.CaseStudy(topo, cfg)
 }
@@ -234,23 +220,9 @@ type PlanOptions struct {
 	// SolverNodeBudget bounds each feasibility solve by explored
 	// branch-and-bound nodes instead of wall-clock time, making the
 	// schedule a pure function of the scenario — independent of machine
-	// speed, load, and concurrency. When zero and no wall-clock limit
-	// below is set either, planning defaults to the evaluation sweeps'
+	// speed, load, and concurrency. Zero means the evaluation sweeps'
 	// deterministic budget.
 	SolverNodeBudget int64
-	// TimeLimitPerRound bounds each feasibility solve (default 60 s).
-	//
-	// Deprecated: wall-clock solver budgets make the resulting schedule
-	// depend on how fast and how loaded the machine is, so two runs of
-	// the same reconfiguration need not reproduce. Set SolverNodeBudget
-	// instead; TimeLimitPerRound is still honored when nonzero.
-	TimeLimitPerRound time.Duration
-	// ObjectiveTimeLimit bounds temp-session minimization (default 2 s).
-	//
-	// Deprecated: wall-clock, hence non-reproducible — see
-	// TimeLimitPerRound. Set SolverNodeBudget instead; ObjectiveTimeLimit
-	// is still honored when nonzero.
-	ObjectiveTimeLimit time.Duration
 	// DisableLoopConstraints drops the explicit Eq. 3 constraints
 	// (App. D ablation).
 	DisableLoopConstraints bool
@@ -282,36 +254,10 @@ func (o PlanOptions) normalize() scheduler.Options {
 		so.MaxRounds = o.MaxRounds
 	}
 	so.ExplicitLoopConstraints = !o.DisableLoopConstraints
-	switch {
-	case o.SolverNodeBudget > 0:
+	if o.SolverNodeBudget > 0 {
 		so.SolverNodeBudget = o.SolverNodeBudget
-	case o.TimeLimitPerRound > 0 || o.ObjectiveTimeLimit > 0:
-		// Explicit (deprecated) wall-clock budgets: hand them through and
-		// clear the default node budget so the scheduler honors them.
-		so.SolverNodeBudget = 0
-		so.TimeLimitPerRound = o.TimeLimitPerRound
-		so.ObjectiveTimeLimit = o.ObjectiveTimeLimit
 	}
-	// Otherwise DefaultOptions' deterministic node budget stands, so
-	// planning reproduces bit-for-bit.
 	return so
-}
-
-// deprecatedWallClockOnce gates the stderr half of the deprecation warning:
-// sweeps plan thousands of scenarios, so the human-facing line prints once
-// per process while the obs counter still counts every offending call.
-var deprecatedWallClockOnce sync.Once
-
-// warnDeprecatedWallClock records one use of the deprecated wall-clock
-// solver budgets (PlanOptions.TimeLimitPerRound / ObjectiveTimeLimit). The
-// counter increments on every use so dumps quantify how much of a run was
-// non-reproducible; the stderr pointer at SolverNodeBudget prints once.
-func warnDeprecatedWallClock(rec *Recorder) {
-	rec.Add(obs.CtrDeprecatedWallClock, 1)
-	deprecatedWallClockOnce.Do(func() {
-		fmt.Fprintln(os.Stderr, "chameleon: PlanOptions.TimeLimitPerRound/ObjectiveTimeLimit are deprecated: "+
-			"wall-clock solver budgets make schedules machine-dependent; set SolverNodeBudget instead")
-	})
 }
 
 // Reconfiguration is a fully planned reconfiguration, ready to execute.
@@ -344,7 +290,7 @@ type PlannedClass struct {
 	// Plans is index-aligned with Class.Members.
 	Plans []*ReconfigurationPlan
 	// NodeBudget is this class's slice of the global SolverNodeBudget
-	// (member-count-proportional); 0 in wall-clock mode.
+	// (member-count-proportional).
 	NodeBudget int64
 }
 
@@ -370,9 +316,6 @@ func Plan(s *Scenario, opts PlanOptions) (*Reconfiguration, error) {
 // prefix set, and the result is byte-identical at any worker count.
 func PlanCtx(ctx context.Context, s *Scenario, opts PlanOptions) (*Reconfiguration, error) {
 	ctx = obs.WithRecorder(ctx, opts.Recorder)
-	if opts.TimeLimitPerRound > 0 || opts.ObjectiveTimeLimit > 0 {
-		warnDeprecatedWallClock(obs.RecorderFrom(ctx))
-	}
 	ctx, span := obs.StartSpan(ctx, "plan", obs.String("scenario", s.Name))
 	defer span.End()
 	sp := opts.Spec

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	chameleon "chameleon"
-	"chameleon/internal/obs"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -96,25 +95,5 @@ func TestFacadeDisableLoopConstraints(t *testing.T) {
 	}
 	if rec.Plan.R != rec.Schedule.R {
 		t.Error("plan/schedule round mismatch")
-	}
-}
-
-func TestFacadeDeprecatedWallClockWarning(t *testing.T) {
-	rec := chameleon.NewRecorder()
-	plan := func(opts chameleon.PlanOptions) {
-		t.Helper()
-		opts.Recorder = rec
-		if _, err := chameleon.Plan(chameleon.RunningExample(), opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plan(chameleon.PlanOptions{})
-	if n := rec.Counter(obs.CtrDeprecatedWallClock); n != 0 {
-		t.Fatalf("clean options counted %d deprecated uses", n)
-	}
-	plan(chameleon.PlanOptions{TimeLimitPerRound: time.Minute})
-	plan(chameleon.PlanOptions{ObjectiveTimeLimit: time.Second})
-	if n := rec.Counter(obs.CtrDeprecatedWallClock); n != 2 {
-		t.Fatalf("deprecated counter = %d, want 2 (one per offending Plan call)", n)
 	}
 }

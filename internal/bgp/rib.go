@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"slices"
-	"sort"
 
 	"chameleon/internal/topology"
 )
@@ -38,57 +37,19 @@ func (k SessionKind) String() string {
 	return "unknown"
 }
 
-// prefixIndex tracks how many neighbors currently announce each prefix, so
-// AdjIn can iterate its prefix union in order without re-deriving it. The
-// map engine keeps the historical sort-on-walk cost; the COW engine walks
-// its trie allocation-free.
-type prefixIndex interface {
-	inc(Prefix)
-	dec(Prefix)
-	walk(fn func(Prefix) bool)
-	clone() prefixIndex
+// prefixIndex counts how many neighbors currently announce each prefix, so
+// AdjIn can walk its prefix union in order without re-deriving it.
+type prefixIndex struct {
+	t cowTrie[int32]
 }
 
-type mapIndex struct {
-	counts map[Prefix]int
-}
-
-func (x *mapIndex) inc(p Prefix) { x.counts[p]++ }
-func (x *mapIndex) dec(p Prefix) {
-	if x.counts[p]--; x.counts[p] <= 0 {
-		delete(x.counts, p)
-	}
-}
-func (x *mapIndex) walk(fn func(Prefix) bool) {
-	keys := make([]Prefix, 0, len(x.counts))
-	for p := range x.counts {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, p := range keys {
-		if !fn(p) {
-			return
-		}
-	}
-}
-func (x *mapIndex) clone() prefixIndex {
-	c := make(map[Prefix]int, len(x.counts))
-	for p, n := range x.counts {
-		c[p] = n
-	}
-	return &mapIndex{counts: c}
-}
-
-type cowIndex struct {
-	t *cowTrie[int32]
-}
-
-func (x *cowIndex) inc(p Prefix) {
+func (x *prefixIndex) inc(p Prefix) {
 	k := cowKey(p)
 	n, _ := x.t.get(k)
 	x.t.set(k, n+1)
 }
-func (x *cowIndex) dec(p Prefix) {
+
+func (x *prefixIndex) dec(p Prefix) {
 	k := cowKey(p)
 	if n, ok := x.t.get(k); ok {
 		if n <= 1 {
@@ -98,25 +59,19 @@ func (x *cowIndex) dec(p Prefix) {
 		}
 	}
 }
-func (x *cowIndex) walk(fn func(Prefix) bool) {
+
+func (x *prefixIndex) walk(fn func(Prefix) bool) {
 	x.t.walk(func(k uint64, _ int32) bool { return fn(Prefix(k)) })
 }
-func (x *cowIndex) clone() prefixIndex { return &cowIndex{t: x.t.clone()} }
 
-func newPrefixIndex(kind TableKind) prefixIndex {
-	if kind == TableCOW {
-		return &cowIndex{t: newCowTrie[int32]()}
-	}
-	return &mapIndex{counts: make(map[Prefix]int)}
-}
+func (x *prefixIndex) clone() prefixIndex { return prefixIndex{t: x.t.clone()} }
 
 // AdjIn is the per-neighbor inbound RIB: the most recent route announced by
 // each neighbor for each prefix. Storage is one RIB table per neighbor plus
 // an ordered prefix-union index, so walks never re-sort and the total entry
 // count is maintained incrementally.
 type AdjIn struct {
-	kind   TableKind
-	routes map[topology.NodeID]RIB
+	routes map[topology.NodeID]*RIB
 	// nbrs lists every neighbor with a table, sorted, so candidate walks
 	// are deterministic and allocation-free.
 	nbrs  []topology.NodeID
@@ -124,27 +79,20 @@ type AdjIn struct {
 	size  int
 }
 
-// NewAdjIn returns an empty Adj-RIB-In on the legacy map engine.
-func NewAdjIn() *AdjIn { return NewAdjInKind(TableMap) }
-
-// NewAdjInKind returns an empty Adj-RIB-In on the given table engine.
-func NewAdjInKind(kind TableKind) *AdjIn {
+// NewAdjIn returns an empty Adj-RIB-In.
+func NewAdjIn() *AdjIn {
 	return &AdjIn{
-		kind:   kind,
-		routes: make(map[topology.NodeID]RIB),
-		index:  newPrefixIndex(kind),
+		routes: make(map[topology.NodeID]*RIB),
+		index:  prefixIndex{t: newCowTrie[int32]()},
 	}
 }
-
-// Kind identifies the storage engine.
-func (a *AdjIn) Kind() TableKind { return a.kind }
 
 // Set records the route announced by neighbor for route.Prefix, reporting
 // whether the (neighbor, prefix) entry is new.
 func (a *AdjIn) Set(neighbor topology.NodeID, route Route) (added bool) {
 	t := a.routes[neighbor]
 	if t == nil {
-		t = NewRIB(a.kind)
+		t = NewRIB()
 		a.routes[neighbor] = t
 		i, _ := slices.BinarySearch(a.nbrs, neighbor)
 		a.nbrs = slices.Insert(a.nbrs, i, neighbor)
@@ -240,9 +188,7 @@ func (a *AdjIn) RangeNeighbor(neighbor topology.NodeID, fn func(Prefix, Route) b
 }
 
 // RangePrefixes calls fn for every prefix with at least one candidate
-// route, in ascending order, until fn returns false. On the COW engine the
-// walk is allocation-free; the map engine keeps its historical
-// sort-a-fresh-slice cost.
+// route, in ascending order, until fn returns false. Allocation-free.
 func (a *AdjIn) RangePrefixes(fn func(Prefix) bool) { a.index.walk(fn) }
 
 // Neighbors returns the neighbors with Adj-RIB-In state, sorted. The
@@ -253,12 +199,11 @@ func (a *AdjIn) Neighbors() []topology.NodeID { return a.nbrs }
 // prefixes in O(1); this is the routing-table-size metric of §7.3.
 func (a *AdjIn) Size() int { return a.size }
 
-// Clone returns an independent copy. On the COW engine every per-neighbor
-// table and the prefix index share unchanged subtrees with the original.
+// Clone returns an independent copy. Every per-neighbor table and the
+// prefix index share unchanged subtrees with the original.
 func (a *AdjIn) Clone() *AdjIn {
 	c := &AdjIn{
-		kind:   a.kind,
-		routes: make(map[topology.NodeID]RIB, len(a.routes)),
+		routes: make(map[topology.NodeID]*RIB, len(a.routes)),
 		nbrs:   slices.Clone(a.nbrs),
 		index:  a.index.clone(),
 		size:   a.size,
@@ -271,17 +216,11 @@ func (a *AdjIn) Clone() *AdjIn {
 
 // LocRIB is the per-prefix best-route table of one router.
 type LocRIB struct {
-	t RIB
+	t *RIB
 }
 
-// NewLocRIB returns an empty Loc-RIB on the legacy map engine.
-func NewLocRIB() *LocRIB { return NewLocRIBKind(TableMap) }
-
-// NewLocRIBKind returns an empty Loc-RIB on the given table engine.
-func NewLocRIBKind(kind TableKind) *LocRIB { return &LocRIB{t: NewRIB(kind)} }
-
-// Kind identifies the storage engine.
-func (l *LocRIB) Kind() TableKind { return l.t.Kind() }
+// NewLocRIB returns an empty Loc-RIB.
+func NewLocRIB() *LocRIB { return &LocRIB{t: NewRIB()} }
 
 // Get returns the selected route for prefix, if any.
 func (l *LocRIB) Get(prefix Prefix) (Route, bool) { return l.t.Get(prefix) }
@@ -293,12 +232,11 @@ func (l *LocRIB) Set(route Route) { l.t.Set(route) }
 func (l *LocRIB) Clear(prefix Prefix) { l.t.Delete(prefix) }
 
 // Range calls fn for every (prefix, selected route) pair in ascending
-// prefix order until fn returns false. On the COW engine the walk is
-// allocation-free.
+// prefix order until fn returns false. Allocation-free.
 func (l *LocRIB) Range(fn func(Prefix, Route) bool) { l.t.Range(fn) }
 
 // Size returns the number of selected routes.
 func (l *LocRIB) Size() int { return l.t.Len() }
 
-// Clone returns an independent copy; COW tables share unchanged subtrees.
+// Clone returns an independent copy sharing unchanged subtrees.
 func (l *LocRIB) Clone() *LocRIB { return &LocRIB{t: l.t.Clone()} }

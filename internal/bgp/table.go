@@ -1,115 +1,35 @@
 package bgp
 
-import "sort"
-
-// TableKind selects the RIB storage engine backing AdjIn, LocRIB and the
-// simulator's Adj-RIB-Out tables.
-type TableKind int
-
-const (
-	// TableMap is the legacy engine: a plain Go map per table. O(1) point
-	// access, but ordered walks sort a freshly allocated key slice and
-	// Clone deep-copies every entry. The zero value, so existing callers
-	// keep their exact historical behavior and cost model.
-	TableMap TableKind = iota
-	// TableCOW is the prefix-scale engine: a chunked radix trie with
-	// copy-on-write structural sharing. Ordered walks are allocation-free,
-	// Clone is O(1) and shares unchanged subtrees, and writes after a
-	// clone copy only the touched path.
-	TableCOW
-)
-
-func (k TableKind) String() string {
-	switch k {
-	case TableMap:
-		return "map"
-	case TableCOW:
-		return "cow"
-	}
-	return "unknown"
+// RIB is a prefix-keyed route table: the storage shared by the Loc-RIB, the
+// per-neighbor Adj-RIB-In slices and the simulator's Adj-RIB-Out. It is the
+// copy-on-write radix trie of cow.go, so walks are in ascending prefix
+// order and allocation-free, and Clone is O(1).
+type RIB struct {
+	t cowTrie[Route]
 }
 
-// RIB is a prefix-keyed route table: the storage contract shared by the
-// Loc-RIB, the per-neighbor Adj-RIB-In slices and the simulator's
-// Adj-RIB-Out. Implementations must iterate in ascending prefix order so
-// every walk over routing state is deterministic regardless of engine.
-type RIB interface {
-	// Get returns the route stored for prefix, if any.
-	Get(prefix Prefix) (Route, bool)
-	// Set stores route under route.Prefix, reporting whether the prefix
-	// was absent before (an insert rather than a replacement).
-	Set(route Route) (added bool)
-	// Delete removes the entry for prefix, reporting whether one existed.
-	Delete(prefix Prefix) bool
-	// Range calls fn for every entry in ascending prefix order until fn
-	// returns false. The table must not be mutated during the walk.
-	Range(fn func(Prefix, Route) bool)
-	// Len returns the number of stored entries in O(1).
-	Len() int
-	// Clone returns an independent table with the same content. The COW
-	// engine shares unchanged subtrees between the two tables; the map
-	// engine deep-copies.
-	Clone() RIB
-	// Kind identifies the storage engine.
-	Kind() TableKind
+// NewRIB returns an empty route table.
+func NewRIB() *RIB { return &RIB{t: newCowTrie[Route]()} }
+
+// Get returns the route stored for prefix, if any.
+func (r *RIB) Get(prefix Prefix) (Route, bool) { return r.t.get(cowKey(prefix)) }
+
+// Set stores route under route.Prefix, reporting whether the prefix was
+// absent before (an insert rather than a replacement).
+func (r *RIB) Set(route Route) (added bool) { return r.t.set(cowKey(route.Prefix), route) }
+
+// Delete removes the entry for prefix, reporting whether one existed.
+func (r *RIB) Delete(prefix Prefix) bool { return r.t.delete(cowKey(prefix)) }
+
+// Range calls fn for every entry in ascending prefix order until fn returns
+// false. The table must not be mutated during the walk.
+func (r *RIB) Range(fn func(Prefix, Route) bool) {
+	r.t.walk(func(k uint64, rt Route) bool { return fn(Prefix(k), rt) })
 }
 
-// NewRIB returns an empty route table backed by the given engine.
-func NewRIB(kind TableKind) RIB {
-	if kind == TableCOW {
-		return newCowRIB()
-	}
-	return &mapRIB{m: make(map[Prefix]Route)}
-}
+// Len returns the number of stored entries in O(1).
+func (r *RIB) Len() int { return r.t.size }
 
-// mapRIB is the legacy map-backed table. Its Range deliberately keeps the
-// historical cost model — collect keys, sort, walk — so the prefix-scale
-// benchmarks compare the COW engine against what the code actually did
-// before, not against an already-optimized baseline.
-type mapRIB struct {
-	m map[Prefix]Route
-}
-
-func (t *mapRIB) Get(prefix Prefix) (Route, bool) {
-	r, ok := t.m[prefix]
-	return r, ok
-}
-
-func (t *mapRIB) Set(route Route) bool {
-	_, existed := t.m[route.Prefix]
-	t.m[route.Prefix] = route
-	return !existed
-}
-
-func (t *mapRIB) Delete(prefix Prefix) bool {
-	if _, ok := t.m[prefix]; !ok {
-		return false
-	}
-	delete(t.m, prefix)
-	return true
-}
-
-func (t *mapRIB) Range(fn func(Prefix, Route) bool) {
-	keys := make([]Prefix, 0, len(t.m))
-	for p := range t.m {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, p := range keys {
-		if !fn(p, t.m[p]) {
-			return
-		}
-	}
-}
-
-func (t *mapRIB) Len() int { return len(t.m) }
-
-func (t *mapRIB) Clone() RIB {
-	c := make(map[Prefix]Route, len(t.m))
-	for p, r := range t.m {
-		c[p] = r
-	}
-	return &mapRIB{m: c}
-}
-
-func (t *mapRIB) Kind() TableKind { return TableMap }
+// Clone returns an independent table with the same content in O(1): the two
+// tables share every subtree until one of them writes to it.
+func (r *RIB) Clone() *RIB { return &RIB{t: r.t.clone()} }

@@ -1,8 +1,10 @@
 package bgp
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"chameleon/internal/topology"
@@ -12,63 +14,220 @@ func testRoute(p Prefix, egress topology.NodeID) Route {
 	return Route{Prefix: p, Egress: egress, Path: []topology.NodeID{egress}, LocalPref: 100}
 }
 
-// TestRIBEnginesAgree drives the same randomized operation sequence through
-// both engines and checks they stay observationally identical.
-func TestRIBEnginesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	m := NewRIB(TableMap)
-	c := NewRIB(TableCOW)
-	const universe = 4096
-	for i := 0; i < 20000; i++ {
-		p := Prefix(rng.Intn(universe))
-		if rng.Intn(3) == 0 {
-			if m.Delete(p) != c.Delete(p) {
-				t.Fatalf("op %d: Delete(%d) disagrees", i, p)
+// modelRIB is the reference the route table is checked against: a plain map
+// whose ordered view is its sorted key slice. Test-only.
+type modelRIB map[Prefix]Route
+
+func (m modelRIB) sortedKeys() []Prefix {
+	keys := make([]Prefix, 0, len(m))
+	for p := range m {
+		keys = append(keys, p)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// checkedRIB drives a table and its model in lockstep. Every write stamps
+// the route's MED with a fresh sequence number, so a value that leaks from
+// one table or slot into another is visible, not just a wrong key set.
+type checkedRIB struct {
+	rib   *RIB
+	model modelRIB
+}
+
+var stamp uint32
+
+func newCheckedRIB() *checkedRIB { return &checkedRIB{rib: NewRIB(), model: modelRIB{}} }
+
+func sameRoute(a, b Route) bool {
+	return a.Prefix == b.Prefix && a.Egress == b.Egress && a.MED == b.MED
+}
+
+func (c *checkedRIB) set(t testing.TB, p Prefix, egress topology.NodeID) {
+	t.Helper()
+	stamp++
+	r := testRoute(p, egress)
+	r.MED = stamp
+	_, existed := c.model[p]
+	c.model[p] = r
+	if added := c.rib.Set(r); added == existed {
+		t.Fatalf("Set(%d) reported added=%v, model had it: %v", p, added, existed)
+	}
+}
+
+func (c *checkedRIB) del(t testing.TB, p Prefix) {
+	t.Helper()
+	_, existed := c.model[p]
+	delete(c.model, p)
+	if got := c.rib.Delete(p); got != existed {
+		t.Fatalf("Delete(%d) = %v, model says %v", p, got, existed)
+	}
+}
+
+func (c *checkedRIB) get(t testing.TB, p Prefix) {
+	t.Helper()
+	want, ok := c.model[p]
+	got, gok := c.rib.Get(p)
+	if ok != gok || (ok && !sameRoute(got, want)) {
+		t.Fatalf("Get(%d) = %+v,%v; model %+v,%v", p, got, gok, want, ok)
+	}
+}
+
+func (c *checkedRIB) clone() *checkedRIB {
+	m := make(modelRIB, len(c.model))
+	for p, r := range c.model {
+		m[p] = r
+	}
+	return &checkedRIB{rib: c.rib.Clone(), model: m}
+}
+
+// check compares everything observable: Len, the full ascending Range, Get
+// of every key, and a Range that stops early.
+func (c *checkedRIB) check(t testing.TB) {
+	t.Helper()
+	keys := c.model.sortedKeys()
+	if c.rib.Len() != len(keys) {
+		t.Fatalf("Len = %d, model has %d", c.rib.Len(), len(keys))
+	}
+	i := 0
+	c.rib.Range(func(p Prefix, r Route) bool {
+		if i >= len(keys) || p != keys[i] || !sameRoute(r, c.model[p]) {
+			t.Fatalf("Range entry %d = (%d, %+v); model keys %v", i, p, r, keys)
+		}
+		i++
+		return true
+	})
+	if i != len(keys) {
+		t.Fatalf("Range visited %d entries, model has %d", i, len(keys))
+	}
+	for _, p := range keys {
+		c.get(t, p)
+	}
+	stopAfter, seen := (len(keys)+1)/2, 0
+	c.rib.Range(func(Prefix, Route) bool {
+		seen++
+		return seen < stopAfter
+	})
+	if seen != stopAfter {
+		t.Fatalf("early-exit Range visited %d entries, want %d", seen, stopAfter)
+	}
+}
+
+// ribOpKey spreads two bytes over the key shapes that matter: every slot of
+// the root leaf (0 and 63 included), neighboring leaves under a one-level
+// root, slot 63 of leaves two levels down, and keys that force grow up to
+// the deepest trie.
+func ribOpKey(a, b byte) Prefix {
+	switch a % 4 {
+	case 0:
+		return Prefix(b % 64)
+	case 1:
+		return 64 + Prefix(b)
+	case 2:
+		return Prefix(1+b%8)<<12 | 63
+	}
+	return Prefix(1)<<(6*(1+b%10)) + Prefix(b>>4)
+}
+
+// runRIBOps interprets data as a sequence of three-byte operations over a
+// small set of tables related by Clone, checking each touched table against
+// its model after every step and all of them at the end.
+func runRIBOps(t testing.TB, data []byte) {
+	const maxTables = 8
+	tables := []*checkedRIB{newCheckedRIB()}
+	cur := tables[0]
+	for ; len(data) >= 3; data = data[3:] {
+		op, a, b := data[0], data[1], data[2]
+		p := ribOpKey(a, b)
+		switch op % 8 {
+		case 0, 1, 2:
+			cur.set(t, p, topology.NodeID(op>>3))
+		case 3, 4:
+			cur.del(t, p)
+		case 5:
+			cur.get(t, p)
+		case 6: // clone; odd a continues on the clone, even a on the original
+			c := cur.clone()
+			if len(tables) < maxTables {
+				tables = append(tables, c)
+			} else {
+				tables[int(b)%maxTables] = c
 			}
-		} else {
-			r := testRoute(p, topology.NodeID(rng.Intn(16)))
-			if m.Set(r) != c.Set(r) {
-				t.Fatalf("op %d: Set(%d) added-disagrees", i, p)
+			if a%2 == 1 {
+				cur = c
+			}
+		case 7:
+			cur = tables[int(a)%len(tables)]
+		}
+		cur.check(t)
+	}
+	for _, c := range tables {
+		c.check(t)
+	}
+}
+
+// TestRIBModel checks the table against the map model on the shapes the
+// packed leaf and the adaptive height make delicate, then on a long random
+// operation sequence with clones.
+func TestRIBModel(t *testing.T) {
+	t.Run("leaf-fill-and-drain", func(t *testing.T) {
+		c := newCheckedRIB()
+		var half *checkedRIB
+		for i := 0; i < 64; i++ {
+			c.set(t, Prefix(i*37%64), 1) // scrambled: inserts land mid-slice
+			c.check(t)
+			if i == 31 {
+				half = c.clone()
 			}
 		}
-	}
-	if m.Len() != c.Len() {
-		t.Fatalf("Len: map %d cow %d", m.Len(), c.Len())
-	}
-	type kv struct {
-		P Prefix
-		R Route
-	}
-	collect := func(r RIB) []kv {
-		var out []kv
-		r.Range(func(p Prefix, rt Route) bool {
-			out = append(out, kv{p, rt})
-			return true
-		})
-		return out
-	}
-	mkv, ckv := collect(m), collect(c)
-	if !reflect.DeepEqual(mkv, ckv) {
-		t.Fatalf("Range output differs: map has %d entries, cow %d", len(mkv), len(ckv))
-	}
-	for i := 1; i < len(ckv); i++ {
-		if ckv[i-1].P >= ckv[i].P {
-			t.Fatalf("cow Range out of order at %d: %d >= %d", i, ckv[i-1].P, ckv[i].P)
+		for i := 0; i < 64; i++ {
+			c.del(t, Prefix(i*29%64))
+			c.check(t)
 		}
-	}
-	for _, e := range mkv {
-		mr, mok := m.Get(e.P)
-		cr, cok := c.Get(e.P)
-		if mok != cok || !reflect.DeepEqual(mr, cr) {
-			t.Fatalf("Get(%d) disagrees", e.P)
+		half.check(t)
+		c.set(t, 63, 2)
+		c.set(t, 0, 2)
+		c.check(t)
+	})
+	t.Run("grow", func(t *testing.T) {
+		keys := []Prefix{0, 63, 64, 4095, 4096, 1 << 30, 1 << 60, math.MaxInt64}
+		up, down := newCheckedRIB(), newCheckedRIB()
+		for i := range keys {
+			up.set(t, keys[i], 3)
+			up.check(t)
+			down.set(t, keys[len(keys)-1-i], 4)
+			down.check(t)
 		}
-	}
+		for _, c := range []*checkedRIB{up, down} {
+			c.get(t, 1<<40) // absent, inside the covered range
+			c.del(t, 1<<30)
+			c.check(t)
+		}
+		small := newCheckedRIB()
+		small.set(t, 5, 1)
+		small.get(t, math.MaxInt64) // absent, beyond the covered range
+		small.del(t, 1<<20)
+		small.check(t)
+	})
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		data := make([]byte, 3*5000)
+		rng.Read(data)
+		runRIBOps(t, data)
+	})
+}
+
+// FuzzRIBModel feeds arbitrary operation sequences to the model check. The
+// seed corpus under testdata/fuzz covers a leaf filled and drained, deep
+// keys, and writes on both sides of a clone chain.
+func FuzzRIBModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { runRIBOps(t, data) })
 }
 
 // TestCOWCloneIsolation checks that after Clone neither table observes the
 // other's writes, in both directions, including deep prefix keys.
 func TestCOWCloneIsolation(t *testing.T) {
-	orig := NewRIB(TableCOW)
+	orig := NewRIB()
 	for _, p := range []Prefix{0, 1, 63, 64, 100000, 999999} {
 		orig.Set(testRoute(p, 1))
 	}
@@ -101,62 +260,75 @@ func TestCOWCloneIsolation(t *testing.T) {
 	if snap.Len() != 5 || orig.Len() != 6 {
 		t.Fatalf("sizes drifted: snap %d orig %d", snap.Len(), orig.Len())
 	}
+
+	// The hazard the packed leaf adds: a leaf whose value slice has spare
+	// capacity is shared by two tables, and one of them inserts or deletes
+	// below the existing slots. The shift must happen in that table's own
+	// copy, never in the shared backing array.
+	for _, writer := range []string{"original", "clone"} {
+		a := newCheckedRIB()
+		for _, p := range []Prefix{10, 20, 30} { // len 3 in a cap-4 slice
+			a.set(t, p, 1)
+		}
+		b := a.clone()
+		w, other := a, b
+		if writer == "clone" {
+			w, other = b, a
+		}
+		w.set(t, 5, 2) // fits the spare capacity: shifts 10, 20, 30 right
+		other.check(t)
+		w.del(t, 5) // shifts them back left and zeroes the tail
+		w.del(t, 10)
+		other.check(t)
+		other.set(t, 0, 3) // and the other side, now on its own copy
+		other.del(t, 30)
+		w.check(t)
+		other.check(t)
+	}
 }
 
 // TestCOWCloneChain stresses repeated clone+mutate cycles, mimicking the
 // per-round CaptureState pattern, and verifies every snapshot keeps its
-// point-in-time content.
+// point-in-time content — also after older snapshots in the chain are
+// themselves written to.
 func TestCOWCloneChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	live := NewRIB(TableCOW)
-	model := map[Prefix]Route{}
-	type snap struct {
-		table RIB
-		want  map[Prefix]Route
-	}
-	var snaps []snap
-	for round := 0; round < 30; round++ {
-		for i := 0; i < 200; i++ {
+	live := newCheckedRIB()
+	mutate := func(c *checkedRIB, n int) {
+		for i := 0; i < n; i++ {
 			p := Prefix(rng.Intn(2048))
 			if rng.Intn(4) == 0 {
-				live.Delete(p)
-				delete(model, p)
+				c.del(t, p)
 			} else {
-				r := testRoute(p, topology.NodeID(rng.Intn(8)))
-				live.Set(r)
-				model[p] = r
+				c.set(t, p, topology.NodeID(rng.Intn(8)))
 			}
 		}
-		want := make(map[Prefix]Route, len(model))
-		for p, r := range model {
-			want[p] = r
-		}
-		snaps = append(snaps, snap{table: live.Clone(), want: want})
 	}
-	for i, s := range snaps {
-		if s.table.Len() != len(s.want) {
-			t.Fatalf("snap %d: len %d want %d", i, s.table.Len(), len(s.want))
-		}
-		seen := 0
-		bad := false
-		s.table.Range(func(p Prefix, r Route) bool {
-			seen++
-			if w, ok := s.want[p]; !ok || !reflect.DeepEqual(w, r) {
-				bad = true
-				return false
-			}
-			return true
-		})
-		if bad || seen != len(s.want) {
-			t.Fatalf("snap %d: content drifted (saw %d of %d)", i, seen, len(s.want))
-		}
+	var snaps []*checkedRIB
+	for round := 0; round < 30; round++ {
+		mutate(live, 200)
+		snaps = append(snaps, live.clone())
+	}
+	for _, s := range snaps {
+		s.check(t)
+	}
+	// Write to every other snapshot, and to clones of clones: the untouched
+	// ones, the live table and the parents must all keep their content.
+	for i := 0; i < len(snaps); i += 2 {
+		grandchild := snaps[i].clone()
+		mutate(snaps[i], 50)
+		mutate(grandchild, 50)
+		grandchild.check(t)
+	}
+	live.check(t)
+	for _, s := range snaps {
+		s.check(t)
 	}
 }
 
-// TestCOWRangeAllocs verifies the ordered walk over the COW engine does not
-// allocate.
+// TestCOWRangeAllocs verifies the ordered walk does not allocate.
 func TestCOWRangeAllocs(t *testing.T) {
-	r := NewRIB(TableCOW)
+	r := NewRIB()
 	for p := Prefix(0); p < 10000; p += 3 {
 		r.Set(testRoute(p, 2))
 	}
@@ -164,60 +336,70 @@ func TestCOWRangeAllocs(t *testing.T) {
 	cb := func(Prefix, Route) bool { n++; return true }
 	allocs := testing.AllocsPerRun(10, func() { r.Range(cb) })
 	if allocs > 0 {
-		t.Fatalf("COW Range allocated %.1f times per walk", allocs)
+		t.Fatalf("Range allocated %.1f times per walk", allocs)
 	}
 }
 
 func TestAdjInRangeAndClone(t *testing.T) {
-	for _, kind := range []TableKind{TableMap, TableCOW} {
-		a := NewAdjInKind(kind)
-		a.Set(3, testRoute(10, 3))
-		a.Set(1, testRoute(10, 1))
-		a.Set(1, testRoute(20, 1))
-		if a.Size() != 3 {
-			t.Fatalf("%v: size %d want 3", kind, a.Size())
-		}
+	a := NewAdjIn()
+	a.Set(3, testRoute(10, 3))
+	a.Set(1, testRoute(10, 1))
+	a.Set(1, testRoute(20, 1))
+	if a.Size() != 3 {
+		t.Fatalf("size %d want 3", a.Size())
+	}
+	prefixes := func(a *AdjIn) []Prefix {
 		var got []Prefix
 		a.RangePrefixes(func(p Prefix) bool {
 			got = append(got, p)
 			return true
 		})
-		if !reflect.DeepEqual(got, []Prefix{10, 20}) {
-			t.Fatalf("%v: prefixes %v", kind, got)
-		}
-		var nbrs []topology.NodeID
-		a.RangeCandidates(10, func(n topology.NodeID, _ Route) bool {
-			nbrs = append(nbrs, n)
-			return true
-		})
-		if !reflect.DeepEqual(nbrs, []topology.NodeID{1, 3}) {
-			t.Fatalf("%v: candidate order %v", kind, nbrs)
-		}
+		return got
+	}
+	if got := prefixes(a); !reflect.DeepEqual(got, []Prefix{10, 20}) {
+		t.Fatalf("prefixes %v", got)
+	}
+	var nbrs []topology.NodeID
+	a.RangeCandidates(10, func(n topology.NodeID, _ Route) bool {
+		nbrs = append(nbrs, n)
+		return true
+	})
+	if !reflect.DeepEqual(nbrs, []topology.NodeID{1, 3}) {
+		t.Fatalf("candidate order %v", nbrs)
+	}
 
-		c := a.Clone()
-		a.Withdraw(1, 10)
-		a.Set(2, testRoute(30, 2))
-		if c.Size() != 3 || a.Size() != 3 {
-			t.Fatalf("%v: clone sizes drifted: %d %d", kind, c.Size(), a.Size())
-		}
-		if _, ok := c.Get(1, 10); !ok {
-			t.Fatalf("%v: clone saw withdraw", kind)
-		}
-		if _, ok := c.Get(2, 30); ok {
-			t.Fatalf("%v: clone saw new neighbor", kind)
-		}
+	c := a.Clone()
+	a.Withdraw(1, 10)
+	a.Withdraw(3, 10)
+	a.Set(2, testRoute(30, 2))
+	if c.Size() != 3 || a.Size() != 2 {
+		t.Fatalf("clone sizes drifted: %d %d", c.Size(), a.Size())
+	}
+	if _, ok := c.Get(1, 10); !ok {
+		t.Fatal("clone saw withdraw")
+	}
+	if _, ok := c.Get(2, 30); ok {
+		t.Fatal("clone saw new neighbor")
+	}
+	// The prefix index is a shared trie too: the clone keeps prefix 10,
+	// which the original just lost its last candidate for.
+	if got := prefixes(c); !reflect.DeepEqual(got, []Prefix{10, 20}) {
+		t.Fatalf("clone prefixes %v", got)
+	}
+	if got := prefixes(a); !reflect.DeepEqual(got, []Prefix{20, 30}) {
+		t.Fatalf("original prefixes %v", got)
+	}
 
-		var dropped []Prefix
-		a.DropNeighborRange(1, func(p Prefix) bool {
-			dropped = append(dropped, p)
-			return true
-		})
-		if !reflect.DeepEqual(dropped, []Prefix{20}) {
-			t.Fatalf("%v: dropped %v", kind, dropped)
-		}
-		if a.Size() != 2 {
-			t.Fatalf("%v: size after drop %d", kind, a.Size())
-		}
+	var dropped []Prefix
+	a.DropNeighborRange(1, func(p Prefix) bool {
+		dropped = append(dropped, p)
+		return true
+	})
+	if !reflect.DeepEqual(dropped, []Prefix{20}) {
+		t.Fatalf("dropped %v", dropped)
+	}
+	if a.Size() != 1 {
+		t.Fatalf("size after drop %d", a.Size())
 	}
 }
 

@@ -218,9 +218,9 @@ func (c *Config) directive(f []string) error {
 		if len(f) < 4 || f[2] != "prefix" {
 			return fmt.Errorf("usage: announce <ext> prefix <p> [aspath <n>] [med <n>]")
 		}
-		p, err := strconv.Atoi(f[3])
+		p, err := parsePrefix(f[3])
 		if err != nil {
-			return fmt.Errorf("bad prefix %q", f[3])
+			return err
 		}
 		a := AnnounceDecl{External: f[1], Prefix: p, ASPathLen: 1}
 		rest := f[4:]
@@ -264,9 +264,9 @@ func (c *Config) commandDirective(f []string) error {
 		}
 		d := CommandDecl{Kind: CmdDeny, Node: f[2], From: f[4], Prefix: -1, Order: 5}
 		if len(f) >= 7 && f[5] == "prefix" {
-			p, err := strconv.Atoi(f[6])
+			p, err := parsePrefix(f[6])
 			if err != nil {
-				return fmt.Errorf("bad prefix %q", f[6])
+				return err
 			}
 			d.Prefix = p
 		}
@@ -296,6 +296,16 @@ func (c *Config) commandDirective(f []string) error {
 		return fmt.Errorf("unknown command kind %q", f[1])
 	}
 	return nil
+}
+
+// parsePrefix reads a prefix index. Prefixes are non-negative: the route
+// tables key on them, and CommandDecl reserves -1 for "any prefix".
+func parsePrefix(s string) (int, error) {
+	p, err := strconv.Atoi(s)
+	if err != nil || p < 0 {
+		return 0, fmt.Errorf("bad prefix %q", s)
+	}
+	return p, nil
 }
 
 // Build materializes the configuration: a topology, a converged network,

@@ -168,9 +168,11 @@ func TestParseErrors(t *testing.T) {
 		"route-map a from b in order x deny",
 		"route-map a from b in order 1 explode",
 		"announce e prefix x",
+		"announce e prefix -3",
 		"announce e prefix 1 aspath x",
 		"command teleport a b",
 		"command deny a b",
+		"command deny a from b prefix -1",
 		"command local-pref a from b order 1 value x",
 	}
 	for _, in := range bad {

@@ -49,11 +49,6 @@ const (
 	CtrSupRollbacks    = "sup_rollbacks"
 	CtrSupJournalBytes = "sup_journal_bytes"
 
-	// Facade. Incremented each time a caller hands the facade one of the
-	// deprecated wall-clock solver budgets (PlanOptions.TimeLimitPerRound /
-	// ObjectiveTimeLimit) instead of SolverNodeBudget.
-	CtrDeprecatedWallClock = "deprecated_wallclock_budget_uses"
-
 	// Class-decomposed planning. CtrPlanClasses counts the prefix
 	// equivalence classes a plan was decomposed into (one increment of n
 	// per Plan call); CtrClassSolverNodes counts branch-and-bound nodes

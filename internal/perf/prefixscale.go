@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"chameleon/internal/bgp"
 	"chameleon/internal/obs"
 	"chameleon/internal/scenario"
 )
@@ -13,33 +12,32 @@ import (
 // carries Internet-scale tables, not the handful of prefixes of the case
 // studies. Two axes are measured:
 //
-//   - whatif-100k-{map,cow}: the table-engine A/B. Setup converges a
-//     100k-prefix storm once; the op is a what-if probe — Clone the
-//     network, withdraw one prefix, re-converge the clone. The map engine
-//     pays a full deep copy of every table per probe; the COW engine pays
-//     an O(1) snapshot plus path copies along the one touched prefix. This
-//     pair is the acceptance gauge for the COW engine (time and bytes per
-//     op at 100k prefixes).
+//   - whatif-100k-cow: setup converges a 100k-prefix storm once; the op is
+//     a what-if probe — Clone the network, withdraw one prefix, re-converge
+//     the clone. The copy-on-write tables make that an O(1) snapshot plus
+//     path copies along the one touched prefix. The name keeps its "-cow"
+//     suffix so the point stays comparable with BENCH_3, which also holds
+//     the deleted map engine's whatif-100k-map for the record.
 //
-//   - storm-10k-{routes,batched}: the injection-path A/B on the COW
-//     engine. The op is the full build+convergence of a 10k-prefix storm,
-//     either route-by-route (one message per route per session) or batched
-//     (one message per session carrying the storm). The message-count
-//     counters make the reduction machine-independent.
+//   - storm-10k-{routes,batched}: the injection-path A/B. The op is the
+//     full build+convergence of a 10k-prefix storm, either route-by-route
+//     (one message per route per session) or batched (one message per
+//     session carrying the storm). The message-count counters make the
+//     reduction machine-independent.
 const (
 	whatIfPrefixes = 100_000
 	stormPrefixes  = 10_000
 )
 
-// whatIfBench builds a converged storm of n prefixes on the given engine
-// once (shared across reps), then measures clone-probe-reconverge. The op
-// cycles through prefixes so no iteration resumes a previously mutated
-// clone, and it cross-checks that the probe never leaks into the base
+// whatIfBench builds a converged storm of n prefixes once (shared across
+// reps), then measures clone-probe-reconverge. The op cycles through
+// prefixes so no iteration resumes a previously mutated clone, and it
+// cross-checks that the probe never leaks into the base
 // network — an isolation bug would otherwise masquerade as a speedup.
-func whatIfBench(kind bgp.TableKind, n int) func() (Fn, error) {
+func whatIfBench(n int) func() (Fn, error) {
 	return func() (Fn, error) {
 		st, err := scenario.BuildStorm(scenario.StormConfig{
-			Prefixes: n, RIB: kind, Seed: suiteSeed, Batched: true,
+			Prefixes: n, Seed: suiteSeed, Batched: true,
 		})
 		if err != nil {
 			return nil, err
@@ -67,13 +65,12 @@ func whatIfBench(kind bgp.TableKind, n int) func() (Fn, error) {
 }
 
 // stormBench measures BuildStorm end to end (topology, sessions, storm
-// injection, convergence) on the COW engine, with the injection mode as
-// the variable. Rebuilt every iteration: convergence is the op.
+// injection, convergence), with the injection mode as the variable. Rebuilt every iteration: convergence is the op.
 func stormBench(n int, batched bool) func() (Fn, error) {
 	return func() (Fn, error) {
 		return func(ctx context.Context) error {
 			st, err := scenario.BuildStorm(scenario.StormConfig{
-				Prefixes: n, RIB: bgp.TableCOW, Seed: suiteSeed, Batched: batched,
+				Prefixes: n, Seed: suiteSeed, Batched: batched,
 				Recorder: obs.RecorderFrom(ctx),
 			})
 			if err != nil {

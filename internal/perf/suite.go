@@ -6,7 +6,6 @@ import (
 
 	"chameleon"
 	"chameleon/internal/analyzer"
-	"chameleon/internal/bgp"
 	"chameleon/internal/chaos"
 	"chameleon/internal/eval"
 	"chameleon/internal/obs"
@@ -39,9 +38,9 @@ const suiteSeed = 7
 //   - sim-convergence/aarnet — raw simulator convergence of the Aarnet scenario
 //   - plan-execute/…         — the full facade Plan+Execute on three case studies
 //   - chaos/smoke            — one fault-injected execution with recovery
-//   - prefix-scale/…         — 100k-prefix what-if probes (map vs COW table
-//     engine) and 10k-prefix storm convergence (route-by-route vs batched
-//     injection); see prefixscale.go
+//   - prefix-scale/…         — 100k-prefix what-if probes and 10k-prefix
+//     storm convergence (route-by-route vs batched injection); see
+//     prefixscale.go
 //
 // All workloads are seeded and deterministic, so their domain counters
 // (solver nodes, sim events, BGP messages) repeat exactly; only wall time
@@ -57,8 +56,7 @@ func DefaultSuite() []Benchmark {
 		{Name: "plan-execute/compuserve", Setup: planExecuteBench("Compuserve")},
 		{Name: "plan-execute/eenet", Setup: planExecuteBench("EEnet")},
 		{Name: "chaos/smoke", Setup: chaosBench("Abilene")},
-		{Name: "prefix-scale/whatif-100k-map", Setup: whatIfBench(bgp.TableMap, whatIfPrefixes)},
-		{Name: "prefix-scale/whatif-100k-cow", Setup: whatIfBench(bgp.TableCOW, whatIfPrefixes)},
+		{Name: "prefix-scale/whatif-100k-cow", Setup: whatIfBench(whatIfPrefixes)},
 		{Name: "prefix-scale/storm-10k-routes", Setup: stormBench(stormPrefixes, false)},
 		{Name: "prefix-scale/storm-10k-batched", Setup: stormBench(stormPrefixes, true)},
 	}

@@ -166,9 +166,6 @@ type Config struct {
 	// messages, sessions) cover scenario construction too. A nil recorder
 	// keeps construction unobserved, as before.
 	Recorder *obs.Recorder
-	// RIB selects the table engine of the scenario network (zero value:
-	// the legacy map engine).
-	RIB bgp.TableKind
 }
 
 // CaseStudy builds the evaluation scenario of §6/§7 on the named corpus
@@ -223,7 +220,6 @@ func CaseStudyOn(g *topology.Graph, cfg Config) (*Scenario, error) {
 	}
 
 	opts := sim.DefaultOptions(cfg.Seed)
-	opts.RIB = cfg.RIB
 	net := sim.New(g, opts)
 	net.SetRecorder(cfg.Recorder)
 	isRR := make(map[topology.NodeID]bool)

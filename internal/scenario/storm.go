@@ -18,10 +18,8 @@ type StormConfig struct {
 	// Routers is the number of internal routers in the iBGP full mesh
 	// (minimum 2; default 4).
 	Routers int
-	// RIB selects the table engine (zero value: legacy map engine).
-	RIB bgp.TableKind
-	// Seed drives message jitter; storms default to zero jitter so both
-	// engines execute the identical schedule.
+	// Seed drives message jitter; storms default to zero jitter so batched
+	// and route-by-route injection execute the identical schedule.
 	Seed uint64
 	// Batched selects batch injection (one message per session carrying
 	// the full storm) over route-by-route injection.
@@ -69,7 +67,6 @@ func BuildStorm(cfg StormConfig) (*Storm, error) {
 
 	opts := sim.DefaultOptions(cfg.Seed)
 	opts.Jitter = 0
-	opts.RIB = cfg.RIB
 	opts.TracePrefixes = []bgp.Prefix{} // empty non-nil: tracing off
 	net := sim.New(g, opts)
 	net.SetRecorder(cfg.Recorder)

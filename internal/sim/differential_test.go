@@ -1,11 +1,15 @@
 package sim_test
 
-// Differential property test over the two RIB engines: the same randomized
-// announce/withdraw/flap/fail sequence driven through a map-table network
-// and a COW-table network must produce byte-identical state snapshots,
-// forwarding traces, violation timelines and observability counters. This
-// is the engine-swap safety proof: the table layer may change cost, never
-// behavior.
+// Differential property test over table sharing. The route tables are
+// copy-on-write, so the thing that may change cost but never behavior is
+// whether a table's nodes are shared with a clone. The same randomized
+// announce/withdraw/flap/fail sequence is driven through a network that is
+// never cloned and through one that is cloned after every operation (which
+// retires every table's owner token, so each later write path-copies); the
+// two must produce byte-identical state snapshots, forwarding traces,
+// violation timelines and observability counters, and every retained clone
+// must still hold the routing state of the moment it was taken. (What the
+// table itself stores is checked against a map model in internal/bgp.)
 
 import (
 	"encoding/json"
@@ -20,7 +24,7 @@ import (
 	"chameleon/internal/topology"
 )
 
-// diffFixture is one engine's network plus everything we compare.
+// diffFixture is one network plus everything we compare.
 type diffFixture struct {
 	net  *sim.Network
 	g    *topology.Graph
@@ -31,7 +35,7 @@ type diffFixture struct {
 	rec  *obs.Recorder
 }
 
-func buildDiffNet(t *testing.T, kind bgp.TableKind) *diffFixture {
+func buildDiffNet(t *testing.T) *diffFixture {
 	t.Helper()
 	g := topology.New("diff")
 	var rt []topology.NodeID
@@ -51,7 +55,6 @@ func buildDiffNet(t *testing.T, kind bgp.TableKind) *diffFixture {
 	g.AddLink(ext2, rt[3], 1)
 
 	opts := sim.DefaultOptions(11)
-	opts.RIB = kind
 	net := sim.New(g, opts)
 	rrs := []topology.NodeID{rt[1], rt[4]}
 	for _, rr := range rrs {
@@ -78,10 +81,11 @@ func buildDiffNet(t *testing.T, kind bgp.TableKind) *diffFixture {
 	}
 }
 
-// driveDiffOps applies a deterministic pseudo-random operation sequence.
-// Both fixtures get a fresh RNG with the same seed, so they see identical
-// operations; any divergence in outcome is the table engine's fault.
-func driveDiffOps(f *diffFixture, seed uint64, batched bool) {
+// driveDiffOps applies a deterministic pseudo-random operation sequence,
+// calling afterOp (if non-nil) each time the network has converged. Both
+// fixtures get a fresh RNG with the same seed, so they see identical
+// operations; any divergence in outcome is the tables' fault.
+func driveDiffOps(f *diffFixture, seed uint64, batched bool, afterOp func()) {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	const universe = 48
 	ann := func(p bgp.Prefix) sim.Announcement {
@@ -141,11 +145,13 @@ func driveDiffOps(f *diffFixture, seed uint64, batched bool) {
 			})
 		}
 		f.net.Run()
+		if afterOp != nil {
+			afterOp()
+		}
 	}
-	f.net.Run()
 }
 
-// fingerprint serializes everything the engines must agree on.
+// fingerprint serializes everything the two runs must agree on.
 func fingerprint(t *testing.T, f *diffFixture) []byte {
 	t.Helper()
 	st, err := f.net.CaptureState()
@@ -185,6 +191,21 @@ func fingerprint(t *testing.T, f *diffFixture) []byte {
 	return b
 }
 
+// routerStates serializes the per-router half of a state capture: the part
+// Clone carries over (clock-independent counters are not cloned).
+func routerStates(t *testing.T, n *sim.Network) string {
+	t.Helper()
+	st, err := n.CaptureState()
+	if err != nil {
+		t.Fatalf("CaptureState: %v", err)
+	}
+	b, err := json.Marshal(st.Routers)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	return string(b)
+}
+
 func TestDifferentialEngines(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
@@ -192,19 +213,31 @@ func TestDifferentialEngines(t *testing.T) {
 	}{{"per-route", false}, {"batched", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, seed := range []uint64{3, 17, 99} {
-				mapFix := buildDiffNet(t, bgp.TableMap)
-				cowFix := buildDiffNet(t, bgp.TableCOW)
-				driveDiffOps(mapFix, seed, mode.batched)
-				driveDiffOps(cowFix, seed, mode.batched)
-				a, b := fingerprint(t, mapFix), fingerprint(t, cowFix)
+				plain := buildDiffNet(t)
+				shared := buildDiffNet(t)
+				type snapshot struct {
+					net  *sim.Network
+					want string
+				}
+				var snaps []snapshot
+				driveDiffOps(plain, seed, mode.batched, nil)
+				driveDiffOps(shared, seed, mode.batched, func() {
+					snaps = append(snaps, snapshot{shared.net.Clone(), routerStates(t, shared.net)})
+				})
+				a, b := fingerprint(t, plain), fingerprint(t, shared)
 				if string(a) != string(b) {
 					diffAt := 0
 					for diffAt < len(a) && diffAt < len(b) && a[diffAt] == b[diffAt] {
 						diffAt++
 					}
 					lo := max(0, diffAt-200)
-					t.Fatalf("seed %d: engines diverge at byte %d:\nmap: …%s…\ncow: …%s…",
+					t.Fatalf("seed %d: runs diverge at byte %d:\nplain:  …%s…\nshared: …%s…",
 						seed, diffAt, a[lo:min(len(a), diffAt+200)], b[lo:min(len(b), diffAt+200)])
+				}
+				for i, s := range snaps {
+					if got := routerStates(t, s.net); got != s.want {
+						t.Fatalf("seed %d: clone taken after op %d drifted from its point-in-time state", seed, i)
+					}
 				}
 			}
 		})
@@ -215,30 +248,28 @@ func TestDifferentialEngines(t *testing.T) {
 // to the same routing state as route-by-route injection (messages differ —
 // that is the point — but the converged tables must not).
 func TestBatchedMatchesPerRouteOutcome(t *testing.T) {
-	for _, kind := range []bgp.TableKind{bgp.TableMap, bgp.TableCOW} {
-		one := buildDiffNet(t, kind)
-		bat := buildDiffNet(t, kind)
-		anns := make([]sim.Announcement, 0, 40)
-		for p := 0; p < 40; p++ {
-			anns = append(anns, sim.Announcement{Prefix: bgp.Prefix(p), ASPathLen: 1 + p%3})
-		}
-		for _, a := range anns {
-			one.net.InjectExternalRoute(one.exts[0], a)
-		}
-		one.net.Run()
-		bat.net.InjectExternalRoutes(bat.exts[0], anns)
-		bat.net.Run()
-		if om, bm := one.net.MessagesProcessed(), bat.net.MessagesProcessed(); bm >= om {
-			t.Fatalf("kind %v: batching did not reduce messages: %d >= %d", kind, bm, om)
-		}
-		for p := 0; p < 40; p++ {
-			for _, n := range one.g.Internal() {
-				ro, oko := one.net.Best(n, bgp.Prefix(p))
-				rb, okb := bat.net.Best(n, bgp.Prefix(p))
-				if oko != okb || (oko && !ro.PathEqual(rb)) {
-					t.Fatalf("kind %v: node %d prefix %d: per-route %v(%v) vs batched %v(%v)",
-						kind, n, p, ro, oko, rb, okb)
-				}
+	one := buildDiffNet(t)
+	bat := buildDiffNet(t)
+	anns := make([]sim.Announcement, 0, 40)
+	for p := 0; p < 40; p++ {
+		anns = append(anns, sim.Announcement{Prefix: bgp.Prefix(p), ASPathLen: 1 + p%3})
+	}
+	for _, a := range anns {
+		one.net.InjectExternalRoute(one.exts[0], a)
+	}
+	one.net.Run()
+	bat.net.InjectExternalRoutes(bat.exts[0], anns)
+	bat.net.Run()
+	if om, bm := one.net.MessagesProcessed(), bat.net.MessagesProcessed(); bm >= om {
+		t.Fatalf("batching did not reduce messages: %d >= %d", bm, om)
+	}
+	for p := 0; p < 40; p++ {
+		for _, n := range one.g.Internal() {
+			ro, oko := one.net.Best(n, bgp.Prefix(p))
+			rb, okb := bat.net.Best(n, bgp.Prefix(p))
+			if oko != okb || (oko && !ro.PathEqual(rb)) {
+				t.Fatalf("node %d prefix %d: per-route %v(%v) vs batched %v(%v)",
+					n, p, ro, oko, rb, okb)
 			}
 		}
 	}

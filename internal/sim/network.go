@@ -31,11 +31,6 @@ type Options struct {
 	// entirely — prefix-scale scenarios must, or trace storage dominates
 	// memory.
 	TracePrefixes []bgp.Prefix
-	// RIB selects the table engine backing every router's Adj-RIB-In,
-	// Loc-RIB and Adj-RIB-Out. The zero value is the legacy map engine;
-	// bgp.TableCOW enables copy-on-write structural sharing for
-	// prefix-scale scenarios.
-	RIB bgp.TableKind
 }
 
 // DefaultOptions returns the options used across the evaluation: 10 ms
@@ -138,13 +133,10 @@ func New(g *topology.Graph, opts Options) *Network {
 		}
 	}
 	for _, node := range g.Nodes() {
-		n.routers = append(n.routers, newRouter(node.ID, node.External, opts.RIB))
+		n.routers = append(n.routers, newRouter(node.ID, node.External))
 	}
 	return n
 }
-
-// TableKind returns the RIB engine this network runs on.
-func (n *Network) TableKind() bgp.TableKind { return n.opts.RIB }
 
 // BeginRun gives the next execution on this network exclusive ownership of
 // the message-jitter RNG: run r (r ≥ 1) draws from a fresh PCG stream
@@ -848,8 +840,7 @@ func (n *Network) Clone() *Network {
 				}
 			}
 		}
-		// Table clones share unchanged subtrees on the COW engine and
-		// deep-copy on the map engine.
+		// Table clones share unchanged subtrees with the original.
 		cr.adjIn = r.adjIn.Clone()
 		cr.locRib = r.locRib.Clone()
 		for nb, t := range r.adjOut {

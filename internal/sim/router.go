@@ -11,7 +11,6 @@ import (
 type router struct {
 	id       topology.NodeID
 	external bool
-	kind     bgp.TableKind
 
 	// sessions maps each BGP neighbor to this router's role towards it;
 	// nbrs mirrors its key set sorted, so the hot per-prefix propagation
@@ -27,7 +26,7 @@ type router struct {
 
 	// adjOut records the last route sent to each neighbor per prefix, so
 	// exports can be diffed and withdrawals generated.
-	adjOut map[topology.NodeID]bgp.RIB
+	adjOut map[topology.NodeID]*bgp.RIB
 
 	// originated holds the announcements of an external network.
 	originated map[bgp.Prefix]Announcement
@@ -43,19 +42,18 @@ type Announcement struct {
 	MED       uint32
 }
 
-func newRouter(id topology.NodeID, external bool, kind bgp.TableKind) *router {
+func newRouter(id topology.NodeID, external bool) *router {
 	return &router{
 		id:       id,
 		external: external,
-		kind:     kind,
 		sessions: make(map[topology.NodeID]bgp.SessionKind),
 		maps: map[Direction]map[topology.NodeID]*RouteMap{
 			In:  make(map[topology.NodeID]*RouteMap),
 			Out: make(map[topology.NodeID]*RouteMap),
 		},
-		adjIn:      bgp.NewAdjInKind(kind),
-		locRib:     bgp.NewLocRIBKind(kind),
-		adjOut:     make(map[topology.NodeID]bgp.RIB),
+		adjIn:      bgp.NewAdjIn(),
+		locRib:     bgp.NewLocRIB(),
+		adjOut:     make(map[topology.NodeID]*bgp.RIB),
 		originated: make(map[bgp.Prefix]Announcement),
 	}
 }
@@ -83,10 +81,10 @@ func (r *router) dropSession(peer topology.NodeID) {
 
 // adjOutFor returns the Adj-RIB-Out table towards peer, creating it on
 // first use.
-func (r *router) adjOutFor(peer topology.NodeID) bgp.RIB {
+func (r *router) adjOutFor(peer topology.NodeID) *bgp.RIB {
 	t := r.adjOut[peer]
 	if t == nil {
-		t = bgp.NewRIB(r.kind)
+		t = bgp.NewRIB()
 		r.adjOut[peer] = t
 	}
 	return t

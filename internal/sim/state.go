@@ -209,7 +209,7 @@ func (n *Network) RestoreState(st *NetState) error {
 		}
 	}
 	for i, rs := range st.Routers {
-		r := newRouter(rs.ID, rs.External, n.opts.RIB)
+		r := newRouter(rs.ID, rs.External)
 		for _, s := range rs.Sessions {
 			r.setSession(s.Peer, s.Kind)
 		}
