@@ -289,13 +289,7 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	schedOpts := scheduler.DefaultOptions()
-	// A deterministic solver budget instead of wall-clock limits: the
-	// schedule — and with it the whole case, fingerprint included — must
-	// not depend on how loaded the machine is or how many sweep workers
-	// share it.
-	schedOpts.SolverNodeBudget = scheduler.DeterministicNodeBudget
-	sched, err := scheduler.ScheduleCtx(ctx, a, reachabilitySpec(s.Graph), schedOpts)
+	sched, err := scheduler.ScheduleCtx(ctx, a, reachabilitySpec(s.Graph), scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -455,12 +449,48 @@ func Sweep(cfg SweepConfig, progress func(CaseResult)) ([]CaseResult, []Summary,
 	return SweepCtx(context.Background(), cfg, progress)
 }
 
+// mapCases runs n cases workers-wide and returns their results in index
+// order, serializing progress. When ctx carries an obs.Recorder, every case
+// runs against its own forked recorder; after the pool drains, the forks are
+// folded into the carried recorder under label(i) in index order — never
+// completion order — even on error, so a partial sweep still leaves a
+// well-formed trace behind and the merged trace and metric dump are
+// byte-identical at any worker count.
+func mapCases[T any](ctx context.Context, workers, n int, progress func(T), label func(i int) string,
+	run func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	parent := obs.RecorderFrom(ctx)
+	var recs []*obs.Recorder
+	if parent != nil {
+		recs = make([]*obs.Recorder, n)
+	}
+	var mu sync.Mutex
+	results, err := pool.Map(ctx, workers, n, func(wctx context.Context, i int) (T, error) {
+		if recs != nil {
+			// Fork, not New: per-case recorders inherit the parent's cost
+			// attribution configuration.
+			recs[i] = parent.Fork()
+			wctx = obs.WithRecorder(wctx, recs[i])
+		}
+		r, err := run(wctx, i)
+		if err == nil && progress != nil {
+			mu.Lock()
+			progress(r)
+			mu.Unlock()
+		}
+		return r, err
+	})
+	for i, rec := range recs {
+		if rec != nil {
+			parent.Adopt(label(i), rec)
+		}
+	}
+	return results, err
+}
+
 // SweepCtx is Sweep with a context. Cancellation stops the matrix (cases
 // already running finish their current solver/supervision poll and bail).
-// When ctx carries an obs.Recorder, every case runs against its own forked
-// recorder; after the pool drains, the forks are folded into the carried
-// recorder in matrix order (obs.Recorder.Adopt), so the merged trace and
-// metric dump are byte-identical at any worker count.
+// A recorder carried by ctx observes every case; see mapCases for the merge
+// discipline.
 func SweepCtx(ctx context.Context, cfg SweepConfig, progress func(CaseResult)) ([]CaseResult, []Summary, error) {
 	var cases []Case
 	for _, topo := range cfg.Topologies {
@@ -471,41 +501,19 @@ func SweepCtx(ctx context.Context, cfg SweepConfig, progress func(CaseResult)) (
 		}
 	}
 
-	parent := obs.RecorderFrom(ctx)
-	var recs []*obs.Recorder
-	if parent != nil {
-		recs = make([]*obs.Recorder, len(cases))
-	}
-
-	var mu sync.Mutex
-	results, err := pool.Map(ctx, cfg.Workers, len(cases), func(wctx context.Context, i int) (CaseResult, error) {
-		c := cases[i]
-		if recs != nil {
-			// Fork, not New: per-case recorders inherit the parent's cost
-			// attribution configuration.
-			recs[i] = parent.Fork()
-			wctx = obs.WithRecorder(wctx, recs[i])
-		}
-		r, err := RunCaseCtx(wctx, c)
-		if err != nil {
-			return CaseResult{}, fmt.Errorf("chaos: %s/%s/seed=%d: %w", c.Topology, c.Fault, c.Seed, err)
-		}
-		if progress != nil {
-			mu.Lock()
-			progress(*r)
-			mu.Unlock()
-		}
-		return *r, nil
-	})
-	// Fold the per-case recorders back in matrix order — never completion
-	// order — even on error, so a partial sweep still leaves a well-formed
-	// trace behind.
-	for i, rec := range recs {
-		if rec != nil {
+	results, err := mapCases(ctx, cfg.Workers, len(cases), progress,
+		func(i int) string {
 			c := cases[i]
-			parent.Adopt(fmt.Sprintf("case %s/%s/%d", c.Topology, c.Fault, c.Seed), rec)
-		}
-	}
+			return fmt.Sprintf("case %s/%s/%d", c.Topology, c.Fault, c.Seed)
+		},
+		func(wctx context.Context, i int) (CaseResult, error) {
+			c := cases[i]
+			r, err := RunCaseCtx(wctx, c)
+			if err != nil {
+				return CaseResult{}, fmt.Errorf("chaos: %s/%s/seed=%d: %w", c.Topology, c.Fault, c.Seed, err)
+			}
+			return *r, nil
+		})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"chameleon/internal/obs"
-	"chameleon/internal/pool"
 	"chameleon/internal/runtime"
 	"chameleon/internal/scenario"
-	"chameleon/internal/scheduler"
 	"chameleon/internal/sim"
 	"chameleon/internal/supervisor"
 	"chameleon/internal/topology"
@@ -142,9 +139,8 @@ func RunRecoveryCaseCtx(ctx context.Context, c RecoveryCase, journalPath string)
 		return nil, err
 	}
 	opts := supervisor.Options{
-		Seed:             c.Seed,
-		JournalPath:      journalPath,
-		SolverNodeBudget: scheduler.DeterministicNodeBudget,
+		Seed:        c.Seed,
+		JournalPath: journalPath,
 	}
 	switch c.Profile {
 	case ProfilePersistentFault:
@@ -254,9 +250,10 @@ func DefaultRecoverySweep() RecoverySweepConfig {
 }
 
 // RecoverySweep runs the matrix Workers-wide and returns results in matrix
-// order. The error aggregates nothing: a case that fails to run at all is
-// an infrastructure failure, distinct from a case that runs and does not
-// recover (res.Recovered == false).
+// order; a recorder carried by ctx observes every case (see mapCases for the
+// merge discipline). The error aggregates nothing: a case that fails to run
+// at all is an infrastructure failure, distinct from a case that runs and
+// does not recover (res.Recovered == false).
 func RecoverySweep(ctx context.Context, cfg RecoverySweepConfig, progress func(RecoveryResult)) ([]RecoveryResult, error) {
 	var cases []RecoveryCase
 	for _, topo := range cfg.Topologies {
@@ -266,24 +263,23 @@ func RecoverySweep(ctx context.Context, cfg RecoverySweepConfig, progress func(R
 			}
 		}
 	}
-	var mu sync.Mutex
-	return pool.Map(ctx, cfg.Workers, len(cases), func(wctx context.Context, i int) (RecoveryResult, error) {
-		c := cases[i]
-		jpath := ""
-		if cfg.JournalDir != "" {
-			jpath = filepath.Join(cfg.JournalDir,
-				fmt.Sprintf("recovery-%s-%s-%d.jsonl", c.Topology, c.Profile, c.Seed))
-		}
-		r, err := RunRecoveryCaseCtx(wctx, c, jpath)
-		if err != nil {
-			return RecoveryResult{}, fmt.Errorf("chaos: recovery %s/%s/seed=%d: %w",
-				c.Topology, c.Profile, c.Seed, err)
-		}
-		if progress != nil {
-			mu.Lock()
-			progress(*r)
-			mu.Unlock()
-		}
-		return *r, nil
-	})
+	return mapCases(ctx, cfg.Workers, len(cases), progress,
+		func(i int) string {
+			c := cases[i]
+			return fmt.Sprintf("recovery %s/%s/%d", c.Topology, c.Profile, c.Seed)
+		},
+		func(wctx context.Context, i int) (RecoveryResult, error) {
+			c := cases[i]
+			jpath := ""
+			if cfg.JournalDir != "" {
+				jpath = filepath.Join(cfg.JournalDir,
+					fmt.Sprintf("recovery-%s-%s-%d.jsonl", c.Topology, c.Profile, c.Seed))
+			}
+			r, err := RunRecoveryCaseCtx(wctx, c, jpath)
+			if err != nil {
+				return RecoveryResult{}, fmt.Errorf("chaos: recovery %s/%s/seed=%d: %w",
+					c.Topology, c.Profile, c.Seed, err)
+			}
+			return *r, nil
+		})
 }

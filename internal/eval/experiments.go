@@ -262,12 +262,6 @@ func SweepScheduling(names []string, seed uint64, opts scheduler.Options, worker
 // the sweep (the error is ctx's), and a recorder carried by ctx observes
 // every scenario run (see sweep for the merge discipline).
 func SweepSchedulingCtx(ctx context.Context, names []string, seed uint64, opts scheduler.Options, workers int, progress func(SweepOutcome)) ([]SweepOutcome, error) {
-	if opts.SolverNodeBudget == 0 {
-		// Deterministic solver budget: every column except the wall-clock
-		// scheduling_time_s is then byte-identical at any worker count
-		// and under any machine load.
-		opts.SolverNodeBudget = scheduler.DeterministicNodeBudget
-	}
 	return sweep(ctx, workers, names, progress, func(ctx context.Context, name string) SweepOutcome {
 		return schedulingOutcome(ctx, name, seed, opts)
 	})
@@ -360,9 +354,9 @@ type SpecSweepPoint struct {
 // constraints (Fig. 13's ablation). Each point runs `runs` times with a
 // different random Nφ subset, each drawn from its own derived stream.
 //
-// This sweep stays deliberately sequential: its *only* output is scheduling
-// time under a tight ObjectiveTimeLimit, and running points concurrently
-// would let CPU contention distort the medians Fig. 8 compares.
+// This sweep stays deliberately sequential: its *only* output is wall-clock
+// scheduling time, and running points concurrently would let CPU contention
+// distort the medians Fig. 8 compares.
 func SpecComplexitySweep(name string, temporal, explicitLoops bool, fracs []float64, runs int, seed uint64) ([]SpecSweepPoint, error) {
 	s, err := scenario.CaseStudy(name, scenario.Config{Seed: seed})
 	if err != nil {
@@ -375,7 +369,6 @@ func SpecComplexitySweep(name string, temporal, explicitLoops bool, fracs []floa
 	n := len(s.Graph.Internal())
 	opts := scheduler.DefaultOptions()
 	opts.ExplicitLoopConstraints = explicitLoops
-	opts.ObjectiveTimeLimit = 500 * time.Millisecond
 	var points []SpecSweepPoint
 	for _, frac := range fracs {
 		k := int(frac * float64(n))
@@ -436,9 +429,6 @@ func SweepTableOverhead(names []string, seed uint64, opts scheduler.Options, wor
 // SweepTableOverheadCtx is SweepTableOverhead with a context; see
 // SweepSchedulingCtx for the cancellation and recorder semantics.
 func SweepTableOverheadCtx(ctx context.Context, names []string, seed uint64, opts scheduler.Options, workers int, progress func(OverheadOutcome)) ([]OverheadOutcome, error) {
-	if opts.SolverNodeBudget == 0 {
-		opts.SolverNodeBudget = scheduler.DeterministicNodeBudget
-	}
 	return sweep(ctx, workers, names, progress, func(ctx context.Context, name string) OverheadOutcome {
 		return overheadOutcome(ctx, name, seed, opts)
 	})

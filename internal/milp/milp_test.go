@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func solve(t *testing.T, m *Model, opts Options) *Solution {
@@ -182,28 +181,27 @@ func TestExactlyOneAndAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestTimeLimit(t *testing.T) {
-	// A model with a huge search space and no solution; the time limit
-	// must fire.
+func TestNodeLimit(t *testing.T) {
+	// A model with a huge search space and no solution; the node limit must
+	// fire, as ErrTimeout.
 	m := NewModel()
 	var vars []VarID
 	for i := 0; i < 40; i++ {
 		vars = append(vars, m.NewInt("x", 0, 1000))
 	}
-	// Σ x_i = 39999 with parity cuts that make it infeasible but hard for
-	// pure bounds propagation to refute instantly.
+	// Σ 2·x_i = 39999: even = odd is infeasible, but bounds propagation
+	// sees only bounds and cannot refute it.
 	e := Lin()
 	for _, v := range vars {
 		e = e.Add(v, 2)
 	}
-	m.AddEq(e, 39999) // even = odd: infeasible but propagation sees bounds only
-	start := time.Now()
-	_, err := m.Solve(Options{TimeLimit: 100 * time.Millisecond})
-	if err == nil {
-		t.Fatal("expected error")
+	m.AddEq(e, 39999)
+	s, err := m.Solve(Options{NodeLimit: 10000})
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("time limit ignored: ran %v", elapsed)
+	if s.Values != nil || s.Stats.Nodes != 10000 {
+		t.Errorf("failed solve: Values = %v, Stats.Nodes = %d; want no values and all 10000 nodes charged", s.Values, s.Stats.Nodes)
 	}
 }
 
@@ -392,31 +390,6 @@ func negateForTest(e LinExpr) LinExpr {
 	return out
 }
 
-func TestFirstFailHeuristicAgrees(t *testing.T) {
-	// First-fail must not change feasibility or optimality, only the
-	// search order.
-	m1, m2 := NewModel(), NewModel()
-	var v1, v2 []VarID
-	for i := 0; i < 6; i++ {
-		v1 = append(v1, m1.NewInt("v", 0, 3))
-		v2 = append(v2, m2.NewInt("v", 0, 3))
-	}
-	for i := 0; i+1 < 6; i++ {
-		m1.AddLe(Lin().Add(v1[i], 1).Add(v1[i+1], 2), 4)
-		m2.AddLe(Lin().Add(v2[i], 1).Add(v2[i+1], 2), 4)
-	}
-	m1.Minimize(negateForTest(Sum(v1...)))
-	m2.Minimize(negateForTest(Sum(v2...)))
-	s1, err1 := m1.Solve(Options{})
-	s2, err2 := m2.Solve(Options{FirstFail: true})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errs: %v %v", err1, err2)
-	}
-	if s1.Objective != s2.Objective {
-		t.Errorf("objectives differ: %d vs %d", s1.Objective, s2.Objective)
-	}
-}
-
 func TestRestartsSolveAdversarialOrder(t *testing.T) {
 	// A model whose given branch order is pathological: restarts reshuffle
 	// and find the solution quickly anyway.
@@ -547,15 +520,12 @@ func pigeonholeGated(pigeons, holes int) (*Model, Options) {
 }
 
 func TestRestartBudgetAccounting(t *testing.T) {
-	const base = 512
+	const base = restartBaseNodes
 	// Sanity: a single attempt limited to the first restart budget must
 	// fail — the gate branches high into the pigeonhole subtree and the
 	// budget runs out long before the subtree is refuted.
 	m, opts := pigeonholeGated(8, 7)
-	once := opts
-	once.NoRestarts = true
-	once.MaxNodes = base
-	if _, err := m.Solve(once); err == nil {
+	if _, _, err := m.attempt(opts, base); err == nil {
 		t.Fatal("first-attempt budget unexpectedly sufficient; grow the pigeonhole")
 	}
 	// Under restarts the first attempt exhausts its base budget and a later
@@ -564,7 +534,6 @@ func TestRestartBudgetAccounting(t *testing.T) {
 	// reported only the final attempt, undercounting total solver effort
 	// below base+1.
 	m, opts = pigeonholeGated(8, 7)
-	opts.RestartBaseNodes = base
 	s, err := m.Solve(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -582,7 +551,6 @@ func TestRestartBudgetAccounting(t *testing.T) {
 	// must still admit the solve: with grant-based charging the second
 	// attempt would be starved of budget it never consumed.
 	m, opts = pigeonholeGated(8, 7)
-	opts.RestartBaseNodes = base
 	opts.NodeLimit = 3 * base
 	if _, err := m.Solve(opts); err != nil {
 		t.Fatalf("Solve under NodeLimit=%d: %v", 3*base, err)
@@ -595,7 +563,6 @@ func TestRestartDeterminism(t *testing.T) {
 	// effort counts.
 	run := func() *Solution {
 		m, opts := pigeonholeGated(8, 7)
-		opts.RestartBaseNodes = 512
 		s, err := m.Solve(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -610,6 +577,60 @@ func TestRestartDeterminism(t *testing.T) {
 		if a.Values[i] != b.Values[i] {
 			t.Fatalf("value %d differs: %d vs %d", i, a.Values[i], b.Values[i])
 		}
+	}
+}
+
+// TestSolveLeavesModelUntouched: minimizing posts cutoff rows while it
+// runs; none may survive the call.
+func TestSolveLeavesModelUntouched(t *testing.T) {
+	m := NewModel()
+	var vars []VarID
+	for i := 0; i < 6; i++ {
+		vars = append(vars, m.NewInt("v", 0, 3))
+	}
+	for i := 0; i+1 < len(vars); i++ {
+		m.AddGe(Lin().Add(vars[i], 1).Add(vars[i+1], 2), 3)
+	}
+	m.Minimize(Sum(vars...))
+	rows, fp := m.NumConstraints(), m.Fingerprint()
+	first := solve(t, m, Options{})
+	if !first.Stats.Optimal {
+		t.Fatal("unbudgeted minimization must prove optimality")
+	}
+	if m.NumConstraints() != rows || m.Fingerprint() != fp {
+		t.Fatalf("Solve mutated the model: %d rows (fingerprint %#x), was %d (%#x)",
+			m.NumConstraints(), m.Fingerprint(), rows, fp)
+	}
+	// varCons went back too: a second solve of the same model repeats the
+	// first one exactly.
+	again := solve(t, m, Options{})
+	if again.Objective != first.Objective || again.Stats.Nodes != first.Stats.Nodes ||
+		again.Stats.Propagations != first.Stats.Propagations {
+		t.Fatalf("second solve differs: %+v (obj %d) vs %+v (obj %d)",
+			again.Stats, again.Objective, first.Stats, first.Objective)
+	}
+}
+
+// TestImprovementOutOfBudget: when an improvement iteration runs out of
+// NodeLimit, Solve answers the best solution so far, unproven — not an
+// error.
+func TestImprovementOutOfBudget(t *testing.T) {
+	// Minimizing −g: g = 0 is found at once, and the only improvement,
+	// g = 1, means refuting the pigeonhole.
+	m, opts := pigeonholeGated(8, 7)
+	g := opts.BranchOrder[0]
+	m.Minimize(Lin().Add(g, -1))
+	opts.PreferHigh = nil
+	opts.NodeLimit = 2000
+	s := solve(t, m, opts)
+	if s.Values[g] != 0 || s.Objective != 0 {
+		t.Fatalf("g = %d, objective %d; want the g = 0 solution", s.Values[g], s.Objective)
+	}
+	if s.Stats.Optimal {
+		t.Error("an improvement search cut short by NodeLimit must not claim optimality")
+	}
+	if s.Stats.Nodes <= opts.NodeLimit {
+		t.Errorf("Stats.Nodes = %d, want > %d: the failed improvement search spent its whole NodeLimit", s.Stats.Nodes, opts.NodeLimit)
 	}
 }
 

@@ -13,60 +13,41 @@ import (
 var (
 	// ErrInfeasible means the model admits no integer solution.
 	ErrInfeasible = errors.New("milp: infeasible")
-	// ErrTimeout means the limits were hit before any solution was found.
-	ErrTimeout = errors.New("milp: time or node limit exceeded")
+	// ErrTimeout means NodeLimit was spent before any solution was found.
+	ErrTimeout = errors.New("milp: node limit exceeded")
 )
+
+// restartBaseNodes is the node cap of a search's first attempt; attempt k is
+// capped at restartBaseNodes·2^k.
+const restartBaseNodes = 4096
 
 // Options tune the branch-and-bound search.
 type Options struct {
-	// TimeLimit bounds wall-clock search time (0: unlimited).
-	TimeLimit time.Duration
-	// MaxNodes bounds the number of search nodes (0: unlimited).
-	MaxNodes int64
+	// NodeLimit bounds the nodes one feasibility search may explore across
+	// all its restart attempts (0: unlimited). When Solve minimizes, every
+	// improvement iteration is a search of its own and gets NodeLimit
+	// afresh. It is the only budget, so the same model under the same limit
+	// returns the same result regardless of machine speed or load.
+	NodeLimit int64
 	// BranchOrder lists variables to branch on first, in order. Remaining
 	// variables follow in declaration order.
 	BranchOrder []VarID
-	// UseLPBound enables LP-relaxation bounding at the root and every
-	// LPBoundEvery nodes (ablation: §7.1 solver engine).
-	UseLPBound bool
-	// LPBoundEvery is the node interval between LP bounding calls
-	// (default 512 when UseLPBound).
-	LPBoundEvery int64
+	// PreferHigh lists variables whose values are enumerated descending
+	// (try the upper bound first); all others ascend.
+	PreferHigh []VarID
 	// FirstSolution stops at the first feasible solution even when an
 	// objective is set (used by the round-minimization outer loop, which
 	// only needs feasibility at each R).
 	FirstSolution bool
-	// ImprovementTimeLimit bounds, in SolveIterative, the improvement
-	// loop after the first feasible solution (0: use TimeLimit).
-	ImprovementTimeLimit time.Duration
-	// NodeLimit bounds the total node budget handed out across restart
-	// attempts (0: unlimited). Unlike TimeLimit it is deterministic: the
-	// same model under the same limit returns the same result regardless
-	// of machine speed or load. Callers wanting reproducible solves set
-	// it and leave TimeLimit at 0.
-	NodeLimit int64
-	// ImprovementNodeLimit bounds, in SolveIterative, each improvement
-	// iteration by a node budget instead of wall-clock time; when set it
-	// replaces ImprovementTimeLimit. Deterministic like NodeLimit.
-	ImprovementNodeLimit int64
-	// NoRestarts disables randomized geometric restarts. Restarts (on by
-	// default) bound each search attempt by a doubling node budget and
-	// reshuffle the branch order between attempts, taming the
-	// heavy-tailed runtime of chronological backtracking.
-	NoRestarts bool
-	// RestartBaseNodes is the first attempt's node budget (default 4096).
-	RestartBaseNodes int64
-	// FirstFail branches on the unfixed variable with the smallest
-	// current domain (ties broken by branch order) instead of strictly
-	// following the branch order.
-	FirstFail bool
-	// PreferHigh lists variables whose values are enumerated descending
-	// (try the upper bound first); all others ascend.
-	PreferHigh []VarID
-	// Ctx, when non-nil, is polled sparsely (same cadence as the deadline
-	// check) and aborts the search with the context's error. Cancellation
-	// discards any incumbent: a cancelled solve returns ctx.Err(), never a
-	// partial solution.
+	// UseLPBound enables LP-relaxation infeasibility pruning at the root
+	// and every LPBoundEvery nodes (ablation: §7.1 solver engine).
+	UseLPBound bool
+	// LPBoundEvery is the node interval between LP bounding calls
+	// (default 512 when UseLPBound).
+	LPBoundEvery int64
+	// Ctx, when non-nil, is polled every 256 nodes and aborts the search
+	// with the context's error. Cancellation discards any solution found so
+	// far: a cancelled solve returns ctx.Err(), never a partial result.
 	Ctx context.Context
 }
 
@@ -78,6 +59,14 @@ type Stats struct {
 	LPBounds     int64
 	LPPivots     int64
 	Optimal      bool
+}
+
+// add charges o's effort counters to st.
+func (st *Stats) add(o Stats) {
+	st.Nodes += o.Nodes
+	st.Propagations += o.Propagations
+	st.LPBounds += o.LPBounds
+	st.LPPivots += o.LPPivots
 }
 
 // Solution is a feasible (and, unless interrupted, optimal) assignment.
@@ -103,132 +92,131 @@ type searcher struct {
 	order      []VarID
 	preferHigh []bool
 
-	incumbent    []int64
-	incumbentObj int64
-	haveInc      bool
-
-	deadline time.Time
-	hasDL    bool
+	maxNodes int64 // this attempt's node cap
 	opts     Options
 	stats    Stats
-	start    time.Time
-	ctxErr   error // set when opts.Ctx fired during the search
+	values   []int64 // the first full assignment, once found
+	ctxErr   error   // set when opts.Ctx fired during the search
 }
 
-// isCtxErr reports whether err is a context cancellation or deadline error.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Solve runs branch and bound. With an objective it returns the best
-// solution found (Stats.Optimal reports whether the search completed);
-// without one it returns the first feasible assignment. Unless NoRestarts
-// is set, the search uses randomized geometric restarts: attempt k gets a
-// node budget of RestartBaseNodes·2^k, and from the second attempt on the
-// branch order is reshuffled deterministically.
+// Solve searches for an assignment. Without an objective, or with
+// FirstSolution set, it returns the first feasible one. With an objective
+// it then minimizes by repeated feasibility searches under a tightening
+// cutoff (obj ≤ best−1), which prunes far better than bound-based branch
+// and bound when the objective is a sum of many indicator variables (the
+// scheduler's temp-session count). Stats.Optimal reports whether the last
+// search proved that nothing better exists; an improvement search that runs
+// out of NodeLimit instead ends the loop with the best solution so far. The
+// cutoff rows are removed again before Solve returns.
+//
+// Solve never returns a nil Solution: on error it carries no Values, only
+// the Stats of the effort spent before failing.
 func (m *Model) Solve(opts Options) (*Solution, error) {
-	if !opts.NoRestarts && opts.MaxNodes == 0 {
-		return m.solveWithRestarts(opts)
+	start := time.Now()
+	best, total, err := m.feasible(opts)
+	// Without an objective any feasible assignment is final.
+	total.Optimal = err == nil && !m.hasObj
+	if err == nil && m.hasObj && !opts.FirstSolution {
+		rows := len(m.cons)
+		for {
+			m.AddLe(m.obj, best.Objective-1)
+			sol, st, ferr := m.feasible(opts)
+			total.add(st)
+			if ferr != nil {
+				err = ferr
+				break
+			}
+			best = sol
+		}
+		m.dropRowsFrom(rows)
+		// Proven optimal, or out of budget with best still standing: only a
+		// cancelled context discards it.
+		total.Optimal = err == ErrInfeasible
+		if total.Optimal || err == ErrTimeout {
+			err = nil
+		}
 	}
-	sol, _, err := m.solveOnce(opts)
-	return sol, err
+	total.Duration = time.Since(start)
+	if err != nil {
+		best = &Solution{}
+	}
+	best.Stats = total
+	return best, err
 }
 
-func (m *Model) solveWithRestarts(opts Options) (*Solution, error) {
-	budget := opts.RestartBaseNodes
-	if budget == 0 {
-		budget = 4096
+// dropRowsFrom removes the constraints with index ≥ n. They must be the
+// most recently posted ones, so each sits at the tail of its variables'
+// varCons lists.
+func (m *Model) dropRowsFrom(n int) {
+	for _, c := range m.cons[n:] {
+		for _, t := range c.terms {
+			vc := m.varCons[t.Var]
+			m.varCons[t.Var] = vc[:len(vc)-1]
+		}
 	}
-	var deadline time.Time
-	if opts.TimeLimit > 0 {
-		deadline = time.Now().Add(opts.TimeLimit)
-	}
-	order := append([]VarID(nil), opts.BranchOrder...)
+	m.cons = m.cons[:n]
+}
+
+// feasible runs one feasibility search with randomized geometric restarts:
+// attempt k is capped at restartBaseNodes·2^k nodes, and from the second
+// attempt on the branch order is reshuffled deterministically, which tames
+// the heavy-tailed runtime of chronological backtracking. The returned
+// Stats charge every attempt, failed ones included, on every return. The
+// error is nil, ErrInfeasible, ErrTimeout or the context's, each bare.
+func (m *Model) feasible(opts Options) (*Solution, Stats, error) {
 	// Seed the restart RNG from a structural fingerprint of the model, not
 	// just the constraint count: two different models with equal len(cons)
 	// must not share branch-order shuffles, while identical models keep
 	// identical (deterministic) restart sequences.
 	rng := rand.New(rand.NewPCG(0x9e3779b97f4a7c15, m.Fingerprint()))
-	var spent int64 // nodes actually explored so far, against NodeLimit
-	var agg Stats   // effort aggregated across attempts
-	for attempt := 0; ; attempt++ {
-		inner := opts
-		inner.NoRestarts = true
-		inner.MaxNodes = budget
+	var total Stats
+	for k, grant := 0, int64(restartBaseNodes); ; k, grant = k+1, 2*grant {
+		inner, maxNodes := opts, grant
 		if opts.NodeLimit > 0 {
-			remaining := opts.NodeLimit - spent
+			// Charge the nodes attempts actually explored, not the caps
+			// they were granted: an attempt that returns early must not
+			// exhaust NodeLimit on paper while the search barely ran.
+			remaining := opts.NodeLimit - total.Nodes
 			if remaining <= 0 {
-				return nil, ErrTimeout
+				return nil, total, ErrTimeout
 			}
-			if inner.MaxNodes > remaining {
-				inner.MaxNodes = remaining
-			}
+			maxNodes = min(maxNodes, remaining)
 		}
-		if opts.TimeLimit > 0 {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				return nil, ErrTimeout
-			}
-			inner.TimeLimit = remaining
-		}
-		if attempt > 0 {
+		if k > 0 {
 			// Diversify: reshuffle the branch order deterministically and
 			// alternate the value-ordering preference, so successive
 			// attempts explore genuinely different parts of the tree.
-			shuffled := append([]VarID(nil), order...)
-			rng.Shuffle(len(shuffled), func(i, j int) {
-				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+			inner.BranchOrder = append([]VarID(nil), opts.BranchOrder...)
+			rng.Shuffle(len(inner.BranchOrder), func(i, j int) {
+				inner.BranchOrder[i], inner.BranchOrder[j] = inner.BranchOrder[j], inner.BranchOrder[i]
 			})
-			inner.BranchOrder = shuffled
-			if attempt%2 == 1 {
+			if k%2 == 1 {
 				inner.PreferHigh = nil
 			}
 		}
-		sol, st, err := m.solveOnce(inner)
-		// Charge the nodes the attempt actually explored, not the budget it
-		// was granted: an attempt that returns early must not exhaust the
-		// NodeLimit on paper while the search barely ran.
-		spent += st.Nodes
-		agg.Nodes += st.Nodes
-		agg.Propagations += st.Propagations
-		agg.LPBounds += st.LPBounds
-		agg.LPPivots += st.LPPivots
-		agg.Duration += st.Duration
-		if err == nil || errors.Is(err, ErrInfeasible) || isCtxErr(err) {
-			if sol != nil {
-				// Report total effort across all restart attempts, not just
-				// the final one's.
-				optimal := sol.Stats.Optimal
-				sol.Stats = agg
-				sol.Stats.Optimal = optimal
-			}
-			return sol, err
+		sol, st, err := m.attempt(inner, maxNodes)
+		total.add(st)
+		if err != errLimit {
+			return sol, total, err
 		}
-		if opts.TimeLimit > 0 && time.Now().After(deadline) {
-			return nil, ErrTimeout
-		}
-		budget *= 2
 	}
 }
 
-// solveOnce runs a single branch-and-bound attempt. It returns the effort
-// stats even on error so the restart loop can charge NodeLimit with the
-// nodes actually explored.
-func (m *Model) solveOnce(opts Options) (*Solution, Stats, error) {
-	if opts.MaxNodes == 0 && opts.NodeLimit > 0 {
-		opts.MaxNodes = opts.NodeLimit
-	}
+// errLimit is attempt's "node cap reached, nothing decided" — feasible turns
+// it into the next restart or ErrTimeout.
+var errLimit = errors.New("milp: limit")
+
+// attempt runs a single depth-first search of at most maxNodes nodes and
+// stops at the first full assignment. Its error is nil, ErrInfeasible, the
+// context's error, or errLimit.
+func (m *Model) attempt(opts Options, maxNodes int64) (*Solution, Stats, error) {
 	s := &searcher{
-		m:     m,
-		lo:    append([]int64(nil), m.lo...),
-		hi:    append([]int64(nil), m.hi...),
-		inQ:   make([]bool, len(m.cons)),
-		opts:  opts,
-		start: time.Now(),
-	}
-	if opts.TimeLimit > 0 {
-		s.deadline = s.start.Add(opts.TimeLimit)
-		s.hasDL = true
+		m:        m,
+		lo:       append([]int64(nil), m.lo...),
+		hi:       append([]int64(nil), m.hi...),
+		inQ:      make([]bool, len(m.cons)),
+		maxNodes: maxNodes,
+		opts:     opts,
 	}
 	if opts.UseLPBound && opts.LPBoundEvery == 0 {
 		s.opts.LPBoundEvery = 512
@@ -261,111 +249,37 @@ func (m *Model) solveOnce(opts Options) (*Solution, Stats, error) {
 		s.enqueue(int32(i))
 	}
 	if !s.propagate() {
-		s.stats.Duration = time.Since(s.start)
 		return nil, s.stats, ErrInfeasible
 	}
-	err := s.search(0)
-	s.stats.Duration = time.Since(s.start)
-	if s.ctxErr != nil {
+	stopped := s.search()
+	switch {
+	case s.ctxErr != nil:
 		return nil, s.stats, s.ctxErr
-	}
-	if s.haveInc {
-		// Without an objective any feasible assignment is final; with one,
-		// optimality holds only if the search ran to exhaustion.
-		s.stats.Optimal = err == nil || !m.hasObj
-		return &Solution{Values: s.incumbent, Objective: s.incumbentObj, Stats: s.stats}, s.stats, nil
-	}
-	if err != nil {
-		return nil, s.stats, err
+	case s.values != nil:
+		sol := &Solution{Values: s.values}
+		if m.hasObj {
+			sol.Objective = Eval(m.obj, s.values)
+		}
+		return sol, s.stats, nil
+	case stopped:
+		return nil, s.stats, errLimit
 	}
 	return nil, s.stats, ErrInfeasible
 }
 
-// SolveIterative minimizes the objective by repeated feasibility solves
-// with a tightening cutoff (obj ≤ best−1), which prunes far better than
-// plain bound-based branch and bound when the objective is a sum of many
-// indicator variables (the scheduler's temp-session count). The model is
-// mutated: cutoff rows accumulate. Stats are aggregated across iterations.
-func (m *Model) SolveIterative(opts Options) (*Solution, error) {
-	if !m.hasObj {
-		return m.Solve(opts)
-	}
-	inner := opts
-	inner.FirstSolution = true
-	best, err := m.Solve(inner)
-	if err != nil {
-		return nil, err
-	}
-	improvement := opts.ImprovementTimeLimit
-	if improvement == 0 {
-		improvement = opts.TimeLimit
-	}
-	var deadline time.Time
-	if opts.ImprovementNodeLimit == 0 && improvement > 0 {
-		deadline = time.Now().Add(improvement)
-	}
-	budget := func() bool {
-		if opts.ImprovementNodeLimit > 0 {
-			// Deterministic mode: each iteration gets a fixed node
-			// budget and no clock. The loop still terminates — every
-			// iteration either strictly improves the objective
-			// (bounded below) or errors out of the loop.
-			inner.TimeLimit = 0
-			inner.NodeLimit = opts.ImprovementNodeLimit
-			return true
-		}
-		if improvement == 0 {
-			return true
-		}
-		remaining := time.Until(deadline)
-		inner.TimeLimit = remaining
-		return remaining > 0
-	}
-	agg := best.Stats
-	for {
-		if !budget() {
-			best.Stats = agg
-			best.Stats.Optimal = false
-			return best, nil
-		}
-		m.AddLe(m.obj, best.Objective-1)
-		sol, err := m.Solve(inner)
-		if err != nil {
-			if isCtxErr(err) {
-				return nil, err
-			}
-			best.Stats = agg
-			best.Stats.Optimal = errors.Is(err, ErrInfeasible)
-			return best, nil
-		}
-		agg.Nodes += sol.Stats.Nodes
-		agg.Propagations += sol.Stats.Propagations
-		agg.LPBounds += sol.Stats.LPBounds
-		agg.LPPivots += sol.Stats.LPPivots
-		agg.Duration += sol.Stats.Duration
-		best = sol
-	}
-}
-
-var errLimit = errors.New("milp: limit")
-
+// limitExceeded reports whether the attempt's node cap is spent or the
+// context fired; channel selects are comparatively expensive, so the
+// context is polled sparsely.
 func (s *searcher) limitExceeded() bool {
-	if s.opts.MaxNodes > 0 && s.stats.Nodes >= s.opts.MaxNodes {
+	if s.stats.Nodes >= s.maxNodes {
 		return true
 	}
-	// Check the clock and the context sparsely; time.Now and channel
-	// selects are comparatively expensive.
-	if s.stats.Nodes%256 == 0 {
-		if s.hasDL && time.Now().After(s.deadline) {
+	if s.opts.Ctx != nil && s.stats.Nodes%256 == 0 {
+		select {
+		case <-s.opts.Ctx.Done():
+			s.ctxErr = s.opts.Ctx.Err()
 			return true
-		}
-		if s.opts.Ctx != nil {
-			select {
-			case <-s.opts.Ctx.Done():
-				s.ctxErr = s.opts.Ctx.Err()
-				return true
-			default:
-			}
+		default:
 		}
 	}
 	return false
@@ -493,30 +407,12 @@ func (s *searcher) clearQueue() {
 	s.queue = s.queue[:0]
 }
 
-// objLowerBound computes Σ min(c_i·x_i) under current domains.
-func (s *searcher) objLowerBound() int64 {
-	v := s.m.obj.Const
-	for _, t := range s.m.obj.Terms {
-		if t.Coeff > 0 {
-			v += t.Coeff * s.lo[t.Var]
-		} else {
-			v += t.Coeff * s.hi[t.Var]
-		}
-	}
-	return v
-}
-
 // lpBound solves the LP relaxation under current domains; returns false if
 // the node can be pruned.
 func (s *searcher) lpBound() bool {
 	s.stats.LPBounds++
 	n := len(s.lo)
 	p := lp.NewProblem(n)
-	if s.m.hasObj {
-		for _, t := range s.m.obj.Terms {
-			p.SetObjective(int(t.Var), float64(t.Coeff))
-		}
-	}
 	for _, c := range s.m.cons {
 		row := make([]float64, n)
 		for _, t := range c.terms {
@@ -541,78 +437,35 @@ func (s *searcher) lpBound() bool {
 		return !errors.Is(err, lp.ErrInfeasible)
 	}
 	s.stats.LPPivots += int64(sol.Pivots)
-	if s.m.hasObj && s.haveInc {
-		// Integral objective: ceil the LP bound.
-		lb := int64(sol.Objective + float64(s.m.obj.Const) - 1e-6)
-		if float64(lb) < sol.Objective+float64(s.m.obj.Const)-1e-6 {
-			lb++
-		}
-		if lb >= s.incumbentObj {
-			return false
-		}
-	}
 	return true
 }
 
-// search performs DFS; returns nil when the subtree is exhausted, errLimit
-// on limits.
-func (s *searcher) search(depth int) error {
+// search explores the subtree under the current domains depth-first. It
+// returns true when the whole search must stop: the first full assignment
+// was stored in s.values, or limitExceeded fired. False means the subtree is
+// exhausted without a solution.
+func (s *searcher) search() bool {
 	s.stats.Nodes++
 	if s.limitExceeded() {
-		return errLimit
-	}
-	if s.m.hasObj && s.haveInc {
-		if s.objLowerBound() >= s.incumbentObj {
-			return nil // cannot improve
-		}
+		return true
 	}
 	if s.opts.UseLPBound && (s.stats.Nodes == 1 || s.stats.Nodes%s.opts.LPBoundEvery == 0) {
 		if !s.lpBound() {
-			return nil
+			return false
 		}
 	}
-	// Pick the next variable: first unfixed in branch order, or — under
-	// first-fail — the unfixed variable with the smallest domain.
+	// Pick the next variable: first unfixed in branch order.
 	var pick VarID = -1
-	if s.opts.FirstFail {
-		best := int64(1) << 62
-		for _, v := range s.order {
-			d := s.hi[v] - s.lo[v]
-			if d == 0 {
-				continue
-			}
-			if d < best {
-				best = d
-				pick = v
-				if d == 1 {
-					break
-				}
-			}
-		}
-	} else {
-		for _, v := range s.order {
-			if s.lo[v] != s.hi[v] {
-				pick = v
-				break
-			}
+	for _, v := range s.order {
+		if s.lo[v] != s.hi[v] {
+			pick = v
+			break
 		}
 	}
 	if pick == -1 {
-		// All fixed: record solution.
-		vals := append([]int64(nil), s.lo...)
-		obj := int64(0)
-		if s.m.hasObj {
-			obj = Eval(s.m.obj, vals)
-		}
-		if !s.haveInc || obj < s.incumbentObj {
-			s.incumbent = vals
-			s.incumbentObj = obj
-			s.haveInc = true
-		}
-		if !s.m.hasObj || s.opts.FirstSolution {
-			return errLimit // stop the whole search: feasibility is enough
-		}
-		return nil
+		// All fixed: feasibility is all an attempt looks for.
+		s.values = append([]int64(nil), s.lo...)
+		return true
 	}
 	// Binary split: left branch fixes the preferred bound (lower bound by
 	// default, upper bound for PreferHigh variables), right branch
@@ -631,24 +484,24 @@ func (s *searcher) search(depth int) error {
 	}
 	mark := len(s.trail)
 	if fixLeft() && s.propagate() {
-		if err := s.search(depth + 1); err != nil {
+		if s.search() {
 			s.undoTo(mark)
-			return err
+			return true
 		}
 	} else {
 		s.clearQueue()
 	}
 	s.undoTo(mark)
 	if s.lo[pick] == s.hi[pick] {
-		return nil // the excluded value was the last one
+		return false // the excluded value was the last one
 	}
 	mark = len(s.trail)
-	var err error
+	stop := false
 	if shrinkRight() && s.propagate() {
-		err = s.search(depth + 1)
+		stop = s.search()
 	} else {
 		s.clearQueue()
 	}
 	s.undoTo(mark)
-	return err
+	return stop
 }

@@ -155,7 +155,6 @@ func scheduleBench(topo string) func() (Fn, error) {
 		}
 		sp := eval.ReachabilitySpec(s.Graph)
 		opts := scheduler.DefaultOptions()
-		opts.SolverNodeBudget = scheduler.DeterministicNodeBudget
 		return func(ctx context.Context) error {
 			_, err := scheduler.ScheduleCtx(ctx, a, sp, opts)
 			return err

@@ -89,7 +89,9 @@ func newEncoder(a *analyzer.Analysis, sp *spec.Spec, R int, opts Options) *encod
 	}
 }
 
-func (e *encoder) solve(ctx context.Context) (*NodeSchedule, milp.Stats, error) {
+// solve builds the model for e.R rounds and searches it under a budget of
+// nodes per feasibility search.
+func (e *encoder) solve(ctx context.Context, nodes int64) (*NodeSchedule, milp.Stats, error) {
 	for _, n := range e.a.Switching {
 		e.isSwitching[n] = true
 	}
@@ -118,32 +120,17 @@ func (e *encoder) solve(ctx context.Context) (*NodeSchedule, milp.Stats, error) 
 	for _, n := range e.a.Switching {
 		preferHigh = append(preferHigh, e.rOld[n])
 	}
-	opts := milp.Options{
-		TimeLimit:            e.opts.TimeLimitPerRound,
-		ImprovementTimeLimit: e.opts.ObjectiveTimeLimit,
-		BranchOrder:          e.branchOrder(),
-		PreferHigh:           preferHigh,
-		UseLPBound:           e.opts.UseLPBound,
-		FirstSolution:        !e.opts.MinimizeTempSessions,
-		Ctx:                  ctx,
-	}
-	if e.opts.SolverNodeBudget > 0 {
-		// Deterministic mode: node budgets replace every clock, so the
-		// solve is reproducible under any machine load.
-		opts.TimeLimit = 0
-		opts.NodeLimit = e.opts.SolverNodeBudget
-		opts.ImprovementTimeLimit = 0
-		opts.ImprovementNodeLimit = e.opts.SolverNodeBudget
-	}
-	var sol *milp.Solution
-	var err error
-	if e.opts.MinimizeTempSessions {
-		sol, err = e.model.SolveIterative(opts)
-	} else {
-		sol, err = e.model.Solve(opts)
-	}
+	sol, err := e.model.Solve(milp.Options{
+		NodeLimit:     nodes,
+		BranchOrder:   e.branchOrder(),
+		PreferHigh:    preferHigh,
+		UseLPBound:    e.opts.UseLPBound,
+		FirstSolution: !e.opts.MinimizeTempSessions,
+		Ctx:           ctx,
+	})
 	if err != nil {
-		return nil, milp.Stats{}, err
+		// An infeasibility proof or an exhausted budget is effort too.
+		return nil, sol.Stats, err
 	}
 	return e.extract(sol), sol.Stats, nil
 }

@@ -9,9 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"chameleon/internal/analyzer"
@@ -86,25 +84,12 @@ type Options struct {
 	// bisects back down. With the fallback, Schedule fails only when the
 	// reconfiguration looks genuinely unschedulable.
 	DisableSlackPhase bool
-	// TimeLimitPerRound bounds each feasibility ILP solve in the retry
-	// pass (default 60s).
-	TimeLimitPerRound time.Duration
-	// ScanTimePerRound bounds each solve in the first, scanning pass over
-	// round counts (default 2s). Rounds left undecided by the scan are
-	// retried with TimeLimitPerRound only if the scan finds no feasible
-	// round count at all; the returned R is therefore minimal up to the
-	// solver budget.
-	ScanTimePerRound time.Duration
-	// ObjectiveTimeLimit bounds the temp-session minimization pass after
-	// the first feasible schedule at the minimal R (default 2s); on
-	// expiry the best schedule found so far is returned.
-	ObjectiveTimeLimit time.Duration
-	// SolverNodeBudget, when > 0, switches every solver budget from
-	// wall-clock to a deterministic node count: scan attempts get
-	// SolverNodeBudget nodes each, retry attempts 8×, slack attempts 2×,
-	// and the temp-session minimization SolverNodeBudget nodes per
-	// improvement iteration. ScanTimePerRound, TimeLimitPerRound and
-	// ObjectiveTimeLimit are then ignored, so the schedule for a given
+	// SolverNodeBudget is the deterministic unit every solver budget is a
+	// multiple of (0: DeterministicNodeBudget): scan attempts get
+	// SolverNodeBudget nodes each, retry attempts retryBudgetFactor× and
+	// slack attempts slackBudgetFactor× that, and the temp-session
+	// minimization as many nodes per improvement iteration as the attempt
+	// it follows. No clock bounds a solve, so the schedule for a given
 	// analysis and spec is machine- and load-independent — which the
 	// parallel evaluation sweeps rely on to merge byte-identical results
 	// at any worker count. The cost is that an under-budgeted search is
@@ -128,18 +113,28 @@ type Options struct {
 	SerializeUpdates bool
 }
 
-// DeterministicNodeBudget is the SolverNodeBudget the evaluation sweeps
-// use. Calibrated at ≈ 3× the total nodes the hardest corpus scenario
-// (Sprint) needs to reach a proven-optimal schedule, so the budget changes
-// results only where the wall-clock limits would have truncated anyway.
+// DeterministicNodeBudget is the default SolverNodeBudget. Calibrated at
+// ≈ 3× the total nodes the hardest corpus scenario (Sprint) needs to reach a
+// proven-optimal schedule, so the budget changes results only on searches
+// that were hopeless anyway.
 const DeterministicNodeBudget = 1 << 15
 
+// The budget policy: the scan pass over R = 1..MaxRounds gives each round
+// count SolverNodeBudget nodes; the passes that run only when the scan
+// found nothing get these multiples of it.
+const (
+	// retryBudgetFactor scales the second look at each round count the
+	// scan left undecided.
+	retryBudgetFactor = 8
+	// slackBudgetFactor scales each attempt of the slack phase, whose
+	// generous round counts make feasibility easy.
+	slackBudgetFactor = 2
+)
+
 // DefaultOptions mirror the paper's configuration with one deliberate
-// departure: solver budgets default to the deterministic node budget
-// rather than the paper's wall-clock limits, so the default path yields
-// the same schedule on any machine under any load. Callers that really
-// want wall-clock budgets must set them explicitly (and get a one-time
-// deprecation note).
+// departure: solver budgets are deterministic node counts rather than the
+// paper's wall-clock limits, so the same inputs yield the same schedule on
+// any machine under any load.
 func DefaultOptions() Options {
 	return Options{
 		MaxRounds:               16,
@@ -150,27 +145,13 @@ func DefaultOptions() Options {
 	}
 }
 
-// wallClockOnce gates the stderr half of the wall-clock deprecation note:
-// sweeps schedule thousands of scenarios, so the human-facing line prints
-// once per process.
-var wallClockOnce sync.Once
-
-// warnWallClock notes that a schedule was computed under wall-clock solver
-// budgets and is therefore machine- and load-dependent.
-func warnWallClock() {
-	wallClockOnce.Do(func() {
-		fmt.Fprintln(os.Stderr, "scheduler: wall-clock solver budgets are deprecated: "+
-			"results depend on machine speed and load; set SolverNodeBudget instead")
-	})
-}
-
 // SplitNodeBudget divides a global deterministic solver node budget across
 // prefix equivalence classes proportionally to weights (member counts):
 // class i gets ⌊total·wᵢ/Σw⌋ nodes, the rounding remainder is handed out
 // one node at a time in index order, and no class gets less than one node.
 // The split is a pure function of (total, weights), so decomposed planning
-// stays deterministic at any parallelism. A non-positive total (wall-clock
-// mode) yields all zeros.
+// stays deterministic at any parallelism. A non-positive total yields all
+// zeros.
 func SplitNodeBudget(total int64, weights []int) []int64 {
 	out := make([]int64, len(weights))
 	if total <= 0 || len(weights) == 0 {
@@ -223,24 +204,7 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 		opts.MaxRounds = 16
 	}
 	if opts.SolverNodeBudget == 0 {
-		if opts.TimeLimitPerRound == 0 && opts.ScanTimePerRound == 0 && opts.ObjectiveTimeLimit == 0 {
-			// Nothing was asked for: default to the deterministic node
-			// budget, not wall-clock limits — the default path must not
-			// produce load-dependent schedules.
-			opts.SolverNodeBudget = DeterministicNodeBudget
-		} else {
-			// Explicit wall-clock mode: fill the remaining limits in.
-			warnWallClock()
-			if opts.TimeLimitPerRound == 0 {
-				opts.TimeLimitPerRound = 60 * time.Second
-			}
-			if opts.ObjectiveTimeLimit == 0 {
-				opts.ObjectiveTimeLimit = 2 * time.Second
-			}
-			if opts.ScanTimePerRound == 0 {
-				opts.ScanTimePerRound = 2 * time.Second
-			}
-		}
+		opts.SolverNodeBudget = DeterministicNodeBudget
 	}
 	ctx, span := obs.StartSpan(ctx, "schedule")
 	defer span.End()
@@ -253,15 +217,12 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 			MOld: map[topology.NodeID]topology.NodeID{},
 			MNew: map[topology.NodeID]topology.NodeID{}, Stats: agg}, nil
 	}
-	attempt := func(r int, budget time.Duration, nodes int64) (*NodeSchedule, error) {
+	attempt := func(r int, nodes int64) (*NodeSchedule, error) {
 		agg.RoundsTried++
 		span.Add(obs.CtrSchedRoundsTried, 1)
 		_, solveSpan := obs.StartSpan(ctx, "solve", obs.Int("R", int64(r)))
-		o := opts
-		o.TimeLimitPerRound = budget
-		o.SolverNodeBudget = nodes
-		enc := newEncoder(a, sp, r, o)
-		sched, stats, err := enc.solve(ctx)
+		enc := newEncoder(a, sp, r, opts)
+		sched, stats, err := enc.solve(ctx, nodes)
 		agg.SolverNodes += stats.Nodes
 		agg.Propagations += stats.Propagations
 		agg.LPPivots += stats.LPPivots
@@ -292,7 +253,7 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 	// undecided rounds alike (larger round counts are usually easier).
 	var undecided []int
 	for r := 1; r <= opts.MaxRounds; r++ {
-		sched, err := attempt(r, opts.ScanTimePerRound, opts.SolverNodeBudget)
+		sched, err := attempt(r, opts.SolverNodeBudget)
 		if err == nil {
 			return finish(sched)
 		}
@@ -303,53 +264,30 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 			undecided = append(undecided, r)
 		}
 	}
-	// Retry pass: split the full budget across the undecided round counts
-	// (ascending, so the returned R stays as small as the budget allows).
+	// Retry pass: a larger budget for the undecided round counts (ascending,
+	// so the returned R stays as small as the budget allows).
 	var lastErr error
-	if len(undecided) > 0 {
-		per := opts.TimeLimitPerRound / time.Duration(len(undecided))
-		if per < 2*opts.ScanTimePerRound {
-			per = 2 * opts.ScanTimePerRound
+	for _, r := range undecided {
+		sched, err := attempt(r, retryBudgetFactor*opts.SolverNodeBudget)
+		if err == nil {
+			return finish(sched)
 		}
-		// In node-budget mode the retry pass needs no shared wall-clock
-		// deadline: each attempt's node budget bounds it by itself, and a
-		// deadline would reintroduce load dependence.
-		var deadline time.Time
-		if opts.SolverNodeBudget == 0 {
-			deadline = time.Now().Add(opts.TimeLimitPerRound)
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
 		}
-		for _, r := range undecided {
-			budget := per
-			if opts.SolverNodeBudget == 0 {
-				if remaining := time.Until(deadline); remaining < budget {
-					budget = remaining
-				}
-				if budget <= 0 {
-					lastErr = fmt.Errorf("scheduler: retry budget exhausted: %w", milp.ErrTimeout)
-					break
-				}
-			}
-			sched, err := attempt(r, budget, 8*opts.SolverNodeBudget)
-			if err == nil {
-				return finish(sched)
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			if !errors.Is(err, milp.ErrInfeasible) {
-				lastErr = fmt.Errorf("scheduler: solving with R=%d: %w", r, err)
-			}
+		if !errors.Is(err, milp.ErrInfeasible) {
+			lastErr = fmt.Errorf("scheduler: solving with R=%d: %w", r, err)
 		}
 	}
 	// Slack phase. Tight round counts can be undecidable within budget
-	// while generous ones solve in seconds (more slack, easier search).
+	// while generous ones solve quickly (more slack, easier search).
 	// Find any feasible schedule at 2×/4×/8× MaxRounds, then bisect back
 	// down towards MaxRounds while the per-attempt budget holds.
 	if !opts.DisableSlackPhase && len(undecided) > 0 {
-		slackBudget := 2 * opts.ScanTimePerRound
+		slackBudget := slackBudgetFactor * opts.SolverNodeBudget
 		var best *NodeSchedule
 		for factor := 2; factor <= 4; factor *= 2 {
-			if sched, err := attempt(factor*opts.MaxRounds, slackBudget, 2*opts.SolverNodeBudget); err == nil {
+			if sched, err := attempt(factor*opts.MaxRounds, slackBudget); err == nil {
 				best = sched
 				break
 			}
@@ -361,7 +299,7 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 			lo := opts.MaxRounds // everything ≤ MaxRounds was undecided
 			for lo+1 < best.R {
 				mid := (lo + best.R) / 2
-				if sched, err := attempt(mid, slackBudget, 2*opts.SolverNodeBudget); err == nil {
+				if sched, err := attempt(mid, slackBudget); err == nil {
 					best = sched
 				} else if cerr := ctx.Err(); cerr != nil {
 					return nil, cerr
@@ -373,7 +311,6 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 		}
 	}
 
-	agg.Duration = time.Since(start)
 	if lastErr != nil {
 		return nil, lastErr
 	}

@@ -370,9 +370,6 @@ func (sv *Supervisor) plan(ctx context.Context) (*plan.Plan, error) {
 	}
 	schedOpts := scheduler.DefaultOptions()
 	schedOpts.SolverNodeBudget = sv.opts.SolverNodeBudget
-	if schedOpts.SolverNodeBudget == 0 {
-		schedOpts.SolverNodeBudget = scheduler.DeterministicNodeBudget
-	}
 	var sp *spec.Spec
 	if sv.opts.Spec != nil {
 		sp = sv.opts.Spec(rem)
