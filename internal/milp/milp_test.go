@@ -452,8 +452,10 @@ func TestImpliesNotHelpers(t *testing.T) {
 }
 
 func TestNegativeBoundsVariables(t *testing.T) {
-	// Variables with negative domains exercise divFloor/divCeil sign
-	// handling in propagation.
+	// Negative domains and negative coefficients exercise the gap-based
+	// tightening: with gap = rhs − minSum ≥ 0 the new bound is gap/a past
+	// the bound the term reads, and the truncating division must land on
+	// the floor for a > 0 and on the ceiling for a < 0.
 	m := NewModel()
 	x := m.NewInt("x", -10, 10)
 	y := m.NewInt("y", -10, 10)
@@ -525,7 +527,7 @@ func TestRestartBudgetAccounting(t *testing.T) {
 	// fail — the gate branches high into the pigeonhole subtree and the
 	// budget runs out long before the subtree is refuted.
 	m, opts := pigeonholeGated(8, 7)
-	if _, _, err := m.attempt(opts, base); err == nil {
+	if err := newSearcher(m, opts).attempt(opts.BranchOrder, opts.PreferHigh, base); err == nil {
 		t.Fatal("first-attempt budget unexpectedly sufficient; grow the pigeonhole")
 	}
 	// Under restarts the first attempt exhausts its base budget and a later
@@ -593,6 +595,10 @@ func TestSolveLeavesModelUntouched(t *testing.T) {
 	}
 	m.Minimize(Sum(vars...))
 	rows, fp := m.NumConstraints(), m.Fingerprint()
+	var wakeLens []int
+	for _, w := range m.wake {
+		wakeLens = append(wakeLens, len(w))
+	}
 	first := solve(t, m, Options{})
 	if !first.Stats.Optimal {
 		t.Fatal("unbudgeted minimization must prove optimality")
@@ -601,13 +607,40 @@ func TestSolveLeavesModelUntouched(t *testing.T) {
 		t.Fatalf("Solve mutated the model: %d rows (fingerprint %#x), was %d (%#x)",
 			m.NumConstraints(), m.Fingerprint(), rows, fp)
 	}
-	// varCons went back too: a second solve of the same model repeats the
-	// first one exactly.
+	// The cutoff rows left both wake lists of every variable too, so a
+	// second solve of the same model repeats the first one exactly.
+	for slot, w := range m.wake {
+		if len(w) != wakeLens[slot] {
+			t.Errorf("wake list %d of variable %d has %d rows after Solve, had %d", slot&1, slot/2, len(w), wakeLens[slot])
+		}
+	}
 	again := solve(t, m, Options{})
 	if again.Objective != first.Objective || again.Stats.Nodes != first.Stats.Nodes ||
 		again.Stats.Propagations != first.Stats.Propagations {
 		t.Fatalf("second solve differs: %+v (obj %d) vs %+v (obj %d)",
 			again.Stats, again.Objective, first.Stats, first.Objective)
+	}
+}
+
+// TestSolveReusesSearcher: one Solve sizes its search buffers once, so what
+// it allocates grows neither with the restart attempts nor with the nodes.
+func TestSolveReusesSearcher(t *testing.T) {
+	// Gate shut: an infeasible pigeonhole that no attempt below refutes
+	// within its cap, so a budget of the first k caps buys exactly k attempts.
+	m, opts := pigeonholeGated(9, 8)
+	m.AddEq(VarExpr(opts.BranchOrder[0]), 1)
+	allocs := func(attempts int) float64 {
+		opts.NodeLimit = restartBaseNodes * (1<<attempts - 1)
+		return testing.AllocsPerRun(2, func() {
+			if s, err := m.Solve(opts); err != ErrTimeout || s.Stats.Nodes != opts.NodeLimit {
+				t.Fatalf("%d attempts: %d nodes, err %v; want ErrTimeout after all %d", attempts, s.Stats.Nodes, err, opts.NodeLimit)
+			}
+		})
+	}
+	one, four := allocs(1), allocs(4)
+	t.Logf("allocations per Solve: %.0f with one attempt (%d nodes), %.0f with four (%d)", one, restartBaseNodes, four, 15*restartBaseNodes)
+	if one > 32 || four > one+2 {
+		t.Errorf("Solve allocates %.0f times with one attempt and %.0f with four; want a small constant", one, four)
 	}
 }
 

@@ -22,6 +22,11 @@ type Term struct {
 	Coeff int64
 }
 
+// slotOf is the bound slot whose value gives t its minimum, numbering a
+// variable's lower bound 2·Var and its upper bound 2·Var+1: the lower bound
+// under a positive coefficient, the upper bound under a negative one.
+func slotOf(t Term) int { return int(t.Var)<<1 | int(uint64(t.Coeff)>>63) }
+
 // LinExpr is Σ terms + Const.
 type LinExpr struct {
 	Terms []Term
@@ -74,12 +79,17 @@ type constraint struct {
 // Model is a mixed-integer linear model. Build it with NewInt/NewBool and
 // the Add* helpers, then call Solve.
 type Model struct {
-	lo, hi  []int64
-	names   []string
-	cons    []constraint
-	varCons [][]int32 // var -> constraint indices containing it
-	obj     LinExpr
-	hasObj  bool
+	lo, hi []int64
+	names  []string
+	cons   []constraint
+	// wake[slot] lists, in posting order, the rows with a term that reads
+	// that bound slot (slotOf): wake[2v] those where v's coefficient is
+	// positive, wake[2v+1] those where it is negative. They are the rows
+	// whose minSum rises when the slot tightens.
+	wake   [][]int32
+	at     []int32 // addLe scratch: at[v]−1 is v's index in the row being merged
+	obj    LinExpr
+	hasObj bool
 }
 
 // NewModel returns an empty model.
@@ -94,7 +104,8 @@ func (m *Model) NewInt(name string, lo, hi int64) VarID {
 	m.lo = append(m.lo, lo)
 	m.hi = append(m.hi, hi)
 	m.names = append(m.names, name)
-	m.varCons = append(m.varCons, nil)
+	m.wake = append(m.wake, nil, nil)
+	m.at = append(m.at, 0)
 	return id
 }
 
@@ -115,18 +126,11 @@ func (m *Model) Bounds(v VarID) (lo, hi int64) { return m.lo[v], m.hi[v] }
 
 // Add posts the constraint e (op) rhs.
 func (m *Model) Add(e LinExpr, op Op, rhs int64) {
-	switch op {
-	case OpLe:
-		m.addLe(e.Terms, rhs-e.Const)
-	case OpGe:
-		neg := make([]Term, len(e.Terms))
-		for i, t := range e.Terms {
-			neg[i] = Term{t.Var, -t.Coeff}
-		}
-		m.addLe(neg, e.Const-rhs)
-	case OpEq:
-		m.Add(e, OpLe, rhs)
-		m.Add(e, OpGe, rhs)
+	if op != OpGe {
+		m.addLe(e.Terms, 1, rhs-e.Const)
+	}
+	if op != OpLe {
+		m.addLe(e.Terms, -1, e.Const-rhs)
 	}
 }
 
@@ -139,35 +143,35 @@ func (m *Model) AddGe(e LinExpr, rhs int64) { m.Add(e, OpGe, rhs) }
 // AddEq posts e = rhs.
 func (m *Model) AddEq(e LinExpr, rhs int64) { m.Add(e, OpEq, rhs) }
 
-func (m *Model) addLe(terms []Term, rhs int64) {
-	// Merge duplicate variables and drop zero coefficients.
-	merged := make(map[VarID]int64)
+// addLe posts sign·Σ terms ≤ rhs, sign being ±1.
+func (m *Model) addLe(terms []Term, sign, rhs int64) {
+	// Merge duplicate variables in first-occurrence order.
+	norm := make([]Term, 0, len(terms))
 	for _, t := range terms {
-		merged[t.Var] += t.Coeff
-	}
-	norm := make([]Term, 0, len(merged))
-	for _, t := range terms { // preserve first-occurrence order
-		c, ok := merged[t.Var]
-		if !ok {
+		if i := m.at[t.Var]; i > 0 {
+			norm[i-1].Coeff += sign * t.Coeff
 			continue
 		}
-		delete(merged, t.Var)
-		if c != 0 {
-			norm = append(norm, Term{t.Var, c})
+		norm = append(norm, Term{t.Var, sign * t.Coeff})
+		m.at[t.Var] = int32(len(norm))
+	}
+	// Drop zero coefficients.
+	n := 0
+	for _, t := range norm {
+		m.at[t.Var] = 0
+		if t.Coeff != 0 {
+			norm[n] = t
+			n++
 		}
 	}
-	if len(norm) == 0 {
-		if rhs < 0 {
-			// Trivially infeasible: encode as 0 ≤ -1 via an impossible
-			// constraint on a dummy basis — simplest is to remember it.
-			m.cons = append(m.cons, constraint{nil, rhs})
-		}
-		return
+	norm = norm[:n]
+	if n == 0 && rhs >= 0 {
+		return // 0 ≤ rhs holds; 0 ≤ rhs < 0 stays, as a row no search survives
 	}
 	idx := int32(len(m.cons))
 	m.cons = append(m.cons, constraint{norm, rhs})
 	for _, t := range norm {
-		m.varCons[t.Var] = append(m.varCons[t.Var], idx)
+		m.wake[slotOf(t)] = append(m.wake[slotOf(t)], idx)
 	}
 }
 

@@ -76,27 +76,58 @@ type Solution struct {
 	Stats     Stats
 }
 
+// change is one trail entry: bound slot and the value it held before.
 type change struct {
-	v            VarID
-	oldLo, oldHi int64
+	slot int
+	old  int64
 }
 
+// searcher holds the state of every search one Solve runs: its buffers are
+// sized once and reset, not re-made, for each restart attempt and each
+// improvement iteration.
 type searcher struct {
-	m     *Model
-	lo    []int64
-	hi    []int64
+	m *Model
+	// bnd interleaves the current domains: bnd[2v] is v's lower bound,
+	// bnd[2v+1] its upper bound. A term a·x reads the slot that gives its
+	// minimum (slotOf) and tightens the other one.
+	bnd   []int64
 	trail []change
 	queue []int32
 	inQ   []bool
 
 	order      []VarID
+	shuffled   []VarID // BranchOrder as reshuffled for restart attempts
 	preferHigh []bool
+	seen       []bool
+	pcg        rand.PCG
+	rng        *rand.Rand
 
 	maxNodes int64 // this attempt's node cap
 	opts     Options
-	stats    Stats
-	values   []int64 // the first full assignment, once found
+	stats    Stats   // this attempt's effort
+	values   []int64 // the latest full assignment
+	found    bool    // this attempt stored one in values
 	ctxErr   error   // set when opts.Ctx fired during the search
+}
+
+func newSearcher(m *Model, opts Options) *searcher {
+	n := len(m.lo)
+	s := &searcher{
+		m:          m,
+		bnd:        make([]int64, 2*n),
+		inQ:        make([]bool, len(m.cons)),
+		order:      make([]VarID, 0, n),
+		shuffled:   make([]VarID, len(opts.BranchOrder)),
+		preferHigh: make([]bool, n),
+		seen:       make([]bool, n),
+		values:     make([]int64, n),
+		opts:       opts,
+	}
+	s.rng = rand.New(&s.pcg)
+	if opts.UseLPBound && opts.LPBoundEvery == 0 {
+		s.opts.LPBoundEvery = 512
+	}
+	return s
 }
 
 // Solve searches for an assignment. Without an objective, or with
@@ -113,20 +144,20 @@ type searcher struct {
 // the Stats of the effort spent before failing.
 func (m *Model) Solve(opts Options) (*Solution, error) {
 	start := time.Now()
-	best, total, err := m.feasible(opts)
+	s := newSearcher(m, opts)
+	best := &Solution{}
+	total, err := s.feasible()
 	// Without an objective any feasible assignment is final.
 	total.Optimal = err == nil && !m.hasObj
 	if err == nil && m.hasObj && !opts.FirstSolution {
 		rows := len(m.cons)
-		for {
-			m.AddLe(m.obj, best.Objective-1)
-			sol, st, ferr := m.feasible(opts)
+		for err == nil {
+			// Every found assignment is strictly better than the last, so
+			// s.values always holds the best one.
+			m.AddLe(m.obj, Eval(m.obj, s.values)-1)
+			var st Stats
+			st, err = s.feasible()
 			total.add(st)
-			if ferr != nil {
-				err = ferr
-				break
-			}
-			best = sol
 		}
 		m.dropRowsFrom(rows)
 		// Proven optimal, or out of budget with best still standing: only a
@@ -136,22 +167,25 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 			err = nil
 		}
 	}
-	total.Duration = time.Since(start)
-	if err != nil {
-		best = &Solution{}
+	if err == nil {
+		best.Values = s.values
+		if m.hasObj {
+			best.Objective = Eval(m.obj, s.values)
+		}
 	}
+	total.Duration = time.Since(start)
 	best.Stats = total
 	return best, err
 }
 
 // dropRowsFrom removes the constraints with index ≥ n. They must be the
-// most recently posted ones, so each sits at the tail of its variables'
-// varCons lists.
+// most recently posted ones, so each sits at the tail of the wake list of
+// every slot it reads.
 func (m *Model) dropRowsFrom(n int) {
 	for _, c := range m.cons[n:] {
 		for _, t := range c.terms {
-			vc := m.varCons[t.Var]
-			m.varCons[t.Var] = vc[:len(vc)-1]
+			w := m.wake[slotOf(t)]
+			m.wake[slotOf(t)] = w[:len(w)-1]
 		}
 	}
 	m.cons = m.cons[:n]
@@ -160,25 +194,26 @@ func (m *Model) dropRowsFrom(n int) {
 // feasible runs one feasibility search with randomized geometric restarts:
 // attempt k is capped at restartBaseNodes·2^k nodes, and from the second
 // attempt on the branch order is reshuffled deterministically, which tames
-// the heavy-tailed runtime of chronological backtracking. The returned
-// Stats charge every attempt, failed ones included, on every return. The
-// error is nil, ErrInfeasible, ErrTimeout or the context's, each bare.
-func (m *Model) feasible(opts Options) (*Solution, Stats, error) {
+// the heavy-tailed runtime of chronological backtracking. On a nil error the
+// assignment is in s.values. The returned Stats charge every attempt, failed
+// ones included, on every return. The error is nil, ErrInfeasible,
+// ErrTimeout or the context's, each bare.
+func (s *searcher) feasible() (Stats, error) {
 	// Seed the restart RNG from a structural fingerprint of the model, not
 	// just the constraint count: two different models with equal len(cons)
 	// must not share branch-order shuffles, while identical models keep
 	// identical (deterministic) restart sequences.
-	rng := rand.New(rand.NewPCG(0x9e3779b97f4a7c15, m.Fingerprint()))
+	s.pcg.Seed(0x9e3779b97f4a7c15, s.m.Fingerprint())
 	var total Stats
 	for k, grant := 0, int64(restartBaseNodes); ; k, grant = k+1, 2*grant {
-		inner, maxNodes := opts, grant
-		if opts.NodeLimit > 0 {
+		order, preferHigh, maxNodes := s.opts.BranchOrder, s.opts.PreferHigh, grant
+		if s.opts.NodeLimit > 0 {
 			// Charge the nodes attempts actually explored, not the caps
 			// they were granted: an attempt that returns early must not
 			// exhaust NodeLimit on paper while the search barely ran.
-			remaining := opts.NodeLimit - total.Nodes
+			remaining := s.opts.NodeLimit - total.Nodes
 			if remaining <= 0 {
-				return nil, total, ErrTimeout
+				return total, ErrTimeout
 			}
 			maxNodes = min(maxNodes, remaining)
 		}
@@ -186,18 +221,17 @@ func (m *Model) feasible(opts Options) (*Solution, Stats, error) {
 			// Diversify: reshuffle the branch order deterministically and
 			// alternate the value-ordering preference, so successive
 			// attempts explore genuinely different parts of the tree.
-			inner.BranchOrder = append([]VarID(nil), opts.BranchOrder...)
-			rng.Shuffle(len(inner.BranchOrder), func(i, j int) {
-				inner.BranchOrder[i], inner.BranchOrder[j] = inner.BranchOrder[j], inner.BranchOrder[i]
-			})
+			order = s.shuffled
+			copy(order, s.opts.BranchOrder)
+			s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			if k%2 == 1 {
-				inner.PreferHigh = nil
+				preferHigh = nil
 			}
 		}
-		sol, st, err := m.attempt(inner, maxNodes)
-		total.add(st)
+		err := s.attempt(order, preferHigh, maxNodes)
+		total.add(s.stats)
 		if err != errLimit {
-			return sol, total, err
+			return total, err
 		}
 	}
 }
@@ -207,64 +241,60 @@ func (m *Model) feasible(opts Options) (*Solution, Stats, error) {
 var errLimit = errors.New("milp: limit")
 
 // attempt runs a single depth-first search of at most maxNodes nodes and
-// stops at the first full assignment. Its error is nil, ErrInfeasible, the
-// context's error, or errLimit.
-func (m *Model) attempt(opts Options, maxNodes int64) (*Solution, Stats, error) {
-	s := &searcher{
-		m:        m,
-		lo:       append([]int64(nil), m.lo...),
-		hi:       append([]int64(nil), m.hi...),
-		inQ:      make([]bool, len(m.cons)),
-		maxNodes: maxNodes,
-		opts:     opts,
-	}
-	if opts.UseLPBound && opts.LPBoundEvery == 0 {
-		s.opts.LPBoundEvery = 512
-	}
-	s.preferHigh = make([]bool, len(m.lo))
-	for _, v := range opts.PreferHigh {
+// stops at the first full assignment, which it leaves in s.values; its
+// effort is s.stats. Its error is nil, ErrInfeasible, the context's error,
+// or errLimit.
+func (s *searcher) attempt(branchOrder, preferHigh []VarID, maxNodes int64) error {
+	s.maxNodes, s.stats, s.found = maxNodes, Stats{}, false
+	clear(s.preferHigh)
+	for _, v := range preferHigh {
 		s.preferHigh[v] = true
 	}
 	// Branch order: explicit list first, then remaining variables.
-	seen := make([]bool, len(m.lo))
-	for _, v := range opts.BranchOrder {
-		if !seen[v] {
+	clear(s.seen)
+	s.order = s.order[:0]
+	for _, v := range branchOrder {
+		if !s.seen[v] {
 			s.order = append(s.order, v)
-			seen[v] = true
+			s.seen[v] = true
 		}
 	}
-	for v := range m.lo {
-		if !seen[v] {
+	for v := range s.seen {
+		if !s.seen[v] {
 			s.order = append(s.order, VarID(v))
 		}
 	}
-	// Constant infeasible rows (posted by addLe with empty terms).
-	for _, c := range m.cons {
-		if len(c.terms) == 0 && c.rhs < 0 {
-			return nil, s.stats, ErrInfeasible
-		}
+	if !s.root() {
+		return ErrInfeasible
 	}
-	// Root propagation.
-	for i := range m.cons {
-		s.enqueue(int32(i))
-	}
-	if !s.propagate() {
-		return nil, s.stats, ErrInfeasible
-	}
-	stopped := s.search()
+	stopped := s.search(0)
 	switch {
 	case s.ctxErr != nil:
-		return nil, s.stats, s.ctxErr
-	case s.values != nil:
-		sol := &Solution{Values: s.values}
-		if m.hasObj {
-			sol.Objective = Eval(m.obj, s.values)
-		}
-		return sol, s.stats, nil
+		return s.ctxErr
+	case s.found:
+		return nil
 	case stopped:
-		return nil, s.stats, errLimit
+		return errLimit
 	}
-	return nil, s.stats, ErrInfeasible
+	return ErrInfeasible
+}
+
+// root loads the declared domains and propagates every row (a constant
+// infeasible row, 0 ≤ rhs < 0, fails there like any other); false means the
+// model is infeasible without branching.
+func (s *searcher) root() bool {
+	for v, lo := range s.m.lo {
+		s.bnd[2*v], s.bnd[2*v+1] = lo, s.m.hi[v]
+	}
+	s.trail = s.trail[:0]
+	for len(s.inQ) < len(s.m.cons) {
+		s.inQ = append(s.inQ, false) // cutoff rows posted since the last attempt
+	}
+	for i := range s.m.cons {
+		s.inQ[i] = true
+		s.queue = append(s.queue, int32(i))
+	}
+	return s.propagate()
 }
 
 // limitExceeded reports whether the attempt's node cap is spent or the
@@ -285,133 +315,68 @@ func (s *searcher) limitExceeded() bool {
 	return false
 }
 
-func (s *searcher) enqueue(ci int32) {
-	if !s.inQ[ci] {
-		s.inQ[ci] = true
-		s.queue = append(s.queue, ci)
+// set moves bound slot to nv — a strict tightening that keeps the domain
+// non-empty — and wakes the rows whose minSum that raises: those reading
+// the slot. Rows holding the variable with the other sign only gain slack.
+func (s *searcher) set(slot int, nv int64) {
+	s.trail = append(s.trail, change{slot, s.bnd[slot]})
+	s.bnd[slot] = nv
+	for _, ci := range s.m.wake[slot] {
+		if !s.inQ[ci] {
+			s.inQ[ci] = true
+			s.queue = append(s.queue, ci)
+		}
 	}
-}
-
-func (s *searcher) setLo(v VarID, nv int64) bool {
-	if nv <= s.lo[v] {
-		return true
-	}
-	if nv > s.hi[v] {
-		return false
-	}
-	s.trail = append(s.trail, change{v, s.lo[v], s.hi[v]})
-	s.lo[v] = nv
-	for _, ci := range s.m.varCons[v] {
-		s.enqueue(ci)
-	}
-	return true
-}
-
-func (s *searcher) setHi(v VarID, nv int64) bool {
-	if nv >= s.hi[v] {
-		return true
-	}
-	if nv < s.lo[v] {
-		return false
-	}
-	s.trail = append(s.trail, change{v, s.lo[v], s.hi[v]})
-	s.hi[v] = nv
-	for _, ci := range s.m.varCons[v] {
-		s.enqueue(ci)
-	}
-	return true
 }
 
 func (s *searcher) undoTo(mark int) {
-	for len(s.trail) > mark {
-		c := s.trail[len(s.trail)-1]
-		s.trail = s.trail[:len(s.trail)-1]
-		s.lo[c.v] = c.oldLo
-		s.hi[c.v] = c.oldHi
+	for i := len(s.trail) - 1; i >= mark; i-- {
+		s.bnd[s.trail[i].slot] = s.trail[i].old
 	}
+	s.trail = s.trail[:mark]
 }
 
-// divFloor computes floor(p/q) for q > 0.
-func divFloor(p, q int64) int64 {
-	d := p / q
-	if p%q != 0 && (p < 0) != (q < 0) {
-		d--
-	}
-	return d
-}
-
-// divCeil computes ceil(p/q).
-func divCeil(p, q int64) int64 {
-	d := p / q
-	if p%q != 0 && (p < 0) == (q < 0) {
-		d++
-	}
-	return d
-}
-
-// propagate runs bounds-consistency to fixpoint; false means conflict.
+// propagate runs bounds-consistency to fixpoint; false means conflict (and
+// an emptied queue). A visit of row Σ aᵢxᵢ ≤ rhs computes gap = rhs − minSum
+// and tightens exactly the terms with |a|·(hi−lo) > gap, to the bound
+// gap/a past the one the term reads; gap ≥ 0, so Go's truncating division
+// is the floor (a > 0) or the ceiling (a < 0) wanted. A tightening writes
+// the slot the row does not read, so it never re-wakes the row and never
+// fails: conflicts show as gap < 0 only.
 func (s *searcher) propagate() bool {
+	bnd := s.bnd
 	for len(s.queue) > 0 {
 		ci := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
 		s.inQ[ci] = false
 		s.stats.Propagations++
 		c := &s.m.cons[ci]
-		// minSum = Σ min(a_i·x_i).
-		var minSum int64
+		gap := c.rhs
 		for _, t := range c.terms {
-			if t.Coeff > 0 {
-				minSum += t.Coeff * s.lo[t.Var]
-			} else {
-				minSum += t.Coeff * s.hi[t.Var]
-			}
+			gap -= t.Coeff * bnd[slotOf(t)]
 		}
-		if minSum > c.rhs {
-			s.clearQueue()
+		if gap < 0 {
+			for _, ci := range s.queue {
+				s.inQ[ci] = false
+			}
+			s.queue = s.queue[:0]
 			return false
 		}
 		for _, t := range c.terms {
-			var tMin int64
-			if t.Coeff > 0 {
-				tMin = t.Coeff * s.lo[t.Var]
-			} else {
-				tMin = t.Coeff * s.hi[t.Var]
-			}
-			slack := c.rhs - (minSum - tMin)
-			if t.Coeff > 0 {
-				// x ≤ floor(slack / coeff)
-				if ub := divFloor(slack, t.Coeff); ub < s.hi[t.Var] {
-					if !s.setHi(t.Var, ub) {
-						s.clearQueue()
-						return false
-					}
-				}
-			} else {
-				// coeff < 0: x ≥ ceil(slack / coeff)
-				if lb := divCeil(slack, t.Coeff); lb > s.lo[t.Var] {
-					if !s.setLo(t.Var, lb) {
-						s.clearQueue()
-						return false
-					}
-				}
+			slot := slotOf(t)
+			if t.Coeff*(bnd[slot^1]-bnd[slot]) > gap {
+				s.set(slot^1, bnd[slot]+gap/t.Coeff)
 			}
 		}
 	}
 	return true
 }
 
-func (s *searcher) clearQueue() {
-	for _, ci := range s.queue {
-		s.inQ[ci] = false
-	}
-	s.queue = s.queue[:0]
-}
-
 // lpBound solves the LP relaxation under current domains; returns false if
 // the node can be pruned.
 func (s *searcher) lpBound() bool {
 	s.stats.LPBounds++
-	n := len(s.lo)
+	n := len(s.m.lo)
 	p := lp.NewProblem(n)
 	for _, c := range s.m.cons {
 		row := make([]float64, n)
@@ -425,11 +390,11 @@ func (s *searcher) lpBound() bool {
 	for v := 0; v < n; v++ {
 		row := make([]float64, n)
 		row[v] = 1
-		p.AddLe(row, float64(s.hi[v]))
-		if s.lo[v] > 0 {
+		p.AddLe(row, float64(s.bnd[2*v+1]))
+		if lo := s.bnd[2*v]; lo > 0 {
 			neg := make([]float64, n)
 			neg[v] = -1
-			p.AddLe(neg, -float64(s.lo[v]))
+			p.AddLe(neg, -float64(lo))
 		}
 	}
 	sol, err := p.Solve()
@@ -440,11 +405,12 @@ func (s *searcher) lpBound() bool {
 	return true
 }
 
-// search explores the subtree under the current domains depth-first. It
-// returns true when the whole search must stop: the first full assignment
-// was stored in s.values, or limitExceeded fired. False means the subtree is
-// exhausted without a solution.
-func (s *searcher) search() bool {
+// search explores the subtree under the current domains depth-first; the
+// variables before order[from] are fixed already. It returns true when the
+// whole search must stop: the first full assignment was stored in s.values,
+// or limitExceeded fired. False means the subtree is exhausted without a
+// solution.
+func (s *searcher) search(from int) bool {
 	s.stats.Nodes++
 	if s.limitExceeded() {
 		return true
@@ -455,53 +421,33 @@ func (s *searcher) search() bool {
 		}
 	}
 	// Pick the next variable: first unfixed in branch order.
-	var pick VarID = -1
-	for _, v := range s.order {
-		if s.lo[v] != s.hi[v] {
-			pick = v
-			break
-		}
+	for from < len(s.order) && s.bnd[2*s.order[from]] == s.bnd[2*s.order[from]+1] {
+		from++
 	}
-	if pick == -1 {
+	if from == len(s.order) {
 		// All fixed: feasibility is all an attempt looks for.
-		s.values = append([]int64(nil), s.lo...)
+		for v := range s.values {
+			s.values[v] = s.bnd[2*v]
+		}
+		s.found = true
 		return true
 	}
 	// Binary split: left branch fixes the preferred bound (lower bound by
 	// default, upper bound for PreferHigh variables), right branch
 	// excludes it; re-picking the still-unfixed variable keeps the
 	// enumeration complete.
-	var fixLeft func() bool
-	var shrinkRight func() bool
-	if s.preferHigh[pick] {
-		hi := s.hi[pick]
-		fixLeft = func() bool { return s.setLo(pick, hi) }
-		shrinkRight = func() bool { return s.setHi(pick, hi-1) }
-	} else {
-		lo := s.lo[pick]
-		fixLeft = func() bool { return s.setHi(pick, lo) }
-		shrinkRight = func() bool { return s.setLo(pick, lo+1) }
+	keep, step := 2*int(s.order[from]), int64(1)
+	if s.preferHigh[s.order[from]] {
+		keep, step = keep+1, -1
 	}
-	mark := len(s.trail)
-	if fixLeft() && s.propagate() {
-		if s.search() {
-			s.undoTo(mark)
-			return true
-		}
-	} else {
-		s.clearQueue()
-	}
+	val, mark := s.bnd[keep], len(s.trail)
+	s.set(keep^1, val)
+	stop := s.propagate() && s.search(from)
 	s.undoTo(mark)
-	if s.lo[pick] == s.hi[pick] {
-		return false // the excluded value was the last one
+	if !stop {
+		s.set(keep, val+step) // the variable was unfixed, so a value is left
+		stop = s.propagate() && s.search(from)
+		s.undoTo(mark)
 	}
-	mark = len(s.trail)
-	stop := false
-	if shrinkRight() && s.propagate() {
-		stop = s.search()
-	} else {
-		s.clearQueue()
-	}
-	s.undoTo(mark)
 	return stop
 }

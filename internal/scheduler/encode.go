@@ -815,10 +815,10 @@ func (e *encoder) extract(sol *milp.Solution) *NodeSchedule {
 		t := s.Tuples[n]
 		s.MOld[n] = e.pickProvider(e.a.DOld[n], e.a.ExtProviderOld[n], func(m topology.NodeID) bool {
 			return hOld(e.a, s, m) > t.Old
-		}, func(m topology.NodeID) int { return hOld(e.a, s, m) }, true)
+		}, func(m topology.NodeID) int { return hOld(e.a, s, m) })
 		s.MNew[n] = e.pickProvider(e.a.DNew[n], e.a.ExtProviderNew[n], func(m topology.NodeID) bool {
 			return hNew(e.a, s, m) < t.New
-		}, func(m topology.NodeID) int { return -hNew(e.a, s, m) }, true)
+		}, func(m topology.NodeID) int { return -hNew(e.a, s, m) })
 	}
 	return s
 }
@@ -826,7 +826,7 @@ func (e *encoder) extract(sol *milp.Solution) *NodeSchedule {
 // pickProvider returns the admissible provider maximizing score, or
 // topology.None when the route arrives over eBGP.
 func (e *encoder) pickProvider(cands []topology.NodeID, ext bool,
-	ok func(topology.NodeID) bool, score func(topology.NodeID) int, _ bool) topology.NodeID {
+	ok func(topology.NodeID) bool, score func(topology.NodeID) int) topology.NodeID {
 	if ext {
 		return topology.None
 	}

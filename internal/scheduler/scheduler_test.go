@@ -324,6 +324,39 @@ func TestScheduleNodeBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestSearchTreePinned pins the branch-and-bound tree of three reachability
+// case studies at scenario seed 7 under DefaultOptions: rounds, temporary
+// sessions, nodes explored and whether the temp-session minimum was proven.
+// Propagation-kernel work must leave all four alone (only
+// Stats.Propagations may move); a change that means to move the tree edits
+// these numbers on purpose.
+func TestSearchTreePinned(t *testing.T) {
+	for _, want := range []struct {
+		topo     string
+		r, temp  int
+		nodes    int64
+		provenOK bool
+	}{
+		{"Abilene", 4, 4, 23424, true},
+		{"Sprint", 3, 6, 38396, false},
+		{"Aarnet", 5, 13, 33154, false},
+	} {
+		s, err := scenario.CaseStudy(want.topo, scenario.Config{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := scheduler.Schedule(analyze(t, s), reachSpec(s.Graph), scheduler.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", want.topo, err)
+		}
+		st := sched.Stats
+		if sched.R != want.r || st.TempSessions != want.temp || st.SolverNodes != want.nodes || st.ObjectiveOpt != want.provenOK {
+			t.Errorf("%s: R=%d temp=%d nodes=%d opt=%v, pinned R=%d temp=%d nodes=%d opt=%v", want.topo,
+				sched.R, st.TempSessions, st.SolverNodes, st.ObjectiveOpt, want.r, want.temp, want.nodes, want.provenOK)
+		}
+	}
+}
+
 func TestScheduleStats(t *testing.T) {
 	s := scenario.RunningExample()
 	a := analyze(t, s)
