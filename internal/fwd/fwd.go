@@ -43,41 +43,53 @@ func (s State) Equal(o State) bool { return slices.Equal(s, o) }
 
 // Path walks the forwarding state from n. It returns the traversed nodes
 // (starting with n) and the terminal value: External if the packet exits,
-// Drop if it is dropped or enters a forwarding loop.
+// Drop if it is dropped or enters a forwarding loop (found by scanning the
+// path so far — per-snapshot checks use the allocation-free walks below).
 func (s State) Path(n topology.NodeID) ([]topology.NodeID, topology.NodeID) {
 	var path []topology.NodeID
-	seen := make(map[topology.NodeID]bool)
-	cur := n
-	for {
-		if seen[cur] {
-			return path, Drop // forwarding loop
-		}
-		seen[cur] = true
+	for cur := n; !slices.Contains(path, cur); {
 		path = append(path, cur)
 		nh := s[cur]
-		switch nh {
-		case Drop, External:
+		if nh == Drop || nh == External {
 			return path, nh
 		}
 		cur = nh
 	}
+	return path, Drop // forwarding loop
+}
+
+// walk follows the forwarding chain from n. It returns the node at which
+// the packet exits (topology.None if it is dropped or loops) and whether w
+// was on the way. The state is a functional graph, so a walk that has not
+// terminated after len(s) hops has revisited a node and therefore loops.
+// Allocation-free: monitor and spec call it per node per snapshot.
+func (s State) walk(n, w topology.NodeID) (egress topology.NodeID, via bool) {
+	cur := n
+	for range s {
+		via = via || cur == w
+		switch nh := s[cur]; nh {
+		case External:
+			return cur, via
+		case Drop:
+			return topology.None, via
+		default:
+			cur = nh
+		}
+	}
+	return topology.None, via
 }
 
 // Reach reports whether packets from n reach the external destination.
 func (s State) Reach(n topology.NodeID) bool {
-	_, term := s.Path(n)
-	return term == External
+	return s.Egress(n) != topology.None
 }
 
 // Waypoint reports whether packets from n traverse w before exiting (a node
 // trivially waypoints through itself). Dropped or looping traffic does not
 // satisfy the waypoint.
 func (s State) Waypoint(n, w topology.NodeID) bool {
-	path, term := s.Path(n)
-	if term != External {
-		return false
-	}
-	return slices.Contains(path, w)
+	egress, via := s.walk(n, w)
+	return via && egress != topology.None
 }
 
 // Loop-classification colors. The forwarding state is a functional graph
@@ -93,19 +105,18 @@ const (
 )
 
 // classifyLoops walks every forwarding chain once and returns, per node,
-// whether its path enters a forwarding loop. Each node is pushed and
+// whether its path enters a forwarding loop. Each node is greyed and
 // resolved exactly once, so the whole-state check is linear — the online
 // monitor loop-checks every transient snapshot, which made the previous
-// walk-per-router quadratic version a hot path.
+// walk-per-router quadratic version a hot path. The colors are its only
+// allocation: the chain just walked is the grey run from its start node.
 func (s State) classifyLoops() []uint8 {
 	color := make([]uint8, len(s))
-	var chain []topology.NodeID
 	for n := range s {
 		if color[n] != loopWhite {
 			continue
 		}
 		cur := topology.NodeID(n)
-		chain = chain[:0]
 		verdict := loopTerm
 		for {
 			nh := s[cur]
@@ -113,7 +124,6 @@ func (s State) classifyLoops() []uint8 {
 				break
 			}
 			color[cur] = loopGrey
-			chain = append(chain, cur)
 			switch color[nh] {
 			case loopGrey: // closed a cycle within this chain
 				verdict = loopCycles
@@ -130,7 +140,7 @@ func (s State) classifyLoops() []uint8 {
 		if color[cur] == loopWhite { // chain ended on a terminal node
 			color[cur] = loopTerm
 		}
-		for _, m := range chain {
+		for m := topology.NodeID(n); color[m] == loopGrey; m = s[m] {
 			color[m] = verdict
 		}
 	}
@@ -164,11 +174,8 @@ func (s State) LoopNodes() []topology.NodeID {
 // Egress returns the node at which traffic from n exits, or topology.None
 // if it never exits.
 func (s State) Egress(n topology.NodeID) topology.NodeID {
-	path, term := s.Path(n)
-	if term != External || len(path) == 0 {
-		return topology.None
-	}
-	return path[len(path)-1]
+	egress, _ := s.walk(n, topology.None)
+	return egress
 }
 
 // String renders the state compactly, e.g. "0→1 1→d 2→∅".

@@ -10,6 +10,7 @@ package igp
 
 import (
 	"container/heap"
+	"maps"
 	"math"
 
 	"chameleon/internal/topology"
@@ -33,6 +34,13 @@ func Compute(g *topology.Graph) *SPF {
 	s := &SPF{g: g, failed: make(map[int]bool)}
 	s.Recompute()
 	return s
+}
+
+// Clone returns an independent SPF over the same topology, failed links
+// included. The distance tables are shared until either side calls
+// Recompute, which replaces them wholesale and never writes in place.
+func (s *SPF) Clone() *SPF {
+	return &SPF{g: s.g, failed: maps.Clone(s.failed), dist: s.dist, next: s.next}
 }
 
 // Graph returns the underlying topology.

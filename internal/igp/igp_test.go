@@ -118,6 +118,46 @@ func TestLinkFailureAndRestore(t *testing.T) {
 	}
 }
 
+// TestCloneSharesTablesUntilRecompute: a clone carries the failed links and
+// answers like the original; failing, restoring and reconverging either
+// side leaves the other's failed set, distances and next hops where they
+// were.
+func TestCloneSharesTablesUntilRecompute(t *testing.T) {
+	g := topology.New("ring")
+	a, b, c := g.AddRouter("a"), g.AddRouter("b"), g.AddRouter("c")
+	g.AddLink(a, b, 1)
+	g.AddLink(b, c, 1)
+	g.AddLink(a, c, 5)
+	orig := Compute(g)
+	orig.FailLink(a, b)
+	orig.Recompute()
+
+	cl := orig.Clone()
+	if cl.FailedLinks() != 1 || cl.Dist(a, c) != 5 || cl.NextHop(a, b) != c {
+		t.Fatalf("clone: failed %d, Dist(a,c) %v, NextHop(a,b) %d; want 1, 5, %d",
+			cl.FailedLinks(), cl.Dist(a, c), cl.NextHop(a, b), c)
+	}
+	cl.RestoreLink(a, b)
+	cl.Recompute()
+	if cl.FailedLinks() != 0 || cl.Dist(a, c) != 2 || cl.NextHop(a, b) != b {
+		t.Errorf("restored clone: failed %d, Dist(a,c) %v, NextHop(a,b) %d",
+			cl.FailedLinks(), cl.Dist(a, c), cl.NextHop(a, b))
+	}
+	if orig.FailedLinks() != 1 || orig.Dist(a, c) != 5 || orig.NextHop(a, b) != c {
+		t.Errorf("Recompute on the clone moved the original: failed %d, Dist(a,c) %v, NextHop(a,b) %d",
+			orig.FailedLinks(), orig.Dist(a, c), orig.NextHop(a, b))
+	}
+	orig.FailLink(b, c)
+	orig.Recompute()
+	if orig.Reachable(a, b) {
+		t.Error("b must be cut off in the original")
+	}
+	if cl.FailedLinks() != 0 || cl.Dist(a, c) != 2 || !cl.Reachable(a, b) {
+		t.Errorf("Recompute on the original moved the clone: failed %d, Dist(a,c) %v",
+			cl.FailedLinks(), cl.Dist(a, c))
+	}
+}
+
 func TestFailUnknownLink(t *testing.T) {
 	s := Compute(line(3))
 	if s.FailLink(0, 2) {

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"chameleon/internal/obs"
 	"chameleon/internal/scenario"
 	"chameleon/internal/sim"
+	"chameleon/internal/spec"
 	"chameleon/internal/topology"
 )
 
@@ -267,3 +269,51 @@ func TestValidateJSONLRejectsMalformed(t *testing.T) {
 
 // line returns the i-th line of a newline-joined string.
 func line(s string, i int) string { return strings.Split(strings.TrimSpace(s), "\n")[i] }
+
+// chainCase builds n routers forwarding 0 → 1 → … → n-1 → d (the longest
+// paths a clean state of that size can have) and a monitor tracking the
+// default invariants plus a spec with a reach and a waypoint atom per node.
+func chainCase(n int) (*Monitor, fwd.State) {
+	g := topology.New("chain")
+	st := fwd.NewState(n)
+	b := spec.NewBuilder()
+	var atoms []*spec.Expr
+	for i := 0; i < n; i++ {
+		id := g.AddRouter("r" + strconv.Itoa(i))
+		st[id] = id + 1
+		atoms = append(atoms, b.Reach(id), b.Wp(id, topology.NodeID(n-1)))
+	}
+	st[n-1] = fwd.External
+	m := New(Config{Name: "chain", Invariants: []Invariant{ReachAll(g), LoopFree()}})
+	m.Track(FromSpec("spec", spec.NewSpec(b, b.Globally(b.And(atoms...)))))
+	return m, st
+}
+
+// TestObserveAllocsIndependentOfNodeCount: checking one clean snapshot costs
+// two allocations (the loop classifier's colors and the spec's value
+// table), not one map and one path per node per invariant.
+func TestObserveAllocsIndependentOfNodeCount(t *testing.T) {
+	var perSize []float64
+	for _, n := range []int{19, 152} { // Aarnet's size, and 8× that
+		m, st := chainCase(n)
+		perSize = append(perSize, testing.AllocsPerRun(20, func() {
+			m.ObserveProvenance(time.Second, 0, st, sim.Provenance{})
+		}))
+		if tl := m.Finish(time.Second); len(tl.Violations) != 0 {
+			t.Fatalf("n=%d: the clean chain violates %+v", n, tl.Violations)
+		}
+	}
+	if perSize[0] != perSize[1] || perSize[0] > 2 {
+		t.Errorf("allocations per clean snapshot: %v at 19 nodes, %v at 152; want equal and at most 2",
+			perSize[0], perSize[1])
+	}
+}
+
+func BenchmarkObserveSnapshot(b *testing.B) {
+	m, st := chainCase(19)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ObserveProvenance(time.Duration(i), 0, st, sim.Provenance{})
+	}
+}

@@ -244,3 +244,32 @@ func TestDefaultSuiteSmoke(t *testing.T) {
 		t.Errorf("scheduling benchmark recorded no solver-effort counter: %+v", results[0].Counters)
 	}
 }
+
+// TestReplayWorkloadsCountExactly: the execute-path workloads report the
+// counters the trajectory compares them on, and those repeat exactly.
+func TestReplayWorkloadsCountExactly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("macro suite skipped in -short")
+	}
+	want := map[string][]string{
+		"exec-replay/abilene": {obs.CtrSimEvents, obs.CtrMonitorStatesChecked},
+		"monitor/snapshot":    {obs.CtrMonitorStatesChecked},
+	}
+	for name, counters := range want {
+		results, err := Run(context.Background(), DefaultSuite(), Config{Warmup: 0, Reps: 3, Filter: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 1 {
+			t.Fatalf("%s: %d results, want 1", name, len(results))
+		}
+		for _, c := range counters {
+			if d := results[0].Counters[c]; d.Median == 0 || d.MAD != 0 {
+				t.Errorf("%s: counter %s = %+v, want a positive value that repeats exactly", name, c, d)
+			}
+		}
+		if d, ok := results[0].Counters[obs.CtrMonitorViolations]; ok && d.Median != 0 {
+			t.Errorf("%s: monitor flagged violations on a clean run: %+v", name, d)
+		}
+	}
+}

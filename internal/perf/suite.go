@@ -3,11 +3,13 @@ package perf
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"chameleon"
 	"chameleon/internal/analyzer"
 	"chameleon/internal/chaos"
 	"chameleon/internal/eval"
+	"chameleon/internal/monitor"
 	"chameleon/internal/obs"
 	"chameleon/internal/plan"
 	"chameleon/internal/scenario"
@@ -37,6 +39,8 @@ const suiteSeed = 7
 //     same scenario analyzed, scheduled and compiled independently
 //   - sim-convergence/aarnet — raw simulator convergence of the Aarnet scenario
 //   - plan-execute/…         — the full facade Plan+Execute on three case studies
+//   - exec-replay/abilene    — a precomputed plan replayed on a clone under a monitor
+//   - monitor/snapshot       — a recorded Aarnet execution trace through a fresh monitor
 //   - chaos/smoke            — one fault-injected execution with recovery
 //   - prefix-scale/…         — 100k-prefix what-if probes and 10k-prefix
 //     storm convergence (route-by-route vs batched injection); see
@@ -55,6 +59,8 @@ func DefaultSuite() []Benchmark {
 		{Name: "plan-execute/abilene", Setup: planExecuteBench("Abilene")},
 		{Name: "plan-execute/compuserve", Setup: planExecuteBench("Compuserve")},
 		{Name: "plan-execute/eenet", Setup: planExecuteBench("EEnet")},
+		{Name: "exec-replay/abilene", Setup: replayBench("Abilene", execReplay)},
+		{Name: "monitor/snapshot", Setup: replayBench("Aarnet", monitorSnapshot)},
 		{Name: "chaos/smoke", Setup: chaosBench("Abilene")},
 		{Name: "prefix-scale/whatif-100k-cow", Setup: whatIfBench(whatIfPrefixes)},
 		{Name: "prefix-scale/storm-10k-routes", Setup: stormBench(stormPrefixes, false)},
@@ -199,6 +205,82 @@ func planExecuteBench(topo string) func() (Fn, error) {
 			return rec.Verify(res)
 		}, nil
 	}
+}
+
+// specMonitor returns a monitor on the default invariants plus rec's
+// compiled specification, reporting to the context's recorder.
+func specMonitor(ctx context.Context, rec *chameleon.Reconfiguration) *chameleon.Monitor {
+	mon := chameleon.NewMonitor(chameleon.MonitorConfig{
+		Name:       "perf",
+		Invariants: chameleon.DefaultInvariants(rec.Scenario.Graph),
+		Recorder:   obs.RecorderFrom(ctx),
+	})
+	mon.Track(monitor.FromSpec("spec", rec.Spec))
+	return mon
+}
+
+// replay executes base's plan on a clone of its converged network under a
+// fresh monitor and returns the executed copy (commands are closures over
+// node IDs, so one plan runs on any clone).
+func replay(ctx context.Context, base *chameleon.Reconfiguration) (*chameleon.Reconfiguration, *chameleon.ExecResult, error) {
+	sc := *base.Scenario
+	sc.Net = sc.Net.Clone()
+	rec := *base
+	rec.Scenario = &sc
+	mon := specMonitor(ctx, base)
+	res, err := rec.ExecuteCtx(ctx, chameleon.ExecOptions{Monitor: mon})
+	if n := mon.ViolationCount(); err == nil && n != 0 {
+		err = fmt.Errorf("monitor saw %d violations on a clean replay", n)
+	}
+	return &rec, res, err
+}
+
+// replayBench plans the case study on topo once in set-up and hands the
+// plan to op, which builds the measured operation.
+func replayBench(topo string, op func(base *chameleon.Reconfiguration) (Fn, error)) func() (Fn, error) {
+	return func() (Fn, error) {
+		s, err := scenario.CaseStudy(topo, scenario.Config{Seed: suiteSeed})
+		if err != nil {
+			return nil, err
+		}
+		base, err := chameleon.Plan(s, chameleon.PlanOptions{})
+		if err != nil {
+			return nil, err
+		}
+		return op(base)
+	}
+}
+
+// execReplay is one replay and its verification — what runtime, sim and
+// monitor cost per simulated event.
+func execReplay(base *chameleon.Reconfiguration) (Fn, error) {
+	return func(ctx context.Context) error {
+		rec, res, err := replay(ctx, base)
+		if err != nil {
+			return err
+		}
+		return rec.Verify(res)
+	}, nil
+}
+
+// monitorSnapshot replays once in set-up; the op feeds every snapshot the
+// clone recorded (the execution and nothing else) to a fresh monitor — the
+// monitor alone.
+func monitorSnapshot(base *chameleon.Reconfiguration) (Fn, error) {
+	rec, _, err := replay(context.Background(), base)
+	if err != nil {
+		return nil, err
+	}
+	prefix, end := rec.Scenario.Prefix, rec.Scenario.Net.Now()
+	tr := rec.Scenario.Net.Trace(prefix)
+	return func(ctx context.Context) error {
+		mon := specMonitor(ctx, base)
+		for i, st := range tr.States {
+			mon.Observe(time.Duration(tr.Times[i]*float64(time.Second)), prefix, st)
+		}
+		mon.Finish(end)
+		return nil
+	}, nil
 }
 
 // chaosBench measures one fault-injected case (message drops) including

@@ -14,7 +14,7 @@ import (
 	"chameleon/internal/topology"
 )
 
-func compile(t *testing.T, s *scenario.Scenario) (*analyzer.Analysis, *scheduler.NodeSchedule, *plan.Plan) {
+func compile(t testing.TB, s *scenario.Scenario) (*analyzer.Analysis, *scheduler.NodeSchedule, *plan.Plan) {
 	t.Helper()
 	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
@@ -250,5 +250,35 @@ func TestAlignMissingSlots(t *testing.T) {
 	cmds := make([]sim.Command, 1)
 	if _, err := plan.Align([]*plan.Plan{{R: 1}}, cmds); err == nil {
 		t.Fatal("Align accepted a plan without OriginalSlots")
+	}
+}
+
+// BenchmarkConditionCheck polls every pre- and post-condition of the
+// Abilene plan's rounds once per iteration — what the runtime's step loop
+// does after every simulated event.
+func BenchmarkConditionCheck(b *testing.B) {
+	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, _, p := compile(b, s)
+	var conds []plan.Condition
+	for _, round := range p.Rounds {
+		for _, st := range round {
+			conds = append(append(conds, st.Pre...), st.Post...)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	holds := 0
+	for i := 0; i < b.N; i++ {
+		for _, c := range conds {
+			if c.Check(s.Net, p.Prefix) {
+				holds++
+			}
+		}
+	}
+	if holds == 0 {
+		b.Fatal("no condition of the plan holds in the initial network")
 	}
 }

@@ -93,6 +93,10 @@ type Network struct {
 
 	msgCount uint64
 
+	// cands is decide's candidate scratch. The selected route is copied by
+	// value into the Loc-RIB, so nothing retains the slice between calls.
+	cands []bgp.Route
+
 	// faults, when set, decides the fate of every scheduled command and
 	// delivered message (see fault.go). pendingCmds tracks in-flight
 	// command tokens so an abort can cancel them deterministically.
@@ -114,9 +118,14 @@ type Network struct {
 
 // New builds a network over g with all BGP state empty.
 func New(g *topology.Graph, opts Options) *Network {
+	return newNetwork(g, igp.Compute(g), opts)
+}
+
+// newNetwork is New over an IGP the caller supplies.
+func newNetwork(g *topology.Graph, spf *igp.SPF, opts Options) *Network {
 	n := &Network{
 		graph:        g,
-		spf:          igp.Compute(g),
+		spf:          spf,
 		opts:         opts,
 		rng:          rand.New(rand.NewPCG(opts.Seed, opts.Seed^0xda3e39cb94b95bdb)),
 		lastDelivery: make(map[sessKey]time.Duration),
@@ -524,10 +533,11 @@ func (n *Network) runDecision(node topology.NodeID, prefix bgp.Prefix) {
 // and the dirty set, and reports whether the selection changed. It never
 // mutates the Adj-RIB-In, so callers may invoke it while ranging one.
 func (n *Network) decide(r *router, prefix bgp.Prefix) bool {
-	cands := r.ingressCandidates(prefix)
+	cands := r.ingressCandidates(prefix, n.cands[:0])
 	if agg, ok := r.aggregateRoute(prefix); ok {
 		cands = append(cands, agg)
 	}
+	n.cands = cands
 	cmp := bgp.Comparator{SPF: n.spf, Node: r.id}
 	old, hadOld := r.locRib.Get(prefix)
 	var selected bgp.Route
@@ -653,17 +663,17 @@ func (n *Network) Best(node topology.NodeID, prefix bgp.Prefix) (bgp.Route, bool
 // Knows reports whether node has an admitted candidate route for prefix
 // matching pred (pred nil matches any).
 func (n *Network) Knows(node topology.NodeID, prefix bgp.Prefix, pred func(bgp.Route) bool) bool {
-	for _, r := range n.routers[node].ingressCandidates(prefix) {
-		if pred == nil || pred(r) {
-			return true
-		}
-	}
-	return false
+	found := false
+	n.routers[node].rangeIngress(prefix, func(r bgp.Route) bool {
+		found = pred == nil || pred(r)
+		return !found
+	})
+	return found
 }
 
 // Candidates returns the admitted candidate routes of node for prefix.
 func (n *Network) Candidates(node topology.NodeID, prefix bgp.Prefix) []bgp.Route {
-	return n.routers[node].ingressCandidates(prefix)
+	return n.routers[node].ingressCandidates(prefix, nil)
 }
 
 // NextHop computes the forwarding next hop of node for prefix: External if
@@ -690,9 +700,9 @@ func (n *Network) NextHop(node topology.NodeID, prefix bgp.Prefix) topology.Node
 
 // ForwardingState snapshots the forwarding state for prefix.
 func (n *Network) ForwardingState(prefix bgp.Prefix) fwd.State {
-	s := fwd.NewState(n.graph.NumNodes())
-	for _, node := range n.graph.Internal() {
-		s[node] = n.NextHop(node, prefix)
+	s := fwd.NewState(len(n.routers))
+	for _, r := range n.routers {
+		s[r.id] = n.NextHop(r.id, prefix) // Drop at external nodes
 	}
 	return s
 }
@@ -700,10 +710,12 @@ func (n *Network) ForwardingState(prefix bgp.Prefix) fwd.State {
 // RoutingState returns each internal node's selected route for prefix
 // (P : N → route), with presence flags, in node-ID order.
 func (n *Network) RoutingState(prefix bgp.Prefix) ([]bgp.Route, []bool) {
-	routes := make([]bgp.Route, n.graph.NumNodes())
-	have := make([]bool, n.graph.NumNodes())
-	for _, node := range n.graph.Internal() {
-		routes[node], have[node] = n.routers[node].locRib.Get(prefix)
+	routes := make([]bgp.Route, len(n.routers))
+	have := make([]bool, len(n.routers))
+	for _, r := range n.routers {
+		if !r.external {
+			routes[r.id], have[r.id] = r.locRib.Get(prefix)
+		}
 	}
 	return routes, have
 }
@@ -815,13 +827,15 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 }
 
 // Clone deep-copies the entire network state (topology and options shared,
-// all mutable state copied), allowing what-if exploration. Pending events
-// are NOT copied; clone a converged network.
+// all mutable state copied), allowing what-if exploration. The IGP keeps
+// its failed links and shares its distance tables with the original until
+// either side reconverges (igp.SPF.Clone). Pending events are NOT copied;
+// clone a converged network.
 func (n *Network) Clone() *Network {
 	if n.queue.Len() > 0 {
 		panic("sim: Clone requires a converged network")
 	}
-	c := New(n.graph, n.opts)
+	c := newNetwork(n.graph, n.spf.Clone(), n.opts)
 	c.now = n.now
 	c.tableEntries = n.tableEntries
 	for i, r := range n.routers {

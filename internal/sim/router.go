@@ -108,17 +108,26 @@ func (r *router) ensureRouteMap(dir Direction, neighbor topology.NodeID) *RouteM
 // changes.
 func (r *router) neighbors() []topology.NodeID { return r.nbrs }
 
-// ingressCandidates applies ingress policy to every Adj-RIB-In entry for
-// prefix and returns the admitted routes.
-func (r *router) ingressCandidates(prefix bgp.Prefix) []bgp.Route {
-	var out []bgp.Route
+// rangeIngress calls fn with every Adj-RIB-In route for prefix that ingress
+// policy admits, policy applied, in ascending neighbor order, until fn
+// returns false. Allocation-free; the only place ingress policy meets the
+// Adj-RIB-In.
+func (r *router) rangeIngress(prefix bgp.Prefix, fn func(bgp.Route) bool) {
 	r.adjIn.RangeCandidates(prefix, func(nb topology.NodeID, raw bgp.Route) bool {
 		if route, ok := r.routeMap(In, nb).Apply(nb, raw); ok {
-			out = append(out, route)
+			return fn(route)
 		}
 		return true
 	})
-	return out
+}
+
+// ingressCandidates appends the routes rangeIngress yields to buf.
+func (r *router) ingressCandidates(prefix bgp.Prefix, buf []bgp.Route) []bgp.Route {
+	r.rangeIngress(prefix, func(route bgp.Route) bool {
+		buf = append(buf, route)
+		return true
+	})
+	return buf
 }
 
 // acceptable implements RFC 4456 / path loop checks on a received route.
