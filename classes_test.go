@@ -45,6 +45,28 @@ func multiClassScenario(t *testing.T) *chameleon.Scenario {
 	return s
 }
 
+// TestHardCorpusDecidesMultiClass: Gambia with three extra prefixes used to
+// fail — the member-proportional budget slice left one class undecided at
+// every round count. It plans now, every class inside the scan pass.
+func TestHardCorpusDecidesMultiClass(t *testing.T) {
+	s, err := chameleon.NewCaseStudyMulti("Gambia", 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := chameleon.Plan(s, chameleon.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pc := range r.Classes {
+		if err := scheduler.Validate(pc.Analysis, r.Spec, pc.Schedule); err != nil {
+			t.Errorf("class %d: invalid schedule: %v", i, err)
+		}
+		if st := pc.Schedule.Stats; st.RoundsTried != pc.Schedule.R {
+			t.Errorf("class %d: R = %d after %d solves, want a scan-pass decision", i, pc.Schedule.R, st.RoundsTried)
+		}
+	}
+}
+
 // TestClassPartition pins the partition the decomposed planner works from:
 // three classes, the base prefix sharing its class with the identically
 // announced extra prefix, every prefix covered exactly once.

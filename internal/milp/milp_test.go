@@ -1,8 +1,10 @@
 package milp
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -523,18 +525,17 @@ func pigeonholeGated(pigeons, holes int) (*Model, Options) {
 
 func TestRestartBudgetAccounting(t *testing.T) {
 	const base = restartBaseNodes
-	// Sanity: a single attempt limited to the first restart budget must
-	// fail — the gate branches high into the pigeonhole subtree and the
-	// budget runs out long before the subtree is refuted.
+	// Sanity: a search limited to the first attempt's cap must fail — the
+	// gate branches high into the pigeonhole subtree and the cap is reached
+	// long before the subtree is refuted.
 	m, opts := pigeonholeGated(8, 7)
-	if err := newSearcher(m, opts).attempt(opts.BranchOrder, opts.PreferHigh, base); err == nil {
-		t.Fatal("first-attempt budget unexpectedly sufficient; grow the pigeonhole")
+	opts.NodeLimit = base
+	if _, err := m.Solve(opts); err != ErrTimeout {
+		t.Fatalf("err = %v under the first attempt's cap, want ErrTimeout; grow the pigeonhole", err)
 	}
-	// Under restarts the first attempt exhausts its base budget and a later
-	// attempt (value preference flipped) solves quickly. The solution's
-	// stats must charge the failed attempt's nodes too: the old accounting
-	// reported only the final attempt, undercounting total solver effort
-	// below base+1.
+	// Under restarts the first attempt exhausts its cap and the second
+	// (value preference flipped) solves quickly. The solution's stats must
+	// charge the failed attempt's nodes too.
 	m, opts = pigeonholeGated(8, 7)
 	s, err := m.Solve(opts)
 	if err != nil {
@@ -546,16 +547,207 @@ func TestRestartBudgetAccounting(t *testing.T) {
 	if s.Stats.Nodes <= base {
 		t.Fatalf("Stats.Nodes = %d, want > %d: failed restart attempts must be charged at their actual node count", s.Stats.Nodes, base)
 	}
-	if s.Stats.Nodes > 3*base {
-		t.Fatalf("Stats.Nodes = %d, want ≤ %d: charge actual nodes, not granted budgets", s.Stats.Nodes, 3*base)
+	if s.Stats.Nodes > 2*base {
+		t.Fatalf("Stats.Nodes = %d, want ≤ %d: charge actual nodes, not granted budgets", s.Stats.Nodes, 2*base)
 	}
 	// A NodeLimit covering the failed attempt plus a generous remainder
 	// must still admit the solve: with grant-based charging the second
 	// attempt would be starved of budget it never consumed.
 	m, opts = pigeonholeGated(8, 7)
-	opts.NodeLimit = 3 * base
+	opts.NodeLimit = 2 * base
 	if _, err := m.Solve(opts); err != nil {
-		t.Fatalf("Solve under NodeLimit=%d: %v", 3*base, err)
+		t.Fatalf("Solve under NodeLimit=%d: %v", 2*base, err)
+	}
+}
+
+func TestLubySequence(t *testing.T) {
+	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 1, 1, 2}
+	for i, w := range want {
+		if got := luby(i + 1); got != w {
+			t.Errorf("luby(%d) = %d, want %d", i+1, got, w)
+		}
+	}
+	if got := luby(1<<20 - 1); got != 1<<19 {
+		t.Errorf("luby(2^20 − 1) = %d, want 2^19", got)
+	}
+}
+
+// TestConflictFreeSearchWalksBranchOrder: with every weight at zero and every
+// domain equally wide the tie-break decides alone. Under Σ v ≤ c with all
+// variables preferring 1, the variables set are the first c decided, so the
+// prefixes over every c spell out the order the search walked.
+func TestConflictFreeSearchWalksBranchOrder(t *testing.T) {
+	const n = 7
+	order := []VarID{4, 1, 6, 0, 3, 5, 2}
+	for c := 1; c < n; c++ {
+		m := NewModel()
+		var vars []VarID
+		for i := 0; i < n; i++ {
+			vars = append(vars, m.NewBool("v"))
+		}
+		m.AddLe(Sum(vars...), int64(c))
+		s := newSearcher(m, Options{BranchOrder: order, PreferHigh: vars})
+		if err := s.feasible(noCutoff); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range order {
+			if (i < c) != (s.values[v] == 1) {
+				t.Errorf("c = %d: variable %d, at position %d in the order, is %d", c, v, i, s.values[v])
+			}
+		}
+		// One node per decision and one to find everything fixed.
+		if s.stats.Nodes != int64(c)+1 {
+			t.Errorf("c = %d: %d nodes, want %d", c, s.stats.Nodes, c+1)
+		}
+		for v, w := range s.weight {
+			if w != 0 {
+				t.Errorf("c = %d: variable %d has weight %d after a search without conflict", c, v, w)
+			}
+		}
+	}
+}
+
+// thrashing builds 14 free booleans declared, and ordered, ahead of an
+// infeasible 5-into-4 pigeonhole. A search that holds on to that order refutes
+// the pigeonhole again under every assignment of the free ones.
+func thrashing() (*Model, []VarID) {
+	m := NewModel()
+	var order []VarID
+	for i := 0; i < 14; i++ {
+		order = append(order, m.NewBool("free"))
+	}
+	var p [5][4]VarID
+	for i := range p {
+		for j := range p[i] {
+			p[i][j] = m.NewBool("p")
+			order = append(order, p[i][j])
+		}
+		m.AtLeastOne(p[i][:]...)
+	}
+	for j := range p[0] {
+		m.AddLe(Sum(p[0][j], p[1][j], p[2][j], p[3][j], p[4][j]), 1)
+	}
+	return m, order
+}
+
+// TestConflictWeightsEscapeThrashing: as non-decision variables the model's
+// variables are walked in declaration order, attempt after attempt, and 2·10⁴
+// nodes decide nothing. As decision variables the pigeonhole's gain weight
+// with every branch that fails, the attempt after the first restart branches
+// on them first, and the refutation no longer multiplies with the free
+// variables.
+func TestConflictWeightsEscapeThrashing(t *testing.T) {
+	m, order := thrashing()
+	if s, err := m.Solve(Options{NodeLimit: 20000}); err != ErrTimeout {
+		t.Fatalf("static order: err = %v after %d nodes, want ErrTimeout", err, s.Stats.Nodes)
+	}
+	s, err := m.Solve(Options{BranchOrder: order})
+	if err != ErrInfeasible {
+		t.Fatalf("weighted search: err = %v, want ErrInfeasible", err)
+	}
+	if s.Stats.Nodes != 285 {
+		t.Errorf("weighted search refuted the model in %d nodes, pinned 285 (one lost attempt and a proof of 29)", s.Stats.Nodes)
+	}
+}
+
+// TestSolveDeterministic: a Solve is a pure function of (model, options) —
+// restarts, shuffles, weights and improvement iterations included.
+func TestSolveDeterministic(t *testing.T) {
+	// As many pigeons housed as possible: the gate's pigeonhole costs the
+	// first attempt, every hole filled is one improvement, and the proof that
+	// seven holes house no eighth pigeon outlasts the budget.
+	m, opts := pigeonholeGated(8, 7)
+	m.Maximize(Sum(opts.BranchOrder[1:]...))
+	opts.NodeLimit = 3000
+	a, b := solve(t, m, opts), solve(t, m, opts)
+	a.Stats.Duration, b.Stats.Duration = 0, 0
+	if a.Stats != b.Stats || a.Objective != b.Objective || !slices.Equal(a.Values, b.Values) {
+		t.Fatalf("two solves of one model differ: %+v (objective %d) vs %+v (objective %d)", a.Stats, a.Objective, b.Stats, b.Objective)
+	}
+	if a.Stats.Nodes <= opts.NodeLimit {
+		t.Fatalf("%d nodes: the solve was meant to span several searches and restarts", a.Stats.Nodes)
+	}
+}
+
+// TestWeightsOutliveSearches: what one search learns steers the next, so no
+// restart, cutoff row or new search resets a weight.
+func TestWeightsOutliveSearches(t *testing.T) {
+	m, opts := pigeonholeGated(8, 7)
+	m.Minimize(Lin().Add(opts.BranchOrder[0], -1))
+	opts.NodeLimit = 4 * restartBaseNodes
+	s := newSearcher(m, opts)
+	total := func() (sum int64) {
+		for _, w := range s.weight {
+			sum += w
+		}
+		return sum
+	}
+	// The first attempt branches the gate high and loses its cap to the
+	// pigeonhole; the second finds the gate low.
+	if err := s.feasible(noCutoff); err != nil {
+		t.Fatal(err)
+	}
+	before, learnt := slices.Clone(s.weight), total()
+	if learnt == 0 {
+		t.Fatal("the first search met no conflict; the test needs one that does")
+	}
+	rows := len(m.cons)
+	m.AddLe(m.obj, -1) // gate high: the pigeonhole
+	if err := s.feasible(-1); err != ErrTimeout {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	m.dropRowsFrom(rows)
+	for v, w := range s.weight {
+		if w < before[v] {
+			t.Errorf("weight of variable %d fell from %d to %d", v, before[v], w)
+		}
+	}
+	if total() <= learnt {
+		t.Errorf("total weight stayed at %d through a search full of conflicts", learnt)
+	}
+}
+
+// pollCtx is cancelled by its own cancelAt-th poll, too late for that poll to
+// see it.
+type pollCtx struct {
+	context.Context
+	cancel          func()
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Done() <-chan struct{} {
+	if c.polls++; c.polls == c.cancelAt {
+		c.cancel()
+		return nil
+	}
+	return c.Context.Done()
+}
+
+// TestCancellationLatency: however short the restart attempts, a cancelled
+// context stops a solve within 256 nodes.
+func TestCancellationLatency(t *testing.T) {
+	// Gate shut: an infeasible pigeonhole no budget here refutes.
+	m, opts := pigeonholeGated(9, 8)
+	m.AddEq(VarExpr(opts.BranchOrder[0]), 1)
+	opts.NodeLimit = 1 << 20 // a search that never polls ends all the same
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var s *searcher
+	var atCancel int64
+	ctx := &pollCtx{Context: inner, cancelAt: 40, cancel: func() { atCancel = s.stats.Nodes; cancel() }}
+	opts.Ctx = ctx
+	s = newSearcher(m, opts)
+	if err := s.feasible(noCutoff); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if after := s.stats.Nodes - atCancel; atCancel == 0 || after > 256 {
+		t.Errorf("cancelled at node %d, stopped %d nodes later; want within 256", atCancel, after)
+	}
+	// The same through Solve, which must hand back no values.
+	ctx.polls = 0
+	sol, err := m.Solve(opts)
+	if err != context.Canceled || sol.Values != nil {
+		t.Fatalf("Solve: err = %v, values %v; want context.Canceled and none", err, sol.Values)
 	}
 }
 
@@ -630,17 +822,20 @@ func TestSolveReusesSearcher(t *testing.T) {
 	m, opts := pigeonholeGated(9, 8)
 	m.AddEq(VarExpr(opts.BranchOrder[0]), 1)
 	allocs := func(attempts int) float64 {
-		opts.NodeLimit = restartBaseNodes * (1<<attempts - 1)
+		opts.NodeLimit = 0
+		for k := 1; k <= attempts; k++ {
+			opts.NodeLimit += restartBaseNodes * luby(k)
+		}
 		return testing.AllocsPerRun(2, func() {
 			if s, err := m.Solve(opts); err != ErrTimeout || s.Stats.Nodes != opts.NodeLimit {
 				t.Fatalf("%d attempts: %d nodes, err %v; want ErrTimeout after all %d", attempts, s.Stats.Nodes, err, opts.NodeLimit)
 			}
 		})
 	}
-	one, four := allocs(1), allocs(4)
-	t.Logf("allocations per Solve: %.0f with one attempt (%d nodes), %.0f with four (%d)", one, restartBaseNodes, four, 15*restartBaseNodes)
-	if one > 32 || four > one+2 {
-		t.Errorf("Solve allocates %.0f times with one attempt and %.0f with four; want a small constant", one, four)
+	one, many := allocs(1), allocs(31)
+	t.Logf("allocations per Solve: %.0f with one attempt, %.0f with 31 (%d nodes)", one, many, opts.NodeLimit)
+	if one > 32 || many > one+2 {
+		t.Errorf("Solve allocates %.0f times with one attempt and %.0f with 31; want a small constant", one, many)
 	}
 }
 

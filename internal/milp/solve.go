@@ -3,6 +3,7 @@ package milp
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"math/rand/v2"
 	"time"
 
@@ -17,9 +18,22 @@ var (
 	ErrTimeout = errors.New("milp: node limit exceeded")
 )
 
-// restartBaseNodes is the node cap of a search's first attempt; attempt k is
-// capped at restartBaseNodes·2^k.
-const restartBaseNodes = 4096
+// restartBaseNodes is the Luby unit: attempt k of a search is capped at
+// restartBaseNodes·luby(k+1) nodes.
+const restartBaseNodes = 256
+
+// luby returns term i ≥ 1 of the Luby sequence 1,1,2,1,1,2,4,1,1,2,…: 2^(k−1)
+// when i = 2^k − 1, and otherwise the term at i's offset into the copy of the
+// shorter prefix it lies in.
+func luby(i int) int64 {
+	for {
+		k := bits.Len(uint(i)) // 2^(k−1) ≤ i < 2^k
+		if i == 1<<k-1 {
+			return 1 << (k - 1)
+		}
+		i -= 1<<(k-1) - 1
+	}
+}
 
 // Options tune the branch-and-bound search.
 type Options struct {
@@ -29,8 +43,11 @@ type Options struct {
 	// afresh. It is the only budget, so the same model under the same limit
 	// returns the same result regardless of machine speed or load.
 	NodeLimit int64
-	// BranchOrder lists variables to branch on first, in order. Remaining
-	// variables follow in declaration order.
+	// BranchOrder lists the decision variables. While one of them is unfixed
+	// the search branches on the one with the largest (1 + conflict weight) ÷
+	// (hi − lo), ties going to the earlier in this list — so a search that
+	// meets no conflict walks the list in order. The remaining variables
+	// follow in declaration order once every decision variable is fixed.
 	BranchOrder []VarID
 	// PreferHigh lists variables whose values are enumerated descending
 	// (try the upper bound first); all others ascend.
@@ -45,9 +62,10 @@ type Options struct {
 	// LPBoundEvery is the node interval between LP bounding calls
 	// (default 512 when UseLPBound).
 	LPBoundEvery int64
-	// Ctx, when non-nil, is polled every 256 nodes and aborts the search
-	// with the context's error. Cancellation discards any solution found so
-	// far: a cancelled solve returns ctx.Err(), never a partial result.
+	// Ctx, when non-nil, is polled every 256 nodes of the Solve and before
+	// every restart attempt, and aborts the search with the context's error.
+	// Cancellation discards any solution found so far: a cancelled solve
+	// returns ctx.Err(), never a partial result.
 	Ctx context.Context
 }
 
@@ -59,14 +77,6 @@ type Stats struct {
 	LPBounds     int64
 	LPPivots     int64
 	Optimal      bool
-}
-
-// add charges o's effort counters to st.
-func (st *Stats) add(o Stats) {
-	st.Nodes += o.Nodes
-	st.Propagations += o.Propagations
-	st.LPBounds += o.LPBounds
-	st.LPPivots += o.LPPivots
 }
 
 // Solution is a feasible (and, unless interrupted, optimal) assignment.
@@ -95,16 +105,22 @@ type searcher struct {
 	queue []int32
 	inQ   []bool
 
-	order      []VarID
-	shuffled   []VarID // BranchOrder as reshuffled for restart attempts
+	// weight[v] counts the conflicts met right after branching on v. It
+	// lives as long as the searcher: what one attempt or improvement
+	// iteration learns about where the model is tight steers the next.
+	weight     []int64
+	decision   []VarID // Options.BranchOrder without repeats
+	order      []VarID // decision as this attempt breaks ties: reshuffled by restarts
+	rest       []VarID // the non-decision variables, in declaration order
 	preferHigh []bool
-	seen       []bool
+	high       bool // this attempt honours preferHigh
 	pcg        rand.PCG
 	rng        *rand.Rand
+	seed       uint64 // the model's fingerprint before any cutoff row
 
-	maxNodes int64 // this attempt's node cap
+	maxNodes int64 // stats.Nodes at which this attempt stops
 	opts     Options
-	stats    Stats   // this attempt's effort
+	stats    Stats   // the effort of every search so far
 	values   []int64 // the latest full assignment
 	found    bool    // this attempt stored one in values
 	ctxErr   error   // set when opts.Ctx fired during the search
@@ -116,19 +132,40 @@ func newSearcher(m *Model, opts Options) *searcher {
 		m:          m,
 		bnd:        make([]int64, 2*n),
 		inQ:        make([]bool, len(m.cons)),
-		order:      make([]VarID, 0, n),
-		shuffled:   make([]VarID, len(opts.BranchOrder)),
+		weight:     make([]int64, n),
+		decision:   make([]VarID, 0, len(opts.BranchOrder)),
+		rest:       make([]VarID, 0, n),
 		preferHigh: make([]bool, n),
-		seen:       make([]bool, n),
 		values:     make([]int64, n),
+		seed:       m.Fingerprint(),
 		opts:       opts,
 	}
 	s.rng = rand.New(&s.pcg)
 	if opts.UseLPBound && opts.LPBoundEvery == 0 {
 		s.opts.LPBoundEvery = 512
 	}
+	for _, v := range opts.PreferHigh {
+		s.preferHigh[v] = true
+	}
+	seen := make([]bool, n)
+	for _, v := range opts.BranchOrder {
+		if !seen[v] {
+			s.decision = append(s.decision, v)
+			seen[v] = true
+		}
+	}
+	for v := range seen {
+		if !seen[v] {
+			s.rest = append(s.rest, VarID(v))
+		}
+	}
+	s.order = make([]VarID, len(s.decision))
 	return s
 }
+
+// noCutoff is the cutoff feasible is told of when the objective is not yet
+// bounded.
+const noCutoff = 1<<63 - 1
 
 // Solve searches for an assignment. Without an objective, or with
 // FirstSolution set, it returns the first feasible one. With an objective
@@ -146,24 +183,23 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 	start := time.Now()
 	s := newSearcher(m, opts)
 	best := &Solution{}
-	total, err := s.feasible()
+	err := s.feasible(noCutoff)
 	// Without an objective any feasible assignment is final.
-	total.Optimal = err == nil && !m.hasObj
+	optimal := err == nil && !m.hasObj
 	if err == nil && m.hasObj && !opts.FirstSolution {
 		rows := len(m.cons)
 		for err == nil {
 			// Every found assignment is strictly better than the last, so
 			// s.values always holds the best one.
-			m.AddLe(m.obj, Eval(m.obj, s.values)-1)
-			var st Stats
-			st, err = s.feasible()
-			total.add(st)
+			cutoff := Eval(m.obj, s.values) - 1
+			m.AddLe(m.obj, cutoff)
+			err = s.feasible(cutoff)
 		}
 		m.dropRowsFrom(rows)
 		// Proven optimal, or out of budget with best still standing: only a
 		// cancelled context discards it.
-		total.Optimal = err == ErrInfeasible
-		if total.Optimal || err == ErrTimeout {
+		optimal = err == ErrInfeasible
+		if optimal || err == ErrTimeout {
 			err = nil
 		}
 	}
@@ -173,8 +209,9 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 			best.Objective = Eval(m.obj, s.values)
 		}
 	}
-	total.Duration = time.Since(start)
-	best.Stats = total
+	best.Stats = s.stats
+	best.Stats.Optimal = optimal
+	best.Stats.Duration = time.Since(start)
 	return best, err
 }
 
@@ -191,92 +228,62 @@ func (m *Model) dropRowsFrom(n int) {
 	m.cons = m.cons[:n]
 }
 
-// feasible runs one feasibility search with randomized geometric restarts:
-// attempt k is capped at restartBaseNodes·2^k nodes, and from the second
-// attempt on the branch order is reshuffled deterministically, which tames
-// the heavy-tailed runtime of chronological backtracking. On a nil error the
-// assignment is in s.values. The returned Stats charge every attempt, failed
-// ones included, on every return. The error is nil, ErrInfeasible,
-// ErrTimeout or the context's, each bare.
-func (s *searcher) feasible() (Stats, error) {
+// feasible runs one feasibility search, under the objective cutoff given
+// (noCutoff: none), with randomized Luby restarts: attempt k is capped at
+// restartBaseNodes·luby(k+1) nodes, and from the second attempt on the
+// decision order — the tie-break among equally weighted variables — is
+// reshuffled deterministically and the value preference alternates, which
+// tames the heavy-tailed runtime of chronological backtracking; the conflict
+// weights carry what the lost attempts learnt into the next. On a nil error
+// the assignment is in s.values. s.stats is charged with every attempt, failed
+// ones included, on every return. The error is nil, ErrInfeasible, ErrTimeout
+// or the context's, each bare.
+func (s *searcher) feasible(cutoff int64) error {
 	// Seed the restart RNG from a structural fingerprint of the model, not
 	// just the constraint count: two different models with equal len(cons)
 	// must not share branch-order shuffles, while identical models keep
-	// identical (deterministic) restart sequences.
-	s.pcg.Seed(0x9e3779b97f4a7c15, s.m.Fingerprint())
-	var total Stats
-	for k, grant := 0, int64(restartBaseNodes); ; k, grant = k+1, 2*grant {
-		order, preferHigh, maxNodes := s.opts.BranchOrder, s.opts.PreferHigh, grant
+	// identical (deterministic) restart sequences. The cutoff rows differ
+	// from search to search by their right-hand side only.
+	s.pcg.Seed(s.seed, uint64(cutoff))
+	if !s.root() {
+		return ErrInfeasible
+	}
+	if s.opts.UseLPBound && !s.lpBound() {
+		return ErrInfeasible
+	}
+	limit := s.stats.Nodes + s.opts.NodeLimit
+	copy(s.order, s.decision)
+	for k := 0; ; k++ {
+		s.maxNodes = s.stats.Nodes + restartBaseNodes*luby(k+1)
 		if s.opts.NodeLimit > 0 {
 			// Charge the nodes attempts actually explored, not the caps
 			// they were granted: an attempt that returns early must not
 			// exhaust NodeLimit on paper while the search barely ran.
-			remaining := s.opts.NodeLimit - total.Nodes
-			if remaining <= 0 {
-				return total, ErrTimeout
+			if s.stats.Nodes >= limit {
+				return ErrTimeout
 			}
-			maxNodes = min(maxNodes, remaining)
+			s.maxNodes = min(s.maxNodes, limit)
 		}
 		if k > 0 {
-			// Diversify: reshuffle the branch order deterministically and
+			// Diversify: reshuffle the decision order deterministically and
 			// alternate the value-ordering preference, so successive
 			// attempts explore genuinely different parts of the tree.
-			order = s.shuffled
-			copy(order, s.opts.BranchOrder)
-			s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-			if k%2 == 1 {
-				preferHigh = nil
-			}
+			s.rng.Shuffle(len(s.order), func(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] })
 		}
-		err := s.attempt(order, preferHigh, maxNodes)
-		total.add(s.stats)
-		if err != errLimit {
-			return total, err
-		}
-	}
-}
-
-// errLimit is attempt's "node cap reached, nothing decided" — feasible turns
-// it into the next restart or ErrTimeout.
-var errLimit = errors.New("milp: limit")
-
-// attempt runs a single depth-first search of at most maxNodes nodes and
-// stops at the first full assignment, which it leaves in s.values; its
-// effort is s.stats. Its error is nil, ErrInfeasible, the context's error,
-// or errLimit.
-func (s *searcher) attempt(branchOrder, preferHigh []VarID, maxNodes int64) error {
-	s.maxNodes, s.stats, s.found = maxNodes, Stats{}, false
-	clear(s.preferHigh)
-	for _, v := range preferHigh {
-		s.preferHigh[v] = true
-	}
-	// Branch order: explicit list first, then remaining variables.
-	clear(s.seen)
-	s.order = s.order[:0]
-	for _, v := range branchOrder {
-		if !s.seen[v] {
-			s.order = append(s.order, v)
-			s.seen[v] = true
+		s.high = k%2 == 0
+		// Every attempt starts from the root fixpoint: search undoes what it
+		// tightened on its way back up.
+		s.found = false
+		stopped := !s.cancelled() && s.search(0)
+		switch {
+		case s.ctxErr != nil:
+			return s.ctxErr
+		case s.found:
+			return nil
+		case !stopped:
+			return ErrInfeasible
 		}
 	}
-	for v := range s.seen {
-		if !s.seen[v] {
-			s.order = append(s.order, VarID(v))
-		}
-	}
-	if !s.root() {
-		return ErrInfeasible
-	}
-	stopped := s.search(0)
-	switch {
-	case s.ctxErr != nil:
-		return s.ctxErr
-	case s.found:
-		return nil
-	case stopped:
-		return errLimit
-	}
-	return ErrInfeasible
 }
 
 // root loads the declared domains and propagates every row (a constant
@@ -288,7 +295,7 @@ func (s *searcher) root() bool {
 	}
 	s.trail = s.trail[:0]
 	for len(s.inQ) < len(s.m.cons) {
-		s.inQ = append(s.inQ, false) // cutoff rows posted since the last attempt
+		s.inQ = append(s.inQ, false) // cutoff rows posted since the last search
 	}
 	for i := range s.m.cons {
 		s.inQ[i] = true
@@ -297,22 +304,26 @@ func (s *searcher) root() bool {
 	return s.propagate()
 }
 
-// limitExceeded reports whether the attempt's node cap is spent or the
-// context fired; channel selects are comparatively expensive, so the
-// context is polled sparsely.
-func (s *searcher) limitExceeded() bool {
-	if s.stats.Nodes >= s.maxNodes {
-		return true
-	}
-	if s.opts.Ctx != nil && s.stats.Nodes%256 == 0 {
+// cancelled polls opts.Ctx and records its error.
+func (s *searcher) cancelled() bool {
+	if s.opts.Ctx != nil && s.ctxErr == nil {
 		select {
 		case <-s.opts.Ctx.Done():
 			s.ctxErr = s.opts.Ctx.Err()
-			return true
 		default:
 		}
 	}
-	return false
+	return s.ctxErr != nil
+}
+
+// limitExceeded reports whether the context fired or the attempt's node cap
+// is spent; channel selects are comparatively expensive, so the context is
+// polled sparsely — on the Solve's node count, which no restart resets.
+func (s *searcher) limitExceeded() bool {
+	if s.stats.Nodes%256 == 0 && s.cancelled() {
+		return true
+	}
+	return s.stats.Nodes >= s.maxNodes
 }
 
 // set moves bound slot to nv — a strict tightening that keeps the domain
@@ -405,49 +416,66 @@ func (s *searcher) lpBound() bool {
 	return true
 }
 
-// search explores the subtree under the current domains depth-first; the
-// variables before order[from] are fixed already. It returns true when the
-// whole search must stop: the first full assignment was stored in s.values,
-// or limitExceeded fired. False means the subtree is exhausted without a
-// solution.
+// search explores the subtree under the current domains depth-first; with
+// every decision variable fixed, so are the variables before rest[from]. It
+// returns true when the whole search must stop: the first full assignment was
+// stored in s.values, or limitExceeded fired. False means the subtree is
+// exhausted without a solution.
 func (s *searcher) search(from int) bool {
 	s.stats.Nodes++
 	if s.limitExceeded() {
 		return true
 	}
-	if s.opts.UseLPBound && (s.stats.Nodes == 1 || s.stats.Nodes%s.opts.LPBoundEvery == 0) {
-		if !s.lpBound() {
-			return false
+	if s.opts.UseLPBound && s.stats.Nodes%s.opts.LPBoundEvery == 0 && !s.lpBound() {
+		return false
+	}
+	// Pick the unfixed decision variable with the largest weight ÷ domain
+	// width, the earliest in the order among equals.
+	pick, pw, pd := VarID(-1), int64(0), int64(1)
+	for _, v := range s.order {
+		if d := s.bnd[2*v+1] - s.bnd[2*v]; d > 0 && (1+s.weight[v])*pd > pw*d {
+			pick, pw, pd = v, 1+s.weight[v], d
 		}
 	}
-	// Pick the next variable: first unfixed in branch order.
-	for from < len(s.order) && s.bnd[2*s.order[from]] == s.bnd[2*s.order[from]+1] {
-		from++
-	}
-	if from == len(s.order) {
-		// All fixed: feasibility is all an attempt looks for.
-		for v := range s.values {
-			s.values[v] = s.bnd[2*v]
+	if pick < 0 {
+		// Only non-decision variables are left: first unfixed.
+		for from < len(s.rest) && s.bnd[2*s.rest[from]] == s.bnd[2*s.rest[from]+1] {
+			from++
 		}
-		s.found = true
-		return true
+		if from == len(s.rest) {
+			// All fixed: feasibility is all a search looks for.
+			for v := range s.values {
+				s.values[v] = s.bnd[2*v]
+			}
+			s.found = true
+			return true
+		}
+		pick = s.rest[from]
 	}
 	// Binary split: left branch fixes the preferred bound (lower bound by
 	// default, upper bound for PreferHigh variables), right branch
-	// excludes it; re-picking the still-unfixed variable keeps the
-	// enumeration complete.
-	keep, step := 2*int(s.order[from]), int64(1)
-	if s.preferHigh[s.order[from]] {
+	// excludes it — the variable was unfixed, so a value is left — and
+	// picks afresh, so the enumeration stays complete.
+	keep, step := 2*int(pick), int64(1)
+	if s.high && s.preferHigh[pick] {
 		keep, step = keep+1, -1
 	}
-	val, mark := s.bnd[keep], len(s.trail)
-	s.set(keep^1, val)
-	stop := s.propagate() && s.search(from)
-	s.undoTo(mark)
-	if !stop {
-		s.set(keep, val+step) // the variable was unfixed, so a value is left
-		stop = s.propagate() && s.search(from)
-		s.undoTo(mark)
+	val := s.bnd[keep]
+	return s.branch(pick, keep^1, val, from) || s.branch(pick, keep, val+step, from)
+}
+
+// branch tightens bound slot of pick to nv and searches the subtree below,
+// with search's result. A tightening that propagation refutes at once is a
+// conflict, and costs pick one unit of weight.
+func (s *searcher) branch(pick VarID, slot int, nv int64, from int) bool {
+	mark := len(s.trail)
+	s.set(slot, nv)
+	stop := false
+	if s.propagate() {
+		stop = s.search(from)
+	} else {
+		s.weight[pick]++
 	}
+	s.undoTo(mark)
 	return stop
 }

@@ -754,10 +754,11 @@ func (e *encoder) exitsVal(target, n topology.NodeID, k int) bval {
 
 // --- branch order and extraction -------------------------------------------
 
-// branchOrder orders r_nh variables by the node's depth in the new
-// forwarding state (closest to the new egress first), so the ascending
-// value enumeration naturally builds the new tree outward — the
-// constructive order of App. B.
+// branchOrder lists the decision variables — r_nh, then r_new and r_old, of
+// every switching node — by the node's depth in the new forwarding state
+// (closest to the new egress first), so that while the search has met no
+// conflict the ascending value enumeration builds the new tree outward — the
+// constructive order of App. B. Conflicts then reorder them (milp.Options).
 func (e *encoder) branchOrder() []milp.VarID {
 	depth := make(map[topology.NodeID]int)
 	var depthOf func(n topology.NodeID) int
