@@ -11,7 +11,6 @@ import (
 
 	"chameleon/internal/analyzer"
 	"chameleon/internal/eval"
-	"chameleon/internal/milp"
 	"chameleon/internal/obs"
 	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
@@ -292,41 +291,6 @@ func BenchmarkAblationConstructive(b *testing.B) {
 			b.ReportMetric(float64(sched.R), "rounds")
 		}
 	})
-}
-
-// BenchmarkAblationLPBounding measures the MILP solver with and without LP
-// relaxation bounding on a small optimization model.
-func BenchmarkAblationLPBounding(b *testing.B) {
-	build := func() *milp.Model {
-		m := milp.NewModel()
-		var vars []milp.VarID
-		for i := 0; i < 12; i++ {
-			vars = append(vars, m.NewInt("x", 0, 4))
-		}
-		for i := 0; i+2 < len(vars); i++ {
-			m.AddLe(milp.Lin().Add(vars[i], 2).Add(vars[i+1], 3).Add(vars[i+2], 1), 9)
-		}
-		obj := milp.Lin()
-		for i, v := range vars {
-			obj = obj.Add(v, int64(-(i%5 + 1)))
-		}
-		m.Minimize(obj)
-		return m
-	}
-	for _, lpb := range []bool{false, true} {
-		name := "propagation-only"
-		if lpb {
-			name = "with-lp-bound"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := build()
-				if _, err := m.Solve(milp.Options{UseLPBound: lpb, LPBoundEvery: 64}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationBaselineSITN measures SITN's migration machinery.

@@ -275,8 +275,8 @@ type Reconfiguration struct {
 	// order; single-destination scenarios have exactly one entry.
 	Classes []PlannedClass
 	// Multi is the aligned plan covering every prefix of the scenario;
-	// nil when everything collapses to the single Plan above (execution
-	// then takes the single-destination path, unchanged).
+	// nil when everything collapses to the single Plan above (which then
+	// executes as the multi-plan of one it is).
 	Multi *MultiPlan
 }
 
@@ -447,17 +447,18 @@ type ExecOptions struct {
 	// value when nonzero.
 	CommandLatency time.Duration
 	// Recorder, when non-nil, traces execution: an execute span with one
-	// child per round (plus commit/cleanup phases), per-phase BGP message
-	// and command counters, and the recovery ladder's counters (retries,
-	// re-pushes, escalations, lost acks, healed faults).
+	// child per phase (setup, between k, round k — "d<prefix> round k" when
+	// the scenario spans several prefixes —, cleanup, commit), per-phase BGP
+	// message and command counters, and the recovery ladder's counters
+	// (retries, re-pushes, escalations, lost acks, healed faults).
 	Recorder *Recorder
 	// Monitor, when non-nil, observes every transient forwarding state of
 	// the execution: it is bound to the network's snapshot stream for the
 	// duration of the run, told each phase as it starts (so violations are
-	// attributed to rounds), and consulted as the executor's convergence
-	// gate (observed forwarding quiescence advances rounds; the watchdog
-	// remains the fallback). On success the monitor is finished and its
-	// Timeline is complete.
+	// attributed to rounds, of every destination), and consulted as the
+	// executor's convergence gate (observed forwarding quiescence advances
+	// rounds; the watchdog remains the fallback). On success the monitor is
+	// finished and its Timeline is complete.
 	Monitor *Monitor
 	// ReleaseOnError, when set, releases the plan's transient state (the
 	// temporary sessions and route-map overrides of already-started rounds)
@@ -508,13 +509,11 @@ func (r *Reconfiguration) ExecuteCtx(ctx context.Context, opts ExecOptions) (*Ex
 	if m := opts.Monitor; m != nil {
 		unbind = m.Bind(r.Scenario.Net)
 	}
-	var res *ExecResult
-	var err error
-	if r.Multi != nil {
-		res, err = ex.ExecuteMultiCtx(ctx, r.Multi)
-	} else {
-		res, err = ex.ExecuteCtx(ctx, r.Plan)
+	mp := r.Multi
+	if mp == nil {
+		mp = plan.Single(r.Plan)
 	}
+	res, err := ex.ExecuteMultiCtx(ctx, mp)
 	if unbind != nil {
 		// Unbind before any release below: teardown churn is outside the
 		// §3 guarantee and must not enter the timeline.
@@ -522,12 +521,8 @@ func (r *Reconfiguration) ExecuteCtx(ctx context.Context, opts ExecOptions) (*Ex
 	}
 	if err != nil {
 		if opts.ReleaseOnError {
-			if r.Multi != nil {
-				for _, p := range r.Multi.Plans {
-					ex.Abort(p)
-				}
-			} else {
-				ex.Abort(r.Plan)
+			for _, p := range mp.Plans {
+				ex.Abort(p)
 			}
 		}
 		// Leave the monitor open: the caller may observe the abort or

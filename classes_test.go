@@ -11,9 +11,12 @@ import (
 	"chameleon"
 	"chameleon/internal/analyzer"
 	"chameleon/internal/eval"
+	"chameleon/internal/fwd"
 	"chameleon/internal/monitor"
+	"chameleon/internal/obs"
 	"chameleon/internal/plan"
 	"chameleon/internal/scheduler"
+	"chameleon/internal/topology"
 )
 
 // renderPlans fingerprints a reconfiguration's complete multi-destination
@@ -255,5 +258,66 @@ func TestClassDecompositionInvariance(t *testing.T) {
 	if mon1.Timeline().StatesChecked != mon2.Timeline().StatesChecked {
 		t.Errorf("monitor checked %d states decomposed vs %d monolithic",
 			mon1.Timeline().StatesChecked, mon2.Timeline().StatesChecked)
+	}
+}
+
+// TestMultiClassExecutionContract: a multi-class run goes through the same
+// executor body as a single-destination one, so it is traced phase by phase
+// (setup, cleanup and one span per destination and round), the monitor is
+// told each phase as it starts — the violations of a probe invariant that
+// fails on every other snapshot are attributed to phases of the trace, rounds
+// of every destination among them — and a fault-free run reports no recovery:
+// the temporary-session steps the per-destination plans share are not lost
+// acknowledgments.
+func TestMultiClassExecutionContract(t *testing.T) {
+	s := multiClassScenario(t)
+	r, err := chameleon.Plan(s, chameleon.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails := false
+	probe := chameleon.MonitorInvariant{Name: "probe", Check: func(fwd.State) (bool, []topology.NodeID) {
+		fails = !fails
+		return !fails, nil
+	}}
+	mon := chameleon.NewMonitor(chameleon.MonitorConfig{Name: "contract", Invariants: []chameleon.MonitorInvariant{probe}})
+	rec := chameleon.NewRecorder()
+	res, err := r.ExecuteCtx(context.Background(), chameleon.ExecOptions{Monitor: mon, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovery.Any() || rec.Counter(obs.CtrFaultsHealed) != 0 {
+		t.Errorf("fault-free run reports recovery %+v and %d healed faults", res.Recovery, rec.Counter(obs.CtrFaultsHealed))
+	}
+	spans := make(map[string]bool)
+	for _, name := range rec.SpanNames() {
+		spans[name] = true
+	}
+	want := []string{"setup", "cleanup"}
+	for _, p := range r.Multi.Plans {
+		for k := 1; k <= p.R; k++ {
+			want = append(want, fmt.Sprintf("d%d round %d", int(p.Prefix), k))
+		}
+	}
+	for _, name := range want {
+		if !spans[name] {
+			t.Errorf("no %q span in the trace: %v", name, rec.SpanNames())
+		}
+	}
+	attributed := make(map[string]bool)
+	for _, v := range mon.Timeline().Violations {
+		if v.Start <= res.Start {
+			continue // the initial states are recorded before setup starts
+		}
+		if !spans[v.Phase] {
+			t.Errorf("violation at %v attributed to %q, which is no phase of the trace", v.Start, v.Phase)
+			continue
+		}
+		attributed[strings.Fields(v.Phase)[0]] = true
+	}
+	for _, p := range r.Multi.Plans {
+		if d := fmt.Sprintf("d%d", int(p.Prefix)); !attributed[d] {
+			t.Errorf("no violation attributed to a round of %s: %v", d, attributed)
+		}
 	}
 }

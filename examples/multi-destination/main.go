@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,7 +60,7 @@ func main() {
 	fmt.Printf("aligned command order: %v; %d distinct temp sessions\n",
 		mp.Order, len(mp.TempSessions()))
 	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(1))
-	res, err := ex.ExecuteMulti(mp)
+	res, err := ex.ExecuteMultiCtx(context.Background(), mp)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -314,52 +314,6 @@ func TestBruteForceCrossCheck(t *testing.T) {
 	}
 }
 
-// TestLPBoundAgreement: enabling LP bounding must not change optimality.
-func TestLPBoundAgreement(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 57))
-		n := rng.IntN(4) + 2
-		m1, m2 := NewModel(), NewModel()
-		var v1, v2 []VarID
-		for i := 0; i < n; i++ {
-			v1 = append(v1, m1.NewInt("v", 0, 3))
-			v2 = append(v2, m2.NewInt("v", 0, 3))
-		}
-		nc := rng.IntN(4) + 1
-		for i := 0; i < nc; i++ {
-			e1, e2 := Lin(), Lin()
-			for j := 0; j < n; j++ {
-				c := int64(rng.IntN(5) - 2)
-				e1 = e1.Add(v1[j], c)
-				e2 = e2.Add(v2[j], c)
-			}
-			rhs := int64(rng.IntN(9) - 1)
-			m1.AddLe(e1, rhs)
-			m2.AddLe(e2, rhs)
-		}
-		o1, o2 := Lin(), Lin()
-		for j := 0; j < n; j++ {
-			c := int64(rng.IntN(7) - 3)
-			o1 = o1.Add(v1[j], c)
-			o2 = o2.Add(v2[j], c)
-		}
-		m1.Minimize(o1)
-		m2.Minimize(o2)
-		s1, err1 := m1.Solve(Options{})
-		s2, err2 := m2.Solve(Options{UseLPBound: true, LPBoundEvery: 1})
-		if (err1 == nil) != (err2 == nil) {
-			return false
-		}
-		if err1 != nil {
-			return true
-		}
-		return s1.Objective == s2.Objective
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEmptyDomainPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,8 +1,7 @@
 // Package milp is an exact integer linear program solver: a model builder
 // with big-M linearization helpers (implication, reification, boolean
 // logic) and a branch-and-bound search with bounds-consistency propagation
-// over linear constraints, optionally strengthened by LP-relaxation
-// bounding (package lp).
+// over linear constraints.
 //
 // It replaces COIN-OR CBC used by the paper: the scheduler's model (§4) is
 // encoded through this package unchanged — the same variables, big-M

@@ -6,8 +6,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"time"
-
-	"chameleon/internal/lp"
 )
 
 // Errors returned by Solve.
@@ -56,12 +54,6 @@ type Options struct {
 	// objective is set (used by the round-minimization outer loop, which
 	// only needs feasibility at each R).
 	FirstSolution bool
-	// UseLPBound enables LP-relaxation infeasibility pruning at the root
-	// and every LPBoundEvery nodes (ablation: §7.1 solver engine).
-	UseLPBound bool
-	// LPBoundEvery is the node interval between LP bounding calls
-	// (default 512 when UseLPBound).
-	LPBoundEvery int64
 	// Ctx, when non-nil, is polled every 256 nodes of the Solve and before
 	// every restart attempt, and aborts the search with the context's error.
 	// Cancellation discards any solution found so far: a cancelled solve
@@ -74,8 +66,6 @@ type Stats struct {
 	Nodes        int64
 	Propagations int64
 	Duration     time.Duration
-	LPBounds     int64
-	LPPivots     int64
 	Optimal      bool
 }
 
@@ -141,9 +131,6 @@ func newSearcher(m *Model, opts Options) *searcher {
 		opts:       opts,
 	}
 	s.rng = rand.New(&s.pcg)
-	if opts.UseLPBound && opts.LPBoundEvery == 0 {
-		s.opts.LPBoundEvery = 512
-	}
 	for _, v := range opts.PreferHigh {
 		s.preferHigh[v] = true
 	}
@@ -246,9 +233,6 @@ func (s *searcher) feasible(cutoff int64) error {
 	// from search to search by their right-hand side only.
 	s.pcg.Seed(s.seed, uint64(cutoff))
 	if !s.root() {
-		return ErrInfeasible
-	}
-	if s.opts.UseLPBound && !s.lpBound() {
 		return ErrInfeasible
 	}
 	limit := s.stats.Nodes + s.opts.NodeLimit
@@ -383,39 +367,6 @@ func (s *searcher) propagate() bool {
 	return true
 }
 
-// lpBound solves the LP relaxation under current domains; returns false if
-// the node can be pruned.
-func (s *searcher) lpBound() bool {
-	s.stats.LPBounds++
-	n := len(s.m.lo)
-	p := lp.NewProblem(n)
-	for _, c := range s.m.cons {
-		row := make([]float64, n)
-		for _, t := range c.terms {
-			row[int(t.Var)] += float64(t.Coeff)
-		}
-		p.AddLe(row, float64(c.rhs))
-	}
-	// Domain bounds as rows (shifted formulation avoided for simplicity:
-	// x ≥ lo becomes -x ≤ -lo).
-	for v := 0; v < n; v++ {
-		row := make([]float64, n)
-		row[v] = 1
-		p.AddLe(row, float64(s.bnd[2*v+1]))
-		if lo := s.bnd[2*v]; lo > 0 {
-			neg := make([]float64, n)
-			neg[v] = -1
-			p.AddLe(neg, -float64(lo))
-		}
-	}
-	sol, err := p.Solve()
-	if err != nil {
-		return !errors.Is(err, lp.ErrInfeasible)
-	}
-	s.stats.LPPivots += int64(sol.Pivots)
-	return true
-}
-
 // search explores the subtree under the current domains depth-first; with
 // every decision variable fixed, so are the variables before rest[from]. It
 // returns true when the whole search must stop: the first full assignment was
@@ -425,9 +376,6 @@ func (s *searcher) search(from int) bool {
 	s.stats.Nodes++
 	if s.limitExceeded() {
 		return true
-	}
-	if s.opts.UseLPBound && s.stats.Nodes%s.opts.LPBoundEvery == 0 && !s.lpBound() {
-		return false
 	}
 	// Pick the unfixed decision variable with the largest weight ÷ domain
 	// width, the earliest in the order among equals.

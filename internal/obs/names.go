@@ -4,11 +4,10 @@ package obs
 // dumps, dashboards and the reconciliation tests agree on spelling; the
 // semantics are documented in DESIGN.md §9.
 const (
-	// Solver effort (scheduler / milp / lp).
+	// Solver effort (scheduler / milp).
 	CtrMILPNodes         = "milp_nodes_explored"
 	CtrMILPPropagations  = "milp_propagations"
-	CtrMILPLPBounds      = "milp_lp_bounds"
-	CtrLPPivots          = "lp_pivots"
+	CtrMILPLPBounds      = "milp_lp_bounds" // never incremented: LP bounding is deleted; the frozen benchmark/plan.go reads it
 	CtrSchedRoundsTried  = "sched_rounds_tried"
 	CtrSchedSolvesOK     = "sched_solves_feasible"
 	CtrSchedSolvesInfeas = "sched_solves_infeasible"

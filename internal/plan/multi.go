@@ -74,6 +74,25 @@ func Align(plans []*Plan, originals []sim.Command) (*MultiPlan, error) {
 	return &MultiPlan{Plans: plans, Originals: originals, Order: order}, nil
 }
 
+// Single wraps one plan as the multi-plan of one it is: Originals lists the
+// commands of p.Between in slot order and Order is that order, so the
+// commands of one slot stay together. The wrapped plan is a shallow copy
+// whose OriginalSlots index that list — p is not modified, and a hand-built
+// plan that fills only Between runs like a compiled one.
+func Single(p *Plan) *MultiPlan {
+	q := *p
+	q.OriginalSlots = make(map[int]int)
+	mp := &MultiPlan{Plans: []*Plan{&q}}
+	for slot, cmds := range p.Between {
+		for _, cmd := range cmds {
+			q.OriginalSlots[len(mp.Order)] = slot
+			mp.Order = append(mp.Order, len(mp.Order))
+			mp.Originals = append(mp.Originals, cmd)
+		}
+	}
+	return mp
+}
+
 // TempSessions returns the union of all plans' temporary sessions.
 func (mp *MultiPlan) TempSessions() []Session {
 	seen := make(map[Session]bool)

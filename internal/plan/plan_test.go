@@ -253,6 +253,37 @@ func TestAlignMissingSlots(t *testing.T) {
 	}
 }
 
+// TestSingleWrapsAPlan: Single lists a hand-built plan's Between commands in
+// slot order, gives the wrapped copy the slots Align and the executor read,
+// and leaves the plan it was handed alone.
+func TestSingleWrapsAPlan(t *testing.T) {
+	cmd := func(d string) sim.Command { return sim.Command{Description: d} }
+	p := &plan.Plan{Prefix: 3, R: 2, Between: [][]sim.Command{{cmd("a"), cmd("b")}, nil, {cmd("c")}}}
+	mp := plan.Single(p)
+	if p.OriginalSlots != nil {
+		t.Error("Single modified the plan it wraps")
+	}
+	if len(mp.Plans) != 1 || mp.Plans[0].Prefix != 3 || mp.Plans[0].R != 2 {
+		t.Fatalf("Plans = %+v, want one copy of the plan", mp.Plans)
+	}
+	var got []string
+	for _, ci := range mp.Order {
+		got = append(got, mp.Originals[ci].Description)
+	}
+	if strings.Join(got, "") != "abc" {
+		t.Errorf("commands in Order = %v, want a b c", got)
+	}
+	for ci, want := range []int{0, 0, 2} {
+		if slot := mp.Plans[0].OriginalSlots[ci]; slot != want {
+			t.Errorf("command %d in slot %d, want %d", ci, slot, want)
+		}
+	}
+	// What Single builds is what Align accepts: a consistent multi-plan.
+	if again, err := plan.Align(mp.Plans, mp.Originals); err != nil || len(again.Order) != 3 {
+		t.Errorf("Align(Single) = %+v, %v", again, err)
+	}
+}
+
 // BenchmarkConditionCheck polls every pre- and post-condition of the
 // Abilene plan's rounds once per iteration — what the runtime's step loop
 // does after every simulated event.

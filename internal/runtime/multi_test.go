@@ -1,12 +1,15 @@
 package runtime_test
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"chameleon/internal/analyzer"
 	"chameleon/internal/bgp"
 	"chameleon/internal/eval"
+	"chameleon/internal/obs"
 	"chameleon/internal/plan"
 	"chameleon/internal/runtime"
 	"chameleon/internal/scenario"
@@ -54,10 +57,23 @@ func TestExecuteMultiTwoPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(1))
-	res, err := ex.ExecuteMulti(mp)
+	opts := runtime.DefaultOptions(1)
+	opts.Recorder = obs.New()
+	var observed []string
+	opts.PhaseObserver = func(name string) { observed = append(observed, name) }
+	ex := runtime.NewExecutor(s.Net, opts)
+	res, err := ex.ExecuteMultiCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every phase is a span under "execute" and is announced as it starts.
+	if spans := opts.Recorder.SpanNames()[1:]; !slices.Equal(observed, spans) {
+		t.Errorf("phase observer saw %v, trace has %v", observed, spans)
+	}
+	for _, name := range []string{"setup", "d0 round 1", "d1 round 4", "cleanup"} {
+		if !slices.Contains(observed, name) {
+			t.Errorf("phase %q never announced: %v", name, observed)
+		}
 	}
 	n6 := s.Graph.MustNode("n6")
 	for _, prefix := range []bgp.Prefix{0, 1} {
@@ -124,6 +140,10 @@ func TestAlignEmpty(t *testing.T) {
 	}
 }
 
+// TestExecuteSplit is the §5 fallback for conflicting command orders, which
+// needs nothing from the executor but Execute: the reconfiguration is split
+// into per-command steps and each gets its own full pipeline, planned on the
+// then-current network.
 func TestExecuteSplit(t *testing.T) {
 	// Two commands that must each get their own mini-reconfiguration:
 	// deny e1's route, then deny e2's route (e3 remains).
@@ -151,23 +171,27 @@ func TestExecuteSplit(t *testing.T) {
 	}
 	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(7))
 	sp := eval.ReachabilitySpec(s.Graph)
-	res, err := ex.ExecuteSplit([]int{0, 1}, cmds, func(cmd sim.Command) (*plan.Plan, error) {
+	start := s.Net.Now()
+	for _, cmd := range cmds {
 		// Plan the single command against the *current* network state.
 		final := s.Net.Clone()
 		cmd.Apply(final)
 		final.Run()
 		a, err := analyzer.Analyze(s.Net, final, s.Prefix)
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 		sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		return plan.Compile(a, sched, []sim.Command{cmd})
-	})
-	if err != nil {
-		t.Fatal(err)
+		p, err := plan.Compile(a, sched, []sim.Command{cmd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.Execute(p); err != nil {
+			t.Fatalf("%s: %v", cmd.Description, err)
+		}
 	}
 	// Everything must end on e3, with reachability held throughout.
 	for _, n := range s.Graph.Internal() {
@@ -179,7 +203,7 @@ func TestExecuteSplit(t *testing.T) {
 	tr := s.Net.Trace(s.Prefix)
 	tr.Compact()
 	for i, ts := range tr.Times {
-		if ts < res.Start.Seconds() {
+		if ts < start.Seconds() {
 			continue
 		}
 		for _, n := range s.Graph.Internal() {

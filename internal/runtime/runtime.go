@@ -239,11 +239,8 @@ type Executor struct {
 	// RNG stream (see beginRun).
 	runs uint64
 
-	// betweenDone tracks which original-command slots have been applied,
-	// so a ReactCommit cut-over applies exactly the pending ones.
-	betweenDone []bool
-
-	// curPrefix is the executing plan's prefix, stamped into ReplanErrors.
+	// curPrefix is the prefix of the plan whose steps ran last, stamped
+	// into ReplanErrors.
 	curPrefix bgp.Prefix
 
 	// aborted remembers the last plan released by Abort, making Abort
@@ -302,8 +299,8 @@ func (e *Executor) Recovery() RecoveryStats { return e.rec }
 // consumed. Without this, sequential runs on one network interleave draws
 // and fault/latency schedules stop being reproducible from the seed alone —
 // exactly the nondeterminism that would poison parallel sweeps built from
-// ExecuteSplit-style multi-run pipelines. Run 0 keeps the constructor
-// stream, so single-execution results are bit-identical to prior behavior.
+// multi-run pipelines. Run 0 keeps the constructor stream, so
+// single-execution results are bit-identical to prior behavior.
 func (e *Executor) beginRun() {
 	if e.runs > 0 {
 		s := sim.DeriveSeed(e.opts.Seed, e.runs)
@@ -410,8 +407,30 @@ func (e *Executor) Execute(p *plan.Plan) (*Result, error) {
 // supervision loop (per simulated event), so a cancelled execution returns
 // promptly mid-round with the context's error, and a recorder — from
 // Options.Recorder or, failing that, the context — receives an "execute"
-// span tree stamped with the simulated clock.
+// span tree stamped with the simulated clock. A plan is a multi-plan of one.
 func (e *Executor) ExecuteCtx(ctx context.Context, p *plan.Plan) (*Result, error) {
+	return e.execute(ctx, plan.Single(p))
+}
+
+// ExecuteMultiCtx is ExecuteCtx for a multi-destination reconfiguration
+// (§5): every destination's plan, aligned on the shared original commands.
+func (e *Executor) ExecuteMultiCtx(ctx context.Context, mp *plan.MultiPlan) (*Result, error) {
+	if len(mp.Plans) == 0 {
+		return nil, fmt.Errorf("runtime: multi-plan holds no plan")
+	}
+	return e.execute(ctx, mp)
+}
+
+// execute is the one body behind both doors: the setup of every
+// destination, then each destination's update rounds up to the Between slot
+// the next group of original commands sits in, that group, and so on, and at
+// last the cleanup of every destination. A group is a run of mp.Order that
+// every plan places in one slot; it is pushed as one batch. An empty Between
+// slot is a synchronization point all the same: the network drains there
+// before the plan's next round starts. Phases are named setup, between k
+// (the run's k-th synchronization point — for one plan, its slot k), round k
+// ("d7 round k" for destination 7 of several) and cleanup.
+func (e *Executor) execute(ctx context.Context, mp *plan.MultiPlan) (*Result, error) {
 	if !e.net.Converged() {
 		return nil, fmt.Errorf("runtime: network not converged at start")
 	}
@@ -438,13 +457,13 @@ func (e *Executor) ExecuteCtx(ctx context.Context, p *plan.Plan) (*Result, error
 	}
 	defer func() { e.ctx = nil }()
 	e.beginRun()
-	e.curPrefix = p.Prefix
 	e.aborted = nil
 	res := &Result{Start: e.net.Now()}
 	e.rec = RecoveryStats{}
-	e.net.RecordInitialState(p.Prefix)
+	for _, p := range mp.Plans {
+		e.net.RecordInitialState(p.Prefix)
+	}
 	e.net.ResetMaxTableEntries()
-	e.betweenDone = make([]bool, len(p.Between))
 
 	// Schedule external events relative to the start; each roots its own
 	// causal chain so violations it sets off blame the named event.
@@ -453,49 +472,103 @@ func (e *Executor) ExecuteCtx(ctx context.Context, p *plan.Plan) (*Result, error
 		e.net.ScheduleEventAt(res.Start+ev.After, ev.Name, func(n *sim.Network) { ev.Apply(n) })
 	}
 
-	runPhase := func(name string, steps []plan.Step) error {
+	// runPhase runs, as one named phase, the steps it is handed of each of
+	// plans in turn.
+	runPhase := func(name string, plans []*plan.Plan, steps func(*plan.Plan) []plan.Step) error {
 		start := e.net.Now()
 		sp := e.startPhase(name)
-		err := e.runSteps(p, steps)
+		var err error
+		for _, p := range plans {
+			if err = e.runSteps(p, steps(p)); err != nil {
+				break
+			}
+			res.CommandsApplied += len(steps(p))
+		}
 		e.endPhase(sp)
 		if err != nil {
 			return fmt.Errorf("runtime: %s: %w", name, err)
 		}
-		res.CommandsApplied += len(steps)
 		res.Phases = append(res.Phases, PhaseSpan{Name: name, Start: start, End: e.net.Now()})
 		return nil
 	}
-
-	run := func() error {
-		if err := runPhase("setup", p.Setup); err != nil {
-			return err
-		}
-		for k := 1; k <= p.R; k++ {
-			if len(p.Between) > k-1 {
-				if err := e.applyOriginalSlot(p, k-1, res); err != nil {
+	// between is the run's next synchronization point: cmds are pushed as
+	// one batch and the network converges; without cmds it only drains.
+	syncs := 0
+	between := func(cmds []sim.Command) error {
+		sp := e.startPhase(fmt.Sprintf("between %d", syncs))
+		syncs++
+		err := e.applyOriginals(cmds, res)
+		e.endPhase(sp)
+		return err
+	}
+	// advance takes plan i through its Between slots below to: slot k drains
+	// the network if it holds no command (one that does was pushed with its
+	// group), then round k+1 runs.
+	slot := make([]int, len(mp.Plans))
+	advance := func(i, to int) error {
+		p := mp.Plans[i]
+		for ; slot[i] < to; slot[i]++ {
+			k := slot[i]
+			if k < len(p.Between) && len(p.Between[k]) == 0 {
+				if err := between(nil); err != nil {
 					return err
 				}
 			}
-			if err := runPhase(fmt.Sprintf("round %d", k), p.Rounds[k-1]); err != nil {
+			if k < p.R {
+				name := fmt.Sprintf("round %d", k+1)
+				if len(mp.Plans) > 1 {
+					name = fmt.Sprintf("d%d round %d", int(p.Prefix), k+1)
+				}
+				err := runPhase(name, mp.Plans[i:i+1], func(p *plan.Plan) []plan.Step { return p.Rounds[k] })
+				if err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+
+	// applied counts the leading commands of mp.Order confirmed applied, so
+	// a ReactCommit cut-over applies exactly the pending ones.
+	applied := 0
+	run := func() error {
+		if err := runPhase("setup", mp.Plans, func(p *plan.Plan) []plan.Step { return p.Setup }); err != nil {
+			return err
+		}
+		for applied < len(mp.Order) {
+			first := mp.Order[applied]
+			var cmds []sim.Command
+			for _, ci := range mp.Order[applied:] {
+				if !sameSlots(mp.Plans, first, ci) {
+					break
+				}
+				cmds = append(cmds, mp.Originals[ci])
+			}
+			for i, p := range mp.Plans {
+				if err := advance(i, p.OriginalSlots[first]); err != nil {
+					return err
+				}
+			}
+			if err := between(cmds); err != nil {
+				return err
+			}
+			applied += len(cmds)
+		}
+		for i, p := range mp.Plans {
+			if err := advance(i, p.R+1); err != nil {
 				return err
 			}
 		}
-		if len(p.Between) > p.R {
-			if err := e.applyOriginalSlot(p, p.R, res); err != nil {
-				return err
-			}
-		}
-		return runPhase("cleanup", p.Cleanup)
+		return runPhase("cleanup", mp.Plans, func(p *plan.Plan) []plan.Step { return p.Cleanup })
 	}
 	if err := run(); err != nil {
-		if errors.Is(err, errCommit) {
-			// §8 reaction 3: abandon the remaining rounds, apply every
-			// pending original command and the cleanup phase at once.
-			e.commit(p, res)
-			res.Committed = true
-		} else {
+		if !errors.Is(err, errCommit) {
 			return nil, err
 		}
+		// §8 reaction 3: abandon the remaining rounds, apply every
+		// pending original command and the cleanup phases at once.
+		e.commit(mp, mp.Order[applied:], res)
+		res.Committed = true
 	}
 	// Let any remaining convergence settle.
 	e.net.Run()
@@ -509,6 +582,17 @@ func (e *Executor) ExecuteCtx(ctx context.Context, p *plan.Plan) (*Result, error
 	e.execSpan.Add(obs.CtrExecAcksLost, int64(e.rec.AcksLost))
 	e.execSpan.Add(obs.CtrExecMonitorAlarms, int64(e.rec.MonitorAlarms))
 	return res, nil
+}
+
+// sameSlots reports whether every plan places original commands a and b in
+// the same Between slot.
+func sameSlots(plans []*plan.Plan, a, b int) bool {
+	for _, p := range plans {
+		if p.OriginalSlots[a] != p.OriginalSlots[b] {
+			return false
+		}
+	}
+	return true
 }
 
 // applyOriginals pushes the original reconfiguration commands and waits for
@@ -653,41 +737,23 @@ func nextDeadline[T any](xs []T, sel func(T) (bool, time.Duration)) (time.Durati
 	return best, found
 }
 
-// applyOriginalSlot applies one Between slot, tracking completion for a
-// possible ReactCommit cut-over.
-func (e *Executor) applyOriginalSlot(p *plan.Plan, slot int, res *Result) error {
-	sp := e.startPhase(fmt.Sprintf("between %d", slot))
-	err := e.applyOriginals(p.Between[slot], res)
-	e.endPhase(sp)
-	if err != nil {
-		return err
-	}
-	if slot < len(e.betweenDone) {
-		e.betweenDone[slot] = true
-	}
-	return nil
-}
-
 // commit performs the §8 reaction-3 cut-over: in-flight pushes are
 // cancelled (the cut-over supersedes them), then every pending original
-// command and the whole cleanup phase are applied at once.
-func (e *Executor) commit(p *plan.Plan, res *Result) {
+// command and every cleanup phase are applied at once.
+func (e *Executor) commit(mp *plan.MultiPlan, pending []int, res *Result) {
 	start := e.net.Now()
 	sp := e.startPhase("commit")
 	defer e.endPhase(sp)
 	e.net.CancelPendingCommands()
-	for k, cmds := range p.Between {
-		if k < len(e.betweenDone) && e.betweenDone[k] {
-			continue
-		}
-		for _, cmd := range cmds {
-			cmd.Apply(e.net)
+	for _, ci := range pending {
+		mp.Originals[ci].Apply(e.net)
+		res.CommandsApplied++
+	}
+	for _, p := range mp.Plans {
+		for _, st := range p.Cleanup {
+			st.Command.Apply(e.net)
 			res.CommandsApplied++
 		}
-	}
-	for _, st := range p.Cleanup {
-		st.Command.Apply(e.net)
-		res.CommandsApplied++
 	}
 	e.net.Run()
 	res.Phases = append(res.Phases, PhaseSpan{Name: "commit", Start: start, End: e.net.Now()})
@@ -714,17 +780,6 @@ func (e *Executor) Abort(p *plan.Plan) {
 	e.aborted = p
 }
 
-// OriginalsApplied reports, per Between slot of the most recent execution,
-// whether that slot's original commands were confirmed applied. A
-// supervisor resuming from a failed execution uses it (with the plan's
-// OriginalSlots) to compute which original commands are already in the
-// network and must not be replayed.
-func (e *Executor) OriginalsApplied() []bool {
-	out := make([]bool, len(e.betweenDone))
-	copy(out, e.betweenDone)
-	return out
-}
-
 // stepState tracks one plan step through push, acknowledgment and
 // escalation.
 type stepState struct {
@@ -734,6 +789,11 @@ type stepState struct {
 	token     *sim.CommandToken
 	attempts  int
 	checkAt   time.Duration
+	// fresh: pushed in this pass of the supervision loop, no event since.
+	// An effect read back now was in place before the push (another
+	// destination's plan carries the same temporary-session step) and says
+	// nothing about an acknowledgment.
+	fresh bool
 }
 
 // runSteps executes one phase: every step's command is pushed as soon as
@@ -742,6 +802,7 @@ type stepState struct {
 // readback — retried, re-pushed and finally escalated if it stays
 // unconfirmed — and the phase completes when every post-condition holds.
 func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
+	e.curPrefix = p.Prefix
 	if len(steps) == 0 {
 		return e.superviseRun()
 	}
@@ -779,7 +840,7 @@ func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
 				continue
 			}
 			tk, checkAt := e.pushTracked(steps[i].Command, 0, 0)
-			st[i] = stepState{pushed: true, token: tk, attempts: 1, checkAt: checkAt}
+			st[i] = stepState{pushed: true, token: tk, attempts: 1, checkAt: checkAt, fresh: true}
 			progress = true
 		}
 		// Confirm pushed commands; heal the ones presumed lost.
@@ -788,6 +849,8 @@ func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
 			if !s.pushed || s.confirmed {
 				continue
 			}
+			fresh := s.fresh
+			s.fresh = false
 			if s.token.Acked() {
 				s.confirmed = true
 				if s.attempts > 1 {
@@ -801,8 +864,10 @@ func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
 				// command was (at least partially) applied and the
 				// readback — not blind retrying — confirms it.
 				s.confirmed = true
-				e.rec.AcksLost++
-				e.count(obs.CtrFaultsHealed, 1)
+				if !fresh {
+					e.rec.AcksLost++
+					e.count(obs.CtrFaultsHealed, 1)
+				}
 				progress = true
 				continue
 			}

@@ -35,6 +35,14 @@ func (s faultScript) MessageFault(f, t topology.NodeID) sim.MessageFault {
 	return s.msg(f, t)
 }
 
+// dropFirstPush drops the first application attempt of every command.
+var dropFirstPush = faultScript{cmd: func(_ topology.NodeID, _ string, attempt int) sim.CommandFault {
+	if attempt == 0 {
+		return sim.CommandFault{Kind: sim.FaultDrop}
+	}
+	return sim.CommandFault{}
+}}
+
 // TestSelfHealingRetryOnDrop drops the first application attempt of every
 // command; the executor must detect the losses via the per-command timeout,
 // retry, and complete the plan with the invariants intact.
@@ -42,14 +50,7 @@ func TestSelfHealingRetryOnDrop(t *testing.T) {
 	s := scenario.RunningExample()
 	sp := reachSpec(s.Graph)
 	_, _, p := pipeline(t, s, sp)
-	s.Net.SetFaultInjector(faultScript{
-		cmd: func(_ topology.NodeID, _ string, attempt int) sim.CommandFault {
-			if attempt == 0 {
-				return sim.CommandFault{Kind: sim.FaultDrop}
-			}
-			return sim.CommandFault{}
-		},
-	})
+	s.Net.SetFaultInjector(dropFirstPush)
 	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(1))
 	res, err := ex.Execute(p)
 	if err != nil {

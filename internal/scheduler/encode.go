@@ -124,7 +124,6 @@ func (e *encoder) solve(ctx context.Context, nodes int64) (*NodeSchedule, milp.S
 		NodeLimit:     nodes,
 		BranchOrder:   e.branchOrder(),
 		PreferHigh:    preferHigh,
-		UseLPBound:    e.opts.UseLPBound,
 		FirstSolution: !e.opts.MinimizeTempSessions,
 		Ctx:           ctx,
 	})

@@ -52,7 +52,7 @@ type Stats struct {
 	RoundsTried  int
 	SolverNodes  int64
 	Propagations int64
-	LPPivots     int64
+	LPPivots     int64 // always 0: LP bounding is deleted; the frozen benchmark/plan.go reads it
 	Duration     time.Duration
 	Variables    int
 	Constraints  int
@@ -78,23 +78,16 @@ func (s *NodeSchedule) TempNew(n topology.NodeID) bool {
 type Options struct {
 	// MaxRounds caps the round-minimization loop (default 16).
 	MaxRounds int
-	// DisableSlackPhase turns off the fallback that, when every round
-	// count up to MaxRounds is undecided, tries generous round counts
-	// (2×, then 4× MaxRounds — more slack makes feasibility easy) and
-	// bisects back down. With the fallback, Schedule fails only when the
-	// reconfiguration looks genuinely unschedulable.
-	DisableSlackPhase bool
 	// SolverNodeBudget is the deterministic unit every solver budget is a
 	// multiple of (0: DeterministicNodeBudget): scan attempts get
-	// SolverNodeBudget nodes each, retry attempts retryBudgetFactor× and
-	// slack attempts slackBudgetFactor× that, and the temp-session
-	// minimization as many nodes per improvement iteration as the attempt
-	// it follows. No clock bounds a solve, so the schedule for a given
-	// analysis and spec is machine- and load-independent — which the
-	// parallel evaluation sweeps rely on to merge byte-identical results
-	// at any worker count. The cost is that an under-budgeted search is
-	// truncated at the same point everywhere rather than stretching on a
-	// fast idle machine.
+	// SolverNodeBudget nodes each, retry attempts retryBudgetFactor× that,
+	// and the temp-session minimization as many nodes per improvement
+	// iteration as the attempt it follows. No clock bounds a solve, so the
+	// schedule for a given analysis and spec is machine- and
+	// load-independent — which the parallel evaluation sweeps rely on to
+	// merge byte-identical results at any worker count. The cost is that an
+	// under-budgeted search is truncated at the same point everywhere
+	// rather than stretching on a fast idle machine.
 	SolverNodeBudget int64
 	// ExplicitLoopConstraints adds the Eq. 3 cycle constraints (§4.4).
 	// They are implied by the concurrency constraints (App. D) but reduce
@@ -103,8 +96,6 @@ type Options struct {
 	// MinimizeTempSessions runs the secondary objective (§4.1); when
 	// false the first feasible schedule at the minimum R is returned.
 	MinimizeTempSessions bool
-	// UseLPBound enables LP-relaxation bounding inside the MILP solver.
-	UseLPBound bool
 	// CycleLimit caps explicit loop enumeration (default 10000).
 	CycleLimit int
 	// SerializeUpdates forbids concurrent forwarding changes entirely: at
@@ -121,16 +112,10 @@ type Options struct {
 const DeterministicNodeBudget = 1 << 15
 
 // The budget policy: the scan pass over R = 1..MaxRounds gives each round
-// count SolverNodeBudget nodes; the passes that run only when the scan
-// found nothing get these multiples of it.
-const (
-	// retryBudgetFactor scales the second look at each round count the
-	// scan left undecided.
-	retryBudgetFactor = 8
-	// slackBudgetFactor scales each attempt of the slack phase, whose
-	// generous round counts make feasibility easy.
-	slackBudgetFactor = 2
-)
+// count SolverNodeBudget nodes; retryBudgetFactor scales the second look at
+// each round count the scan left undecided, which runs only when the scan
+// found nothing.
+const retryBudgetFactor = 8
 
 // DefaultOptions mirror the paper's configuration with one deliberate
 // departure: solver budgets are deterministic node counts rather than the
@@ -199,7 +184,7 @@ func Schedule(a *analyzer.Analysis, sp *spec.Spec, opts Options) (*NodeSchedule,
 // MILP branch-and-bound (polled sparsely, so aborts are prompt but cheap),
 // and when ctx carries an *obs.Recorder the search records a "schedule"
 // span with one "solve" child per attempted round count, counting solver
-// effort (nodes, propagations, LP pivots) per attempt.
+// effort (nodes, propagations) per attempt.
 func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts Options) (*NodeSchedule, error) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 16
@@ -226,13 +211,10 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 		sched, stats, err := enc.solve(ctx, nodes)
 		agg.SolverNodes += stats.Nodes
 		agg.Propagations += stats.Propagations
-		agg.LPPivots += stats.LPPivots
 		agg.Variables = enc.model.NumVars()
 		agg.Constraints = enc.model.NumConstraints()
 		solveSpan.Add(obs.CtrMILPNodes, stats.Nodes)
 		solveSpan.Add(obs.CtrMILPPropagations, stats.Propagations)
-		solveSpan.Add(obs.CtrMILPLPBounds, stats.LPBounds)
-		solveSpan.Add(obs.CtrLPPivots, stats.LPPivots)
 		switch {
 		case err == nil:
 			agg.ObjectiveOpt = stats.Optimal
@@ -266,7 +248,10 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 		}
 	}
 	// Retry pass: a larger budget for the undecided round counts (ascending,
-	// so the returned R stays as small as the budget allows).
+	// so the returned R stays as small as the budget allows). Its one known
+	// customer is Kdl (754 routers, `evalharness -fig 7 -full`): R = 1..7 are
+	// proven infeasible, 8..16 undecided in the scan, and the retry finds
+	// R = 8. No ≤ 200-router scenario of the corpus gets here.
 	var lastErr error
 	for _, r := range undecided {
 		sched, err := attempt(r, retryBudgetFactor*opts.SolverNodeBudget)
@@ -280,38 +265,6 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 			lastErr = fmt.Errorf("scheduler: solving with R=%d: %w", r, err)
 		}
 	}
-	// Slack phase. Tight round counts can be undecidable within budget
-	// while generous ones solve quickly (more slack, easier search).
-	// Find any feasible schedule at 2×, then 4× MaxRounds, then bisect back
-	// down towards MaxRounds while the per-attempt budget holds.
-	if !opts.DisableSlackPhase && len(undecided) > 0 {
-		slackBudget := slackBudgetFactor * opts.SolverNodeBudget
-		var best *NodeSchedule
-		for factor := 2; factor <= 4; factor *= 2 {
-			if sched, err := attempt(factor*opts.MaxRounds, slackBudget); err == nil {
-				best = sched
-				break
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-		}
-		if best != nil {
-			lo := opts.MaxRounds // everything ≤ MaxRounds was undecided
-			for lo+1 < best.R {
-				mid := (lo + best.R) / 2
-				if sched, err := attempt(mid, slackBudget); err == nil {
-					best = sched
-				} else if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				} else {
-					lo = mid
-				}
-			}
-			return finish(best)
-		}
-	}
-
 	if lastErr != nil {
 		return nil, lastErr
 	}

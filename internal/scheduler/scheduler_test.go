@@ -359,8 +359,8 @@ func TestSearchTreePinned(t *testing.T) {
 
 // TestHardCorpusDecides: two entries the static branch order left undecided
 // at every round count, whatever the pass. GtsCzechRepublic failed outright
-// and Cwix was rescued by the slack phase with R = 64; under conflict-weighted
-// branching the scan pass decides both.
+// and Cwix was rescued by the since-deleted slack phase with R = 64; under
+// conflict-weighted branching the scan pass decides both.
 func TestHardCorpusDecides(t *testing.T) {
 	for _, topo := range []string{"GtsCzechRepublic", "Cwix"} {
 		s, err := scenario.CaseStudy(topo, scenario.Config{Seed: 7})
@@ -369,7 +369,6 @@ func TestHardCorpusDecides(t *testing.T) {
 		}
 		a, sp := analyze(t, s), reachSpec(s.Graph)
 		opts := scheduler.DefaultOptions()
-		opts.DisableSlackPhase = true
 		sched, err := scheduler.Schedule(a, sp, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", topo, err)
