@@ -73,9 +73,8 @@ const (
 )
 
 // Histogram inventory (Recorder.Observe; log-bucketed powers of two, see
-// hist.go). The monitor observes the first three once per closed
-// violation; the simulator observes batch sizes once per delivered batch
-// message. Units, where any, are part of the name.
+// hist.go). The monitor observes all three once per closed violation.
+// Units, where any, are part of the name.
 const (
 	// HistBlameLatency is simulated time from a violation's root cause
 	// firing to the violation's onset.
@@ -84,7 +83,4 @@ const (
 	HistViolationDuration = "monitor_violation_duration_ns"
 	// HistHopDepth is the BGP propagation hop depth at violation onset.
 	HistHopDepth = "monitor_violation_hop_depth"
-	// HistBatchSize is the number of routes carried per delivered batch
-	// message (updates + withdrawals).
-	HistBatchSize = "sim_batch_size"
 )

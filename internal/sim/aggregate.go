@@ -28,7 +28,7 @@ func (n *Network) AddAggregate(node topology.NodeID, rule AggregateRule) {
 	n.evalAggregates(node)
 	for _, nb := range r.neighbors() {
 		for _, c := range rule.Contributors {
-			n.exportDiff(node, nb, c)
+			n.export(r, nb, []bgp.Prefix{c})
 		}
 	}
 }
@@ -44,7 +44,7 @@ func (n *Network) RemoveAggregates(node topology.NodeID) {
 		// Previously suppressed contributors may flow again.
 		for _, nb := range r.neighbors() {
 			for _, c := range rule.Contributors {
-				n.exportDiff(node, nb, c)
+				n.export(r, nb, []bgp.Prefix{c})
 			}
 		}
 	}

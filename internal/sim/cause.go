@@ -104,15 +104,9 @@ func (n *Network) CauseOf(id CauseID) (Cause, bool) {
 	return n.causes[id-1], true
 }
 
-// Causes returns the number of registered causes.
-func (n *Network) Causes() int { return len(n.causes) }
-
 // SetPhaseLabel names the execution phase newly registered causes are
 // attributed to (empty clears it). The runtime executor sets it per phase.
 func (n *Network) SetPhaseLabel(phase string) { n.curPhase = phase }
-
-// PhaseLabel returns the current phase label.
-func (n *Network) PhaseLabel() string { return n.curPhase }
 
 // ScheduleCausedAt runs fn when the simulated clock reaches t, rooting the
 // causal chain of everything fn sets in motion at the given cause.

@@ -37,6 +37,11 @@ type diffFixture struct {
 
 func buildDiffNet(t *testing.T) *diffFixture {
 	t.Helper()
+	return buildDiffNetOpts(t, sim.DefaultOptions(11))
+}
+
+func buildDiffNetOpts(t *testing.T, opts sim.Options) *diffFixture {
+	t.Helper()
 	g := topology.New("diff")
 	var rt []topology.NodeID
 	for i := 0; i < 6; i++ {
@@ -54,7 +59,6 @@ func buildDiffNet(t *testing.T) *diffFixture {
 	g.AddLink(ext1, rt[0], 1)
 	g.AddLink(ext2, rt[3], 1)
 
-	opts := sim.DefaultOptions(11)
 	net := sim.New(g, opts)
 	rrs := []topology.NodeID{rt[1], rt[4]}
 	for _, rr := range rrs {
@@ -241,36 +245,5 @@ func TestDifferentialEngines(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBatchedMatchesPerRouteOutcome checks that batch injection converges
-// to the same routing state as route-by-route injection (messages differ —
-// that is the point — but the converged tables must not).
-func TestBatchedMatchesPerRouteOutcome(t *testing.T) {
-	one := buildDiffNet(t)
-	bat := buildDiffNet(t)
-	anns := make([]sim.Announcement, 0, 40)
-	for p := 0; p < 40; p++ {
-		anns = append(anns, sim.Announcement{Prefix: bgp.Prefix(p), ASPathLen: 1 + p%3})
-	}
-	for _, a := range anns {
-		one.net.InjectExternalRoute(one.exts[0], a)
-	}
-	one.net.Run()
-	bat.net.InjectExternalRoutes(bat.exts[0], anns)
-	bat.net.Run()
-	if om, bm := one.net.MessagesProcessed(), bat.net.MessagesProcessed(); bm >= om {
-		t.Fatalf("batching did not reduce messages: %d >= %d", bm, om)
-	}
-	for p := 0; p < 40; p++ {
-		for _, n := range one.g.Internal() {
-			ro, oko := one.net.Best(n, bgp.Prefix(p))
-			rb, okb := bat.net.Best(n, bgp.Prefix(p))
-			if oko != okb || (oko && !ro.PathEqual(rb)) {
-				t.Fatalf("node %d prefix %d: per-route %v(%v) vs batched %v(%v)",
-					n, p, ro, oko, rb, okb)
-			}
-		}
 	}
 }

@@ -4,37 +4,9 @@ import (
 	"container/heap"
 	"time"
 
-	"chameleon/internal/bgp"
 	"chameleon/internal/obs"
 	"chameleon/internal/topology"
 )
-
-// msgKind distinguishes BGP message types on the wire.
-type msgKind int
-
-const (
-	msgUpdate msgKind = iota
-	msgWithdraw
-	// msgBatch carries many updates and withdrawals in one delivery: the
-	// receiver applies them all to its Adj-RIB-In, then runs ONE decision
-	// pass per affected prefix and forwards at most one batch per
-	// neighbor. This is what keeps 100k-prefix announcement storms at
-	// O(routes) work instead of O(routes × messages).
-	msgBatch
-)
-
-// message is a BGP message in flight on a directed session.
-type message struct {
-	kind   msgKind
-	from   topology.NodeID
-	to     topology.NodeID
-	route  bgp.Route  // for msgUpdate
-	prefix bgp.Prefix // for msgWithdraw
-
-	// Batch payload (msgBatch), in ascending prefix order.
-	updates   []bgp.Route
-	withdraws []bgp.Prefix
-}
 
 // event is a queue entry: either a message delivery or a scheduled function
 // (configuration command, external event, probe). Each event carries the
@@ -114,7 +86,7 @@ func (n *Network) sendMsg(m *message) {
 			n.count(obs.CtrFaultsMessage, 1)
 		}
 	}
-	key := sessionKey(m.from, m.to)
+	key := sessKey{m.from, m.to}
 	enqueue := func(at time.Duration) time.Duration {
 		if last, ok := n.lastDelivery[key]; ok && at <= last {
 			at = last + time.Microsecond
@@ -132,5 +104,3 @@ func (n *Network) sendMsg(m *message) {
 }
 
 type sessKey struct{ from, to topology.NodeID }
-
-func sessionKey(from, to topology.NodeID) sessKey { return sessKey{from, to} }

@@ -96,9 +96,6 @@ type FaultInjector interface {
 // networks never inherit the injector.
 func (n *Network) SetFaultInjector(fi FaultInjector) { n.faults = fi }
 
-// FaultInjectorInstalled reports whether a fault injector is active.
-func (n *Network) FaultInjectorInstalled() bool { return n.faults != nil }
-
 // CommandToken is the controller's view of one pushed command: whether the
 // router acknowledged it, and a handle to cancel it while still in flight.
 // Applied/Fault expose the simulator's ground truth for tests and chaos

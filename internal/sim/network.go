@@ -2,7 +2,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/rand/v2"
 	"slices"
 	"time"
@@ -95,7 +94,9 @@ type Network struct {
 
 	// cands is decide's candidate scratch. The selected route is copied by
 	// value into the Loc-RIB, so nothing retains the slice between calls.
-	cands []bgp.Route
+	// affected is deliver's: the prefixes a message touched.
+	cands    []bgp.Route
+	affected []bgp.Prefix
 
 	// faults, when set, decides the fate of every scheduled command and
 	// delivered message (see fault.go). pendingCmds tracks in-flight
@@ -184,10 +185,6 @@ func (n *Network) count(name string, delta int64) {
 	n.rec.Add(name, delta)
 }
 
-// observe records one sample into a recorder histogram. Histograms are
-// recorder-level (spans carry counters only), and the nil path is free.
-func (n *Network) observe(name string, v int64) { n.rec.Observe(name, v) }
-
 // Graph returns the underlying topology.
 func (n *Network) Graph() *topology.Graph { return n.graph }
 
@@ -200,7 +197,8 @@ func (n *Network) Now() time.Duration { return n.now }
 // MessagesProcessed returns the number of BGP messages delivered so far.
 func (n *Network) MessagesProcessed() uint64 { return n.msgCount }
 
-// jitterEnabled returns the configured jitter.
+// sessionDelay returns the jitter-free delay of a BGP message between a and
+// b: the base delay plus the IGP distance scaled by DelayPerIGPUnit.
 func (n *Network) sessionDelay(a, b topology.NodeID) time.Duration {
 	d := n.opts.BaseDelay
 	if dist := n.spf.Dist(a, b); dist < igp.Infinity {
@@ -309,32 +307,6 @@ func (n *Network) UpdateRouteMap(node, neighbor topology.NodeID, dir Direction, 
 // RouteMapOf exposes the current route map (may be nil) for inspection.
 func (n *Network) RouteMapOf(node, neighbor topology.NodeID, dir Direction) *RouteMap {
 	return n.routers[node].routeMap(dir, neighbor)
-}
-
-// InjectExternalRoute makes external network ext originate ann and
-// advertise it over all of ext's eBGP sessions.
-func (n *Network) InjectExternalRoute(ext topology.NodeID, ann Announcement) {
-	r := n.routers[ext]
-	if !r.external {
-		panic(fmt.Sprintf("sim: InjectExternalRoute on internal node %d", ext))
-	}
-	r.originated[ann.Prefix] = ann
-	for _, peer := range r.neighbors() {
-		n.sendExternalAnnouncement(ext, peer, ann)
-	}
-}
-
-// WithdrawExternalRoute withdraws a previously originated prefix.
-func (n *Network) WithdrawExternalRoute(ext topology.NodeID, prefix bgp.Prefix) {
-	r := n.routers[ext]
-	delete(r.originated, prefix)
-	for _, peer := range r.neighbors() {
-		n.sendMsg(&message{kind: msgWithdraw, from: ext, to: peer, prefix: prefix})
-	}
-}
-
-func (n *Network) sendExternalAnnouncement(ext, peer topology.NodeID, ann Announcement) {
-	n.sendMsg(&message{kind: msgUpdate, from: ext, to: peer, route: externalRoute(peer, ext, ann)})
 }
 
 // FailLink fails the physical link between a and b and reconverges the IGP,
@@ -449,86 +421,6 @@ func (n *Network) NextEventAt() (time.Duration, bool) {
 // Converged reports whether no BGP messages or scheduled functions remain.
 func (n *Network) Converged() bool { return n.queue.Len() == 0 }
 
-func (n *Network) deliver(m *message) {
-	n.msgCount++
-	switch m.kind {
-	case msgUpdate:
-		n.count(obs.CtrBGPUpdates, 1)
-	case msgWithdraw:
-		n.count(obs.CtrBGPWithdraws, 1)
-	case msgBatch:
-		n.count(obs.CtrBGPUpdates, int64(len(m.updates)))
-		n.count(obs.CtrBGPWithdraws, int64(len(m.withdraws)))
-	}
-	r := n.routers[m.to]
-	if _, up := r.sessions[m.from]; !up {
-		return // session went away while the message was in flight
-	}
-	if m.kind == msgBatch {
-		n.deliverBatch(r, m)
-		return
-	}
-	if r.external {
-		// External networks are sinks; record exports for the
-		// no-transient-leak invariant.
-		if m.kind == msgUpdate {
-			r.adjIn.Set(m.from, m.route)
-			n.ebgpExports[m.route.Prefix]++
-		} else {
-			r.adjIn.Withdraw(m.from, m.prefix)
-		}
-		return
-	}
-	switch m.kind {
-	case msgUpdate:
-		if !r.acceptable(m.route) {
-			// Loop-rejected; an earlier route from this neighbor is
-			// implicitly replaced (treat as withdraw).
-			n.adjInWithdraw(r, m.from, m.route.Prefix)
-			n.runDecision(m.to, m.route.Prefix)
-			return
-		}
-		n.adjInSet(r, m.from, m.route)
-		n.runDecision(m.to, m.route.Prefix)
-	case msgWithdraw:
-		if n.adjInWithdraw(r, m.from, m.prefix) {
-			n.runDecision(m.to, m.prefix)
-		}
-	}
-}
-
-// adjInSet and adjInWithdraw funnel every internal-router Adj-RIB-In
-// mutation through the incremental tableEntries counter.
-func (n *Network) adjInSet(r *router, from topology.NodeID, route bgp.Route) {
-	if r.adjIn.Set(from, route) && !r.external {
-		n.tableEntries++
-	}
-}
-
-func (n *Network) adjInWithdraw(r *router, from topology.NodeID, prefix bgp.Prefix) bool {
-	if !r.adjIn.Withdraw(from, prefix) {
-		return false
-	}
-	if !r.external {
-		n.tableEntries--
-	}
-	return true
-}
-
-// runDecision re-runs the best-path selection at node for prefix and, if
-// the selection changed, propagates the new state.
-func (n *Network) runDecision(node topology.NodeID, prefix bgp.Prefix) {
-	r := n.routers[node]
-	if !n.decide(r, prefix) {
-		return
-	}
-	n.propagate(node, prefix)
-	// A contributor change may (de)activate a summary (§8 aggregation).
-	if len(r.aggRules) > 0 && !isSummary(r, prefix) {
-		n.evalAggregates(node)
-	}
-}
-
 // decide re-runs best-path selection at r for prefix, updates the Loc-RIB
 // and the dirty set, and reports whether the selection changed. It never
 // mutates the Adj-RIB-In, so callers may invoke it while ranging one.
@@ -575,21 +467,12 @@ func routesIdentical(a, b bgp.Route) bool {
 		a.ASPathLen == b.ASPathLen && a.MED == b.MED && a.FromEBGP == b.FromEBGP
 }
 
-// propagate diffs the desired exports of node for prefix against Adj-RIB-Out
-// and emits updates/withdrawals.
-func (n *Network) propagate(node topology.NodeID, prefix bgp.Prefix) {
-	r := n.routers[node]
-	for _, peer := range r.neighbors() {
-		n.exportDiff(node, peer, prefix)
-	}
-}
-
 // refreshExports re-sends (or withdraws) node's exports of all prefixes
 // towards one neighbor, used after egress route-map or session changes.
 func (n *Network) refreshExports(node, neighbor topology.NodeID) {
 	r := n.routers[node]
 	// Stale Adj-RIB-Out entries (sent earlier, no longer selected) are
-	// collected up front: exportDiff deletes from the table being walked.
+	// collected up front: export deletes from the table being walked.
 	var stale []bgp.Prefix
 	if out := r.adjOut[neighbor]; out != nil {
 		out.Range(func(p bgp.Prefix, _ bgp.Route) bool {
@@ -600,56 +483,30 @@ func (n *Network) refreshExports(node, neighbor topology.NodeID) {
 		})
 	}
 	r.locRib.Range(func(p bgp.Prefix, _ bgp.Route) bool {
-		n.exportDiff(node, neighbor, p)
+		n.export(r, neighbor, []bgp.Prefix{p})
 		return true
 	})
 	for _, p := range stale {
-		n.exportDiff(node, neighbor, p)
+		n.export(r, neighbor, []bgp.Prefix{p})
 	}
 }
 
 // advertiseAll sends node's full table towards a newly connected neighbor.
 func (n *Network) advertiseAll(node, neighbor topology.NodeID) {
 	r := n.routers[node]
-	if r.external {
-		// Sorted order keeps the jitter draws — and so the whole
-		// execution — independent of map iteration order.
-		ps := make([]bgp.Prefix, 0, len(r.originated))
-		for p := range r.originated {
-			ps = append(ps, p)
-		}
-		slices.Sort(ps)
-		for _, p := range ps {
-			n.sendExternalAnnouncement(node, neighbor, r.originated[p])
-		}
+	if !r.external {
+		n.refreshExports(node, neighbor) // nothing sent yet: every selected route differs
 		return
 	}
-	r.locRib.Range(func(p bgp.Prefix, _ bgp.Route) bool {
-		n.exportDiff(node, neighbor, p)
-		return true
-	})
-}
-
-func (n *Network) exportDiff(node, neighbor topology.NodeID, prefix bgp.Prefix) {
-	r := n.routers[node]
-	if r.external {
-		return
+	// Sorted order keeps the jitter draws — and so the whole execution —
+	// independent of map iteration order.
+	ps := make([]bgp.Prefix, 0, len(r.originated))
+	for p := range r.originated {
+		ps = append(ps, p)
 	}
-	want, ok := r.exportTo(neighbor, prefix, n.arena)
-	var sent bgp.Route
-	wasSent := false
-	if out := r.adjOut[neighbor]; out != nil {
-		sent, wasSent = out.Get(prefix)
-	}
-	switch {
-	case ok && wasSent && routesIdentical(want, sent):
-		return
-	case ok:
-		r.adjOutFor(neighbor).Set(want)
-		n.sendMsg(&message{kind: msgUpdate, from: node, to: neighbor, route: want})
-	case wasSent:
-		r.adjOut[neighbor].Delete(prefix)
-		n.sendMsg(&message{kind: msgWithdraw, from: node, to: neighbor, prefix: prefix})
+	slices.Sort(ps)
+	for _, p := range ps {
+		n.originate(node, neighbor, []Announcement{r.originated[p]})
 	}
 }
 

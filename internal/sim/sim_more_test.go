@@ -134,14 +134,38 @@ func TestPendingAndConverged(t *testing.T) {
 	}
 }
 
+// TestInjectOnInternalPanics: only an external network originates routes.
+// All four entry points refuse an internal node — a withdrawal that went
+// through told every neighbour to drop a route the router still selects.
 func TestInjectOnInternalPanics(t *testing.T) {
-	s := scenario.RunningExample()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Net.InjectExternalRoute(s.Graph.MustNode("n1"), sim.Announcement{Prefix: 3})
+	for name, call := range map[string]func(*sim.Network, topology.NodeID){
+		"InjectExternalRoute": func(n *sim.Network, at topology.NodeID) {
+			n.InjectExternalRoute(at, sim.Announcement{Prefix: 3})
+		},
+		"InjectExternalRoutes": func(n *sim.Network, at topology.NodeID) {
+			n.InjectExternalRoutes(at, []sim.Announcement{{Prefix: 3}})
+		},
+		"WithdrawExternalRoute": func(n *sim.Network, at topology.NodeID) {
+			n.WithdrawExternalRoute(at, 1)
+		},
+		"WithdrawExternalRoutes": func(n *sim.Network, at topology.NodeID) {
+			n.WithdrawExternalRoutes(at, []bgp.Prefix{1})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := scenario.RunningExample()
+			before := s.Net.Pending()
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic")
+				}
+				if got := s.Net.Pending(); got != before {
+					t.Errorf("%d messages sent before the panic", got-before)
+				}
+			}()
+			call(s.Net, s.Graph.MustNode("n1"))
+		})
+	}
 }
 
 func TestRouteMapStringAndLen(t *testing.T) {
