@@ -139,18 +139,6 @@ func buildScenario(name string, seed uint64) (*scenario.Scenario, error) {
 	return scenario.CaseStudy(name, scenario.Config{Seed: seed})
 }
 
-// reachabilitySpec builds G ∧_n reach(n); chaos deliberately rebuilds its
-// own pipeline instead of importing the eval package (which imports chaos
-// for its report table).
-func reachabilitySpec(g *topology.Graph) *spec.Spec {
-	b := spec.NewBuilder()
-	var es []*spec.Expr
-	for _, n := range g.Internal() {
-		es = append(es, b.Reach(n))
-	}
-	return spec.NewSpec(b, b.Globally(b.And(es...)))
-}
-
 // flapEvents schedules nflaps session flaps over internal iBGP sessions,
 // spread across the execution, counting actual flaps into *flapped.
 func flapEvents(s *scenario.Scenario, seed uint64, nflaps int, flapped *int) []runtime.ScheduledEvent {
@@ -289,7 +277,7 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := scheduler.ScheduleCtx(ctx, a, reachabilitySpec(s.Graph), scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(ctx, a, spec.Reachability(s.Graph), scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -303,30 +291,27 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 
 	flapped := 0
 	opts := runtime.DefaultOptions(c.Seed)
-	opts.Monitor = func(net *sim.Network) bool {
-		st := net.ForwardingState(s.Prefix)
-		for _, n := range s.Graph.Internal() {
-			if !st.Reach(n) {
-				return false
-			}
-		}
-		return true
-	}
 	if c.Fault == sim.FaultFlap {
 		opts.ExternalEvents = flapEvents(s, c.Seed, 2, &flapped)
 	}
 
 	// The transient-state monitor observes every forwarding snapshot of
-	// the execution online (reach + loop-freedom, per-round attribution).
+	// the execution online (reach + loop-freedom, per-round attribution);
+	// the executor's alarm is its reachability invariant alone.
 	// No convergence gate here: chaos measures the executor under its
 	// default advancement policy, and gating would shift fault timing.
+	reach := monitor.ReachAll(s.Graph)
 	mon := monitor.New(monitor.Config{
-		Name: "chaos",
-		Invariants: []monitor.Invariant{
-			monitor.ReachAll(s.Graph), monitor.LoopFree(),
-		},
+		Name:       "chaos",
+		Invariants: []monitor.Invariant{reach, monitor.LoopFree()},
 	})
 	opts.PhaseObserver = mon.SetPhase
+	opts.Monitor = func(net *sim.Network) string {
+		if ok, _ := reach.Check(net.ForwardingState(s.Prefix)); !ok {
+			return reach.Name
+		}
+		return ""
+	}
 
 	ex := runtime.NewExecutor(s.Net, opts)
 	unbind := mon.Bind(s.Net)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chameleon/internal/chaos"
+	"chameleon/internal/obs"
 	"chameleon/internal/supervisor"
 )
 
@@ -121,5 +122,31 @@ func TestPersistentDropFactory(t *testing.T) {
 	forever := chaos.PersistentDropFactory(-1, nil)
 	if forever(10) == nil {
 		t.Error("until < 0 must fault every invocation")
+	}
+}
+
+// TestRollbackHealsNoPhantomFault: under persistent-fault-hard no original
+// ever lands, so every undo the rollback rung pushes reads back true at the
+// moment it is pushed. That readback says nothing about an acknowledgment —
+// the injector dropped the push and nothing was healed — and must not be
+// booked as a lost ack or a healed fault. The verdict does not move.
+func TestRollbackHealsNoPhantomFault(t *testing.T) {
+	rec := obs.New()
+	r, err := chaos.RunRecoveryCaseCtx(obs.WithRecorder(context.Background(), rec),
+		chaos.RecoveryCase{Topology: "RunningExample", Profile: chaos.ProfilePersistentHard, Seed: 7}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{obs.CtrExecAcksLost, obs.CtrFaultsHealed} {
+		if n := rec.Counter(name); n != 0 {
+			t.Errorf("%s = %d, want 0: every push was dropped and every readback was true before its push", name, n)
+		}
+	}
+	if r.Outcome != "initial" || !r.Verified || !r.RolledBack || r.Forced {
+		t.Errorf("outcome=%s verified=%v rolledback=%v forced=%v, want a verified, unforced rollback to initial",
+			r.Outcome, r.Verified, r.RolledBack, r.Forced)
+	}
+	if want := uint64(0xd1e15cab9fe79802); r.Fingerprint != want {
+		t.Errorf("fingerprint %016x, want %016x", r.Fingerprint, want)
 	}
 }

@@ -13,14 +13,7 @@ import (
 )
 
 // ReachabilitySpec builds G ∧_n reach(n) over all internal routers.
-func ReachabilitySpec(g *topology.Graph) *spec.Spec {
-	b := spec.NewBuilder()
-	var es []*spec.Expr
-	for _, n := range g.Internal() {
-		es = append(es, b.Reach(n))
-	}
-	return spec.NewSpec(b, b.Globally(b.And(es...)))
-}
+func ReachabilitySpec(g *topology.Graph) *spec.Spec { return spec.Reachability(g) }
 
 // Eq4Spec builds the case-study specification (Eq. 4):
 //

@@ -105,12 +105,12 @@ func alarmIn(t *testing.T, phase string, reaction runtime.ReactionPolicy) runtim
 			continue
 		}
 		fired := false
-		opts.Monitor = func(n *sim.Network) bool {
+		opts.Monitor = func(n *sim.Network) string {
 			if fired || n.Now() <= ph.Start {
-				return true
+				return ""
 			}
 			fired = true
-			return false
+			return "test alarm"
 		}
 		return opts
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // TestReplanErrorAttribution checks that a Monitor alarm under ReactReplan
-// surfaces as a structured ReplanError naming the firing invariant (via
-// Options.Diagnose) and stamped with prefix and simulated time — while
+// surfaces as a structured ReplanError naming the firing invariant (the
+// Monitor's return value) and stamped with prefix and simulated time — while
 // remaining errors.Is-compatible with the bare sentinel.
 func TestReplanErrorAttribution(t *testing.T) {
 	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
@@ -28,14 +28,13 @@ func TestReplanErrorAttribution(t *testing.T) {
 	}
 	opts := runtime.DefaultOptions(7)
 	fired := false
-	opts.Monitor = func(*sim.Network) bool {
+	opts.Monitor = func(*sim.Network) string {
 		if fired {
-			return true
+			return ""
 		}
 		fired = true
-		return false
+		return "reach-all"
 	}
-	opts.Diagnose = func(*sim.Network) string { return "reach-all" }
 	opts.Reaction = runtime.ReactReplan
 	ex := runtime.NewExecutor(s.Net, opts)
 	_, err = ex.Execute(pl.Plan)

@@ -55,17 +55,14 @@ type Options struct {
 	ExternalEvents []ScheduledEvent
 	// Monitor, when set, is evaluated after every simulated event during
 	// plan execution — including the Between slots where original commands
-	// converge; returning false reports a harmful external event (e.g. a
-	// best-route withdrawal breaking an invariant, §8).
-	Monitor func(*sim.Network) bool
+	// converge. It returns "" while the network is healthy and otherwise
+	// names the violated invariant, reporting a harmful external event (e.g.
+	// a best-route withdrawal breaking reachability, §8); under ReactReplan
+	// the name makes the resulting ReplanError attributable.
+	Monitor func(*sim.Network) string
 	// Reaction selects how the controller responds to a Monitor alarm or
 	// an exhausted escalation ladder.
 	Reaction ReactionPolicy
-	// Diagnose, when set, is consulted when a Monitor alarm escalates under
-	// ReactReplan: it names the firing invariant (e.g. the transient-state
-	// monitor's first open violation) so the resulting ReplanError is
-	// attributable. An empty return means "unknown".
-	Diagnose func(*sim.Network) string
 	// Convergence, when set, gates phase completion on observed forwarding
 	// convergence: a phase whose commands are all confirmed and whose
 	// post-conditions hold still keeps processing events until the gate
@@ -111,7 +108,7 @@ const (
 var ErrReplanNeeded = errors.New("runtime: external event detected; replan required")
 
 // ReplanError is the structured form of ErrReplanNeeded: it records what
-// fired (the invariant named by Options.Diagnose, if any), where (the plan's
+// fired (the invariant Options.Monitor named, if one did), where (the plan's
 // prefix) and when (simulated time), so supervisor decisions and chaos
 // classifications are attributable to a concrete detection instead of a bare
 // sentinel. It wraps ErrReplanNeeded — errors.Is(err, ErrReplanNeeded)
@@ -479,7 +476,7 @@ func (e *Executor) execute(ctx context.Context, mp *plan.MultiPlan) (*Result, er
 		sp := e.startPhase(name)
 		var err error
 		for _, p := range plans {
-			if err = e.runSteps(p, steps(p)); err != nil {
+			if err = e.runSteps(p.Prefix, steps(p), e.opts.Convergence); err != nil {
 				break
 			}
 			res.CommandsApplied += len(steps(p))
@@ -491,14 +488,21 @@ func (e *Executor) execute(ctx context.Context, mp *plan.MultiPlan) (*Result, er
 		res.Phases = append(res.Phases, PhaseSpan{Name: name, Start: start, End: e.net.Now()})
 		return nil
 	}
-	// between is the run's next synchronization point: cmds are pushed as
-	// one batch and the network converges; without cmds it only drains.
+	// between is the run's next synchronization point, a phase like any
+	// other: its steps are a group's original commands, which have no pre-
+	// or post-condition and so are pushed as one batch, and it ends once
+	// they are confirmed and the network has converged. Without steps it
+	// only drains. It belongs to no destination: a ReplanError raised here
+	// names the plan whose steps ran last.
 	syncs := 0
-	between := func(cmds []sim.Command) error {
+	between := func(group []plan.Step) error {
 		sp := e.startPhase(fmt.Sprintf("between %d", syncs))
 		syncs++
-		err := e.applyOriginals(cmds, res)
+		err := e.runSteps(e.curPrefix, group, (*sim.Network).Converged)
 		e.endPhase(sp)
+		if err == nil {
+			res.CommandsApplied += len(group)
+		}
 		return err
 	}
 	// advance takes plan i through its Between slots below to: slot k drains
@@ -537,22 +541,22 @@ func (e *Executor) execute(ctx context.Context, mp *plan.MultiPlan) (*Result, er
 		}
 		for applied < len(mp.Order) {
 			first := mp.Order[applied]
-			var cmds []sim.Command
+			var group []plan.Step
 			for _, ci := range mp.Order[applied:] {
 				if !sameSlots(mp.Plans, first, ci) {
 					break
 				}
-				cmds = append(cmds, mp.Originals[ci])
+				group = append(group, plan.Step{Command: mp.Originals[ci]})
 			}
 			for i, p := range mp.Plans {
 				if err := advance(i, p.OriginalSlots[first]); err != nil {
 					return err
 				}
 			}
-			if err := between(cmds); err != nil {
+			if err := between(group); err != nil {
 				return err
 			}
-			applied += len(cmds)
+			applied += len(group)
 		}
 		for i, p := range mp.Plans {
 			if err := advance(i, p.R+1); err != nil {
@@ -595,143 +599,44 @@ func sameSlots(plans []*plan.Plan, a, b int) bool {
 	return true
 }
 
-// applyOriginals pushes the original reconfiguration commands and waits for
-// convergence (they synchronize rounds across destinations, §5). The push
-// is supervised like any phase: commands are confirmed through their
-// acknowledgment (or Verify readback), retried on loss, and the Monitor is
-// consulted after every simulated event so harmful external events during
-// Between slots reach the §8 reaction policies.
-func (e *Executor) applyOriginals(cmds []sim.Command, res *Result) error {
-	if len(cmds) == 0 {
-		if err := e.superviseRun(); err != nil {
-			return err
-		}
-		return nil
-	}
-	type pushState struct {
-		token     *sim.CommandToken
-		attempts  int
-		checkAt   time.Duration
-		confirmed bool
-	}
-	st := make([]pushState, len(cmds))
-	for i, cmd := range cmds {
-		tk, checkAt := e.pushTracked(cmd, 0, 0)
-		st[i] = pushState{token: tk, attempts: 1, checkAt: checkAt}
-		res.CommandsApplied++
-	}
-	watchdog := e.net.Now() + e.opts.ConditionTimeout
-	for {
-		if err := e.ctxDone(); err != nil {
-			return err
-		}
-		progress := false
-		allConfirmed := true
-		for i := range st {
-			s := &st[i]
-			if s.confirmed {
-				continue
-			}
-			if s.token.Acked() {
-				s.confirmed = true
-				if s.attempts > 1 {
-					e.count(obs.CtrFaultsHealed, 1)
-				}
-				progress = true
-				continue
-			}
-			if v := cmds[i].Verify; v != nil && v(e.net) {
-				s.confirmed = true
-				e.rec.AcksLost++
-				e.count(obs.CtrFaultsHealed, 1)
-				progress = true
-				continue
-			}
-			allConfirmed = false
-			if e.net.Now() < s.checkAt {
-				continue
-			}
-			// Ladder: MaxRetries backoff retries, one forced re-push,
-			// then the §8 reaction.
-			switch {
-			case s.attempts <= e.opts.MaxRetries:
-				tk, checkAt := e.pushTracked(cmds[i], s.attempts, e.backoff(s.attempts))
-				s.token, s.checkAt = tk, checkAt
-				s.attempts++
-				e.rec.Retries++
-				progress = true
-			case s.attempts == e.opts.MaxRetries+1:
-				tk, checkAt := e.pushTracked(cmds[i], s.attempts, 0)
-				s.token, s.checkAt = tk, checkAt
-				s.attempts++
-				e.rec.Repushes++
-				progress = true
-			default:
-				e.rec.Escalations++
-				return e.react(fmt.Errorf(
-					"original command %q unconfirmed after %d attempts",
-					cmds[i].Description, s.attempts))
-			}
-		}
-		if allConfirmed && e.net.Converged() {
-			return nil
-		}
-		if progress {
-			watchdog = e.net.Now() + e.opts.ConditionTimeout
-		}
-		if !e.net.Step() {
-			if allConfirmed {
-				return nil
-			}
-			if next, ok := nextDeadline(st, func(s pushState) (bool, time.Duration) {
-				return !s.confirmed, s.checkAt
-			}); ok && next > e.net.Now() {
-				e.net.RunUntil(next)
-			}
-			continue
-		}
-		if e.opts.Monitor != nil && !e.opts.Monitor(e.net) {
-			e.rec.MonitorAlarms++
-			if err := e.react(nil); err != nil {
-				return err
-			}
-		}
-		if e.net.Now() > watchdog {
-			return e.react(fmt.Errorf("original commands stalled (no progress for %v)", e.opts.ConditionTimeout))
-		}
-	}
-}
-
-// superviseRun drains the event queue like sim.Network.Run but consults the
-// Monitor after every event, so external events landing in otherwise idle
-// Between slots are still caught (§8).
+// superviseRun is the phase without steps: it drains the event queue like
+// sim.Network.Run but consults the Monitor after every event, so external
+// events landing in otherwise idle Between slots are still caught (§8).
 func (e *Executor) superviseRun() error {
 	for e.net.Step() {
 		if err := e.ctxDone(); err != nil {
 			return err
 		}
-		if e.opts.Monitor != nil && !e.opts.Monitor(e.net) {
-			e.rec.MonitorAlarms++
-			if err := e.react(nil); err != nil {
-				return err
-			}
+		if err := e.pollMonitor(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// nextDeadline returns the earliest deadline among entries sel marks
-// pending.
-func nextDeadline[T any](xs []T, sel func(T) (bool, time.Duration)) (time.Duration, bool) {
+// pollMonitor is §8 supervision: it asks the Monitor about the state the
+// last event left and hands a violated invariant to the reaction policy at
+// once. Nil means healthy, or an alarm the policy ignores.
+func (e *Executor) pollMonitor() error {
+	if e.opts.Monitor == nil {
+		return nil
+	}
+	invariant := e.opts.Monitor(e.net)
+	if invariant == "" {
+		return nil
+	}
+	e.rec.MonitorAlarms++
+	return e.react(invariant, nil)
+}
+
+// nextDeadline returns the earliest verification deadline among the steps
+// pushed and not yet confirmed.
+func nextDeadline(st []stepState) (time.Duration, bool) {
 	var best time.Duration
 	found := false
-	for _, x := range xs {
-		pending, at := sel(x)
-		if !pending {
-			continue
-		}
-		if !found || at < best {
-			best, found = at, true
+	for _, s := range st {
+		if s.pushed && !s.confirmed && (!found || s.checkAt < best) {
+			best, found = s.checkAt, true
 		}
 	}
 	return best, found
@@ -791,18 +696,22 @@ type stepState struct {
 	checkAt   time.Duration
 	// fresh: pushed in this pass of the supervision loop, no event since.
 	// An effect read back now was in place before the push (another
-	// destination's plan carries the same temporary-session step) and says
-	// nothing about an acknowledgment.
+	// destination's plan carries the same temporary-session step; a rollback
+	// pushes the undo of an original that never landed) and says nothing
+	// about an acknowledgment.
 	fresh bool
 }
 
-// runSteps executes one phase: every step's command is pushed as soon as
-// its pre-conditions hold (commands within a phase apply concurrently), a
-// pushed command is confirmed through its acknowledgment or configuration
-// readback — retried, re-pushed and finally escalated if it stays
-// unconfirmed — and the phase completes when every post-condition holds.
-func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
-	e.curPrefix = p.Prefix
+// runSteps is the supervision loop, and executes one phase: every step's
+// command is pushed as soon as its pre-conditions hold (commands within a
+// phase apply concurrently), a pushed command is confirmed through its
+// acknowledgment or configuration readback — retried, re-pushed and finally
+// escalated if it stays unconfirmed — and the phase completes when every
+// post-condition holds and gate, if there is one, reports the network
+// settled: Options.Convergence for a plan's own phases, the empty event
+// queue for a Between slot, whose steps carry no condition to wait for.
+func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step, gate func(*sim.Network) bool) error {
+	e.curPrefix = prefix
 	if len(steps) == 0 {
 		return e.superviseRun()
 	}
@@ -811,7 +720,7 @@ func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
 
 	preOK := func(i int) bool {
 		for _, c := range steps[i].Pre {
-			if !c.Check(e.net, p.Prefix) {
+			if !c.Check(e.net, prefix) {
 				return false
 			}
 		}
@@ -822,7 +731,7 @@ func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
 			return false
 		}
 		for _, c := range steps[i].Post {
-			if !c.Check(e.net, p.Prefix) {
+			if !c.Check(e.net, prefix) {
 				return false
 			}
 		}
@@ -910,16 +819,16 @@ func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
 				// Ladder 3: the fault is persistent; degrade per the §8
 				// policy instead of wedging until the phase deadline.
 				e.rec.Escalations++
-				return e.react(fmt.Errorf(
+				return e.react("", fmt.Errorf(
 					"command %q unconfirmed after %d attempts (last fault presumed persistent)",
 					steps[i].Command.Description, s.attempts))
 			}
 		}
-		// Done when all commands confirmed and all posts hold — and, when a
-		// convergence gate is installed, once the forwarding plane has been
-		// observed quiescent. An empty queue satisfies any gate (no event
-		// can change forwarding anymore), which keeps arbitrary gates from
-		// deadlocking a drained network.
+		// Done when all commands confirmed and all posts hold — and, when
+		// the phase has a gate, once that reports the network settled. An
+		// empty queue satisfies any gate (no event can change forwarding
+		// anymore), which keeps arbitrary gates from deadlocking a drained
+		// network.
 		done := true
 		for i := range steps {
 			if !st[i].pushed || !postOK(i) {
@@ -927,10 +836,8 @@ func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
 				break
 			}
 		}
-		if done {
-			if e.opts.Convergence == nil || e.net.Converged() || e.opts.Convergence(e.net) {
-				return nil
-			}
+		if done && (gate == nil || e.net.Converged() || gate(e.net)) {
+			return nil
 		}
 		if progress {
 			watchdog = e.net.Now() + e.opts.ConditionTimeout
@@ -939,9 +846,7 @@ func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
 		// the clock to the next verification deadline instead — dropped
 		// commands generate no events of their own.
 		if !e.net.Step() {
-			if next, ok := nextDeadline(st, func(s stepState) (bool, time.Duration) {
-				return s.pushed && !s.confirmed, s.checkAt
-			}); ok && next > e.net.Now() {
+			if next, ok := nextDeadline(st); ok && next > e.net.Now() {
 				e.net.RunUntil(next)
 				continue
 			}
@@ -950,41 +855,35 @@ func (e *Executor) runSteps(p *plan.Plan, steps []plan.Step) error {
 				// the plan is stuck — under supervision that is itself
 				// the §8 "long-term anomaly" signal (an external event
 				// invalidated a pre- or post-condition).
-				return e.react(e.stuckError(p, steps, st))
+				return e.react("", e.stuckError(prefix, steps, st))
 			}
 			continue
 		}
-		// §8 supervision: react to harmful external events immediately.
-		if e.opts.Monitor != nil && !e.opts.Monitor(e.net) {
-			e.rec.MonitorAlarms++
-			if err := e.react(nil); err != nil {
-				return err
-			}
+		if err := e.pollMonitor(); err != nil {
+			return err
 		}
 		if e.net.Now() > watchdog {
-			return e.react(e.stuckError(p, steps, st))
+			return e.react("", e.stuckError(prefix, steps, st))
 		}
 	}
 }
 
-// react translates a detected anomaly into the configured reaction: commit
-// or replan when supervised, otherwise the original error (nil fallbackErr
-// means the monitor fired but the policy is ReactIgnore — keep going).
-func (e *Executor) react(fallbackErr error) error {
+// react translates a detected anomaly — the invariant a Monitor alarm named,
+// or the error of an exhausted ladder or a stuck phase — into the configured
+// reaction: commit or replan when supervised, otherwise the original error
+// (nil fallbackErr means the monitor fired but the policy is ReactIgnore —
+// keep going).
+func (e *Executor) react(invariant string, fallbackErr error) error {
 	switch e.opts.Reaction {
 	case ReactCommit:
 		return errCommit
 	case ReactReplan:
-		re := &ReplanError{Prefix: e.curPrefix, SimTime: e.net.Now(), Cause: fallbackErr}
-		if fallbackErr == nil && e.opts.Diagnose != nil {
-			re.Invariant = e.opts.Diagnose(e.net)
-		}
-		return re
+		return &ReplanError{Invariant: invariant, Prefix: e.curPrefix, SimTime: e.net.Now(), Cause: fallbackErr}
 	}
 	return fallbackErr
 }
 
-func (e *Executor) stuckError(p *plan.Plan, steps []plan.Step, st []stepState) error {
+func (e *Executor) stuckError(prefix bgp.Prefix, steps []plan.Step, st []stepState) error {
 	for i, s := range steps {
 		if !st[i].pushed {
 			return fmt.Errorf("pre-conditions never satisfied for %q", s.Command.Description)
@@ -993,7 +892,7 @@ func (e *Executor) stuckError(p *plan.Plan, steps []plan.Step, st []stepState) e
 			return fmt.Errorf("command %q never confirmed (ack and readback both missing)", s.Command.Description)
 		}
 		for _, c := range s.Post {
-			if !c.Check(e.net, p.Prefix) {
+			if !c.Check(e.net, prefix) {
 				return fmt.Errorf("post-condition %q never satisfied for %q", c, s.Command.Description)
 			}
 		}

@@ -177,12 +177,12 @@ func TestAbortCancelsInFlight(t *testing.T) {
 	// commands are still scheduled when ErrReplanNeeded surfaces.
 	opts := runtime.DefaultOptions(7)
 	fired := false
-	opts.Monitor = func(*sim.Network) bool {
+	opts.Monitor = func(*sim.Network) string {
 		if fired {
-			return true
+			return ""
 		}
 		fired = true
-		return false
+		return "test alarm"
 	}
 	opts.Reaction = runtime.ReactReplan
 	ex := runtime.NewExecutor(s.Net, opts)
@@ -232,12 +232,12 @@ func TestReplanRoundTrip(t *testing.T) {
 	}
 	opts := runtime.DefaultOptions(7)
 	fired := false
-	opts.Monitor = func(*sim.Network) bool {
+	opts.Monitor = func(*sim.Network) string {
 		if fired {
-			return true
+			return ""
 		}
 		fired = true
-		return false
+		return "test alarm"
 	}
 	opts.Reaction = runtime.ReactReplan
 	ex := runtime.NewExecutor(s.Net, opts)

@@ -15,15 +15,15 @@ import (
 )
 
 // reachMonitor flags a harmful event once any internal node black-holes.
-func reachMonitor(s *scenario.Scenario) func(*sim.Network) bool {
-	return func(n *sim.Network) bool {
+func reachMonitor(s *scenario.Scenario) func(*sim.Network) string {
+	return func(n *sim.Network) string {
 		st := n.ForwardingState(s.Prefix)
 		for _, node := range n.Graph().Internal() {
 			if !st.Reach(node) {
-				return false
+				return "reach"
 			}
 		}
-		return true
+		return ""
 	}
 }
 
@@ -168,12 +168,12 @@ func TestAbortReleasesState(t *testing.T) {
 	// event with replan policy.
 	opts := runtime.DefaultOptions(7)
 	fired := false
-	opts.Monitor = func(*sim.Network) bool {
+	opts.Monitor = func(*sim.Network) string {
 		if fired {
-			return true
+			return ""
 		}
 		fired = true
-		return false
+		return "test alarm"
 	}
 	opts.Reaction = runtime.ReactReplan
 	ex2 := runtime.NewExecutor(s.Net, opts)

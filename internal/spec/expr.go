@@ -243,6 +243,17 @@ type Spec struct {
 // NewSpec wraps a root expression built with b.
 func NewSpec(b *Builder, root *Expr) *Spec { return &Spec{Root: root, Builder: b} }
 
+// Reachability builds G ∧_n reach(n) over all internal routers of g, the
+// specification every pipeline plans against unless it is given another.
+func Reachability(g *topology.Graph) *Spec {
+	b := NewBuilder()
+	var es []*Expr
+	for _, n := range g.Internal() {
+		es = append(es, b.Reach(n))
+	}
+	return NewSpec(b, b.Globally(b.And(es...)))
+}
+
 // String renders the root expression.
 func (s *Spec) String() string { return s.Root.String() }
 

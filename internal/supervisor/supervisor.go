@@ -45,7 +45,6 @@ import (
 	"chameleon/internal/scheduler"
 	"chameleon/internal/sim"
 	"chameleon/internal/spec"
-	"chameleon/internal/topology"
 )
 
 // Ladder rungs, journaled in snapshot entries.
@@ -106,8 +105,8 @@ type Options struct {
 	SolverNodeBudget int64
 	// Exec, when non-nil, is the template for per-attempt executor options
 	// (latencies, timeouts, retry shape). The supervisor owns and
-	// overwrites Seed, Monitor, Diagnose, Reaction, PhaseObserver,
-	// Convergence and ExternalEvents.
+	// overwrites Seed, Monitor, Reaction, PhaseObserver, Convergence and
+	// ExternalEvents.
 	Exec *runtime.Options
 	// Spec, when non-nil, replaces the default all-internal-nodes
 	// reachability specification used for (re)planning.
@@ -374,7 +373,7 @@ func (sv *Supervisor) plan(ctx context.Context) (*plan.Plan, error) {
 	if sv.opts.Spec != nil {
 		sp = sv.opts.Spec(rem)
 	} else {
-		sp = reachabilitySpec(rem.Graph)
+		sp = spec.Reachability(rem.Graph)
 	}
 	sched, err := scheduler.ScheduleCtx(ctx, a, sp, schedOpts)
 	if err != nil {
@@ -410,7 +409,6 @@ func (sv *Supervisor) executeAttempt(ctx context.Context, p *plan.Plan) (bool, e
 	opts := sv.execOptions()
 	opts.Reaction = runtime.ReactReplan
 	opts.Monitor = sv.alarm()
-	opts.Diagnose = sv.diagnose()
 	opts.PhaseObserver = mon.SetPhase
 	if sv.attempt == 0 {
 		opts.ExternalEvents = sv.opts.ExternalEvents
@@ -532,10 +530,10 @@ func (sv *Supervisor) rollbackRung(ctx context.Context) error {
 }
 
 // applyConfirmed pushes cmds as one Between slot of a trivial plan through
-// a fresh executor: the executor's applyOriginals machinery supplies the
-// full ack/readback/retry confirmation ladder for free. ReactIgnore lets a
-// persistent failure surface as an error instead of recursing into the
-// reaction policies.
+// a fresh executor: a slot is a phase of the executor's one supervision
+// loop, which supplies the full ack/readback/retry confirmation ladder for
+// free. ReactIgnore lets a persistent failure surface as an error instead
+// of recursing into the reaction policies.
 func (sv *Supervisor) applyConfirmed(ctx context.Context, rung string, cmds []sim.Command) error {
 	net := sv.s.Net
 	if len(cmds) == 0 {
@@ -681,7 +679,6 @@ func (sv *Supervisor) execOptions() runtime.Options {
 	}
 	opts.Seed = sim.DeriveSeed(sv.opts.Seed, uint64(sv.attempt))
 	opts.Monitor = nil
-	opts.Diagnose = nil
 	opts.Reaction = runtime.ReactIgnore
 	opts.PhaseObserver = nil
 	opts.Convergence = nil
@@ -700,27 +697,13 @@ func (sv *Supervisor) invariants() []monitor.Invariant {
 	return []monitor.Invariant{monitor.ReachAll(sv.s.Graph), monitor.LoopFree()}
 }
 
-// alarm is the executor's harmful-event predicate: every monitored
-// invariant (reachability and loop-freedom) must hold. Checking the same
-// invariants the timeline records means any violation the monitor would
-// write down also raises the alarm — a supervised run has no silent
-// violations by construction.
-func (sv *Supervisor) alarm() func(*sim.Network) bool {
-	invs := sv.invariants()
-	prefix := sv.s.Prefix
-	return func(net *sim.Network) bool {
-		st := net.ForwardingState(prefix)
-		for _, inv := range invs {
-			if ok, _ := inv.Check(st); !ok {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// diagnose names the first violated invariant for ReplanError attribution.
-func (sv *Supervisor) diagnose() func(*sim.Network) string {
+// alarm is the executor's harmful-event monitor: every monitored invariant
+// (reachability and loop-freedom) must hold, and the first that does not is
+// named for ReplanError attribution. Checking the same invariants the
+// timeline records means any violation the monitor would write down also
+// raises the alarm — a supervised run has no silent violations by
+// construction.
+func (sv *Supervisor) alarm() func(*sim.Network) string {
 	invs := sv.invariants()
 	prefix := sv.s.Prefix
 	return func(net *sim.Network) string {
@@ -732,18 +715,6 @@ func (sv *Supervisor) diagnose() func(*sim.Network) string {
 		}
 		return ""
 	}
-}
-
-// reachabilitySpec builds G ∧_n reach(n); the supervisor rebuilds its own
-// pipeline rather than importing eval (which imports chaos, which imports
-// this package for its recovery profiles).
-func reachabilitySpec(g *topology.Graph) *spec.Spec {
-	b := spec.NewBuilder()
-	var es []*spec.Expr
-	for _, n := range g.Internal() {
-		es = append(es, b.Reach(n))
-	}
-	return spec.NewSpec(b, b.Globally(b.And(es...)))
 }
 
 func commandNames(cmds []sim.Command) []string {
