@@ -17,31 +17,31 @@ type PathArena struct {
 	block []topology.NodeID
 }
 
-// arenaBlock is the block granularity: 8192 node IDs = 64 KiB per block,
-// large enough to amortize allocator overhead, small enough to not strand
-// memory on tiny networks.
-const arenaBlock = 8192
+// Block sizes double from arenaFirstBlock to arenaBlock node IDs (2 KiB to
+// 64 KiB): a what-if clone that extends a few hundred paths pays for a small
+// block, while a storm reaches full-size blocks after a handful and
+// amortizes allocator overhead from there on.
+const (
+	arenaFirstBlock = 256
+	arenaBlock      = 8192
+)
 
 // ExtendPath returns path + [n] in arena storage. A nil arena falls back
 // to a plain allocation, so callers can thread an optional arena without
 // branching.
 func (a *PathArena) ExtendPath(path []topology.NodeID, n topology.NodeID) []topology.NodeID {
 	need := len(path) + 1
-	if a == nil {
-		out := make([]topology.NodeID, need)
-		copy(out, path)
-		out[need-1] = n
-		return out
-	}
-	if need > arenaBlock {
-		// Degenerate path longer than a block: plain allocation.
+	if a == nil || need > arenaBlock {
+		// No arena, or a degenerate path longer than a block: plain
+		// allocation.
 		out := make([]topology.NodeID, need)
 		copy(out, path)
 		out[need-1] = n
 		return out
 	}
 	if len(a.block)+need > cap(a.block) {
-		a.block = make([]topology.NodeID, 0, arenaBlock)
+		size := min(max(arenaFirstBlock, 2*cap(a.block)), arenaBlock)
+		a.block = make([]topology.NodeID, 0, max(size, need))
 	}
 	start := len(a.block)
 	a.block = append(a.block, path...)

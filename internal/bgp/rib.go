@@ -37,35 +37,6 @@ func (k SessionKind) String() string {
 	return "unknown"
 }
 
-// prefixIndex counts how many neighbors currently announce each prefix, so
-// AdjIn can walk its prefix union in order without re-deriving it.
-type prefixIndex struct {
-	t cowTrie[int32]
-}
-
-func (x *prefixIndex) inc(p Prefix) {
-	k := cowKey(p)
-	n, _ := x.t.get(k)
-	x.t.set(k, n+1)
-}
-
-func (x *prefixIndex) dec(p Prefix) {
-	k := cowKey(p)
-	if n, ok := x.t.get(k); ok {
-		if n <= 1 {
-			x.t.delete(k)
-		} else {
-			x.t.set(k, n-1)
-		}
-	}
-}
-
-func (x *prefixIndex) walk(fn func(Prefix) bool) {
-	x.t.walk(func(k uint64, _ int32) bool { return fn(Prefix(k)) })
-}
-
-func (x *prefixIndex) clone() prefixIndex { return prefixIndex{t: x.t.clone()} }
-
 // AdjIn is the per-neighbor inbound RIB: the most recent route announced by
 // each neighbor for each prefix. Storage is one RIB table per neighbor plus
 // an ordered prefix-union index, so walks never re-sort and the total entry
@@ -74,16 +45,30 @@ type AdjIn struct {
 	routes map[topology.NodeID]*RIB
 	// nbrs lists every neighbor with a table, sorted, so candidate walks
 	// are deterministic and allocation-free.
-	nbrs  []topology.NodeID
-	index prefixIndex
+	nbrs []topology.NodeID
+	// index counts how many neighbors currently announce each prefix, so
+	// the prefix union walks in order without being re-derived.
+	index PrefixMap[int32]
 	size  int
 }
 
 // NewAdjIn returns an empty Adj-RIB-In.
 func NewAdjIn() *AdjIn {
-	return &AdjIn{
-		routes: make(map[topology.NodeID]*RIB),
-		index:  prefixIndex{t: newCowTrie[int32]()},
+	return &AdjIn{routes: make(map[topology.NodeID]*RIB)}
+}
+
+func (a *AdjIn) indexInc(p Prefix) {
+	n, _ := a.index.Get(p)
+	a.index.Set(p, n+1)
+}
+
+func (a *AdjIn) indexDec(p Prefix) {
+	if n, ok := a.index.Get(p); ok {
+		if n <= 1 {
+			a.index.Delete(p)
+		} else {
+			a.index.Set(p, n-1)
+		}
 	}
 }
 
@@ -99,7 +84,7 @@ func (a *AdjIn) Set(neighbor topology.NodeID, route Route) (added bool) {
 	}
 	added = t.Set(route)
 	if added {
-		a.index.inc(route.Prefix)
+		a.indexInc(route.Prefix)
 		a.size++
 	}
 	return added
@@ -112,7 +97,7 @@ func (a *AdjIn) Withdraw(neighbor topology.NodeID, prefix Prefix) bool {
 	if t == nil || !t.Delete(prefix) {
 		return false
 	}
-	a.index.dec(prefix)
+	a.indexDec(prefix)
 	a.size--
 	return true
 }
@@ -141,7 +126,7 @@ func (a *AdjIn) DropNeighborRange(neighbor topology.NodeID, fn func(Prefix) bool
 	}
 	a.size -= t.Len()
 	t.Range(func(p Prefix, _ Route) bool {
-		a.index.dec(p)
+		a.indexDec(p)
 		return true
 	})
 	if fn != nil {
@@ -189,7 +174,9 @@ func (a *AdjIn) RangeNeighbor(neighbor topology.NodeID, fn func(Prefix, Route) b
 
 // RangePrefixes calls fn for every prefix with at least one candidate
 // route, in ascending order, until fn returns false. Allocation-free.
-func (a *AdjIn) RangePrefixes(fn func(Prefix) bool) { a.index.walk(fn) }
+func (a *AdjIn) RangePrefixes(fn func(Prefix) bool) {
+	a.index.Range(func(p Prefix, _ int32) bool { return fn(p) })
+}
 
 // Neighbors returns the neighbors with Adj-RIB-In state, sorted. The
 // returned slice is the AdjIn's own and must not be mutated.
@@ -205,7 +192,7 @@ func (a *AdjIn) Clone() *AdjIn {
 	c := &AdjIn{
 		routes: make(map[topology.NodeID]*RIB, len(a.routes)),
 		nbrs:   slices.Clone(a.nbrs),
-		index:  a.index.clone(),
+		index:  a.index.Clone(),
 		size:   a.size,
 	}
 	for n, t := range a.routes {

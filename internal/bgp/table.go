@@ -33,3 +33,54 @@ func (r *RIB) Len() int { return r.t.size }
 // Clone returns an independent table with the same content in O(1): the two
 // tables share every subtree until one of them writes to it.
 func (r *RIB) Clone() *RIB { return &RIB{t: r.t.clone()} }
+
+// PrefixMap maps prefixes to values of any type on the same copy-on-write
+// trie as RIB: ascending, allocation-free walks and an O(1) Clone. The zero
+// value is an empty map that allocates nothing until its first Set, so a
+// holder that may never write (an internal router's originated
+// announcements) costs nothing. Like the trie it wraps, a PrefixMap must only
+// be duplicated through Clone.
+type PrefixMap[V any] struct {
+	t cowTrie[V]
+}
+
+// Get returns the value stored for p, if any.
+func (m *PrefixMap[V]) Get(p Prefix) (V, bool) {
+	if m.t.root == nil {
+		var zero V
+		return zero, false
+	}
+	return m.t.get(cowKey(p))
+}
+
+// Set stores v under p.
+func (m *PrefixMap[V]) Set(p Prefix, v V) {
+	if m.t.root == nil {
+		m.t = newCowTrie[V]()
+	}
+	m.t.set(cowKey(p), v)
+}
+
+// Delete removes the entry for p, reporting whether one existed.
+func (m *PrefixMap[V]) Delete(p Prefix) bool {
+	return m.t.root != nil && m.t.delete(cowKey(p))
+}
+
+// Range calls fn for every entry in ascending prefix order until fn returns
+// false. The map must not be mutated during the walk.
+func (m *PrefixMap[V]) Range(fn func(Prefix, V) bool) {
+	m.t.walk(func(k uint64, v V) bool { return fn(Prefix(k), v) })
+}
+
+// Len returns the number of stored entries in O(1).
+func (m *PrefixMap[V]) Len() int { return m.t.size }
+
+// Clone returns an independent map with the same content in O(1). Both maps
+// give up ownership of the shared nodes, so the first write on either side
+// copies the one path it touches.
+func (m *PrefixMap[V]) Clone() PrefixMap[V] {
+	if m.t.root == nil {
+		return PrefixMap[V]{}
+	}
+	return PrefixMap[V]{t: m.t.clone()}
+}

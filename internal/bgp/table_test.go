@@ -434,3 +434,72 @@ func TestPathArena(t *testing.T) {
 		t.Fatalf("block rollover lost tail: %v", long[len(long)-1])
 	}
 }
+
+// TestPrefixMap: the zero value is an empty map that allocates nothing until
+// its first Set, walks are ascending, and a clone is independent in both
+// directions.
+func TestPrefixMap(t *testing.T) {
+	var empty PrefixMap[int]
+	allocs := testing.AllocsPerRun(10, func() {
+		empty.Get(3)
+		empty.Delete(3)
+		empty.Range(func(Prefix, int) bool { return true })
+		c := empty.Clone()
+		c.Get(3)
+	})
+	if allocs != 0 || empty.Len() != 0 {
+		t.Fatalf("empty map: %v allocs per run, Len %d", allocs, empty.Len())
+	}
+
+	entries := func(m *PrefixMap[int]) [][2]int {
+		var out [][2]int
+		m.Range(func(p Prefix, v int) bool {
+			out = append(out, [2]int{int(p), v})
+			return true
+		})
+		return out
+	}
+	var m PrefixMap[int]
+	for _, p := range []Prefix{70_000, 5, 64, 0} {
+		m.Set(p, int(p)+1)
+	}
+	m.Set(5, 50)
+	if got, ok := m.Get(5); !ok || got != 50 {
+		t.Fatalf("Get(5) = %d, %v", got, ok)
+	}
+	want := [][2]int{{0, 1}, {5, 50}, {64, 65}, {70_000, 70_001}}
+	if got := entries(&m); !reflect.DeepEqual(got, want) || m.Len() != 4 {
+		t.Fatalf("Range = %v (Len %d), want %v", got, m.Len(), want)
+	}
+
+	c := m.Clone()
+	c.Delete(64)
+	m.Set(5, 51)
+	m.Set(7, 8)
+	if got := entries(&c); !reflect.DeepEqual(got, [][2]int{{0, 1}, {5, 50}, {70_000, 70_001}}) {
+		t.Fatalf("clone after writes on both sides = %v", got)
+	}
+	if got := entries(&m); !reflect.DeepEqual(got, [][2]int{{0, 1}, {5, 51}, {7, 8}, {64, 65}, {70_000, 70_001}}) {
+		t.Fatalf("original after writes on both sides = %v", got)
+	}
+	if !m.Delete(64) || m.Delete(64) {
+		t.Fatal("Delete does not report presence")
+	}
+}
+
+// TestPathArenaBlocksGrow: blocks double from arenaFirstBlock up to
+// arenaBlock and stay there, so a small consumer never pays for a full one.
+func TestPathArenaBlocksGrow(t *testing.T) {
+	var a PathArena
+	var caps []int // of each new block
+	path := []topology.NodeID{1, 2, 3}
+	for range 8_000 {
+		if a.ExtendPath(path, 4); len(a.block) == len(path)+1 {
+			caps = append(caps, cap(a.block))
+		}
+	}
+	want := []int{256, 512, 1024, 2048, 4096, 8192, 8192, 8192}
+	if !reflect.DeepEqual(caps, want) {
+		t.Fatalf("block capacities %v, want %v", caps, want)
+	}
+}

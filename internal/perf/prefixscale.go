@@ -14,10 +14,14 @@ import (
 //
 //   - whatif-100k-cow: setup converges a 100k-prefix storm once; the op is
 //     a what-if probe — Clone the network, withdraw one prefix, re-converge
-//     the clone. The copy-on-write tables make that an O(1) snapshot plus
-//     path copies along the one touched prefix. The name keeps its "-cow"
-//     suffix so the point stays comparable with BENCH_3, which also holds
-//     the deleted map engine's whatif-100k-map for the record.
+//     the clone. Clone shares every route table and the originated
+//     announcements copy-on-write and copies only per-router configuration,
+//     so the op costs O(routers + sessions) plus path copies along the one
+//     touched prefix, whatever the table size. Until BENCH_12 the
+//     announcements were a map copied key by key, which made the op ~10 ms
+//     and 10.6 MB at 100k prefixes. The name keeps its "-cow" suffix so the
+//     point stays comparable with BENCH_3, which also holds the deleted map
+//     engine's whatif-100k-map for the record.
 //
 //   - storm-10k-{routes,batched}: the injection-path A/B. The op is the
 //     full build+convergence of a 10k-prefix storm, either route-by-route

@@ -84,7 +84,7 @@ func (n *Network) InjectExternalRoutes(ext topology.NodeID, anns []Announcement)
 		slices.SortStableFunc(anns, byPrefix)
 	}
 	for _, ann := range anns {
-		r.originated[ann.Prefix] = ann
+		r.originated.Set(ann.Prefix, ann)
 	}
 	for _, peer := range r.neighbors() {
 		n.originate(ext, peer, anns)
@@ -106,7 +106,7 @@ func (n *Network) WithdrawExternalRoutes(ext topology.NodeID, prefixes []bgp.Pre
 	sorted := slices.Clone(prefixes)
 	slices.Sort(sorted)
 	for _, p := range sorted {
-		delete(r.originated, p)
+		r.originated.Delete(p)
 	}
 	for _, peer := range r.neighbors() {
 		n.sendMsg(&message{from: ext, to: peer, withdraws: sorted})

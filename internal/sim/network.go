@@ -119,10 +119,15 @@ type Network struct {
 
 // New builds a network over g with all BGP state empty.
 func New(g *topology.Graph, opts Options) *Network {
-	return newNetwork(g, igp.Compute(g), opts)
+	n := newNetwork(g, igp.Compute(g), opts)
+	for _, node := range g.Nodes() {
+		n.routers = append(n.routers, newRouter(node.ID, node.External))
+	}
+	return n
 }
 
-// newNetwork is New over an IGP the caller supplies.
+// newNetwork is a network over an IGP the caller supplies, with no routers
+// yet.
 func newNetwork(g *topology.Graph, spf *igp.SPF, opts Options) *Network {
 	n := &Network{
 		graph:        g,
@@ -141,9 +146,6 @@ func newNetwork(g *topology.Graph, spf *igp.SPF, opts Options) *Network {
 		for _, p := range opts.TracePrefixes {
 			n.traces[p] = &fwd.Trace{}
 		}
-	}
-	for _, node := range g.Nodes() {
-		n.routers = append(n.routers, newRouter(node.ID, node.External))
 	}
 	return n
 }
@@ -498,16 +500,11 @@ func (n *Network) advertiseAll(node, neighbor topology.NodeID) {
 		n.refreshExports(node, neighbor) // nothing sent yet: every selected route differs
 		return
 	}
-	// Sorted order keeps the jitter draws — and so the whole execution —
-	// independent of map iteration order.
-	ps := make([]bgp.Prefix, 0, len(r.originated))
-	for p := range r.originated {
-		ps = append(ps, p)
-	}
-	slices.Sort(ps)
-	for _, p := range ps {
-		n.originate(node, neighbor, []Announcement{r.originated[p]})
-	}
+	// Ascending prefix order fixes the jitter draws, and so the execution.
+	r.originated.Range(func(_ bgp.Prefix, a Announcement) bool {
+		n.originate(node, neighbor, []Announcement{a})
+		return true
+	})
 }
 
 // --- Inspection ----------------------------------------------------------
@@ -683,11 +680,29 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 	}
 }
 
-// Clone deep-copies the entire network state (topology and options shared,
-// all mutable state copied), allowing what-if exploration. The IGP keeps
-// its failed links and shares its distance tables with the original until
-// either side reconverges (igp.SPF.Clone). Pending events are NOT copied;
-// clone a converged network.
+// Clone returns an independent copy of a converged network for what-if
+// exploration, in time proportional to routers, sessions and route-map
+// entries — not to prefixes. Pending events are NOT copied; clone a
+// converged network.
+//
+// Shared, copy-on-write: every route table (Adj-RIB-In, Loc-RIB,
+// Adj-RIB-Out) and the originated announcements of external networks — the
+// first write on either side copies the one trie path it touches — and the
+// IGP, failed links included, until either side reconverges
+// (igp.SPF.Clone). The topology and Options are shared as they are.
+//
+// Copied: sessions and the sorted neighbor cache, route maps, aggregation
+// rules, the simulated clock and the current table-entry count. The
+// clone's Routers in CaptureState are byte-identical to the source's.
+//
+// Reset on purpose, because they describe a history the clone did not live
+// through: the message count, the §7.3 maximum table size and the per-prefix
+// eBGP export counts start at zero; forwarding traces start empty; the run
+// index is 0 and jitter restarts from the constructor stream of
+// Options.Seed. Not inherited either: causal provenance, the snapshot hook,
+// the recorder and its span, the fault injector and pending commands.
+// New paths come from a fresh arena; shared routes keep pointing into the
+// source's, whose handed-out paths are immutable.
 func (n *Network) Clone() *Network {
 	if n.queue.Len() > 0 {
 		panic("sim: Clone requires a converged network")
@@ -695,32 +710,9 @@ func (n *Network) Clone() *Network {
 	c := newNetwork(n.graph, n.spf.Clone(), n.opts)
 	c.now = n.now
 	c.tableEntries = n.tableEntries
+	c.routers = make([]*router, len(n.routers))
 	for i, r := range n.routers {
-		cr := c.routers[i]
-		for _, nb := range r.neighbors() {
-			cr.setSession(nb, r.sessions[nb])
-		}
-		for dir, byNb := range r.maps {
-			for nb, rm := range byNb {
-				if rm == nil {
-					continue
-				}
-				crm := cr.ensureRouteMap(dir, nb)
-				for _, e := range rm.entries {
-					crm.Add(e)
-				}
-			}
-		}
-		// Table clones share unchanged subtrees with the original.
-		cr.adjIn = r.adjIn.Clone()
-		cr.locRib = r.locRib.Clone()
-		for nb, t := range r.adjOut {
-			cr.adjOut[nb] = t.Clone()
-		}
-		for p, a := range r.originated {
-			cr.originated[p] = a
-		}
-		cr.aggRules = append(cr.aggRules, r.aggRules...)
+		c.routers[i] = r.clone()
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"slices"
 
 	"chameleon/internal/bgp"
@@ -28,8 +29,10 @@ type router struct {
 	// exports can be diffed and withdrawals generated.
 	adjOut map[topology.NodeID]*bgp.RIB
 
-	// originated holds the announcements of an external network.
-	originated map[bgp.Prefix]Announcement
+	// originated holds the announcements of an external network, on the
+	// copy-on-write trie so a clone shares them; empty (and unallocated) at
+	// internal routers.
+	originated bgp.PrefixMap[Announcement]
 
 	// aggRules are the router's §8 border-aggregation rules.
 	aggRules []AggregateRule
@@ -51,11 +54,40 @@ func newRouter(id topology.NodeID, external bool) *router {
 			In:  make(map[topology.NodeID]*RouteMap),
 			Out: make(map[topology.NodeID]*RouteMap),
 		},
-		adjIn:      bgp.NewAdjIn(),
-		locRib:     bgp.NewLocRIB(),
-		adjOut:     make(map[topology.NodeID]*bgp.RIB),
-		originated: make(map[bgp.Prefix]Announcement),
+		adjIn:  bgp.NewAdjIn(),
+		locRib: bgp.NewLocRIB(),
+		adjOut: make(map[topology.NodeID]*bgp.RIB),
 	}
+}
+
+// clone returns an independent copy of r. The route tables and originated
+// announcements are copy-on-write shares; the configuration — sessions, the
+// sorted neighbor cache, route maps (whose entries are already in order),
+// aggregation rules — is copied wholesale.
+func (r *router) clone() *router {
+	c := &router{
+		id:         r.id,
+		external:   r.external,
+		sessions:   maps.Clone(r.sessions),
+		nbrs:       slices.Clone(r.nbrs),
+		maps:       make(map[Direction]map[topology.NodeID]*RouteMap, len(r.maps)),
+		adjIn:      r.adjIn.Clone(),
+		locRib:     r.locRib.Clone(),
+		adjOut:     make(map[topology.NodeID]*bgp.RIB, len(r.adjOut)),
+		originated: r.originated.Clone(),
+		aggRules:   slices.Clone(r.aggRules),
+	}
+	for dir, byNb := range r.maps {
+		cm := make(map[topology.NodeID]*RouteMap, len(byNb))
+		for nb, rm := range byNb {
+			cm[nb] = &RouteMap{entries: slices.Clone(rm.entries)}
+		}
+		c.maps[dir] = cm
+	}
+	for nb, t := range r.adjOut {
+		c.adjOut[nb] = t.Clone()
+	}
+	return c
 }
 
 // setSession records (or re-types) the session towards peer, keeping the

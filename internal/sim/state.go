@@ -170,14 +170,10 @@ func captureRouter(r *router) RouterState {
 		})
 		rs.AdjOut = append(rs.AdjOut, ao)
 	}
-	var ops []bgp.Prefix
-	for p := range r.originated {
-		ops = append(ops, p)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	for _, p := range ops {
-		rs.Originated = append(rs.Originated, OriginatedState{Prefix: p, Announcement: r.originated[p]})
-	}
+	r.originated.Range(func(p bgp.Prefix, a Announcement) bool {
+		rs.Originated = append(rs.Originated, OriginatedState{Prefix: p, Announcement: a})
+		return true
+	})
 	rs.AggRules = append(rs.AggRules, r.aggRules...)
 	return rs
 }
@@ -232,7 +228,7 @@ func (n *Network) RestoreState(st *NetState) error {
 			}
 		}
 		for _, o := range rs.Originated {
-			r.originated[o.Prefix] = o.Announcement
+			r.originated.Set(o.Prefix, o.Announcement)
 		}
 		r.aggRules = append(r.aggRules, rs.AggRules...)
 		n.routers[i] = r
