@@ -185,7 +185,7 @@ func TestBestIsTotalOrderOnCandidates(t *testing.T) {
 }
 
 func TestAdjIn(t *testing.T) {
-	a := NewAdjIn()
+	a := NewAdjIn(NewAttrTable())
 	r1 := route(0, 0, 1)
 	r2 := route(2, 2, 1)
 	a.Set(0, r1)
@@ -223,7 +223,7 @@ func TestAdjIn(t *testing.T) {
 }
 
 func TestLocRIB(t *testing.T) {
-	l := NewLocRIB()
+	l := NewLocRIB(NewAttrTable())
 	r := route(0, 0, 1)
 	l.Set(r)
 	if got, ok := l.Get(0); !ok || !got.PathEqual(r) {

@@ -79,14 +79,16 @@ func (n *cowNode[V]) owned(o *cowOwner) *cowNode[V] {
 	return c
 }
 
-// cowTrie is the generic trie core, shared by the Route-valued RIB and the
-// Adj-RIB-In prefix refcount index. Tables hold it by value; it must only be
+// cowTrie is the generic trie core, shared by the RIB's attribute handles
+// and PrefixMap's values. Tables hold it by value; it must only be
 // duplicated through clone, which is what retires the shared owner token.
 type cowTrie[V any] struct {
-	owner  *cowOwner
-	root   *cowNode[V]
-	height int // levels below the root; 0 = root is a leaf
-	size   int
+	owner *cowOwner
+	root  *cowNode[V]
+	// int32, so a RIB's header (the trie plus its attribute table) stays
+	// in the 32-byte size class.
+	height int32 // levels below the root; 0 = root is a leaf
+	size   int32
 }
 
 func newCowTrie[V any]() cowTrie[V] {
@@ -199,7 +201,7 @@ func (t *cowTrie[V]) delete(k uint64) bool {
 // walk calls fn for every entry in ascending key order until fn returns
 // false; it reports whether the walk ran to completion. Allocation-free.
 func (t *cowTrie[V]) walk(fn func(uint64, V) bool) bool {
-	return walkNode(t.root, t.height, 0, fn)
+	return walkNode(t.root, int(t.height), 0, fn)
 }
 
 func walkNode[V any](n *cowNode[V], lvl int, base uint64, fn func(uint64, V) bool) bool {

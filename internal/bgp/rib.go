@@ -42,6 +42,7 @@ func (k SessionKind) String() string {
 // an ordered prefix-union index, so walks never re-sort and the total entry
 // count is maintained incrementally.
 type AdjIn struct {
+	attrs  *AttrTable
 	routes map[topology.NodeID]*RIB
 	// nbrs lists every neighbor with a table, sorted, so candidate walks
 	// are deterministic and allocation-free.
@@ -52,9 +53,9 @@ type AdjIn struct {
 	size  int
 }
 
-// NewAdjIn returns an empty Adj-RIB-In.
-func NewAdjIn() *AdjIn {
-	return &AdjIn{routes: make(map[topology.NodeID]*RIB)}
+// NewAdjIn returns an empty Adj-RIB-In whose tables intern into attrs.
+func NewAdjIn(attrs *AttrTable) *AdjIn {
+	return &AdjIn{attrs: attrs, routes: make(map[topology.NodeID]*RIB)}
 }
 
 func (a *AdjIn) indexInc(p Prefix) {
@@ -77,7 +78,7 @@ func (a *AdjIn) indexDec(p Prefix) {
 func (a *AdjIn) Set(neighbor topology.NodeID, route Route) (added bool) {
 	t := a.routes[neighbor]
 	if t == nil {
-		t = NewRIB()
+		t = NewRIBOn(a.attrs)
 		a.routes[neighbor] = t
 		i, _ := slices.BinarySearch(a.nbrs, neighbor)
 		a.nbrs = slices.Insert(a.nbrs, i, neighbor)
@@ -125,12 +126,12 @@ func (a *AdjIn) DropNeighborRange(neighbor topology.NodeID, fn func(Prefix) bool
 		a.nbrs = slices.Delete(a.nbrs, i, i+1)
 	}
 	a.size -= t.Len()
-	t.Range(func(p Prefix, _ Route) bool {
-		a.indexDec(p)
+	t.t.walk(func(k uint64, _ uint32) bool {
+		a.indexDec(Prefix(k))
 		return true
 	})
 	if fn != nil {
-		t.Range(func(p Prefix, _ Route) bool { return fn(p) })
+		t.t.walk(func(k uint64, _ uint32) bool { return fn(Prefix(k)) })
 	}
 }
 
@@ -186,17 +187,19 @@ func (a *AdjIn) Neighbors() []topology.NodeID { return a.nbrs }
 // prefixes in O(1); this is the routing-table-size metric of §7.3.
 func (a *AdjIn) Size() int { return a.size }
 
-// Clone returns an independent copy. Every per-neighbor table and the
+// CloneOn returns an independent copy interning into attrs, which must be
+// a's attribute table or a fork of it. Every per-neighbor table and the
 // prefix index share unchanged subtrees with the original.
-func (a *AdjIn) Clone() *AdjIn {
+func (a *AdjIn) CloneOn(attrs *AttrTable) *AdjIn {
 	c := &AdjIn{
+		attrs:  attrs,
 		routes: make(map[topology.NodeID]*RIB, len(a.routes)),
 		nbrs:   slices.Clone(a.nbrs),
 		index:  a.index.Clone(),
 		size:   a.size,
 	}
 	for n, t := range a.routes {
-		c.routes[n] = t.Clone()
+		c.routes[n] = t.CloneOn(attrs)
 	}
 	return c
 }
@@ -206,8 +209,8 @@ type LocRIB struct {
 	t *RIB
 }
 
-// NewLocRIB returns an empty Loc-RIB.
-func NewLocRIB() *LocRIB { return &LocRIB{t: NewRIB()} }
+// NewLocRIB returns an empty Loc-RIB interning into attrs.
+func NewLocRIB(attrs *AttrTable) *LocRIB { return &LocRIB{t: NewRIBOn(attrs)} }
 
 // Get returns the selected route for prefix, if any.
 func (l *LocRIB) Get(prefix Prefix) (Route, bool) { return l.t.Get(prefix) }
@@ -225,5 +228,6 @@ func (l *LocRIB) Range(fn func(Prefix, Route) bool) { l.t.Range(fn) }
 // Size returns the number of selected routes.
 func (l *LocRIB) Size() int { return l.t.Len() }
 
-// Clone returns an independent copy sharing unchanged subtrees.
-func (l *LocRIB) Clone() *LocRIB { return &LocRIB{t: l.t.Clone()} }
+// CloneOn returns an independent copy sharing unchanged subtrees, interning
+// into attrs as RIB.CloneOn does.
+func (l *LocRIB) CloneOn(attrs *AttrTable) *LocRIB { return &LocRIB{t: l.t.CloneOn(attrs)} }

@@ -2,21 +2,38 @@ package bgp
 
 // RIB is a prefix-keyed route table: the storage shared by the Loc-RIB, the
 // per-neighbor Adj-RIB-In slices and the simulator's Adj-RIB-Out. It is the
-// copy-on-write radix trie of cow.go, so walks are in ascending prefix
-// order and allocation-free, and Clone is O(1).
+// copy-on-write radix trie of cow.go holding, per prefix, a handle into an
+// AttrTable, so walks are in ascending prefix order and allocation-free,
+// Clone is O(1), and a full leaf is 64 handles without a pointer in them.
 type RIB struct {
-	t cowTrie[Route]
+	t     cowTrie[uint32]
+	attrs *AttrTable
 }
 
-// NewRIB returns an empty route table.
-func NewRIB() *RIB { return &RIB{t: newCowTrie[Route]()} }
+// NewRIB returns an empty route table with an attribute table of its own.
+func NewRIB() *RIB { return NewRIBOn(NewAttrTable()) }
 
-// Get returns the route stored for prefix, if any.
-func (r *RIB) Get(prefix Prefix) (Route, bool) { return r.t.get(cowKey(prefix)) }
+// NewRIBOn returns an empty route table interning into attrs, which the
+// tables of one network share.
+func NewRIBOn(attrs *AttrTable) *RIB { return &RIB{t: newCowTrie[uint32](), attrs: attrs} }
+
+// Get returns the route stored for prefix, if any. Its Path and ClusterList
+// are shared with every entry of equal attributes and must not be written
+// to; their capacity equals their length, so an append copies.
+func (r *RIB) Get(prefix Prefix) (Route, bool) {
+	h, ok := r.t.get(cowKey(prefix))
+	if !ok {
+		return Route{}, false
+	}
+	return r.attrs.route(h, prefix), true
+}
 
 // Set stores route under route.Prefix, reporting whether the prefix was
-// absent before (an insert rather than a replacement).
-func (r *RIB) Set(route Route) (added bool) { return r.t.set(cowKey(route.Prefix), route) }
+// absent before (an insert rather than a replacement). The table keeps
+// route's Path and ClusterList, which must not be written to afterwards.
+func (r *RIB) Set(route Route) (added bool) {
+	return r.t.set(cowKey(route.Prefix), r.attrs.intern(&route))
+}
 
 // Delete removes the entry for prefix, reporting whether one existed.
 func (r *RIB) Delete(prefix Prefix) bool { return r.t.delete(cowKey(prefix)) }
@@ -24,15 +41,20 @@ func (r *RIB) Delete(prefix Prefix) bool { return r.t.delete(cowKey(prefix)) }
 // Range calls fn for every entry in ascending prefix order until fn returns
 // false. The table must not be mutated during the walk.
 func (r *RIB) Range(fn func(Prefix, Route) bool) {
-	r.t.walk(func(k uint64, rt Route) bool { return fn(Prefix(k), rt) })
+	r.t.walk(func(k uint64, h uint32) bool { return fn(Prefix(k), r.attrs.route(h, Prefix(k))) })
 }
 
 // Len returns the number of stored entries in O(1).
-func (r *RIB) Len() int { return r.t.size }
+func (r *RIB) Len() int { return int(r.t.size) }
 
 // Clone returns an independent table with the same content in O(1): the two
-// tables share every subtree until one of them writes to it.
-func (r *RIB) Clone() *RIB { return &RIB{t: r.t.clone()} }
+// tables share every subtree until one of them writes to it, and the clone
+// interns into a fork of r's attribute table.
+func (r *RIB) Clone() *RIB { return r.CloneOn(r.attrs.Fork()) }
+
+// CloneOn is Clone onto attrs, which must be r's attribute table or a fork
+// of it: a cloned network forks its table once for all of its tables.
+func (r *RIB) CloneOn(attrs *AttrTable) *RIB { return &RIB{t: r.t.clone(), attrs: attrs} }
 
 // PrefixMap maps prefixes to values of any type on the same copy-on-write
 // trie as RIB: ascending, allocation-free walks and an O(1) Clone. The zero
@@ -73,7 +95,7 @@ func (m *PrefixMap[V]) Range(fn func(Prefix, V) bool) {
 }
 
 // Len returns the number of stored entries in O(1).
-func (m *PrefixMap[V]) Len() int { return m.t.size }
+func (m *PrefixMap[V]) Len() int { return int(m.t.size) }
 
 // Clone returns an independent map with the same content in O(1). Both maps
 // give up ownership of the shared nodes, so the first write on either side

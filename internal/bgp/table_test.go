@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -27,27 +29,79 @@ func (m modelRIB) sortedKeys() []Prefix {
 	return keys
 }
 
-// checkedRIB drives a table and its model in lockstep. Every write stamps
-// the route's MED with a fresh sequence number, so a value that leaks from
-// one table or slot into another is visible, not just a wrong key set.
+// ids returns a slice holding ns with spare capacity, so a table that hands
+// back a stored slice without clamping it is caught by checkRoute.
+func ids(ns ...topology.NodeID) []topology.NodeID {
+	return append(make([]topology.NodeID, 0, len(ns)+2), ns...)
+}
+
+// attrPool is what the model writes: few enough attribute sets that equal
+// ones recur across prefixes, tables and forks, so the attribute table
+// interns under test, and neighbors in the pool differ in one field —
+// a path, a cluster list, nil against empty — so an interning that confuses
+// two of them hands back a wrong route.
+var attrPool = func() []Route {
+	base := Route{Egress: 1, External: 100, Path: ids(1), LocalPref: DefaultLocalPref, OriginatorID: topology.None}
+	vary := []func(*Route){
+		func(*Route) {},
+		func(r *Route) { r.Path = ids(1, 2) },
+		func(r *Route) { r.Path = ids(1, 3) },
+		func(r *Route) { r.Path = ids() },
+		func(r *Route) { r.Path = nil },
+		func(r *Route) { r.ClusterList = ids() },
+		func(r *Route) { r.ClusterList = ids(2) },
+		func(r *Route) { r.ClusterList = ids(3) },
+		func(r *Route) { r.ClusterList = ids(2, 3) },
+		func(r *Route) { r.Path, r.ClusterList = ids(1, 2), ids(2) },
+		func(r *Route) { r.Egress = 2 },
+		func(r *Route) { r.External = 101 },
+		func(r *Route) { r.Weight = 1 },
+		func(r *Route) { r.LocalPref = 200 },
+		func(r *Route) { r.ASPathLen = 2 },
+		func(r *Route) { r.MED = 5 },
+		func(r *Route) { r.FromEBGP = true },
+		func(r *Route) { r.OriginatorID = 2 },
+	}
+	pool := make([]Route, len(vary))
+	for i, v := range vary {
+		pool[i] = base
+		v(&pool[i])
+	}
+	return pool
+}()
+
+// checkRoute fails unless got is want in every field, nil against empty
+// slices included, and its slices have no spare capacity: every prefix of
+// equal attributes shares them, so an append by one holder must copy.
+func checkRoute(t testing.TB, what string, got, want Route) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s = %+v, model %+v", what, got, want)
+	}
+	if cap(got.Path) != len(got.Path) || cap(got.ClusterList) != len(got.ClusterList) {
+		t.Fatalf("%s hands out spare capacity: Path %d/%d, ClusterList %d/%d",
+			what, len(got.Path), cap(got.Path), len(got.ClusterList), cap(got.ClusterList))
+	}
+}
+
+// checkedRIB drives a table and its model in lockstep. Tables of one
+// simulated network intern into one attribute table, and clones go onto a
+// fork of it, as in sim.Network.
 type checkedRIB struct {
 	rib   *RIB
+	attrs *AttrTable
 	model modelRIB
 }
 
-var stamp uint32
-
-func newCheckedRIB() *checkedRIB { return &checkedRIB{rib: NewRIB(), model: modelRIB{}} }
-
-func sameRoute(a, b Route) bool {
-	return a.Prefix == b.Prefix && a.Egress == b.Egress && a.MED == b.MED
+func newCheckedRIB(attrs *AttrTable) *checkedRIB {
+	return &checkedRIB{rib: NewRIBOn(attrs), attrs: attrs, model: modelRIB{}}
 }
 
-func (c *checkedRIB) set(t testing.TB, p Prefix, egress topology.NodeID) {
+// set writes attribute set attr of the pool under p.
+func (c *checkedRIB) set(t testing.TB, p Prefix, attr int) {
 	t.Helper()
-	stamp++
-	r := testRoute(p, egress)
-	r.MED = stamp
+	r := attrPool[attr%len(attrPool)]
+	r.Prefix = p
 	_, existed := c.model[p]
 	c.model[p] = r
 	if added := c.rib.Set(r); added == existed {
@@ -68,18 +122,20 @@ func (c *checkedRIB) get(t testing.TB, p Prefix) {
 	t.Helper()
 	want, ok := c.model[p]
 	got, gok := c.rib.Get(p)
-	if ok != gok || (ok && !sameRoute(got, want)) {
-		t.Fatalf("Get(%d) = %+v,%v; model %+v,%v", p, got, gok, want, ok)
+	if ok != gok {
+		t.Fatalf("Get(%d) found %v; model %v", p, gok, ok)
+	}
+	if ok {
+		checkRoute(t, fmt.Sprintf("Get(%d)", p), got, want)
 	}
 }
 
-func (c *checkedRIB) clone() *checkedRIB {
-	m := make(modelRIB, len(c.model))
-	for p, r := range c.model {
-		m[p] = r
-	}
-	return &checkedRIB{rib: c.rib.Clone(), model: m}
+// cloneOn clones the table onto attrs, a fork of its own attribute table.
+func (c *checkedRIB) cloneOn(attrs *AttrTable) *checkedRIB {
+	return &checkedRIB{rib: c.rib.CloneOn(attrs), attrs: attrs, model: maps.Clone(c.model)}
 }
+
+func (c *checkedRIB) clone() *checkedRIB { return c.cloneOn(c.attrs.Fork()) }
 
 // check compares everything observable: Len, the full ascending Range, Get
 // of every key, and a Range that stops early.
@@ -91,9 +147,10 @@ func (c *checkedRIB) check(t testing.TB) {
 	}
 	i := 0
 	c.rib.Range(func(p Prefix, r Route) bool {
-		if i >= len(keys) || p != keys[i] || !sameRoute(r, c.model[p]) {
-			t.Fatalf("Range entry %d = (%d, %+v); model keys %v", i, p, r, keys)
+		if i >= len(keys) || p != keys[i] {
+			t.Fatalf("Range entry %d has prefix %d; model keys %v", i, p, keys)
 		}
+		checkRoute(t, fmt.Sprintf("Range entry %d", i), r, c.model[p])
 		i++
 		return true
 	})
@@ -130,34 +187,51 @@ func ribOpKey(a, b byte) Prefix {
 }
 
 // runRIBOps interprets data as a sequence of three-byte operations over a
-// small set of tables related by Clone, checking each touched table against
-// its model after every step and all of them at the end.
+// small set of tables, checking each touched table against its model after
+// every step and all of them at the end. The tables form networks: those on
+// one attribute table, which a clone forks once for all of them, the way
+// sim.Network.Clone does.
 func runRIBOps(t testing.TB, data []byte) {
 	const maxTables = 8
-	tables := []*checkedRIB{newCheckedRIB()}
+	tables := []*checkedRIB{newCheckedRIB(NewAttrTable())}
 	cur := tables[0]
+	add := func(c *checkedRIB, slot int) {
+		if len(tables) < maxTables {
+			tables = append(tables, c)
+		} else {
+			tables[slot%maxTables] = c
+		}
+	}
 	for ; len(data) >= 3; data = data[3:] {
 		op, a, b := data[0], data[1], data[2]
 		p := ribOpKey(a, b)
 		switch op % 8 {
 		case 0, 1, 2:
-			cur.set(t, p, topology.NodeID(op>>3))
+			cur.set(t, p, int(op>>3))
 		case 3, 4:
 			cur.del(t, p)
 		case 5:
 			cur.get(t, p)
-		case 6: // clone; odd a continues on the clone, even a on the original
-			c := cur.clone()
-			if len(tables) < maxTables {
-				tables = append(tables, c)
-			} else {
-				tables[int(b)%maxTables] = c
+		case 6: // clone cur's network; odd a continues on cur's clone
+			fork := cur.attrs.Fork()
+			c := cur.cloneOn(fork)
+			for i, x := range slices.Clone(tables) {
+				if x != cur && x.attrs == cur.attrs {
+					add(x.cloneOn(fork), int(b)+i+1)
+				}
 			}
+			add(c, int(b))
 			if a%2 == 1 {
 				cur = c
 			}
-		case 7:
-			cur = tables[int(a)%len(tables)]
+		case 7: // even a: switch tables; odd a: a new table in cur's network
+			if a%2 == 0 {
+				cur = tables[int(b)%len(tables)]
+			} else {
+				c := newCheckedRIB(cur.attrs)
+				add(c, int(b))
+				cur = c
+			}
 		}
 		cur.check(t)
 	}
@@ -171,7 +245,7 @@ func runRIBOps(t testing.TB, data []byte) {
 // operation sequence with clones.
 func TestRIBModel(t *testing.T) {
 	t.Run("leaf-fill-and-drain", func(t *testing.T) {
-		c := newCheckedRIB()
+		c := newCheckedRIB(NewAttrTable())
 		var half *checkedRIB
 		for i := 0; i < 64; i++ {
 			c.set(t, Prefix(i*37%64), 1) // scrambled: inserts land mid-slice
@@ -191,7 +265,8 @@ func TestRIBModel(t *testing.T) {
 	})
 	t.Run("grow", func(t *testing.T) {
 		keys := []Prefix{0, 63, 64, 4095, 4096, 1 << 30, 1 << 60, math.MaxInt64}
-		up, down := newCheckedRIB(), newCheckedRIB()
+		attrs := NewAttrTable()
+		up, down := newCheckedRIB(attrs), newCheckedRIB(attrs)
 		for i := range keys {
 			up.set(t, keys[i], 3)
 			up.check(t)
@@ -203,7 +278,7 @@ func TestRIBModel(t *testing.T) {
 			c.del(t, 1<<30)
 			c.check(t)
 		}
-		small := newCheckedRIB()
+		small := newCheckedRIB(NewAttrTable())
 		small.set(t, 5, 1)
 		small.get(t, math.MaxInt64) // absent, beyond the covered range
 		small.del(t, 1<<20)
@@ -266,7 +341,7 @@ func TestCOWCloneIsolation(t *testing.T) {
 	// below the existing slots. The shift must happen in that table's own
 	// copy, never in the shared backing array.
 	for _, writer := range []string{"original", "clone"} {
-		a := newCheckedRIB()
+		a := newCheckedRIB(NewAttrTable())
 		for _, p := range []Prefix{10, 20, 30} { // len 3 in a cap-4 slice
 			a.set(t, p, 1)
 		}
@@ -293,14 +368,14 @@ func TestCOWCloneIsolation(t *testing.T) {
 // themselves written to.
 func TestCOWCloneChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	live := newCheckedRIB()
+	live := newCheckedRIB(NewAttrTable())
 	mutate := func(c *checkedRIB, n int) {
 		for i := 0; i < n; i++ {
 			p := Prefix(rng.Intn(2048))
 			if rng.Intn(4) == 0 {
 				c.del(t, p)
 			} else {
-				c.set(t, p, topology.NodeID(rng.Intn(8)))
+				c.set(t, p, rng.Intn(len(attrPool)))
 			}
 		}
 	}
@@ -341,7 +416,8 @@ func TestCOWRangeAllocs(t *testing.T) {
 }
 
 func TestAdjInRangeAndClone(t *testing.T) {
-	a := NewAdjIn()
+	attrs := NewAttrTable()
+	a := NewAdjIn(attrs)
 	a.Set(3, testRoute(10, 3))
 	a.Set(1, testRoute(10, 1))
 	a.Set(1, testRoute(20, 1))
@@ -368,7 +444,7 @@ func TestAdjInRangeAndClone(t *testing.T) {
 		t.Fatalf("candidate order %v", nbrs)
 	}
 
-	c := a.Clone()
+	c := a.CloneOn(attrs.Fork())
 	a.Withdraw(1, 10)
 	a.Withdraw(3, 10)
 	a.Set(2, testRoute(30, 2))

@@ -19,15 +19,20 @@ import (
 //     so the op costs O(routers + sessions) plus path copies along the one
 //     touched prefix, whatever the table size. Until BENCH_12 the
 //     announcements were a map copied key by key, which made the op ~10 ms
-//     and 10.6 MB at 100k prefixes. The name keeps its "-cow" suffix so the
-//     point stays comparable with BENCH_3, which also holds the deleted map
-//     engine's whatif-100k-map for the record.
+//     and 10.6 MB at 100k prefixes. Since BENCH_13 a leaf holds 4-byte
+//     attribute handles instead of 112-byte routes, so a copied leaf is at
+//     most 256 B and the op ~33 KB instead of ~120 KB. The name keeps its
+//     "-cow" suffix so the point stays comparable with BENCH_3, which also
+//     holds the deleted map engine's whatif-100k-map for the record.
 //
 //   - storm-10k-{routes,batched}: the injection-path A/B. The op is the
 //     full build+convergence of a 10k-prefix storm, either route-by-route
 //     (one message per route per session) or batched (one message per
 //     session carrying the storm). The message-count counters make the
-//     reduction machine-independent.
+//     reduction machine-independent. Every prefix of a storm carries the
+//     same attributes, so its tables intern a handful of attribute records
+//     and grow by a handle per entry (BENCH_13: 12.5 / 8.2 MB a build,
+//     30.3 / 26.0 MB in BENCH_12).
 const (
 	whatIfPrefixes = 100_000
 	stormPrefixes  = 10_000

@@ -278,14 +278,15 @@ func (c *compiler) compileCleanup(nodes []topology.NodeID) {
 					}
 				},
 				Verify: func(net *sim.Network) bool {
-					for _, nb := range net.Sessions(n) {
+					clean := true
+					net.RangeSessions(n, func(nb topology.NodeID) bool {
+						rm := net.RouteMapOf(n, nb, sim.In)
 						for _, o := range cleanupOrders {
-							if net.RouteMapOf(n, nb, sim.In).Has(o) {
-								return false
-							}
+							clean = clean && !rm.Has(o)
 						}
-					}
-					return true
+						return clean
+					})
+					return clean
 				},
 			},
 			// External events may legitimately change the post-cleanup

@@ -313,3 +313,27 @@ func BenchmarkConditionCheck(b *testing.B) {
 		b.Fatal("no condition of the plan holds in the initial network")
 	}
 }
+
+// TestCleanupVerifyDoesNotAllocate: the runtime polls a cleanup step's
+// Verify after every simulated event until it confirms, so the readback
+// must walk the node's sessions without copying them.
+func TestCleanupVerifyDoesNotAllocate(t *testing.T) {
+	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, p := compile(t, s)
+	checked := 0
+	for _, st := range p.Cleanup {
+		if st.Command.Verify == nil || !st.Command.Verify(s.Net) {
+			continue
+		}
+		checked++
+		if allocs := testing.AllocsPerRun(10, func() { st.Command.Verify(s.Net) }); allocs != 0 {
+			t.Errorf("%s: Verify allocates %v times per poll", st.Command.Description, allocs)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no cleanup step verifies clean on the converged network")
+	}
+}

@@ -35,6 +35,9 @@ func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
 func (q *eventQueue) Pop() interface{} {
 	old := *q
 	e := old[len(old)-1]
+	// The vacated slot would keep the delivered event, and with it a
+	// message payload, alive for as long as the backing array lives.
+	old[len(old)-1] = nil
 	*q = old[:len(old)-1]
 	return e
 }

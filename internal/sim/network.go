@@ -72,8 +72,10 @@ type Network struct {
 
 	// snapHook, when set, observes every forwarding-state snapshot the
 	// moment it is appended to a trace (see SetSnapshotHook). Not
-	// inherited by Clone.
+	// inherited by Clone. scratch is the state a snapshot is filled into
+	// before the trace copies it.
 	snapHook SnapshotHook
+	scratch  fwd.State
 
 	// tableEntries is the current network-wide Adj-RIB-In entry count over
 	// internal routers, maintained incrementally at every table mutation;
@@ -82,9 +84,11 @@ type Network struct {
 	tableEntries    int
 	maxTableEntries int
 
-	// arena backs the propagation paths of exported routes; dropped
-	// wholesale with the network.
+	// arena backs the propagation paths of exported routes, and attrs the
+	// route attributes every table of the network holds handles into; both
+	// are dropped wholesale with the network.
 	arena *bgp.PathArena
+	attrs *bgp.AttrTable
 
 	// ebgpExports counts routes advertised to external peers, per prefix,
 	// used to verify Chameleon never leaks transient routes (§3).
@@ -119,16 +123,16 @@ type Network struct {
 
 // New builds a network over g with all BGP state empty.
 func New(g *topology.Graph, opts Options) *Network {
-	n := newNetwork(g, igp.Compute(g), opts)
+	n := newNetwork(g, igp.Compute(g), opts, bgp.NewAttrTable())
 	for _, node := range g.Nodes() {
-		n.routers = append(n.routers, newRouter(node.ID, node.External))
+		n.routers = append(n.routers, newRouter(node.ID, node.External, n.attrs))
 	}
 	return n
 }
 
-// newNetwork is a network over an IGP the caller supplies, with no routers
-// yet.
-func newNetwork(g *topology.Graph, spf *igp.SPF, opts Options) *Network {
+// newNetwork is a network over an IGP and an attribute table the caller
+// supplies, with no routers yet.
+func newNetwork(g *topology.Graph, spf *igp.SPF, opts Options, attrs *bgp.AttrTable) *Network {
 	n := &Network{
 		graph:        g,
 		spf:          spf,
@@ -139,6 +143,7 @@ func newNetwork(g *topology.Graph, spf *igp.SPF, opts Options) *Network {
 		dirty:        make(map[bgp.Prefix]causeMark),
 		ebgpExports:  make(map[bgp.Prefix]int),
 		arena:        &bgp.PathArena{},
+		attrs:        attrs,
 	}
 	if opts.TracePrefixes == nil {
 		n.traceAll = true
@@ -287,6 +292,17 @@ func (n *Network) HasSession(a, b topology.NodeID) (bgp.SessionKind, bool) {
 // to keep.
 func (n *Network) Sessions(a topology.NodeID) []topology.NodeID {
 	return slices.Clone(n.routers[a].neighbors())
+}
+
+// RangeSessions calls fn with node a's neighbors in ascending order until fn
+// returns false. Allocation-free, for checks polled after every event; fn
+// must not add or remove a's sessions.
+func (n *Network) RangeSessions(a topology.NodeID, fn func(topology.NodeID) bool) {
+	for _, nb := range n.routers[a].neighbors() {
+		if !fn(nb) {
+			return
+		}
+	}
 }
 
 // UpdateRouteMap mutates the route map of node towards neighbor in the
@@ -554,7 +570,12 @@ func (n *Network) NextHop(node topology.NodeID, prefix bgp.Prefix) topology.Node
 
 // ForwardingState snapshots the forwarding state for prefix.
 func (n *Network) ForwardingState(prefix bgp.Prefix) fwd.State {
-	s := fwd.NewState(len(n.routers))
+	return n.fillForwardingState(fwd.NewState(len(n.routers)), prefix)
+}
+
+// fillForwardingState writes the forwarding state for prefix into s, one
+// entry per router, and returns it.
+func (n *Network) fillForwardingState(s fwd.State, prefix bgp.Prefix) fwd.State {
 	for _, r := range n.routers {
 		s[r.id] = n.NextHop(r.id, prefix) // Drop at external nodes
 	}
@@ -613,11 +634,12 @@ func (n *Network) Trace(prefix bgp.Prefix) *fwd.Trace {
 
 // SnapshotHook observes forwarding-state snapshots as the simulator takes
 // them: it is called once per (event, prefix) whose routing changed, right
-// after the state is appended to the prefix's trace. The state is a fresh
-// copy the hook may retain; prov carries the causal chain that produced
-// the change (zero-valued when none is registered). Hooks run on the
-// simulator's event loop, so they see every transient state in event
-// order — the transient-state monitor subscribes here.
+// after the state is appended to the prefix's trace. The state is the one
+// the trace stores: the hook may retain it but must not write to it. prov
+// carries the causal chain that produced the change (zero-valued when
+// none is registered). Hooks run on the simulator's event loop, so they see
+// every transient state in event order — the transient-state monitor
+// subscribes here.
 type SnapshotHook func(at time.Duration, prefix bgp.Prefix, state fwd.State, prov Provenance)
 
 // SetSnapshotHook installs (or, with nil, removes) the snapshot hook. Only
@@ -657,11 +679,21 @@ func (n *Network) snapshotOne(p bgp.Prefix) {
 		tr = &fwd.Trace{}
 		n.traces[p] = tr
 	}
-	st := n.ForwardingState(p)
-	tr.Append(n.now.Seconds(), st)
+	st := n.record(tr, p)
 	if n.snapHook != nil {
 		n.snapHook(n.now, p, st, n.provenance(mark))
 	}
+}
+
+// record appends the current forwarding state for p to tr and returns the
+// trace's stored copy. The state is filled into per-network scratch, so the
+// trace's copy is the only allocation.
+func (n *Network) record(tr *fwd.Trace, p bgp.Prefix) fwd.State {
+	if len(n.scratch) != len(n.routers) {
+		n.scratch = fwd.NewState(len(n.routers))
+	}
+	tr.Append(n.now.Seconds(), n.fillForwardingState(n.scratch, p))
+	return tr.States[len(tr.States)-1]
 }
 
 // RecordInitialState forces a snapshot of the current forwarding state for
@@ -673,8 +705,7 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 		tr = &fwd.Trace{}
 		n.traces[prefix] = tr
 	}
-	st := n.ForwardingState(prefix)
-	tr.Append(n.now.Seconds(), st)
+	st := n.record(tr, prefix)
 	if n.snapHook != nil {
 		n.snapHook(n.now, prefix, st, Provenance{})
 	}
@@ -702,17 +733,19 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 // Options.Seed. Not inherited either: causal provenance, the snapshot hook,
 // the recorder and its span, the fault injector and pending commands.
 // New paths come from a fresh arena; shared routes keep pointing into the
-// source's, whose handed-out paths are immutable.
+// source's, whose handed-out paths are immutable. The tables intern into a
+// fork of the source's attribute table (bgp.AttrTable.Fork), which resolves
+// every shared handle and appends into storage of its own.
 func (n *Network) Clone() *Network {
 	if n.queue.Len() > 0 {
 		panic("sim: Clone requires a converged network")
 	}
-	c := newNetwork(n.graph, n.spf.Clone(), n.opts)
+	c := newNetwork(n.graph, n.spf.Clone(), n.opts, n.attrs.Fork())
 	c.now = n.now
 	c.tableEntries = n.tableEntries
 	c.routers = make([]*router, len(n.routers))
 	for i, r := range n.routers {
-		c.routers[i] = r.clone()
+		c.routers[i] = r.clone(c.attrs)
 	}
 	return c
 }

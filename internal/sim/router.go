@@ -22,6 +22,9 @@ type router struct {
 	// Route maps, per direction and neighbor.
 	maps map[Direction]map[topology.NodeID]*RouteMap
 
+	// attrs is the network's attribute table, which every table below
+	// interns into.
+	attrs  *bgp.AttrTable
 	adjIn  *bgp.AdjIn  // raw routes as received, before ingress policy
 	locRib *bgp.LocRIB // selected route per prefix, after ingress policy
 
@@ -45,34 +48,37 @@ type Announcement struct {
 	MED       uint32
 }
 
-func newRouter(id topology.NodeID, external bool) *router {
+func newRouter(id topology.NodeID, external bool, attrs *bgp.AttrTable) *router {
 	return &router{
 		id:       id,
 		external: external,
+		attrs:    attrs,
 		sessions: make(map[topology.NodeID]bgp.SessionKind),
 		maps: map[Direction]map[topology.NodeID]*RouteMap{
 			In:  make(map[topology.NodeID]*RouteMap),
 			Out: make(map[topology.NodeID]*RouteMap),
 		},
-		adjIn:  bgp.NewAdjIn(),
-		locRib: bgp.NewLocRIB(),
+		adjIn:  bgp.NewAdjIn(attrs),
+		locRib: bgp.NewLocRIB(attrs),
 		adjOut: make(map[topology.NodeID]*bgp.RIB),
 	}
 }
 
-// clone returns an independent copy of r. The route tables and originated
+// clone returns an independent copy of r whose tables intern into attrs, a
+// fork of r's attribute table. The route tables and originated
 // announcements are copy-on-write shares; the configuration — sessions, the
 // sorted neighbor cache, route maps (whose entries are already in order),
 // aggregation rules — is copied wholesale.
-func (r *router) clone() *router {
+func (r *router) clone(attrs *bgp.AttrTable) *router {
 	c := &router{
 		id:         r.id,
 		external:   r.external,
+		attrs:      attrs,
 		sessions:   maps.Clone(r.sessions),
 		nbrs:       slices.Clone(r.nbrs),
 		maps:       make(map[Direction]map[topology.NodeID]*RouteMap, len(r.maps)),
-		adjIn:      r.adjIn.Clone(),
-		locRib:     r.locRib.Clone(),
+		adjIn:      r.adjIn.CloneOn(attrs),
+		locRib:     r.locRib.CloneOn(attrs),
 		adjOut:     make(map[topology.NodeID]*bgp.RIB, len(r.adjOut)),
 		originated: r.originated.Clone(),
 		aggRules:   slices.Clone(r.aggRules),
@@ -85,7 +91,7 @@ func (r *router) clone() *router {
 		c.maps[dir] = cm
 	}
 	for nb, t := range r.adjOut {
-		c.adjOut[nb] = t.Clone()
+		c.adjOut[nb] = t.CloneOn(attrs)
 	}
 	return c
 }
@@ -116,7 +122,7 @@ func (r *router) dropSession(peer topology.NodeID) {
 func (r *router) adjOutFor(peer topology.NodeID) *bgp.RIB {
 	t := r.adjOut[peer]
 	if t == nil {
-		t = bgp.NewRIB()
+		t = bgp.NewRIBOn(r.attrs)
 		r.adjOut[peer] = t
 	}
 	return t

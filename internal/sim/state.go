@@ -205,7 +205,7 @@ func (n *Network) RestoreState(st *NetState) error {
 		}
 	}
 	for i, rs := range st.Routers {
-		r := newRouter(rs.ID, rs.External)
+		r := newRouter(rs.ID, rs.External, n.attrs)
 		for _, s := range rs.Sessions {
 			r.setSession(s.Peer, s.Kind)
 		}
