@@ -345,29 +345,15 @@ func PlanCtx(ctx context.Context, s *Scenario, opts PlanOptions) (*Reconfigurati
 		pc, err = planClass(ctx, s, final, classes[0], sp, co)
 		planned = []PlannedClass{pc}
 	} else {
-		parent := obs.RecorderFrom(ctx)
-		var recs []*obs.Recorder
-		if parent != nil {
-			recs = make([]*obs.Recorder, len(classes))
-		}
-		planned, err = pool.Map(ctx, pool.Workers(opts.ClassParallelism, len(classes)), len(classes),
+		// Each class records into its own fork, adopted as "class <i>" in
+		// partition order (see pool.Map).
+		planned, err = pool.Map(ctx, opts.ClassParallelism, len(classes),
+			func(i int) string { return fmt.Sprintf("class %d", i) },
 			func(wctx context.Context, i int) (PlannedClass, error) {
-				if recs != nil {
-					// Fork, not New: per-class recorders inherit the parent's
-					// cost attribution, and adopting them back in index order
-					// below keeps traces byte-identical at any worker count.
-					recs[i] = parent.Fork()
-					wctx = obs.WithRecorder(wctx, recs[i])
-				}
 				co := so
 				co.SolverNodeBudget = budgets[i]
 				return planClass(wctx, s, final, classes[i], sp, co)
 			})
-		for i, rec := range recs {
-			if rec != nil {
-				parent.Adopt(fmt.Sprintf("class %d", i), rec)
-			}
-		}
 	}
 	if err != nil {
 		return nil, err

@@ -12,7 +12,6 @@
 //	benchrunner -serve :8080         # live /metrics + /healthz + pprof while running
 //	benchrunner -mem-budget-mb 4096  # exit 1 if the runtime footprint blows the cap
 //	benchrunner -compare old.json new.json   # exit 1 on regressions
-//	benchrunner -bundle DIR          # also seal the point into a run bundle
 //
 // Without -out, the run is written to BENCH_<n>.json in the working
 // directory, where <n> is one past the highest existing number — so
@@ -39,7 +38,6 @@ import (
 	"time"
 
 	"chameleon/internal/obs"
-	"chameleon/internal/obs/bundle"
 	"chameleon/internal/perf"
 )
 
@@ -56,7 +54,6 @@ var (
 	thresholdFlag = flag.Float64("threshold", 0.10, "base relative slowdown tolerated by -compare")
 	noiseKFlag    = flag.Float64("noise-k", 3, "noise widening factor for -compare (K·(oldMAD+newMAD)/oldMedian)")
 	memBudgetFlag = flag.Int64("mem-budget-mb", 0, "fail the run if the Go runtime footprint (MemStats.Sys) exceeds this many MiB at any repetition boundary (0: no guard)")
-	bundleFlag    = flag.String("bundle", "", "also seal the BENCH point into a content-addressed run bundle at this directory (obsdiff compares bench parts by their deterministic domain counters)")
 )
 
 func main() {
@@ -186,33 +183,6 @@ func run() error {
 		return err
 	}
 	fmt.Printf("wrote %s (%d benchmarks, %v total)\n", out, len(results), time.Since(start).Round(time.Millisecond))
-
-	// -bundle seals the freshly written BENCH point into a run bundle: the
-	// scenario key is the suite filter (or "suite" for the full run), so
-	// two bundled runs of the same suite content-address their bench parts
-	// identically iff the deterministic bytes agree (they will not — BENCH
-	// files carry wall times — which is why obsdiff compares bench parts
-	// structurally, by benchmark set and domain counters only).
-	if *bundleFlag != "" {
-		scenarioKey := "suite"
-		if *filterFlag != "" {
-			scenarioKey = "suite:" + *filterFlag
-		}
-		w, err := bundle.Create(*bundleFlag, scenarioKey, 0)
-		if err != nil {
-			return err
-		}
-		w.SetOption("reps", strconv.Itoa(*repsFlag))
-		w.SetOption("warmup", strconv.Itoa(*warmupFlag))
-		if err := w.AddFile("bench.json", bundle.KindBench, out); err != nil {
-			return err
-		}
-		m, err := w.Close()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("(sealed bundle %s: %d parts, id %s)\n", *bundleFlag, len(m.Parts), m.ID)
-	}
 	return nil
 }
 

@@ -27,22 +27,22 @@
 // instrumented stage; -metrics FILE writes the final
 // counter/gauge/histogram dump; -timeline FILE writes the transient-state
 // monitor's violation timelines (JSONL, with per-violation root-cause
-// records, validated after writing, byte-identical across re-runs and
-// worker counts) for the monitored runs (-smoke, -fig 1); -explain FILE
-// (or "-") renders the human-readable causal chain of every monitored
-// violation; -pprof ADDR serves net/http/pprof for live profiling;
-// -serve ADDR serves the live counter/gauge/histogram state as Prometheus
-// text format on /metrics plus a live span/violation feed on /events
-// (chunked JSONL; ?sse=1 for SSE framing, ?follow=0 for backlog-only),
-// /healthz and /debug/pprof while a long sweep is in flight — ":0" picks
-// an ephemeral port and the bound address is printed; -linger DUR keeps
-// those endpoints up after the runs finish. -bundle DIR seals every
-// deterministic artifact of the run (trace, metrics, timelines, compiled
-// plans, chaos/recovery fingerprints, supervisor journals) into a
+// records, byte-identical across re-runs and worker counts) for the
+// monitored runs (-smoke, -fig 1); each of the three files is validated
+// after writing. -explain FILE (or "-") renders the human-readable causal
+// chain of every monitored violation; -pprof ADDR serves net/http/pprof for
+// live profiling; -serve ADDR serves the live counter/gauge/histogram state
+// as Prometheus text format on /metrics plus a live span/violation feed on
+// /events (chunked JSONL; ?sse=1 for SSE framing, ?follow=0 for
+// backlog-only), /healthz and /debug/pprof while a long sweep is in flight
+// — ":0" picks an ephemeral port and the bound address is printed; -linger
+// DUR keeps those endpoints up after the runs finish. -bundle DIR seals
+// every deterministic artifact of the run (trace, metrics, timelines,
+// compiled plans, chaos/recovery fingerprints, supervisor journals) into a
 // content-addressed run bundle that `obsdiff` can structurally compare
 // against another run's. The process exits nonzero if any sweep's
-// per-scenario run errored, so partially failed sweeps cannot look green
-// in CI.
+// per-scenario run errored or any artifact failed to write, so partially
+// failed runs cannot look green in CI.
 //
 // By default the corpus sweeps are capped at -max-nodes (60) routers so a
 // full run finishes on a laptop; pass -full for the entire 106-topology
@@ -54,10 +54,18 @@
 // and chaos fingerprint is byte-identical at any worker count; only the
 // wall-clock scheduling_time_s measurements vary run to run. Pass
 // -workers 1 for contention-free Fig. 7 timing measurements.
+//
+// Adding an experiment is one entry in the experiments table: a selector id
+// ("fig 14" is what -fig 14 selects), a section title — the titles that ran
+// form the bundle's scenario key — and a func(*session) error that prints
+// through the session and records its CSVs (saveCSV), bundle parts (record)
+// and monitor timelines on it, from which every artifact flag is served.
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,7 +74,7 @@ import (
 	"os"
 	"path/filepath"
 	goruntime "runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -82,438 +90,368 @@ import (
 	"chameleon/internal/topology"
 )
 
-var (
-	figFlag      = flag.String("fig", "", "figure to regenerate (1, 6, 7, 8, 9, 10, 11a, 11b, 12, 13)")
-	tableFlag    = flag.String("table", "", "table to regenerate (1, 2)")
-	allFlag      = flag.Bool("all", false, "regenerate every figure and table")
-	fullFlag     = flag.Bool("full", false, "use the full 106-topology corpus (slow)")
-	maxNodes     = flag.Int("max-nodes", 60, "cap corpus topologies at this size unless -full")
-	seedFlag     = flag.Uint64("seed", 7, "scenario seed")
-	runsFlag     = flag.Int("runs", 5, "runs per point for Figs. 8/13 (paper: 20)")
-	topoFlag     = flag.String("topo", "", "override topology for Figs. 8/13 (default: largest within cap)")
-	outFlag      = flag.String("out", "", "directory to write CSV artifacts into (optional)")
-	chaosFlag    = flag.Bool("chaos", false, "run the fault-injection sweep (topologies × fault kinds)")
-	superviseF   = flag.Bool("supervise", false, "run the supervised chaos-recovery sweep (every run must end in the final or initial configuration)")
-	journalFlag  = flag.String("journal", "", "directory for per-case supervisor execution journals (with -supervise)")
-	workersFlag  = flag.Int("workers", goruntime.NumCPU(), "parallel scenario runs for the corpus and chaos sweeps (1 = sequential)")
-	traceFlag    = flag.String("trace", "", "write a structured span trace (JSONL) of the instrumented runs to this file")
-	metricsFlag  = flag.String("metrics", "", "write the final counter/gauge dump to this file")
-	timelineFlag = flag.String("timeline", "", "write the transient-state monitor's violation timelines (JSONL) to this file")
-	pprofFlag    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	serveFlag    = flag.String("serve", "", "serve live /metrics (Prometheus text format), /events (live span/violation stream), /healthz and /debug/pprof on this address while the run is in flight (\":0\" picks an ephemeral port; the bound address is printed)")
-	explainFlag  = flag.String("explain", "", "write a human-readable root-cause report of every monitored violation to this file (\"-\" for stdout)")
-	lingerFlag   = flag.Duration("linger", 0, "keep the -serve endpoints alive for this long after the runs finish (CI smoke curls them)")
-	smokeFlag    = flag.Bool("smoke", false, "run one traced RunningExample reconfiguration and validate the span tree (CI gate)")
-	bundleFlag   = flag.String("bundle", "", "seal a content-addressed run bundle (manifest + trace/metrics/timeline/plan/chaos/journal parts) into this directory; two same-seed runs bundle byte-identically at any -workers count, which `obsdiff` checks")
-)
-
-// recorder observes every instrumented run when -trace/-metrics/-smoke ask
-// for it; runCtx carries it into the sweeps. A nil recorder records
-// nothing.
-var (
-	recorder *obs.Recorder
-	runCtx   = context.Background()
-)
-
-// eventStream broadcasts spans and monitor violations to /events
-// subscribers when -serve is active; nil otherwise (publishing to a nil
-// stream is a no-op, so monitored runs pass it through unconditionally).
-var eventStream *obs.Stream
-
-// sweepRunErrs counts per-scenario errors inside otherwise-successful
-// sweeps; a nonzero count fails the process at exit (satisfying "a sweep
-// that partially failed must not look green").
-var sweepRunErrs int
-
-// timelines collects the monitor timelines of every monitored run
-// (-smoke, -fig 1) in execution order for the -timeline artifact.
-var timelines []*monitor.Timeline
-
-// Run-bundle inputs, collected as the sections execute (-bundle):
-// compiled plan texts, chaos/recovery fingerprints, and the names of the
-// sections that ran (the bundle's scenario key).
-var (
-	planTexts       []planText
-	chaosResults    []chaos.CaseResult
-	recoveryResults []chaos.RecoveryResult
-	sections        []string
-)
-
-type planText struct{ name, text string }
-
-// writeObsArtifacts exports the recorder, timelines and run bundle once,
-// before any exit path.
-func writeObsArtifacts() {
-	writeTimelines()
-	writeExplain()
-	defer writeRunBundle()
-	if recorder == nil {
-		return
-	}
-	if err := recorder.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "trace validation:", err)
-		sweepRunErrs++
-	}
-	if *traceFlag != "" {
-		if err := writeFile(*traceFlag, recorder.WriteJSONL); err != nil {
-			fmt.Fprintln(os.Stderr, "writing trace:", err)
-			sweepRunErrs++
-		} else if n, err := validateTraceFile(*traceFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "emitted trace ill-formed:", err)
-			sweepRunErrs++
-		} else {
-			fmt.Printf("(wrote %s: %d spans, validated)\n", *traceFlag, n)
-		}
-	}
-	if *metricsFlag != "" {
-		if err := writeFile(*metricsFlag, recorder.WriteMetrics); err != nil {
-			fmt.Fprintln(os.Stderr, "writing metrics:", err)
-			sweepRunErrs++
-		} else {
-			fmt.Printf("(wrote %s)\n", *metricsFlag)
-		}
-	}
+// experiment is one section of the evaluation.
+type experiment struct {
+	id, title string // selector ("fig 7" is -fig 7) and section header
+	run       func(*session) error
 }
 
-// writeTimelines writes the -timeline artifact (one JSONL stream, all
-// monitored runs in execution order) and re-validates the emitted bytes.
-func writeTimelines() {
-	if *timelineFlag == "" {
-		return
+// experiments is the evaluation in run order; -all runs all but the smoke gate.
+var experiments = []experiment{
+	{"smoke", "Smoke", (*session).smokeTest},
+	{"fig 1", "Figure 1", (*session).fig1},
+	{"fig 6", "Figure 6", (*session).fig6},
+	{"fig 7", "Figure 7", (*session).fig7},
+	{"fig 8", "Figure 8", (*session).fig8},
+	{"fig 9", "Figure 9", (*session).fig9},
+	{"fig 10", "Figure 10", (*session).fig10},
+	{"fig 11a", "Figure 11a", (*session).fig11a},
+	{"fig 11b", "Figure 11b", (*session).fig11b},
+	{"fig 12", "Figure 12", (*session).fig12},
+	{"fig 13", "Figure 13", (*session).fig13},
+	{"table 1", "Table 1", (*session).table1},
+	{"table 2", "Table 2", (*session).table2},
+	{"chaos", "Chaos sweep", (*session).chaosSweep},
+	{"supervise", "Recovery sweep", (*session).recoverySweep},
+}
+
+// session is one evalharness run: its command line, the recorder observing
+// the experiments, and what they record for finish to write out.
+type session struct {
+	fig, table, topo, out, journal     string
+	trace, metrics, timeline, explain  string
+	pprof, serve, bundle               string
+	all, full, smoke, chaos, supervise bool
+	maxNodes, runs, workers            int
+	seed                               uint64
+	linger                             time.Duration
+
+	ctx            context.Context // carries rec
+	rec            *obs.Recorder   // nil unless an artifact, -smoke or -serve needs one
+	stream         *obs.Stream     // the -serve /events feed; nil (a no-op) otherwise
+	stdout, stderr io.Writer
+
+	titles    []string            // experiments that ran: the bundle's scenario key
+	timelines []*monitor.Timeline // monitored runs (-smoke, -fig 1), in execution order
+	parts     []part              // plan, chaos, recovery and journal parts
+	sweep     []eval.SweepOutcome // Fig. 7's corpus sweep, reused by Fig. 9
+	errs      int                 // failed sweep runs and artifact writes
+}
+
+// part is one deterministic artifact of the run, as a bundle member.
+type part struct {
+	name, kind string
+	write      func(io.Writer) error
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command. It returns the exit status: 2 for a bad command
+// line, 1 if an experiment, a sweep run or an artifact write failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	s := &session{ctx: context.Background(), stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("evalharness", flag.ContinueOnError)
+	fs.StringVar(&s.fig, "fig", "", "figure to regenerate (1, 6, 7, 8, 9, 10, 11a, 11b, 12, 13)")
+	fs.StringVar(&s.table, "table", "", "table to regenerate (1, 2)")
+	fs.BoolVar(&s.all, "all", false, "regenerate every figure and table")
+	fs.BoolVar(&s.full, "full", false, "use the full 106-topology corpus (slow)")
+	fs.IntVar(&s.maxNodes, "max-nodes", 60, "cap corpus topologies at this size unless -full")
+	fs.Uint64Var(&s.seed, "seed", 7, "scenario seed")
+	fs.IntVar(&s.runs, "runs", 5, "runs per point for Figs. 8/13 (paper: 20)")
+	fs.StringVar(&s.topo, "topo", "", "override topology for Figs. 8/13 (default: largest within cap)")
+	fs.StringVar(&s.out, "out", "", "directory to write CSV artifacts into (optional)")
+	fs.BoolVar(&s.chaos, "chaos", false, "run the fault-injection sweep (topologies × fault kinds)")
+	fs.BoolVar(&s.supervise, "supervise", false, "run the supervised chaos-recovery sweep (every run must end in the final or initial configuration)")
+	fs.StringVar(&s.journal, "journal", "", "directory for per-case supervisor execution journals (with -supervise)")
+	fs.IntVar(&s.workers, "workers", goruntime.NumCPU(), "parallel scenario runs for the corpus and chaos sweeps (1 = sequential)")
+	fs.StringVar(&s.trace, "trace", "", "write a structured span trace (JSONL) of the instrumented runs to this file")
+	fs.StringVar(&s.metrics, "metrics", "", "write the final counter/gauge dump to this file")
+	fs.StringVar(&s.timeline, "timeline", "", "write the transient-state monitor's violation timelines (JSONL) to this file")
+	fs.StringVar(&s.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	fs.StringVar(&s.serve, "serve", "", "serve live /metrics (Prometheus text format), /events (live span/violation stream), /healthz and /debug/pprof on this address while the run is in flight (\":0\" picks an ephemeral port; the bound address is printed)")
+	fs.StringVar(&s.explain, "explain", "", "write a human-readable root-cause report of every monitored violation to this file (\"-\" for stdout)")
+	fs.DurationVar(&s.linger, "linger", 0, "keep the -serve endpoints alive for this long after the runs finish (CI smoke curls them)")
+	fs.BoolVar(&s.smoke, "smoke", false, "run one traced RunningExample reconfiguration and validate the span tree (CI gate)")
+	fs.StringVar(&s.bundle, "bundle", "", "seal a content-addressed run bundle (manifest + trace/metrics/timeline/plan/chaos/journal parts) into this directory; two same-seed runs bundle byte-identically at any -workers count, which `obsdiff` checks")
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	if len(timelines) == 0 {
-		fmt.Fprintln(os.Stderr, "writing timeline: no monitored run produced one (-timeline needs -smoke or -fig 1)")
-		sweepRunErrs++
-		return
+	// An unknown selector is an error even beside a valid one.
+	want := map[string]bool{"smoke": s.smoke, "chaos": s.chaos, "supervise": s.supervise,
+		"fig " + s.fig: s.fig != "", "table " + s.table: s.table != ""}
+	var selected []experiment
+	valid := "-all"
+	for _, e := range experiments {
+		if want[e.id] || s.all && e.id != "smoke" {
+			selected = append(selected, e)
+		}
+		delete(want, e.id)
+		valid += ", -" + e.id
 	}
-	err := writeFile(*timelineFlag, func(w io.Writer) error {
-		for _, tl := range timelines {
-			if err := tl.WriteJSONL(w); err != nil {
-				return err
+	for id, unknown := range want { // every id left is not in the table
+		if unknown {
+			fmt.Fprintf(stderr, "evalharness: no experiment -%s\n", id)
+			selected = nil
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "evalharness: select experiments from %s\n", valid)
+		fs.Usage()
+		return 2
+	}
+	if s.pprof != "" {
+		srv := &http.Server{Addr: s.pprof} // nil Handler: net/http/pprof's DefaultServeMux
+		go func() {
+			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
+				fmt.Fprintln(stderr, "pprof server:", err)
 			}
+		}()
+		defer srv.Close()
+		s.printf("(pprof listening on http://%s/debug/pprof/)\n", s.pprof)
+	}
+	if s.trace != "" || s.metrics != "" || s.smoke || s.serve != "" || s.bundle != "" {
+		s.rec = obs.New()
+		s.ctx = obs.WithRecorder(s.ctx, s.rec)
+	}
+	if s.serve != "" {
+		s.stream = obs.NewStream(obs.DefaultStreamCapacity)
+		s.rec.SetStream(s.stream)
+		srv, bound, err := obs.ServeWith(s.serve, s.rec, obs.ServeOptions{
+			Prom:   obs.PromOptions{ConstLabels: map[string]string{"job": "evalharness"}},
+			Stream: s.stream,
+		}, func(err error) { fmt.Fprintln(stderr, "metrics server:", err) })
+		if err != nil {
+			fmt.Fprintln(stderr, "metrics server:", err)
+			return 1
 		}
-		return nil
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "writing timeline:", err)
-		sweepRunErrs++
-		return
+		defer srv.Close()
+		s.printf("(live metrics on http://%s/metrics, events on /events, pprof on /debug/pprof/)\n", bound)
 	}
-	f, err := os.Open(*timelineFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "validating timeline:", err)
-		sweepRunErrs++
-		return
+
+	for _, e := range selected {
+		s.titles = append(s.titles, e.title)
+		s.printf("\n================ %s ================\n", e.title)
+		start := time.Now()
+		if err := e.run(s); err != nil {
+			fmt.Fprintf(stderr, "%s failed: %v\n", e.title, err)
+			s.finish()
+			return 1
+		}
+		s.printf("---- %s done in %v\n", e.title, time.Since(start).Round(time.Millisecond))
 	}
-	defer f.Close()
-	recs, err := monitor.ValidateJSONL(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "emitted timeline ill-formed:", err)
-		sweepRunErrs++
-		return
+	s.finish()
+	if s.linger > 0 && s.serve != "" {
+		s.printf("(lingering %v for live endpoint probes)\n", s.linger)
+		time.Sleep(s.linger)
 	}
-	fmt.Printf("(wrote %s: %d records, validated)\n", *timelineFlag, len(recs))
+	if s.errs > 0 {
+		fmt.Fprintf(stderr, "%d sweep run(s) or artifact write(s) failed\n", s.errs)
+		return 1
+	}
+	return 0
 }
 
-// writeExplain renders the -explain root-cause report: every monitored
-// violation with its causal chain (originating command or event, phase,
-// hop depth, blame latency), in execution order.
-func writeExplain() {
-	if *explainFlag == "" {
-		return
-	}
-	if len(timelines) == 0 {
-		fmt.Fprintln(os.Stderr, "writing explain report: no monitored run produced a timeline (-explain needs -smoke or -fig 1)")
-		sweepRunErrs++
-		return
-	}
-	if *explainFlag == "-" {
-		fmt.Println()
-		if err := monitor.WriteExplain(os.Stdout, timelines...); err != nil {
-			fmt.Fprintln(os.Stderr, "writing explain report:", err)
-			sweepRunErrs++
-		}
-		return
-	}
-	err := writeFile(*explainFlag, func(w io.Writer) error {
-		return monitor.WriteExplain(w, timelines...)
-	})
+func (s *session) printf(format string, a ...any) { fmt.Fprintf(s.stdout, format, a...) }
+func (s *session) println(a ...any)               { fmt.Fprintln(s.stdout, a...) }
+
+// status renders a sweep run's outcome for its progress line; a failed run
+// fails the process at exit.
+func (s *session) status(err error) string {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "writing explain report:", err)
-		sweepRunErrs++
-		return
+		s.errs++
+		return err.Error()
 	}
-	fmt.Printf("(wrote %s)\n", *explainFlag)
+	return "ok"
 }
 
-// writeRunBundle seals the -bundle directory: a content-addressed manifest
-// over every deterministic artifact the run produced. Wall-clock artifacts
-// (the scheduling-time CSVs) are deliberately excluded, so two runs of the
-// same sections and seed seal byte-identical bundles at any -workers
-// count — `obsdiff A B` exiting 0 is the determinism gate.
-func writeRunBundle() {
-	if *bundleFlag == "" {
+// fail reports an error that does not stop the run but fails it at exit.
+func (s *session) fail(what string, err error) {
+	fmt.Fprintf(s.stderr, "%s: %v\n", what, err)
+	s.errs++
+}
+
+// saveCSV writes one CSV artifact into the -out directory, when set.
+func (s *session) saveCSV(name string, write func(io.Writer) error) {
+	if s.out == "" {
 		return
 	}
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "sealing bundle:", err)
-		sweepRunErrs++
+	if err := os.MkdirAll(s.out, 0o755); err != nil {
+		s.fail("saving artifacts", err)
+		return
 	}
-	w, err := bundle.Create(*bundleFlag, strings.Join(sections, "+"), *seedFlag)
+	s.save(filepath.Join(s.out, name), "", write)
+}
+
+// save writes and reports one artifact file, validating the bytes of a
+// trace, metrics or timeline part first; a failure fails the run.
+func (s *session) save(path, part string, write func(io.Writer) error) {
+	var buf bytes.Buffer
+	note, err := "", write(&buf)
+	if err == nil {
+		note, err = validate(part, bytes.NewReader(buf.Bytes()))
+	}
+	if err == nil {
+		err = os.WriteFile(path, buf.Bytes(), 0o666)
+	}
 	if err != nil {
-		fail(err)
+		s.fail("writing "+path, err)
 		return
 	}
-	// Options record the environment without entering the content address:
-	// runs at different parallelism must address identically.
-	w.SetOption("workers", strconv.Itoa(*workersFlag))
-	w.SetOption("max_nodes", strconv.Itoa(*maxNodes))
-	w.SetOption("full", strconv.FormatBool(*fullFlag))
-	w.SetOption("runs", strconv.Itoa(*runsFlag))
-	add := func(name, kind string, write func(io.Writer) error) {
-		if err := w.AddPart(name, kind, write); err != nil {
-			fail(err)
+	s.printf("(wrote %s%s)\n", path, note)
+}
+
+// record adds a part holding text.
+func (s *session) record(name, kind, text string) {
+	s.parts = append(s.parts, part{name, kind, func(w io.Writer) error {
+		_, err := io.WriteString(w, text)
+		return err
+	}})
+}
+
+// finish writes the run's artifacts once, on every exit path after the
+// experiments started, from one list of deterministic parts: -bundle seals
+// it, and -timeline, -trace and -metrics each write their part of it.
+func (s *session) finish() {
+	parts := s.parts
+	if s.rec != nil {
+		if err := s.rec.Validate(); err != nil {
+			s.fail("trace validation", err)
 		}
+		parts = append(parts, part{"trace.jsonl", bundle.KindTrace, s.rec.WriteJSONL},
+			part{"metrics.txt", bundle.KindMetrics, s.rec.WriteMetrics})
 	}
-	if recorder != nil {
-		add("trace.jsonl", bundle.KindTrace, recorder.WriteJSONL)
-		add("metrics.txt", bundle.KindMetrics, recorder.WriteMetrics)
-	}
-	if len(timelines) > 0 {
-		add("timeline.jsonl", bundle.KindTimeline, func(dst io.Writer) error {
-			for _, tl := range timelines {
-				if err := tl.WriteJSONL(dst); err != nil {
+	if len(s.timelines) > 0 {
+		parts = append(parts, part{"timeline.jsonl", bundle.KindTimeline, func(w io.Writer) error {
+			for _, tl := range s.timelines {
+				if err := tl.WriteJSONL(w); err != nil {
 					return err
 				}
 			}
 			return nil
-		})
+		}})
 	}
-	for _, p := range planTexts {
-		text := p.text
-		add("plan/"+p.name+".txt", bundle.KindPlan, func(dst io.Writer) error {
-			_, err := io.WriteString(dst, text)
-			return err
-		})
-	}
-	if len(chaosResults) > 0 {
-		add("chaos.txt", bundle.KindChaos, func(dst io.Writer) error {
-			return chaos.WriteFingerprints(dst, chaosResults)
-		})
-	}
-	if len(recoveryResults) > 0 {
-		add("recovery.txt", bundle.KindChaos, func(dst io.Writer) error {
-			return chaos.WriteRecoveryFingerprints(dst, recoveryResults)
-		})
-	}
-	// Link the supervisor execution journals (one JSONL WAL per supervised
-	// case) into the manifest so a bundle diff can name the exact recovery
-	// decision where two runs parted.
-	if *journalFlag != "" && len(recoveryResults) > 0 {
-		names, err := filepath.Glob(filepath.Join(*journalFlag, "*.jsonl"))
-		if err != nil {
-			fail(err)
+	for _, f := range [][2]string{{s.timeline, "timeline.jsonl"}, {s.trace, "trace.jsonl"}, {s.metrics, "metrics.txt"}} {
+		i := slices.IndexFunc(parts, func(p part) bool { return p.name == f[1] })
+		switch {
+		case f[0] == "":
+		case i < 0:
+			s.fail("writing "+f[1], errors.New("no selected experiment produced it (timelines come from -smoke and -fig 1)"))
+		default:
+			s.save(f[0], f[1], parts[i].write)
 		}
-		sort.Strings(names)
-		for _, src := range names {
-			if err := w.AddFile("journal/"+filepath.Base(src), bundle.KindJournal, src); err != nil {
-				fail(err)
-			}
+	}
+	// -explain renders every monitored violation with its causal chain
+	// (originating command or event, phase, hop depth, blame latency), in
+	// execution order.
+	explain := func(w io.Writer) error { return monitor.WriteExplain(w, s.timelines...) }
+	switch {
+	case s.explain == "":
+	case len(s.timelines) == 0:
+		s.fail("writing explain report", errors.New("no monitored run produced a timeline (-explain needs -smoke or -fig 1)"))
+	case s.explain == "-":
+		s.println()
+		if err := explain(s.stdout); err != nil {
+			s.fail("writing explain report", err)
+		}
+	default:
+		s.save(s.explain, "", explain)
+	}
+	if s.bundle != "" {
+		if err := s.seal(parts); err != nil {
+			s.fail("sealing bundle", err)
+		}
+	}
+}
+
+// validate checks a trace, metrics or timeline part's bytes with its
+// format's checker and notes what it found.
+func validate(part string, r io.Reader) (string, error) {
+	switch part {
+	case "trace.jsonl":
+		n, err := obs.ValidateJSONL(r)
+		return fmt.Sprintf(": %d spans, validated", n), err
+	case "timeline.jsonl":
+		recs, err := monitor.ValidateJSONL(r)
+		return fmt.Sprintf(": %d records, validated", len(recs)), err
+	case "metrics.txt":
+		_, err := obs.ParseMetrics(r)
+		return "", err
+	}
+	return "", nil
+}
+
+// seal writes the -bundle directory: a content-addressed manifest over
+// parts. Wall-clock artifacts (the scheduling-time CSVs) are deliberately
+// not parts, so two runs of the same experiments and seed seal
+// byte-identical bundles at any -workers count — `obsdiff A B` exiting 0 is
+// the determinism gate.
+func (s *session) seal(parts []part) error {
+	w, err := bundle.Create(s.bundle, strings.Join(s.titles, "+"), s.seed)
+	if err != nil {
+		return err
+	}
+	// Options record the environment without entering the content address:
+	// runs at different parallelism must address identically.
+	w.SetOption("workers", strconv.Itoa(s.workers))
+	w.SetOption("max_nodes", strconv.Itoa(s.maxNodes))
+	w.SetOption("full", strconv.FormatBool(s.full))
+	w.SetOption("runs", strconv.Itoa(s.runs))
+	for _, p := range parts {
+		if err := w.AddPart(p.name, p.kind, p.write); err != nil {
+			return err
 		}
 	}
 	m, err := w.Close()
 	if err != nil {
-		fail(err)
-		return
-	}
-	fmt.Printf("(sealed bundle %s: %d parts, id %s)\n", *bundleFlag, len(m.Parts), m.ID)
-}
-
-// validateTraceFile re-reads an emitted JSONL trace and runs the
-// well-formedness checker over it, returning the span count.
-func validateTraceFile(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return obs.ValidateJSONL(f)
-}
-
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	s.printf("(sealed bundle %s: %d parts, id %s)\n", s.bundle, len(m.Parts), m.ID)
+	return nil
 }
 
-// saveCSV writes one CSV artifact when -out is set.
-func saveCSV(name string, write func(io.Writer) error) {
-	if *outFlag == "" {
-		return
-	}
-	if err := os.MkdirAll(*outFlag, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "saving artifacts:", err)
-		return
-	}
-	f, err := os.Create(filepath.Join(*outFlag, name))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "saving artifacts:", err)
-		return
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		fmt.Fprintln(os.Stderr, "saving artifacts:", err)
-	}
-	fmt.Printf("(wrote %s)\n", filepath.Join(*outFlag, name))
-}
-
-func main() {
-	flag.Parse()
-	if *pprofFlag != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofFlag, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "pprof server:", err)
-			}
-		}()
-		fmt.Printf("(pprof listening on http://%s/debug/pprof/)\n", *pprofFlag)
-	}
-	if *traceFlag != "" || *metricsFlag != "" || *smokeFlag || *serveFlag != "" || *bundleFlag != "" {
-		recorder = obs.New()
-		runCtx = obs.WithRecorder(runCtx, recorder)
-	}
-	if *serveFlag != "" {
-		eventStream = obs.NewStream(obs.DefaultStreamCapacity)
-		recorder.SetStream(eventStream)
-		_, bound, err := obs.ServeWith(*serveFlag, recorder, obs.ServeOptions{
-			Prom:   obs.PromOptions{ConstLabels: map[string]string{"job": "evalharness"}},
-			Stream: eventStream,
-		}, func(err error) { fmt.Fprintln(os.Stderr, "metrics server:", err) })
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics server:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(live metrics on http://%s/metrics, events on /events, pprof on /debug/pprof/)\n", bound)
-	}
-
-	ran := false
-	run := func(name string, f func() error) {
-		ran = true
-		sections = append(sections, name)
-		fmt.Printf("\n================ %s ================\n", name)
-		start := time.Now()
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", name, err)
-			writeObsArtifacts()
-			os.Exit(1)
-		}
-		fmt.Printf("---- %s done in %v\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	if *smokeFlag {
-		run("Smoke", smoke)
-	}
-	want := func(id string) bool { return *allFlag || *figFlag == id }
-	if want("1") {
-		run("Figure 1", fig1)
-	}
-	if want("6") {
-		run("Figure 6", fig6)
-	}
-	if want("7") {
-		run("Figure 7", fig7)
-	}
-	if want("8") {
-		run("Figure 8", fig8)
-	}
-	if want("9") {
-		run("Figure 9", fig9)
-	}
-	if want("10") {
-		run("Figure 10", fig10)
-	}
-	if want("11a") {
-		run("Figure 11a", fig11a)
-	}
-	if want("11b") {
-		run("Figure 11b", fig11b)
-	}
-	if want("12") {
-		run("Figure 12", fig12)
-	}
-	if want("13") {
-		run("Figure 13", fig13)
-	}
-	if *allFlag || *tableFlag == "1" {
-		run("Table 1", table1)
-	}
-	if *allFlag || *tableFlag == "2" {
-		run("Table 2", table2)
-	}
-	if *allFlag || *chaosFlag {
-		run("Chaos sweep", chaosSweep)
-	}
-	if *allFlag || *superviseF {
-		run("Recovery sweep", recoverySweep)
-	}
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
-	}
-	writeObsArtifacts()
-	if *lingerFlag > 0 && *serveFlag != "" {
-		fmt.Printf("(lingering %v for live endpoint probes)\n", *lingerFlag)
-		time.Sleep(*lingerFlag)
-	}
-	if sweepRunErrs > 0 {
-		fmt.Fprintf(os.Stderr, "%d sweep run(s) errored\n", sweepRunErrs)
-		os.Exit(1)
-	}
-}
-
-// smoke plans and executes the Fig. 3 running example through the traced,
+// smokeTest plans and executes the Fig. 3 running example through the traced,
 // context-aware facade with the transient-state monitor attached, then
 // checks the recorded span tree for well-formedness, reconciles the
 // execute span's round count with the schedule, and asserts that the
 // monitor saw zero transient invariant violations. It is the CI gate for
 // the observability layer.
-func smoke() error {
-	s := chameleon.RunningExample()
+func (s *session) smokeTest() error {
+	sc := chameleon.RunningExample()
 	mon := chameleon.NewMonitor(chameleon.MonitorConfig{
 		Name:       "smoke",
-		Invariants: chameleon.DefaultInvariants(s.Graph),
-		Recorder:   recorder,
-		Stream:     eventStream,
+		Invariants: chameleon.DefaultInvariants(sc.Graph),
+		Recorder:   s.rec,
+		Stream:     s.stream,
 	})
-	rec, err := chameleon.PlanCtx(runCtx, s, chameleon.PlanOptions{Monitor: mon})
+	rec, err := chameleon.PlanCtx(s.ctx, sc, chameleon.PlanOptions{Monitor: mon})
 	if err != nil {
 		return err
 	}
-	res, err := rec.ExecuteCtx(runCtx, chameleon.ExecOptions{Monitor: mon})
+	res, err := rec.ExecuteCtx(s.ctx, chameleon.ExecOptions{Monitor: mon})
 	if err != nil {
 		return err
 	}
 	if err := rec.Verify(res); err != nil {
 		return err
 	}
-	planTexts = append(planTexts, planText{"smoke", rec.Plan.String()})
+	s.record("plan/smoke.txt", bundle.KindPlan, rec.Plan.String())
 	tl := mon.Timeline()
-	timelines = append(timelines, tl)
+	s.timelines = append(s.timelines, tl)
 	if n := len(tl.Violations); n != 0 {
 		v := tl.Violations[0]
 		return fmt.Errorf("monitor recorded %d transient violations (want 0); first: %s at %v on nodes %v",
 			n, v.Invariant, v.Start, v.Nodes)
 	}
-	if err := recorder.Validate(); err != nil {
+	if err := s.rec.Validate(); err != nil {
 		return fmt.Errorf("span tree ill-formed: %w", err)
 	}
 	rounds := 0
-	for _, name := range recorder.SpanNames() {
+	for _, name := range s.rec.SpanNames() {
 		var r int
 		if _, err := fmt.Sscanf(name, "round %d", &r); err == nil {
 			rounds++
@@ -522,37 +460,33 @@ func smoke() error {
 	if rounds != rec.Schedule.R {
 		return fmt.Errorf("trace has %d round spans, schedule has R=%d", rounds, rec.Schedule.R)
 	}
-	fmt.Printf("smoke: %d spans, %d rounds traced, R=%d, sim duration %.1f s, spec verified\n",
-		recorder.NumSpans(), rounds, rec.Schedule.R, res.Duration().Seconds())
-	fmt.Printf("monitor: %d transient states checked, 0 violations\n", tl.StatesChecked)
-	fmt.Print(recorder.FlameSummary())
+	s.printf("smoke: %d spans, %d rounds traced, R=%d, sim duration %.1f s, spec verified\n",
+		s.rec.NumSpans(), rounds, rec.Schedule.R, res.Duration().Seconds())
+	s.printf("monitor: %d transient states checked, 0 violations\n", tl.StatesChecked)
+	s.printf("%s", s.rec.FlameSummary())
 	return nil
 }
 
 // corpus returns the evaluated topology set under the size cap.
-func corpus() []string {
+func (s *session) corpus() []string {
 	var names []string
 	for _, name := range topology.ZooNames() {
-		size, _ := topology.ZooSize(name)
-		if size < 5 {
-			continue // too small for 3 egresses + reflectors
+		// Below 5 routers a topology is too small for 3 egresses + reflectors.
+		if size, _ := topology.ZooSize(name); size >= 5 && (s.full || size <= s.maxNodes) {
+			names = append(names, name)
 		}
-		if !*fullFlag && size > *maxNodes {
-			continue
-		}
-		names = append(names, name)
 	}
 	return names
 }
 
-func sweepTopo() string {
-	if *topoFlag != "" {
-		return *topoFlag
+func (s *session) sweepTopo() string {
+	if s.topo != "" {
+		return s.topo
 	}
 	// Default: the largest corpus topology within the cap (the paper uses
 	// Cogentco, its second-largest scenario).
 	best, bestSize := "Abilene", 0
-	for _, name := range corpus() {
+	for _, name := range s.corpus() {
 		if size, _ := topology.ZooSize(name); size > bestSize {
 			best, bestSize = name, size
 		}
@@ -560,115 +494,74 @@ func sweepTopo() string {
 	return best
 }
 
-func printMeasurementSeries(label string, r *eval.CaseStudyResult) {
-	fmt.Printf("%s: duration %.1f s\n", label, durSecondsOf(label, r))
-	var m = r.Snowcap
-	if label == "Chameleon" {
-		m = r.Chameleon
-	}
-	egs := m.Egresses()
-	fmt.Printf("  %8s  %10s  %10s  %8s", "time[s]", "total", "dropped", "wayp.viol")
-	for _, e := range egs {
-		fmt.Printf("  egress-n%d", int(e))
-	}
-	fmt.Println()
-	step := len(m.Samples)/12 + 1
-	for i := 0; i < len(m.Samples); i += step {
-		s := m.Samples[i]
-		fmt.Printf("  %8.2f  %10.0f  %10.0f  %8.0f", s.Time, s.Delivered, s.Dropped, s.WaypointViolations)
-		for _, e := range egs {
-			fmt.Printf("  %9.0f", s.PerEgress[e])
-		}
-		fmt.Println()
-	}
-	fmt.Printf("  totals: dropped %.0f pkt, waypoint violations %.0f pkt, violation window %.2f s\n",
-		m.TotalDropped, m.TotalViolations, m.ViolationSeconds)
-}
-
-func durSecondsOf(label string, r *eval.CaseStudyResult) float64 {
-	if label == "Chameleon" {
-		return r.ChameleonDuration.Seconds()
-	}
-	return r.SnowcapDuration.Seconds()
-}
-
-func fig1() error {
-	r, err := eval.RunCaseStudyCtx(runCtx, "Abilene", *seedFlag)
+func (s *session) fig1() error {
+	r, err := eval.RunCaseStudyCtx(s.ctx, "Abilene", s.seed)
 	if err != nil {
 		return err
 	}
-	saveCSV("fig1_snowcap.csv", func(w io.Writer) error { return eval.WriteCaseStudyCSV(w, r.Snowcap) })
-	saveCSV("fig1_chameleon.csv", func(w io.Writer) error { return eval.WriteCaseStudyCSV(w, r.Chameleon) })
-	saveCSV("fig6_phases.csv", func(w io.Writer) error { return eval.WritePhaseCSV(w, r) })
-	saveCSV("fig1_timeline.csv", func(w io.Writer) error {
+	s.saveCSV("fig1_snowcap.csv", func(w io.Writer) error { return eval.WriteCaseStudyCSV(w, r.Snowcap) })
+	s.saveCSV("fig1_chameleon.csv", func(w io.Writer) error { return eval.WriteCaseStudyCSV(w, r.Chameleon) })
+	s.saveCSV("fig6_phases.csv", func(w io.Writer) error { return eval.WritePhaseCSV(w, r) })
+	s.saveCSV("fig1_timeline.csv", func(w io.Writer) error {
 		return eval.WriteTimelineCSV(w, r.SnowcapTimeline, r.ChameleonTimeline)
 	})
-	timelines = append(timelines, r.SnowcapTimeline, r.ChameleonTimeline)
-	planTexts = append(planTexts, planText{"fig1-abilene", r.PlanText})
-	fmt.Println("Abilene case study (§6): direct application (Snowcap) vs Chameleon.")
-	fmt.Println("Paper shape: Snowcap finishes in ~1.7 s but transiently drops ~15k packets")
-	fmt.Println("and violates waypointing; Chameleon takes ~30-60x longer with zero violations.")
-	fmt.Println()
-	printMeasurementSeries("Snowcap", r)
-	fmt.Println()
-	printMeasurementSeries("Chameleon", r)
-	fmt.Printf("\nslowdown: %.1fx   Chameleon clean: %v   Snowcap clean: %v\n",
+	s.timelines = append(s.timelines, r.SnowcapTimeline, r.ChameleonTimeline)
+	s.record("plan/fig1-abilene.txt", bundle.KindPlan, r.PlanText)
+	s.println("Abilene case study (§6): direct application (Snowcap) vs Chameleon.")
+	s.println("Paper shape: Snowcap finishes in ~1.7 s but transiently drops ~15k packets")
+	s.println("and violates waypointing; Chameleon takes ~30-60x longer with zero violations.")
+	s.println()
+	s.printf("%s\n%s", eval.FormatMeasurementSeries("Snowcap", r.SnowcapDuration, r.Snowcap),
+		eval.FormatMeasurementSeries("Chameleon", r.ChameleonDuration, r.Chameleon))
+	s.printf("\nslowdown: %.1fx   Chameleon clean: %v   Snowcap clean: %v\n",
 		r.ChameleonDuration.Seconds()/r.SnowcapDuration.Seconds(),
 		r.Chameleon.Clean(), r.Snowcap.Clean())
-	fmt.Println("\nMonitor-measured transient violation time (Fig. 9 comparison):")
-	fmt.Print(eval.FormatViolationTable(r))
+	s.println("\nMonitor-measured transient violation time (Fig. 9 comparison):")
+	s.printf("%s", eval.FormatViolationTable(r))
 	return nil
 }
 
-func fig6() error {
-	r, err := eval.RunCaseStudyCtx(runCtx, "Abilene", *seedFlag)
+func (s *session) fig6() error {
+	r, err := eval.RunCaseStudyCtx(s.ctx, "Abilene", s.seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Chameleon phase timeline (paper: rounds take 10-12 s each, dominated")
-	fmt.Println("by router route-map application latency):")
+	s.println("Chameleon phase timeline (paper: rounds take 10-12 s each, dominated")
+	s.println("by router route-map application latency):")
 	for _, ph := range r.Phases {
-		fmt.Printf("  %-10s  %7.1f s → %7.1f s   (%.1f s)\n",
+		s.printf("  %-10s  %7.1f s → %7.1f s   (%.1f s)\n",
 			ph.Name, ph.Start.Seconds(), ph.End.Seconds(), (ph.End - ph.Start).Seconds())
 	}
-	fmt.Printf("  total: %.1f s across setup + %d rounds + cleanup, %d temp sessions\n",
+	s.printf("  total: %.1f s across setup + %d rounds + cleanup, %d temp sessions\n",
 		r.ChameleonDuration.Seconds(), r.R, r.TempSessions)
 	return nil
 }
 
-var sweepMemo []eval.SweepOutcome
-
-func schedulingSweep() ([]eval.SweepOutcome, error) {
-	if sweepMemo != nil {
-		fmt.Println("(reusing the scheduling sweep computed earlier in this run)")
-		return sweepMemo, nil
+func (s *session) schedulingSweep() ([]eval.SweepOutcome, error) {
+	if s.sweep != nil {
+		s.println("(reusing the scheduling sweep computed earlier in this run)")
+		return s.sweep, nil
 	}
-	names := corpus()
-	fmt.Printf("sweeping %d scenarios (cap %d nodes, -full=%v, %d workers)\n",
-		len(names), *maxNodes, *fullFlag, *workersFlag)
-	opts := scheduler.DefaultOptions()
-	outs, err := eval.SweepSchedulingCtx(runCtx, names, *seedFlag, opts, *workersFlag, func(o eval.SweepOutcome) {
-		status := "ok"
-		if o.Err != nil {
-			status = o.Err.Error()
-			sweepRunErrs++
-		}
-		fmt.Printf("  %-22s |N|=%4d  Cr=%6d  R=%2d  sched=%10v  %s\n",
-			o.Name, o.Nodes, o.Cr, o.R, o.SchedulingTime.Round(time.Millisecond), status)
+	names := s.corpus()
+	s.printf("sweeping %d scenarios (cap %d nodes, -full=%v, %d workers)\n",
+		len(names), s.maxNodes, s.full, s.workers)
+	outs, err := eval.SweepSchedulingCtx(s.ctx, names, s.seed, scheduler.DefaultOptions(), s.workers, func(o eval.SweepOutcome) {
+		s.printf("  %-22s |N|=%4d  Cr=%6d  R=%2d  sched=%10v  %s\n",
+			o.Name, o.Nodes, o.Cr, o.R, o.SchedulingTime.Round(time.Millisecond), s.status(o.Err))
 	})
 	if err != nil {
 		return nil, err
 	}
-	sweepMemo = outs
-	return sweepMemo, nil
+	s.sweep = outs
+	return outs, nil
 }
 
-func fig7() error {
-	outs, err := schedulingSweep()
+func (s *session) fig7() error {
+	outs, err := s.schedulingSweep()
 	if err != nil {
 		return err
 	}
-	saveCSV("fig7_scheduling.csv", func(w io.Writer) error { return eval.WriteSweepCSV(w, outs) })
+	s.saveCSV("fig7_scheduling.csv", func(w io.Writer) error { return eval.WriteSweepCSV(w, outs) })
 	var crs, times []float64
 	for _, o := range outs {
 		if o.Err == nil {
@@ -676,43 +569,39 @@ func fig7() error {
 			times = append(times, o.SchedulingTime.Seconds())
 		}
 	}
-	fmt.Printf("\nFig. 7 statistic: log-log Pearson correlation(Cr, scheduling time) = %.3f\n",
+	s.printf("\nFig. 7 statistic: log-log Pearson correlation(Cr, scheduling time) = %.3f\n",
 		eval.PearsonLogLog(crs, times))
-	fmt.Println("(paper: strong correlation across >4 orders of magnitude of Cr)")
+	s.println("(paper: strong correlation across >4 orders of magnitude of Cr)")
 	return nil
 }
 
-func fig8() error {
-	topo := sweepTopo()
+func (s *session) fig8() error {
+	topo := s.sweepTopo()
 	fracs := []float64{0, 0.25, 0.5, 0.75, 1}
-	fmt.Printf("spec-complexity sweep on %s, %d runs per point (paper: 20)\n", topo, *runsFlag)
+	s.printf("spec-complexity sweep on %s, %d runs per point (paper: 20)\n", topo, s.runs)
 	for _, temporal := range []bool{false, true} {
-		label := "φn (non-temporal)"
+		label, name := "φn (non-temporal)", "fig8_phi_n.csv"
 		if temporal {
-			label = "φt (temporal)"
+			label, name = "φt (temporal)", "fig8_phi_t.csv"
 		}
-		pts, err := eval.SpecComplexitySweep(topo, temporal, true, fracs, *runsFlag, *seedFlag)
+		pts, err := eval.SpecComplexitySweep(topo, temporal, true, fracs, s.runs, s.seed)
 		if err != nil {
 			return err
 		}
-		name := "fig8_phi_n.csv"
-		if temporal {
-			name = "fig8_phi_t.csv"
-		}
-		saveCSV(name, func(w io.Writer) error { return eval.WriteSpecSweepCSV(w, label, pts) })
-		fmt.Printf("\n%s:\n", label)
+		s.saveCSV(name, func(w io.Writer) error { return eval.WriteSpecSweepCSV(w, label, pts) })
+		s.printf("\n%s:\n", label)
 		for _, pt := range pts {
-			fmt.Printf("  |Nφ|=%4d  median=%10v  p10=%10v  p90=%10v\n",
+			s.printf("  |Nφ|=%4d  median=%10v  p10=%10v  p90=%10v\n",
 				pt.Nphi, pt.Median.Round(time.Millisecond),
 				pt.P10.Round(time.Millisecond), pt.P90.Round(time.Millisecond))
 		}
 	}
-	fmt.Println("\n(paper shape: φt grows much faster with |Nφ| than φn — up to ~20x)")
+	s.println("\n(paper shape: φt grows much faster with |Nφ| than φn — up to ~20x)")
 	return nil
 }
 
-func fig9() error {
-	outs, err := schedulingSweep()
+func (s *session) fig9() error {
+	outs, err := s.schedulingSweep()
 	if err != nil {
 		return err
 	}
@@ -722,29 +611,24 @@ func fig9() error {
 			xs = append(xs, o.EstimatedReconfTime.Seconds())
 		}
 	}
-	fmt.Println()
-	fmt.Print(eval.AsciiCDF("Fig. 9: approximate reconfiguration time T̃ = 12s·(2+R)", "s",
+	s.println()
+	s.printf("%s", eval.AsciiCDF("Fig. 9: approximate reconfiguration time T̃ = 12s·(2+R)", "s",
 		xs, []float64{60, 120, 300}))
-	fmt.Printf("(paper: 85%% of scenarios below 2 minutes)\n")
+	s.printf("(paper: 85%% of scenarios below 2 minutes)\n")
 	return nil
 }
 
-func fig10() error {
-	names := corpus()
-	fmt.Printf("table-overhead sweep over %d scenarios (%d workers)\n", len(names), *workersFlag)
-	outs, err := eval.SweepTableOverheadCtx(runCtx, names, *seedFlag, scheduler.DefaultOptions(), *workersFlag, func(o eval.OverheadOutcome) {
-		status := "ok"
-		if o.Err != nil {
-			status = o.Err.Error()
-			sweepRunErrs++
-		}
-		fmt.Printf("  %-22s baseline=%5d  chameleon=+%5.1f%%  sitn=+%5.1f%%  %s\n",
-			o.Name, o.Baseline, 100*o.Chameleon, 100*o.SITN, status)
+func (s *session) fig10() error {
+	names := s.corpus()
+	s.printf("table-overhead sweep over %d scenarios (%d workers)\n", len(names), s.workers)
+	outs, err := eval.SweepTableOverheadCtx(s.ctx, names, s.seed, scheduler.DefaultOptions(), s.workers, func(o eval.OverheadOutcome) {
+		s.printf("  %-22s baseline=%5d  chameleon=+%5.1f%%  sitn=+%5.1f%%  %s\n",
+			o.Name, o.Baseline, 100*o.Chameleon, 100*o.SITN, s.status(o.Err))
 	})
 	if err != nil {
 		return err
 	}
-	saveCSV("fig10_overhead.csv", func(w io.Writer) error { return eval.WriteOverheadCSV(w, outs) })
+	s.saveCSV("fig10_overhead.csv", func(w io.Writer) error { return eval.WriteOverheadCSV(w, outs) })
 	var cham, sitnXs []float64
 	for _, o := range outs {
 		if o.Err == nil {
@@ -752,100 +636,98 @@ func fig10() error {
 			sitnXs = append(sitnXs, 100*o.SITN)
 		}
 	}
-	fmt.Println()
-	fmt.Print(eval.AsciiCDF("Chameleon additional routing table entries", "%", cham, []float64{8, 20, 43}))
-	fmt.Print(eval.AsciiCDF("SITN additional routing table entries", "%", sitnXs, []float64{43, 96, 100}))
-	fmt.Println("(paper: Chameleon median ≈ 8%, mean ≈ 11%; SITN ≈ 96%)")
+	s.println()
+	s.printf("%s", eval.AsciiCDF("Chameleon additional routing table entries", "%", cham, []float64{8, 20, 43}))
+	s.printf("%s", eval.AsciiCDF("SITN additional routing table entries", "%", sitnXs, []float64{43, 96, 100}))
+	s.println("(paper: Chameleon median ≈ 8%, mean ≈ 11%; SITN ≈ 96%)")
 	return nil
 }
 
-func fig11a() error {
-	r, err := eval.RunLinkFailureExperiment("Abilene", *seedFlag, 7*time.Second)
+func (s *session) fig11a() error {
+	r, err := eval.RunLinkFailureExperiment("Abilene", s.seed, 7*time.Second)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("link failure at 7 s: reconfiguration completed in %.1f s\n", r.Result.Duration().Seconds())
-	fmt.Printf("packet loss window: %.2f s (paper: ≈0.5 s of OSPF reconvergence)\n",
+	s.printf("link failure at 7 s: reconfiguration completed in %.1f s\n", r.Result.Duration().Seconds())
+	s.printf("packet loss window: %.2f s (paper: ≈0.5 s of OSPF reconvergence)\n",
 		r.Measurement.ViolationSeconds)
-	fmt.Printf("total dropped: %.0f packets\n", r.Measurement.TotalDropped)
+	s.printf("total dropped: %.0f packets\n", r.Measurement.TotalDropped)
 	return nil
 }
 
-func fig11b() error {
-	r, err := eval.RunNewRouteExperiment("Abilene", *seedFlag, 30*time.Second)
+func (s *session) fig11b() error {
+	r, err := eval.RunNewRouteExperiment("Abilene", s.seed, 30*time.Second)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("better route announced at e4 after 30 s (mid-update): ignored during the update phase\n")
-	fmt.Printf("reconfiguration completed in %.1f s; converged to e4 afterwards: %v\n",
+	s.printf("better route announced at e4 after 30 s (mid-update): ignored during the update phase\n")
+	s.printf("reconfiguration completed in %.1f s; converged to e4 afterwards: %v\n",
 		r.Result.Duration().Seconds(), r.ConvergedToE4)
-	fmt.Printf("drops during plan execution: %.0f packets\n", r.Measurement.TotalDropped)
+	s.printf("drops during plan execution: %.0f packets\n", r.Measurement.TotalDropped)
 	return nil
 }
 
-func fig12() error {
+func (s *session) fig12() error {
 	for _, name := range []string{"Compuserve", "HiberniaCanada", "Sprint", "JGN2plus", "EEnet"} {
-		r, err := eval.RunCaseStudyCtx(runCtx, name, *seedFlag)
+		r, err := eval.RunCaseStudyCtx(s.ctx, name, s.seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("%-16s snowcap: %5.2f s (dropped %6.0f, viol %5.0f)   chameleon: %6.1f s (dropped %3.0f, viol %3.0f, R=%d)\n",
+		s.printf("%-16s snowcap: %5.2f s (dropped %6.0f, viol %5.0f)   chameleon: %6.1f s (dropped %3.0f, viol %3.0f, R=%d)\n",
 			name,
 			r.SnowcapDuration.Seconds(), r.Snowcap.TotalDropped, r.Snowcap.TotalViolations,
 			r.ChameleonDuration.Seconds(), r.Chameleon.TotalDropped, r.Chameleon.TotalViolations, r.R)
 	}
-	fmt.Println("(paper: Snowcap black-holes 1-2 s everywhere, violates waypoints in 4/5;")
-	fmt.Println(" Chameleon clean everywhere, < 1 min)")
+	s.println("(paper: Snowcap black-holes 1-2 s everywhere, violates waypoints in 4/5;")
+	s.println(" Chameleon clean everywhere, < 1 min)")
 	return nil
 }
 
-func fig13() error {
-	topo := sweepTopo()
+func (s *session) fig13() error {
+	topo := s.sweepTopo()
 	fracs := []float64{0, 0.5, 1}
-	fmt.Printf("loop-constraint ablation on %s (temporal spec), %d runs per point\n", topo, *runsFlag)
-	for _, explicit := range []bool{true, false} {
-		label := "explicit (with Eq. 3)"
-		if !explicit {
-			label = "implicit (without Eq. 3)"
-		}
-		pts, err := eval.SpecComplexitySweep(topo, true, explicit, fracs, *runsFlag, *seedFlag)
+	s.printf("loop-constraint ablation on %s (temporal spec), %d runs per point\n", topo, s.runs)
+	for i, label := range []string{"explicit (with Eq. 3)", "implicit (without Eq. 3)"} {
+		pts, err := eval.SpecComplexitySweep(topo, true, i == 0, fracs, s.runs, s.seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\n%s:\n", label)
+		s.printf("\n%s:\n", label)
 		for _, pt := range pts {
 			spread := float64(pt.P90-pt.P10) / float64(time.Millisecond)
-			fmt.Printf("  |Nφ|=%4d  median=%10v  p10-p90 spread=%8.0f ms\n",
+			s.printf("  |Nφ|=%4d  median=%10v  p10-p90 spread=%8.0f ms\n",
 				pt.Nphi, pt.Median.Round(time.Millisecond), spread)
 		}
 	}
-	fmt.Println("\n(paper shape: explicit loop constraints shrink the scheduling-time variance)")
+	s.println("\n(paper shape: explicit loop constraints shrink the scheduling-time variance)")
 	return nil
 }
 
-func chaosSweep() error {
+func (s *session) chaosSweep() error {
 	cfg := chaos.DefaultSweep()
-	cfg.Seeds = []uint64{*seedFlag}
-	cfg.Workers = *workersFlag
-	fmt.Printf("chaos sweep: %d topologies × %d fault kinds, seed %d, %d workers\n",
-		len(cfg.Topologies), len(cfg.Faults), *seedFlag, *workersFlag)
-	results, sums, err := chaos.SweepCtx(runCtx, cfg, func(r chaos.CaseResult) {
-		fmt.Printf("  %-12s %-10s → %-10s faults=%d msg=%d flaps=%d retries=%d repush=%d acks-=%d  %s\n",
+	cfg.Seeds = []uint64{s.seed}
+	cfg.Workers = s.workers
+	s.printf("chaos sweep: %d topologies × %d fault kinds, seed %d, %d workers\n",
+		len(cfg.Topologies), len(cfg.Faults), s.seed, s.workers)
+	results, sums, err := chaos.SweepCtx(s.ctx, cfg, func(r chaos.CaseResult) {
+		s.printf("  %-12s %-10s → %-10s faults=%d msg=%d flaps=%d retries=%d repush=%d acks-=%d  %s\n",
 			r.Topology, r.Fault, r.Outcome, r.CommandFaults, r.MessageFaults,
 			r.Flaps, r.Recovery.Retries, r.Recovery.Repushes, r.Recovery.AcksLost, r.Err)
 	})
 	if err != nil {
 		return err
 	}
-	chaosResults = results
-	saveCSV("chaos_sweep.csv", func(w io.Writer) error { return eval.WriteChaosCSV(w, results) })
-	fmt.Println()
-	fmt.Print(eval.FormatChaosTable(sums))
+	s.parts = append(s.parts, part{"chaos.txt", bundle.KindChaos, func(w io.Writer) error {
+		return chaos.WriteFingerprints(w, results)
+	}})
+	s.saveCSV("chaos_sweep.csv", func(w io.Writer) error { return eval.WriteChaosCSV(w, results) })
+	s.println()
+	s.printf("%s", eval.FormatChaosTable(sums))
 	violations := 0
-	for _, s := range sums {
-		violations += s.Violations
+	for _, sm := range sums {
+		violations += sm.Violations
 	}
-	fmt.Printf("\nsilent violations: %d (must be 0 — every fault is either absorbed or visibly flagged)\n",
+	s.printf("\nsilent violations: %d (must be 0 — every fault is either absorbed or visibly flagged)\n",
 		violations)
 	if violations > 0 {
 		return fmt.Errorf("%d silent invariant violations", violations)
@@ -858,109 +740,121 @@ func chaosSweep() error {
 // closed-loop supervisor. Acceptance is absolute: every run must terminate
 // in the final or the initial configuration, verified by readback, with
 // zero silent invariant violations — any other result fails the process.
-func recoverySweep() error {
+func (s *session) recoverySweep() error {
 	cfg := chaos.DefaultRecoverySweep()
-	cfg.Seeds = []uint64{*seedFlag}
-	cfg.Workers = *workersFlag
-	if *journalFlag != "" {
-		if err := os.MkdirAll(*journalFlag, 0o755); err != nil {
+	cfg.Seeds = []uint64{s.seed}
+	cfg.Workers = s.workers
+	if s.journal != "" {
+		if err := os.MkdirAll(s.journal, 0o755); err != nil {
 			return err
 		}
-		cfg.JournalDir = *journalFlag
+		cfg.JournalDir = s.journal
 	}
-	fmt.Printf("recovery sweep: %d topologies × %d profiles, seed %d, %d workers\n",
-		len(cfg.Topologies), len(cfg.Profiles), *seedFlag, *workersFlag)
-	results, err := chaos.RecoverySweep(runCtx, cfg, func(r chaos.RecoveryResult) {
+	s.printf("recovery sweep: %d topologies × %d profiles, seed %d, %d workers\n",
+		len(cfg.Topologies), len(cfg.Profiles), s.seed, s.workers)
+	results, err := chaos.RecoverySweep(s.ctx, cfg, func(r chaos.RecoveryResult) {
 		verdict := "recovered"
 		if !r.Recovered {
 			verdict = "NOT RECOVERED"
 		}
-		fmt.Printf("  %-16s %-22s → %-7s attempts=%d replans=%d commit=%v rollback=%v forced=%v viol=%v  %s\n",
+		s.printf("  %-16s %-22s → %-7s attempts=%d replans=%d commit=%v rollback=%v forced=%v viol=%v  %s\n",
 			r.Topology, r.Profile, r.Outcome, r.Attempts, r.Replans,
 			r.Committed, r.RolledBack, r.Forced, r.ViolationTime, verdict)
 	})
 	if err != nil {
 		return err
 	}
-	recoveryResults = results
-	if *journalFlag != "" {
-		fmt.Printf("(wrote %d execution journals to %s)\n", len(results), *journalFlag)
+	s.parts = append(s.parts, part{"recovery.txt", bundle.KindChaos, func(w io.Writer) error {
+		return chaos.WriteRecoveryFingerprints(w, results)
+	}})
+	if s.journal != "" {
+		s.printf("(wrote %d execution journals to %s)\n", len(results), s.journal)
+		// Bundling the execution journals (one JSONL WAL per supervised
+		// case) lets a bundle diff name the exact recovery decision where
+		// two runs parted.
+		names, err := filepath.Glob(filepath.Join(s.journal, "*.jsonl"))
+		for _, name := range names {
+			var raw []byte
+			if raw, err = os.ReadFile(name); err != nil {
+				break
+			}
+			s.record("journal/"+filepath.Base(name), bundle.KindJournal, string(raw))
+		}
+		if err != nil {
+			return err
+		}
 	}
 	bad := 0
 	for _, r := range results {
 		if !r.Recovered {
 			bad++
-			fmt.Fprintf(os.Stderr, "NOT RECOVERED: %s/%s/seed=%d outcome=%s verified=%v silent=%v\n",
+			fmt.Fprintf(s.stderr, "NOT RECOVERED: %s/%s/seed=%d outcome=%s verified=%v silent=%v\n",
 				r.Topology, r.Profile, r.Seed, r.Outcome, r.Verified, r.SilentViolations)
 		}
 	}
 	if bad > 0 {
 		return fmt.Errorf("%d supervised run(s) did not recover to a final-or-initial configuration", bad)
 	}
-	fmt.Printf("\nall %d supervised runs terminated in the final or initial configuration, zero silent violations\n",
+	s.printf("\nall %d supervised runs terminated in the final or initial configuration, zero silent violations\n",
 		len(results))
 	return nil
 }
 
-func table1() error {
+func (s *session) table1() error {
 	// Table 1 enumerates the four compilation rule classes; show a real
 	// compiled plan exercising them.
-	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: *seedFlag})
+	sc, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: s.seed})
 	if err != nil {
 		return err
 	}
-	rec, err := eval.BuildPipelineCtx(runCtx, s, eval.SpecEq4, scheduler.DefaultOptions())
+	rec, err := eval.BuildPipelineCtx(s.ctx, sc, eval.SpecEq4, scheduler.DefaultOptions())
 	if err != nil {
 		return err
 	}
-	classes := map[string]int{}
-	for n, t := range rec.Schedule.Tuples {
-		_ = n
-		switch {
-		case t.Old == t.NH && t.NH == t.New:
-			classes["r_old = r_nh = r_new"]++
-		case t.Old < t.NH && t.NH == t.New:
-			classes["r_old < r_nh = r_new"]++
-		case t.Old == t.NH && t.NH < t.New:
-			classes["r_old = r_nh < r_new"]++
-		default:
-			classes["r_old < r_nh < r_new"]++
+	// Rule classes in the paper's order r_old ≤ r_nh ≤ r_new, indexed by
+	// (r_old = r_nh, r_nh = r_new) as two bits.
+	classes := [4]string{"r_old < r_nh < r_new", "r_old < r_nh = r_new", "r_old = r_nh < r_new", "r_old = r_nh = r_new"}
+	var nodes [4]int
+	for _, t := range rec.Schedule.Tuples {
+		i := 0
+		if t.Old == t.NH {
+			i += 2
+		}
+		if t.NH == t.New {
+			i++
+		}
+		nodes[i]++
+	}
+	s.println("Table 1 rule classes exercised by the Abilene schedule:")
+	for i, n := range nodes {
+		if n > 0 {
+			s.printf("  %-22s : %d nodes\n", classes[i], n)
 		}
 	}
-	fmt.Println("Table 1 rule classes exercised by the Abilene schedule:")
-	var keys []string
-	for k := range classes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("  %-22s : %d nodes\n", k, classes[k])
-	}
-	fmt.Println("\nCompiled plan:")
-	fmt.Print(rec.Plan.String())
+	s.println("\nCompiled plan:")
+	s.printf("%s", rec.Plan.String())
 	return nil
 }
 
-func table2() error {
+func (s *session) table2() error {
 	names := []string{"Deltacom", "Ion", "Pern", "TataNld", "Colt", "UsCarrier", "Cogentco"}
-	if !*fullFlag {
-		fmt.Println("note: Table 2 uses 113-197 node topologies; running them regardless of -max-nodes")
+	if !s.full {
+		s.println("note: Table 2 uses 113-197 node topologies; running them regardless of -max-nodes")
 	}
-	opts := scheduler.DefaultOptions()
-	outs, err := eval.SweepSchedulingCtx(runCtx, names, *seedFlag, opts, *workersFlag, nil)
+	outs, err := eval.SweepSchedulingCtx(s.ctx, names, s.seed, scheduler.DefaultOptions(), s.workers, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-12s %6s %8s %14s\n", "Topology", "|N|", "Cr", "sched time")
+	s.printf("%-12s %6s %8s %14s\n", "Topology", "|N|", "Cr", "sched time")
 	for _, o := range outs {
 		if o.Err != nil {
-			fmt.Printf("%-12s %6d %8s %14s (%v)\n", o.Name, o.Nodes, "-", "-", o.Err)
-			sweepRunErrs++
+			s.printf("%-12s %6d %8s %14s (%v)\n", o.Name, o.Nodes, "-", "-", o.Err)
+			s.errs++
 			continue
 		}
-		fmt.Printf("%-12s %6d %8d %14v\n", o.Name, o.Nodes, o.Cr, o.SchedulingTime.Round(10*time.Millisecond))
+		s.printf("%-12s %6d %8d %14v\n", o.Name, o.Nodes, o.Cr, o.SchedulingTime.Round(10*time.Millisecond))
 	}
-	fmt.Println("(paper: Cr correlates with scheduling time better than |N| —")
-	fmt.Println(" e.g. Pern has more nodes than Ion but ~50x lower scheduling time)")
+	s.println("(paper: Cr correlates with scheduling time better than |N| —")
+	s.println(" e.g. Pern has more nodes than Ion but ~50x lower scheduling time)")
 	return nil
 }

@@ -1,0 +1,83 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"chameleon/internal/obs/bundle"
+)
+
+// TestBundleAddressesPinned holds the content addresses of the three
+// bundles that cover the execute path: planning plus a corpus sweep, the
+// chaos sweep (retries, partial acks, duplicates, flaps) and the supervised
+// recovery sweep. A change that means to move a counter, a plan or a
+// fingerprint re-records them on purpose and says so.
+func TestBundleAddressesPinned(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		id   string
+	}{
+		{[]string{"-smoke", "-fig", "7", "-max-nodes", "15"}, "c8caef21d69535ead1e024252bd82ed9358f6b351efc2cf9930e65d354b27f41"},
+		{[]string{"-chaos"}, "83af904d961394afa0768581c807bc12bd7aa8b108712150b19e834ef769823c"},
+		{[]string{"-supervise"}, "18b348f1d5b8592e0ed33ccf20d3e431d19aec00d3e64930aae24c2c4a6fbab6"},
+	} {
+		dir := filepath.Join(t.TempDir(), "bundle")
+		var stdout, stderr bytes.Buffer
+		if code := run(append(c.args, "-workers", "1", "-bundle", dir), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d\n%s", c.args, code, stderr.String())
+		}
+		b, err := bundle.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if b.Manifest.ID != c.id {
+			t.Errorf("%v: bundle %s, want %s", c.args, b.Manifest.ID, c.id)
+		}
+	}
+}
+
+// TestUnknownSelectorRunsNothing: an unknown selector is a usage error even
+// beside a valid one, and the message names the valid ids.
+func TestUnknownSelectorRunsNothing(t *testing.T) {
+	for _, args := range [][]string{{"-fig", "5"}, {"-table", "3"}, {"-smoke", "-fig", "5"}, {}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran something:\n%s", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "-fig 1, -fig 6") {
+			t.Errorf("%v: stderr does not name the valid experiments:\n%s", args, stderr.String())
+		}
+	}
+}
+
+// TestFailedArtifactWriteFailsRun: a CSV that cannot be written fails the
+// run and is not reported as written.
+func TestFailedArtifactWriteFailsRun(t *testing.T) {
+	tmp := t.TempDir()
+	notDir := filepath.Join(tmp, "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	taken := filepath.Join(tmp, "out")
+	if err := os.MkdirAll(filepath.Join(taken, "chaos_sweep.csv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []string{notDir, taken} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-chaos", "-workers", "1", "-out", out}, &stdout, &stderr); code != 1 {
+			t.Errorf("-out %s: exit %d, want 1", out, code)
+		}
+		if strings.Contains(stdout.String(), "(wrote") {
+			t.Errorf("-out %s: failed write reported as written", out)
+		}
+	}
+}

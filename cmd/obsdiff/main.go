@@ -1,8 +1,7 @@
 // Command obsdiff structurally compares two run bundles written by the
-// evaluation harnesses (evalharness -bundle, benchrunner -bundle) and
-// explains the first point where the runs diverged — down to the first
-// diverging timeline event and the root cause the monitor attributed to
-// it.
+// evaluation harness (evalharness -bundle) and explains the first point
+// where the runs diverged — down to the first diverging timeline event and
+// the root cause the monitor attributed to it.
 //
 // Usage:
 //

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"sort"
-	"sync"
 	"time"
 
 	"chameleon/internal/analyzer"
@@ -434,48 +433,10 @@ func Sweep(cfg SweepConfig, progress func(CaseResult)) ([]CaseResult, []Summary,
 	return SweepCtx(context.Background(), cfg, progress)
 }
 
-// mapCases runs n cases workers-wide and returns their results in index
-// order, serializing progress. When ctx carries an obs.Recorder, every case
-// runs against its own forked recorder; after the pool drains, the forks are
-// folded into the carried recorder under label(i) in index order — never
-// completion order — even on error, so a partial sweep still leaves a
-// well-formed trace behind and the merged trace and metric dump are
-// byte-identical at any worker count.
-func mapCases[T any](ctx context.Context, workers, n int, progress func(T), label func(i int) string,
-	run func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	parent := obs.RecorderFrom(ctx)
-	var recs []*obs.Recorder
-	if parent != nil {
-		recs = make([]*obs.Recorder, n)
-	}
-	var mu sync.Mutex
-	results, err := pool.Map(ctx, workers, n, func(wctx context.Context, i int) (T, error) {
-		if recs != nil {
-			// Fork, not New: per-case recorders inherit the parent's cost
-			// attribution configuration.
-			recs[i] = parent.Fork()
-			wctx = obs.WithRecorder(wctx, recs[i])
-		}
-		r, err := run(wctx, i)
-		if err == nil && progress != nil {
-			mu.Lock()
-			progress(r)
-			mu.Unlock()
-		}
-		return r, err
-	})
-	for i, rec := range recs {
-		if rec != nil {
-			parent.Adopt(label(i), rec)
-		}
-	}
-	return results, err
-}
-
 // SweepCtx is Sweep with a context. Cancellation stops the matrix (cases
 // already running finish their current solver/supervision poll and bail).
-// A recorder carried by ctx observes every case; see mapCases for the merge
-// discipline.
+// A recorder carried by ctx observes every case, adopted as
+// "case <topology>/<fault>/<seed>" in matrix order (see pool.Map).
 func SweepCtx(ctx context.Context, cfg SweepConfig, progress func(CaseResult)) ([]CaseResult, []Summary, error) {
 	var cases []Case
 	for _, topo := range cfg.Topologies {
@@ -486,7 +447,8 @@ func SweepCtx(ctx context.Context, cfg SweepConfig, progress func(CaseResult)) (
 		}
 	}
 
-	results, err := mapCases(ctx, cfg.Workers, len(cases), progress,
+	report := pool.Serialize(progress)
+	results, err := pool.Map(ctx, cfg.Workers, len(cases),
 		func(i int) string {
 			c := cases[i]
 			return fmt.Sprintf("case %s/%s/%d", c.Topology, c.Fault, c.Seed)
@@ -497,6 +459,7 @@ func SweepCtx(ctx context.Context, cfg SweepConfig, progress func(CaseResult)) (
 			if err != nil {
 				return CaseResult{}, fmt.Errorf("chaos: %s/%s/seed=%d: %w", c.Topology, c.Fault, c.Seed, err)
 			}
+			report(*r)
 			return *r, nil
 		})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"chameleon/internal/obs"
+	"chameleon/internal/pool"
 	"chameleon/internal/runtime"
 	"chameleon/internal/scenario"
 	"chameleon/internal/sim"
@@ -250,10 +251,11 @@ func DefaultRecoverySweep() RecoverySweepConfig {
 }
 
 // RecoverySweep runs the matrix Workers-wide and returns results in matrix
-// order; a recorder carried by ctx observes every case (see mapCases for the
-// merge discipline). The error aggregates nothing: a case that fails to run
-// at all is an infrastructure failure, distinct from a case that runs and
-// does not recover (res.Recovered == false).
+// order; a recorder carried by ctx observes every case, adopted as
+// "recovery <topology>/<profile>/<seed>" in matrix order (see pool.Map).
+// The error aggregates nothing: a case that fails to run at all is an
+// infrastructure failure, distinct from a case that runs and does not
+// recover (res.Recovered == false).
 func RecoverySweep(ctx context.Context, cfg RecoverySweepConfig, progress func(RecoveryResult)) ([]RecoveryResult, error) {
 	var cases []RecoveryCase
 	for _, topo := range cfg.Topologies {
@@ -263,7 +265,8 @@ func RecoverySweep(ctx context.Context, cfg RecoverySweepConfig, progress func(R
 			}
 		}
 	}
-	return mapCases(ctx, cfg.Workers, len(cases), progress,
+	report := pool.Serialize(progress)
+	return pool.Map(ctx, cfg.Workers, len(cases),
 		func(i int) string {
 			c := cases[i]
 			return fmt.Sprintf("recovery %s/%s/%d", c.Topology, c.Profile, c.Seed)
@@ -280,6 +283,7 @@ func RecoverySweep(ctx context.Context, cfg RecoverySweepConfig, progress func(R
 				return RecoveryResult{}, fmt.Errorf("chaos: recovery %s/%s/seed=%d: %w",
 					c.Topology, c.Profile, c.Seed, err)
 			}
+			report(*r)
 			return *r, nil
 		})
 }

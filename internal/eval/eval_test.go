@@ -2,8 +2,6 @@ package eval
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -247,14 +245,13 @@ func TestCSVWriters(t *testing.T) {
 		t.Error("overhead CSV missing row")
 	}
 
-	dir := t.TempDir()
-	if err := SaveAllCSV(dir, res); err != nil {
+	buf.Reset()
+	if err := WritePhaseCSV(&buf, res); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"Abilene_snowcap.csv", "Abilene_chameleon.csv", "Abilene_phases.csv"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("missing artifact %s: %v", name, err)
-		}
+	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if lines[0] != "phase,start_s,end_s" || len(lines) != len(res.Phases)+1 {
+		t.Errorf("phase CSV malformed: %d lines for %d phases, header %q", len(lines), len(res.Phases), lines[0])
 	}
 }
 

@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"chameleon/internal/analyzer"
@@ -259,49 +258,21 @@ func SweepScheduling(names []string, seed uint64, opts scheduler.Options, worker
 }
 
 // SweepSchedulingCtx is SweepScheduling with a context: cancellation stops
-// the sweep (the error is ctx's), and a recorder carried by ctx observes
-// every scenario run (see sweep for the merge discipline).
+// the sweep (the error is ctx's, as a panicking run's is a
+// *pool.PanicError), and a recorder carried by ctx observes every scenario
+// run, adopted as "run <name>" in names order (see pool.Map).
 func SweepSchedulingCtx(ctx context.Context, names []string, seed uint64, opts scheduler.Options, workers int, progress func(SweepOutcome)) ([]SweepOutcome, error) {
-	return sweep(ctx, workers, names, progress, func(ctx context.Context, name string) SweepOutcome {
-		return schedulingOutcome(ctx, name, seed, opts)
+	report := pool.Serialize(progress)
+	return pool.Map(ctx, workers, len(names), runLabel(names), func(ctx context.Context, i int) (SweepOutcome, error) {
+		o := schedulingOutcome(ctx, names[i], seed, opts)
+		report(o)
+		return o, nil
 	})
 }
 
-// sweep fans runOne over names on the worker pool, serializing progress.
-// A panicking scenario run propagates as a *pool.PanicError, as does a
-// cancelled context as its error. When ctx carries an obs.Recorder, each
-// run gets its own forked recorder, and the forks are folded back into the
-// carried recorder in names order — never completion order — after the
-// pool drains, so traces and metric dumps are byte-identical at any worker
-// count.
-func sweep[T any](ctx context.Context, workers int, names []string, progress func(T), runOne func(ctx context.Context, name string) T) ([]T, error) {
-	parent := obs.RecorderFrom(ctx)
-	var recs []*obs.Recorder
-	if parent != nil {
-		recs = make([]*obs.Recorder, len(names))
-	}
-	var mu sync.Mutex
-	out, err := pool.Map(ctx, workers, len(names), func(wctx context.Context, i int) (T, error) {
-		if recs != nil {
-			// Fork, not New: per-run recorders inherit the parent's cost
-			// attribution so sweeps stay profile-able end to end.
-			recs[i] = parent.Fork()
-			wctx = obs.WithRecorder(wctx, recs[i])
-		}
-		o := runOne(wctx, names[i])
-		if progress != nil {
-			mu.Lock()
-			progress(o)
-			mu.Unlock()
-		}
-		return o, nil
-	})
-	for i, rec := range recs {
-		if rec != nil {
-			parent.Adopt("run "+names[i], rec)
-		}
-	}
-	return out, err
+// runLabel names a sweep's per-scenario recorder forks.
+func runLabel(names []string) func(i int) string {
+	return func(i int) string { return "run " + names[i] }
 }
 
 // schedulingOutcome runs one scenario of the §7 scheduling sweep. The
@@ -429,8 +400,11 @@ func SweepTableOverhead(names []string, seed uint64, opts scheduler.Options, wor
 // SweepTableOverheadCtx is SweepTableOverhead with a context; see
 // SweepSchedulingCtx for the cancellation and recorder semantics.
 func SweepTableOverheadCtx(ctx context.Context, names []string, seed uint64, opts scheduler.Options, workers int, progress func(OverheadOutcome)) ([]OverheadOutcome, error) {
-	return sweep(ctx, workers, names, progress, func(ctx context.Context, name string) OverheadOutcome {
-		return overheadOutcome(ctx, name, seed, opts)
+	report := pool.Serialize(progress)
+	return pool.Map(ctx, workers, len(names), runLabel(names), func(ctx context.Context, i int) (OverheadOutcome, error) {
+		o := overheadOutcome(ctx, names[i], seed, opts)
+		report(o)
+		return o, nil
 	})
 }
 

@@ -4,8 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -140,36 +138,6 @@ func WritePhaseCSV(w io.Writer, r *CaseStudyResult) error {
 	return cw.Error()
 }
 
-// SaveAllCSV writes the full artifact set for one case-study result into
-// dir: snowcap/chameleon series and the phase timeline.
-func SaveAllCSV(dir string, r *CaseStudyResult) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	files := []struct {
-		name  string
-		write func(io.Writer) error
-	}{
-		{r.Topology + "_snowcap.csv", func(w io.Writer) error { return WriteCaseStudyCSV(w, r.Snowcap) }},
-		{r.Topology + "_chameleon.csv", func(w io.Writer) error { return WriteCaseStudyCSV(w, r.Chameleon) }},
-		{r.Topology + "_phases.csv", func(w io.Writer) error { return WritePhaseCSV(w, r) }},
-	}
-	for _, f := range files {
-		out, err := os.Create(filepath.Join(dir, f.name))
-		if err != nil {
-			return err
-		}
-		if err := f.write(out); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteTimelineCSV writes the monitors' violation timelines: one row per
 // violation interval with onset, duration, blast radius, phase and
 // root-cause attribution (originating command/event, BGP hop depth, blame
@@ -277,6 +245,32 @@ func FormatViolationTable(r *CaseStudyResult) string {
 		fmt.Fprintf(&b, "%-12s %13.3fs %13.3fs\n",
 			c.Invariant, c.Snowcap.Seconds(), c.Chameleon.Seconds())
 	}
+	return b.String()
+}
+
+// FormatMeasurementSeries renders one run's traffic measurement for the
+// Fig. 1 printout: about a dozen samples of delivered, dropped and
+// waypoint-violating packets with the per-egress split, then the totals.
+func FormatMeasurementSeries(label string, d time.Duration, m *traffic.Measurement) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s: duration %.1f s\n", label, d.Seconds())
+	egs := m.Egresses()
+	fmt.Fprintf(&b, "  %8s  %10s  %10s  %8s", "time[s]", "total", "dropped", "wayp.viol")
+	for _, e := range egs {
+		fmt.Fprintf(&b, "  egress-n%d", int(e))
+	}
+	b.WriteString("\n")
+	step := len(m.Samples)/12 + 1
+	for i := 0; i < len(m.Samples); i += step {
+		s := m.Samples[i]
+		fmt.Fprintf(&b, "  %8.2f  %10.0f  %10.0f  %8.0f", s.Time, s.Delivered, s.Dropped, s.WaypointViolations)
+		for _, e := range egs {
+			fmt.Fprintf(&b, "  %9.0f", s.PerEgress[e])
+		}
+		b.WriteString("\n")
+	}
+	fmt.Fprintf(&b, "  totals: dropped %.0f pkt, waypoint violations %.0f pkt, violation window %.2f s\n",
+		m.TotalDropped, m.TotalViolations, m.ViolationSeconds)
 	return b.String()
 }
 

@@ -1,7 +1,7 @@
 // Package bundle turns one harness run into a durable, content-addressed,
 // diffable artifact: a directory of canonical parts (trace JSONL, metrics
-// dump, violation timelines, compiled plans, chaos fingerprints, BENCH
-// results, execution journals) plus a manifest.json recording the schema
+// dump, violation timelines, compiled plans, chaos fingerprints, execution
+// journals) plus a manifest.json recording the schema
 // version, the run's scenario key and seeds, the producing binary's build
 // info, and the SHA-256 of every part.
 //
@@ -47,7 +47,6 @@ const (
 	KindTimeline = "timeline" // monitor violation timelines JSONL (monitor.WriteJSONL)
 	KindPlan     = "plan"     // rendered reconfiguration plan (plan.Plan.String)
 	KindChaos    = "chaos"    // chaos / recovery sweep fingerprint table
-	KindBench    = "bench"    // perf trajectory point (chameleon/bench/v1 JSON)
 	KindJournal  = "journal"  // supervisor execution journal JSONL
 )
 
@@ -198,8 +197,8 @@ func (w *Writer) AddPart(name, kind string, write func(io.Writer) error) error {
 	return nil
 }
 
-// AddFile copies an existing file (a supervisor journal, a BENCH point)
-// into the bundle as a part.
+// AddFile copies an existing file (a supervisor journal) into the bundle as
+// a part.
 func (w *Writer) AddFile(name, kind, src string) error {
 	return w.AddPart(name, kind, func(dst io.Writer) error {
 		f, err := os.Open(src)

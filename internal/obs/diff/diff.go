@@ -4,10 +4,9 @@
 // formats and reports structured divergences — aligned span-stream records
 // for traces, counter/gauge/histogram deltas with noise tolerance for
 // metrics, record-by-record timeline alignment for violation timelines,
-// entry alignment for supervisor journals, deterministic-counter
-// comparison for BENCH points — and, where the artifact carries causal
-// provenance (timeline violation records), walks it to name the first
-// diverging event's root cause.
+// entry alignment for supervisor journals — and, where the artifact
+// carries causal provenance (timeline violation records), walks it to name
+// the first diverging event's root cause.
 //
 // The empty report is the determinism gate: two runs of the same seeds
 // must produce it at any parallelism, which CI enforces by running the
@@ -25,7 +24,6 @@ import (
 	"chameleon/internal/monitor"
 	"chameleon/internal/obs"
 	"chameleon/internal/obs/bundle"
-	"chameleon/internal/perf"
 	"chameleon/internal/supervisor"
 )
 
@@ -101,7 +99,7 @@ type Divergence struct {
 	Part string
 	// Kind classifies the difference: "meta", "missing-part",
 	// "extra-part", "parse", "event", "line", "counter", "gauge", "hist",
-	// "bench", "journal", "content".
+	// "journal", "content".
 	Kind string
 	// Detail is the human-readable description (may span lines).
 	Detail string
@@ -303,8 +301,6 @@ func diffPart(a, b *bundle.Bundle, pa, pb bundle.Part, opts Options) ([]Divergen
 		return diffMetrics(a, b, pa, pb, opts)
 	case bundle.KindTrace:
 		return diffTrace(a, b, pa, pb, opts)
-	case bundle.KindBench:
-		return diffBench(a, b, pa, pb, opts)
 	case bundle.KindJournal:
 		return diffJournal(a, b, pa, pb)
 	default: // plan, chaos, and any future text part
@@ -646,80 +642,6 @@ func truncate(line string) string {
 	return line
 }
 
-// --- bench parts -----------------------------------------------------------
-
-// diffBench compares two BENCH trajectory points by what is deterministic:
-// the benchmark set and the domain counters (solver nodes, sim events).
-// Wall times and allocation counts are machine measurements and never
-// diffed here — benchrunner -compare owns noise-aware perf comparison.
-func diffBench(a, b *bundle.Bundle, pa, pb bundle.Part, opts Options) ([]Divergence, error) {
-	fa, err := readBench(a, pa)
-	if err != nil {
-		return []Divergence{{Part: pa.Name, Kind: "parse", Detail: "A: " + err.Error()}}, nil
-	}
-	fb, err := readBench(b, pb)
-	if err != nil {
-		return []Divergence{{Part: pb.Name, Kind: "parse", Detail: "B: " + err.Error()}}, nil
-	}
-	var divs []Divergence
-	if fa.SuiteVersion != fb.SuiteVersion {
-		divs = append(divs, Divergence{Part: pa.Name, Kind: "bench",
-			Detail: fmt.Sprintf("suite version %d vs %d", fa.SuiteVersion, fb.SuiteVersion)})
-	}
-	ma := benchByName(fa)
-	mb := benchByName(fb)
-	for _, name := range sortedStringKeys(unionNames(ma, mb)) {
-		ra, inA := ma[name]
-		rb, inB := mb[name]
-		switch {
-		case !inB:
-			divs = append(divs, Divergence{Part: pa.Name, Kind: "bench",
-				Detail: fmt.Sprintf("benchmark %q only in A", name)})
-			continue
-		case !inA:
-			divs = append(divs, Divergence{Part: pa.Name, Kind: "bench",
-				Detail: fmt.Sprintf("benchmark %q only in B", name)})
-			continue
-		}
-		for _, ctr := range sortedStringKeys(unionDist(ra.Counters, rb.Counters)) {
-			da, inA := ra.Counters[ctr]
-			db, inB := rb.Counters[ctr]
-			if !inA || !inB {
-				divs = append(divs, Divergence{Part: pa.Name, Kind: "bench",
-					Detail: fmt.Sprintf("benchmark %q counter %s present in only one side", name, ctr)})
-				continue
-			}
-			if !opts.agree(int64(da.Median), int64(db.Median)) {
-				divs = append(divs, Divergence{Part: pa.Name, Kind: "bench",
-					Detail: fmt.Sprintf("benchmark %q counter %s: median %.0f vs %.0f — the workload itself changed",
-						name, ctr, da.Median, db.Median)})
-			}
-		}
-	}
-	if len(divs) == 0 {
-		divs = append(divs, Divergence{Part: pa.Name, Kind: "content",
-			Detail: "bytes differ but benchmark set and domain counters agree (timing noise only)"})
-		divs = nil // timing differences are never a divergence
-	}
-	return divs, nil
-}
-
-func readBench(b *bundle.Bundle, p bundle.Part) (*perf.File, error) {
-	raw, err := b.ReadPart(p)
-	if err != nil {
-		return nil, err
-	}
-	return perf.ReadFile(bytes.NewReader(raw))
-}
-
-func benchByName(f *perf.File) map[string]perf.Result {
-	m := make(map[string]perf.Result, len(f.Benchmarks))
-	for _, r := range f.Benchmarks {
-		m[r.Name] = r
-	}
-	return m
-}
-
 // --- journals --------------------------------------------------------------
 
 // diffJournal aligns two supervisor execution journals entry by entry.
@@ -796,35 +718,4 @@ func sortedKeys(m map[string]int64) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func sortedStringKeys(m map[string]bool) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func unionNames(a, b map[string]perf.Result) map[string]bool {
-	u := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		u[k] = true
-	}
-	for k := range b {
-		u[k] = true
-	}
-	return u
-}
-
-func unionDist(a, b map[string]perf.Dist) map[string]bool {
-	u := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		u[k] = true
-	}
-	for k := range b {
-		u[k] = true
-	}
-	return u
 }

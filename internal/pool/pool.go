@@ -9,6 +9,11 @@
 // whole sweep down with an opaque crash), honors context cancellation, and
 // reports the error of the *lowest* failed index rather than the first
 // failure in completion order, keeping even the error path deterministic.
+//
+// Map is also the one observed fan-out: when the context carries an
+// obs.Recorder, every task records into its own fork, and the forks are
+// adopted back in index order, so a trace is byte-identical at any worker
+// count.
 package pool
 
 import (
@@ -16,6 +21,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"chameleon/internal/obs"
 )
 
 // PanicError wraps a panic recovered from a worker, preserving the work
@@ -30,10 +37,10 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("pool: task %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// Workers clamps a requested worker count: values ≤ 0 mean "one worker per
-// CPU" (runtime.NumCPU), and the count never exceeds n, the number of work
-// items.
-func Workers(workers, n int) int {
+// clampWorkers clamps a requested worker count: values ≤ 0 mean "one
+// worker per CPU" (runtime.NumCPU), and the count never exceeds n, the
+// number of work items.
+func clampWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -53,14 +60,31 @@ func Workers(workers, n int) int {
 // complete and their results are kept. The returned error is the error of
 // the lowest failed index (a recovered panic surfaces as *PanicError).
 //
+// When ctx carries an obs.Recorder, each call runs against its own
+// parent.Fork() (inheriting the parent's cost attribution). After the pool
+// drains, the forks are adopted into the parent under label(i) in index
+// order — never completion order — even on error, so a partial fan-out
+// still leaves a well-formed trace and the merged trace and metric dump are
+// byte-identical at any worker count. label is called only then.
+//
 // fn must be safe for concurrent invocation; distinct calls never share a
 // result slot.
-func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+func Map[T any](ctx context.Context, workers, n int, label func(i int) string, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
 		return results, ctx.Err()
 	}
-	workers = Workers(workers, n)
+	workers = clampWorkers(workers, n)
+	parent := obs.RecorderFrom(ctx)
+	var recs []*obs.Recorder
+	if parent != nil {
+		recs = make([]*obs.Recorder, n)
+		unobserved := fn
+		fn = func(ctx context.Context, i int) (T, error) {
+			recs[i] = parent.Fork()
+			return unobserved(obs.WithRecorder(ctx, recs[i]), i)
+		}
+	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -90,6 +114,11 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	}
 	close(idx)
 	wg.Wait()
+	for i, rec := range recs {
+		if rec != nil { // nil: never started
+			parent.Adopt(label(i), rec)
+		}
+	}
 
 	for _, err := range errs {
 		if err != nil {
@@ -111,13 +140,17 @@ func run[T any](ctx context.Context, i int, fn func(ctx context.Context, i int) 
 	results[i], errs[i] = fn(ctx, i)
 }
 
-// ForEach is Map for work that communicates only through side effects
-// (each call writing its own pre-allocated slot): it runs fn(ctx, i) for
-// every i in [0, n) on at most workers goroutines with the same
-// cancellation, panic-capture and lowest-index error semantics.
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
+// Serialize wraps a progress callback so concurrent Map calls can report
+// through it: calls never overlap, and a nil callback becomes a no-op. The
+// callback observes completion order, not index order.
+func Serialize[T any](progress func(T)) func(T) {
+	if progress == nil {
+		return func(T) {}
+	}
+	var mu sync.Mutex
+	return func(v T) {
+		mu.Lock()
+		defer mu.Unlock()
+		progress(v)
+	}
 }

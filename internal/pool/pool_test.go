@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,12 +9,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"chameleon/internal/obs"
 )
 
 func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	const n = 64
 	for _, workers := range []int{1, 3, 8, 0} {
-		out, err := Map(context.Background(), workers, n, func(_ context.Context, i int) (int, error) {
+		out, err := Map(context.Background(), workers, n, nil, func(_ context.Context, i int) (int, error) {
 			// Finish in roughly reverse order to stress completion-order
 			// independence.
 			time.Sleep(time.Duration(n-i) * 10 * time.Microsecond)
@@ -36,7 +39,7 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 func TestMapBoundedConcurrency(t *testing.T) {
 	const workers = 3
 	var active, peak int64
-	_, err := Map(context.Background(), workers, 50, func(_ context.Context, i int) (int, error) {
+	_, err := Map(context.Background(), workers, 50, nil, func(_ context.Context, i int) (int, error) {
 		cur := atomic.AddInt64(&active, 1)
 		for {
 			p := atomic.LoadInt64(&peak)
@@ -57,7 +60,7 @@ func TestMapBoundedConcurrency(t *testing.T) {
 }
 
 func TestMapPanicCapture(t *testing.T) {
-	out, err := Map(context.Background(), 4, 8, func(_ context.Context, i int) (int, error) {
+	out, err := Map(context.Background(), 4, 8, nil, func(_ context.Context, i int) (int, error) {
 		if i == 5 {
 			panic("boom")
 		}
@@ -78,9 +81,9 @@ func TestMapPanicCapture(t *testing.T) {
 func TestMapLowestIndexError(t *testing.T) {
 	// Every call fails; the reported error must be index 0's regardless of
 	// completion order.
-	err := ForEach(context.Background(), 4, 16, func(_ context.Context, i int) error {
+	_, err := Map(context.Background(), 4, 16, nil, func(_ context.Context, i int) (int, error) {
 		time.Sleep(time.Duration(16-i) * 50 * time.Microsecond)
-		return fmt.Errorf("task %d failed", i)
+		return 0, fmt.Errorf("task %d failed", i)
 	})
 	if err == nil || err.Error() != "task 0 failed" {
 		t.Errorf("err = %v, want task 0's error", err)
@@ -91,19 +94,14 @@ func TestMapCancellation(t *testing.T) {
 	var started int64
 	block := make(chan struct{})
 	var once sync.Once
-	err := ForEach(context.Background(), 2, 100, func(ctx context.Context, i int) error {
+	_, err := Map(context.Background(), 2, 100, nil, func(ctx context.Context, i int) (int, error) {
 		atomic.AddInt64(&started, 1)
 		if i == 0 {
 			once.Do(func() { close(block) })
-			return errors.New("first failure")
+			return 0, errors.New("first failure")
 		}
 		<-block
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-			return nil
-		}
+		return 0, ctx.Err()
 	})
 	if err == nil {
 		t.Fatal("expected an error")
@@ -117,7 +115,7 @@ func TestMapCancellation(t *testing.T) {
 func TestMapParentContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Map(ctx, 4, 10, func(ctx context.Context, i int) (int, error) {
+	_, err := Map(ctx, 4, 10, nil, func(ctx context.Context, i int) (int, error) {
 		return i, ctx.Err()
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -126,7 +124,7 @@ func TestMapParentContextCancelled(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(context.Background(), 4, 0, func(_ context.Context, i int) (int, error) {
+	out, err := Map(context.Background(), 4, 0, nil, func(_ context.Context, i int) (int, error) {
 		t.Error("fn called for empty input")
 		return 0, nil
 	})
@@ -136,16 +134,60 @@ func TestMapEmpty(t *testing.T) {
 }
 
 func TestWorkersClamp(t *testing.T) {
-	if w := Workers(8, 3); w != 3 {
-		t.Errorf("Workers(8,3) = %d", w)
+	if w := clampWorkers(8, 3); w != 3 {
+		t.Errorf("clampWorkers(8,3) = %d", w)
 	}
-	if w := Workers(2, 100); w != 2 {
-		t.Errorf("Workers(2,100) = %d", w)
+	if w := clampWorkers(2, 100); w != 2 {
+		t.Errorf("clampWorkers(2,100) = %d", w)
 	}
-	if w := Workers(0, 100); w < 1 {
-		t.Errorf("Workers(0,100) = %d", w)
+	if w := clampWorkers(0, 100); w < 1 {
+		t.Errorf("clampWorkers(0,100) = %d", w)
 	}
-	if w := Workers(-1, 0); w != 1 {
-		t.Errorf("Workers(-1,0) = %d", w)
+	if w := clampWorkers(-1, 0); w != 1 {
+		t.Errorf("clampWorkers(-1,0) = %d", w)
+	}
+}
+
+// TestMapObservedFanOut: with a recorder in ctx, every task records into its
+// own fork, and the forks are adopted under label(i) in index order — also
+// after a failure — so the parent's trace is identical at any worker count.
+func TestMapObservedFanOut(t *testing.T) {
+	const n = 8
+	trace := func(workers int) ([]string, string) {
+		parent := obs.New()
+		ctx := obs.WithRecorder(context.Background(), parent)
+		_, err := Map(ctx, workers, n, func(i int) string { return fmt.Sprintf("task %d", i) },
+			func(ctx context.Context, i int) (int, error) {
+				if obs.RecorderFrom(ctx) == parent {
+					t.Errorf("task %d records into the parent, not a fork", i)
+				}
+				time.Sleep(time.Duration(n-i) * 20 * time.Microsecond)
+				_, sp := obs.StartSpan(ctx, fmt.Sprintf("work %d", i))
+				sp.Add("items", int64(i))
+				sp.End()
+				if i == n-1 { // last: every task has started, at any worker count
+					return 0, errors.New("last task failed")
+				}
+				return i, nil
+			})
+		if err == nil || err.Error() != "last task failed" {
+			t.Fatalf("workers=%d: err = %v, want the last task's", workers, err)
+		}
+		var buf bytes.Buffer
+		if err := parent.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return parent.SpanNames(), buf.String()
+	}
+	names, want := trace(1)
+	for i := 0; i < n; i++ {
+		if names[2*i] != fmt.Sprintf("task %d", i) || names[2*i+1] != fmt.Sprintf("work %d", i) {
+			t.Fatalf("spans %v: want task i / work i pairs in index order", names)
+		}
+	}
+	for _, workers := range []int{3, n} {
+		if _, got := trace(workers); got != want {
+			t.Errorf("workers=%d: trace differs from the sequential one", workers)
+		}
 	}
 }
