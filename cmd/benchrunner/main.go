@@ -22,7 +22,9 @@
 // max(-threshold, -noise-k·(oldMAD+newMAD)/oldMedian) — runs that were
 // noisy must move further before they are believed. Domain counters
 // (solver nodes, sim events) are deterministic, so any drift there is
-// reported as "the workload itself changed", never as machine noise.
+// reported as "the workload itself changed", never as machine noise;
+// bytes/op nearly are, so a rise of more than 1 % is reported as
+// "[bytes grew: …]". Neither fails -compare by itself.
 package main
 
 import (

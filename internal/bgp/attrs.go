@@ -14,11 +14,14 @@ import (
 //
 // Records live in blocks of 4 doubling up to 1 024 records; a handle is
 // block<<10 | offset. The table is append-only: a record is never
-// reclaimed before the table is dropped, like PathArena's paths. A lookup
-// compares with the last record interned, then consults a hash index over
-// every field (Path and ClusterList by content, nil told apart from empty)
-// and appends only on a miss. Interning decides which equal slice a table
-// hands back, never an order, so it changes no execution.
+// reclaimed before the table is dropped, so a handle, and a pointer At
+// returns, stays valid as long as the table. A record owns its Path and
+// ClusterList: Intern copies them into it when it appends the record, so a
+// caller may build routes in scratch it reuses. A lookup compares with the
+// last record interned, then consults a hash index over every field (Path
+// and ClusterList by content, nil told apart from empty) and appends only
+// on a miss. Interning decides which equal slice a table hands back, never
+// an order, so it changes no execution.
 //
 // Fork gives a what-if copy its own table in O(blocks): the fork shares
 // every block, with the last one clamped so both sides append into storage
@@ -30,6 +33,9 @@ type AttrTable struct {
 	grow   int    // capacity of the next block; 0 means attrFirstBlock
 	n      int    // records visible through this table
 	last   uint32 // handle+1 of the record interned last; 0 = none
+	// lookups counts the Intern calls that missed the last record and
+	// consulted the hash index.
+	lookups uint64
 	// index maps a field hash to handle+1 of the newest record with that
 	// hash appended since the last Fork; frozen holds what earlier forks
 	// froze, newest first.
@@ -86,6 +92,11 @@ func (t *AttrTable) rec(h uint32) *attrRecord {
 	return &t.blocks[h>>attrBlockBits][h&(attrBlock-1)]
 }
 
+// At returns the attributes of handle h, for reads that need a field or a
+// comparison and no copy. Its Prefix is unset. Every entry holding h shares
+// the record, so it must not be written to.
+func (t *AttrTable) At(h uint32) *Route { return &t.rec(h).r }
+
 // route rebuilds the Route of handle h for prefix p.
 func (t *AttrTable) route(h uint32, p Prefix) Route {
 	r := t.rec(h).r
@@ -93,12 +104,18 @@ func (t *AttrTable) route(h uint32, p Prefix) Route {
 	return r
 }
 
-// intern returns the handle of r's attributes, appending a record only if
-// no equal one exists.
-func (t *AttrTable) intern(r *Route) uint32 {
+// Lookups returns how many Intern calls missed the record interned last and
+// hashed the route to consult the index.
+func (t *AttrTable) Lookups() uint64 { return t.lookups }
+
+// Intern returns the handle of r's attributes (its Prefix is ignored),
+// appending a record only if no equal one exists. The record owns copies
+// of r's Path and ClusterList, so r's slices stay the caller's.
+func (t *AttrTable) Intern(r *Route) uint32 {
 	if t.last > 0 && sameAttrs(&t.rec(t.last-1).r, r) {
 		return t.last - 1
 	}
+	t.lookups++
 	key := attrHash(r)
 	head := t.head(key)
 	for x := head; x > 0; x = t.rec(x - 1).next {
@@ -142,13 +159,21 @@ func (t *AttrTable) append(r *Route, next uint32) uint32 {
 	}
 	rec := attrRecord{r: *r, next: next}
 	rec.r.Prefix = 0
-	// Clamped: a holder that appends to a handed-out slice copies instead of
-	// writing into a record every prefix shares.
-	rec.r.Path = slices.Clip(rec.r.Path)
-	rec.r.ClusterList = slices.Clip(rec.r.ClusterList)
+	rec.r.Path = own(r.Path)
+	rec.r.ClusterList = own(r.ClusterList)
 	t.blocks[b] = append(t.blocks[b], rec)
 	t.n++
 	return uint32(b)<<attrBlockBits | uint32(len(t.blocks[b])-1)
+}
+
+// own returns a copy of ids for a record, nil kept apart from empty. Its
+// capacity equals its length, so a holder that appends to a handed-out
+// slice copies instead of writing into a record every prefix shares.
+func own(ids []topology.NodeID) []topology.NodeID {
+	if ids == nil {
+		return nil
+	}
+	return append(make([]topology.NodeID, 0, len(ids)), ids...)
 }
 
 // sameAttrs reports whether a and b agree on every field but the prefix.

@@ -22,10 +22,10 @@ func TestAttrTableBlocksAndHandles(t *testing.T) {
 	const n = 5000
 	hs := make([]uint32, n)
 	for i := range hs {
-		hs[i] = at.intern(medRoute(uint32(i)))
+		hs[i] = at.Intern(medRoute(uint32(i)))
 	}
 	for _, i := range []int{0, 3, 4, 1019, 1020, n - 1} {
-		if h := at.intern(medRoute(uint32(i))); h != hs[i] {
+		if h := at.Intern(medRoute(uint32(i))); h != hs[i] {
 			t.Fatalf("MED %d interned to handle %#x, first to %#x", i, h, hs[i])
 		}
 	}
@@ -53,10 +53,10 @@ func TestAttrTableBlocksAndHandles(t *testing.T) {
 // no layer however often it is forked.
 func TestAttrTableFork(t *testing.T) {
 	src := NewAttrTable()
-	h1, h2, h3 := src.intern(medRoute(1)), src.intern(medRoute(2)), src.intern(medRoute(3))
+	h1, h2, h3 := src.Intern(medRoute(1)), src.Intern(medRoute(2)), src.Intern(medRoute(3))
 	f := src.Fork()
 	for med, h := range map[uint32]uint32{1: h1, 2: h2, 3: h3} {
-		if got := f.intern(medRoute(med)); got != h {
+		if got := f.Intern(medRoute(med)); got != h {
 			t.Errorf("fork interned MED %d to %#x, source holds it at %#x", med, got, h)
 		}
 	}
@@ -64,18 +64,18 @@ func TestAttrTableFork(t *testing.T) {
 		t.Fatalf("fork appended for attribute sets its source holds: Len %d", f.Len())
 	}
 
-	hs := src.intern(medRoute(10)) // into the spare slot of the shared block
-	hf := f.intern(medRoute(20))   // into a block of the fork's own
+	hs := src.Intern(medRoute(10)) // into the spare slot of the shared block
+	hf := f.Intern(medRoute(20))   // into a block of the fork's own
 	if got := f.route(h1, 0).MED; got != 1 {
 		t.Errorf("fork resolves a shared handle to MED %d after the source appended", got)
 	}
 	if src.route(hs, 0).MED != 10 || f.route(hf, 0).MED != 20 {
 		t.Error("an appended record does not resolve on its own side")
 	}
-	if f.intern(medRoute(10)); f.Len() != 5 {
+	if f.Intern(medRoute(10)); f.Len() != 5 {
 		t.Errorf("fork found a record its source appended after the fork: Len %d", f.Len())
 	}
-	if src.intern(medRoute(20)); src.Len() != 5 {
+	if src.Intern(medRoute(20)); src.Len() != 5 {
 		t.Errorf("source found a record the fork appended: Len %d", src.Len())
 	}
 
@@ -96,7 +96,7 @@ func TestAttrTableFork(t *testing.T) {
 	if layers(src) != 2 {
 		t.Errorf("forking an unwritten source grew its chain to %d layers", layers(src))
 	}
-	if got := g.intern(medRoute(10)); got != hs || g.Len() != src.Len() {
+	if got := g.Intern(medRoute(10)); got != hs || g.Len() != src.Len() {
 		t.Errorf("second fork interned MED 10 to %#x (Len %d), source holds it at %#x (Len %d)", got, g.Len(), hs, src.Len())
 	}
 }
@@ -107,7 +107,7 @@ func TestAttrTableFork(t *testing.T) {
 func TestAttrTableForksAreIndependent(t *testing.T) {
 	src := NewAttrTable()
 	for med := range uint32(3) { // three records in a block of four
-		src.intern(medRoute(med))
+		src.Intern(medRoute(med))
 	}
 	forks := make([]*AttrTable, 4)
 	for i := range forks {
@@ -120,8 +120,8 @@ func TestAttrTableForksAreIndependent(t *testing.T) {
 			defer wg.Done()
 			for k := range uint32(100) {
 				med := 1000*uint32(i+1) + k
-				h := f.intern(medRoute(med))
-				if f.intern(medRoute(k%3)) != k%3 || f.route(h, 0).MED != med {
+				h := f.Intern(medRoute(med))
+				if f.Intern(medRoute(k%3)) != k%3 || f.route(h, 0).MED != med {
 					t.Errorf("fork %d: record %d does not resolve", i, med)
 					return
 				}

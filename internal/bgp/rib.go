@@ -76,6 +76,12 @@ func (a *AdjIn) indexDec(p Prefix) {
 // Set records the route announced by neighbor for route.Prefix, reporting
 // whether the (neighbor, prefix) entry is new.
 func (a *AdjIn) Set(neighbor topology.NodeID, route Route) (added bool) {
+	return a.SetHandle(neighbor, route.Prefix, a.attrs.Intern(&route))
+}
+
+// SetHandle is Set of the route whose attributes the AdjIn's AttrTable holds
+// under h: a delivered message stores the handle its sender interned.
+func (a *AdjIn) SetHandle(neighbor topology.NodeID, prefix Prefix, h uint32) (added bool) {
 	t := a.routes[neighbor]
 	if t == nil {
 		t = NewRIBOn(a.attrs)
@@ -83,9 +89,9 @@ func (a *AdjIn) Set(neighbor topology.NodeID, route Route) (added bool) {
 		i, _ := slices.BinarySearch(a.nbrs, neighbor)
 		a.nbrs = slices.Insert(a.nbrs, i, neighbor)
 	}
-	added = t.Set(route)
+	added = t.SetHandle(prefix, h)
 	if added {
-		a.indexInc(route.Prefix)
+		a.indexInc(prefix)
 		a.size++
 	}
 	return added
@@ -126,12 +132,12 @@ func (a *AdjIn) DropNeighborRange(neighbor topology.NodeID, fn func(Prefix) bool
 		a.nbrs = slices.Delete(a.nbrs, i, i+1)
 	}
 	a.size -= t.Len()
-	t.t.walk(func(k uint64, _ uint32) bool {
-		a.indexDec(Prefix(k))
+	t.RangePrefixes(func(p Prefix) bool {
+		a.indexDec(p)
 		return true
 	})
 	if fn != nil {
-		t.t.walk(func(k uint64, _ uint32) bool { return fn(Prefix(k)) })
+		t.RangePrefixes(fn)
 	}
 }
 
@@ -139,9 +145,15 @@ func (a *AdjIn) DropNeighborRange(neighbor topology.NodeID, fn func(Prefix) bool
 // prefix, in ascending neighbor order, until fn returns false.
 // Allocation-free.
 func (a *AdjIn) RangeCandidates(prefix Prefix, fn func(topology.NodeID, Route) bool) {
+	a.RangeHandles(prefix, func(n topology.NodeID, h uint32) bool { return fn(n, a.attrs.route(h, prefix)) })
+}
+
+// RangeHandles is RangeCandidates yielding the attribute handle of each
+// route instead of the route.
+func (a *AdjIn) RangeHandles(prefix Prefix, fn func(topology.NodeID, uint32) bool) {
 	for _, n := range a.nbrs {
-		if r, ok := a.routes[n].Get(prefix); ok {
-			if !fn(n, r) {
+		if h, ok := a.routes[n].Handle(prefix); ok {
+			if !fn(n, h) {
 				return
 			}
 		}
@@ -204,30 +216,21 @@ func (a *AdjIn) CloneOn(attrs *AttrTable) *AdjIn {
 	return c
 }
 
-// LocRIB is the per-prefix best-route table of one router.
+// LocRIB is the per-prefix best-route table of one router: a RIB whose
+// entries are its selections.
 type LocRIB struct {
-	t *RIB
+	*RIB
 }
 
 // NewLocRIB returns an empty Loc-RIB interning into attrs.
-func NewLocRIB(attrs *AttrTable) *LocRIB { return &LocRIB{t: NewRIBOn(attrs)} }
-
-// Get returns the selected route for prefix, if any.
-func (l *LocRIB) Get(prefix Prefix) (Route, bool) { return l.t.Get(prefix) }
-
-// Set installs route as the selection for route.Prefix.
-func (l *LocRIB) Set(route Route) { l.t.Set(route) }
+func NewLocRIB(attrs *AttrTable) *LocRIB { return &LocRIB{NewRIBOn(attrs)} }
 
 // Clear removes the selection for prefix.
-func (l *LocRIB) Clear(prefix Prefix) { l.t.Delete(prefix) }
-
-// Range calls fn for every (prefix, selected route) pair in ascending
-// prefix order until fn returns false. Allocation-free.
-func (l *LocRIB) Range(fn func(Prefix, Route) bool) { l.t.Range(fn) }
+func (l *LocRIB) Clear(prefix Prefix) { l.Delete(prefix) }
 
 // Size returns the number of selected routes.
-func (l *LocRIB) Size() int { return l.t.Len() }
+func (l *LocRIB) Size() int { return l.Len() }
 
 // CloneOn returns an independent copy sharing unchanged subtrees, interning
 // into attrs as RIB.CloneOn does.
-func (l *LocRIB) CloneOn(attrs *AttrTable) *LocRIB { return &LocRIB{t: l.t.CloneOn(attrs)} }
+func (l *LocRIB) CloneOn(attrs *AttrTable) *LocRIB { return &LocRIB{l.RIB.CloneOn(attrs)} }

@@ -75,15 +75,8 @@ func (r Route) Pre() topology.NodeID {
 // Extend returns a copy of the route as propagated to node n: the path is
 // extended, and non-transitive attributes (Weight) are reset.
 func (r Route) Extend(n topology.NodeID) Route {
-	return r.ExtendIn(nil, n)
-}
-
-// ExtendIn is Extend with the new path carved from arena, avoiding a heap
-// allocation per propagated route during announcement storms. A nil arena
-// falls back to a plain allocation.
-func (r Route) ExtendIn(a *PathArena, n topology.NodeID) Route {
 	out := r
-	out.Path = a.ExtendPath(r.Path, n)
+	out.Path = append(append(make([]topology.NodeID, 0, len(r.Path)+1), r.Path...), n)
 	out.Weight = DefaultWeight
 	out.FromEBGP = false
 	out.ClusterList = slices.Clone(r.ClusterList)

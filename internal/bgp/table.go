@@ -29,10 +29,22 @@ func (r *RIB) Get(prefix Prefix) (Route, bool) {
 }
 
 // Set stores route under route.Prefix, reporting whether the prefix was
-// absent before (an insert rather than a replacement). The table keeps
-// route's Path and ClusterList, which must not be written to afterwards.
+// absent before (an insert rather than a replacement). The table copies
+// route's Path and ClusterList when their attributes are new to it and
+// never keeps the caller's, so the caller may reuse them.
 func (r *RIB) Set(route Route) (added bool) {
-	return r.t.set(cowKey(route.Prefix), r.attrs.intern(&route))
+	return r.SetHandle(route.Prefix, r.attrs.Intern(&route))
+}
+
+// Handle returns the attribute handle stored for prefix, if any; the
+// table's AttrTable resolves it (AttrTable.At).
+func (r *RIB) Handle(prefix Prefix) (uint32, bool) { return r.t.get(cowKey(prefix)) }
+
+// SetHandle stores handle h under prefix without hashing a route, as Set
+// does. h must come from the table's AttrTable: a handle read from another
+// table of the same network, or interned into it.
+func (r *RIB) SetHandle(prefix Prefix, h uint32) (added bool) {
+	return r.t.set(cowKey(prefix), h)
 }
 
 // Delete removes the entry for prefix, reporting whether one existed.
@@ -42,6 +54,12 @@ func (r *RIB) Delete(prefix Prefix) bool { return r.t.delete(cowKey(prefix)) }
 // false. The table must not be mutated during the walk.
 func (r *RIB) Range(fn func(Prefix, Route) bool) {
 	r.t.walk(func(k uint64, h uint32) bool { return fn(Prefix(k), r.attrs.route(h, Prefix(k))) })
+}
+
+// RangePrefixes is Range over the keys alone, for walks that rebuild no
+// route.
+func (r *RIB) RangePrefixes(fn func(Prefix) bool) {
+	r.t.walk(func(k uint64, _ uint32) bool { return fn(Prefix(k)) })
 }
 
 // Len returns the number of stored entries in O(1).

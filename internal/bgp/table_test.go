@@ -479,38 +479,6 @@ func TestAdjInRangeAndClone(t *testing.T) {
 	}
 }
 
-func TestPathArena(t *testing.T) {
-	var a PathArena
-	base := []topology.NodeID{1, 2}
-	p1 := a.ExtendPath(base, 3)
-	p2 := a.ExtendPath(p1, 4)
-	if !reflect.DeepEqual(p1, []topology.NodeID{1, 2, 3}) {
-		t.Fatalf("p1 = %v", p1)
-	}
-	if !reflect.DeepEqual(p2, []topology.NodeID{1, 2, 3, 4}) {
-		t.Fatalf("p2 = %v", p2)
-	}
-	// Appending to an arena slice must copy, never scribble on a neighbor.
-	_ = append(p1, 99)
-	if !reflect.DeepEqual(p2, []topology.NodeID{1, 2, 3, 4}) {
-		t.Fatalf("append aliased arena storage: p2 = %v", p2)
-	}
-	// Nil arena falls back to plain allocation.
-	var nilA *PathArena
-	p3 := nilA.ExtendPath(base, 5)
-	if !reflect.DeepEqual(p3, []topology.NodeID{1, 2, 5}) {
-		t.Fatalf("p3 = %v", p3)
-	}
-	// Cross block boundaries.
-	long := make([]topology.NodeID, 0, 40)
-	for i := 0; i < 2000; i++ {
-		long = a.ExtendPath(long[:min(len(long), 20)], topology.NodeID(i))
-	}
-	if long[len(long)-1] != 1999 {
-		t.Fatalf("block rollover lost tail: %v", long[len(long)-1])
-	}
-}
-
 // TestPrefixMap: the zero value is an empty map that allocates nothing until
 // its first Set, walks are ascending, and a clone is independent in both
 // directions.
@@ -563,19 +531,23 @@ func TestPrefixMap(t *testing.T) {
 	}
 }
 
-// TestPathArenaBlocksGrow: blocks double from arenaFirstBlock up to
-// arenaBlock and stay there, so a small consumer never pays for a full one.
-func TestPathArenaBlocksGrow(t *testing.T) {
-	var a PathArena
-	var caps []int // of each new block
-	path := []topology.NodeID{1, 2, 3}
-	for range 8_000 {
-		if a.ExtendPath(path, 4); len(a.block) == len(path)+1 {
-			caps = append(caps, cap(a.block))
-		}
+// TestSetDoesNotAliasCallerSlices: a table owns the slices of the routes it
+// stores, so a caller that builds routes in one buffer and reuses it after
+// Set rewrites no stored route, nor the record every prefix with those
+// attributes shares.
+func TestSetDoesNotAliasCallerSlices(t *testing.T) {
+	r := NewRIB()
+	path, clusters := []topology.NodeID{1, 2}, []topology.NodeID{7}
+	rt := Route{Egress: 1, External: 100, Path: path, ClusterList: clusters, LocalPref: DefaultLocalPref}
+	for _, p := range []Prefix{3, 4} {
+		rt.Prefix = p
+		r.Set(rt)
 	}
-	want := []int{256, 512, 1024, 2048, 4096, 8192, 8192, 8192}
-	if !reflect.DeepEqual(caps, want) {
-		t.Fatalf("block capacities %v, want %v", caps, want)
+	path[1], clusters[0] = 9, 9
+	for _, p := range []Prefix{3, 4} {
+		got, ok := r.Get(p)
+		if !ok || !slices.Equal(got.Path, []topology.NodeID{1, 2}) || !slices.Equal(got.ClusterList, []topology.NodeID{7}) {
+			t.Errorf("Get(%d) = %+v after the caller reused its buffers, want Path [1 2] ClusterList [7]", p, got)
+		}
 	}
 }

@@ -9,7 +9,6 @@
 package igp
 
 import (
-	"container/heap"
 	"maps"
 	"math"
 
@@ -92,22 +91,54 @@ type pqItem struct {
 	dist float64
 }
 
+func (a pqItem) before(b pqItem) bool {
+	return a.dist < b.dist || a.dist == b.dist && a.node < b.node
+}
+
+// pq is a binary min-heap of pqItems under before. Items with equal keys
+// are equal, so the order items pop in does not depend on the heap's shape.
 type pq []pqItem
 
-func (p pq) Len() int { return len(p) }
-func (p pq) Less(i, j int) bool {
-	if p[i].dist != p[j].dist {
-		return p[i].dist < p[j].dist
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return p[i].node < p[j].node
+	h[i] = it
+	*q = h
 }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
+
+func (q *pq) pop() pqItem {
+	h := *q
+	top, last := h[0], len(h)-1
+	it := h[last]
+	h = h[:last]
+	if last > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if r := c + 1; r < last && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(it) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = it
+	}
+	*q = h
+	return top
 }
 
 func (s *SPF) dijkstra(src topology.NodeID) ([]float64, []topology.NodeID) {
@@ -120,9 +151,9 @@ func (s *SPF) dijkstra(src topology.NodeID) ([]float64, []topology.NodeID) {
 		first[i] = topology.None
 	}
 	dist[src] = 0
-	q := &pq{{src, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
+	q := pq{{src, 0}}
+	for len(q) > 0 {
+		it := q.pop()
 		u := it.node
 		if done[u] {
 			continue
@@ -147,7 +178,7 @@ func (s *SPF) dijkstra(src topology.NodeID) ([]float64, []topology.NodeID) {
 			if better {
 				dist[v] = nd
 				first[v] = hop
-				heap.Push(q, pqItem{v, nd})
+				q.push(pqItem{v, nd})
 			}
 		}
 	}

@@ -43,7 +43,16 @@ type Delta struct {
 	// changed, not the machine. Informational, never a regression by
 	// itself.
 	CounterDrift []string
+	// OldBytes and NewBytes are the bytes/op medians; BytesGrew means the
+	// new one exceeds the old by more than bytesGrowth. Allocation is close
+	// to deterministic (MADs of tens of bytes on megabytes), so growth past
+	// that is the code, not the machine. Informational, like CounterDrift.
+	OldBytes, NewBytes float64
+	BytesGrew          bool
 }
+
+// bytesGrowth is the relative bytes/op increase Compare reports.
+const bytesGrowth = 0.01
 
 // Report is a full comparison of two BENCH files.
 type Report struct {
@@ -68,8 +77,8 @@ func (r *Report) Regressions() int {
 }
 
 // Compare diffs two trajectory points benchmark by benchmark. Only
-// time-per-op gates: allocation and counter movement is reported but the
-// machine-dependent wall clock is what the trajectory tracks.
+// time-per-op gates: bytes/op growth and counter movement are reported but
+// the machine-dependent wall clock is what the trajectory tracks.
 func Compare(old, new *File, opts CompareOptions) *Report {
 	opts = opts.withDefaults()
 	rep := &Report{}
@@ -101,7 +110,10 @@ func Compare(old, new *File, opts CompareOptions) *Report {
 			OldMedian: ob.TimeNSPerOp.Median,
 			NewMedian: nb.TimeNSPerOp.Median,
 			Threshold: opts.Threshold,
+			OldBytes:  ob.BytesPerOp.Median,
+			NewBytes:  nb.BytesPerOp.Median,
 		}
+		d.BytesGrew = d.NewBytes > d.OldBytes*(1+bytesGrowth)
 		if d.OldMedian > 0 {
 			d.Ratio = d.NewMedian / d.OldMedian
 			noise := opts.NoiseK * (ob.TimeNSPerOp.MAD + nb.TimeNSPerOp.MAD) / d.OldMedian
@@ -157,6 +169,9 @@ func (r *Report) WriteText(w io.Writer) {
 			d.Name, d.OldMedian, d.NewMedian, d.Ratio, 100*d.Threshold, status)
 		if len(d.CounterDrift) > 0 {
 			fmt.Fprintf(w, "  [counters drifted: %v]", d.CounterDrift)
+		}
+		if d.BytesGrew {
+			fmt.Fprintf(w, "  [bytes grew: %.0f → %.0f B/op]", d.OldBytes, d.NewBytes)
 		}
 		fmt.Fprintln(w)
 	}

@@ -199,6 +199,32 @@ func TestCompareSuiteDrift(t *testing.T) {
 	}
 }
 
+// TestCompareReportsBytesGrowth: bytes/op that rise more than 1 % are
+// reported, and printed as the marker CI's prefix-scale gate fails on; a
+// smaller rise or a fall is not, and neither is ever a regression.
+func TestCompareReportsBytesGrowth(t *testing.T) {
+	withBytes := func(b float64) *File {
+		f := benchFile("a", 1000, 0)
+		f.Benchmarks[0].BytesPerOp = Dist{Median: b}
+		return f
+	}
+	old := withBytes(100_000)
+	for _, c := range []struct {
+		bytes float64
+		grew  bool
+	}{{101_001, true}, {101_000, false}, {50_000, false}} {
+		rep := Compare(old, withBytes(c.bytes), CompareOptions{})
+		if got := rep.Deltas[0].BytesGrew; got != c.grew || rep.Regressions() != 0 {
+			t.Errorf("100000 → %.0f B/op: BytesGrew %v, %d regressions; want %v, 0", c.bytes, got, rep.Regressions(), c.grew)
+		}
+		var b bytes.Buffer
+		rep.WriteText(&b)
+		if got := strings.Contains(b.String(), "[bytes grew: 100000 → "); got != c.grew {
+			t.Errorf("100000 → %.0f B/op: marker printed %v, want %v:\n%s", c.bytes, got, c.grew, b.String())
+		}
+	}
+}
+
 func TestRunCostProducesFlameDigest(t *testing.T) {
 	suite := []Benchmark{{Name: "spans/op", Setup: func() (Fn, error) {
 		return func(ctx context.Context) error {

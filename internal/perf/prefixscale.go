@@ -31,8 +31,9 @@ import (
 //     session carrying the storm). The message-count counters make the
 //     reduction machine-independent. Every prefix of a storm carries the
 //     same attributes, so its tables intern a handful of attribute records
-//     and grow by a handle per entry (BENCH_13: 12.5 / 8.2 MB a build,
-//     30.3 / 26.0 MB in BENCH_12).
+//     and grow by a handle per entry, and a message carries a prefix and a
+//     handle per route (BENCH_14: 8.0 / 2.9 MB a build; 12.5 / 8.2 MB in
+//     BENCH_13, when messages carried routes; 30.3 / 26.0 MB in BENCH_12).
 const (
 	whatIfPrefixes = 100_000
 	stormPrefixes  = 10_000

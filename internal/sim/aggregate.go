@@ -70,7 +70,11 @@ func (r *router) aggregateRoute(prefix bgp.Prefix) (bgp.Route, bool) {
 			continue
 		}
 		for _, c := range rule.Contributors {
-			if best, ok := r.locRib.Get(c); ok && best.FromEBGP && best.Egress == r.id {
+			h, ok := r.locRib.Handle(c)
+			if !ok {
+				continue
+			}
+			if best := r.attrs.At(h); best.FromEBGP && best.Egress == r.id {
 				// Originated as if learned over eBGP at this router: it
 				// behaves like a normal egress route in iBGP.
 				return bgp.Route{

@@ -114,7 +114,7 @@ func (n *Network) ScheduleCausedAt(t time.Duration, id CauseID, fn func(*Network
 	if t < n.now {
 		t = n.now
 	}
-	n.push(&event{at: t, fn: fn, cause: id})
+	n.push(t, &event{fn: fn, cause: id})
 }
 
 // ScheduleEventAt registers a CauseEvent named label and runs fn at t with

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"time"
 
 	"chameleon/internal/obs"
@@ -11,7 +10,9 @@ import (
 // event is a queue entry: either a message delivery or a scheduled function
 // (configuration command, external event, probe). Each event carries the
 // causal chain it belongs to: the root cause and the number of message hops
-// between the root and this event (see cause.go).
+// between the root and this event (see cause.go). A delivery is the
+// message's own delivery field, so a message and its event are one
+// allocation.
 type event struct {
 	at    time.Duration
 	seq   uint64 // tie-break, preserves insertion order at equal times
@@ -21,31 +22,64 @@ type event struct {
 	hops  int
 }
 
+// before orders events by (at, seq). seq is unique, so the order is total:
+// events pop in one order whatever shape the heap has.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventQueue is a binary min-heap of events under before.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (q *eventQueue) push(e *event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	e := old[len(old)-1]
-	// The vacated slot would keep the delivered event, and with it a
-	// message payload, alive for as long as the backing array lives.
-	old[len(old)-1] = nil
-	*q = old[:len(old)-1]
-	return e
+	h[i] = e
+	*q = h
 }
 
-func (n *Network) push(e *event) {
-	e.seq = n.seq
+func (q *eventQueue) pop() *event {
+	h := *q
+	top, last := h[0], len(h)-1
+	e := h[last]
+	// The vacated slot would keep the delivered event, and with it a
+	// message payload, alive for as long as the backing array lives.
+	h[last] = nil
+	h = h[:last]
+	if last > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if r := c + 1; r < last && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(e) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = e
+	}
+	*q = h
+	return top
+}
+
+func (n *Network) push(at time.Duration, e *event) {
+	e.at, e.seq = at, n.seq
+	n.queue.push(e)
 	n.seq++
-	heap.Push(&n.queue, e)
 }
 
 // ScheduleAt runs fn when the simulated clock reaches t. Functions
@@ -58,7 +92,7 @@ func (n *Network) ScheduleAt(t time.Duration, fn func(*Network)) {
 	if t < n.now {
 		t = n.now
 	}
-	n.push(&event{at: t, fn: fn, cause: n.curCause, hops: n.curHops})
+	n.push(t, &event{fn: fn, cause: n.curCause, hops: n.curHops})
 }
 
 // ScheduleAfter runs fn after the given delay from the current simulated
@@ -90,19 +124,21 @@ func (n *Network) sendMsg(m *message) {
 		}
 	}
 	key := sessKey{m.from, m.to}
-	enqueue := func(at time.Duration) time.Duration {
+	enqueue := func(at time.Duration, e *event) time.Duration {
 		if last, ok := n.lastDelivery[key]; ok && at <= last {
 			at = last + time.Microsecond
 		}
 		n.lastDelivery[key] = at
-		// A message is one propagation hop deeper than the event that sent
-		// it; the cause rides along unchanged.
-		n.push(&event{at: at, msg: m, cause: n.curCause, hops: n.curHops + 1})
+		n.push(at, e)
 		return at
 	}
-	at := enqueue(n.now + delay)
+	// A message is one propagation hop deeper than the event that sent it;
+	// the cause rides along unchanged.
+	m.delivery = event{msg: m, cause: n.curCause, hops: n.curHops + 1}
+	at := enqueue(n.now+delay, &m.delivery)
 	if duplicate {
-		enqueue(at + delay/2)
+		dup := m.delivery
+		enqueue(at+delay/2, &dup)
 	}
 }
 

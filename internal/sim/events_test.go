@@ -1,0 +1,66 @@
+package sim
+
+import (
+	"cmp"
+	"math/rand/v2"
+	"slices"
+	"testing"
+	"time"
+)
+
+// TestEventQueueOrder runs the event heap in lockstep with a slice kept
+// sorted by (at, seq) over seeded push and pop sequences: times drawn from
+// a handful of values so most pushes tie on at, and deliveries duplicated
+// the way a FaultDuplicate fault enqueues them (a copy of the delivery
+// event, for the same message, later). Every pop must return the event the
+// slice holds first, and leave no event behind in the vacated slot.
+func TestEventQueueOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 17))
+		n := &Network{}
+		var ref []*event
+		var sent []*message
+		pop := func(step int) {
+			t.Helper()
+			got := n.queue.pop()
+			if got != ref[0] {
+				t.Fatalf("seed %d step %d: popped (%v, %d), want (%v, %d)",
+					seed, step, got.at, got.seq, ref[0].at, ref[0].seq)
+			}
+			ref = ref[1:]
+			if tail := n.queue[len(n.queue):cap(n.queue)]; len(tail) > 0 && tail[0] != nil {
+				t.Fatalf("seed %d step %d: the vacated slot still holds an event", seed, step)
+			}
+		}
+		for step := range 2_000 {
+			if len(ref) > 0 && rng.IntN(5) < 2 {
+				pop(step)
+				continue
+			}
+			at := time.Duration(rng.IntN(4)) * time.Millisecond
+			var e *event
+			if len(sent) > 0 && rng.IntN(4) == 0 {
+				m := sent[rng.IntN(len(sent))]
+				dup := m.delivery
+				e = &dup
+				at += m.delivery.at
+			} else {
+				m := &message{}
+				m.delivery = event{msg: m}
+				sent = append(sent, m)
+				e = &m.delivery
+			}
+			n.push(at, e)
+			ref = append(ref, e)
+			slices.SortFunc(ref, func(a, b *event) int {
+				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+			})
+		}
+		for step := 0; len(ref) > 0; step++ {
+			pop(step)
+		}
+		if len(n.queue) != 0 {
+			t.Fatalf("seed %d: %d events left after the reference drained", seed, len(n.queue))
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package sim
 
+import "chameleon/internal/bgp"
+
 // QueueRetained counts the slots of n's event-queue backing array beyond its
 // length that still point at an event.
 func QueueRetained(n *Network) int {
@@ -14,3 +16,20 @@ func QueueRetained(n *Network) int {
 
 // AttrRecords returns the number of records n's attribute table resolves.
 func AttrRecords(n *Network) int { return n.attrs.Len() }
+
+// AttrLookups returns how many interns on n's attribute table hashed a
+// route to consult the index.
+func AttrLookups(n *Network) uint64 { return n.attrs.Lookups() }
+
+// DirtyPrefixes returns the number of prefixes marked for the snapshots the
+// current event ends with.
+func DirtyPrefixes(n *Network) int { return len(n.dirty) }
+
+// SnapshotChanged marks the routing of ps changed and takes the snapshots an
+// event that changed it ends with.
+func SnapshotChanged(n *Network, ps ...bgp.Prefix) {
+	for _, p := range ps {
+		n.markDirty(p)
+	}
+	n.snapshotDirty()
+}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"chameleon/internal/fwd"
 	"chameleon/internal/scenario"
 	"chameleon/internal/sim"
+	"chameleon/internal/topology"
 )
 
 // TestQueueReleasesDeliveredEvents: once Run drains the queue, no slot of
@@ -74,7 +76,9 @@ func TestStormRetainedBytesPerEntry(t *testing.T) {
 }
 
 // TestSnapshotAllocatesOnce: a snapshot is filled into scratch and copied
-// once, into the trace, and the hook sees that stored copy.
+// once, into the trace, and the hook sees that stored copy. An event that
+// changes several traced prefixes orders them in scratch too, so it costs
+// one allocation per stored state.
 func TestSnapshotAllocatesOnce(t *testing.T) {
 	s := scenario.RunningExample()
 	var seen fwd.State
@@ -86,5 +90,89 @@ func TestSnapshotAllocatesOnce(t *testing.T) {
 	tr := s.Net.Trace(s.Prefix)
 	if last := tr.States[len(tr.States)-1]; &seen[0] != &last[0] || !seen.Equal(s.Net.ForwardingState(s.Prefix)) {
 		t.Error("the hook did not see the trace's stored state")
+	}
+
+	a3 := abilenePlus3(t)
+	ps := a3.AllPrefixes()[:2]
+	var order []bgp.Prefix
+	a3.Net.SetSnapshotHook(func(_ time.Duration, p bgp.Prefix, _ fwd.State, _ sim.Provenance) { order = append(order, p) })
+	sim.SnapshotChanged(a3.Net, ps[1], ps[0])
+	if !slices.Equal(order, ps) {
+		t.Fatalf("the hook saw %v, want ascending %v", order, ps)
+	}
+	a3.Net.SetSnapshotHook(func(time.Duration, bgp.Prefix, fwd.State, sim.Provenance) {})
+	if allocs := testing.AllocsPerRun(100, func() { sim.SnapshotChanged(a3.Net, ps[1], ps[0]) }); allocs != 2 {
+		t.Errorf("%v allocations per two-prefix event with a hook installed, want 2", allocs)
+	}
+}
+
+// TestDeliveryInternsNothing: a delivered message stores the handles its
+// sender interned. A 10k-route block, every route with attributes of its
+// own, arrives at a router that exports nothing further (its one neighbor
+// sent the routes): the delivery fills the Adj-RIB-In and the Loc-RIB
+// without adding an attribute record or hashing a route.
+func TestDeliveryInternsNothing(t *testing.T) {
+	const n = 10_000
+	g := topology.New("sink")
+	r := g.AddRouter("r")
+	ext := g.AddExternal("ext", 65001)
+	g.AddLink(ext, r, 1)
+	opts := sim.DefaultOptions(1)
+	opts.TracePrefixes = []bgp.Prefix{}
+	net := sim.New(g, opts)
+	net.SetSession(r, ext, bgp.EBGP)
+	anns := make([]sim.Announcement, n)
+	for i := range anns {
+		anns[i] = sim.Announcement{Prefix: bgp.Prefix(i), ASPathLen: 1, MED: uint32(i)}
+	}
+	net.InjectExternalRoutes(ext, anns)
+	records, lookups := sim.AttrRecords(net), sim.AttrLookups(net)
+	if records < n {
+		t.Fatalf("the sender interned %d records for %d distinct attribute sets", records, n)
+	}
+	if got := net.Run(); got != 1 {
+		t.Fatalf("the block took %d events, want its one delivery", got)
+	}
+	if got := net.TableEntries(); got != n {
+		t.Fatalf("%d Adj-RIB-In entries after the delivery, want %d", got, n)
+	}
+	for _, p := range []bgp.Prefix{0, n / 2, n - 1} {
+		if best, ok := net.Best(r, p); !ok || best.MED != uint32(p) {
+			t.Fatalf("prefix %d: selected %+v %v, want the delivered route", p, best, ok)
+		}
+	}
+	if got := sim.AttrRecords(net); got != records {
+		t.Errorf("the delivery added %d attribute records", got-records)
+	}
+	if got := sim.AttrLookups(net); got != lookups {
+		t.Errorf("the delivery hashed %d routes", got-lookups)
+	}
+}
+
+// TestUntracedDecisionsMarkNothing: a decision marks its prefix for the
+// snapshot the event ends with only if the prefix is traced. An ingress
+// policy change outside the event loop re-selects every prefix of a storm
+// at its border router; with tracing off (TracePrefixes empty) the dirty
+// set stays empty. On the running example, which traces every prefix, the
+// same change marks the one prefix it re-selects.
+func TestUntracedDecisionsMarkNothing(t *testing.T) {
+	const n = 2_000
+	st := storm(t, n)
+	st.Net.UpdateRouteMap(st.Border, st.Ext, sim.In, func(rm *sim.RouteMap) {
+		rm.Add(sim.Entry{Order: 1, Action: sim.Action{SetWeight: sim.IntP(5)}})
+	})
+	if best, ok := st.Net.Best(st.Border, n-1); !ok || best.Weight != 5 {
+		t.Fatalf("the border did not re-select through the new route map: %+v %v", best, ok)
+	}
+	if got := sim.DirtyPrefixes(st.Net); got != 0 {
+		t.Errorf("untraced decisions marked %d prefixes", got)
+	}
+
+	s := scenario.RunningExample()
+	s.Net.UpdateRouteMap(s.Graph.MustNode("n2"), s.Graph.MustNode("n1"), sim.In, func(rm *sim.RouteMap) {
+		rm.Add(sim.Entry{Order: 1, Action: sim.Action{SetWeight: sim.IntP(5)}})
+	})
+	if got := sim.DirtyPrefixes(s.Net); got != 1 {
+		t.Errorf("a traced re-selection marked %d prefixes, want 1", got)
 	}
 }

@@ -27,30 +27,50 @@ import (
 
 // message is a BGP message in flight on a directed session: the routes it
 // announces and the prefixes it withdraws, each in ascending prefix order.
+// A route travels as its prefix and the handle its sender interned into the
+// network's one attribute table, which the receiver stores as it is.
 // Nothing writes to a message once it is sent.
 type message struct {
+	// delivery is the message's queue event, so a message and its delivery
+	// are one allocation.
+	delivery  event
 	from, to  topology.NodeID
-	updates   []bgp.Route
+	updates   []update
 	withdraws []bgp.Prefix
 
 	// one backs updates until a second route is announced, so the common
 	// message — one route — is a single allocation.
-	one [1]bgp.Route
+	one [1]update
 }
 
-// announce adds rt to the message. rest is the number of routes, rt
-// included, the sender may still add: a payload that outgrows the inline
-// array is sized once, never regrown.
-func (m *message) announce(rt bgp.Route, rest int) {
+// update announces the route for prefix whose attributes the network's
+// attribute table holds under h.
+type update struct {
+	prefix bgp.Prefix
+	h      uint32
+}
+
+// announce adds the route (p, h) to the message. rest is the number of
+// routes, this one included, the sender may still add: a payload that
+// outgrows the inline array is sized once, never regrown.
+func (m *message) announce(p bgp.Prefix, h uint32, rest int) {
 	if m.updates == nil {
 		m.updates = m.one[:0]
 	}
-	m.updates = append(slices.Grow(m.updates, rest), rt)
+	m.updates = append(slices.Grow(m.updates, rest), update{p, h})
 }
 
 // withdraw adds p to the message's withdrawals; rest as for announce.
 func (m *message) withdraw(p bgp.Prefix, rest int) {
 	m.withdraws = append(slices.Grow(m.withdraws, rest), p)
+}
+
+// routeBufs back the Path and ClusterList of a route built for interning.
+// They outlive the route, so building one allocates nothing once they have
+// grown; the attribute table copies them into a record only when the
+// attributes are new to it.
+type routeBufs struct {
+	path, clusters []topology.NodeID
 }
 
 // InjectExternalRoute makes external network ext originate ann and
@@ -114,33 +134,31 @@ func (n *Network) WithdrawExternalRoutes(ext topology.NodeID, prefixes []bgp.Pre
 }
 
 // originate sends peer one message announcing anns (ascending by prefix) as
-// external network ext originates them.
+// external network ext originates them: the route each becomes at peer,
+// interned.
 func (n *Network) originate(ext, peer topology.NodeID, anns []Announcement) {
 	m := &message{from: ext, to: peer}
+	n.bufs.path = append(n.bufs.path[:0], peer)
 	for i, ann := range anns {
-		m.announce(externalRoute(peer, ext, ann), len(anns)-i)
+		rt := bgp.Route{
+			Prefix:       ann.Prefix,
+			Egress:       peer,
+			External:     ext,
+			Path:         n.bufs.path,
+			LocalPref:    bgp.DefaultLocalPref,
+			ASPathLen:    ann.ASPathLen,
+			MED:          ann.MED,
+			FromEBGP:     true,
+			OriginatorID: topology.None,
+		}
+		m.announce(ann.Prefix, n.attrs.Intern(&rt), len(anns)-i)
 	}
 	n.sendMsg(m)
 }
 
-// externalRoute builds the route an external announcement becomes at the
-// receiving border router.
-func externalRoute(peer, ext topology.NodeID, ann Announcement) bgp.Route {
-	return bgp.Route{
-		Prefix:       ann.Prefix,
-		Egress:       peer,
-		External:     ext,
-		Path:         []topology.NodeID{peer},
-		LocalPref:    bgp.DefaultLocalPref,
-		ASPathLen:    ann.ASPathLen,
-		MED:          ann.MED,
-		FromEBGP:     true,
-		OriginatorID: topology.None,
-	}
-}
-
 // deliver applies a message at its receiver: all Adj-RIB-In mutations
-// first, then one decision pass over the affected prefixes.
+// first, then one decision pass over the affected prefixes. The receiver
+// stores each handle the sender interned; nothing is hashed on this side.
 func (n *Network) deliver(m *message) {
 	n.msgCount++
 	n.count(obs.CtrBGPUpdates, int64(len(m.updates)))
@@ -152,9 +170,9 @@ func (n *Network) deliver(m *message) {
 	if r.external {
 		// External networks are sinks; record exports for the
 		// no-transient-leak invariant.
-		for _, rt := range m.updates {
-			r.adjIn.Set(m.from, rt)
-			n.ebgpExports[rt.Prefix]++
+		for _, u := range m.updates {
+			r.adjIn.SetHandle(m.from, u.prefix, u.h)
+			n.ebgpExports[u.prefix]++
 		}
 		for _, p := range m.withdraws {
 			r.adjIn.Withdraw(m.from, p)
@@ -162,15 +180,17 @@ func (n *Network) deliver(m *message) {
 		return
 	}
 	affected := n.affected[:0]
-	for _, rt := range m.updates {
-		if r.acceptable(rt) {
-			n.adjInSet(r, m.from, rt)
+	for _, u := range m.updates {
+		if r.acceptable(n.attrs.At(u.h)) {
+			if r.adjIn.SetHandle(m.from, u.prefix, u.h) {
+				n.tableEntries++
+			}
 		} else {
 			// Loop-rejected; an earlier route from this neighbor is
 			// implicitly replaced (treat as withdraw).
-			n.adjInWithdraw(r, m.from, rt.Prefix)
+			n.adjInWithdraw(r, m.from, u.prefix)
 		}
-		affected = append(affected, rt.Prefix)
+		affected = append(affected, u.prefix)
 	}
 	for _, p := range m.withdraws {
 		if n.adjInWithdraw(r, m.from, p) {
@@ -181,14 +201,8 @@ func (n *Network) deliver(m *message) {
 	n.runDecisions(r, affected)
 }
 
-// adjInSet and adjInWithdraw funnel every internal-router Adj-RIB-In
-// mutation through the incremental tableEntries counter.
-func (n *Network) adjInSet(r *router, from topology.NodeID, route bgp.Route) {
-	if r.adjIn.Set(from, route) {
-		n.tableEntries++
-	}
-}
-
+// adjInWithdraw funnels every internal-router Adj-RIB-In withdrawal through
+// the incremental tableEntries counter; deliver counts the insertions.
 func (n *Network) adjInWithdraw(r *router, from topology.NodeID, prefix bgp.Prefix) bool {
 	gone := r.adjIn.Withdraw(from, prefix)
 	if gone {
@@ -232,21 +246,24 @@ func (n *Network) runDecisions(r *router, prefixes []bgp.Prefix) {
 // export diffs the desired exports of r for the given prefixes against
 // Adj-RIB-Out towards peer and sends at most one message carrying all
 // resulting updates and withdrawals. It is the only place an export meets
-// the Adj-RIB-Out.
+// the Adj-RIB-Out. A route is built in scratch, compared with the record
+// last sent, and interned once, only if it is sent: the handle goes into
+// Adj-RIB-Out and onto the message.
 func (n *Network) export(r *router, peer topology.NodeID, prefixes []bgp.Prefix) {
 	if r.external {
 		return
 	}
 	var m *message // made at the first difference
 	out := r.adjOut[peer]
+	var want bgp.Route
 	for i, p := range prefixes {
-		want, ok := r.exportTo(peer, p, n.arena)
-		var sent bgp.Route
+		ok := r.exportTo(peer, p, &want, &n.bufs)
+		var sent uint32
 		wasSent := false
 		if out != nil {
-			sent, wasSent = out.Get(p)
+			sent, wasSent = out.Handle(p)
 		}
-		if !ok && !wasSent || ok && wasSent && routesIdentical(want, sent) {
+		if !ok && !wasSent || ok && wasSent && routesIdentical(&want, n.attrs.At(sent)) {
 			continue
 		}
 		if m == nil {
@@ -256,8 +273,9 @@ func (n *Network) export(r *router, peer topology.NodeID, prefixes []bgp.Prefix)
 			if out == nil {
 				out = r.adjOutFor(peer)
 			}
-			out.Set(want)
-			m.announce(want, len(prefixes)-i)
+			h := n.attrs.Intern(&want)
+			out.SetHandle(p, h)
+			m.announce(p, h, len(prefixes)-i)
 		} else {
 			out.Delete(p)
 			m.withdraw(p, len(prefixes)-i)

@@ -323,8 +323,12 @@ func TestBlockNamingAPrefixTwiceLastWins(t *testing.T) {
 // changed route arrives at a border router, travels to a route reflector
 // with three clients, is reflected to the other two, and the network
 // drains. The ceiling is the count measured on the simulator that had a
-// dedicated single-route message with its route inline; a message that
-// carries its one route in a separately allocated payload exceeds it.
+// dedicated single-route message with its route inline. The count is now
+// 10: 4 messages, each one allocation with its delivery event, and the
+// slices the 4 new attribute records own (the external route's path, the
+// path the border sends the reflector, path and cluster list of each
+// reflected route); every route is built in scratch and interned once. A
+// payload or an event allocated apart from its message exceeds it.
 func TestSingleRouteMessageAllocs(t *testing.T) {
 	g := topology.New("rr3")
 	rr := g.AddRouter("rr")
@@ -356,7 +360,7 @@ func TestSingleRouteMessageAllocs(t *testing.T) {
 	if got := net.MessagesProcessed() - before; got != 4 {
 		t.Fatalf("one update took %d messages, want 4 (ext→c0→rr→c1,c2)", got)
 	}
-	const ceiling = 11 // 4 messages, 4 events, the external route's path, 2 reflected cluster lists
+	const ceiling = 11
 	if allocs := testing.AllocsPerRun(200, update); allocs > ceiling {
 		t.Errorf("%v allocations per single-route update, ceiling %d", allocs, ceiling)
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand/v2"
 	"slices"
 	"time"
@@ -73,9 +72,11 @@ type Network struct {
 	// snapHook, when set, observes every forwarding-state snapshot the
 	// moment it is appended to a trace (see SetSnapshotHook). Not
 	// inherited by Clone. scratch is the state a snapshot is filled into
-	// before the trace copies it.
-	snapHook SnapshotHook
-	scratch  fwd.State
+	// before the trace copies it, and snapOrder the sorted prefix list a
+	// hook sees an event's snapshots in.
+	snapHook  SnapshotHook
+	scratch   fwd.State
+	snapOrder []bgp.Prefix
 
 	// tableEntries is the current network-wide Adj-RIB-In entry count over
 	// internal routers, maintained incrementally at every table mutation;
@@ -84,10 +85,9 @@ type Network struct {
 	tableEntries    int
 	maxTableEntries int
 
-	// arena backs the propagation paths of exported routes, and attrs the
-	// route attributes every table of the network holds handles into; both
-	// are dropped wholesale with the network.
-	arena *bgp.PathArena
+	// attrs holds the route attributes every table of the network, and
+	// every message in flight, holds handles into; it is dropped wholesale
+	// with the network.
 	attrs *bgp.AttrTable
 
 	// ebgpExports counts routes advertised to external peers, per prefix,
@@ -96,11 +96,15 @@ type Network struct {
 
 	msgCount uint64
 
-	// cands is decide's candidate scratch. The selected route is copied by
-	// value into the Loc-RIB, so nothing retains the slice between calls.
-	// affected is deliver's: the prefixes a message touched.
+	// cands and held are decide's candidate scratch: the routes and, per
+	// route, 1 + the handle storing it unchanged or 0 (rangeIngress). The
+	// Loc-RIB keeps a handle, so nothing retains them between calls.
+	// affected is deliver's: the prefixes a message touched. bufs hold the
+	// slices of the route originate or export builds before interning it.
 	cands    []bgp.Route
+	held     []uint32
 	affected []bgp.Prefix
+	bufs     routeBufs
 
 	// faults, when set, decides the fate of every scheduled command and
 	// delivered message (see fault.go). pendingCmds tracks in-flight
@@ -142,7 +146,6 @@ func newNetwork(g *topology.Graph, spf *igp.SPF, opts Options, attrs *bgp.AttrTa
 		traces:       make(map[bgp.Prefix]*fwd.Trace),
 		dirty:        make(map[bgp.Prefix]causeMark),
 		ebgpExports:  make(map[bgp.Prefix]int),
-		arena:        &bgp.PathArena{},
 		attrs:        attrs,
 	}
 	if opts.TracePrefixes == nil {
@@ -363,11 +366,19 @@ func (n *Network) igpChanged() {
 }
 
 func (n *Network) markAllDirtyFor(node topology.NodeID) {
-	mark := causeMark{n.curCause, n.curHops}
-	n.routers[node].locRib.Range(func(p bgp.Prefix, _ bgp.Route) bool {
-		n.dirty[p] = mark
+	n.routers[node].locRib.RangePrefixes(func(p bgp.Prefix) bool {
+		n.markDirty(p)
 		return true
 	})
+}
+
+// markDirty records that p's routing changed in the current event, for the
+// snapshot the event ends with. Only a traced prefix is marked: snapshotOne
+// would drop the mark of any other.
+func (n *Network) markDirty(p bgp.Prefix) {
+	if n.traceAll || n.traces[p] != nil {
+		n.dirty[p] = causeMark{n.curCause, n.curHops}
+	}
 }
 
 // --- Event loop ----------------------------------------------------------
@@ -375,10 +386,10 @@ func (n *Network) markAllDirtyFor(node topology.NodeID) {
 // Step processes the next queued event; it returns false if the queue is
 // empty.
 func (n *Network) Step() bool {
-	if n.queue.Len() == 0 {
+	if len(n.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&n.queue).(*event)
+	e := n.queue.pop()
 	n.now = e.at
 	n.curCause, n.curHops = e.cause, e.hops
 	n.activateCause(e.cause)
@@ -412,7 +423,7 @@ func (n *Network) Run() int {
 // clock to t.
 func (n *Network) RunUntil(t time.Duration) int {
 	count := 0
-	for n.queue.Len() > 0 && n.queue[0].at <= t {
+	for len(n.queue) > 0 && n.queue[0].at <= t {
 		n.Step()
 		count++
 	}
@@ -423,51 +434,56 @@ func (n *Network) RunUntil(t time.Duration) int {
 }
 
 // Pending returns the number of queued events.
-func (n *Network) Pending() int { return n.queue.Len() }
+func (n *Network) Pending() int { return len(n.queue) }
 
 // NextEventAt returns the time of the earliest pending event, or false with
 // an empty queue. Convergence gates use it to tell "churn still in flight"
 // from "only far-future work remains": if nothing is scheduled inside the
 // quiet window, the forwarding plane cannot change before it closes.
 func (n *Network) NextEventAt() (time.Duration, bool) {
-	if n.queue.Len() == 0 {
+	if len(n.queue) == 0 {
 		return 0, false
 	}
 	return n.queue[0].at, true
 }
 
 // Converged reports whether no BGP messages or scheduled functions remain.
-func (n *Network) Converged() bool { return n.queue.Len() == 0 }
+func (n *Network) Converged() bool { return len(n.queue) == 0 }
 
 // decide re-runs best-path selection at r for prefix, updates the Loc-RIB
 // and the dirty set, and reports whether the selection changed. It never
-// mutates the Adj-RIB-In, so callers may invoke it while ranging one.
+// mutates the Adj-RIB-In, so callers may invoke it while ranging one. A
+// selection ingress policy left unchanged goes into the Loc-RIB as the
+// handle its Adj-RIB-In holds; only one policy or aggregation built is
+// interned.
 func (n *Network) decide(r *router, prefix bgp.Prefix) bool {
-	cands := r.ingressCandidates(prefix, n.cands[:0])
+	cands, held := n.cands[:0], n.held[:0]
+	r.rangeIngress(prefix, func(route bgp.Route, h uint32) bool {
+		cands, held = append(cands, route), append(held, h)
+		return true
+	})
 	if agg, ok := r.aggregateRoute(prefix); ok {
-		cands = append(cands, agg)
+		cands, held = append(cands, agg), append(held, 0)
 	}
-	n.cands = cands
+	n.cands, n.held = cands, held
 	cmp := bgp.Comparator{SPF: n.spf, Node: r.id}
-	old, hadOld := r.locRib.Get(prefix)
-	var selected bgp.Route
-	have := false
-	if i := cmp.Best(cands); i >= 0 {
-		selected = cands[i]
-		have = true
+	old, hadOld := r.locRib.Handle(prefix)
+	i := cmp.Best(cands)
+	switch {
+	case !hadOld && i < 0:
+		return false
+	case hadOld && i >= 0 && routesIdentical(n.attrs.At(old), &cands[i]):
+		return false
 	}
 	switch {
-	case !hadOld && !have:
-		return false
-	case hadOld && have && routesIdentical(old, selected):
-		return false
-	}
-	if have {
-		r.locRib.Set(selected)
-	} else {
+	case i < 0:
 		r.locRib.Clear(prefix)
+	case held[i] > 0:
+		r.locRib.SetHandle(prefix, held[i]-1)
+	default:
+		r.locRib.Set(cands[i])
 	}
-	n.dirty[prefix] = causeMark{n.curCause, n.curHops}
+	n.markDirty(prefix)
 	return true
 }
 
@@ -480,8 +496,14 @@ func isSummary(r *router, prefix bgp.Prefix) bool {
 	return false
 }
 
-func routesIdentical(a, b bgp.Route) bool {
-	return a.PathEqual(b) && a.Weight == b.Weight && a.LocalPref == b.LocalPref &&
+// routesIdentical reports whether two routes for one prefix agree on the
+// announcement, the propagation path and every attribute the decision
+// process reads but the cluster list: a change in nothing else is neither
+// re-selected nor re-sent. Either may be an attribute record, whose Prefix
+// is unset.
+func routesIdentical(a, b *bgp.Route) bool {
+	return a.Egress == b.Egress && a.External == b.External && slices.Equal(a.Path, b.Path) &&
+		a.Weight == b.Weight && a.LocalPref == b.LocalPref &&
 		a.ASPathLen == b.ASPathLen && a.MED == b.MED && a.FromEBGP == b.FromEBGP
 }
 
@@ -493,14 +515,14 @@ func (n *Network) refreshExports(node, neighbor topology.NodeID) {
 	// collected up front: export deletes from the table being walked.
 	var stale []bgp.Prefix
 	if out := r.adjOut[neighbor]; out != nil {
-		out.Range(func(p bgp.Prefix, _ bgp.Route) bool {
-			if _, ok := r.locRib.Get(p); !ok {
+		out.RangePrefixes(func(p bgp.Prefix) bool {
+			if _, ok := r.locRib.Handle(p); !ok {
 				stale = append(stale, p)
 			}
 			return true
 		})
 	}
-	r.locRib.Range(func(p bgp.Prefix, _ bgp.Route) bool {
+	r.locRib.RangePrefixes(func(p bgp.Prefix) bool {
 		n.export(r, neighbor, []bgp.Prefix{p})
 		return true
 	})
@@ -534,7 +556,7 @@ func (n *Network) Best(node topology.NodeID, prefix bgp.Prefix) (bgp.Route, bool
 // matching pred (pred nil matches any).
 func (n *Network) Knows(node topology.NodeID, prefix bgp.Prefix, pred func(bgp.Route) bool) bool {
 	found := false
-	n.routers[node].rangeIngress(prefix, func(r bgp.Route) bool {
+	n.routers[node].rangeIngress(prefix, func(r bgp.Route, _ uint32) bool {
 		found = pred == nil || pred(r)
 		return !found
 	})
@@ -543,7 +565,12 @@ func (n *Network) Knows(node topology.NodeID, prefix bgp.Prefix, pred func(bgp.R
 
 // Candidates returns the admitted candidate routes of node for prefix.
 func (n *Network) Candidates(node topology.NodeID, prefix bgp.Prefix) []bgp.Route {
-	return n.routers[node].ingressCandidates(prefix, nil)
+	var out []bgp.Route
+	n.routers[node].rangeIngress(prefix, func(r bgp.Route, _ uint32) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
 }
 
 // NextHop computes the forwarding next hop of node for prefix: External if
@@ -554,14 +581,15 @@ func (n *Network) NextHop(node topology.NodeID, prefix bgp.Prefix) topology.Node
 	if r.external {
 		return fwd.Drop
 	}
-	best, ok := r.locRib.Get(prefix)
+	h, ok := r.locRib.Handle(prefix)
 	if !ok {
 		return fwd.Drop
 	}
-	if best.Egress == node {
+	egress := n.attrs.At(h).Egress
+	if egress == node {
 		return fwd.External
 	}
-	nh := n.spf.NextHop(node, best.Egress)
+	nh := n.spf.NextHop(node, egress)
 	if nh == topology.None {
 		return fwd.Drop
 	}
@@ -653,11 +681,12 @@ func (n *Network) snapshotDirty() {
 	if n.snapHook != nil && len(n.dirty) > 1 {
 		// The dirty set is a map; with an observer attached the per-event
 		// prefix order becomes output-affecting, so fix it.
-		ps := make([]bgp.Prefix, 0, len(n.dirty))
+		ps := n.snapOrder[:0]
 		for p := range n.dirty {
 			ps = append(ps, p)
 		}
 		slices.Sort(ps)
+		n.snapOrder = ps
 		for _, p := range ps {
 			n.snapshotOne(p)
 		}
@@ -732,12 +761,13 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 // index is 0 and jitter restarts from the constructor stream of
 // Options.Seed. Not inherited either: causal provenance, the snapshot hook,
 // the recorder and its span, the fault injector and pending commands.
-// New paths come from a fresh arena; shared routes keep pointing into the
-// source's, whose handed-out paths are immutable. The tables intern into a
-// fork of the source's attribute table (bgp.AttrTable.Fork), which resolves
-// every shared handle and appends into storage of its own.
+// The tables intern into a fork of the source's attribute table
+// (bgp.AttrTable.Fork), which resolves every shared handle and appends into
+// storage of its own. No handle crosses from one network to the other: the
+// empty queue means no message is in flight, and a new route, like every
+// route, is interned by the network that sends it.
 func (n *Network) Clone() *Network {
-	if n.queue.Len() > 0 {
+	if len(n.queue) > 0 {
 		panic("sim: Clone requires a converged network")
 	}
 	c := newNetwork(n.graph, n.spf.Clone(), n.opts, n.attrs.Fork())

@@ -42,7 +42,7 @@ type Match struct {
 
 // Matches reports whether the entry applies to the given route exchanged
 // with the given neighbor.
-func (m Match) Matches(neighbor topology.NodeID, r bgp.Route) bool {
+func (m Match) Matches(neighbor topology.NodeID, r *bgp.Route) bool {
 	if m.Prefix != nil && *m.Prefix != r.Prefix {
 		return false
 	}
@@ -122,28 +122,32 @@ func (rm *RouteMap) Len() int {
 	return len(rm.entries)
 }
 
-// Apply runs the route map over route r exchanged with neighbor. It returns
-// the (possibly modified) route and false if the route is denied.
-func (rm *RouteMap) Apply(neighbor topology.NodeID, r bgp.Route) (bgp.Route, bool) {
+// Apply runs the route map over route r exchanged with neighbor, in place.
+// permit is false if the route is denied; set reports whether a matching
+// entry set an attribute, so an r that comes back with set false is the
+// route that went in.
+func (rm *RouteMap) Apply(neighbor topology.NodeID, r *bgp.Route) (permit, set bool) {
 	if rm == nil {
-		return r, true
+		return true, false
 	}
 	for _, e := range rm.entries {
 		if !e.Match.Matches(neighbor, r) {
 			continue
 		}
 		if e.Action.Deny {
-			return r, false
+			return false, false
 		}
 		if e.Action.SetWeight != nil {
 			r.Weight = *e.Action.SetWeight
+			set = true
 		}
 		if e.Action.SetLocalPref != nil {
 			r.LocalPref = *e.Action.SetLocalPref
+			set = true
 		}
-		return r, true
+		return true, set
 	}
-	return r, true
+	return true, false
 }
 
 // String renders the route map for debugging.

@@ -148,28 +148,27 @@ func (r *router) neighbors() []topology.NodeID { return r.nbrs }
 
 // rangeIngress calls fn with every Adj-RIB-In route for prefix that ingress
 // policy admits, policy applied, in ascending neighbor order, until fn
-// returns false. Allocation-free; the only place ingress policy meets the
-// Adj-RIB-In.
-func (r *router) rangeIngress(prefix bgp.Prefix, fn func(bgp.Route) bool) {
-	r.adjIn.RangeCandidates(prefix, func(nb topology.NodeID, raw bgp.Route) bool {
-		if route, ok := r.routeMap(In, nb).Apply(nb, raw); ok {
-			return fn(route)
+// returns false. held is 1 + the handle that stores the route as fn sees
+// it, or 0 when policy set an attribute. Allocation-free; the only place
+// ingress policy meets the Adj-RIB-In.
+func (r *router) rangeIngress(prefix bgp.Prefix, fn func(route bgp.Route, held uint32) bool) {
+	r.adjIn.RangeHandles(prefix, func(nb topology.NodeID, h uint32) bool {
+		route := *r.attrs.At(h)
+		route.Prefix = prefix
+		permit, set := r.routeMap(In, nb).Apply(nb, &route)
+		if !permit {
+			return true
 		}
-		return true
+		held := h + 1
+		if set {
+			held = 0
+		}
+		return fn(route, held)
 	})
-}
-
-// ingressCandidates appends the routes rangeIngress yields to buf.
-func (r *router) ingressCandidates(prefix bgp.Prefix, buf []bgp.Route) []bgp.Route {
-	r.rangeIngress(prefix, func(route bgp.Route) bool {
-		buf = append(buf, route)
-		return true
-	})
-	return buf
 }
 
 // acceptable implements RFC 4456 / path loop checks on a received route.
-func (r *router) acceptable(route bgp.Route) bool {
+func (r *router) acceptable(route *bgp.Route) bool {
 	if route.OriginatorID == r.id {
 		return false
 	}
@@ -177,44 +176,41 @@ func (r *router) acceptable(route bgp.Route) bool {
 		return false
 	}
 	// Path loop: the route's propagation path must not already contain us
-	// before the final element (which is us, by Extend).
-	for _, n := range route.Path[:max(0, len(route.Path)-1)] {
-		if n == r.id {
-			return false
-		}
-	}
-	return true
+	// before the final element (which is us: the sender appended it).
+	return !slices.Contains(route.Path[:max(0, len(route.Path)-1)], r.id)
 }
 
-// exportTo computes the route this router would advertise to neighbor for
-// prefix, applying the iBGP/eBGP/route-reflection export rules and the
-// egress route map. ok is false if nothing may be advertised. Path storage
-// for the extended route comes from arena (nil falls back to plain
-// allocation).
-func (r *router) exportTo(neighbor topology.NodeID, prefix bgp.Prefix, arena *bgp.PathArena) (bgp.Route, bool) {
-	best, have := r.locRib.Get(prefix)
+// exportTo builds in out the route this router would advertise to neighbor
+// for prefix, applying the iBGP/eBGP/route-reflection export rules and the
+// egress route map, and reports false if nothing may be advertised. The
+// selected route is read in place; the extended path and cluster list go
+// into b, and an unchanged cluster list stays the selected record's, which
+// nothing writes to.
+func (r *router) exportTo(neighbor topology.NodeID, prefix bgp.Prefix, out *bgp.Route, b *routeBufs) bool {
+	h, have := r.locRib.Handle(prefix)
 	if !have {
-		return bgp.Route{}, false
+		return false
 	}
 	toKind, connected := r.sessions[neighbor]
 	if !connected {
-		return bgp.Route{}, false
+		return false
 	}
 	// Summary-only aggregation suppresses the contributors (§8).
 	if r.suppressed(prefix) {
-		return bgp.Route{}, false
+		return false
 	}
+	best := r.attrs.At(h)
 	// Never advertise a route back onto the session it was learned from.
 	learnedFrom := best.Pre()
 	if best.FromEBGP {
 		learnedFrom = best.External
 	}
 	if neighbor == learnedFrom {
-		return bgp.Route{}, false
+		return false
 	}
 	// Never advertise to a neighbor already on the propagation path.
 	if slices.Contains(best.Path[:max(0, len(best.Path)-1)], neighbor) {
-		return bgp.Route{}, false
+		return false
 	}
 
 	if toKind != bgp.EBGP {
@@ -230,7 +226,7 @@ func (r *router) exportTo(neighbor topology.NodeID, prefix bgp.Prefix, arena *bg
 			case bgp.IBGPPeer, bgp.IBGPUp:
 				// Learned from a non-client: send to clients only.
 				if toKind != bgp.IBGPClient {
-					return bgp.Route{}, false
+					return false
 				}
 			case bgp.EBGP:
 				// Session kind changed under us; treat as eBGP-learned.
@@ -238,7 +234,13 @@ func (r *router) exportTo(neighbor topology.NodeID, prefix bgp.Prefix, arena *bg
 		}
 	}
 
-	out := best.ExtendIn(arena, neighbor)
+	*out = *best
+	out.Prefix = prefix
+	b.path = append(append(b.path[:0], best.Path...), neighbor)
+	out.Path = b.path
+	// Non-transitive attributes are reset.
+	out.Weight = bgp.DefaultWeight
+	out.FromEBGP = false
 	if toKind == bgp.EBGP {
 		// LOCAL_PREF is not propagated over eBGP; AS path grows.
 		out.LocalPref = bgp.DefaultLocalPref
@@ -248,11 +250,9 @@ func (r *router) exportTo(neighbor topology.NodeID, prefix bgp.Prefix, arena *bg
 		if out.OriginatorID == topology.None {
 			out.OriginatorID = best.Egress
 		}
-		out.ClusterList = append(out.ClusterList, r.id)
+		b.clusters = append(append(b.clusters[:0], best.ClusterList...), r.id)
+		out.ClusterList = b.clusters
 	}
-	out, ok := r.routeMap(Out, neighbor).Apply(neighbor, out)
-	if !ok {
-		return bgp.Route{}, false
-	}
-	return out, true
+	permit, _ := r.routeMap(Out, neighbor).Apply(neighbor, out)
+	return permit
 }

@@ -102,8 +102,8 @@ func (rm *RouteMap) Entries() []Entry {
 // after an abort has drained the queue). The result is deterministic —
 // identical networks capture to identical values.
 func (n *Network) CaptureState() (*NetState, error) {
-	if n.queue.Len() > 0 {
-		return nil, fmt.Errorf("sim: CaptureState requires a converged network (%d events pending)", n.queue.Len())
+	if len(n.queue) > 0 {
+		return nil, fmt.Errorf("sim: CaptureState requires a converged network (%d events pending)", len(n.queue))
 	}
 	st := &NetState{
 		Now:             n.now,
@@ -192,8 +192,8 @@ func captureRouter(r *router) RouterState {
 // means no in-flight ordering state survives (per-session FIFO clamps only
 // ever look at deliveries ≤ now, which cannot constrain future sends).
 func (n *Network) RestoreState(st *NetState) error {
-	if n.queue.Len() > 0 {
-		return fmt.Errorf("sim: RestoreState requires a converged network (%d events pending)", n.queue.Len())
+	if len(n.queue) > 0 {
+		return fmt.Errorf("sim: RestoreState requires a converged network (%d events pending)", len(n.queue))
 	}
 	if len(st.Routers) != len(n.routers) {
 		return fmt.Errorf("sim: snapshot has %d routers, network has %d", len(st.Routers), len(n.routers))
