@@ -223,9 +223,6 @@ type PlanOptions struct {
 	// speed, load, and concurrency. Zero means the evaluation sweeps'
 	// deterministic budget.
 	SolverNodeBudget int64
-	// DisableLoopConstraints drops the explicit Eq. 3 constraints
-	// (App. D ablation).
-	DisableLoopConstraints bool
 	// ClassParallelism caps how many prefix equivalence classes are
 	// planned concurrently: planning partitions the scenario's prefixes
 	// into §3 classes and runs each class's analyzer → scheduler →
@@ -253,7 +250,6 @@ func (o PlanOptions) normalize() scheduler.Options {
 	if o.MaxRounds > 0 {
 		so.MaxRounds = o.MaxRounds
 	}
-	so.ExplicitLoopConstraints = !o.DisableLoopConstraints
 	if o.SolverNodeBudget > 0 {
 		so.SolverNodeBudget = o.SolverNodeBudget
 	}
@@ -429,12 +425,9 @@ func planClass(ctx context.Context, s *Scenario, final *sim.Network, cls analyze
 type ExecOptions struct {
 	// Seed drives command-latency draws (defaults to the scenario seed).
 	Seed uint64
-	// CommandLatency overrides the 8–12 s router latency with a fixed
-	// value when nonzero.
-	CommandLatency time.Duration
 	// Recorder, when non-nil, traces execution: an execute span with one
 	// child per phase (setup, between k, round k — "d<prefix> round k" when
-	// the scenario spans several prefixes —, cleanup, commit), per-phase BGP
+	// the scenario spans several prefixes —, cleanup), per-phase BGP
 	// message and command counters, and the recovery ladder's counters
 	// (retries, re-pushes, escalations, lost acks, healed faults).
 	Recorder *Recorder
@@ -462,15 +455,10 @@ func (o ExecOptions) normalize(defaultSeed uint64) runtime.Options {
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	ro := runtime.DefaultOptions(seed)
-	if o.CommandLatency > 0 {
-		ro.MinCommandLatency = o.CommandLatency
-		ro.MaxCommandLatency = o.CommandLatency
-	}
-	ro.Recorder = o.Recorder
+	ro := runtime.Options{Seed: seed, Recorder: o.Recorder}
 	if o.Monitor != nil {
 		ro.PhaseObserver = o.Monitor.SetPhase
-		ro.Convergence = o.Monitor.Gate(0)
+		ro.Convergence = o.Monitor.Gate()
 	}
 	return ro
 }

@@ -41,7 +41,7 @@ func TestFacadeCustomSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rec.Execute(chameleon.ExecOptions{CommandLatency: 2 * time.Second})
+	res, err := rec.Execute(chameleon.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +81,5 @@ func TestFacadeGraphConstruction(t *testing.T) {
 	net := chameleon.NewNetwork(g, 1)
 	if net.Graph() != g {
 		t.Error("network graph mismatch")
-	}
-}
-
-func TestFacadeDisableLoopConstraints(t *testing.T) {
-	s, err := chameleon.NewCaseStudy("Sprint", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := chameleon.Plan(s, chameleon.PlanOptions{DisableLoopConstraints: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Plan.R != rec.Schedule.R {
-		t.Error("plan/schedule round mismatch")
 	}
 }

@@ -117,8 +117,8 @@ func run() error {
 				live.Add(name, v)
 			}
 		})
-		_, bound, err := obs.Serve(*serveFlag, live, obs.PromOptions{
-			ConstLabels: map[string]string{"job": "benchrunner"},
+		_, bound, err := obs.Serve(*serveFlag, live, obs.ServeOptions{
+			Prom: obs.PromOptions{ConstLabels: map[string]string{"job": "benchrunner"}},
 		}, func(err error) { fmt.Fprintln(os.Stderr, "metrics server:", err) })
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "metrics server:", err)

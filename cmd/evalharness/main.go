@@ -221,7 +221,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if s.serve != "" {
 		s.stream = obs.NewStream(obs.DefaultStreamCapacity)
 		s.rec.SetStream(s.stream)
-		srv, bound, err := obs.ServeWith(s.serve, s.rec, obs.ServeOptions{
+		srv, bound, err := obs.Serve(s.serve, s.rec, obs.ServeOptions{
 			Prom:   obs.PromOptions{ConstLabels: map[string]string{"job": "evalharness"}},
 			Stream: s.stream,
 		}, func(err error) { fmt.Fprintln(stderr, "metrics server:", err) })

@@ -59,7 +59,7 @@ func main() {
 	}
 	fmt.Printf("aligned command order: %v; %d distinct temp sessions\n",
 		mp.Order, len(mp.TempSessions()))
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(1))
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
 	res, err := ex.ExecuteMultiCtx(context.Background(), mp)
 	if err != nil {
 		log.Fatal(err)

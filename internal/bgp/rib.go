@@ -177,14 +177,6 @@ func (a *AdjIn) NeighborCandidates(prefix Prefix) []NeighborRoute {
 	return out
 }
 
-// RangeNeighbor calls fn for every (prefix, route) announced by neighbor,
-// in ascending prefix order, until fn returns false.
-func (a *AdjIn) RangeNeighbor(neighbor topology.NodeID, fn func(Prefix, Route) bool) {
-	if t := a.routes[neighbor]; t != nil {
-		t.Range(fn)
-	}
-}
-
 // RangePrefixes calls fn for every prefix with at least one candidate
 // route, in ascending order, until fn returns false. Allocation-free.
 func (a *AdjIn) RangePrefixes(fn func(Prefix) bool) {

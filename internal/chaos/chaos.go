@@ -42,8 +42,8 @@ const (
 	// OutcomeRecovered: faults were injected and the self-healing
 	// machinery absorbed them; all invariants verified.
 	OutcomeRecovered
-	// OutcomeDegraded: the controller visibly degraded (monitor alarm,
-	// escalation, or a ReactCommit cut-over) but completed.
+	// OutcomeDegraded: the controller visibly degraded (monitor alarm or
+	// escalation) but completed.
 	OutcomeDegraded
 	// OutcomeAborted: the controller gave up visibly and released the
 	// transient state.
@@ -88,8 +88,7 @@ type CaseResult struct {
 	MessageFaults   int
 	Flaps           int
 
-	Recovery  runtime.RecoveryStats
-	Committed bool
+	Recovery runtime.RecoveryStats
 
 	Violations []string
 	// TransientViolationTime is the union duration of the transient-state
@@ -289,7 +288,7 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 	s.Net.SetFaultInjector(inj)
 
 	flapped := 0
-	opts := runtime.DefaultOptions(c.Seed)
+	opts := runtime.Options{Seed: c.Seed}
 	if c.Fault == sim.FaultFlap {
 		opts.ExternalEvents = flapEvents(s, c.Seed, 2, &flapped)
 	}
@@ -341,16 +340,14 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 	} else {
 		out.SimDuration = res.Duration()
 		out.CommandsApplied = res.CommandsApplied
-		out.Committed = res.Committed
 	}
 	out.CommandFaults = inj.CommandFaults()
 	out.MessageFaults = inj.MessageFaults()
 	out.Flaps = flapped
 
 	if execErr == nil {
-		flagged := out.Committed || rec.Escalations > 0 || rec.MonitorAlarms > 0
 		switch {
-		case flagged:
+		case rec.Escalations > 0 || rec.MonitorAlarms > 0:
 			out.Outcome = OutcomeDegraded
 		default:
 			// Classification derives from the monitor's timeline (every

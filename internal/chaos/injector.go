@@ -37,9 +37,6 @@ type InjectorConfig struct {
 	// command may be faulted, so a self-healing controller's retries
 	// eventually land (0 means unlimited — the escalation path).
 	MaxAttemptFaults int
-	// MaxCommandFaults caps the total number of faulted command attempts
-	// (0 means unlimited).
-	MaxCommandFaults int
 }
 
 // Decision records one non-trivial injector verdict, for reproducibility
@@ -87,9 +84,6 @@ func (in *Injector) CommandFault(node topology.NodeID, description string, attem
 	if in.cfg.MaxAttemptFaults > 0 && in.perCmd[description] >= in.cfg.MaxAttemptFaults {
 		return sim.CommandFault{}
 	}
-	if in.cfg.MaxCommandFaults > 0 && in.cmdFaults >= in.cfg.MaxCommandFaults {
-		return sim.CommandFault{}
-	}
 	kind := in.cfg.CommandKinds[in.rng.IntN(len(in.cfg.CommandKinds))]
 	in.perCmd[description]++
 	in.cmdFaults++
@@ -120,12 +114,6 @@ func (in *Injector) CommandFaults() int { return in.cmdFaults }
 
 // MessageFaults returns the number of faulted message deliveries.
 func (in *Injector) MessageFaults() int { return in.msgFaults }
-
-// Consulted returns how many times the injector was consulted.
-func (in *Injector) Consulted() int { return in.consulted }
-
-// Decisions returns the recorded fault schedule (faulted verdicts only).
-func (in *Injector) Decisions() []Decision { return in.decisions }
 
 // Fingerprint hashes the complete fault schedule (consultation count plus
 // every faulted verdict): two runs with identical fingerprints injected the

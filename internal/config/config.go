@@ -341,6 +341,9 @@ func (c *Config) Build(seed uint64) (*topology.Graph, *sim.Network, []sim.Comman
 		if err != nil {
 			return nil, nil, nil, err
 		}
+		if a == b {
+			return nil, nil, nil, fmt.Errorf("config: link %s %s is a self-loop", l.A, l.B)
+		}
 		if l.Delay > 0 {
 			g.AddLinkDelay(a, b, l.Weight, l.Delay)
 		} else {
@@ -357,6 +360,9 @@ func (c *Config) Build(seed uint64) (*topology.Graph, *sim.Network, []sim.Comman
 		b, err := lookup(s.B)
 		if err != nil {
 			return nil, nil, nil, err
+		}
+		if a == b {
+			return nil, nil, nil, fmt.Errorf("config: session %s %s %s is with itself", s.A, s.Kind, s.B)
 		}
 		switch s.Kind {
 		case SessPeer:
@@ -397,6 +403,9 @@ func (c *Config) Build(seed uint64) (*topology.Graph, *sim.Network, []sim.Comman
 		ext, err := lookup(a.External)
 		if err != nil {
 			return nil, nil, nil, err
+		}
+		if !g.Node(ext).External {
+			return nil, nil, nil, fmt.Errorf("config: %q announces a route but is not external", a.External)
 		}
 		if _, seen := byExt[ext]; !seen {
 			extOrder = append(extOrder, ext)

@@ -114,7 +114,7 @@ func TestConfigFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := runtime.NewExecutor(net, runtime.DefaultOptions(1))
+	ex := runtime.NewExecutor(net, runtime.Options{Seed: 1})
 	if _, err := ex.Execute(p); err != nil {
 		t.Fatal(err)
 	}

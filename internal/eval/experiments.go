@@ -195,9 +195,9 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 		Recorder:   rec,
 		Stream:     rec.EventStream(),
 	})
-	ro := runtime.DefaultOptions(seed)
+	ro := runtime.Options{Seed: seed}
 	ro.PhaseObserver = mCham.SetPhase
-	ro.Convergence = mCham.Gate(0)
+	ro.Convergence = mCham.Gate()
 	ex := runtime.NewExecutor(sCham.Net, ro)
 	unbind := mCham.Bind(sCham.Net)
 	res, err := ex.Execute(pl.Plan)
@@ -435,7 +435,7 @@ func overheadOutcome(ctx context.Context, name string, seed uint64, opts schedul
 		o.Err = err
 		return o
 	}
-	ex := runtime.NewExecutor(sCham.Net, runtime.DefaultOptions(seed))
+	ex := runtime.NewExecutor(sCham.Net, runtime.Options{Seed: seed})
 	res, err := ex.ExecuteCtx(ctx, pl.Plan)
 	if err != nil {
 		o.Err = err
@@ -496,15 +496,12 @@ func RunLinkFailureExperiment(name string, seed uint64, failAfter time.Duration)
 		la, lb = l.A, l.B
 		break
 	}
-	opts := runtime.DefaultOptions(seed)
+	opts := runtime.Options{Seed: seed}
 	if la != topology.None {
 		fla, flb := la, lb
 		opts.ExternalEvents = []runtime.ScheduledEvent{{
 			After: failAfter, Name: "link failure",
-			Apply: func(n *sim.Network) {
-				n.FailLink(fla, flb)
-				n.Run()
-			},
+			Apply: func(n *sim.Network) { n.FailLink(fla, flb) },
 		}}
 	}
 	ex := runtime.NewExecutor(s.Net, opts)
@@ -535,7 +532,7 @@ func RunNewRouteExperiment(name string, seed uint64, announceAfter time.Duration
 	if err != nil {
 		return nil, err
 	}
-	opts := runtime.DefaultOptions(seed)
+	opts := runtime.Options{Seed: seed}
 	opts.ExternalEvents = []runtime.ScheduledEvent{{
 		After: announceAfter, Name: "better route at e4",
 		Apply: func(n *sim.Network) {

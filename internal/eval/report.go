@@ -293,7 +293,7 @@ func WriteChaosCSV(w io.Writer, results []chaos.CaseResult) error {
 		"topology", "fault", "seed", "outcome", "sim_duration_s", "rounds",
 		"commands", "cmd_faults", "msg_faults", "flaps",
 		"retries", "repushes", "escalations", "acks_lost", "monitor_alarms",
-		"committed", "violations", "transient_violation_s", "fingerprint", "error",
+		"violations", "transient_violation_s", "fingerprint", "error",
 	}); err != nil {
 		return err
 	}
@@ -307,7 +307,6 @@ func WriteChaosCSV(w io.Writer, results []chaos.CaseResult) error {
 			strconv.Itoa(r.Recovery.Retries), strconv.Itoa(r.Recovery.Repushes),
 			strconv.Itoa(r.Recovery.Escalations), strconv.Itoa(r.Recovery.AcksLost),
 			strconv.Itoa(r.Recovery.MonitorAlarms),
-			strconv.FormatBool(r.Committed),
 			strings.Join(r.Violations, "; "),
 			formatF(r.TransientViolationTime.Seconds()),
 			strconv.FormatUint(r.Fingerprint, 16), r.Err,

@@ -335,9 +335,6 @@ func (m *Model) Maximize(e LinExpr) {
 	m.Minimize(negate(e))
 }
 
-// HasObjective reports whether an objective was set.
-func (m *Model) HasObjective() bool { return m.hasObj }
-
 // Eval computes the value of e under an assignment.
 func Eval(e LinExpr, values []int64) int64 {
 	v := e.Const

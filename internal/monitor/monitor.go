@@ -320,18 +320,15 @@ const DefaultGateWindow = 2 * time.Second
 
 // Gate returns a convergence predicate for runtime.Options.Convergence:
 // the forwarding plane is quiescent when the event queue is empty, when no
-// forwarding change has been observed for window, or when no pending event
-// falls inside the window (nothing can change forwarding before it
-// closes). A window of 0 uses DefaultGateWindow.
-func (m *Monitor) Gate(window time.Duration) func(*sim.Network) bool {
-	if window <= 0 {
-		window = DefaultGateWindow
-	}
+// forwarding change has been observed for DefaultGateWindow, or when no
+// pending event falls inside that window (nothing can change forwarding
+// before it closes).
+func (m *Monitor) Gate() func(*sim.Network) bool {
 	return func(net *sim.Network) bool {
 		if net.Converged() {
 			return true
 		}
-		quietAt := m.lastChange + window
+		quietAt := m.lastChange + DefaultGateWindow
 		if net.Now() >= quietAt {
 			return true
 		}

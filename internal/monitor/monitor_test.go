@@ -148,7 +148,7 @@ func TestGateQuiescence(t *testing.T) {
 	net := s.Net
 	m := New(Config{Name: "gate"})
 	defer m.Bind(net)()
-	gate := m.Gate(2 * time.Second)
+	gate := m.Gate()
 	if !gate(net) {
 		t.Fatal("a converged network must pass the gate")
 	}

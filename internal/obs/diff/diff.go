@@ -38,10 +38,6 @@ type Options struct {
 	// metrics parts and trace dumps. Nil selects DefaultIgnoredMetrics;
 	// an empty non-nil map exempts nothing.
 	IgnoreMetrics map[string]bool
-	// MaxPerPart caps the divergences reported per part (0: DefaultMaxPerPart).
-	// The first diverging event is always reported; the cap only trims the
-	// tail so a wholly different run does not produce megabytes of report.
-	MaxPerPart int
 }
 
 // DefaultIgnoredMetrics are metric names that are scheduling- or
@@ -52,7 +48,9 @@ var DefaultIgnoredMetrics = map[string]bool{
 	obs.CtrStreamDropped: true,
 }
 
-// DefaultMaxPerPart bounds per-part divergence listings.
+// DefaultMaxPerPart bounds per-part divergence listings. The first
+// diverging event is always reported; the cap only trims the tail so a
+// wholly different run does not produce megabytes of report.
 const DefaultMaxPerPart = 25
 
 func (o Options) ignored() map[string]bool {
@@ -60,13 +58,6 @@ func (o Options) ignored() map[string]bool {
 		return DefaultIgnoredMetrics
 	}
 	return o.IgnoreMetrics
-}
-
-func (o Options) maxPerPart() int {
-	if o.MaxPerPart <= 0 {
-		return DefaultMaxPerPart
-	}
-	return o.MaxPerPart
 }
 
 // agree applies the relative tolerance.
@@ -120,7 +111,7 @@ type Report struct {
 	IdenticalParts []string // byte-identical parts, name order
 	ComparedParts  []string // structurally compared (hash differed), name order
 	Divergences    []Divergence
-	// Truncated counts divergences dropped by Options.MaxPerPart.
+	// Truncated counts divergences dropped by DefaultMaxPerPart.
 	Truncated int
 }
 
@@ -264,9 +255,9 @@ func Bundles(a, b *bundle.Bundle, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("diff: part %q: %w", name, err)
 		}
-		if max := opts.maxPerPart(); len(divs) > max {
-			r.Truncated += len(divs) - max
-			divs = divs[:max]
+		if len(divs) > DefaultMaxPerPart {
+			r.Truncated += len(divs) - DefaultMaxPerPart
+			divs = divs[:DefaultMaxPerPart]
 		}
 		r.Divergences = append(r.Divergences, divs...)
 	}

@@ -2,6 +2,7 @@ package diff
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -318,25 +319,25 @@ func TestChaosFingerprintDivergence(t *testing.T) {
 	}
 }
 
-// TestMaxPerPartTruncates: a wholly different metrics part is capped.
+// TestMaxPerPartTruncates: a wholly different metrics part is capped at
+// DefaultMaxPerPart divergences.
 func TestMaxPerPartTruncates(t *testing.T) {
+	fill := func(v int64) func(r *obs.Recorder) {
+		return func(r *obs.Recorder) {
+			for i := 0; i < DefaultMaxPerPart+3; i++ {
+				r.Add(fmt.Sprintf("c%d", i), v)
+			}
+		}
+	}
 	a := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
-		"metrics.txt": {bundle.KindMetrics, metricsText(t, func(r *obs.Recorder) {
-			for _, n := range []string{"c1", "c2", "c3", "c4", "c5"} {
-				r.Add(n, 1)
-			}
-		})}})
+		"metrics.txt": {bundle.KindMetrics, metricsText(t, fill(1))}})
 	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
-		"metrics.txt": {bundle.KindMetrics, metricsText(t, func(r *obs.Recorder) {
-			for _, n := range []string{"c1", "c2", "c3", "c4", "c5"} {
-				r.Add(n, 2)
-			}
-		})}})
-	rep, err := Bundles(a, b, Options{MaxPerPart: 2})
+		"metrics.txt": {bundle.KindMetrics, metricsText(t, fill(2))}})
+	rep, err := Bundles(a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Divergences) != 2 || rep.Truncated != 3 {
+	if len(rep.Divergences) != DefaultMaxPerPart || rep.Truncated != 3 {
 		t.Fatalf("got %d divergences, %d truncated", len(rep.Divergences), rep.Truncated)
 	}
 	var buf bytes.Buffer

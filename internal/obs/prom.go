@@ -10,15 +10,13 @@ import (
 
 // PromOptions tune the Prometheus text exposition of a recorder.
 type PromOptions struct {
-	// Namespace prefixes every metric name (default "chameleon").
-	Namespace string
 	// ConstLabels are attached to every sample, rendered in key order with
 	// the label values escaped per the exposition format.
 	ConstLabels map[string]string
-	// Help optionally overrides the generic HELP text per (unprefixed)
-	// metric name.
-	Help map[string]string
 }
+
+// promNamespace prefixes every exposed metric name.
+const promNamespace = "chameleon"
 
 // WritePrometheus emits the recorder's counters, gauges and histograms in
 // the Prometheus text exposition format (version 0.0.4): one HELP and one
@@ -33,10 +31,6 @@ func (r *Recorder) WritePrometheus(w io.Writer, opts PromOptions) error {
 	if r == nil {
 		return nil
 	}
-	ns := opts.Namespace
-	if ns == "" {
-		ns = "chameleon"
-	}
 	_, counters, gauges, _ := r.snapshot()
 	hists := r.Histograms()
 	labels := renderLabels(opts.ConstLabels)
@@ -47,16 +41,16 @@ func (r *Recorder) WritePrometheus(w io.Writer, opts PromOptions) error {
 		fmt.Fprintf(bw, "%s%s %d\n", name, labels, value)
 	}
 	for _, name := range sortedKeys(counters) {
-		metric := ns + "_" + sanitizeMetricName(name) + "_total"
-		emit(metric, "counter", helpFor(opts, name, "counter"), counters[name])
+		metric := promNamespace + "_" + sanitizeMetricName(name) + "_total"
+		emit(metric, "counter", helpFor(name, "counter"), counters[name])
 	}
 	for _, name := range sortedKeys(gauges) {
-		metric := ns + "_" + sanitizeMetricName(name)
-		emit(metric, "gauge", helpFor(opts, name, "gauge"), gauges[name])
+		metric := promNamespace + "_" + sanitizeMetricName(name)
+		emit(metric, "gauge", helpFor(name, "gauge"), gauges[name])
 	}
 	for _, h := range hists {
-		metric := ns + "_" + sanitizeMetricName(h.Name)
-		fmt.Fprintf(bw, "# HELP %s %s\n", metric, escapeHelp(helpFor(opts, h.Name, "histogram")))
+		metric := promNamespace + "_" + sanitizeMetricName(h.Name)
+		fmt.Fprintf(bw, "# HELP %s %s\n", metric, escapeHelp(helpFor(h.Name, "histogram")))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", metric, "histogram")
 		cum := int64(0)
 		for _, b := range h.Buckets {
@@ -84,10 +78,7 @@ func renderLabelsWith(labels map[string]string, key, value string) string {
 	return base[:len(base)-1] + "," + extra + "}"
 }
 
-func helpFor(opts PromOptions, name, kind string) string {
-	if h, ok := opts.Help[name]; ok {
-		return h
-	}
+func helpFor(name, kind string) string {
 	return fmt.Sprintf("chameleon %s %s (see DESIGN.md section 9)", kind, name)
 }
 

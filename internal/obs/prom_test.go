@@ -102,7 +102,6 @@ func TestWritePrometheusLabelEscaping(t *testing.T) {
 	r.Add(CtrChaosCases, 5)
 	var b bytes.Buffer
 	err := r.WritePrometheus(&b, PromOptions{
-		Namespace: "bench",
 		ConstLabels: map[string]string{
 			"suite":    `abi"lene\path` + "\nnext",
 			"bad-name": "v",
@@ -113,7 +112,7 @@ func TestWritePrometheusLabelEscaping(t *testing.T) {
 	}
 	dump := b.String()
 	checkExposition(t, dump)
-	want := `bench_chaos_cases_total{bad_name="v",suite="abi\"lene\\path\nnext"} 5`
+	want := `chameleon_chaos_cases_total{bad_name="v",suite="abi\"lene\\path\nnext"} 5`
 	if !strings.Contains(dump, want+"\n") {
 		t.Errorf("escaped sample line missing:\nwant %s\ngot:\n%s", want, dump)
 	}
@@ -133,7 +132,7 @@ func TestWritePrometheusNilRecorder(t *testing.T) {
 func TestHandlerEndpoints(t *testing.T) {
 	r := New()
 	r.Add(CtrSimEvents, 11)
-	srv := httptest.NewServer(Handler(r, PromOptions{ConstLabels: map[string]string{"job": "test"}}))
+	srv := httptest.NewServer(Handler(r, ServeOptions{Prom: PromOptions{ConstLabels: map[string]string{"job": "test"}}}))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

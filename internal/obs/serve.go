@@ -36,26 +36,23 @@ type ServeOptions struct {
 // recorder for long-running sweeps and benchmark runs:
 //
 //   - /metrics  — the recorder's counters, gauges and histograms in
-//     Prometheus text exposition format (WritePrometheus with opts)
+//     Prometheus text exposition format (WritePrometheus with opts.Prom)
 //   - /healthz  — liveness probe, always "ok"
+//   - /events   — with opts.Stream set, the stream's backlog followed by
+//     records as they are published, as chunked JSONL (one JSON object per
+//     line); without one it responds 404
 //   - /debug/pprof/... — net/http/pprof (CPU, heap, goroutine, trace, ...)
+//
+// /events query parameters: follow=0 sends the backlog and closes (what CI
+// smoke curls use); sse=1 switches to Server-Sent Events framing. The first
+// record is always a hello carrying the backlog length, the publish
+// sequence number and the stream's drop counter.
 //
 // The recorder may keep recording while being served: /metrics snapshots
 // under the recorder's lock. A nil recorder serves empty metrics (the
 // probe and profiler still work), so callers can mount the handler
 // unconditionally.
-func Handler(rec *Recorder, opts PromOptions) http.Handler {
-	return HandlerWith(rec, ServeOptions{Prom: opts})
-}
-
-// HandlerWith is Handler plus the live event stream: with opts.Stream set,
-// /events serves the stream's backlog followed by records as they are
-// published, as chunked JSONL (one JSON object per line). Query
-// parameters: follow=0 sends the backlog and closes (what CI smoke curls
-// use); sse=1 switches to Server-Sent Events framing. The first record is
-// always a hello carrying the backlog length, the publish sequence number
-// and the stream's drop counter.
-func HandlerWith(rec *Recorder, opts ServeOptions) http.Handler {
+func Handler(rec *Recorder, opts ServeOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -154,17 +151,12 @@ func serveEvents(w http.ResponseWriter, r *http.Request, s *Stream) {
 // actually bound address, e.g. "127.0.0.1:43817", so callers on ephemeral
 // ports can print or curl a usable URL. Errors after startup are reported
 // through errf when non-nil.
-func Serve(addr string, rec *Recorder, opts PromOptions, errf func(error)) (*http.Server, string, error) {
-	return ServeWith(addr, rec, ServeOptions{Prom: opts}, errf)
-}
-
-// ServeWith is Serve with the full options (live event stream included).
-func ServeWith(addr string, rec *Recorder, opts ServeOptions, errf func(error)) (*http.Server, string, error) {
+func Serve(addr string, rec *Recorder, opts ServeOptions, errf func(error)) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: HandlerWith(rec, opts)}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: Handler(rec, opts)}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed && errf != nil {
 			errf(err)

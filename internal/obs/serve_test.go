@@ -10,7 +10,7 @@ import (
 // TestHealthzPlainFastPath: the default /healthz answer stays the literal
 // "ok" probes expect.
 func TestHealthzPlainFastPath(t *testing.T) {
-	h := Handler(New(), PromOptions{})
+	h := Handler(New(), ServeOptions{})
 	req := httptest.NewRequest("GET", "/healthz", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
@@ -25,7 +25,7 @@ func TestHealthzPlainFastPath(t *testing.T) {
 // TestHealthzFullJSON: ?full=1 (or Accept: application/json) upgrades the
 // probe to a JSON report with uptime, schema version and build info.
 func TestHealthzFullJSON(t *testing.T) {
-	h := Handler(New(), PromOptions{})
+	h := Handler(New(), ServeOptions{})
 	for name, req := range map[string]*http.Request{
 		"query":  httptest.NewRequest("GET", "/healthz?full=1", nil),
 		"accept": httptest.NewRequest("GET", "/healthz", nil),

@@ -128,7 +128,7 @@ func TestRecorderPublishesSpans(t *testing.T) {
 func TestEventsEndpointBacklogOnly(t *testing.T) {
 	s := NewStream(8)
 	s.Publish(StreamRecord{Type: "violation", Name: "reach"})
-	h := HandlerWith(New(), ServeOptions{Stream: s})
+	h := Handler(New(), ServeOptions{Stream: s})
 
 	req := httptest.NewRequest("GET", "/events?follow=0", nil)
 	w := httptest.NewRecorder()
@@ -159,7 +159,7 @@ func TestEventsEndpointBacklogOnly(t *testing.T) {
 func TestEventsEndpointSSEFraming(t *testing.T) {
 	s := NewStream(8)
 	s.Publish(StreamRecord{Type: "x"})
-	h := HandlerWith(New(), ServeOptions{Stream: s})
+	h := Handler(New(), ServeOptions{Stream: s})
 	req := httptest.NewRequest("GET", "/events?follow=0&sse=1", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
@@ -176,7 +176,7 @@ func TestEventsEndpointSSEFraming(t *testing.T) {
 }
 
 func TestEventsEndpointAbsentWithoutStream(t *testing.T) {
-	h := HandlerWith(New(), ServeOptions{})
+	h := Handler(New(), ServeOptions{})
 	req := httptest.NewRequest("GET", "/events", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
@@ -194,7 +194,7 @@ func TestServeEphemeralPort(t *testing.T) {
 	rec.Add("ctr", 1)
 	s.Publish(StreamRecord{Type: "violation", Name: "reach"})
 
-	srv, addr, err := ServeWith("127.0.0.1:0", rec, ServeOptions{Stream: s}, nil)
+	srv, addr, err := Serve("127.0.0.1:0", rec, ServeOptions{Stream: s}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

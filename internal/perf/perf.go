@@ -59,8 +59,6 @@ type Config struct {
 	// feeding the flame digest. Off by default: ReadMemStats at every span
 	// boundary is itself a cost.
 	Cost bool
-	// TopK bounds the flame digest (default 5).
-	TopK int
 	// Observer, when non-nil, sees every measured repetition's recorder
 	// right after it completes (live metrics endpoints hang off this).
 	Observer func(bench string, rep int, rec *obs.Recorder)
@@ -73,11 +71,11 @@ func (c Config) withDefaults() Config {
 	if c.Reps <= 0 {
 		c.Reps = 5
 	}
-	if c.TopK <= 0 {
-		c.TopK = 5
-	}
 	return c
 }
+
+// topK bounds the flame digest.
+const topK = 5
 
 // Dist is a robust summary of per-op samples across repetitions: the
 // median, the median absolute deviation, and the samples themselves (so a
@@ -180,7 +178,7 @@ func runOne(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
 		}
 		if cfg.Cost {
 			paths, _ := rec.CostSummary()
-			for _, p := range obs.TopSelf(paths, cfg.TopK) {
+			for _, p := range obs.TopSelf(paths, topK) {
 				if _, seen := flames[p.Path]; !seen {
 					flameOrder = append(flameOrder, p.Path)
 				}
@@ -206,7 +204,7 @@ func runOne(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
 		}
 	}
 	// Digest: median per-path self time over the reps that surfaced the
-	// path, ranked by that median, capped at TopK.
+	// path, ranked by that median, capped at topK.
 	if cfg.Cost {
 		for _, path := range flameOrder {
 			es := flames[path]
@@ -227,8 +225,8 @@ func runOne(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
 			}
 			return res.Flame[i].Path < res.Flame[j].Path
 		})
-		if len(res.Flame) > cfg.TopK {
-			res.Flame = res.Flame[:cfg.TopK]
+		if len(res.Flame) > topK {
+			res.Flame = res.Flame[:topK]
 		}
 	}
 	return res, nil

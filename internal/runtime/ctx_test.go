@@ -23,7 +23,7 @@ func TestExecuteCtxCancelMidRound(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rec := obs.New()
-	opts := runtime.DefaultOptions(1)
+	opts := runtime.Options{Seed: 1}
 	opts.Recorder = rec
 	opts.ExternalEvents = []runtime.ScheduledEvent{{
 		After: 20 * time.Second, Name: "cancel",
@@ -58,7 +58,7 @@ func TestExecuteCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rec := obs.New()
-	opts := runtime.DefaultOptions(1)
+	opts := runtime.Options{Seed: 1}
 	opts.Recorder = rec
 	ex := runtime.NewExecutor(s.Net, opts)
 	if _, err := ex.ExecuteCtx(ctx, p); !errors.Is(err, context.Canceled) {

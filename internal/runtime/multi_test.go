@@ -57,7 +57,7 @@ func TestExecuteMultiTwoPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := runtime.DefaultOptions(1)
+	opts := runtime.Options{Seed: 1}
 	opts.Recorder = obs.New()
 	var observed []string
 	opts.PhaseObserver = func(name string) { observed = append(observed, name) }
@@ -169,7 +169,7 @@ func TestExecuteSplit(t *testing.T) {
 			},
 		},
 	}
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(7))
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 7})
 	sp := eval.ReachabilitySpec(s.Graph)
 	start := s.Net.Now()
 	for _, cmd := range cmds {

@@ -40,10 +40,10 @@ func TestPlanIsMultiPlanOfOne(t *testing.T) {
 				}
 				mon := monitor.New(monitor.Config{Name: "one-body", Invariants: []monitor.Invariant{monitor.ReachAll(s.Graph), monitor.LoopFree()}})
 				defer mon.Bind(net)()
-				opts := runtime.DefaultOptions(7)
+				opts := runtime.Options{Seed: 7}
 				opts.Recorder = obs.New()
 				opts.PhaseObserver = mon.SetPhase
-				opts.Convergence = mon.Gate(0)
+				opts.Convergence = mon.Gate()
 				ex := runtime.NewExecutor(net, opts)
 				var out run
 				var err error
@@ -88,18 +88,18 @@ func TestPlanIsMultiPlanOfOne(t *testing.T) {
 	}
 }
 
-// alarmIn returns executor options whose Monitor raises one alarm, at the
-// first simulated event inside the named phase of the two-prefix run: a
-// fault-free run of the same plan under the same seed says when that is.
-func alarmIn(t *testing.T, phase string, reaction runtime.ReactionPolicy) runtime.Options {
+// alarmIn returns ReactReplan executor options whose Monitor raises one
+// alarm, at the first simulated event inside the named phase of the
+// two-prefix run: a fault-free run of the same plan under the same seed says
+// when that is.
+func alarmIn(t *testing.T, phase string) runtime.Options {
 	t.Helper()
 	s, mp := alignedTwoPrefixes(t)
-	dry, err := runtime.NewExecutor(s.Net, runtime.DefaultOptions(1)).ExecuteMultiCtx(context.Background(), mp)
+	dry, err := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1}).ExecuteMultiCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := runtime.DefaultOptions(1)
-	opts.Reaction = reaction
+	opts := runtime.Options{Seed: 1, Reaction: runtime.ReactReplan}
 	for _, ph := range dry.Phases {
 		if ph.Name != phase {
 			continue
@@ -128,35 +128,6 @@ func alignedTwoPrefixes(t *testing.T) (*scenario.Scenario, *plan.MultiPlan) {
 	return s, mp
 }
 
-// TestMultiCommitCutOver: an alarm in the middle of a destination's round
-// under ReactCommit cuts a multi-destination run over to the final
-// configuration, as it does a single-destination one.
-func TestMultiCommitCutOver(t *testing.T) {
-	s, mp := alignedTwoPrefixes(t)
-	ex := runtime.NewExecutor(s.Net, alarmIn(t, "d1 round 2", runtime.ReactCommit))
-	res, err := ex.ExecuteMultiCtx(context.Background(), mp)
-	if err != nil {
-		t.Fatalf("commit policy must not fail: %v", err)
-	}
-	if !res.Committed || res.Recovery.MonitorAlarms != 1 {
-		t.Fatalf("Committed = %v after %d alarms, want a cut-over after one", res.Committed, res.Recovery.MonitorAlarms)
-	}
-	if last := res.Phases[len(res.Phases)-1].Name; last != "commit" {
-		t.Errorf("last phase = %q, want commit", last)
-	}
-	final := s.FinalNetwork()
-	for _, prefix := range []bgp.Prefix{0, 1} {
-		if got, want := s.Net.ForwardingState(prefix), final.ForwardingState(prefix); !got.Equal(want) {
-			t.Errorf("prefix %d forwards %v after the cut-over, final configuration %v", prefix, got, want)
-		}
-	}
-	for _, sess := range mp.TempSessions() {
-		if _, up := s.Net.HasSession(sess.A, sess.B); up {
-			t.Errorf("temporary session n%d–n%d survived the cut-over", sess.A, sess.B)
-		}
-	}
-}
-
 // TestMultiReplanErrorNamesRunningPlan: under ReactReplan the error carries
 // the prefix of the destination whose round the alarm interrupted.
 func TestMultiReplanErrorNamesRunningPlan(t *testing.T) {
@@ -166,7 +137,7 @@ func TestMultiReplanErrorNamesRunningPlan(t *testing.T) {
 		if prefix == 1 {
 			phase = "d1 round 2"
 		}
-		ex := runtime.NewExecutor(s.Net, alarmIn(t, phase, runtime.ReactReplan))
+		ex := runtime.NewExecutor(s.Net, alarmIn(t, phase))
 		_, err := ex.ExecuteMultiCtx(context.Background(), mp)
 		var re *runtime.ReplanError
 		if !errors.As(err, &re) {

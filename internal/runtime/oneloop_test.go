@@ -1,7 +1,6 @@
 package runtime_test
 
 import (
-	"fmt"
 	"testing"
 
 	"chameleon/internal/obs"
@@ -36,7 +35,7 @@ func TestSlotReadbackBeforePushIsNoLostAck(t *testing.T) {
 		{"slot", plan.Plan{Prefix: s.Prefix, Between: [][]sim.Command{{noop}}}},
 		{"setup", plan.Plan{Prefix: s.Prefix, Setup: []plan.Step{{Command: noop}}}},
 	} {
-		opts := runtime.DefaultOptions(1)
+		opts := runtime.Options{Seed: 1}
 		opts.Recorder = obs.New()
 		res, err := runtime.NewExecutor(s.Net, opts).Execute(&c.plan)
 		if err != nil {
@@ -48,44 +47,6 @@ func TestSlotReadbackBeforePushIsNoLostAck(t *testing.T) {
 		if lost, healed := res.Recovery.AcksLost, opts.Recorder.Counter(obs.CtrFaultsHealed); lost != 0 || healed != 0 {
 			t.Errorf("%s: AcksLost = %d, faults_healed = %d on a fault-free run, want 0 / 0", c.name, lost, healed)
 		}
-	}
-}
-
-// TestCommitCountsSlotCommandsOnce: under ReactCommit an alarm raised while a
-// slot's original commands are in flight hands them to the cut-over, which
-// applies and counts them; the slot that did not finish must not have
-// counted them already. The same alarm one phase later applies the same
-// commands and reports the same count.
-func TestCommitCountsSlotCommandsOnce(t *testing.T) {
-	applied := func(alarmPhase func(*plan.Plan) string) int {
-		s := scenario.RunningExample()
-		_, _, p := pipeline(t, s, reachSpec(s.Graph))
-		want, phase, fired := alarmPhase(p), "", false
-		opts := runtime.DefaultOptions(1)
-		opts.Reaction = runtime.ReactCommit
-		opts.PhaseObserver = func(name string) { phase = name }
-		opts.Monitor = func(*sim.Network) string {
-			if fired || phase != want {
-				return ""
-			}
-			fired = true
-			return "test alarm"
-		}
-		res, err := runtime.NewExecutor(s.Net, opts).Execute(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Committed || res.Recovery.MonitorAlarms != 1 {
-			t.Fatalf("alarm in %q: Committed = %v after %d alarms, want a cut-over after one",
-				want, res.Committed, res.Recovery.MonitorAlarms)
-		}
-		return res.CommandsApplied
-	}
-	inSlot := applied(func(p *plan.Plan) string { return fmt.Sprintf("between %d", p.OriginalSlots[0]) })
-	inRound := applied(func(p *plan.Plan) string { return fmt.Sprintf("round %d", p.OriginalSlots[0]+1) })
-	if inSlot != inRound {
-		t.Errorf("CommandsApplied = %d when the alarm interrupts the original's slot, %d one phase later; the same commands were applied",
-			inSlot, inRound)
 	}
 }
 
@@ -114,7 +75,7 @@ func TestSlotRepushRefreshesLostConfiguration(t *testing.T) {
 		return sim.CommandFault{Kind: sim.FaultDrop}
 	}})
 	p := &plan.Plan{Prefix: s.Prefix, Between: [][]sim.Command{{cmdA, cmdB}}}
-	res, err := runtime.NewExecutor(s.Net, runtime.DefaultOptions(1)).Execute(p)
+	res, err := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1}).Execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestPipelinePropertyRandomScenarios(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pipeline: %v", err)
 				}
-				ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(seed))
+				ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: seed})
 				res, err := ex.Execute(pl.Plan)
 				if err != nil {
 					t.Fatalf("execute: %v", err)

@@ -26,7 +26,7 @@ func TestReplanErrorAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := runtime.DefaultOptions(7)
+	opts := runtime.Options{Seed: 7}
 	fired := false
 	opts.Monitor = func(*sim.Network) string {
 		if fired {
@@ -73,7 +73,7 @@ func TestReplanErrorCarriesEscalationCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := runtime.DefaultOptions(7)
+	opts := runtime.Options{Seed: 7}
 	opts.Reaction = runtime.ReactReplan
 	ex := runtime.NewExecutor(s.Net, opts)
 	s.Net.SetFaultInjector(dropAll{})
@@ -117,7 +117,7 @@ func TestAbortIdempotent(t *testing.T) {
 			},
 		}},
 	}
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(1))
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
 	ex.Abort(p)
 	ex.Abort(p)
 	if applies != 1 {

@@ -11,7 +11,8 @@
 // unconfirmed past its per-command timeout climbs an escalation ladder —
 // seeded-deterministic retries with capped exponential backoff and jitter,
 // then a forced re-push of the phase's configuration, and finally the
-// configured §8 reaction policy (commit / replan / visible abort).
+// configured §8 reaction policy (replan or visible abort). The ladder's
+// timings are the constants below.
 package runtime
 
 import (
@@ -27,29 +28,35 @@ import (
 	"chameleon/internal/sim"
 )
 
+// The executor's timing model, in simulated time.
+const (
+	// minCommandLatency and maxCommandLatency bound the uniform router
+	// command application latency (§7.2).
+	minCommandLatency = 8 * time.Second
+	maxCommandLatency = 12 * time.Second
+	// conditionTimeout bounds how long the controller waits without any
+	// progress (no command pushed, confirmed, or retried) before declaring
+	// the plan stuck.
+	conditionTimeout = 120 * time.Second
+	// commandTimeout is the per-command acknowledgment deadline, measured
+	// from the expected application time: a command unconfirmed for this
+	// long is presumed lost and retried. Distinct from conditionTimeout,
+	// which guards whole phases.
+	commandTimeout = 30 * time.Second
+	// maxRetries bounds the backoff retries per command before the
+	// escalation ladder moves past them.
+	maxRetries = 3
+	// retryBackoffBase and retryBackoffCap shape the capped exponential
+	// backoff between retries; a seeded jitter of up to half the backoff is
+	// added.
+	retryBackoffBase = 2 * time.Second
+	retryBackoffCap  = 15 * time.Second
+)
+
 // Options configure plan execution.
 type Options struct {
 	// Seed drives the command-latency and retry-jitter draws.
 	Seed uint64
-	// MinCommandLatency and MaxCommandLatency bound the uniform router
-	// command application latency (defaults 8s and 12s, §7.2).
-	MinCommandLatency, MaxCommandLatency time.Duration
-	// ConditionTimeout bounds how long the controller waits without any
-	// progress (no command pushed, confirmed, or retried) before declaring
-	// the plan stuck (simulated time; default 120 s).
-	ConditionTimeout time.Duration
-	// CommandTimeout is the per-command acknowledgment deadline, measured
-	// from the expected application time: a command unconfirmed for this
-	// long is presumed lost and retried (default 30 s). Distinct from
-	// ConditionTimeout, which guards whole phases.
-	CommandTimeout time.Duration
-	// MaxRetries bounds the backoff retries per command before the
-	// escalation ladder moves past them (default 3).
-	MaxRetries int
-	// RetryBackoffBase and RetryBackoffCap shape the capped exponential
-	// backoff between retries (defaults 2 s and 15 s); a seeded jitter of
-	// up to half the backoff is added.
-	RetryBackoffBase, RetryBackoffCap time.Duration
 	// ExternalEvents are injected into the network at the given offsets
 	// from execution start (Fig. 11's link failure / new announcement).
 	ExternalEvents []ScheduledEvent
@@ -61,25 +68,26 @@ type Options struct {
 	// the name makes the resulting ReplanError attributable.
 	Monitor func(*sim.Network) string
 	// Reaction selects how the controller responds to a Monitor alarm or
-	// an exhausted escalation ladder.
+	// an exhausted escalation ladder. §8's third reaction, committing to the
+	// final configuration, is the supervisor's commit rung.
 	Reaction ReactionPolicy
 	// Convergence, when set, gates phase completion on observed forwarding
 	// convergence: a phase whose commands are all confirmed and whose
 	// post-conditions hold still keeps processing events until the gate
 	// reports the forwarding plane quiescent. An empty event queue always
 	// completes the phase regardless of the gate (nothing further can
-	// change), and the ConditionTimeout watchdog remains the fallback for
+	// change), and the conditionTimeout watchdog remains the fallback for
 	// gates that never open. The transient-state monitor's Gate provides
 	// the canonical implementation.
 	Convergence func(*sim.Network) bool
 	// PhaseObserver, when set, is told the name of every execution phase as
-	// it starts (setup, between k, round k, cleanup, commit), independent
+	// it starts (setup, between k, round k, cleanup), independent
 	// of whether a Recorder is attached. The transient-state monitor uses
 	// it to attribute violations to the round that caused them.
 	PhaseObserver func(name string)
 	// Recorder, when set, receives the execution trace: an "execute" span
-	// with one child per phase (setup, between k, round k, cleanup,
-	// commit), stamped with the simulated clock, plus the command/retry/
+	// with one child per phase (setup, between k, round k, cleanup),
+	// stamped with the simulated clock, plus the command/retry/
 	// escalation counters. A recorder on the execution context (see
 	// ExecuteCtx) is used when this is nil.
 	Recorder *obs.Recorder
@@ -92,10 +100,6 @@ const (
 	// ReactIgnore continues the plan: the pinned transient state already
 	// masks most events (the default, Fig. 11 behavior).
 	ReactIgnore ReactionPolicy = iota
-	// ReactCommit immediately applies all remaining original commands and
-	// the cleanup phase, restoring connectivity under the final
-	// configuration as fast as possible (§8 reaction 3).
-	ReactCommit
 	// ReactReplan aborts execution and returns ErrReplanNeeded so the
 	// caller can compute a fresh plan from the current state (§8
 	// reaction 2); call Abort first to release the transient state.
@@ -147,28 +151,11 @@ func (e *ReplanError) Unwrap() []error {
 	return []error{ErrReplanNeeded, e.Cause}
 }
 
-// errCommit is the internal unwinding signal for ReactCommit.
-var errCommit = errors.New("runtime: committing to the final configuration")
-
 // ScheduledEvent is an external event fired during the reconfiguration.
 type ScheduledEvent struct {
 	After time.Duration
 	Name  string
 	Apply func(*sim.Network)
-}
-
-// DefaultOptions returns the paper-calibrated execution options.
-func DefaultOptions(seed uint64) Options {
-	return Options{
-		Seed:              seed,
-		MinCommandLatency: 8 * time.Second,
-		MaxCommandLatency: 12 * time.Second,
-		ConditionTimeout:  120 * time.Second,
-		CommandTimeout:    30 * time.Second,
-		MaxRetries:        3,
-		RetryBackoffBase:  2 * time.Second,
-		RetryBackoffCap:   15 * time.Second,
-	}
 }
 
 // PhaseSpan records when a phase of the plan executed (simulated time).
@@ -181,7 +168,7 @@ type PhaseSpan struct {
 // execution: the escalation ladder is retry → re-push → §8 reaction.
 type RecoveryStats struct {
 	// Retries counts backoff re-pushes of commands whose acknowledgment
-	// did not arrive within CommandTimeout.
+	// did not arrive within commandTimeout.
 	Retries int
 	// Repushes counts ladder-2 forced refreshes (the command and any
 	// phase configuration found missing are pushed once more, without
@@ -210,9 +197,9 @@ type Result struct {
 	CommandsApplied int
 	// MaxTableEntries is the §7.3 metric observed during execution.
 	MaxTableEntries int
-	// Committed reports that a monitored external event (or an exhausted
-	// escalation ladder) triggered the ReactCommit policy: the plan was
-	// cut short and the final configuration applied immediately (§8).
+	// Committed is never set: the executor has no commit reaction, §8's
+	// third reaction being the supervisor's commit rung. It stays only
+	// because the frozen benchmark module reads it.
 	Committed bool
 	// Recovery reports the self-healing activity of this execution.
 	Recovery RecoveryStats
@@ -257,27 +244,6 @@ type Executor struct {
 
 // NewExecutor wraps a converged network.
 func NewExecutor(net *sim.Network, opts Options) *Executor {
-	if opts.MinCommandLatency == 0 {
-		opts.MinCommandLatency = 8 * time.Second
-	}
-	if opts.MaxCommandLatency == 0 {
-		opts.MaxCommandLatency = 12 * time.Second
-	}
-	if opts.ConditionTimeout == 0 {
-		opts.ConditionTimeout = 120 * time.Second
-	}
-	if opts.CommandTimeout == 0 {
-		opts.CommandTimeout = 30 * time.Second
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 3
-	}
-	if opts.RetryBackoffBase == 0 {
-		opts.RetryBackoffBase = 2 * time.Second
-	}
-	if opts.RetryBackoffCap == 0 {
-		opts.RetryBackoffCap = 15 * time.Second
-	}
 	return &Executor{
 		net:  net,
 		opts: opts,
@@ -308,25 +274,21 @@ func (e *Executor) beginRun() {
 }
 
 func (e *Executor) latency() time.Duration {
-	span := e.opts.MaxCommandLatency - e.opts.MinCommandLatency
-	if span <= 0 {
-		return e.opts.MinCommandLatency
-	}
-	return e.opts.MinCommandLatency + time.Duration(e.rng.Int64N(int64(span)))
+	return minCommandLatency + time.Duration(e.rng.Int64N(int64(maxCommandLatency-minCommandLatency)))
 }
 
 // backoff returns the delay before the retry-th re-push (1-based): capped
 // exponential with a seeded jitter of up to half the backoff.
 func (e *Executor) backoff(retry int) time.Duration {
-	d := e.opts.RetryBackoffBase
+	d := retryBackoffBase
 	for i := 1; i < retry; i++ {
 		d *= 2
-		if d >= e.opts.RetryBackoffCap {
+		if d >= retryBackoffCap {
 			break
 		}
 	}
-	if d > e.opts.RetryBackoffCap {
-		d = e.opts.RetryBackoffCap
+	if d > retryBackoffCap {
+		d = retryBackoffCap
 	}
 	return d + time.Duration(e.rng.Int64N(int64(d)/2+1))
 }
@@ -338,7 +300,7 @@ func (e *Executor) pushTracked(cmd sim.Command, attempt int, extraDelay time.Dur
 	e.count(obs.CtrExecCommandsPushed, 1)
 	lat := e.latency() + extraDelay
 	tk := e.net.ScheduleCommand(lat, cmd, attempt)
-	return tk, e.net.Now() + lat + e.opts.CommandTimeout
+	return tk, e.net.Now() + lat + commandTimeout
 }
 
 // ctxDone polls the execution context without blocking.
@@ -532,47 +494,35 @@ func (e *Executor) execute(ctx context.Context, mp *plan.MultiPlan) (*Result, er
 		return nil
 	}
 
-	// applied counts the leading commands of mp.Order confirmed applied, so
-	// a ReactCommit cut-over applies exactly the pending ones.
-	applied := 0
-	run := func() error {
-		if err := runPhase("setup", mp.Plans, func(p *plan.Plan) []plan.Step { return p.Setup }); err != nil {
-			return err
-		}
-		for applied < len(mp.Order) {
-			first := mp.Order[applied]
-			var group []plan.Step
-			for _, ci := range mp.Order[applied:] {
-				if !sameSlots(mp.Plans, first, ci) {
-					break
-				}
-				group = append(group, plan.Step{Command: mp.Originals[ci]})
+	if err := runPhase("setup", mp.Plans, func(p *plan.Plan) []plan.Step { return p.Setup }); err != nil {
+		return nil, err
+	}
+	for next := 0; next < len(mp.Order); {
+		first := mp.Order[next]
+		var group []plan.Step
+		for _, ci := range mp.Order[next:] {
+			if !sameSlots(mp.Plans, first, ci) {
+				break
 			}
-			for i, p := range mp.Plans {
-				if err := advance(i, p.OriginalSlots[first]); err != nil {
-					return err
-				}
-			}
-			if err := between(group); err != nil {
-				return err
-			}
-			applied += len(group)
+			group = append(group, plan.Step{Command: mp.Originals[ci]})
 		}
 		for i, p := range mp.Plans {
-			if err := advance(i, p.R+1); err != nil {
-				return err
+			if err := advance(i, p.OriginalSlots[first]); err != nil {
+				return nil, err
 			}
 		}
-		return runPhase("cleanup", mp.Plans, func(p *plan.Plan) []plan.Step { return p.Cleanup })
-	}
-	if err := run(); err != nil {
-		if !errors.Is(err, errCommit) {
+		if err := between(group); err != nil {
 			return nil, err
 		}
-		// §8 reaction 3: abandon the remaining rounds, apply every
-		// pending original command and the cleanup phases at once.
-		e.commit(mp, mp.Order[applied:], res)
-		res.Committed = true
+		next += len(group)
+	}
+	for i, p := range mp.Plans {
+		if err := advance(i, p.R+1); err != nil {
+			return nil, err
+		}
+	}
+	if err := runPhase("cleanup", mp.Plans, func(p *plan.Plan) []plan.Step { return p.Cleanup }); err != nil {
+		return nil, err
 	}
 	// Let any remaining convergence settle.
 	e.net.Run()
@@ -642,28 +592,6 @@ func nextDeadline(st []stepState) (time.Duration, bool) {
 	return best, found
 }
 
-// commit performs the §8 reaction-3 cut-over: in-flight pushes are
-// cancelled (the cut-over supersedes them), then every pending original
-// command and every cleanup phase are applied at once.
-func (e *Executor) commit(mp *plan.MultiPlan, pending []int, res *Result) {
-	start := e.net.Now()
-	sp := e.startPhase("commit")
-	defer e.endPhase(sp)
-	e.net.CancelPendingCommands()
-	for _, ci := range pending {
-		mp.Originals[ci].Apply(e.net)
-		res.CommandsApplied++
-	}
-	for _, p := range mp.Plans {
-		for _, st := range p.Cleanup {
-			st.Command.Apply(e.net)
-			res.CommandsApplied++
-		}
-	}
-	e.net.Run()
-	res.Phases = append(res.Phases, PhaseSpan{Name: "commit", Start: start, End: e.net.Now()})
-}
-
 // Abort releases a (possibly partially executed) plan's transient state by
 // applying its cleanup commands immediately and letting the network
 // converge — the prelude to replanning under ReactReplan. Every in-flight
@@ -716,7 +644,7 @@ func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step, gate func(*sim
 		return e.superviseRun()
 	}
 	st := make([]stepState, len(steps))
-	watchdog := e.net.Now() + e.opts.ConditionTimeout
+	watchdog := e.net.Now() + conditionTimeout
 
 	preOK := func(i int) bool {
 		for _, c := range steps[i].Pre {
@@ -786,7 +714,7 @@ func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step, gate func(*sim
 			// The command is unconfirmed past its deadline: climb the
 			// escalation ladder.
 			switch {
-			case s.attempts <= e.opts.MaxRetries:
+			case s.attempts <= maxRetries:
 				// Ladder 1: retry with capped exponential backoff.
 				tk, checkAt := e.pushTracked(steps[i].Command, s.attempts, e.backoff(s.attempts))
 				s.token, s.checkAt = tk, checkAt
@@ -840,7 +768,7 @@ func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step, gate func(*sim
 			return nil
 		}
 		if progress {
-			watchdog = e.net.Now() + e.opts.ConditionTimeout
+			watchdog = e.net.Now() + conditionTimeout
 		}
 		// Advance the network by one event. With an empty queue, advance
 		// the clock to the next verification deadline instead — dropped
@@ -870,14 +798,11 @@ func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step, gate func(*sim
 
 // react translates a detected anomaly — the invariant a Monitor alarm named,
 // or the error of an exhausted ladder or a stuck phase — into the configured
-// reaction: commit or replan when supervised, otherwise the original error
+// reaction: a ReplanError under ReactReplan, otherwise the original error
 // (nil fallbackErr means the monitor fired but the policy is ReactIgnore —
 // keep going).
 func (e *Executor) react(invariant string, fallbackErr error) error {
-	switch e.opts.Reaction {
-	case ReactCommit:
-		return errCommit
-	case ReactReplan:
+	if e.opts.Reaction == ReactReplan {
 		return &ReplanError{Invariant: invariant, Prefix: e.curPrefix, SimTime: e.net.Now(), Cause: fallbackErr}
 	}
 	return fallbackErr

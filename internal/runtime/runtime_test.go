@@ -108,7 +108,7 @@ func TestEndToEndRunningExample(t *testing.T) {
 	s := scenario.RunningExample()
 	sp := reachSpec(s.Graph)
 	a, sched, p := pipeline(t, s, sp)
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(1))
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
 	res, err := ex.Execute(p)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestEndToEndAbileneEq4(t *testing.T) {
 	}
 	sp := eq4Spec(aTmp, s.E1)
 	_, sched, p := pipeline(t, s, sp)
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(7))
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 7})
 	res, err := ex.Execute(p)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestEndToEndSessionRemovalVariant(t *testing.T) {
 	}
 	sp := reachSpec(s.Graph)
 	_, _, p := pipeline(t, s, sp)
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(3))
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 3})
 	res, err := ex.Execute(p)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestEndToEndMoreTopologies(t *testing.T) {
 			}
 			sp := reachSpec(s.Graph)
 			_, _, p := pipeline(t, s, sp)
-			ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(21))
+			ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 21})
 			res, err := ex.Execute(p)
 			if err != nil {
 				t.Fatal(err)
@@ -224,7 +224,7 @@ func TestNoTransientEBGPLeak(t *testing.T) {
 	sp := reachSpec(s.Graph)
 	_, _, p := pipeline(t, s, sp)
 	before := s.Net.EBGPExports(s.Prefix)
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(7))
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 7})
 	if _, err := ex.Execute(p); err != nil {
 		t.Fatal(err)
 	}
@@ -263,14 +263,11 @@ func TestExternalEventLinkFailure(t *testing.T) {
 	if la == topology.None {
 		t.Skip("no suitable link")
 	}
-	opts := runtime.DefaultOptions(7)
+	opts := runtime.Options{Seed: 7}
 	opts.ExternalEvents = []runtime.ScheduledEvent{{
 		After: 7 * time.Second,
 		Name:  "link failure",
-		Apply: func(n *sim.Network) {
-			n.FailLink(la, lb)
-			n.Run()
-		},
+		Apply: func(n *sim.Network) { n.FailLink(la, lb) },
 	}}
 	ex := runtime.NewExecutor(s.Net, opts)
 	if _, err := ex.Execute(p); err != nil {
@@ -300,7 +297,7 @@ func TestExecutorRequiresConvergedNetwork(t *testing.T) {
 	sp := reachSpec(s.Graph)
 	_, _, p := pipeline(t, s, sp)
 	s.Net.ScheduleAfter(time.Hour, func(*sim.Network) {})
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(1))
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
 	if _, err := ex.Execute(p); err == nil {
 		t.Fatal("Execute must reject a non-converged network")
 	}
@@ -316,7 +313,7 @@ func TestExternalEventNewRouteIgnored(t *testing.T) {
 	}
 	sp := reachSpec(s.Graph)
 	_, _, p := pipeline(t, s, sp)
-	opts := runtime.DefaultOptions(7)
+	opts := runtime.Options{Seed: 7}
 	// Inject mid-update: §8's guarantee covers events against the
 	// installed transient state, not ones racing the setup phase.
 	opts.ExternalEvents = []runtime.ScheduledEvent{{

@@ -40,7 +40,7 @@ func e2e3Withdrawal(t *testing.T, reaction runtime.ReactionPolicy) (*scenario.Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := runtime.DefaultOptions(7)
+	opts := runtime.Options{Seed: 7}
 	opts.Monitor = reachMonitor(s)
 	opts.Reaction = reaction
 	// Withdrawing e2's external route mid-update removes the new best
@@ -72,36 +72,6 @@ func TestSupervisionIgnorePolicy(t *testing.T) {
 	}
 }
 
-func TestSupervisionCommitPolicy(t *testing.T) {
-	s, res, err := e2e3Withdrawal(t, runtime.ReactCommit)
-	if err != nil {
-		t.Fatalf("commit policy must not fail: %v", err)
-	}
-	// Whether or not the monitor fired (the withdrawal may or may not
-	// break reachability depending on timing), the network must end
-	// converged with all nodes on a surviving egress.
-	for _, n := range s.Graph.Internal() {
-		best, ok := s.Net.Best(n, s.Prefix)
-		if !ok {
-			t.Errorf("node %d has no route after commit", n)
-			continue
-		}
-		if best.Egress == s.E1 || best.Egress == s.E2 {
-			t.Errorf("node %d still uses a withdrawn egress %d", n, best.Egress)
-		}
-	}
-	if res.Committed {
-		t.Logf("commit cut-over engaged; phases: %d", len(res.Phases))
-		// After commit the final state must be reachable everywhere.
-		st := s.Net.ForwardingState(s.Prefix)
-		for _, n := range s.Graph.Internal() {
-			if !st.Reach(n) {
-				t.Errorf("node %d unreachable after commit", n)
-			}
-		}
-	}
-}
-
 func TestSupervisionReplanPolicy(t *testing.T) {
 	s, _, err := e2e3Withdrawal(t, runtime.ReactReplan)
 	if err == nil {
@@ -119,7 +89,7 @@ func TestSupervisionReplanPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(8))
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 8})
 	ex.Abort(pl.Plan)
 	if !s.Net.Converged() {
 		t.Fatal("network not converged after abort")
@@ -163,10 +133,10 @@ func TestAbortReleasesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := runtime.NewExecutor(s.Net, runtime.DefaultOptions(7))
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 7})
 	// Run only setup by executing and interrupting via monitor on first
 	// event with replan policy.
-	opts := runtime.DefaultOptions(7)
+	opts := runtime.Options{Seed: 7}
 	fired := false
 	opts.Monitor = func(*sim.Network) string {
 		if fired {

@@ -454,8 +454,11 @@ func (e *encoder) deltaOf(n topology.NodeID, k int) bval {
 
 // --- loop constraints (§4.4, Eq. 3) ----------------------------------------
 
+// cycleLimit caps explicit loop enumeration.
+const cycleLimit = 10000
+
 func (e *encoder) buildLoopConstraints() {
-	cycles := e.a.SimpleCycles(e.opts.CycleLimit)
+	cycles := e.a.SimpleCycles(cycleLimit)
 	for _, cyc := range cycles {
 		j := len(cyc)
 		if j < 2 {

@@ -96,8 +96,6 @@ type Options struct {
 	// MinimizeTempSessions runs the secondary objective (§4.1); when
 	// false the first feasible schedule at the minimum R is returned.
 	MinimizeTempSessions bool
-	// CycleLimit caps explicit loop enumeration (default 10000).
-	CycleLimit int
 	// SerializeUpdates forbids concurrent forwarding changes entirely: at
 	// most one next-hop change per round (ablation of §4.2's concurrent
 	// updates — quantifies how much concurrency shortens reconfigurations).
@@ -127,7 +125,6 @@ func DefaultOptions() Options {
 		SolverNodeBudget:        DeterministicNodeBudget,
 		ExplicitLoopConstraints: true,
 		MinimizeTempSessions:    true,
-		CycleLimit:              10000,
 	}
 }
 

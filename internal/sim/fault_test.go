@@ -248,3 +248,24 @@ func TestMessageFaultsPreserveConvergence(t *testing.T) {
 		}
 	}
 }
+
+// TestStepInsideEventPanics: a scheduled function that drains the queue
+// itself would apply every later event — here a command due 9 s later — at
+// its own simulated time, with no supervision poll in between. Step refuses
+// to be entered from inside an event.
+func TestStepInsideEventPanics(t *testing.T) {
+	s := scenario.RunningExample()
+	net := s.Net
+	applied := 0
+	net.ScheduleCommand(10*time.Second, countedCommand(s.E1, &applied), 0)
+	net.ScheduleAfter(time.Second, func(n *sim.Network) { n.Run() })
+	defer func() {
+		if recover() == nil {
+			t.Error("Step entered from inside an event did not panic")
+		}
+		if applied != 0 {
+			t.Errorf("the command due at 10 s was applied %d times by the drain at 1 s", applied)
+		}
+	}()
+	net.Run()
+}

@@ -19,11 +19,6 @@ type Options struct {
 	// Jitter is the maximum random extra delay added to each message,
 	// exploring different BGP message interleavings. Zero disables jitter.
 	Jitter time.Duration
-	// BaseDelay is the floor delay of any BGP message.
-	BaseDelay time.Duration
-	// DelayPerIGPUnit scales session delay with the IGP distance between
-	// the session endpoints, emulating geographic distance.
-	DelayPerIGPUnit time.Duration
 	// TracePrefixes enables forwarding-trace recording for these prefixes
 	// (nil records all). Pass an empty non-nil slice to disable tracing
 	// entirely — prefix-scale scenarios must, or trace storage dominates
@@ -31,16 +26,19 @@ type Options struct {
 	TracePrefixes []bgp.Prefix
 }
 
-// DefaultOptions returns the options used across the evaluation: 10 ms
-// base delay, 2 ms per IGP weight unit and 20 ms jitter — wide-area RTTs in
+// The jitter-free message delay: baseDelay plus delayPerIGPUnit per unit of
+// IGP distance between the session endpoints, emulating geographic
+// distance. With DefaultOptions' 20 ms jitter these are wide-area RTTs in
 // the range the paper's testbed emulated with its delay server (§6).
+const (
+	baseDelay       = 10 * time.Millisecond
+	delayPerIGPUnit = 2 * time.Millisecond
+)
+
+// DefaultOptions returns the options used across the evaluation: 20 ms
+// jitter on top of the delays above.
 func DefaultOptions(seed uint64) Options {
-	return Options{
-		Seed:            seed,
-		Jitter:          20 * time.Millisecond,
-		BaseDelay:       10 * time.Millisecond,
-		DelayPerIGPUnit: 2 * time.Millisecond,
-	}
+	return Options{Seed: seed, Jitter: 20 * time.Millisecond}
 }
 
 // Network is the live simulated network: topology + IGP + per-router BGP
@@ -51,10 +49,12 @@ type Network struct {
 	routers []*router
 	opts    Options
 
-	queue        eventQueue
-	seq          uint64
-	now          time.Duration
-	rng          *rand.Rand
+	queue eventQueue
+	seq   uint64
+	now   time.Duration
+	rng   *rand.Rand
+	// inEvent is set while a scheduled function runs (see Step).
+	inEvent      bool
 	lastDelivery map[sessKey]time.Duration
 
 	traces   map[bgp.Prefix]*fwd.Trace
@@ -208,11 +208,11 @@ func (n *Network) Now() time.Duration { return n.now }
 func (n *Network) MessagesProcessed() uint64 { return n.msgCount }
 
 // sessionDelay returns the jitter-free delay of a BGP message between a and
-// b: the base delay plus the IGP distance scaled by DelayPerIGPUnit.
+// b: the base delay plus the IGP distance scaled by delayPerIGPUnit.
 func (n *Network) sessionDelay(a, b topology.NodeID) time.Duration {
-	d := n.opts.BaseDelay
+	d := baseDelay
 	if dist := n.spf.Dist(a, b); dist < igp.Infinity {
-		d += time.Duration(dist * float64(n.opts.DelayPerIGPUnit))
+		d += time.Duration(dist * float64(delayPerIGPUnit))
 	}
 	return d
 }
@@ -384,8 +384,13 @@ func (n *Network) markDirty(p bgp.Prefix) {
 // --- Event loop ----------------------------------------------------------
 
 // Step processes the next queued event; it returns false if the queue is
-// empty.
+// empty. It panics when entered from inside an event's callback: a drain
+// there would apply every later event — commands due seconds ahead
+// included — at the callback's time, with no supervision in between.
 func (n *Network) Step() bool {
+	if n.inEvent {
+		panic("sim: Step entered from inside an event")
+	}
 	if len(n.queue) == 0 {
 		return false
 	}
@@ -395,7 +400,9 @@ func (n *Network) Step() bool {
 	n.activateCause(e.cause)
 	n.count(obs.CtrSimEvents, 1)
 	if e.fn != nil {
+		n.inEvent = true
 		e.fn(n)
+		n.inEvent = false
 	} else if e.msg != nil {
 		n.deliver(e.msg)
 	}

@@ -70,7 +70,6 @@ type Entry struct {
 
 	// exec / decision
 	Err       string `json:"err,omitempty"`
-	Committed bool   `json:"committed,omitempty"`
 	Decision  string `json:"decision,omitempty"`
 	Reason    string `json:"reason,omitempty"`
 	Invariant string `json:"invariant,omitempty"`
@@ -171,7 +170,7 @@ func DescribeEntry(e Entry) string {
 	case KindPlan:
 		return fmt.Sprintf("%s rounds=%d steps=%d", head, e.Rounds, e.Steps)
 	case KindExec:
-		return fmt.Sprintf("%s committed=%v err=%q", head, e.Committed, e.Err)
+		return fmt.Sprintf("%s err=%q", head, e.Err)
 	case KindDecision:
 		return fmt.Sprintf("%s decision=%s reason=%q invariant=%s", head, e.Decision, e.Reason, e.Invariant)
 	case KindTimeline:

@@ -103,11 +103,6 @@ type Options struct {
 	// (default scheduler.DeterministicNodeBudget): replans must terminate
 	// deterministically, never hang on an infeasible intermediate state.
 	SolverNodeBudget int64
-	// Exec, when non-nil, is the template for per-attempt executor options
-	// (latencies, timeouts, retry shape). The supervisor owns and
-	// overwrites Seed, Monitor, Reaction, PhaseObserver, Convergence and
-	// ExternalEvents.
-	Exec *runtime.Options
 	// Spec, when non-nil, replaces the default all-internal-nodes
 	// reachability specification used for (re)planning.
 	Spec func(s *scenario.Scenario) *spec.Spec
@@ -406,25 +401,26 @@ func (sv *Supervisor) executeAttempt(ctx context.Context, p *plan.Plan) (bool, e
 		Name:       fmt.Sprintf("attempt-%d", sv.attempt),
 		Invariants: sv.invariants(),
 	})
-	opts := sv.execOptions()
-	opts.Reaction = runtime.ReactReplan
-	opts.Monitor = sv.alarm()
-	opts.PhaseObserver = mon.SetPhase
+	opts := runtime.Options{
+		Seed:          sv.execSeed(),
+		Reaction:      runtime.ReactReplan,
+		Monitor:       sv.alarm(),
+		PhaseObserver: mon.SetPhase,
+	}
 	if sv.attempt == 0 {
 		opts.ExternalEvents = sv.opts.ExternalEvents
 	}
 	ex := runtime.NewExecutor(net, opts)
 	unbind := mon.Bind(net)
-	res, execErr := ex.ExecuteCtx(ctx, p)
+	_, execErr := ex.ExecuteCtx(ctx, p)
 	unbind()
 	if cerr := ctx.Err(); cerr != nil {
 		return false, cerr
 	}
 	if err := sv.journal.Append(Entry{
 		Kind: KindExec, SimNS: int64(net.Now()), Rung: RungExecute,
-		Attempt:   sv.attempt,
-		Err:       errString(execErr),
-		Committed: res != nil && res.Committed,
+		Attempt: sv.attempt,
+		Err:     errString(execErr),
 	}); err != nil {
 		return false, err
 	}
@@ -544,10 +540,8 @@ func (sv *Supervisor) applyConfirmed(ctx context.Context, rung string, cmds []si
 		net.SetFaultInjector(fi)
 		defer net.SetFaultInjector(nil)
 	}
-	opts := sv.execOptions()
-	opts.Reaction = runtime.ReactIgnore
 	p := &plan.Plan{Prefix: sv.s.Prefix, Between: [][]sim.Command{cmds}}
-	ex := runtime.NewExecutor(net, opts)
+	ex := runtime.NewExecutor(net, runtime.Options{Seed: sv.execSeed()})
 	_, execErr := ex.ExecuteCtx(ctx, p)
 	if jerr := sv.journal.Append(Entry{
 		Kind: KindExec, SimNS: int64(net.Now()), Rung: rung,
@@ -670,20 +664,9 @@ func (sv *Supervisor) initialVerified() bool {
 
 // --- per-attempt machinery ------------------------------------------------
 
-func (sv *Supervisor) execOptions() runtime.Options {
-	var opts runtime.Options
-	if sv.opts.Exec != nil {
-		opts = *sv.opts.Exec
-	} else {
-		opts = runtime.DefaultOptions(0)
-	}
-	opts.Seed = sim.DeriveSeed(sv.opts.Seed, uint64(sv.attempt))
-	opts.Monitor = nil
-	opts.Reaction = runtime.ReactIgnore
-	opts.PhaseObserver = nil
-	opts.Convergence = nil
-	opts.ExternalEvents = nil
-	return opts
+// execSeed is the executor seed of the current invocation.
+func (sv *Supervisor) execSeed() uint64 {
+	return sim.DeriveSeed(sv.opts.Seed, uint64(sv.attempt))
 }
 
 func (sv *Supervisor) injector() sim.FaultInjector {
