@@ -7,7 +7,6 @@
 //	benchrunner                      # run the suite, write BENCH_<n>.json
 //	benchrunner -out my.json         # run, write to an explicit path
 //	benchrunner -reps 9 -min-duration 200ms -filter plan-execute
-//	benchrunner -cost                # add a per-phase self-time flame digest
 //	benchrunner -list                # print the suite and exit
 //	benchrunner -serve :8080         # live /metrics + /healthz + pprof while running
 //	benchrunner -mem-budget-mb 4096  # exit 1 if the runtime footprint blows the cap
@@ -49,7 +48,6 @@ var (
 	warmupFlag    = flag.Int("warmup", 1, "discarded warmup repetitions per benchmark")
 	minDurFlag    = flag.Duration("min-duration", 0, "loop each repetition until this much wall time has elapsed")
 	filterFlag    = flag.String("filter", "", "run only benchmarks whose name contains this substring")
-	costFlag      = flag.Bool("cost", false, "enable span cost attribution and emit a flame digest per benchmark")
 	listFlag      = flag.Bool("list", false, "list the suite and exit")
 	serveFlag     = flag.String("serve", "", "serve live /metrics (Prometheus text format), /healthz and /debug/pprof on this address while running (\":0\" picks an ephemeral port; the bound address is printed)")
 	compareFlag   = flag.Bool("compare", false, "compare two BENCH files: benchrunner -compare old.json new.json")
@@ -83,7 +81,6 @@ func run() error {
 		Reps:        *repsFlag,
 		MinDuration: *minDurFlag,
 		Filter:      *filterFlag,
-		Cost:        *costFlag,
 	}
 
 	var observers []func(bench string, rep int, rec *obs.Recorder)
@@ -151,10 +148,6 @@ func run() error {
 			}
 		}
 		fmt.Println()
-		for _, e := range r.Flame {
-			fmt.Printf("    %-32s self %9.3fms/op  cum %9.3fms/op\n",
-				e.Path, e.SelfNSPerOp/1e6, e.TotalNSPerOp/1e6)
-		}
 	}
 
 	if *memBudgetFlag > 0 {

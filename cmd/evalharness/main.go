@@ -25,17 +25,16 @@
 // Observability: -trace FILE writes a structured span trace (JSONL, one
 // span per line, deterministic bytes for deterministic runs) of every
 // instrumented stage; -metrics FILE writes the final
-// counter/gauge/histogram dump; -timeline FILE writes the transient-state
+// counter/histogram dump; -timeline FILE writes the transient-state
 // monitor's violation timelines (JSONL, with per-violation root-cause
 // records, byte-identical across re-runs and worker counts) for the
 // monitored runs (-smoke, -fig 1); each of the three files is validated
 // after writing. -explain FILE (or "-") renders the human-readable causal
 // chain of every monitored violation; -pprof ADDR serves net/http/pprof for
-// live profiling; -serve ADDR serves the live counter/gauge/histogram state
-// as Prometheus text format on /metrics plus a live span/violation feed on
-// /events (chunked JSONL; ?sse=1 for SSE framing, ?follow=0 for
-// backlog-only), /healthz and /debug/pprof while a long sweep is in flight
-// — ":0" picks an ephemeral port and the bound address is printed; -linger
+// live profiling; -serve ADDR serves the live counter/histogram state as
+// Prometheus text format on /metrics plus a live span/violation feed on
+// /events (chunked JSONL; ?follow=0 for backlog-only), /healthz and
+// /debug/pprof while a long sweep is in flight — ":0" picks an ephemeral port and the bound address is printed; -linger
 // DUR keeps those endpoints up after the runs finish. -bundle DIR seals
 // every deterministic artifact of the run (trace, metrics, timelines,
 // compiled plans, chaos/recovery fingerprints, supervisor journals) into a
@@ -167,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&s.journal, "journal", "", "directory for per-case supervisor execution journals (with -supervise)")
 	fs.IntVar(&s.workers, "workers", goruntime.NumCPU(), "parallel scenario runs for the corpus and chaos sweeps (1 = sequential)")
 	fs.StringVar(&s.trace, "trace", "", "write a structured span trace (JSONL) of the instrumented runs to this file")
-	fs.StringVar(&s.metrics, "metrics", "", "write the final counter/gauge dump to this file")
+	fs.StringVar(&s.metrics, "metrics", "", "write the final counter/histogram dump to this file")
 	fs.StringVar(&s.timeline, "timeline", "", "write the transient-state monitor's violation timelines (JSONL) to this file")
 	fs.StringVar(&s.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&s.serve, "serve", "", "serve live /metrics (Prometheus text format), /events (live span/violation stream), /healthz and /debug/pprof on this address while the run is in flight (\":0\" picks an ephemeral port; the bound address is printed)")

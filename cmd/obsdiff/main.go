@@ -28,7 +28,7 @@ func main() {
 func run() int {
 	fs := flag.NewFlagSet("obsdiff", flag.ExitOnError)
 	tolerance := fs.Float64("tolerance", 0,
-		"relative slack on counters/gauges/histograms (0 = exact, the determinism gate)")
+		"relative slack on counters/histograms (0 = exact, the determinism gate)")
 	ignore := fs.String("ignore", "",
 		"comma-separated metric names to exempt beyond the built-in exemptions")
 	quiet := fs.Bool("q", false, "suppress the report; exit status only")

@@ -8,7 +8,7 @@ import (
 // BuildInfo identifies the binary that produced an artifact: toolchain,
 // module, and — when the binary was built from a VCS checkout — the exact
 // revision. It is observational metadata: run bundles record it in their
-// manifest and /healthz reports it, but it never participates in content
+// manifest, but it never participates in content
 // addressing or diffing, because two runs of the same seeds must compare
 // equal across commits that do not change behavior.
 type BuildInfo struct {

@@ -43,7 +43,7 @@ const ManifestName = "manifest.json"
 // Part kinds. The differ dispatches its structural comparison on these.
 const (
 	KindTrace    = "trace"    // obs span/counter/histogram JSONL (obs.WriteJSONL)
-	KindMetrics  = "metrics"  // plain-text counter/gauge/histogram dump (obs.WriteMetrics)
+	KindMetrics  = "metrics"  // plain-text counter/histogram dump (obs.WriteMetrics)
 	KindTimeline = "timeline" // monitor violation timelines JSONL (monitor.WriteJSONL)
 	KindPlan     = "plan"     // rendered reconfiguration plan (plan.Plan.String)
 	KindChaos    = "chaos"    // chaos / recovery sweep fingerprint table

@@ -2,7 +2,7 @@
 // and explains how the runs behind them differ. Matching part hashes short
 // out immediately; for parts that differ it parses the canonical artifact
 // formats and reports structured divergences — aligned span-stream records
-// for traces, counter/gauge/histogram deltas with noise tolerance for
+// for traces, counter/histogram deltas with noise tolerance for
 // metrics, record-by-record timeline alignment for violation timelines,
 // entry alignment for supervisor journals — and, where the artifact
 // carries causal provenance (timeline violation records), walks it to name
@@ -29,12 +29,12 @@ import (
 
 // Options tune the comparison.
 type Options struct {
-	// Tolerance is the relative slack allowed on counter, gauge and
-	// histogram values before a delta counts as a divergence: values a and
+	// Tolerance is the relative slack allowed on counter and histogram
+	// values before a delta counts as a divergence: values a and
 	// b agree when |a−b| ≤ Tolerance·max(|a|,|b|,1). Zero (the default)
 	// demands exact equality — the determinism gate's setting.
 	Tolerance float64
-	// IgnoreMetrics names counters/gauges exempt from comparison in both
+	// IgnoreMetrics names counters exempt from comparison in both
 	// metrics parts and trace dumps. Nil selects DefaultIgnoredMetrics;
 	// an empty non-nil map exempts nothing.
 	IgnoreMetrics map[string]bool
@@ -89,7 +89,7 @@ type Divergence struct {
 	// Part is the part name, or "manifest" for bundle-level mismatches.
 	Part string
 	// Kind classifies the difference: "meta", "missing-part",
-	// "extra-part", "parse", "event", "line", "counter", "gauge", "hist",
+	// "extra-part", "parse", "event", "line", "counter", "hist",
 	// "journal", "content".
 	Kind string
 	// Detail is the human-readable description (may span lines).
@@ -423,28 +423,24 @@ func diffMetrics(a, b *bundle.Bundle, pa, pb bundle.Part, opts Options) ([]Diver
 	}
 	ignored := opts.ignored()
 	var divs []Divergence
-	diffMap := func(kind string, ma, mb map[string]int64) {
-		for _, name := range unionKeys(ma, mb) {
-			if ignored[name] {
-				continue
-			}
-			va, inA := ma[name]
-			vb, inB := mb[name]
-			switch {
-			case !inB:
-				divs = append(divs, Divergence{Part: pa.Name, Kind: kind,
-					Detail: fmt.Sprintf("%s %s: %d in A, absent in B", kind, name, va)})
-			case !inA:
-				divs = append(divs, Divergence{Part: pa.Name, Kind: kind,
-					Detail: fmt.Sprintf("%s %s: absent in A, %d in B", kind, name, vb)})
-			case !opts.agree(va, vb):
-				divs = append(divs, Divergence{Part: pa.Name, Kind: kind,
-					Detail: fmt.Sprintf("%s %s: %d vs %d (Δ%+d)", kind, name, va, vb, vb-va)})
-			}
+	for _, name := range unionKeys(da.Counters, db.Counters) {
+		if ignored[name] {
+			continue
+		}
+		va, inA := da.Counters[name]
+		vb, inB := db.Counters[name]
+		switch {
+		case !inB:
+			divs = append(divs, Divergence{Part: pa.Name, Kind: "counter",
+				Detail: fmt.Sprintf("counter %s: %d in A, absent in B", name, va)})
+		case !inA:
+			divs = append(divs, Divergence{Part: pa.Name, Kind: "counter",
+				Detail: fmt.Sprintf("counter %s: absent in A, %d in B", name, vb)})
+		case !opts.agree(va, vb):
+			divs = append(divs, Divergence{Part: pa.Name, Kind: "counter",
+				Detail: fmt.Sprintf("counter %s: %d vs %d (Δ%+d)", name, va, vb, vb-va)})
 		}
 	}
-	diffMap("counter", da.Counters, db.Counters)
-	diffMap("gauge", da.Gauges, db.Gauges)
 	divs = append(divs, diffHists(pa.Name, da.Hists, db.Hists, opts)...)
 	if len(divs) == 0 {
 		divs = append(divs, Divergence{Part: pa.Name, Kind: "content",
@@ -541,7 +537,7 @@ func diffTrace(a, b *bundle.Bundle, pa, pb bundle.Part, opts Options) ([]Diverge
 		if err := json.Unmarshal([]byte(line), &head); err != nil {
 			return false
 		}
-		return (head.Type == "counter" || head.Type == "gauge") && ignored[head.Name]
+		return head.Type == "counter" && ignored[head.Name]
 	}
 	return diffLines(a, b, pa, pb, skip)
 }

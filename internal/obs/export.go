@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,10 +14,7 @@ import (
 
 // jsonSpan is the JSONL wire form of one span. Field order is fixed by the
 // struct; map values marshal with sorted keys — the whole line stream is a
-// deterministic function of the recorded data. The cost fields are pointers
-// so their presence tracks whether the recorder had cost attribution on
-// (never whether an individual value happened to be zero): a dump's shape
-// is decided by configuration, not by measurement noise.
+// deterministic function of the recorded data.
 type jsonSpan struct {
 	Type      string            `json:"type"` // "span"
 	ID        int               `json:"id"`
@@ -28,49 +26,10 @@ type jsonSpan struct {
 	SimStart  int64             `json:"sim_start_ns"`
 	SimEnd    int64             `json:"sim_end_ns"`
 	Counters  map[string]int64  `json:"counters,omitempty"`
-
-	// Cost attribution (EnableCostAttribution): cumulative wall time, the
-	// self (minus direct children) share, and allocation deltas.
-	WallNS     *int64 `json:"wall_ns,omitempty"`
-	SelfWallNS *int64 `json:"self_wall_ns,omitempty"`
-	Mallocs    *int64 `json:"mallocs,omitempty"`
-	AllocBytes *int64 `json:"alloc_bytes,omitempty"`
-}
-
-// DumpOptions tune WriteJSONLWith.
-type DumpOptions struct {
-	// ZeroCosts replaces every machine-measured cost field (wall time,
-	// self time, allocation deltas) with zero while keeping the fields
-	// present. Wall time and allocations are properties of the machine,
-	// not of the simulation, so byte-identical fingerprint comparisons
-	// (run-to-run, worker-count invariance) normalize them this way while
-	// still pinning the fields' presence and everything deterministic.
-	ZeroCosts bool
-}
-
-// selfWall derives each span's self wall time: its cumulative wall time
-// minus its direct children's, clamped at zero (clock granularity can make
-// children sum past their parent).
-func selfWall(spans []spanRecord) []int64 {
-	childSum := make(map[int]int64, len(spans))
-	for i := range spans {
-		if p := spans[i].Parent; p != 0 {
-			childSum[p] += spans[i].WallNS
-		}
-	}
-	self := make([]int64, len(spans))
-	for i := range spans {
-		s := spans[i].WallNS - childSum[spans[i].ID]
-		if s < 0 {
-			s = 0
-		}
-		self[i] = s
-	}
-	return self
 }
 
 type jsonMetric struct {
-	Type  string `json:"type"` // "counter" | "gauge"
+	Type  string `json:"type"` // "counter"
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
 }
@@ -97,25 +56,13 @@ func histToJSON(h HistSnapshot) jsonHist {
 }
 
 // WriteJSONL emits the trace: one JSON object per line — every span in ID
-// order, then every counter and gauge in name order. The output is
-// byte-identical for identical recordings (with cost attribution enabled,
-// the wall-time and allocation fields are machine measurements; normalize
-// them with WriteJSONLWith and DumpOptions.ZeroCosts before fingerprint
-// comparisons).
+// order, then every counter in name order, then every histogram. The output
+// is byte-identical for identical recordings.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
-	return r.WriteJSONLWith(w, DumpOptions{})
-}
-
-// WriteJSONLWith is WriteJSONL with explicit dump options.
-func (r *Recorder) WriteJSONLWith(w io.Writer, opts DumpOptions) error {
 	if r == nil {
 		return nil
 	}
-	spans, counters, gauges, cost := r.snapshot()
-	var self []int64
-	if cost {
-		self = selfWall(spans)
-	}
+	spans, counters := r.snapshot()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i := range spans {
@@ -125,13 +72,6 @@ func (r *Recorder) WriteJSONLWith(w io.Writer, opts DumpOptions) error {
 			StartTick: sp.StartTick, EndTick: sp.EndTick,
 			SimStart: sp.SimStart, SimEnd: sp.SimEnd,
 			Counters: sp.Counters,
-		}
-		if cost {
-			wall, selfNS, mallocs, bytes := sp.WallNS, self[i], sp.Mallocs, sp.AllocBytes
-			if opts.ZeroCosts {
-				wall, selfNS, mallocs, bytes = 0, 0, 0, 0
-			}
-			js.WallNS, js.SelfWallNS, js.Mallocs, js.AllocBytes = &wall, &selfNS, &mallocs, &bytes
 		}
 		if len(sp.Attrs) > 0 {
 			js.Attrs = make(map[string]string, len(sp.Attrs))
@@ -148,11 +88,6 @@ func (r *Recorder) WriteJSONLWith(w io.Writer, opts DumpOptions) error {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(gauges) {
-		if err := enc.Encode(jsonMetric{Type: "gauge", Name: name, Value: gauges[name]}); err != nil {
-			return err
-		}
-	}
 	for _, h := range r.Histograms() {
 		if err := enc.Encode(histToJSON(h)); err != nil {
 			return err
@@ -161,8 +96,8 @@ func (r *Recorder) WriteJSONLWith(w io.Writer, opts DumpOptions) error {
 	return bw.Flush()
 }
 
-// WriteMetrics emits the counter and gauge totals as "counter <name>
-// <value>" / "gauge <name> <value>" lines in name order, followed by one
+// WriteMetrics emits the counter totals as "counter <name> <value>" lines
+// in name order, followed by one
 // "hist <name> le<bound>=<n>... sum=<s> count=<c>" line per histogram — a
 // plain-text dump the worker-invariance tests compare byte for byte.
 func (r *Recorder) WriteMetrics(w io.Writer) error {
@@ -178,17 +113,16 @@ func (r *Recorder) WriteMetrics(w io.Writer) error {
 // (internal/obs/diff) relies on.
 type MetricsDump struct {
 	Counters map[string]int64
-	Gauges   map[string]int64
 	Hists    []HistSnapshot // sorted by name
 }
 
-// MetricsDump snapshots the recorder's counters, gauges and histograms.
+// MetricsDump snapshots the recorder's counters and histograms.
 func (r *Recorder) MetricsDump() *MetricsDump {
 	if r == nil {
 		return &MetricsDump{}
 	}
-	_, counters, gauges, _ := r.snapshot()
-	return &MetricsDump{Counters: counters, Gauges: gauges, Hists: r.Histograms()}
+	_, counters := r.snapshot()
+	return &MetricsDump{Counters: counters, Hists: r.Histograms()}
 }
 
 // Write renders the dump in the canonical WriteMetrics text form.
@@ -196,9 +130,6 @@ func (d *MetricsDump) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, name := range sortedKeys(d.Counters) {
 		fmt.Fprintf(bw, "counter %s %d\n", name, d.Counters[name])
-	}
-	for _, name := range sortedKeys(d.Gauges) {
-		fmt.Fprintf(bw, "gauge %s %d\n", name, d.Gauges[name])
 	}
 	for _, h := range d.Hists {
 		fmt.Fprintf(bw, "hist %s", h.Name)
@@ -211,45 +142,43 @@ func (d *MetricsDump) Write(w io.Writer) error {
 }
 
 // ParseMetrics parses a WriteMetrics dump back into structured form,
-// rejecting anything non-canonical: unknown line kinds, out-of-order or
-// duplicate names, malformed histogram fields, or bucket counts that do
-// not sum to the sample count.
+// rejecting anything non-canonical: blank or unknown lines, out-of-order or
+// duplicate names, malformed histogram fields, bucket counts that do not sum
+// to the sample count, and any input Write would not reproduce byte for
+// byte (kinds out of order, repeated fields, numbers spelled "+5" or "01").
 func ParseMetrics(r io.Reader) (*MetricsDump, error) {
-	d := &MetricsDump{Counters: make(map[string]int64), Gauges: make(map[string]int64)}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	d := &MetricsDump{Counters: make(map[string]int64)}
+	lines := strings.SplitAfter(string(raw), "\n")
+	if lines[len(lines)-1] == "" {
+		lines = lines[:len(lines)-1]
+	}
 	lastOf := make(map[string]string) // kind → last name seen, for order checks
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if text == "" {
-			continue
-		}
+	for i, text := range lines {
+		line := i + 1
 		fields := strings.Fields(text)
-		kind := fields[0]
 		if len(fields) < 2 {
-			return nil, fmt.Errorf("obs: metrics line %d: truncated %q line", line, kind)
+			return nil, fmt.Errorf("obs: metrics line %d: truncated line %q", line, text)
 		}
+		kind := fields[0]
 		name := fields[1]
 		if last := lastOf[kind]; name <= last {
 			return nil, fmt.Errorf("obs: metrics line %d: %s %q out of order (after %q)", line, kind, name, last)
 		}
 		lastOf[kind] = name
 		switch kind {
-		case "counter", "gauge":
+		case "counter":
 			if len(fields) != 3 {
-				return nil, fmt.Errorf("obs: metrics line %d: want \"%s <name> <value>\"", line, kind)
+				return nil, fmt.Errorf("obs: metrics line %d: want \"counter <name> <value>\"", line)
 			}
 			v, err := strconv.ParseInt(fields[2], 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("obs: metrics line %d: %w", line, err)
 			}
-			if kind == "counter" {
-				d.Counters[name] = v
-			} else {
-				d.Gauges[name] = v
-			}
+			d.Counters[name] = v
 		case "hist":
 			h := HistSnapshot{Name: name}
 			var bucketSum int64
@@ -295,8 +224,16 @@ func ParseMetrics(r io.Reader) (*MetricsDump, error) {
 			return nil, fmt.Errorf("obs: metrics line %d: unknown record kind %q", line, kind)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	var canon bytes.Buffer
+	d.Write(&canon) // a bytes.Buffer write cannot fail
+	if !bytes.Equal(canon.Bytes(), raw) {
+		got := strings.SplitAfter(canon.String(), "\n")
+		for i := range lines {
+			if i >= len(got) || got[i] != lines[i] {
+				return nil, fmt.Errorf("obs: metrics line %d: %q is not canonical", i+1, lines[i])
+			}
+		}
+		return nil, fmt.Errorf("obs: metrics dump is not canonical")
 	}
 	return d, nil
 }
@@ -309,7 +246,7 @@ func (r *Recorder) Validate() error {
 	if r == nil {
 		return nil
 	}
-	spans, _, _, _ := r.snapshot()
+	spans, _ := r.snapshot()
 	return validateSpans(spans)
 }
 
@@ -361,9 +298,9 @@ func validateSpans(spans []spanRecord) error {
 }
 
 // ValidateJSONL re-parses a WriteJSONL stream and runs the same
-// well-formedness checks on it — the CI smoke step's checker. Counter and
-// gauge lines are parsed (and their types verified) but carry no tree
-// structure to check.
+// well-formedness checks on it — the CI smoke step's checker. Counter
+// lines are parsed (and their types verified) but carry no tree structure
+// to check.
 func ValidateJSONL(r io.Reader) (spanCount int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -397,7 +334,7 @@ func ValidateJSONL(r io.Reader) (spanCount int, err error) {
 				sp.Attrs = append(sp.Attrs, Attr{Key: k, Value: js.Attrs[k]})
 			}
 			spans = append(spans, sp)
-		case "counter", "gauge":
+		case "counter":
 			var jm jsonMetric
 			if err := json.Unmarshal([]byte(text), &jm); err != nil {
 				return 0, fmt.Errorf("obs: line %d: %w", line, err)
@@ -434,46 +371,25 @@ func sortedKeysString(m map[string]string) []string {
 	return keys
 }
 
-// PathCost aggregates the spans sharing one name path (root/child/...):
-// invocation count, simulated time, cost attribution and counter totals.
-type PathCost struct {
+// pathCost aggregates the spans sharing one name path (root/child/...):
+// invocation count, simulated time and counter totals.
+type pathCost struct {
 	Path  string
 	Depth int
 	Count int
 	// Sim is total simulated time across the path's spans; HasSim reports
 	// whether any span was stamped by a sim clock.
-	Sim    time.Duration
-	HasSim bool
-	// WallNS / SelfWallNS / Mallocs / AllocBytes total the cost
-	// attribution across the path's spans (zero without
-	// EnableCostAttribution).
-	WallNS     int64
-	SelfWallNS int64
-	Mallocs    int64
-	AllocBytes int64
-	Counters   map[string]int64
+	Sim      time.Duration
+	HasSim   bool
+	Counters map[string]int64
 }
 
-// CostSummary aggregates the span tree by name path in first-occurrence
-// order. The boolean reports whether cost attribution was enabled (the cost
-// fields are then meaningful).
-func (r *Recorder) CostSummary() ([]PathCost, bool) {
-	if r == nil {
-		return nil, false
-	}
-	spans, _, _, cost := r.snapshot()
-	return aggregatePaths(spans, cost)
-}
-
-func aggregatePaths(spans []spanRecord, cost bool) ([]PathCost, bool) {
-	var self []int64
-	if cost {
-		self = selfWall(spans)
-	}
+// aggregatePaths groups spans by name path in first-occurrence order.
+func aggregatePaths(spans []spanRecord) []pathCost {
 	pathOf := make(map[int]string, len(spans))
 	depthOf := make(map[int]int, len(spans))
 	idx := make(map[string]int)
-	var groups []PathCost
+	var groups []pathCost
 	for i := range spans {
 		sp := &spans[i]
 		path, depth := sp.Name, 0
@@ -487,7 +403,7 @@ func aggregatePaths(spans []spanRecord, cost bool) ([]PathCost, bool) {
 		if !ok {
 			gi = len(groups)
 			idx[path] = gi
-			groups = append(groups, PathCost{Path: path, Depth: depth, Counters: make(map[string]int64)})
+			groups = append(groups, pathCost{Path: path, Depth: depth, Counters: make(map[string]int64)})
 		}
 		g := &groups[gi]
 		g.Count++
@@ -495,63 +411,25 @@ func aggregatePaths(spans []spanRecord, cost bool) ([]PathCost, bool) {
 			g.Sim += time.Duration(sp.SimEnd - sp.SimStart)
 			g.HasSim = true
 		}
-		if cost {
-			g.WallNS += sp.WallNS
-			g.SelfWallNS += self[i]
-			g.Mallocs += sp.Mallocs
-			g.AllocBytes += sp.AllocBytes
-		}
 		for k, v := range sp.Counters {
 			g.Counters[k] += v
 		}
 	}
-	return groups, cost
+	return groups
 }
-
-// TopSelf returns the k paths with the largest self wall time, descending
-// (ties broken by path so the order is deterministic). Paths with zero self
-// time are skipped.
-func TopSelf(paths []PathCost, k int) []PathCost {
-	top := make([]PathCost, 0, len(paths))
-	for _, p := range paths {
-		if p.SelfWallNS > 0 {
-			top = append(top, p)
-		}
-	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].SelfWallNS != top[j].SelfWallNS {
-			return top[i].SelfWallNS > top[j].SelfWallNS
-		}
-		return top[i].Path < top[j].Path
-	})
-	if k > 0 && len(top) > k {
-		top = top[:k]
-	}
-	return top
-}
-
-// flameTopK is the number of rows in FlameSummary's self-time table.
-const flameTopK = 10
 
 // FlameSummary renders a human-readable aggregation of the span tree:
 // spans grouped by their name path (root/child/...), with invocation
 // counts, total simulated time (where stamped) and per-path counter
-// totals. Rows appear in first-occurrence order, indented by depth. With
-// cost attribution enabled, each row additionally shows cumulative wall
-// time, and a top-k table of the hottest paths by self wall time (with
-// allocation totals) follows the tree.
+// totals. Rows appear in first-occurrence order, indented by depth.
 func (r *Recorder) FlameSummary() string {
 	if r == nil {
 		return ""
 	}
-	spans, _, _, cost := r.snapshot()
-	groups, _ := aggregatePaths(spans, cost)
+	spans, _ := r.snapshot()
+	groups := aggregatePaths(spans)
 	var b strings.Builder
 	fmt.Fprintf(&b, "flame summary: %d spans, %d distinct paths\n", len(spans), len(groups))
-	var totalSelf int64
-	for i := range groups {
-		totalSelf += groups[i].SelfWallNS
-	}
 	for i := range groups {
 		g := &groups[i]
 		name := g.Path
@@ -563,9 +441,6 @@ func (r *Recorder) FlameSummary() string {
 		if g.HasSim {
 			fmt.Fprintf(&b, "  sim %8.1fs", g.Sim.Seconds())
 		}
-		if cost {
-			fmt.Fprintf(&b, "  wall %9.3fms", float64(g.WallNS)/1e6)
-		}
 		if len(g.Counters) > 0 {
 			keys := sortedKeys(g.Counters)
 			parts := make([]string, 0, len(keys))
@@ -575,19 +450,6 @@ func (r *Recorder) FlameSummary() string {
 			fmt.Fprintf(&b, "  [%s]", strings.Join(parts, " "))
 		}
 		b.WriteByte('\n')
-	}
-	if cost {
-		top := TopSelf(groups, flameTopK)
-		fmt.Fprintf(&b, "top self-time (of %d paths):\n", len(groups))
-		for rank, g := range top {
-			pct := 0.0
-			if totalSelf > 0 {
-				pct = 100 * float64(g.SelfWallNS) / float64(totalSelf)
-			}
-			fmt.Fprintf(&b, "  %2d. %-40s %4d×  self %9.3fms (%5.1f%%)  cum %9.3fms  allocs %d (%d B)\n",
-				rank+1, g.Path, g.Count, float64(g.SelfWallNS)/1e6, pct,
-				float64(g.WallNS)/1e6, g.Mallocs, g.AllocBytes)
-		}
 	}
 	return b.String()
 }

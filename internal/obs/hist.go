@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// Histograms are the third metric kind next to counters and gauges: a
+// Histograms are the second metric kind next to counters: a
 // log-bucketed distribution of int64 samples (latencies in nanoseconds,
 // hop depths, batch sizes). Buckets are powers of two — bucket i counts
 // samples v with v ≤ 2^i, assigned to the smallest such i — so the bucket

@@ -52,7 +52,6 @@ func TestHistogramNilSafe(t *testing.T) {
 func TestWritePrometheusHistogramExposition(t *testing.T) {
 	r := New()
 	r.Add("ctr", 1)
-	r.Set("g", 2)
 	for _, v := range []int64{1, 3, 3, 9} {
 		r.Observe("blame_ns", v)
 	}
@@ -78,11 +77,10 @@ func TestWritePrometheusHistogramExposition(t *testing.T) {
 			t.Errorf("exposition lacks %q:\n%s", line, dump)
 		}
 	}
-	// Stable group order: counters, then gauges, then histograms sorted by
-	// name (alpha before blame_ns).
+	// Stable group order: counters, then histograms sorted by name (alpha
+	// before blame_ns).
 	order := []string{
 		"chameleon_ctr_total ",
-		"chameleon_g ",
 		`chameleon_alpha_bucket{le="1"} 1`,
 		"chameleon_blame_ns_count 4",
 	}

@@ -1,5 +1,5 @@
 // Package obs is the pipeline's zero-dependency observability substrate:
-// hierarchical spans, monotonic counters and last-write gauges, recorded
+// hierarchical spans, monotonic counters and histograms, recorded
 // against a deterministic logical clock (ticks) plus, where one exists, the
 // simulated clock — never the wall clock. A trace recorded from the same
 // seeds is therefore byte-identical run to run and at any sweep worker
@@ -15,7 +15,6 @@ package obs
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -51,24 +50,6 @@ type spanRecord struct {
 	SimStart  int64  // nanoseconds of simulated time, NoSim without a clock
 	SimEnd    int64
 	Counters  map[string]int64
-
-	// Cost attribution (only populated when the recorder has cost
-	// attribution enabled). WallNS is the span's cumulative wall time;
-	// Mallocs and AllocBytes are runtime.MemStats deltas across the span.
-	// All three are stored as deltas, never absolute snapshots, so Adopt
-	// can copy them verbatim between recorders with different time bases.
-	// The self (non-child) share is derived at export time.
-	WallNS     int64
-	Mallocs    int64
-	AllocBytes int64
-
-	// Scratch start snapshots, meaningful only while the span is open.
-	wallStart    int64
-	mallocsStart uint64
-	bytesStart   uint64
-	// costDone marks spans whose cost fields were assigned wholesale
-	// (Adopt wrapper spans); End must not overwrite them.
-	costDone bool
 }
 
 // Span is a handle on an open (or ended) span. The zero of *Span (nil) is a
@@ -78,7 +59,7 @@ type Span struct {
 	id  int
 }
 
-// Recorder accumulates spans, counters and gauges. It is safe for
+// Recorder accumulates spans, counters and histograms. It is safe for
 // concurrent use; parallel sweeps nevertheless give every run its own
 // Recorder and merge them in index order (Adopt), because interleaving
 // updates from concurrent runs into one recorder would order ticks by
@@ -89,106 +70,27 @@ type Recorder struct {
 	tick     uint64
 	spans    []spanRecord
 	counters map[string]int64
-	gauges   map[string]int64
 	hists    map[string]*histRecord
 
 	// stream, when set, receives a live record for every span start and
 	// end (SetStream). Publishing happens outside the recorder lock.
 	stream *Stream
-
-	// Cost attribution (EnableCostAttribution). wallNow and memNow are the
-	// measurement sources — injectable so the cost pipeline is testable
-	// with deterministic values; production uses the monotonic wall clock
-	// and runtime.ReadMemStats.
-	cost    bool
-	wallNow func() int64
-	memNow  func() (mallocs, bytes uint64)
 }
 
 // New returns an empty Recorder with no clock: spans are stamped with
 // logical ticks only until SetClock installs a simulated-time source.
 func New() *Recorder {
-	return &Recorder{
-		counters: make(map[string]int64),
-		gauges:   make(map[string]int64),
-	}
+	return &Recorder{counters: make(map[string]int64)}
 }
 
-// wallBase anchors the default wall-time source: costs are durations, so
-// only differences matter, and a process-wide base keeps the values small.
-var wallBase = time.Now()
-
-// defaultWallNow reads the process-monotonic wall clock in nanoseconds.
-func defaultWallNow() int64 { return int64(time.Since(wallBase)) }
-
-// defaultMemNow snapshots cumulative allocation counters. ReadMemStats
-// briefly stops the world, which is why cost attribution is opt-in and why
-// the per-span price is documented in DESIGN.md §11.
-func defaultMemNow() (uint64, uint64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs, ms.TotalAlloc
-}
-
-// EnableCostAttribution turns on per-span cost capture: every span
-// additionally records its cumulative wall time and allocation deltas
-// (mallocs and bytes, from runtime.ReadMemStats snapshots at the span
-// boundaries). The self (minus-children) share is derived at export time.
-//
-// Wall time and allocation deltas are measurements of this machine, not of
-// the simulation: unlike ticks and sim-clock stamps they are NOT
-// deterministic, so fingerprint-style comparisons must zero them first
-// (DumpOptions.ZeroCosts). Enable before recording any spans.
-func (r *Recorder) EnableCostAttribution() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.cost = true
-	if r.wallNow == nil {
-		r.wallNow = defaultWallNow
-	}
-	if r.memNow == nil {
-		r.memNow = defaultMemNow
-	}
-	r.mu.Unlock()
-}
-
-// setCostSources installs deterministic measurement sources (tests only).
-func (r *Recorder) setCostSources(wall func() int64, mem func() (uint64, uint64)) {
-	r.mu.Lock()
-	r.cost = true
-	r.wallNow = wall
-	r.memNow = mem
-	r.mu.Unlock()
-}
-
-// CostEnabled reports whether cost attribution is on.
-func (r *Recorder) CostEnabled() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cost
-}
-
-// Fork returns a fresh empty Recorder inheriting r's cost-attribution
-// configuration. The parallel sweeps fork one recorder per run and fold the
-// forks back with Adopt; forking (rather than New) is what lets a
-// cost-enabled parent see cost fields on adopted spans. A nil receiver
-// forks to nil.
+// Fork returns a fresh empty Recorder for one unit of a parallel fan-out,
+// which the caller folds back with Adopt. A nil receiver forks to nil, so
+// an untraced fan-out stays untraced.
 func (r *Recorder) Fork() *Recorder {
 	if r == nil {
 		return nil
 	}
-	child := New()
-	r.mu.Lock()
-	child.cost = r.cost
-	child.wallNow = r.wallNow
-	child.memNow = r.memNow
-	r.mu.Unlock()
-	return child
+	return New()
 }
 
 // SetClock installs (or, with nil, removes) the simulated-time source used
@@ -233,10 +135,6 @@ func (r *Recorder) StartSpan(parent *Span, name string, attrs ...Attr) *Span {
 		SimStart:  r.now(),
 		SimEnd:    NoSim,
 	}
-	if r.cost {
-		sp.wallStart = r.wallNow()
-		sp.mallocsStart, sp.bytesStart = r.memNow()
-	}
 	r.spans = append(r.spans, sp)
 	id := len(r.spans)
 	stream := r.stream
@@ -264,13 +162,6 @@ func (s *Span) End() {
 		r.tick++
 		rec.EndTick = r.tick
 		rec.SimEnd = r.now()
-		if r.cost && !rec.costDone {
-			rec.WallNS = r.wallNow() - rec.wallStart
-			mallocs, bytes := r.memNow()
-			rec.Mallocs = int64(mallocs - rec.mallocsStart)
-			rec.AllocBytes = int64(bytes - rec.bytesStart)
-			rec.costDone = true
-		}
 		if r.stream != nil {
 			ended = &StreamRecord{
 				Type: "span_end", Name: rec.Name, Span: rec.ID,
@@ -330,16 +221,6 @@ func (r *Recorder) Add(name string, delta int64) {
 	r.mu.Unlock()
 }
 
-// Set records a gauge (last write wins).
-func (r *Recorder) Set(name string, value int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.gauges[name] = value
-	r.mu.Unlock()
-}
-
 // Counter returns the current value of a counter (0 if never incremented
 // or the recorder is nil).
 func (r *Recorder) Counter(name string) int64 {
@@ -349,16 +230,6 @@ func (r *Recorder) Counter(name string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counters[name]
-}
-
-// Gauge returns the current value of a gauge.
-func (r *Recorder) Gauge(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
 }
 
 // Counters returns a copy of the counter totals.
@@ -423,7 +294,7 @@ func (r *Recorder) SpanNames() []string {
 // Adopt merges child — a Recorder that observed one complete unit of work,
 // typically a parallel sweep run — into r under a fresh wrapper span named
 // name. Child span IDs and ticks are rebased past r's, child counters fold
-// into both the wrapper span and r's totals, and child gauges overwrite
+// into both the wrapper span and r's totals, and child histograms add into
 // r's. Adopting the per-run recorders in work-index order after a parallel
 // sweep therefore yields the same bytes as running sequentially — the
 // worker-invariance contract. The child must be quiescent (no open spans,
@@ -441,10 +312,6 @@ func (r *Recorder) Adopt(name string, child *Recorder) {
 		for k, v := range child.counters {
 			counters[k] = v
 		}
-		gauges := make(map[string]int64, len(child.gauges))
-		for k, v := range child.gauges {
-			gauges[k] = v
-		}
 		hists := make(map[string]*histRecord, len(child.hists))
 		for name, h := range child.hists {
 			cp := &histRecord{buckets: make(map[int]int64, len(h.buckets)), sum: h.sum, count: h.count}
@@ -459,14 +326,10 @@ func (r *Recorder) Adopt(name string, child *Recorder) {
 		r.mu.Lock()
 		idBase := wrapper.id // child ID i becomes idBase+i
 		tickBase := r.tick
-		var rootWall, rootMallocs, rootBytes int64
 		for _, sp := range spans {
 			sp.ID += idBase
 			if sp.Parent == 0 {
 				sp.Parent = wrapper.id
-				rootWall += sp.WallNS
-				rootMallocs += sp.Mallocs
-				rootBytes += sp.AllocBytes
 			} else {
 				sp.Parent += idBase
 			}
@@ -488,25 +351,12 @@ func (r *Recorder) Adopt(name string, child *Recorder) {
 		}
 		r.tick += childTicks
 		w := &r.spans[wrapper.id-1]
-		if r.cost {
-			// The wrapper's cost is the adopted run's total cost (the sum
-			// over the child's root spans) — a pure function of the child
-			// data, so merged dumps stay worker-count invariant. End must
-			// not overwrite it with the wall time of Adopt itself.
-			w.WallNS = rootWall
-			w.Mallocs = rootMallocs
-			w.AllocBytes = rootBytes
-			w.costDone = true
-		}
 		if w.Counters == nil && len(counters) > 0 {
 			w.Counters = make(map[string]int64, len(counters))
 		}
 		for k, v := range counters {
 			w.Counters[k] += v
 			r.counters[k] += v
-		}
-		for k, v := range gauges {
-			r.gauges[k] = v
 		}
 		r.adoptHistsLocked(hists)
 		r.mu.Unlock()
@@ -518,7 +368,7 @@ func (r *Recorder) Adopt(name string, child *Recorder) {
 // span start and end is published to it as it happens. The stream is
 // observation-only — attaching one cannot change recorded spans or ticks,
 // so trace dumps stay byte-identical with or without it. Attaching also
-// wires the stream's drop accounting into this recorder (CountDropsInto),
+// wires the stream's drop accounting into this recorder (countDropsInto),
 // so slow-subscriber loss surfaces as the CtrStreamDropped counter; that
 // counter is scheduling-dependent by nature and exempted from byte-identity
 // comparisons by the run-bundle differ.
@@ -531,9 +381,9 @@ func (r *Recorder) SetStream(s *Stream) {
 	r.stream = s
 	r.mu.Unlock()
 	if prev != nil && prev != s {
-		prev.CountDropsInto(nil)
+		prev.countDropsInto(nil)
 	}
-	s.CountDropsInto(r)
+	s.countDropsInto(r)
 }
 
 // EventStream returns the attached live stream (nil when none).
@@ -546,10 +396,9 @@ func (r *Recorder) EventStream() *Stream {
 	return r.stream
 }
 
-// snapshot copies the recorder state for export and validation. The last
-// return reports whether cost attribution was enabled (cost fields are then
-// meaningful and exported).
-func (r *Recorder) snapshot() ([]spanRecord, map[string]int64, map[string]int64, bool) {
+// snapshot copies the recorder's spans and counter totals for export and
+// validation.
+func (r *Recorder) snapshot() ([]spanRecord, map[string]int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	spans := make([]spanRecord, len(r.spans))
@@ -558,11 +407,7 @@ func (r *Recorder) snapshot() ([]spanRecord, map[string]int64, map[string]int64,
 	for k, v := range r.counters {
 		counters[k] = v
 	}
-	gauges := make(map[string]int64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	return spans, counters, gauges, r.cost
+	return spans, counters
 }
 
 // sortedKeys returns m's keys sorted.

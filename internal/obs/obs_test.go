@@ -101,7 +101,6 @@ func record(n int) *Recorder {
 		inner.End()
 		sp.End()
 	}
-	r.Set("last_index", int64(n-1))
 	return r
 }
 
@@ -165,12 +164,11 @@ func TestWriteMetricsDeterministic(t *testing.T) {
 	r := New()
 	r.Add("b", 2)
 	r.Add("a", 1)
-	r.Set("g", 9)
 	var buf bytes.Buffer
 	if err := r.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := "counter a 1\ncounter b 2\ngauge g 9\n"
+	want := "counter a 1\ncounter b 2\n"
 	if buf.String() != want {
 		t.Fatalf("metrics dump = %q, want %q", buf.String(), want)
 	}
@@ -226,10 +224,9 @@ func TestNilSafety(t *testing.T) {
 	sp.Add("c", 1)
 	sp.SetAttr("k", "v")
 	r.Add("c", 1)
-	r.Set("g", 1)
 	r.SetClock(func() time.Duration { return 0 })
 	r.Adopt("w", New())
-	if r.Counter("c") != 0 || r.Gauge("g") != 0 || r.NumSpans() != 0 {
+	if r.Counter("c") != 0 || r.NumSpans() != 0 || r.Fork() != nil {
 		t.Fatal("nil recorder reported state")
 	}
 	if r.Counters() != nil || r.SpanNames() != nil {

@@ -18,20 +18,20 @@ type PromOptions struct {
 // promNamespace prefixes every exposed metric name.
 const promNamespace = "chameleon"
 
-// WritePrometheus emits the recorder's counters, gauges and histograms in
+// WritePrometheus emits the recorder's counters and histograms in
 // the Prometheus text exposition format (version 0.0.4): one HELP and one
 // TYPE line per metric followed by its samples. Counters get the
 // conventional _total suffix; histograms are exposed as cumulative
 // _bucket{le="..."} series (log-bucketed, powers of two) closed by an
 // le="+Inf" bucket plus _sum and _count. Metrics appear in a stable order
-// — all counters sorted by name, then all gauges, then all histograms — so
+// — all counters sorted by name, then all histograms — so
 // scrapes of an idle recorder are byte-identical. A nil recorder exposes
 // nothing.
 func (r *Recorder) WritePrometheus(w io.Writer, opts PromOptions) error {
 	if r == nil {
 		return nil
 	}
-	_, counters, gauges, _ := r.snapshot()
+	_, counters := r.snapshot()
 	hists := r.Histograms()
 	labels := renderLabels(opts.ConstLabels)
 	bw := bufio.NewWriter(w)
@@ -43,10 +43,6 @@ func (r *Recorder) WritePrometheus(w io.Writer, opts PromOptions) error {
 	for _, name := range sortedKeys(counters) {
 		metric := promNamespace + "_" + sanitizeMetricName(name) + "_total"
 		emit(metric, "counter", helpFor(name, "counter"), counters[name])
-	}
-	for _, name := range sortedKeys(gauges) {
-		metric := promNamespace + "_" + sanitizeMetricName(name)
-		emit(metric, "gauge", helpFor(name, "gauge"), gauges[name])
 	}
 	for _, h := range hists {
 		metric := promNamespace + "_" + sanitizeMetricName(h.Name)

@@ -13,7 +13,7 @@ import (
 // Exposition-format line shapes (text format version 0.0.4).
 var (
 	helpRe   = regexp.MustCompile(`^# HELP [a-zA-Z_:][a-zA-Z0-9_:]* .*$`)
-	typeRe   = regexp.MustCompile(`^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge)$`)
+	typeRe   = regexp.MustCompile(`^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* counter$`)
 	sampleRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? -?[0-9]+$`)
 )
 
@@ -56,35 +56,28 @@ func TestWritePrometheusConformance(t *testing.T) {
 	r.Add(CtrMILPNodes, 1234)
 	r.Add(CtrBGPUpdates, 9)
 	r.Add("weird name-with.chars", 1)
-	r.Set("table_size", 77)
-	r.Set("queue_depth", -3)
 
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b, PromOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	names := checkExposition(t, b.String())
-	if len(names) != 5 {
-		t.Fatalf("got %d metrics, want 5:\n%s", len(names), b.String())
+	if len(names) != 3 {
+		t.Fatalf("got %d metrics, want 3:\n%s", len(names), b.String())
 	}
-	// Counters (sorted, _total-suffixed) precede gauges (sorted).
+	// Counters are sorted by name and _total-suffixed.
 	want := []string{
 		"chameleon_bgp_messages_update_total",
 		"chameleon_milp_nodes_explored_total",
 		"chameleon_weird_name_with_chars_total",
-		"chameleon_queue_depth",
-		"chameleon_table_size",
 	}
 	for i, n := range want {
 		if names[i] != n {
 			t.Errorf("metric %d = %q, want %q (stable sort order)", i, names[i], n)
 		}
 	}
-	if !strings.Contains(b.String(), "chameleon_table_size 77\n") {
-		t.Errorf("gauge sample missing:\n%s", b.String())
-	}
-	if !strings.Contains(b.String(), "chameleon_queue_depth -3\n") {
-		t.Errorf("negative gauge sample missing:\n%s", b.String())
+	if !strings.Contains(b.String(), "chameleon_milp_nodes_explored_total 1234\n") {
+		t.Errorf("counter sample missing:\n%s", b.String())
 	}
 
 	// Byte-stable across repeated scrapes of an unchanged recorder.

@@ -13,8 +13,7 @@ func TestMetricsRoundTripByteIdentical(t *testing.T) {
 	r := New()
 	r.Add("milp_nodes_explored", 1234)
 	r.Add("sim_events_processed", 99)
-	r.Set("plan_classes", 3)
-	r.Set("another_gauge", -7)
+	r.Add("exec_retries", -7)
 	for _, v := range []int64{0, 1, 2, 3, 1023, 1024, 1025, 1 << 40} {
 		r.Observe("monitor_blame_latency_ns", v)
 	}
@@ -28,7 +27,7 @@ func TestMetricsRoundTripByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("emitted metrics do not parse: %v", err)
 	}
-	if d.Counters["milp_nodes_explored"] != 1234 || d.Gauges["another_gauge"] != -7 {
+	if d.Counters["milp_nodes_explored"] != 1234 || d.Counters["exec_retries"] != -7 {
 		t.Fatalf("parsed values wrong: %+v", d)
 	}
 	if len(d.Hists) != 2 || d.Hists[0].Name != "monitor_blame_latency_ns" {
@@ -67,6 +66,14 @@ func TestParseMetricsRejectsNonCanonical(t *testing.T) {
 		"hist no sum":       "hist h le1=1 count=1\n",
 		"hist bucket order": "hist h le4=1 le2=1 sum=3 count=2\n",
 		"hist count ≠ sum":  "hist h le1=1 sum=1 count=2\n",
+		// Each of these once panicked or was accepted without re-writing
+		// byte for byte (the FuzzParseMetrics seed corpus holds them too).
+		"whitespace-only line": " \n",
+		"leading zero":         "counter a 01\n",
+		"plus sign":            "counter a +5\n",
+		"leading blank line":   "\ncounter a 1\n",
+		"hist sum twice":       "hist h le1=1 sum=1 sum=1 count=1\n",
+		"hist before counter":  "hist h le1=1 sum=1 count=1\ncounter a 1\n",
 	}
 	for name, input := range cases {
 		if _, err := ParseMetrics(strings.NewReader(input)); err == nil {

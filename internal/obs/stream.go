@@ -22,7 +22,7 @@ type Stream struct {
 	subs    map[*StreamSub]struct{}
 
 	// dropRec, when set, mirrors every drop into CtrStreamDropped on that
-	// recorder (CountDropsInto). The Add happens after the stream lock is
+	// recorder (countDropsInto). The Add happens after the stream lock is
 	// released: the recorder may itself publish to this stream, so the two
 	// locks are never held together in either order.
 	dropRec *Recorder
@@ -87,11 +87,11 @@ func (s *Stream) Publish(v any) {
 	}
 }
 
-// CountDropsInto mirrors every subsequent subscriber drop into rec's
+// countDropsInto mirrors every subsequent subscriber drop into rec's
 // CtrStreamDropped counter, making slow-subscriber loss visible on
-// /metrics and in metrics dumps. Recorder.SetStream wires this
-// automatically; a nil rec detaches. Nil-safe.
-func (s *Stream) CountDropsInto(rec *Recorder) {
+// /metrics and in metrics dumps. Recorder.SetStream is its caller; a nil
+// rec detaches. Nil-safe.
+func (s *Stream) countDropsInto(rec *Recorder) {
 	if s == nil {
 		return
 	}

@@ -156,25 +156,6 @@ func TestEventsEndpointBacklogOnly(t *testing.T) {
 	}
 }
 
-func TestEventsEndpointSSEFraming(t *testing.T) {
-	s := NewStream(8)
-	s.Publish(StreamRecord{Type: "x"})
-	h := Handler(New(), ServeOptions{Stream: s})
-	req := httptest.NewRequest("GET", "/events?follow=0&sse=1", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if ct := w.Header().Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	body := w.Body.String()
-	if !strings.HasPrefix(body, `data: {"type":"hello"`) {
-		t.Errorf("SSE body does not start with a data: hello frame:\n%s", body)
-	}
-	if !strings.Contains(body, "\n\n") {
-		t.Errorf("SSE frames not blank-line separated:\n%s", body)
-	}
-}
-
 func TestEventsEndpointAbsentWithoutStream(t *testing.T) {
 	h := Handler(New(), ServeOptions{})
 	req := httptest.NewRequest("GET", "/events", nil)

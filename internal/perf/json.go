@@ -25,7 +25,6 @@ type File struct {
 		Warmup        int   `json:"warmup"`
 		Reps          int   `json:"reps"`
 		MinDurationNS int64 `json:"min_duration_ns"`
-		Cost          bool  `json:"cost"`
 	} `json:"config"`
 
 	Benchmarks []Result `json:"benchmarks"`
@@ -45,7 +44,6 @@ func NewFile(results []Result, cfg Config) *File {
 	f.Config.Warmup = cfg.Warmup
 	f.Config.Reps = cfg.Reps
 	f.Config.MinDurationNS = int64(cfg.MinDuration / time.Nanosecond)
-	f.Config.Cost = cfg.Cost
 	return f
 }
 

@@ -11,11 +11,7 @@
 //   - wall time per operation (the only machine-dependent axis),
 //   - heap allocations and bytes per operation, and
 //   - domain counters per operation (solver nodes, simulator events, BGP
-//     messages — obs counters, machine-independent by construction),
-//
-// plus a flame digest: the top self-time paths from the obs span cost
-// attribution, so a regression report says not only "plan-execute got 20%
-// slower" but also which phase's self-time moved.
+//     messages — obs counters, machine-independent by construction).
 package perf
 
 import (
@@ -55,10 +51,6 @@ type Config struct {
 	MinDuration time.Duration
 	// Filter keeps only benchmarks whose name contains the substring.
 	Filter string
-	// Cost enables span cost attribution on the per-repetition recorders,
-	// feeding the flame digest. Off by default: ReadMemStats at every span
-	// boundary is itself a cost.
-	Cost bool
 	// Observer, when non-nil, sees every measured repetition's recorder
 	// right after it completes (live metrics endpoints hang off this).
 	Observer func(bench string, rep int, rec *obs.Recorder)
@@ -74,9 +66,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// topK bounds the flame digest.
-const topK = 5
-
 // Dist is a robust summary of per-op samples across repetitions: the
 // median, the median absolute deviation, and the samples themselves (so a
 // later comparison can re-derive anything).
@@ -84,14 +73,6 @@ type Dist struct {
 	Median  float64   `json:"median"`
 	MAD     float64   `json:"mad"`
 	Samples []float64 `json:"samples"`
-}
-
-// FlameEntry is one row of the flame digest: a span path and its median
-// per-op self time across repetitions.
-type FlameEntry struct {
-	Path         string  `json:"path"`
-	SelfNSPerOp  float64 `json:"self_ns_per_op"`
-	TotalNSPerOp float64 `json:"total_ns_per_op"`
 }
 
 // Result is one benchmark's measurement.
@@ -109,9 +90,6 @@ type Result struct {
 	// Counters maps obs counter names to per-op distributions. For the
 	// deterministic workloads these have MAD 0 by construction.
 	Counters map[string]Dist `json:"counters,omitempty"`
-
-	// Flame is the top-self-time digest (present only when Config.Cost).
-	Flame []FlameEntry `json:"flame,omitempty"`
 }
 
 // Run measures every benchmark in the suite under cfg, in suite order.
@@ -157,13 +135,8 @@ func runOne(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
 
 	var times, allocs, bts []float64
 	counters := map[string][]float64{}
-	flames := map[string][]FlameEntry{} // per-rep entries keyed by path
-	flameOrder := []string{}
 	for rep := 0; rep < cfg.Reps; rep++ {
 		rec := obs.New()
-		if cfg.Cost {
-			rec.EnableCostAttribution()
-		}
 		m, iters, err := oneRep(ctx, fn, cfg, rec)
 		if err != nil {
 			return Result{}, err
@@ -175,19 +148,6 @@ func runOne(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
 		bts = append(bts, float64(m.bytes)/n)
 		for name, v := range rec.Counters() {
 			counters[name] = append(counters[name], float64(v)/n)
-		}
-		if cfg.Cost {
-			paths, _ := rec.CostSummary()
-			for _, p := range obs.TopSelf(paths, topK) {
-				if _, seen := flames[p.Path]; !seen {
-					flameOrder = append(flameOrder, p.Path)
-				}
-				flames[p.Path] = append(flames[p.Path], FlameEntry{
-					Path:         p.Path,
-					SelfNSPerOp:  float64(p.SelfWallNS) / n,
-					TotalNSPerOp: float64(p.WallNS) / n,
-				})
-			}
 		}
 		if cfg.Observer != nil {
 			cfg.Observer(b.Name, rep, rec)
@@ -201,32 +161,6 @@ func runOne(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
 		res.Counters = map[string]Dist{}
 		for name, samples := range counters {
 			res.Counters[name] = summarize(samples)
-		}
-	}
-	// Digest: median per-path self time over the reps that surfaced the
-	// path, ranked by that median, capped at topK.
-	if cfg.Cost {
-		for _, path := range flameOrder {
-			es := flames[path]
-			self := make([]float64, len(es))
-			total := make([]float64, len(es))
-			for i, e := range es {
-				self[i], total[i] = e.SelfNSPerOp, e.TotalNSPerOp
-			}
-			res.Flame = append(res.Flame, FlameEntry{
-				Path:         path,
-				SelfNSPerOp:  median(self),
-				TotalNSPerOp: median(total),
-			})
-		}
-		sort.SliceStable(res.Flame, func(i, j int) bool {
-			if res.Flame[i].SelfNSPerOp != res.Flame[j].SelfNSPerOp {
-				return res.Flame[i].SelfNSPerOp > res.Flame[j].SelfNSPerOp
-			}
-			return res.Flame[i].Path < res.Flame[j].Path
-		})
-		if len(res.Flame) > topK {
-			res.Flame = res.Flame[:topK]
 		}
 	}
 	return res, nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -225,30 +227,50 @@ func TestCompareReportsBytesGrowth(t *testing.T) {
 	}
 }
 
-func TestRunCostProducesFlameDigest(t *testing.T) {
-	suite := []Benchmark{{Name: "spans/op", Setup: func() (Fn, error) {
-		return func(ctx context.Context) error {
-			ctx, root := obs.StartSpan(ctx, "outer")
-			_, inner := obs.StartSpan(ctx, "inner")
-			inner.End()
-			root.End()
-			return nil
-		}, nil
-	}}}
-	results, err := Run(context.Background(), suite, Config{Reps: 3, Cost: true})
-	if err != nil {
-		t.Fatal(err)
+// TestCommittedBenchPointsParse: every committed trajectory point still
+// reads, and the two points CI gates against (BENCH_8 for schedule/,
+// BENCH_14 for prefix-scale/) compare cleanly with a file this code writes
+// from the same results — no mismatch, no suite drift, no counter drift, no
+// bytes growth. Fields older points carry that File no longer has are
+// ignored on read.
+func TestCommittedBenchPointsParse(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed BENCH points found (%v)", err)
 	}
-	flame := results[0].Flame
-	if len(flame) == 0 {
-		t.Fatal("cost run produced no flame digest")
+	read := func(path string) *File {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := ReadFile(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return f
 	}
-	if len(flame) > topK {
-		t.Errorf("flame digest has %d rows, want at most %d", len(flame), topK)
+	for _, path := range paths {
+		read(path)
 	}
-	for _, e := range flame {
-		if e.Path != "outer" && e.Path != "outer/inner" {
-			t.Errorf("unexpected flame path %q", e.Path)
+	for _, name := range []string{"BENCH_8.json", "BENCH_14.json"} {
+		old := read("../../" + name)
+		var b bytes.Buffer
+		if err := NewFile(old.Benchmarks, Config{}).Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := ReadFile(&b)
+		if err != nil {
+			t.Fatalf("%s rewritten: %v", name, err)
+		}
+		rep := Compare(old, fresh, CompareOptions{})
+		if rep.Mismatch != "" || len(rep.OnlyOld) != 0 || len(rep.OnlyNew) != 0 || len(rep.Deltas) != len(old.Benchmarks) {
+			t.Fatalf("%s against a freshly written file: %+v", name, rep)
+		}
+		for _, d := range rep.Deltas {
+			if d.Regressed || len(d.CounterDrift) != 0 || d.BytesGrew {
+				t.Errorf("%s: %s moved against itself: %+v", name, d.Name, d)
+			}
 		}
 	}
 }

@@ -3,13 +3,17 @@ package chameleon_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
 	"chameleon"
+	"chameleon/internal/fwd"
 	"chameleon/internal/obs"
+	"chameleon/internal/topology"
 )
 
 // tracedRun plans and executes the running example with a fresh recorder
@@ -100,6 +104,80 @@ func TestTraceRunToRunDeterminism(t *testing.T) {
 	}
 	if m1 != m2 {
 		t.Errorf("metric dump differs between identical runs:\n%s\nvs\n%s", m1, m2)
+	}
+}
+
+// TestExportFormatsPinned pins every export format of one recording by
+// SHA-256: the traced running example, executed under a monitor whose
+// probe invariant fails on every other snapshot (so violations, their
+// histograms and their stream records exist), with a live stream attached
+// to both the recorder and the monitor. Run bundles carry only the trace
+// and the metrics; this test also holds the Prometheus text, the flame
+// summary and the /events backlog, so a change to the obs layer that means
+// to keep its artifacts must leave all five digests as they are.
+func TestExportFormatsPinned(t *testing.T) {
+	s := chameleon.RunningExample()
+	rec := chameleon.NewRecorder()
+	stream := obs.NewStream(0)
+	rec.SetStream(stream)
+	r, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails := false
+	probe := chameleon.MonitorInvariant{Name: "probe", Check: func(fwd.State) (bool, []topology.NodeID) {
+		fails = !fails
+		return !fails, nil
+	}}
+	mon := chameleon.NewMonitor(chameleon.MonitorConfig{
+		Name:       "pinned",
+		Invariants: append(chameleon.DefaultInvariants(s.Graph), probe),
+		Recorder:   rec,
+		Stream:     stream,
+	})
+	res, err := r.ExecuteCtx(context.Background(), chameleon.ExecOptions{Recorder: rec, Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Verify(res); err != nil {
+		t.Fatal(err)
+	}
+	if len(mon.Timeline().Violations) == 0 || len(rec.Histograms()) == 0 {
+		t.Fatal("the probe invariant never failed: no violation reaches the exports")
+	}
+
+	outputs := map[string]func(*bytes.Buffer) error{
+		"trace.jsonl": func(b *bytes.Buffer) error { return rec.WriteJSONL(b) },
+		"metrics.txt": func(b *bytes.Buffer) error { return rec.WriteMetrics(b) },
+		"prometheus": func(b *bytes.Buffer) error {
+			return rec.WritePrometheus(b, obs.PromOptions{ConstLabels: map[string]string{"job": "pinned"}})
+		},
+		"flame": func(b *bytes.Buffer) error { _, err := b.WriteString(rec.FlameSummary()); return err },
+		"events": func(b *bytes.Buffer) error {
+			w := httptest.NewRecorder()
+			obs.Handler(rec, obs.ServeOptions{Stream: stream}).ServeHTTP(w, httptest.NewRequest("GET", "/events?follow=0", nil))
+			_, err := b.Write(w.Body.Bytes())
+			return err
+		},
+	}
+	want := map[string]string{
+		"trace.jsonl": "72d41427d384033e505e7370bb466b01eeb96dca2cfd5c977d6595d166571777",
+		"metrics.txt": "8d346000ca19aafbce60c6bef6c497826cfe625dc2cfda53cde3a6a6d9e63e31",
+		"prometheus":  "44c437c90abcf5e7ba72bcb76a2a3196ed50806c7c0d06f2003cb1dd4e992dfd",
+		"flame":       "b25107dc4d099b48872469894f5cd0aff29ea592e698981f07d4bbc625a992ac",
+		"events":      "ebe25734e5df39595b087e7b59f852bd3884c05072ec8f9894d7c5c7a92f7d81",
+	}
+	for name, write := range outputs {
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b.Len() == 0 {
+			t.Errorf("%s: empty output", name)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != want[name] {
+			t.Errorf("%s: SHA-256 %s, want %s", name, got, want[name])
+		}
 	}
 }
 
