@@ -198,6 +198,8 @@ func (s State) String() string {
 }
 
 // Trace is a timestamped sequence of forwarding states for one destination.
+// Consecutive equal states may share one backing array (Append stores a
+// repeat as the previous entry), so the states of a trace are read-only.
 type Trace struct {
 	// Times[i] is when States[i] became active; States[i] remains active
 	// until Times[i+1] (or forever, for the last state).
@@ -222,10 +224,17 @@ func (tr *Trace) At(t float64) State {
 	return tr.States[idx]
 }
 
-// Append adds a state snapshot taken at time t.
+// Append adds a state snapshot taken at time t. The trace stores a copy of
+// s, or, when s equals the last stored state, that state itself: a repeat
+// costs no allocation and shares the previous entry's backing.
 func (tr *Trace) Append(t float64, s State) {
 	tr.Times = append(tr.Times, t)
-	tr.States = append(tr.States, s.Clone())
+	if k := len(tr.States); k > 0 && s.Equal(tr.States[k-1]) {
+		s = tr.States[k-1]
+	} else {
+		s = s.Clone()
+	}
+	tr.States = append(tr.States, s)
 }
 
 // Compact drops consecutive duplicate states, keeping the earliest time of

@@ -209,6 +209,27 @@ func TestTraceAppendClones(t *testing.T) {
 	}
 }
 
+// TestTraceAppendSharesRepeats: a state equal to the last stored one is
+// stored as that entry, sharing its backing; a changed one is copied.
+func TestTraceAppendSharesRepeats(t *testing.T) {
+	var tr Trace
+	s := State{External, 0}
+	tr.Append(0, s)
+	tr.Append(1, s)
+	s[1] = Drop
+	tr.Append(2, s)
+	tr.Append(3, s)
+	if &tr.States[0][0] != &tr.States[1][0] {
+		t.Error("a repeated state was copied, want the previous entry's backing")
+	}
+	if &tr.States[1][0] == &tr.States[2][0] || &tr.States[2][0] != &tr.States[3][0] {
+		t.Error("a changed state must be copied once and its repeat shared")
+	}
+	if &tr.States[3][0] == &s[0] || !tr.States[1].Equal(State{External, 0}) {
+		t.Error("Append must store a copy, not alias the caller's state")
+	}
+}
+
 // BenchmarkHasLoop exercises the single-pass classifier on the two extreme
 // shapes: one maximal chain (worst case for the old walk-per-router
 // version, which was quadratic here) and a fully fragmented state.

@@ -32,10 +32,18 @@ import (
 
 // Invariant is one online-checkable forwarding property. Check returns
 // whether the state satisfies it and, when it does not, the affected
-// routers (the blast radius), in ascending node-ID order.
+// routers (the blast radius), in strictly ascending node-ID order.
+//
+// An Invariant literal is checked on every snapshot, so its Check may keep
+// state of its own. The constructors of this package build checks that are
+// functions of the state alone; the monitor does not re-check those on a
+// snapshot equal to the previous state of its prefix, since the verdict
+// cannot differ.
 type Invariant struct {
 	Name  string
 	Check func(fwd.State) (ok bool, affected []topology.NodeID)
+
+	ofState bool // Check is a function of the state; set by the constructors
 }
 
 // ReachAll is the reachability invariant ∧_n reach(n) over the internal
@@ -44,7 +52,8 @@ func ReachAll(g *topology.Graph) Invariant {
 	nodes := slices.Clone(g.Internal())
 	slices.Sort(nodes)
 	return Invariant{
-		Name: "reach",
+		Name:    "reach",
+		ofState: true,
 		Check: func(s fwd.State) (bool, []topology.NodeID) {
 			var bad []topology.NodeID
 			for _, n := range nodes {
@@ -61,7 +70,8 @@ func ReachAll(g *topology.Graph) Invariant {
 // enters a cycle. The blast radius is every node whose traffic loops.
 func LoopFree() Invariant {
 	return Invariant{
-		Name: "loop-free",
+		Name:    "loop-free",
+		ofState: true,
 		Check: func(s fwd.State) (bool, []topology.NodeID) {
 			nodes := s.LoopNodes()
 			return len(nodes) == 0, nodes
@@ -82,7 +92,8 @@ func WaypointEither(pairs map[topology.NodeID][2]topology.NodeID) Invariant {
 	}
 	slices.Sort(srcs)
 	return Invariant{
-		Name: "waypoint",
+		Name:    "waypoint",
+		ofState: true,
 		Check: func(s fwd.State) (bool, []topology.NodeID) {
 			var bad []topology.NodeID
 			for _, n := range srcs {
@@ -105,7 +116,8 @@ func WaypointEither(pairs map[topology.NodeID][2]topology.NodeID) Invariant {
 // is the source nodes of its failing atoms.
 func FromSpec(name string, sp *spec.Spec) Invariant {
 	return Invariant{
-		Name: name,
+		Name:    name,
+		ofState: true,
 		Check: func(s fwd.State) (bool, []topology.NodeID) {
 			if sp.EvalState(s) {
 				return true, nil
@@ -193,16 +205,32 @@ func (m *Monitor) Observe(at time.Duration, prefix bgp.Prefix, st fwd.State) {
 
 // ObserveProvenance checks one forwarding-state snapshot, attributing any
 // violation it opens to the snapshot's causal root. Its signature matches
-// sim.SnapshotHook, so it can be installed directly (Bind does).
+// sim.SnapshotHook, so it can be installed directly (Bind does). The
+// monitor retains st as the prefix's last state: the caller must not write
+// to it afterwards.
+//
+// A snapshot equal to the prefix's previous state is still counted, and
+// still extends every violation open for the prefix, but invariants built
+// by this package's constructors are not re-checked on it: they judged
+// that state already, and an open violation's blast radius is the union of
+// verdicts it already holds.
 func (m *Monitor) ObserveProvenance(at time.Duration, prefix bgp.Prefix, st fwd.State, prov sim.Provenance) {
 	m.tick++
 	m.statesChecked++
 	m.now = at
-	if prev, ok := m.lastSeen[prefix]; !ok || !st.Equal(prev) {
+	prev, seen := m.lastSeen[prefix]
+	repeat := seen && st.Equal(prev)
+	if !repeat {
 		m.lastChange = at
 		m.lastSeen[prefix] = st
 	}
 	for idx, inv := range m.cfg.Invariants {
+		if repeat && inv.ofState {
+			if v := m.findOpen(idx, prefix); v != nil {
+				v.End = at
+			}
+			continue
+		}
 		ok, affected := inv.Check(st)
 		v := m.findOpen(idx, prefix)
 		switch {
@@ -290,10 +318,13 @@ func (m *Monitor) closeViolation(idx int, prefix bgp.Prefix, end time.Duration) 
 	}
 }
 
-// mergeNodes returns the sorted union of two ascending node lists.
+// mergeNodes returns the sorted union of two strictly ascending node
+// lists, reusing a's backing. Only a's original elements are searched: the
+// appended tail is not sorted until the end.
 func mergeNodes(a, b []topology.NodeID) []topology.NodeID {
+	sorted := a
 	for _, n := range b {
-		if _, found := slices.BinarySearch(a, n); !found {
+		if _, found := slices.BinarySearch(sorted, n); !found {
 			a = append(a, n)
 		}
 	}

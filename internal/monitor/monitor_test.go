@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -309,11 +310,101 @@ func TestObserveAllocsIndependentOfNodeCount(t *testing.T) {
 	}
 }
 
+// TestObserveChangedStateAllocs: a snapshot that changes its prefix's
+// state is checked by every invariant, at the same two allocations as the
+// first one, whatever the node count. Two clean chains alternate: the
+// second sends router 0 straight to router 2.
+func TestObserveChangedStateAllocs(t *testing.T) {
+	var perSize []float64
+	for _, n := range []int{19, 152} {
+		m, st := chainCase(n)
+		other := st.Clone()
+		other[0] = 2
+		perSize = append(perSize, testing.AllocsPerRun(20, func() {
+			m.ObserveProvenance(time.Second, 0, st, sim.Provenance{})
+			m.ObserveProvenance(time.Second, 0, other, sim.Provenance{})
+		}))
+		if tl := m.Finish(time.Second); len(tl.Violations) != 0 {
+			t.Fatalf("n=%d: the clean chains violate %+v", n, tl.Violations)
+		}
+	}
+	if perSize[0] != perSize[1] || perSize[0] > 4 {
+		t.Errorf("allocations per two changed snapshots: %v at 19 nodes, %v at 152; want equal and at most 4",
+			perSize[0], perSize[1])
+	}
+}
+
 func BenchmarkObserveSnapshot(b *testing.B) {
 	m, st := chainCase(19)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ObserveProvenance(time.Duration(i), 0, st, sim.Provenance{})
+	}
+}
+
+func TestMergeNodes(t *testing.T) {
+	ids := func(ns ...topology.NodeID) []topology.NodeID { return ns }
+	cases := []struct{ a, b, want []topology.NodeID }{
+		{nil, nil, nil},
+		{nil, ids(1, 2), ids(1, 2)},
+		{ids(1, 2), nil, ids(1, 2)},
+		{ids(1, 2, 3), ids(1, 2, 3), ids(1, 2, 3)},
+		{ids(1, 3), ids(2, 4), ids(1, 2, 3, 4)},
+		{ids(30), ids(1, 2, 3, 4, 30), ids(1, 2, 3, 4, 30)},
+		{ids(0, 5), ids(1, 5, 9), ids(0, 1, 5, 9)},
+	}
+	for _, c := range cases {
+		a := slices.Clone(c.a)
+		if got := mergeNodes(a, c.b); !slices.Equal(got, c.want) {
+			t.Errorf("mergeNodes(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestRepeatedStateSkipsOwnInvariants: an invariant built by this
+// package is checked when its prefix's state changes and not on a repeat,
+// which still counts as a checked state and still extends the open
+// violation; an Invariant literal is checked on every snapshot.
+func TestRepeatedStateSkipsOwnInvariants(t *testing.T) {
+	const pfx = bgp.Prefix(1)
+	calls := map[string]int{}
+	counted := func(inv Invariant) Invariant {
+		check := inv.Check
+		inv.Check = func(s fwd.State) (bool, []topology.NodeID) {
+			calls[inv.Name]++
+			return check(s)
+		}
+		return inv
+	}
+	m := New(Config{Name: "t", Invariants: []Invariant{counted(LoopFree()), counted(noDrop())}})
+	loop := fwd.State{1, 0, fwd.Drop}
+	m.Observe(0, pfx, fwd.State{fwd.External, fwd.External, fwd.External})
+	m.Observe(1*time.Second, pfx, loop)
+	m.Observe(2*time.Second, pfx, slices.Clone(loop))
+	m.Observe(3*time.Second, pfx, loop)
+	if calls["loop-free"] != 2 || calls["no-drop"] != 4 {
+		t.Errorf("checks = %v, want loop-free 2 (changes only) and no-drop 4 (every snapshot)", calls)
+	}
+	open := m.OpenViolations()
+	if len(open) != 2 || open[0].End != 3*time.Second || open[1].End != 3*time.Second {
+		t.Errorf("open violations %+v, want loop-free and no-drop, both extended to 3s", open)
+	}
+	if tl := m.Finish(4 * time.Second); tl.StatesChecked != 4 {
+		t.Errorf("StatesChecked = %d, want 4: a repeat is still a checked state", tl.StatesChecked)
+	}
+}
+
+func TestValidateJSONLRejectsRepeatedNodes(t *testing.T) {
+	tl := &Timeline{Name: "run", Violations: []Violation{
+		{Invariant: "reach", Start: time.Second, End: 2 * time.Second, Nodes: []topology.NodeID{4, 30, 30},
+			Cause: RootCause{Kind: "init"}},
+	}}
+	var b bytes.Buffer
+	if err := tl.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateJSONL(&b); err == nil {
+		t.Error("a blast radius repeating node 30 validated, want error")
 	}
 }

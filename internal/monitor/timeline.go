@@ -235,9 +235,9 @@ func WriteRecords(w io.Writer, recs []Record) error {
 // ValidateJSONL structurally checks a timeline artifact: every line parses
 // as a Record, violation records follow their timeline's summary record
 // with 1-based consecutive seq numbers, intervals are well-formed
-// (end ≥ start, duration = end − start, sorted node lists), and each
-// summary's violation count matches the records that follow. It returns
-// the parsed records on success.
+// (end ≥ start, duration = end − start, strictly ascending node lists),
+// and each summary's violation count matches the records that follow. It
+// returns the parsed records on success.
 func ValidateJSONL(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
@@ -287,8 +287,10 @@ func ValidateJSONL(r io.Reader) ([]Record, error) {
 			if rec.DurNS != rec.EndNS-rec.StartNS {
 				return nil, fmt.Errorf("timeline line %d: duration %d ≠ end−start", line, rec.DurNS)
 			}
-			if !slices.IsSorted(rec.Nodes) {
-				return nil, fmt.Errorf("timeline line %d: unsorted blast radius", line)
+			for j := 1; j < len(rec.Nodes); j++ {
+				if rec.Nodes[j-1] >= rec.Nodes[j] {
+					return nil, fmt.Errorf("timeline line %d: blast radius not strictly ascending", line)
+				}
 			}
 			switch rec.CauseKind {
 			case "init":

@@ -76,20 +76,42 @@ func TestStormRetainedBytesPerEntry(t *testing.T) {
 }
 
 // TestSnapshotAllocatesOnce: a snapshot is filled into scratch and copied
-// once, into the trace, and the hook sees that stored copy. An event that
-// changes several traced prefixes orders them in scratch too, so it costs
-// one allocation per stored state.
+// into the trace only when it differs from the trace's last state, so a
+// changed state costs one allocation and a repeated one none: the trace
+// stores the previous entry again, sharing its backing. Either way the hook
+// sees the trace's stored state. An event that changes several traced
+// prefixes orders them in scratch too, so it costs one allocation per
+// changed state. Overwriting a trace's last entry with a different state
+// makes the next snapshot a change.
 func TestSnapshotAllocatesOnce(t *testing.T) {
 	s := scenario.RunningExample()
 	var seen fwd.State
 	s.Net.SetSnapshotHook(func(_ time.Duration, _ bgp.Prefix, st fwd.State, _ sim.Provenance) { seen = st })
-	allocs := testing.AllocsPerRun(100, func() { s.Net.RecordInitialState(s.Prefix) })
-	if allocs != 1 {
-		t.Errorf("%v allocations per snapshot with a hook installed, want 1", allocs)
-	}
+	s.Net.RecordInitialState(s.Prefix)
 	tr := s.Net.Trace(s.Prefix)
-	if last := tr.States[len(tr.States)-1]; &seen[0] != &last[0] || !seen.Equal(s.Net.ForwardingState(s.Prefix)) {
+	last := func() fwd.State { return tr.States[len(tr.States)-1] }
+	other := fwd.NewState(len(last()))
+	if other.Equal(last()) {
+		t.Fatal("the running example drops everywhere: no state to change from")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tr.States[len(tr.States)-1] = other
+		s.Net.RecordInitialState(s.Prefix)
+	}); allocs != 1 {
+		t.Errorf("%v allocations per changed snapshot with a hook installed, want 1", allocs)
+	}
+	stored := last()
+	if &seen[0] != &stored[0] || !seen.Equal(s.Net.ForwardingState(s.Prefix)) {
 		t.Error("the hook did not see the trace's stored state")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Net.RecordInitialState(s.Prefix) }); allocs != 0 {
+		t.Errorf("%v allocations per repeated snapshot with a hook installed, want 0", allocs)
+	}
+	if repeat := last(); &repeat[0] != &stored[0] {
+		t.Error("a repeated state did not share the previous entry's backing")
+	}
+	if &seen[0] != &stored[0] {
+		t.Error("the hook did not see the trace's stored state of a repeat")
 	}
 
 	a3 := abilenePlus3(t)
@@ -101,8 +123,18 @@ func TestSnapshotAllocatesOnce(t *testing.T) {
 		t.Fatalf("the hook saw %v, want ascending %v", order, ps)
 	}
 	a3.Net.SetSnapshotHook(func(time.Duration, bgp.Prefix, fwd.State, sim.Provenance) {})
-	if allocs := testing.AllocsPerRun(100, func() { sim.SnapshotChanged(a3.Net, ps[1], ps[0]) }); allocs != 2 {
+	trs := []*fwd.Trace{a3.Net.Trace(ps[0]), a3.Net.Trace(ps[1])}
+	drop := fwd.NewState(len(trs[0].States[0]))
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, tr := range trs {
+			tr.States[len(tr.States)-1] = drop
+		}
+		sim.SnapshotChanged(a3.Net, ps[1], ps[0])
+	}); allocs != 2 {
 		t.Errorf("%v allocations per two-prefix event with a hook installed, want 2", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sim.SnapshotChanged(a3.Net, ps[1], ps[0]) }); allocs != 0 {
+		t.Errorf("%v allocations per two-prefix event that changes nothing, want 0", allocs)
 	}
 }
 
