@@ -121,8 +121,8 @@ func TestClassPartition(t *testing.T) {
 // wall-clock time, never the output.
 func TestClassWorkerInvariance(t *testing.T) {
 	type out struct {
-		trace, metrics, timeline string
-		r                        *chameleon.Reconfiguration
+		trace, timeline string
+		r               *chameleon.Reconfiguration
 	}
 	dump := func(par int) out {
 		s := multiClassScenario(t)
@@ -135,11 +135,8 @@ func TestClassWorkerInvariance(t *testing.T) {
 		if err := rec.Validate(); err != nil {
 			t.Fatalf("parallelism %d: trace ill-formed: %v", par, err)
 		}
-		var tr, m bytes.Buffer
+		var tr bytes.Buffer
 		if err := rec.WriteJSONL(&tr); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.WriteMetrics(&m); err != nil {
 			t.Fatal(err)
 		}
 		mon := chameleon.NewMonitor(chameleon.MonitorConfig{
@@ -152,17 +149,13 @@ func TestClassWorkerInvariance(t *testing.T) {
 		if err := mon.Timeline().WriteJSONL(&tl); err != nil {
 			t.Fatal(err)
 		}
-		return out{tr.String(), m.String(), tl.String(), r}
+		return out{tr.String(), tl.String(), r}
 	}
 	base := dump(1)
 	for _, par := range []int{4, runtime.NumCPU()} {
 		got := dump(par)
 		if got.trace != base.trace {
 			t.Errorf("parallelism %d: trace JSONL differs from sequential run", par)
-		}
-		if got.metrics != base.metrics {
-			t.Errorf("parallelism %d: metric dump differs from sequential run:\n%s\nvs\n%s",
-				par, got.metrics, base.metrics)
 		}
 		if got.timeline != base.timeline {
 			t.Errorf("parallelism %d: provenance-annotated timeline differs from sequential run:\n%s\nvs\n%s",

@@ -24,20 +24,20 @@
 //
 // Observability: -trace FILE writes a structured span trace (JSONL, one
 // span per line, deterministic bytes for deterministic runs) of every
-// instrumented stage; -metrics FILE writes the final
-// counter/histogram dump; -timeline FILE writes the transient-state
-// monitor's violation timelines (JSONL, with per-violation root-cause
-// records, byte-identical across re-runs and worker counts) for the
-// monitored runs (-smoke, -fig 1); each of the three files is validated
-// after writing. -explain FILE (or "-") renders the human-readable causal
-// chain of every monitored violation; -pprof ADDR serves net/http/pprof for
-// live profiling; -serve ADDR serves the live counter/histogram state as
-// Prometheus text format on /metrics plus a live span/violation feed on
-// /events (chunked JSONL; ?follow=0 for backlog-only), /healthz and
-// /debug/pprof while a long sweep is in flight — ":0" picks an ephemeral port and the bound address is printed; -linger
+// instrumented stage, closed by the final counter and histogram totals;
+// -timeline FILE writes the transient-state monitor's violation timelines
+// (JSONL, with per-violation root-cause records, byte-identical across
+// re-runs and worker counts) for the monitored runs (-smoke, -fig 1); both
+// files are validated after writing. -explain FILE (or "-") renders the
+// human-readable causal chain of every monitored violation; -pprof ADDR
+// serves net/http/pprof for live profiling; -serve ADDR serves the live
+// counter/histogram state as Prometheus text format on /metrics plus a live
+// span/violation feed on /events (chunked JSONL; ?follow=0 for
+// backlog-only), /healthz and /debug/pprof while a long sweep is in flight
+// — ":0" picks an ephemeral port and the bound address is printed; -linger
 // DUR keeps those endpoints up after the runs finish. -bundle DIR seals
-// every deterministic artifact of the run (trace, metrics, timelines,
-// compiled plans, chaos/recovery fingerprints, supervisor journals) into a
+// every deterministic artifact of the run (trace, timelines, compiled
+// plans, chaos/recovery fingerprints, supervisor journals) into a
 // content-addressed run bundle that `obsdiff` can structurally compare
 // against another run's. The process exits nonzero if any sweep's
 // per-scenario run errored or any artifact failed to write, so partially
@@ -118,7 +118,7 @@ var experiments = []experiment{
 // the experiments, and what they record for finish to write out.
 type session struct {
 	fig, table, topo, out, journal     string
-	trace, metrics, timeline, explain  string
+	trace, timeline, explain           string
 	pprof, serve, bundle               string
 	all, full, smoke, chaos, supervise bool
 	maxNodes, runs, workers            int
@@ -166,14 +166,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&s.journal, "journal", "", "directory for per-case supervisor execution journals (with -supervise)")
 	fs.IntVar(&s.workers, "workers", goruntime.NumCPU(), "parallel scenario runs for the corpus and chaos sweeps (1 = sequential)")
 	fs.StringVar(&s.trace, "trace", "", "write a structured span trace (JSONL) of the instrumented runs to this file")
-	fs.StringVar(&s.metrics, "metrics", "", "write the final counter/histogram dump to this file")
 	fs.StringVar(&s.timeline, "timeline", "", "write the transient-state monitor's violation timelines (JSONL) to this file")
 	fs.StringVar(&s.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&s.serve, "serve", "", "serve live /metrics (Prometheus text format), /events (live span/violation stream), /healthz and /debug/pprof on this address while the run is in flight (\":0\" picks an ephemeral port; the bound address is printed)")
 	fs.StringVar(&s.explain, "explain", "", "write a human-readable root-cause report of every monitored violation to this file (\"-\" for stdout)")
 	fs.DurationVar(&s.linger, "linger", 0, "keep the -serve endpoints alive for this long after the runs finish (CI smoke curls them)")
 	fs.BoolVar(&s.smoke, "smoke", false, "run one traced RunningExample reconfiguration and validate the span tree (CI gate)")
-	fs.StringVar(&s.bundle, "bundle", "", "seal a content-addressed run bundle (manifest + trace/metrics/timeline/plan/chaos/journal parts) into this directory; two same-seed runs bundle byte-identically at any -workers count, which `obsdiff` checks")
+	fs.StringVar(&s.bundle, "bundle", "", "seal a content-addressed run bundle (manifest + trace/timeline/plan/chaos/journal parts) into this directory; two same-seed runs bundle byte-identically at any -workers count, which `obsdiff` checks")
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -213,7 +212,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer srv.Close()
 		s.printf("(pprof listening on http://%s/debug/pprof/)\n", s.pprof)
 	}
-	if s.trace != "" || s.metrics != "" || s.smoke || s.serve != "" || s.bundle != "" {
+	if s.trace != "" || s.smoke || s.serve != "" || s.bundle != "" {
 		s.rec = obs.New()
 		s.ctx = obs.WithRecorder(s.ctx, s.rec)
 	}
@@ -287,7 +286,7 @@ func (s *session) saveCSV(name string, write func(io.Writer) error) {
 }
 
 // save writes and reports one artifact file, validating the bytes of a
-// trace, metrics or timeline part first; a failure fails the run.
+// trace or timeline part first; a failure fails the run.
 func (s *session) save(path, part string, write func(io.Writer) error) {
 	var buf bytes.Buffer
 	note, err := "", write(&buf)
@@ -314,15 +313,14 @@ func (s *session) record(name, kind, text string) {
 
 // finish writes the run's artifacts once, on every exit path after the
 // experiments started, from one list of deterministic parts: -bundle seals
-// it, and -timeline, -trace and -metrics each write their part of it.
+// it, and -timeline and -trace each write their part of it.
 func (s *session) finish() {
 	parts := s.parts
 	if s.rec != nil {
 		if err := s.rec.Validate(); err != nil {
 			s.fail("trace validation", err)
 		}
-		parts = append(parts, part{"trace.jsonl", bundle.KindTrace, s.rec.WriteJSONL},
-			part{"metrics.txt", bundle.KindMetrics, s.rec.WriteMetrics})
+		parts = append(parts, part{"trace.jsonl", bundle.KindTrace, s.rec.WriteJSONL})
 	}
 	if len(s.timelines) > 0 {
 		parts = append(parts, part{"timeline.jsonl", bundle.KindTimeline, func(w io.Writer) error {
@@ -334,7 +332,7 @@ func (s *session) finish() {
 			return nil
 		}})
 	}
-	for _, f := range [][2]string{{s.timeline, "timeline.jsonl"}, {s.trace, "trace.jsonl"}, {s.metrics, "metrics.txt"}} {
+	for _, f := range [][2]string{{s.timeline, "timeline.jsonl"}, {s.trace, "trace.jsonl"}} {
 		i := slices.IndexFunc(parts, func(p part) bool { return p.name == f[1] })
 		switch {
 		case f[0] == "":
@@ -367,7 +365,7 @@ func (s *session) finish() {
 	}
 }
 
-// validate checks a trace, metrics or timeline part's bytes with its
+// validate checks a trace or timeline part's bytes with its
 // format's checker and notes what it found.
 func validate(part string, r io.Reader) (string, error) {
 	switch part {
@@ -377,9 +375,6 @@ func validate(part string, r io.Reader) (string, error) {
 	case "timeline.jsonl":
 		recs, err := monitor.ValidateJSONL(r)
 		return fmt.Sprintf(": %d records, validated", len(recs)), err
-	case "metrics.txt":
-		_, err := obs.ParseMetrics(r)
-		return "", err
 	}
 	return "", nil
 }

@@ -20,9 +20,9 @@ func TestBundleAddressesPinned(t *testing.T) {
 		args []string
 		id   string
 	}{
-		{[]string{"-smoke", "-fig", "7", "-max-nodes", "15"}, "c8caef21d69535ead1e024252bd82ed9358f6b351efc2cf9930e65d354b27f41"},
-		{[]string{"-chaos"}, "83af904d961394afa0768581c807bc12bd7aa8b108712150b19e834ef769823c"},
-		{[]string{"-supervise"}, "18b348f1d5b8592e0ed33ccf20d3e431d19aec00d3e64930aae24c2c4a6fbab6"},
+		{[]string{"-smoke", "-fig", "7", "-max-nodes", "15"}, "b577c91db65a9b3dc49031893993dd438ce09d016cb41a90150831a2684e53a6"},
+		{[]string{"-chaos"}, "34dc2581674db07343e4a51a1db3ba9f10a1575928f81c3ff6e9c26874d183fa"},
+		{[]string{"-supervise"}, "31a0f7e6969427133260043f832b14bb4e5b935cbb9318a7bf45028cbd8a38dd"},
 	} {
 		dir := filepath.Join(t.TempDir(), "bundle")
 		var stdout, stderr bytes.Buffer

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"chameleon/internal/obs/diff"
 )
@@ -27,10 +26,6 @@ func main() {
 
 func run() int {
 	fs := flag.NewFlagSet("obsdiff", flag.ExitOnError)
-	tolerance := fs.Float64("tolerance", 0,
-		"relative slack on counters/histograms (0 = exact, the determinism gate)")
-	ignore := fs.String("ignore", "",
-		"comma-separated metric names to exempt beyond the built-in exemptions")
 	quiet := fs.Bool("q", false, "suppress the report; exit status only")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: obsdiff [flags] BUNDLE_A BUNDLE_B\n\n")
@@ -42,20 +37,7 @@ func run() int {
 		return 2
 	}
 
-	opts := diff.Options{Tolerance: *tolerance}
-	if *ignore != "" {
-		opts.IgnoreMetrics = make(map[string]bool, len(diff.DefaultIgnoredMetrics))
-		for name := range diff.DefaultIgnoredMetrics {
-			opts.IgnoreMetrics[name] = true
-		}
-		for _, name := range strings.Split(*ignore, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				opts.IgnoreMetrics[name] = true
-			}
-		}
-	}
-
-	rep, err := diff.Dirs(fs.Arg(0), fs.Arg(1), opts)
+	rep, err := diff.Dirs(fs.Arg(0), fs.Arg(1))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "obsdiff: %v\n", err)
 		return 2

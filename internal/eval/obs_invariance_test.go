@@ -26,9 +26,6 @@ func dumpRecorder(t *testing.T, rec *obs.Recorder) string {
 	if err := rec.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.WriteMetrics(&b); err != nil {
-		t.Fatal(err)
-	}
 	return b.String()
 }
 

@@ -1,7 +1,7 @@
 // Package bundle turns one harness run into a durable, content-addressed,
-// diffable artifact: a directory of canonical parts (trace JSONL, metrics
-// dump, violation timelines, compiled plans, chaos fingerprints, execution
-// journals) plus a manifest.json recording the schema
+// diffable artifact: a directory of canonical parts (trace JSONL with its
+// counter and histogram totals, violation timelines, compiled plans, chaos
+// fingerprints, execution journals) plus a manifest.json recording the schema
 // version, the run's scenario key and seeds, the producing binary's build
 // info, and the SHA-256 of every part.
 //
@@ -43,7 +43,6 @@ const ManifestName = "manifest.json"
 // Part kinds. The differ dispatches its structural comparison on these.
 const (
 	KindTrace    = "trace"    // obs span/counter/histogram JSONL (obs.WriteJSONL)
-	KindMetrics  = "metrics"  // plain-text counter/histogram dump (obs.WriteMetrics)
 	KindTimeline = "timeline" // monitor violation timelines JSONL (monitor.WriteJSONL)
 	KindPlan     = "plan"     // rendered reconfiguration plan (plan.Plan.String)
 	KindChaos    = "chaos"    // chaos / recovery sweep fingerprint table
@@ -97,17 +96,6 @@ func (m *Manifest) Part(name string) (Part, bool) {
 		}
 	}
 	return Part{}, false
-}
-
-// PartsOfKind returns the parts of one kind, in name order.
-func (m *Manifest) PartsOfKind(kind string) []Part {
-	var out []Part
-	for _, p := range m.Parts {
-		if p.Kind == kind {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // A Writer accumulates parts into a bundle directory and seals them with a

@@ -81,13 +81,10 @@ func TestBundleRoundTrip(t *testing.T) {
 	if want := `{"type":"span","id":1}` + "\n"; string(got) != want {
 		t.Fatalf("part content %q, want %q", got, want)
 	}
-	if kinds := b.Manifest.PartsOfKind(KindPlan); len(kinds) != 1 || kinds[0].Name != "sub/plan.txt" {
-		t.Fatalf("PartsOfKind(plan) = %+v", kinds)
-	}
 }
 
 func TestContentAddressIgnoresEnvironment(t *testing.T) {
-	parts := map[string]string{"trace.jsonl": "line\n", "metrics.txt": "counter x 1\n"}
+	parts := map[string]string{"trace.jsonl": "line\n", "timeline.jsonl": "record\n"}
 
 	dirA := filepath.Join(t.TempDir(), "a")
 	a := writeBundle(t, dirA, "fig7", 7, parts)
@@ -123,7 +120,7 @@ func TestContentAddressIgnoresEnvironment(t *testing.T) {
 
 	// Different part bytes → different address.
 	dirD := filepath.Join(t.TempDir(), "d")
-	d := writeBundle(t, dirD, "fig7", 7, map[string]string{"trace.jsonl": "other\n", "metrics.txt": "counter x 1\n"})
+	d := writeBundle(t, dirD, "fig7", 7, map[string]string{"trace.jsonl": "other\n", "timeline.jsonl": "record\n"})
 	if d.ID == a.ID {
 		t.Fatal("part content did not enter the content address")
 	}
@@ -227,7 +224,7 @@ func TestOpenRejectsCorruptManifest(t *testing.T) {
 func TestManifestComputeIDOrderIndependent(t *testing.T) {
 	m := Manifest{Schema: Schema, Scenario: "s", Seed: 1, Parts: []Part{
 		{Name: "b", Kind: KindTrace, SHA256: "22"},
-		{Name: "a", Kind: KindMetrics, SHA256: "11"},
+		{Name: "a", Kind: KindTimeline, SHA256: "11"},
 	}}
 	id1 := m.ComputeID()
 	m.Parts[0], m.Parts[1] = m.Parts[1], m.Parts[0]

@@ -1,9 +1,9 @@
 // Package diff structurally compares two run bundles (internal/obs/bundle)
 // and explains how the runs behind them differ. Matching part hashes short
 // out immediately; for parts that differ it parses the canonical artifact
-// formats and reports structured divergences — aligned span-stream records
-// for traces, counter/histogram deltas with noise tolerance for
-// metrics, record-by-record timeline alignment for violation timelines,
+// formats and reports structured divergences — the first diverging record
+// and every differing counter and histogram total for traces,
+// record-by-record timeline alignment for violation timelines,
 // entry alignment for supervisor journals — and, where the artifact
 // carries causal provenance (timeline violation records), walks it to name
 // the first diverging event's root cause.
@@ -27,62 +27,10 @@ import (
 	"chameleon/internal/supervisor"
 )
 
-// Options tune the comparison.
-type Options struct {
-	// Tolerance is the relative slack allowed on counter and histogram
-	// values before a delta counts as a divergence: values a and
-	// b agree when |a−b| ≤ Tolerance·max(|a|,|b|,1). Zero (the default)
-	// demands exact equality — the determinism gate's setting.
-	Tolerance float64
-	// IgnoreMetrics names counters exempt from comparison in both
-	// metrics parts and trace dumps. Nil selects DefaultIgnoredMetrics;
-	// an empty non-nil map exempts nothing.
-	IgnoreMetrics map[string]bool
-}
-
-// DefaultIgnoredMetrics are metric names that are scheduling- or
-// environment-dependent by design and therefore never evidence of a
-// diverging run: live-stream subscriber drops depend on how fast an
-// /events client drained during the run.
-var DefaultIgnoredMetrics = map[string]bool{
-	obs.CtrStreamDropped: true,
-}
-
 // DefaultMaxPerPart bounds per-part divergence listings. The first
 // diverging event is always reported; the cap only trims the tail so a
 // wholly different run does not produce megabytes of report.
 const DefaultMaxPerPart = 25
-
-func (o Options) ignored() map[string]bool {
-	if o.IgnoreMetrics == nil {
-		return DefaultIgnoredMetrics
-	}
-	return o.IgnoreMetrics
-}
-
-// agree applies the relative tolerance.
-func (o Options) agree(a, b int64) bool {
-	if a == b {
-		return true
-	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	m := a
-	if m < 0 {
-		m = -m
-	}
-	if bb := b; bb < 0 && -bb > m {
-		m = -bb
-	} else if bb > m {
-		m = bb
-	}
-	if m < 1 {
-		m = 1
-	}
-	return float64(d) <= o.Tolerance*float64(m)
-}
 
 // Divergence is one structural difference between the bundles.
 type Divergence struct {
@@ -115,8 +63,7 @@ type Report struct {
 	Truncated int
 }
 
-// Empty reports whether the bundles are structurally equivalent under the
-// options used.
+// Empty reports whether the bundles are structurally equivalent.
 func (r *Report) Empty() bool { return len(r.Divergences) == 0 }
 
 // First returns the headline divergence: the first event divergence whose
@@ -153,12 +100,7 @@ func (r *Report) WriteText(w io.Writer) error {
 	if r.Empty() {
 		fmt.Fprintf(bw, "bundles are structurally identical: %d part(s) byte-identical, %d compared structurally\n",
 			len(r.IdenticalParts), len(r.ComparedParts))
-		if r.AID == r.BID {
-			fmt.Fprintf(bw, "content address: %s\n", r.AID)
-		} else {
-			fmt.Fprintf(bw, "content addresses differ (%s vs %s) but every difference is within tolerance\n",
-				short(r.AID), short(r.BID))
-		}
+		fmt.Fprintf(bw, "content address: %s\n", r.AID)
 		return bw.Flush()
 	}
 	fmt.Fprintf(bw, "bundles diverge: %d divergence(s)\n", len(r.Divergences)+r.Truncated)
@@ -200,7 +142,7 @@ func orAbsent(s string) string {
 }
 
 // Bundles structurally compares two opened bundles.
-func Bundles(a, b *bundle.Bundle, opts Options) (*Report, error) {
+func Bundles(a, b *bundle.Bundle) (*Report, error) {
 	r := &Report{
 		AID: a.Manifest.ID, BID: b.Manifest.ID,
 		AScenario: a.Manifest.Scenario, BScenario: b.Manifest.Scenario,
@@ -251,7 +193,7 @@ func Bundles(a, b *bundle.Bundle, opts Options) (*Report, error) {
 			continue
 		}
 		r.ComparedParts = append(r.ComparedParts, name)
-		divs, err := diffPart(a, b, pa, pb, opts)
+		divs, err := diffPart(a, b, pa, pb)
 		if err != nil {
 			return nil, fmt.Errorf("diff: part %q: %w", name, err)
 		}
@@ -266,7 +208,7 @@ func Bundles(a, b *bundle.Bundle, opts Options) (*Report, error) {
 
 // Dirs opens and diffs two bundle directories, verifying part integrity
 // first — a tampered or torn bundle is an error, not a divergence.
-func Dirs(aDir, bDir string, opts Options) (*Report, error) {
+func Dirs(aDir, bDir string) (*Report, error) {
 	a, err := bundle.Open(aDir)
 	if err != nil {
 		return nil, err
@@ -281,22 +223,32 @@ func Dirs(aDir, bDir string, opts Options) (*Report, error) {
 	if err := b.Verify(); err != nil {
 		return nil, err
 	}
-	return Bundles(a, b, opts)
+	return Bundles(a, b)
 }
 
-func diffPart(a, b *bundle.Bundle, pa, pb bundle.Part, opts Options) ([]Divergence, error) {
+func diffPart(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) {
 	switch pa.Kind {
 	case bundle.KindTimeline:
 		return diffTimeline(a, b, pa, pb)
-	case bundle.KindMetrics:
-		return diffMetrics(a, b, pa, pb, opts)
 	case bundle.KindTrace:
-		return diffTrace(a, b, pa, pb, opts)
+		return diffTrace(a, b, pa, pb)
 	case bundle.KindJournal:
 		return diffJournal(a, b, pa, pb)
-	default: // plan, chaos, and any future text part
-		return diffLines(a, b, pa, pb, nil)
 	}
+	// plan, chaos, and any future text part
+	la, err := readLines(a, pa)
+	if err != nil {
+		return nil, err
+	}
+	lb, err := readLines(b, pb)
+	if err != nil {
+		return nil, err
+	}
+	if d := firstLine(pa.Name, la, lb); d != nil {
+		return []Divergence{*d}, nil
+	}
+	return []Divergence{{Part: pa.Name, Kind: "content",
+		Detail: "bytes differ but every line is identical"}}, nil
 }
 
 // --- timelines -------------------------------------------------------------
@@ -410,150 +362,125 @@ func describeTimelineRecord(rec *monitor.Record) (desc, cause string) {
 	return string(raw), ""
 }
 
-// --- metrics ---------------------------------------------------------------
+// --- traces and generic text parts ----------------------------------------
 
-func diffMetrics(a, b *bundle.Bundle, pa, pb bundle.Part, opts Options) ([]Divergence, error) {
-	da, err := readMetrics(a, pa)
+// total is a counter or histogram total record of a trace.
+type total struct {
+	Type    string           `json:"type"`
+	Name    string           `json:"name"`
+	Value   int64            `json:"value"`
+	Buckets map[string]int64 `json:"buckets"`
+	Sum     int64            `json:"sum"`
+	Count   int64            `json:"count"`
+}
+
+// String renders the total: a counter's value, or a histogram's samples,
+// sum and buckets in bound order ("3 samples, sum 9 le1=1 le4=2").
+func (t total) String() string {
+	if t.Type == "counter" {
+		return fmt.Sprint(t.Value)
+	}
+	les := make([]string, 0, len(t.Buckets))
+	for le := range t.Buckets {
+		les = append(les, le)
+	}
+	sort.Slice(les, func(i, j int) bool { // numeric order for decimal bounds
+		return len(les[i]) < len(les[j]) || len(les[i]) == len(les[j]) && les[i] < les[j]
+	})
+	s := fmt.Sprintf("%d samples, sum %d", t.Count, t.Sum)
+	for _, le := range les {
+		s += fmt.Sprintf(" le%s=%d", le, t.Buckets[le])
+	}
+	return s
+}
+
+// diffTrace compares two trace dumps. Both must validate as traces (a part
+// that does not is a parse divergence); then the first differing line —
+// trace artifacts are canonical byte streams, spans in ID order, so it IS
+// the first structural divergence — and every differing counter and
+// histogram total, by name, compared exactly. The live-stream drop counter
+// (obs.CtrStreamDropped) is left out of both: it depends on how fast an
+// /events client drained during the run, so it is never evidence of a
+// diverging run.
+func diffTrace(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) {
+	la, ta, err := readTrace(a, pa)
 	if err != nil {
 		return []Divergence{{Part: pa.Name, Kind: "parse", Detail: "A: " + err.Error()}}, nil
 	}
-	db, err := readMetrics(b, pb)
+	lb, tb, err := readTrace(b, pb)
 	if err != nil {
 		return []Divergence{{Part: pb.Name, Kind: "parse", Detail: "B: " + err.Error()}}, nil
 	}
-	ignored := opts.ignored()
 	var divs []Divergence
-	for _, name := range unionKeys(da.Counters, db.Counters) {
-		if ignored[name] {
-			continue
-		}
-		va, inA := da.Counters[name]
-		vb, inB := db.Counters[name]
-		switch {
-		case !inB:
-			divs = append(divs, Divergence{Part: pa.Name, Kind: "counter",
-				Detail: fmt.Sprintf("counter %s: %d in A, absent in B", name, va)})
-		case !inA:
-			divs = append(divs, Divergence{Part: pa.Name, Kind: "counter",
-				Detail: fmt.Sprintf("counter %s: absent in A, %d in B", name, vb)})
-		case !opts.agree(va, vb):
-			divs = append(divs, Divergence{Part: pa.Name, Kind: "counter",
-				Detail: fmt.Sprintf("counter %s: %d vs %d (Δ%+d)", name, va, vb, vb-va)})
+	if d := firstLine(pa.Name, la, lb); d != nil {
+		divs = append(divs, *d)
+	}
+	keys := make([]string, 0, len(ta)+len(tb))
+	for k := range ta {
+		keys = append(keys, k)
+	}
+	for k := range tb {
+		if _, ok := ta[k]; !ok {
+			keys = append(keys, k)
 		}
 	}
-	divs = append(divs, diffHists(pa.Name, da.Hists, db.Hists, opts)...)
+	sort.Strings(keys) // counters, then histograms, each in name order
+	for _, k := range keys {
+		x, inA := ta[k]
+		y, inB := tb[k]
+		d := Divergence{Part: pa.Name, Kind: x.Type}
+		switch {
+		case !inB:
+			d.Detail = fmt.Sprintf("%s: %s in A, absent in B", k, x)
+		case !inA:
+			d.Kind, d.Detail = y.Type, fmt.Sprintf("%s: absent in A, %s in B", k, y)
+		case x.String() != y.String():
+			d.Detail = fmt.Sprintf("%s: %s vs %s", k, x, y)
+		default:
+			continue
+		}
+		divs = append(divs, d)
+	}
 	if len(divs) == 0 {
 		divs = append(divs, Divergence{Part: pa.Name, Kind: "content",
-			Detail: "bytes differ but every metric is within tolerance"})
-		if opts.Tolerance > 0 {
-			divs = nil // within tolerance IS equality when tolerance was asked for
-		}
+			Detail: "bytes differ only in exempted lines"})
 	}
 	return divs, nil
 }
 
-func readMetrics(b *bundle.Bundle, p bundle.Part) (*obs.MetricsDump, error) {
+// readTrace validates a trace part and returns its lines and its counter
+// and histogram totals keyed "counter <name>" / "hist <name>", the
+// live-stream drop counter left out of both.
+func readTrace(b *bundle.Bundle, p bundle.Part) ([]string, map[string]total, error) {
 	raw, err := b.ReadPart(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return obs.ParseMetrics(bytes.NewReader(raw))
-}
-
-func diffHists(part string, ha, hb []obs.HistSnapshot, opts Options) []Divergence {
-	ignored := opts.ignored()
-	ma := make(map[string]obs.HistSnapshot, len(ha))
-	for _, h := range ha {
-		ma[h.Name] = h
+	if _, err := obs.ValidateJSONL(bytes.NewReader(raw)); err != nil {
+		return nil, nil, err
 	}
-	mb := make(map[string]obs.HistSnapshot, len(hb))
-	for _, h := range hb {
-		mb[h.Name] = h
+	all, err := splitLines(raw)
+	if err != nil {
+		return nil, nil, err
 	}
-	names := make(map[string]int64, len(ma)+len(mb))
-	for n := range ma {
-		names[n] = 0
-	}
-	for n := range mb {
-		names[n] = 0
-	}
-	var divs []Divergence
-	for _, name := range sortedKeys(names) {
-		if ignored[name] {
-			continue
-		}
-		xa, inA := ma[name]
-		xb, inB := mb[name]
-		switch {
-		case !inB:
-			divs = append(divs, Divergence{Part: part, Kind: "hist",
-				Detail: fmt.Sprintf("hist %s: present in A (%d samples), absent in B", name, xa.Count)})
-			continue
-		case !inA:
-			divs = append(divs, Divergence{Part: part, Kind: "hist",
-				Detail: fmt.Sprintf("hist %s: absent in A, present in B (%d samples)", name, xb.Count)})
-			continue
-		}
-		if !opts.agree(xa.Count, xb.Count) || !opts.agree(xa.Sum, xb.Sum) {
-			divs = append(divs, Divergence{Part: part, Kind: "hist",
-				Detail: fmt.Sprintf("hist %s: count %d vs %d, sum %d vs %d",
-					name, xa.Count, xb.Count, xa.Sum, xb.Sum)})
-			continue
-		}
-		ba := bucketMap(xa)
-		bb := bucketMap(xb)
-		for _, le := range sortedKeys(union(ba, bb)) {
-			if !opts.agree(ba[le], bb[le]) {
-				divs = append(divs, Divergence{Part: part, Kind: "hist",
-					Detail: fmt.Sprintf("hist %s bucket le=%s: %d vs %d", name, le, ba[le], bb[le])})
+	lines := all[:0]
+	totals := make(map[string]total)
+	for _, line := range all {
+		var t total
+		if json.Unmarshal([]byte(line), &t) == nil && (t.Type == "counter" || t.Type == "hist") {
+			if t.Type == "counter" && t.Name == obs.CtrStreamDropped {
+				continue
 			}
+			totals[t.Type+" "+t.Name] = t
 		}
+		lines = append(lines, line)
 	}
-	return divs
+	return lines, totals, nil
 }
 
-func bucketMap(h obs.HistSnapshot) map[string]int64 {
-	m := make(map[string]int64, len(h.Buckets))
-	for _, b := range h.Buckets {
-		m[fmt.Sprintf("%d", b.Le)] = b.Count
-	}
-	return m
-}
-
-// --- traces and generic text parts ----------------------------------------
-
-// diffTrace line-diffs a trace dump. Trace artifacts are canonical byte
-// streams (spans in ID order, metrics in name order), so the first
-// differing line IS the first structural divergence; the line is then
-// parsed to describe it. Ignored metric names are filtered first, so a
-// scheduling-dependent counter alone cannot fail the gate.
-func diffTrace(a, b *bundle.Bundle, pa, pb bundle.Part, opts Options) ([]Divergence, error) {
-	ignored := opts.ignored()
-	skip := func(line string) bool {
-		var head struct {
-			Type string `json:"type"`
-			Name string `json:"name"`
-		}
-		if err := json.Unmarshal([]byte(line), &head); err != nil {
-			return false
-		}
-		return head.Type == "counter" && ignored[head.Name]
-	}
-	return diffLines(a, b, pa, pb, skip)
-}
-
-// diffLines reports the first differing line of two text parts (skipping
-// lines the filter exempts), describing JSON lines structurally where
-// possible.
-func diffLines(a, b *bundle.Bundle, pa, pb bundle.Part, skip func(string) bool) ([]Divergence, error) {
-	la, err := readLines(a, pa, skip)
-	if err != nil {
-		return nil, err
-	}
-	lb, err := readLines(b, pb, skip)
-	if err != nil {
-		return nil, err
-	}
+// firstLine reports the first differing line of two text parts, describing
+// JSON lines structurally where possible; nil when every line agrees.
+func firstLine(part string, la, lb []string) *Divergence {
 	for i := 0; i < len(la) || i < len(lb); i++ {
 		var sa, sb string
 		if i < len(la) {
@@ -571,30 +498,29 @@ func diffLines(a, b *bundle.Bundle, pa, pb bundle.Part, skip func(string) bool) 
 			// raw lines rather than two identical descriptions.
 			da, db = truncate(sa), truncate(sb)
 		}
-		return []Divergence{{
-			Part: pa.Name, Kind: "line",
+		return &Divergence{
+			Part: part, Kind: "line",
 			Detail: fmt.Sprintf("line %d: %s ⇄ %s", i+1, orAbsent(da), orAbsent(db)),
 			A:      da, B: db,
-		}}, nil
+		}
 	}
-	return []Divergence{{Part: pa.Name, Kind: "content",
-		Detail: "bytes differ only in exempted lines"}}, nil
+	return nil
 }
 
-func readLines(b *bundle.Bundle, p bundle.Part, skip func(string) bool) ([]string, error) {
+func readLines(b *bundle.Bundle, p bundle.Part) ([]string, error) {
 	raw, err := b.ReadPart(p)
 	if err != nil {
 		return nil, err
 	}
+	return splitLines(raw)
+}
+
+func splitLines(raw []byte) ([]string, error) {
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var lines []string
 	for sc.Scan() {
-		line := sc.Text()
-		if skip != nil && skip(line) {
-			continue
-		}
-		lines = append(lines, line)
+		lines = append(lines, sc.Text())
 	}
 	return lines, sc.Err()
 }
@@ -679,30 +605,4 @@ func diffJournal(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) 
 			Detail: "bytes differ but parsed entries are identical (non-canonical journal)"})
 	}
 	return divs, nil
-}
-
-// --- small helpers ---------------------------------------------------------
-
-func unionKeys(a, b map[string]int64) []string {
-	return sortedKeys(union(a, b))
-}
-
-func union(a, b map[string]int64) map[string]int64 {
-	u := make(map[string]int64, len(a)+len(b))
-	for k := range a {
-		u[k] = 0
-	}
-	for k := range b {
-		u[k] = 0
-	}
-	return u
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -51,12 +51,12 @@ func timelineJSONL(t *testing.T, tl *monitor.Timeline) string {
 	return buf.String()
 }
 
-func metricsText(t *testing.T, fill func(r *obs.Recorder)) string {
+func traceText(t *testing.T, fill func(r *obs.Recorder)) string {
 	t.Helper()
 	r := obs.New()
 	fill(r)
 	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
+	if err := r.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -66,14 +66,14 @@ func metricsText(t *testing.T, fill func(r *obs.Recorder)) string {
 // report, equal content address.
 func TestIdenticalBundlesEmptyDiff(t *testing.T) {
 	parts := map[string][2]string{
-		"metrics.txt":   {bundle.KindMetrics, metricsText(t, func(r *obs.Recorder) { r.Add("solver_nodes", 42) })},
+		"trace.jsonl":   {bundle.KindTrace, traceText(t, func(r *obs.Recorder) { r.Add("solver_nodes", 42) })},
 		"plan.txt":      {bundle.KindPlan, "round 1: step a\nround 2: step b\n"},
 		"chaos.txt":     {bundle.KindChaos, "chaos clos4/link/seed=1 ok fp=0000000000000001\n"},
 		"timeline.json": {bundle.KindTimeline, timelineJSONL(t, &monitor.Timeline{Name: "t"})},
 	}
 	a := writeBundle(t, t.TempDir(), "smoke", 7, parts)
 	b := writeBundle(t, t.TempDir(), "smoke", 7, parts)
-	rep, err := Bundles(a, b, Options{})
+	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTimelineDivergenceNamesFirstEventAndRootCause(t *testing.T) {
 	b := writeBundle(t, t.TempDir(), "smoke", 7, map[string][2]string{
 		"timeline.json": {bundle.KindTimeline, mk(6 * time.Second)},
 	})
-	rep, err := Bundles(a, b, Options{})
+	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestTimelineExtraViolation(t *testing.T) {
 		"timeline.json": {bundle.KindTimeline, timelineJSONL(t, base)}})
 	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
 		"timeline.json": {bundle.KindTimeline, timelineJSONL(t, withV)}})
-	rep, err := Bundles(a, b, Options{})
+	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,45 +166,88 @@ func TestTimelineExtraViolation(t *testing.T) {
 	}
 }
 
-// TestMetricsToleranceExemptsNoise: counter deltas within tolerance pass;
-// beyond it fail; the stream-drop counter never fails regardless.
-func TestMetricsToleranceExemptsNoise(t *testing.T) {
+// TestTraceCountersExemptNoise: a counter total that differs is named with
+// both values; the stream-drop counter never fails the comparison.
+func TestTraceCountersExemptNoise(t *testing.T) {
 	a := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
-		"metrics.txt": {bundle.KindMetrics, metricsText(t, func(r *obs.Recorder) {
+		"trace.jsonl": {bundle.KindTrace, traceText(t, func(r *obs.Recorder) {
 			r.Add("solver_nodes", 100)
 			r.Add(obs.CtrStreamDropped, 5)
 		})}})
 	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
-		"metrics.txt": {bundle.KindMetrics, metricsText(t, func(r *obs.Recorder) {
+		"trace.jsonl": {bundle.KindTrace, traceText(t, func(r *obs.Recorder) {
 			r.Add("solver_nodes", 103)
 			r.Add(obs.CtrStreamDropped, 900)
 		})}})
-
-	rep, err := Bundles(a, b, Options{Tolerance: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Empty() {
-		var buf bytes.Buffer
-		rep.WriteText(&buf)
-		t.Errorf("3%% delta + ignored counter should pass at 5%% tolerance:\n%s", buf.String())
-	}
-
-	rep, err = Bundles(a, b, Options{})
+	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Empty() {
-		t.Fatal("exact mode must flag solver_nodes 100 vs 103")
+		t.Fatal("solver_nodes 100 vs 103 must be flagged")
 	}
 	var buf bytes.Buffer
 	rep.WriteText(&buf)
 	out := buf.String()
-	if !strings.Contains(out, "solver_nodes: 100 vs 103") {
+	if !strings.Contains(out, "[trace.jsonl] counter: counter solver_nodes: 100 vs 103") {
 		t.Errorf("missing solver_nodes delta:\n%s", out)
 	}
 	if strings.Contains(out, obs.CtrStreamDropped) {
-		t.Errorf("ignored counter leaked into report:\n%s", out)
+		t.Errorf("exempt counter leaked into report:\n%s", out)
+	}
+}
+
+// TestTraceTotalsNamed: two traces that differ in one counter total and
+// one histogram report the first differing line and then both totals by
+// name; totals that agree stay out of the report.
+func TestTraceTotalsNamed(t *testing.T) {
+	fill := func(nodes, depth int64) func(r *obs.Recorder) {
+		return func(r *obs.Recorder) {
+			r.Add("milp_nodes_explored", nodes)
+			r.Add("plan_rounds", 4)
+			r.Observe("plan_depth", depth)
+			r.Observe("exec_retries", 1)
+		}
+	}
+	a := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
+		"trace.jsonl": {bundle.KindTrace, traceText(t, fill(216294, 3))}})
+	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
+		"trace.jsonl": {bundle.KindTrace, traceText(t, fill(579345, 40))}})
+	rep, err := Bundles(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, d := range rep.Divergences {
+		kinds = append(kinds, d.Kind)
+	}
+	if strings.Join(kinds, " ") != "line counter hist" {
+		t.Fatalf("divergence kinds = %v", kinds)
+	}
+	if got, want := rep.Divergences[1].Detail, "counter milp_nodes_explored: 216294 vs 579345"; got != want {
+		t.Errorf("counter divergence = %q, want %q", got, want)
+	}
+	if got, want := rep.Divergences[2].Detail, "hist plan_depth: 1 samples, sum 3 le4=1 vs 1 samples, sum 40 le64=1"; got != want {
+		t.Errorf("hist divergence = %q, want %q", got, want)
+	}
+}
+
+// TestMalformedTraceIsParseDivergence: a trace part that does not validate
+// is reported as a parse divergence, not compared line by line.
+func TestMalformedTraceIsParseDivergence(t *testing.T) {
+	good := traceText(t, func(r *obs.Recorder) { r.Add("solver_nodes", 1) })
+	bad := good + `{"type":"hist","name":"h","buckets":{"1":2},"sum":2,"count":3}` + "\n"
+	a := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
+		"trace.jsonl": {bundle.KindTrace, good}})
+	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
+		"trace.jsonl": {bundle.KindTrace, bad}})
+	rep, err := Bundles(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Divergences) != 1 || rep.Divergences[0].Kind != "parse" ||
+		!strings.HasPrefix(rep.Divergences[0].Detail, "B: ") {
+		t.Fatalf("Divergences = %+v", rep.Divergences)
 	}
 }
 
@@ -223,7 +266,7 @@ func TestTraceDivergenceFirstLine(t *testing.T) {
 		"trace.jsonl": {bundle.KindTrace, traceA}})
 	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
 		"trace.jsonl": {bundle.KindTrace, traceB}})
-	rep, err := Bundles(a, b, Options{})
+	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +291,7 @@ func TestTraceOnlyIgnoredDiffers(t *testing.T) {
 		"trace.jsonl": {bundle.KindTrace, "{\"type\":\"counter\",\"name\":\"obs_stream_dropped\",\"value\":1}\n"}})
 	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
 		"trace.jsonl": {bundle.KindTrace, "{\"type\":\"counter\",\"name\":\"obs_stream_dropped\",\"value\":2}\n"}})
-	rep, err := Bundles(a, b, Options{})
+	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +311,7 @@ func TestPartSetMismatch(t *testing.T) {
 	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
 		"plan.txt":  {bundle.KindPlan, "x\n"},
 		"other.txt": {bundle.KindPlan, "only-b\n"}})
-	rep, err := Bundles(a, b, Options{})
+	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +330,7 @@ func TestSeedMismatchIsMeta(t *testing.T) {
 	parts := map[string][2]string{"plan.txt": {bundle.KindPlan, "x\n"}}
 	a := writeBundle(t, t.TempDir(), "s", 1, parts)
 	b := writeBundle(t, t.TempDir(), "s", 2, parts)
-	rep, err := Bundles(a, b, Options{})
+	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +349,7 @@ func TestChaosFingerprintDivergence(t *testing.T) {
 		"chaos.txt": {bundle.KindChaos, "chaos a fp=1\nchaos b fp=2\n"}})
 	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
 		"chaos.txt": {bundle.KindChaos, "chaos a fp=1\nchaos b fp=3\n"}})
-	rep, err := Bundles(a, b, Options{})
+	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,21 +362,22 @@ func TestChaosFingerprintDivergence(t *testing.T) {
 	}
 }
 
-// TestMaxPerPartTruncates: a wholly different metrics part is capped at
-// DefaultMaxPerPart divergences.
+// TestMaxPerPartTruncates: a trace whose every counter differs is capped at
+// DefaultMaxPerPart divergences (the first differing line, then one per
+// counter).
 func TestMaxPerPartTruncates(t *testing.T) {
 	fill := func(v int64) func(r *obs.Recorder) {
 		return func(r *obs.Recorder) {
-			for i := 0; i < DefaultMaxPerPart+3; i++ {
+			for i := 0; i < DefaultMaxPerPart+2; i++ {
 				r.Add(fmt.Sprintf("c%d", i), v)
 			}
 		}
 	}
 	a := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
-		"metrics.txt": {bundle.KindMetrics, metricsText(t, fill(1))}})
+		"trace.jsonl": {bundle.KindTrace, traceText(t, fill(1))}})
 	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
-		"metrics.txt": {bundle.KindMetrics, metricsText(t, fill(2))}})
-	rep, err := Bundles(a, b, Options{})
+		"trace.jsonl": {bundle.KindTrace, traceText(t, fill(2))}})
+	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +433,7 @@ func TestJournalDivergenceNamesEntry(t *testing.T) {
 		}
 		return b
 	}
-	rep, err := Bundles(mk("replan"), mk("rollback"), Options{})
+	rep, err := Bundles(mk("replan"), mk("rollback"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +457,7 @@ func TestDirsVerifiesIntegrity(t *testing.T) {
 	if err := os.WriteFile(b.PartPath(p), []byte("tampered\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Dirs(aDir, bDir, Options{}); err == nil {
+	if _, err := Dirs(aDir, bDir); err == nil {
 		t.Fatal("tampered bundle must fail verification, not diff")
 	}
 }

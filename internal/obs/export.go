@@ -2,12 +2,10 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -94,148 +92,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteMetrics emits the counter totals as "counter <name> <value>" lines
-// in name order, followed by one
-// "hist <name> le<bound>=<n>... sum=<s> count=<c>" line per histogram — a
-// plain-text dump the worker-invariance tests compare byte for byte.
-func (r *Recorder) WriteMetrics(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	return r.MetricsDump().Write(w)
-}
-
-// MetricsDump is the parsed form of a WriteMetrics artifact. Write and
-// ParseMetrics are exact inverses: parse → re-write reproduces the input
-// byte for byte, which is the canonicality contract the run-bundle differ
-// (internal/obs/diff) relies on.
-type MetricsDump struct {
-	Counters map[string]int64
-	Hists    []HistSnapshot // sorted by name
-}
-
-// MetricsDump snapshots the recorder's counters and histograms.
-func (r *Recorder) MetricsDump() *MetricsDump {
-	if r == nil {
-		return &MetricsDump{}
-	}
-	_, counters := r.snapshot()
-	return &MetricsDump{Counters: counters, Hists: r.Histograms()}
-}
-
-// Write renders the dump in the canonical WriteMetrics text form.
-func (d *MetricsDump) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, name := range sortedKeys(d.Counters) {
-		fmt.Fprintf(bw, "counter %s %d\n", name, d.Counters[name])
-	}
-	for _, h := range d.Hists {
-		fmt.Fprintf(bw, "hist %s", h.Name)
-		for _, b := range h.Buckets {
-			fmt.Fprintf(bw, " le%d=%d", b.Le, b.Count)
-		}
-		fmt.Fprintf(bw, " sum=%d count=%d\n", h.Sum, h.Count)
-	}
-	return bw.Flush()
-}
-
-// ParseMetrics parses a WriteMetrics dump back into structured form,
-// rejecting anything non-canonical: blank or unknown lines, out-of-order or
-// duplicate names, malformed histogram fields, bucket counts that do not sum
-// to the sample count, and any input Write would not reproduce byte for
-// byte (kinds out of order, repeated fields, numbers spelled "+5" or "01").
-func ParseMetrics(r io.Reader) (*MetricsDump, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	d := &MetricsDump{Counters: make(map[string]int64)}
-	lines := strings.SplitAfter(string(raw), "\n")
-	if lines[len(lines)-1] == "" {
-		lines = lines[:len(lines)-1]
-	}
-	lastOf := make(map[string]string) // kind → last name seen, for order checks
-	for i, text := range lines {
-		line := i + 1
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("obs: metrics line %d: truncated line %q", line, text)
-		}
-		kind := fields[0]
-		name := fields[1]
-		if last := lastOf[kind]; name <= last {
-			return nil, fmt.Errorf("obs: metrics line %d: %s %q out of order (after %q)", line, kind, name, last)
-		}
-		lastOf[kind] = name
-		switch kind {
-		case "counter":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("obs: metrics line %d: want \"counter <name> <value>\"", line)
-			}
-			v, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("obs: metrics line %d: %w", line, err)
-			}
-			d.Counters[name] = v
-		case "hist":
-			h := HistSnapshot{Name: name}
-			var bucketSum int64
-			var haveSum, haveCount bool
-			for _, f := range fields[2:] {
-				eq := strings.IndexByte(f, '=')
-				if eq < 0 {
-					return nil, fmt.Errorf("obs: metrics line %d: malformed hist field %q", line, f)
-				}
-				key, val := f[:eq], f[eq+1:]
-				n, err := strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("obs: metrics line %d: %w", line, err)
-				}
-				switch {
-				case key == "sum":
-					h.Sum, haveSum = n, true
-				case key == "count":
-					h.Count, haveCount = n, true
-				case strings.HasPrefix(key, "le"):
-					le, err := strconv.ParseUint(key[2:], 10, 64)
-					if err != nil {
-						return nil, fmt.Errorf("obs: metrics line %d: %w", line, err)
-					}
-					if k := len(h.Buckets); k > 0 && h.Buckets[k-1].Le >= le {
-						return nil, fmt.Errorf("obs: metrics line %d: hist buckets out of order", line)
-					}
-					h.Buckets = append(h.Buckets, HistBucket{Le: le, Count: n})
-					bucketSum += n
-				default:
-					return nil, fmt.Errorf("obs: metrics line %d: unknown hist field %q", line, key)
-				}
-			}
-			if !haveSum || !haveCount {
-				return nil, fmt.Errorf("obs: metrics line %d: hist %q missing sum/count", line, name)
-			}
-			if bucketSum != h.Count {
-				return nil, fmt.Errorf("obs: metrics line %d: hist %q buckets sum to %d, count is %d",
-					line, name, bucketSum, h.Count)
-			}
-			d.Hists = append(d.Hists, h)
-		default:
-			return nil, fmt.Errorf("obs: metrics line %d: unknown record kind %q", line, kind)
-		}
-	}
-	var canon bytes.Buffer
-	d.Write(&canon) // a bytes.Buffer write cannot fail
-	if !bytes.Equal(canon.Bytes(), raw) {
-		got := strings.SplitAfter(canon.String(), "\n")
-		for i := range lines {
-			if i >= len(got) || got[i] != lines[i] {
-				return nil, fmt.Errorf("obs: metrics line %d: %q is not canonical", i+1, lines[i])
-			}
-		}
-		return nil, fmt.Errorf("obs: metrics dump is not canonical")
-	}
-	return d, nil
 }
 
 // Validate checks span-tree well-formedness: every span ended, every parent

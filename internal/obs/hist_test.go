@@ -154,14 +154,6 @@ func TestHistogramsInDumps(t *testing.T) {
 	r.Observe("h", 3)
 	sp.End()
 
-	var m bytes.Buffer
-	if err := r.WriteMetrics(&m); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(m.String(), "hist h ") {
-		t.Errorf("WriteMetrics lacks the histogram line:\n%s", m.String())
-	}
-
 	var j bytes.Buffer
 	if err := r.WriteJSONL(&j); err != nil {
 		t.Fatal(err)

@@ -59,9 +59,10 @@ const (
 	// Live event stream. Counts records lost to slow /events subscribers
 	// (Stream.Publish offers to each subscriber without blocking), mirrored
 	// from the stream's own drop counter into the recorder so the loss is
-	// visible on /metrics and in metrics dumps — not only via StreamSub.
-	// Inherently nondeterministic (it depends on subscriber scheduling), so
-	// the run-bundle differ exempts it from byte-identity comparisons.
+	// visible on /metrics and in the trace's counter records — not only via
+	// StreamSub. Inherently nondeterministic (it depends on subscriber
+	// scheduling), so the run-bundle differ exempts it from byte-identity
+	// comparisons.
 	CtrStreamDropped = "obs_stream_dropped"
 
 	// Transient-state monitor. Violation time is recorded in integer

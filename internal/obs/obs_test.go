@@ -158,19 +158,24 @@ func TestValidateJSONLRejectsGarbage(t *testing.T) {
 	if _, err := ValidateJSONL(strings.NewReader(`{"type":"span","id":1,"name":"x","start_tick":1,"end_tick":0,"sim_start_ns":-1,"sim_end_ns":-1}`)); err == nil {
 		t.Fatal("open span accepted")
 	}
+	for _, c := range rejectedTraces {
+		if _, err := ValidateJSONL(strings.NewReader(c.trace)); err == nil {
+			t.Errorf("%s accepted", c.why)
+		}
+	}
 }
 
-func TestWriteMetricsDeterministic(t *testing.T) {
+func TestWriteJSONLCountersInNameOrder(t *testing.T) {
 	r := New()
 	r.Add("b", 2)
 	r.Add("a", 1)
 	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
+	if err := r.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := "counter a 1\ncounter b 2\n"
+	want := `{"type":"counter","name":"a","value":1}` + "\n" + `{"type":"counter","name":"b","value":2}` + "\n"
 	if buf.String() != want {
-		t.Fatalf("metrics dump = %q, want %q", buf.String(), want)
+		t.Fatalf("counter records = %q, want %q", buf.String(), want)
 	}
 }
 
@@ -239,9 +244,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := r.WriteJSONL(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteMetrics(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	if r.FlameSummary() != "" {

@@ -89,7 +89,7 @@ func (s *Stream) Publish(v any) {
 
 // countDropsInto mirrors every subsequent subscriber drop into rec's
 // CtrStreamDropped counter, making slow-subscriber loss visible on
-// /metrics and in metrics dumps. Recorder.SetStream is its caller; a nil
+// /metrics and in the trace's counter records. Recorder.SetStream is its caller; a nil
 // rec detaches. Nil-safe.
 func (s *Stream) countDropsInto(rec *Recorder) {
 	if s == nil {

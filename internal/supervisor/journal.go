@@ -1,7 +1,7 @@
 package supervisor
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -17,8 +17,8 @@ import (
 // state at the last recovery boundary — and resumes (or rolls back) to the
 // same outcome the uninterrupted run would have reached. Torn trailing
 // lines (a crash mid-write) are tolerated and discarded; an entry is only
-// trusted if it parses completely and its sequence number follows its
-// predecessor's.
+// trusted if its line is complete, newline included, it parses, and its
+// sequence number follows its predecessor's.
 
 // Entry kinds.
 const (
@@ -186,9 +186,10 @@ func DescribeEntry(e Entry) string {
 }
 
 // ReadJournal parses a journal file, tolerating a torn trailing line: a
-// final line that fails to parse, or whose sequence number does not follow
-// its predecessor's, is discarded (the crash interrupted its write). The
-// same defect anywhere earlier is corruption and an error.
+// final line that fails to parse, whose sequence number does not follow its
+// predecessor's, or that lacks its newline, is discarded (the crash
+// interrupted its write — Append writes an entry and its newline at once).
+// The same defect anywhere earlier is corruption and an error.
 func ReadJournal(path string) ([]Entry, error) {
 	entries, _, err := readJournal(path)
 	return entries, err
@@ -196,30 +197,22 @@ func ReadJournal(path string) ([]Entry, error) {
 
 // readJournal additionally returns the byte length of the valid prefix —
 // the offset openAppend truncates to so nothing is ever appended after a
-// torn line.
+// torn line. It counts only bytes the file holds: never more than its size.
 func readJournal(path string) ([]Entry, int64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
-
 	var (
-		entries []Entry
-		raw     [][]byte
+		entries  []Entry
+		validLen int64
 	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := make([]byte, len(sc.Bytes()))
-		copy(line, sc.Bytes())
-		raw = append(raw, line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, err
-	}
-	var validLen int64
-	for i, line := range raw {
+	for n := 1; len(data) > 0; n++ {
+		line, rest, terminated := bytes.Cut(data, []byte{'\n'})
+		if !terminated {
+			break // torn trailing line: the crash interrupted this write
+		}
+		data = rest
 		if len(line) == 0 {
 			validLen++ // the bare newline
 			continue
@@ -232,10 +225,10 @@ func readJournal(path string) ([]Entry, int64, error) {
 			bad = fmt.Sprintf("seq %d, want %d", e.Seq, want)
 		}
 		if bad != "" {
-			if i == len(raw)-1 {
-				break // torn trailing line: the crash interrupted this write
+			if len(data) == 0 {
+				break // torn trailing line
 			}
-			return nil, 0, fmt.Errorf("supervisor: journal %s line %d corrupt: %s", path, i+1, bad)
+			return nil, 0, fmt.Errorf("supervisor: journal %s line %d corrupt: %s", path, n, bad)
 		}
 		entries = append(entries, e)
 		validLen += int64(len(line)) + 1

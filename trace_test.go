@@ -83,27 +83,19 @@ func TestTraceReconciliation(t *testing.T) {
 }
 
 // TestTraceRunToRunDeterminism: two identical traced runs produce
-// byte-identical JSONL and metric dumps — the contract that makes traces
-// diffable across machines and CI runs.
+// byte-identical JSONL, counter and histogram totals included — the
+// contract that makes traces diffable across machines and CI runs.
 func TestTraceRunToRunDeterminism(t *testing.T) {
-	dump := func() (string, string) {
+	dump := func() string {
 		rec, _, _ := tracedRun(t)
-		var tr, m bytes.Buffer
+		var tr bytes.Buffer
 		if err := rec.WriteJSONL(&tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.WriteMetrics(&m); err != nil {
-			t.Fatal(err)
-		}
-		return tr.String(), m.String()
+		return tr.String()
 	}
-	tr1, m1 := dump()
-	tr2, m2 := dump()
-	if tr1 != tr2 {
+	if tr1, tr2 := dump(), dump(); tr1 != tr2 {
 		t.Errorf("trace JSONL differs between identical runs:\n%s\nvs\n%s", tr1, tr2)
-	}
-	if m1 != m2 {
-		t.Errorf("metric dump differs between identical runs:\n%s\nvs\n%s", m1, m2)
 	}
 }
 
@@ -111,10 +103,10 @@ func TestTraceRunToRunDeterminism(t *testing.T) {
 // SHA-256: the traced running example, executed under a monitor whose
 // probe invariant fails on every other snapshot (so violations, their
 // histograms and their stream records exist), with a live stream attached
-// to both the recorder and the monitor. Run bundles carry only the trace
-// and the metrics; this test also holds the Prometheus text, the flame
-// summary and the /events backlog, so a change to the obs layer that means
-// to keep its artifacts must leave all five digests as they are.
+// to both the recorder and the monitor. Run bundles carry only the trace;
+// this test also holds the Prometheus text, the flame summary and the
+// /events backlog, so a change to the obs layer that means to keep its
+// artifacts must leave all four digests as they are.
 func TestExportFormatsPinned(t *testing.T) {
 	s := chameleon.RunningExample()
 	rec := chameleon.NewRecorder()
@@ -148,7 +140,6 @@ func TestExportFormatsPinned(t *testing.T) {
 
 	outputs := map[string]func(*bytes.Buffer) error{
 		"trace.jsonl": func(b *bytes.Buffer) error { return rec.WriteJSONL(b) },
-		"metrics.txt": func(b *bytes.Buffer) error { return rec.WriteMetrics(b) },
 		"prometheus": func(b *bytes.Buffer) error {
 			return rec.WritePrometheus(b, obs.PromOptions{ConstLabels: map[string]string{"job": "pinned"}})
 		},
@@ -162,7 +153,6 @@ func TestExportFormatsPinned(t *testing.T) {
 	}
 	want := map[string]string{
 		"trace.jsonl": "72d41427d384033e505e7370bb466b01eeb96dca2cfd5c977d6595d166571777",
-		"metrics.txt": "8d346000ca19aafbce60c6bef6c497826cfe625dc2cfda53cde3a6a6d9e63e31",
 		"prometheus":  "44c437c90abcf5e7ba72bcb76a2a3196ed50806c7c0d06f2003cb1dd4e992dfd",
 		"flame":       "b25107dc4d099b48872469894f5cd0aff29ea592e698981f07d4bbc625a992ac",
 		"events":      "ebe25734e5df39595b087e7b59f852bd3884c05072ec8f9894d7c5c7a92f7d81",
