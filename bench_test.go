@@ -23,7 +23,7 @@ import (
 // plan, both with packet-level measurement.
 func BenchmarkFig01AbileneCaseStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := eval.RunCaseStudy("Abilene", 7)
+		res, err := eval.RunCaseStudyCtx(context.Background(), "Abilene", 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func BenchmarkFig06PhaseTimeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pl, err := eval.BuildPipeline(s, eval.SpecEq4, scheduler.DefaultOptions())
+		pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecEq4, scheduler.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,10 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}{{"workers-1", 1}, {"workers-numcpu", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				outs := eval.SweepScheduling(names, 7, scheduler.DefaultOptions(), bc.workers, nil)
+				outs, err := eval.SweepSchedulingCtx(context.Background(), names, 7, scheduler.DefaultOptions(), bc.workers, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
 				for _, o := range outs {
 					if o.Err != nil {
 						b.Fatalf("%s: %v", o.Name, o.Err)
@@ -112,14 +115,17 @@ func BenchmarkFig08SpecComplexity(b *testing.B) {
 func BenchmarkFig09ReconfTimeCDF(b *testing.B) {
 	names := []string{"Basnet", "Compuserve", "Sprint", "EEnet", "Aarnet"}
 	for i := 0; i < b.N; i++ {
-		outs := eval.SweepScheduling(names, 7, scheduler.DefaultOptions(), 1, nil)
+		outs, err := eval.SweepSchedulingCtx(context.Background(), names, 7, scheduler.DefaultOptions(), 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var xs []float64
 		for _, o := range outs {
 			if o.Err == nil {
 				xs = append(xs, o.EstimatedReconfTime.Seconds())
 			}
 		}
-		if eval.FractionBelow(xs, 120) == 0 {
+		if eval.NewDist(xs).FractionBelow(120) == 0 {
 			b.Fatal("no scenario under two minutes")
 		}
 	}
@@ -128,8 +134,11 @@ func BenchmarkFig09ReconfTimeCDF(b *testing.B) {
 // BenchmarkFig10TableOverhead measures Chameleon-vs-SITN table overhead.
 func BenchmarkFig10TableOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		outs := eval.SweepTableOverhead([]string{"Abilene", "Sprint"}, 7,
+		outs, err := eval.SweepTableOverheadCtx(context.Background(), []string{"Abilene", "Sprint"}, 7,
 			scheduler.DefaultOptions(), 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, o := range outs {
 			if o.Err != nil {
 				b.Fatalf("%s: %v", o.Name, o.Err)
@@ -162,7 +171,7 @@ func BenchmarkFig12SupplementaryCaseStudies(b *testing.B) {
 	names := []string{"Compuserve", "HiberniaCanada", "Sprint", "JGN2plus", "EEnet"}
 	for i := 0; i < b.N; i++ {
 		for _, name := range names {
-			res, err := eval.RunCaseStudy(name, 7)
+			res, err := eval.RunCaseStudyCtx(context.Background(), name, 7)
 			if err != nil {
 				b.Fatalf("%s: %v", name, err)
 			}
@@ -193,7 +202,7 @@ func BenchmarkTable1CompilationRules(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := eval.BuildPipeline(s, eval.SpecEq4, scheduler.DefaultOptions())
+	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecEq4, scheduler.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,7 +219,7 @@ func BenchmarkTable1CompilationRules(b *testing.B) {
 }
 
 func rebuildPlan(pl *eval.Pipeline) (*eval.Pipeline, error) {
-	return eval.BuildPipeline(pl.Scenario, eval.SpecEq4, scheduler.DefaultOptions())
+	return eval.BuildPipelineCtx(context.Background(), pl.Scenario, eval.SpecEq4, scheduler.DefaultOptions())
 }
 
 // BenchmarkTable2NamedTopologies schedules the smallest Table 2 topology
@@ -221,7 +230,10 @@ func BenchmarkTable2NamedTopologies(b *testing.B) {
 		b.Skip("113-node scheduling skipped in -short")
 	}
 	for i := 0; i < b.N; i++ {
-		outs := eval.SweepScheduling([]string{"Deltacom"}, 7, scheduler.DefaultOptions(), 1, nil)
+		outs, err := eval.SweepSchedulingCtx(context.Background(), []string{"Deltacom"}, 7, scheduler.DefaultOptions(), 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if outs[0].Err != nil {
 			b.Fatal(outs[0].Err)
 		}
@@ -237,7 +249,7 @@ func BenchmarkAblationObjective(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,7 +263,7 @@ func BenchmarkAblationObjective(b *testing.B) {
 			opts := scheduler.DefaultOptions()
 			opts.MinimizeTempSessions = minimize
 			for i := 0; i < b.N; i++ {
-				sched, err := scheduler.Schedule(a, sp, opts)
+				sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -268,14 +280,14 @@ func BenchmarkAblationConstructive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("ilp", func(b *testing.B) {
 		sp := eval.ReachabilitySpec(s.Graph)
 		for i := 0; i < b.N; i++ {
-			sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+			sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -351,7 +363,7 @@ func BenchmarkAblationConcurrency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -365,7 +377,7 @@ func BenchmarkAblationConcurrency(b *testing.B) {
 			opts := scheduler.DefaultOptions()
 			opts.SerializeUpdates = serialize
 			for i := 0; i < b.N; i++ {
-				sched, err := scheduler.Schedule(a, sp, opts)
+				sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -19,15 +19,14 @@
 //
 // A minimal use:
 //
-//	s, _ := chameleon.NewCaseStudy("Abilene", 7)
-//	rec, _ := chameleon.Plan(s, chameleon.PlanOptions{})
-//	result, _ := rec.Execute(chameleon.ExecOptions{})
+//	ctx := context.Background()
+//	s, _ := chameleon.NewCaseStudy("Abilene", chameleon.ScenarioConfig{Seed: 7})
+//	rec, _ := chameleon.PlanCtx(ctx, s, chameleon.PlanOptions{})
+//	result, _ := rec.ExecuteCtx(ctx, chameleon.ExecOptions{})
 //
-// Plan and Execute are context.Background() shorthands for PlanCtx and
-// ExecuteCtx, which additionally accept a context for cancellation (it
-// reaches into the ILP branch-and-bound and the runtime's supervision
-// loop) and, via the options' Recorder field, structured tracing and
-// metrics of the whole pipeline (see NewRecorder).
+// The context cancels (it reaches into the ILP branch-and-bound and the
+// runtime's supervision loop); the options' Recorder field adds structured
+// tracing and metrics of the whole pipeline (see NewRecorder).
 package chameleon
 
 import (
@@ -173,13 +172,11 @@ func NewNetwork(g *Graph, seed uint64) *Network {
 }
 
 // NewCaseStudy builds the paper's §6/§7 scenario on a corpus topology.
-func NewCaseStudy(topo string, seed uint64) (*Scenario, error) {
-	return scenario.CaseStudy(topo, scenario.Config{Seed: seed})
-}
-
-// NewCaseStudyConfig is NewCaseStudy with full control over scenario
-// construction.
-func NewCaseStudyConfig(topo string, cfg ScenarioConfig) (*Scenario, error) {
+// cfg.ExtraPrefixes adds destinations beyond the base prefix, announced in
+// cycling patterns so the scenario partitions into several §3 equivalence
+// classes (guaranteed multi-class at ExtraPrefixes ≥ 3); planning then
+// decomposes by class — see PlanOptions.ClassParallelism.
+func NewCaseStudy(topo string, cfg ScenarioConfig) (*Scenario, error) {
 	return scenario.CaseStudy(topo, cfg)
 }
 
@@ -189,15 +186,6 @@ func NewCaseStudyConfig(topo string, cfg ScenarioConfig) (*Scenario, error) {
 // cfg.Batched is set. Use it to exercise 100k-prefix tables; tracing is
 // disabled on the storm network by construction.
 func NewStorm(cfg StormConfig) (*Storm, error) { return scenario.BuildStorm(cfg) }
-
-// NewCaseStudyMulti is NewCaseStudy with extra destinations: beyond the
-// base prefix, extraPrefixes additional prefixes are announced in cycling
-// patterns so the scenario partitions into several §3 equivalence classes
-// (guaranteed multi-class at extraPrefixes ≥ 3). Planning then decomposes
-// by class — see PlanOptions.ClassParallelism.
-func NewCaseStudyMulti(topo string, seed uint64, extraPrefixes int) (*Scenario, error) {
-	return scenario.CaseStudy(topo, scenario.Config{Seed: seed, ExtraPrefixes: extraPrefixes})
-}
 
 // RunningExample builds the Fig. 3 six-router example.
 func RunningExample() *Scenario { return scenario.RunningExample() }
@@ -291,17 +279,12 @@ type PlannedClass struct {
 	NodeBudget int64
 }
 
-// Plan runs Chameleon's analyzer, scheduler and compiler on a scenario.
-// It is PlanCtx with a background context.
-func Plan(s *Scenario, opts PlanOptions) (*Reconfiguration, error) {
-	return PlanCtx(context.Background(), s, opts)
-}
-
-// PlanCtx plans with a context: cancelling ctx aborts the ILP
-// branch-and-bound mid-solve (the search polls the context every few
-// hundred nodes) and returns ctx's error. When opts.Recorder is set — or
-// ctx already carries a recorder — the whole pipeline is traced under a
-// "plan" span with one "class" child per equivalence class.
+// PlanCtx runs Chameleon's analyzer, scheduler and compiler on a scenario.
+// Cancelling ctx aborts the ILP branch-and-bound mid-solve (the search
+// polls the context every few hundred nodes) and returns ctx's error. When
+// opts.Recorder is set — or ctx already carries a recorder — the whole
+// pipeline is traced under a "plan" span with one "class" child per
+// equivalence class.
 //
 // Planning is decomposed by prefix equivalence class (§3): the scenario's
 // prefixes are partitioned against the initial and final networks, each
@@ -464,15 +447,10 @@ func (o ExecOptions) normalize(defaultSeed uint64) runtime.Options {
 	return ro
 }
 
-// Execute applies the compiled plan to the scenario's live network,
+// ExecuteCtx applies the compiled plan to the scenario's live network,
 // mutating it. The returned result carries phase timings and the maximum
-// table size observed (§7.3). It is ExecuteCtx with a background context.
-func (r *Reconfiguration) Execute(opts ExecOptions) (*ExecResult, error) {
-	return r.ExecuteCtx(context.Background(), opts)
-}
-
-// ExecuteCtx executes with a context: cancelling ctx stops the controller
-// between supervision steps mid-round and returns ctx's error. By default
+// table size observed (§7.3). Cancelling ctx stops the controller between
+// supervision steps mid-round and returns ctx's error. By default
 // a failed or cancelled execution leaves the network in whatever transient
 // state the already-applied commands put it in; set
 // ExecOptions.ReleaseOnError to release that state automatically instead.
@@ -488,7 +466,7 @@ func (r *Reconfiguration) ExecuteCtx(ctx context.Context, opts ExecOptions) (*Ex
 	if mp == nil {
 		mp = plan.Single(r.Plan)
 	}
-	res, err := ex.ExecuteMultiCtx(ctx, mp)
+	res, err := ex.ExecuteCtx(ctx, mp)
 	if unbind != nil {
 		// Unbind before any release below: teardown churn is outside the
 		// §3 guarantee and must not enter the timeline.
@@ -510,7 +488,7 @@ func (r *Reconfiguration) ExecuteCtx(ctx context.Context, opts ExecOptions) (*Ex
 	return res, nil
 }
 
-// Supervise runs the scenario's reconfiguration under the closed-loop
+// SuperviseCtx runs the scenario's reconfiguration under the closed-loop
 // supervisor: plan → execute, and on a harmful event or a persistent fault
 // abort, snapshot the intermediate state, replan from it under a bounded
 // deterministic solver budget and resume — degrading through a fast-commit
@@ -518,14 +496,8 @@ func (r *Reconfiguration) ExecuteCtx(ctx context.Context, opts ExecOptions) (*Ex
 // progress. The result's Outcome is always the final or the initial
 // configuration; the network is never left pinned mid-reconfiguration.
 // With opts.JournalPath set, every recovery boundary is persisted to a
-// crash-safe execution journal first (see ResumeSupervised). It is
-// SuperviseCtx with a background context.
-func Supervise(s *Scenario, opts SuperviseOptions) (*SuperviseResult, error) {
-	return supervisor.Run(s, opts)
-}
-
-// SuperviseCtx is Supervise with a context: cancellation propagates into
-// the replanning solver and the executor's supervision loop.
+// crash-safe execution journal first (see ResumeSupervised). Cancellation
+// propagates into the replanning solver and the executor's supervision loop.
 func SuperviseCtx(ctx context.Context, s *Scenario, opts SuperviseOptions) (*SuperviseResult, error) {
 	return supervisor.RunCtx(ctx, s, opts)
 }

@@ -1,6 +1,7 @@
 package chameleon_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -8,18 +9,18 @@ import (
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
-	s, err := chameleon.NewCaseStudy("Abilene", 7)
+	s, err := chameleon.NewCaseStudy("Abilene", chameleon.ScenarioConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := chameleon.Plan(s, chameleon.PlanOptions{})
+	rec, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Schedule.R < 1 {
 		t.Fatalf("R = %d", rec.Schedule.R)
 	}
-	res, err := rec.Execute(chameleon.ExecOptions{})
+	res, err := rec.ExecuteCtx(context.Background(), chameleon.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +38,11 @@ func TestFacadeCustomSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := chameleon.Plan(s, chameleon.PlanOptions{Spec: sp})
+	rec, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{Spec: sp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rec.Execute(chameleon.ExecOptions{})
+	res, err := rec.ExecuteCtx(context.Background(), chameleon.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

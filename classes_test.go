@@ -41,7 +41,7 @@ func renderPlans(r *chameleon.Reconfiguration) string {
 // form classes of their own, so planning decomposes into three classes.
 func multiClassScenario(t *testing.T) *chameleon.Scenario {
 	t.Helper()
-	s, err := chameleon.NewCaseStudyMulti("Abilene", 7, 3)
+	s, err := chameleon.NewCaseStudy("Abilene", chameleon.ScenarioConfig{Seed: 7, ExtraPrefixes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func multiClassScenario(t *testing.T) *chameleon.Scenario {
 // fail — the member-proportional budget slice left one class undecided at
 // every round count. It plans now, every class inside the scan pass.
 func TestHardCorpusDecidesMultiClass(t *testing.T) {
-	s, err := chameleon.NewCaseStudyMulti("Gambia", 7, 3)
+	s, err := chameleon.NewCaseStudy("Gambia", chameleon.ScenarioConfig{Seed: 7, ExtraPrefixes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := chameleon.Plan(s, chameleon.PlanOptions{})
+	r, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestHardCorpusDecidesMultiClass(t *testing.T) {
 // announced extra prefix, every prefix covered exactly once.
 func TestClassPartition(t *testing.T) {
 	s := multiClassScenario(t)
-	r, err := chameleon.Plan(s, chameleon.PlanOptions{})
+	r, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestClassDecompositionInvariance(t *testing.T) {
 	mon1 := chameleon.NewMonitor(chameleon.MonitorConfig{
 		Name: "decomposed", Invariants: chameleon.DefaultInvariants(s1.Graph),
 	})
-	r1, err := chameleon.Plan(s1, chameleon.PlanOptions{Monitor: mon1, SolverNodeBudget: budget})
+	r1, err := chameleon.PlanCtx(context.Background(), s1, chameleon.PlanOptions{Monitor: mon1, SolverNodeBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,11 @@ func TestClassDecompositionInvariance(t *testing.T) {
 	sp := eval.ReachabilitySpec(s2.Graph)
 	var all []*plan.Plan
 	for _, p := range s2.AllPrefixes() {
-		a, err := analyzer.Analyze(s2.Net, final, p)
+		a, err := analyzer.AnalyzeCtx(context.Background(), s2.Net, final, p)
 		if err != nil {
 			t.Fatalf("prefix %d: analyze: %v", p, err)
 		}
-		sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+		sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 		if err != nil {
 			t.Fatalf("prefix %d: schedule: %v", p, err)
 		}
@@ -264,7 +264,7 @@ func TestClassDecompositionInvariance(t *testing.T) {
 // acknowledgments.
 func TestMultiClassExecutionContract(t *testing.T) {
 	s := multiClassScenario(t)
-	r, err := chameleon.Plan(s, chameleon.PlanOptions{})
+	r, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -66,7 +67,7 @@ func main() {
 	case *example:
 		s = chameleon.RunningExample()
 	default:
-		s, err = chameleon.NewCaseStudy(*topoFlag, *seedFlag)
+		s, err = chameleon.NewCaseStudy(*topoFlag, chameleon.ScenarioConfig{Seed: *seedFlag})
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bgpsim:", err)
@@ -172,7 +173,7 @@ func (r *repl) exec(line string) {
 		}
 		fmt.Println("link failed; IGP reconverged")
 	case "plan":
-		rec, err := chameleon.Plan(r.s, chameleon.PlanOptions{})
+		rec, err := chameleon.PlanCtx(context.Background(), r.s, chameleon.PlanOptions{})
 		if err != nil {
 			fmt.Println("planning failed:", err)
 			return

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -67,7 +68,7 @@ func run() error {
 	case *example:
 		s = chameleon.RunningExample()
 	default:
-		s, err = chameleon.NewCaseStudy(*topoFlag, *seedFlag)
+		s, err = chameleon.NewCaseStudy(*topoFlag, chameleon.ScenarioConfig{Seed: *seedFlag})
 		if err != nil {
 			return err
 		}
@@ -84,7 +85,7 @@ func run() error {
 		opts.Spec = sp
 	} else if !*example && *configFlag == "" {
 		// Default to the paper's Eq. 4 for case studies.
-		pipe, err := eval.BuildPipeline(s, eval.SpecEq4, schedOptsFrom(opts))
+		pipe, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecEq4, schedOptsFrom(opts))
 		if err != nil {
 			return err
 		}
@@ -93,7 +94,7 @@ func run() error {
 			Schedule: pipe.Schedule, Plan: pipe.Plan,
 		})
 	}
-	rec, err := chameleon.Plan(s, opts)
+	rec, err := chameleon.PlanCtx(context.Background(), s, opts)
 	if err != nil {
 		return err
 	}
@@ -111,7 +112,7 @@ func report(rec *chameleon.Reconfiguration) error {
 		return nil
 	}
 	fmt.Println("\nexecuting…")
-	res, err := rec.Execute(chameleon.ExecOptions{})
+	res, err := rec.ExecuteCtx(context.Background(), chameleon.ExecOptions{})
 	if err != nil {
 		return err
 	}

@@ -1,20 +1,22 @@
 package chameleon_test
 
 import (
+	"context"
 	"fmt"
 
 	chameleon "chameleon"
 )
 
-// ExamplePlan demonstrates the full pipeline on the paper's Fig. 3
+// ExamplePlanCtx demonstrates the full pipeline on the paper's Fig. 3
 // running example: analyze, schedule, compile, execute, verify.
-func ExamplePlan() {
+func ExamplePlanCtx() {
+	ctx := context.Background()
 	s := chameleon.RunningExample()
-	rec, err := chameleon.Plan(s, chameleon.PlanOptions{})
+	rec, err := chameleon.PlanCtx(ctx, s, chameleon.PlanOptions{})
 	if err != nil {
 		panic(err)
 	}
-	res, err := rec.Execute(chameleon.ExecOptions{})
+	res, err := rec.ExecuteCtx(ctx, chameleon.ExecOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -44,7 +46,7 @@ func ExampleParseSpec() {
 // T̃ = 12 s · (2 + R) approximation.
 func ExampleReconfiguration_EstimateReconfigurationTime() {
 	s := chameleon.RunningExample()
-	rec, err := chameleon.Plan(s, chameleon.PlanOptions{})
+	rec, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{})
 	if err != nil {
 		panic(err)
 	}

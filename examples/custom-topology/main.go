@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -81,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec, err := chameleon.Plan(s, chameleon.PlanOptions{Spec: sp})
+	rec, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{Spec: sp})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func main() {
 			rec.Schedule.TempOld(n), rec.Schedule.TempNew(n))
 	}
 
-	res, err := rec.Execute(chameleon.ExecOptions{})
+	res, err := rec.ExecuteCtx(context.Background(), chameleon.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

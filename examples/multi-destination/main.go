@@ -21,6 +21,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// Fig. 3's network announcing two prefixes with identical policy.
 	s := scenario.RunningExample()
 	ext1 := s.Graph.MustNode("ext1")
@@ -34,11 +36,11 @@ func main() {
 	// multi-destination machinery).
 	var plans []*plan.Plan
 	for _, prefix := range []bgp.Prefix{0, 1} {
-		a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), prefix)
+		a, err := analyzer.AnalyzeCtx(ctx, s.Net, s.FinalNetwork(), prefix)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sched, err := scheduler.Schedule(a, eval.ReachabilitySpec(s.Graph), scheduler.DefaultOptions())
+		sched, err := scheduler.ScheduleCtx(ctx, a, eval.ReachabilitySpec(s.Graph), scheduler.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +62,7 @@ func main() {
 	fmt.Printf("aligned command order: %v; %d distinct temp sessions\n",
 		mp.Order, len(mp.TempSessions()))
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
-	res, err := ex.ExecuteMultiCtx(context.Background(), mp)
+	res, err := ex.ExecuteCtx(ctx, mp)
 	if err != nil {
 		log.Fatal(err)
 	}

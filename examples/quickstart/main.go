@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,10 +13,14 @@ import (
 )
 
 func main() {
+	// Every stage takes a context; cancelling it stops the ILP search and
+	// the runtime's supervision loop.
+	ctx := context.Background()
+
 	// 1. Build the paper's case-study scenario (§6): Abilene with three
 	// egress routers; the reconfiguration denies the most preferred
 	// egress's external route, forcing every router to re-route.
-	s, err := chameleon.NewCaseStudy("Abilene", 7)
+	s, err := chameleon.NewCaseStudy("Abilene", chameleon.ScenarioConfig{Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -25,7 +30,7 @@ func main() {
 	// 2. Plan: analyze happens-before relations, solve the scheduling ILP,
 	// compile a reconfiguration plan. The default specification preserves
 	// reachability for every router, in every transient state.
-	rec, err := chameleon.Plan(s, chameleon.PlanOptions{})
+	rec, err := chameleon.PlanCtx(ctx, s, chameleon.PlanOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +42,7 @@ func main() {
 	// 3. Execute the plan against the live (simulated) network. Router
 	// command latency is modeled at 8–12 s per change, as measured on the
 	// paper's Cisco Nexus testbed.
-	res, err := rec.Execute(chameleon.ExecOptions{})
+	res, err := rec.ExecuteCtx(ctx, chameleon.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,11 +16,11 @@ import (
 )
 
 func main() {
-	// RunCaseStudy performs both runs on identical networks: the naive
+	// RunCaseStudyCtx performs both runs on identical networks: the naive
 	// direct application (Snowcap's behavior for a one-command change)
 	// and Chameleon's coordinated plan, measuring packet-level traffic at
 	// the paper's 16.5 kpkt/s aggregate rate.
-	res, err := eval.RunCaseStudy("Abilene", 7)
+	res, err := eval.RunCaseStudyCtx(context.Background(), "Abilene", 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,8 +44,8 @@ func main() {
 		res.ChameleonDuration.Seconds()/res.SnowcapDuration.Seconds())
 
 	// The same invariants can be written explicitly in the specification
-	// language and passed to Plan:
-	s, err := chameleon.NewCaseStudy("Abilene", 7)
+	// language and passed to PlanCtx:
+	s, err := chameleon.NewCaseStudy("Abilene", chameleon.ScenarioConfig{Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

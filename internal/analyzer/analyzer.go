@@ -60,18 +60,13 @@ func (a *Analysis) SessionExists(x, y topology.NodeID) bool {
 	return a.sessions[[2]topology.NodeID{x, y}]
 }
 
-// Analyze builds the Analysis for prefix from a converged initial and final
-// network. Both networks must be converged and route-consistent, and every
-// internal node must hold a route in both states (the paper assumes initial
-// and final configurations are correct).
-func Analyze(initial, final *sim.Network, prefix bgp.Prefix) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), initial, final, prefix)
-}
-
-// AnalyzeCtx is Analyze recording an "analyze" span on the context's
-// *obs.Recorder (if any) with the switching-set size as attributes. The
-// analysis itself is pure and fast; the context carries no cancellation
-// points here.
+// AnalyzeCtx builds the Analysis for prefix from a converged initial and
+// final network. Both networks must be converged and route-consistent, and
+// every internal node must hold a route in both states (the paper assumes
+// initial and final configurations are correct). It records an "analyze"
+// span on the context's *obs.Recorder (if any) with the switching-set size
+// as attributes. The analysis itself is pure and fast; the context carries
+// no cancellation points here.
 func AnalyzeCtx(ctx context.Context, initial, final *sim.Network, prefix bgp.Prefix) (*Analysis, error) {
 	_, span := obs.StartSpan(ctx, "analyze")
 	defer span.End()

@@ -1,6 +1,7 @@
 package analyzer_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 func analyzeRunningExample(t *testing.T) (*scenario.Scenario, *analyzer.Analysis) {
 	t.Helper()
 	s := scenario.RunningExample()
-	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestReconfigurationComplexity(t *testing.T) {
 
 func TestCrIsZeroForNoop(t *testing.T) {
 	s := scenario.RunningExample()
-	a, err := analyzer.Analyze(s.Net, s.Net.Clone(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.Net.Clone(), s.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestSessionExists(t *testing.T) {
 func TestAnalyzeRejectsUnconverged(t *testing.T) {
 	s := scenario.RunningExample()
 	s.Net.ScheduleAfter(time.Hour, func(*sim.Network) {})
-	if _, err := analyzer.Analyze(s.Net, s.Net, s.Prefix); err == nil {
+	if _, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.Net, s.Prefix); err == nil {
 		t.Fatal("unconverged network accepted")
 	}
 }
@@ -147,7 +148,7 @@ func TestAnalyzeRejectsMissingRoutes(t *testing.T) {
 	final.WithdrawExternalRoute(s.Graph.MustNode("ext1"), s.Prefix)
 	final.WithdrawExternalRoute(s.Graph.MustNode("ext6"), s.Prefix)
 	final.Run()
-	_, err := analyzer.Analyze(s.Net, final, s.Prefix)
+	_, err := analyzer.AnalyzeCtx(context.Background(), s.Net, final, s.Prefix)
 	if err == nil || !strings.Contains(err.Error(), "lacks a route") {
 		t.Fatalf("err = %v, want missing-route error", err)
 	}

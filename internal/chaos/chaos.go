@@ -245,20 +245,16 @@ func verifyEndState(a *analyzer.Analysis, s *scenario.Scenario, start time.Durat
 	return viol
 }
 
-// RunCase executes one chaos case end to end: build the scenario, compile
+// RunCaseCtx executes one chaos case end to end: build the scenario, compile
 // a plan, install the seeded injector (and flap schedule), execute under
 // supervision, then classify the outcome and verify the invariants
 // offline. The same Case always produces the identical CaseResult.
-func RunCase(c Case) (*CaseResult, error) {
-	return RunCaseCtx(context.Background(), c)
-}
-
-// RunCaseCtx is RunCase with a context: cancellation propagates into the
-// scheduler's solver and the executor's supervision loop, and a recorder
-// carried by ctx observes the run (a chaos-case span over the analyze,
-// schedule and execute spans, plus the chaos_cases / chaos_violations
-// counters). Observation never perturbs the case: the CaseResult — and its
-// fingerprint — is identical with and without a recorder.
+// Cancellation propagates into the scheduler's solver and the executor's
+// supervision loop, and a recorder carried by ctx observes the run (a
+// chaos-case span over the analyze, schedule and execute spans, plus the
+// chaos_cases / chaos_violations counters). Observation never perturbs the
+// case: the CaseResult — and its fingerprint — is identical with and
+// without a recorder.
 func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 	ctx, span := obs.StartSpan(ctx, "chaos-case",
 		obs.String("topology", c.Topology),
@@ -313,7 +309,7 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 
 	ex := runtime.NewExecutor(s.Net, opts)
 	unbind := mon.Bind(s.Net)
-	res, execErr := ex.ExecuteCtx(ctx, p)
+	res, execErr := ex.ExecuteCtx(ctx, plan.Single(p))
 	// Unbind before any Abort below: teardown churn is outside the §3
 	// guarantee and must not enter the timeline.
 	unbind()
@@ -420,18 +416,14 @@ type Summary struct {
 	MonitorAlarms                            int
 }
 
-// Sweep runs the whole matrix cfg.Workers-wide, returning each case's
+// SweepCtx runs the whole matrix cfg.Workers-wide, returning each case's
 // result in matrix order (topology-major, then fault kind, then seed —
 // independent of completion order) plus per-kind summaries (in cfg.Faults
 // order). The progress callback, when non-nil, is serialized and observes
 // each result as it completes; with Workers > 1 that order varies between
-// runs even though the returned results never do.
-func Sweep(cfg SweepConfig, progress func(CaseResult)) ([]CaseResult, []Summary, error) {
-	return SweepCtx(context.Background(), cfg, progress)
-}
-
-// SweepCtx is Sweep with a context. Cancellation stops the matrix (cases
-// already running finish their current solver/supervision poll and bail).
+// runs even though the returned results never do. Cancellation stops the
+// matrix (cases already running finish their current solver/supervision
+// poll and bail).
 // A recorder carried by ctx observes every case, adopted as
 // "case <topology>/<fault>/<seed>" in matrix order (see pool.Map).
 func SweepCtx(ctx context.Context, cfg SweepConfig, progress func(CaseResult)) ([]CaseResult, []Summary, error) {

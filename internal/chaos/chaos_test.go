@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // either upholds the §3 invariants or visibly degrades — zero silent
 // violations.
 func TestSweepNoSilentViolations(t *testing.T) {
-	results, sums, err := chaos.Sweep(chaos.DefaultSweep(), nil)
+	results, sums, err := chaos.SweepCtx(context.Background(), chaos.DefaultSweep(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func TestRunCaseReproducible(t *testing.T) {
 	kinds := []sim.FaultKind{sim.FaultDrop, sim.FaultDelay, sim.FaultPartial, sim.FaultFlap}
 	for _, kind := range kinds {
 		c := chaos.Case{Topology: "Abilene", Fault: kind, Seed: 3}
-		r1, err := chaos.RunCase(c)
+		r1, err := chaos.RunCaseCtx(context.Background(), c)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		r2, err := chaos.RunCase(c)
+		r2, err := chaos.RunCaseCtx(context.Background(), c)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -72,11 +73,11 @@ func TestRunCaseReproducible(t *testing.T) {
 	}
 	// Different seeds must produce different schedules (otherwise the
 	// injector ignores its seed).
-	a, err := chaos.RunCase(chaos.Case{Topology: "Abilene", Fault: sim.FaultDrop, Seed: 3})
+	a, err := chaos.RunCaseCtx(context.Background(), chaos.Case{Topology: "Abilene", Fault: sim.FaultDrop, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := chaos.RunCase(chaos.Case{Topology: "Abilene", Fault: sim.FaultDrop, Seed: 4})
+	b, err := chaos.RunCaseCtx(context.Background(), chaos.Case{Topology: "Abilene", Fault: sim.FaultDrop, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestRunCaseReproducible(t *testing.T) {
 // TestControlRunClean: with no faults configured the run must be
 // classified clean, with zero faults and zero recovery activity.
 func TestControlRunClean(t *testing.T) {
-	r, err := chaos.RunCase(chaos.Case{Topology: "RunningExample", Fault: sim.FaultNone, Seed: 1})
+	r, err := chaos.RunCaseCtx(context.Background(), chaos.Case{Topology: "RunningExample", Fault: sim.FaultNone, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

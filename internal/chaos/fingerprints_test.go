@@ -30,7 +30,7 @@ func TestFingerprintTablesPinned(t *testing.T) {
 
 	cfg := chaos.DefaultSweep()
 	cfg.Seeds = []uint64{7}
-	results, _, err := chaos.Sweep(cfg, nil)
+	results, _, err := chaos.SweepCtx(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

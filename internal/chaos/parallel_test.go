@@ -28,7 +28,7 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	}
 	run := func(workers int) ([]chaos.CaseResult, []chaos.Summary) {
 		cfg.Workers = workers
-		results, sums, err := chaos.Sweep(cfg, nil)
+		results, sums, err := chaos.SweepCtx(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -117,16 +117,11 @@ func PersistentDropFactory(until int, match func(topology.NodeID, string) bool) 
 	}
 }
 
-// RunRecoveryCase executes one supervised chaos case under
-// context.Background().
-func RunRecoveryCase(c RecoveryCase, journalPath string) (*RecoveryResult, error) {
-	return RunRecoveryCaseCtx(context.Background(), c, journalPath)
-}
-
-// RunRecoveryCaseCtx builds the scenario, wires the profile's faults and
-// events into a supervisor, runs it to termination and classifies the
-// result. journalPath, when non-empty, receives the case's execution
-// journal (the artifact a CI smoke step uploads).
+// RunRecoveryCaseCtx executes one supervised chaos case: it builds the
+// scenario, wires the profile's faults and events into a supervisor, runs it
+// to termination and classifies the result. journalPath, when non-empty,
+// receives the case's execution journal (the artifact a CI smoke step
+// uploads).
 func RunRecoveryCaseCtx(ctx context.Context, c RecoveryCase, journalPath string) (*RecoveryResult, error) {
 	ctx, span := obs.StartSpan(ctx, "recovery-case",
 		obs.String("topology", c.Topology),

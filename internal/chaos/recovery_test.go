@@ -62,7 +62,7 @@ func journalName(topo, profile string, seed uint64) string {
 func TestRecoveryProfilesExerciseTheLadder(t *testing.T) {
 	run := func(profile string) *chaos.RecoveryResult {
 		t.Helper()
-		r, err := chaos.RunRecoveryCase(chaos.RecoveryCase{
+		r, err := chaos.RunRecoveryCaseCtx(context.Background(), chaos.RecoveryCase{
 			Topology: "RunningExample", Profile: profile, Seed: 1,
 		}, "")
 		if err != nil {
@@ -96,11 +96,11 @@ func TestRecoveryProfilesExerciseTheLadder(t *testing.T) {
 // matrix is as reproducible as the chaos matrix.
 func TestRecoveryDeterministic(t *testing.T) {
 	c := chaos.RecoveryCase{Topology: "Abilene", Profile: chaos.ProfilePersistentFault, Seed: 3}
-	a, err := chaos.RunRecoveryCase(c, "")
+	a, err := chaos.RunRecoveryCaseCtx(context.Background(), c, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := chaos.RunRecoveryCase(c, filepath.Join(t.TempDir(), "j.jsonl"))
+	b, err := chaos.RunRecoveryCaseCtx(context.Background(), c, filepath.Join(t.TempDir(), "j.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

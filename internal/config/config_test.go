@@ -1,6 +1,7 @@
 package config_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -101,12 +102,12 @@ func TestConfigFullPipeline(t *testing.T) {
 		cmd.Apply(final)
 	}
 	final.Run()
-	a, err := analyzer.Analyze(net, final, 0)
+	a, err := analyzer.AnalyzeCtx(context.Background(), net, final, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := eval.ReachabilitySpec(g)
-	sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestConfigFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := runtime.NewExecutor(net, runtime.Options{Seed: 1})
-	if _, err := ex.Execute(p); err != nil {
+	if _, err := ex.ExecuteCtx(context.Background(), plan.Single(p)); err != nil {
 		t.Fatal(err)
 	}
 	n6 := g.MustNode("n6")

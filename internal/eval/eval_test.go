@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -13,20 +14,20 @@ import (
 )
 
 func TestStatsPercentiles(t *testing.T) {
-	xs := []float64{4, 1, 3, 2, 5}
-	if m := Median(xs); m != 3 {
+	d := NewDist([]float64{4, 1, 3, 2, 5})
+	if m := d.Median(); m != 3 {
 		t.Errorf("Median = %v, want 3", m)
 	}
-	if p := Percentile(xs, 0); p != 1 {
+	if p := d.Percentile(0); p != 1 {
 		t.Errorf("P0 = %v, want 1", p)
 	}
-	if p := Percentile(xs, 100); p != 5 {
+	if p := d.Percentile(100); p != 5 {
 		t.Errorf("P100 = %v, want 5", p)
 	}
-	if p := Percentile(xs, 25); p != 2 {
+	if p := d.Percentile(25); p != 2 {
 		t.Errorf("P25 = %v, want 2", p)
 	}
-	if Percentile(nil, 50) != 0 {
+	if NewDist(nil).Percentile(50) != 0 {
 		t.Error("empty percentile should be 0")
 	}
 	if m := Mean([]float64{2, 4}); m != 3 {
@@ -34,17 +35,14 @@ func TestStatsPercentiles(t *testing.T) {
 	}
 }
 
+// TestCDFAndFractionBelow reads the empirical CDF off FractionBelow: at each
+// distinct sample it is the share of samples at or below it.
 func TestCDFAndFractionBelow(t *testing.T) {
-	xs := []float64{1, 2, 2, 3}
-	vals, fracs := CDF(xs)
-	if len(vals) != 3 || vals[1] != 2 || fracs[1] != 0.75 {
-		t.Errorf("CDF = %v %v", vals, fracs)
-	}
-	if f := FractionBelow(xs, 2); f != 0.75 {
-		t.Errorf("FractionBelow(2) = %v", f)
-	}
-	if f := FractionBelow(xs, 0.5); f != 0 {
-		t.Errorf("FractionBelow(0.5) = %v", f)
+	d := NewDist([]float64{1, 2, 2, 3})
+	for _, c := range []struct{ x, want float64 }{{1, 0.25}, {2, 0.75}, {3, 1}, {0.5, 0}, {2.5, 0.75}} {
+		if f := d.FractionBelow(c.x); f != c.want {
+			t.Errorf("FractionBelow(%v) = %v, want %v", c.x, f, c.want)
+		}
 	}
 }
 
@@ -88,7 +86,7 @@ func TestSampleNodesDeterministic(t *testing.T) {
 }
 
 func TestRunCaseStudyAbilene(t *testing.T) {
-	res, err := RunCaseStudy("Abilene", 7)
+	res, err := RunCaseStudyCtx(context.Background(), "Abilene", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +111,10 @@ func TestRunCaseStudyAbilene(t *testing.T) {
 
 func TestSweepSchedulingSmall(t *testing.T) {
 	names := []string{"Abilene", "Basnet", "Epoch"}
-	outs := SweepScheduling(names, 7, scheduler.DefaultOptions(), 1, nil)
+	outs, err := SweepSchedulingCtx(context.Background(), names, 7, scheduler.DefaultOptions(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(outs) != 3 {
 		t.Fatalf("got %d outcomes", len(outs))
 	}
@@ -150,7 +151,10 @@ func TestSpecComplexitySweepSmall(t *testing.T) {
 }
 
 func TestSweepTableOverheadSmall(t *testing.T) {
-	outs := SweepTableOverhead([]string{"Abilene", "Sprint"}, 7, scheduler.DefaultOptions(), 1, nil)
+	outs, err := SweepTableOverheadCtx(context.Background(), []string{"Abilene", "Sprint"}, 7, scheduler.DefaultOptions(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, o := range outs {
 		if o.Err != nil {
 			t.Errorf("%s: %v", o.Name, o.Err)
@@ -202,7 +206,7 @@ func TestAsciiCDF(t *testing.T) {
 }
 
 func TestCSVWriters(t *testing.T) {
-	res, err := RunCaseStudy("Abilene", 7)
+	res, err := RunCaseStudyCtx(context.Background(), "Abilene", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +220,10 @@ func TestCSVWriters(t *testing.T) {
 	}
 
 	buf.Reset()
-	outs := SweepScheduling([]string{"Basnet"}, 7, scheduler.DefaultOptions(), 1, nil)
+	outs, err := SweepSchedulingCtx(context.Background(), []string{"Basnet"}, 7, scheduler.DefaultOptions(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := WriteSweepCSV(&buf, outs); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +244,10 @@ func TestCSVWriters(t *testing.T) {
 	}
 
 	buf.Reset()
-	ov := SweepTableOverhead([]string{"Basnet"}, 7, scheduler.DefaultOptions(), 1, nil)
+	ov, err := SweepTableOverheadCtx(context.Background(), []string{"Basnet"}, 7, scheduler.DefaultOptions(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := WriteOverheadCSV(&buf, ov); err != nil {
 		t.Fatal(err)
 	}

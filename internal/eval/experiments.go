@@ -39,15 +39,10 @@ const (
 	SpecEq4
 )
 
-// BuildPipeline analyzes, schedules and compiles the scenario under the
-// chosen specification.
-func BuildPipeline(s *scenario.Scenario, kind SpecKind, opts scheduler.Options) (*Pipeline, error) {
-	return BuildPipelineCtx(context.Background(), s, kind, opts)
-}
-
-// BuildPipelineCtx is BuildPipeline with a context: cancellation reaches
-// into the scheduler's branch-and-bound, and a recorder carried by ctx
-// observes the analyze and schedule stages.
+// BuildPipelineCtx analyzes, schedules and compiles the scenario under the
+// chosen specification. Cancellation reaches into the scheduler's
+// branch-and-bound, and a recorder carried by ctx observes the analyze and
+// schedule stages.
 func BuildPipelineCtx(ctx context.Context, s *scenario.Scenario, kind SpecKind, opts scheduler.Options) (*Pipeline, error) {
 	a, err := analyzer.AnalyzeCtx(ctx, s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
@@ -133,14 +128,9 @@ func waypointRules(a *analyzer.Analysis, e1 topology.NodeID) map[topology.NodeID
 	return rules
 }
 
-// RunCaseStudy reproduces the Figs. 1/6/12 experiment on the named
+// RunCaseStudyCtx reproduces the Figs. 1/6/12 experiment on the named
 // topology: the same reconfiguration applied once via Snowcap (direct) and
-// once via Chameleon, with packet-level measurement of both runs.
-func RunCaseStudy(name string, seed uint64) (*CaseStudyResult, error) {
-	return RunCaseStudyCtx(context.Background(), name, seed)
-}
-
-// RunCaseStudyCtx is RunCaseStudy with observability threading: a recorder
+// once via Chameleon, with packet-level measurement of both runs. A recorder
 // carried by ctx (obs.WithRecorder) receives both monitors' counters and
 // histogram samples (blame latency, violation duration, hop depth), and
 // the recorder's event stream, if any, gets a live record per violation.
@@ -155,7 +145,7 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 	if err != nil {
 		return nil, err
 	}
-	aSnow, err := analyzer.Analyze(sSnow.Net, sSnow.FinalNetwork(), sSnow.Prefix)
+	aSnow, err := analyzer.AnalyzeCtx(context.Background(), sSnow.Net, sSnow.FinalNetwork(), sSnow.Prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +175,7 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 	if err != nil {
 		return nil, err
 	}
-	pl, err := BuildPipeline(sCham, SpecEq4, scheduler.DefaultOptions())
+	pl, err := BuildPipelineCtx(context.Background(), sCham, SpecEq4, scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +190,7 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 	ro.Convergence = mCham.Gate()
 	ex := runtime.NewExecutor(sCham.Net, ro)
 	unbind := mCham.Bind(sCham.Net)
-	res, err := ex.Execute(pl.Plan)
+	res, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))
 	unbind()
 	if err != nil {
 		return nil, err
@@ -236,7 +226,7 @@ type SweepOutcome struct {
 	Err                 error
 }
 
-// SweepScheduling runs the §7 reconfiguration scenario on each named
+// SweepSchedulingCtx runs the §7 reconfiguration scenario on each named
 // topology with the Eq. 4 specification and records scheduling time,
 // reconfiguration complexity Cr, and the resulting round count. The
 // temp-session optimization pass is capped tightly so the measured time is
@@ -247,20 +237,9 @@ type SweepOutcome struct {
 // regardless of completion order, so everything except the wall-clock
 // SchedulingTime measurement is byte-identical at any worker count. The
 // progress callback is serialized but observes completion order.
-func SweepScheduling(names []string, seed uint64, opts scheduler.Options, workers int, progress func(SweepOutcome)) []SweepOutcome {
-	out, err := SweepSchedulingCtx(context.Background(), names, seed, opts, workers, progress)
-	if err != nil {
-		// With a background context the only possible error is a worker
-		// panic, which the historical signature also surfaced as a panic.
-		panic(err)
-	}
-	return out
-}
-
-// SweepSchedulingCtx is SweepScheduling with a context: cancellation stops
-// the sweep (the error is ctx's, as a panicking run's is a
-// *pool.PanicError), and a recorder carried by ctx observes every scenario
-// run, adopted as "run <name>" in names order (see pool.Map).
+// Cancellation stops the sweep (the error is ctx's, as a panicking run's is
+// a *pool.PanicError), and a recorder carried by ctx observes every
+// scenario run, adopted as "run <name>" in names order (see pool.Map).
 func SweepSchedulingCtx(ctx context.Context, names []string, seed uint64, opts scheduler.Options, workers int, progress func(SweepOutcome)) ([]SweepOutcome, error) {
 	report := pool.Serialize(progress)
 	return pool.Map(ctx, workers, len(names), runLabel(names), func(ctx context.Context, i int) (SweepOutcome, error) {
@@ -333,7 +312,7 @@ func SpecComplexitySweep(name string, temporal, explicitLoops bool, fracs []floa
 	if err != nil {
 		return nil, err
 	}
-	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +334,7 @@ func SpecComplexitySweep(name string, temporal, explicitLoops bool, fracs []floa
 				sp = PhiN(a, s.E1, nodes)
 			}
 			t0 := time.Now()
-			if _, err := scheduler.Schedule(a, sp, opts); err != nil {
+			if _, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts); err != nil {
 				return nil, fmt.Errorf("eval: spec sweep %s |Nφ|=%d run %d: %w", name, k, run, err)
 			}
 			d := time.Since(t0)
@@ -383,22 +362,13 @@ type OverheadOutcome struct {
 	Err       error
 }
 
-// SweepTableOverhead measures, per scenario: the baseline maximum table
+// SweepTableOverheadCtx measures, per scenario: the baseline maximum table
 // size (direct reconfiguration), Chameleon's maximum during plan execution,
 // and SITN's dual-plane size — each as additional entries relative to the
 // baseline. Scenarios run workers-wide (≤ 0 means one per CPU); every field
 // derives from the simulation, so the results — and the Fig. 10 CSV — are
-// byte-identical at any worker count.
-func SweepTableOverhead(names []string, seed uint64, opts scheduler.Options, workers int, progress func(OverheadOutcome)) []OverheadOutcome {
-	out, err := SweepTableOverheadCtx(context.Background(), names, seed, opts, workers, progress)
-	if err != nil {
-		panic(err) // background context: only a worker panic lands here
-	}
-	return out
-}
-
-// SweepTableOverheadCtx is SweepTableOverhead with a context; see
-// SweepSchedulingCtx for the cancellation and recorder semantics.
+// byte-identical at any worker count. See SweepSchedulingCtx for the
+// cancellation and recorder semantics.
 func SweepTableOverheadCtx(ctx context.Context, names []string, seed uint64, opts scheduler.Options, workers int, progress func(OverheadOutcome)) ([]OverheadOutcome, error) {
 	report := pool.Serialize(progress)
 	return pool.Map(ctx, workers, len(names), runLabel(names), func(ctx context.Context, i int) (OverheadOutcome, error) {
@@ -436,7 +406,7 @@ func overheadOutcome(ctx context.Context, name string, seed uint64, opts schedul
 		return o
 	}
 	ex := runtime.NewExecutor(sCham.Net, runtime.Options{Seed: seed})
-	res, err := ex.ExecuteCtx(ctx, pl.Plan)
+	res, err := ex.ExecuteCtx(ctx, plan.Single(pl.Plan))
 	if err != nil {
 		o.Err = err
 		return o
@@ -480,7 +450,7 @@ func RunLinkFailureExperiment(name string, seed uint64, failAfter time.Duration)
 	if err != nil {
 		return nil, err
 	}
-	pl, err := BuildPipeline(s, SpecReachability, scheduler.DefaultOptions())
+	pl, err := BuildPipelineCtx(context.Background(), s, SpecReachability, scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +475,7 @@ func RunLinkFailureExperiment(name string, seed uint64, failAfter time.Duration)
 		}}
 	}
 	ex := runtime.NewExecutor(s.Net, opts)
-	res, err := ex.Execute(pl.Plan)
+	res, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))
 	if err != nil {
 		return nil, err
 	}
@@ -528,7 +498,7 @@ func RunNewRouteExperiment(name string, seed uint64, announceAfter time.Duration
 	if err != nil {
 		return nil, err
 	}
-	pl, err := BuildPipeline(s, SpecReachability, scheduler.DefaultOptions())
+	pl, err := BuildPipelineCtx(context.Background(), s, SpecReachability, scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -540,7 +510,7 @@ func RunNewRouteExperiment(name string, seed uint64, announceAfter time.Duration
 		},
 	}}
 	ex := runtime.NewExecutor(s.Net, opts)
-	res, err := ex.Execute(pl.Plan)
+	res, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ import (
 // Abilene reconfiguration directly (Snowcap) violates invariants during the
 // transient, Chameleon never does.
 func TestCaseStudyMonitorTimelines(t *testing.T) {
-	r, err := RunCaseStudy("Abilene", 7)
+	r, err := RunCaseStudyCtx(context.Background(), "Abilene", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestCaseStudyMonitorTimelines(t *testing.T) {
 // byte for byte.
 func TestCaseStudyTimelineByteIdentical(t *testing.T) {
 	render := func() (string, string) {
-		r, err := RunCaseStudy("Abilene", 7)
+		r, err := RunCaseStudyCtx(context.Background(), "Abilene", 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestCaseStudyTimelineByteIdentical(t *testing.T) {
 // run is attributed to a registered root cause — here the reconfiguration
 // commands Snowcap pushes — with a well-formed blame record.
 func TestCaseStudyViolationsCarryRootCause(t *testing.T) {
-	r, err := RunCaseStudy("Abilene", 7)
+	r, err := RunCaseStudyCtx(context.Background(), "Abilene", 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"context"
 	goruntime "runtime"
 	"sync"
 	"testing"
@@ -21,11 +22,14 @@ func TestSweepSchedulingWorkerCountInvariance(t *testing.T) {
 	csvAt := func(workers int) string {
 		var calls int
 		var mu sync.Mutex
-		outs := SweepScheduling(names, 7, scheduler.DefaultOptions(), workers, func(SweepOutcome) {
+		outs, err := SweepSchedulingCtx(context.Background(), names, 7, scheduler.DefaultOptions(), workers, func(SweepOutcome) {
 			mu.Lock()
 			calls++
 			mu.Unlock()
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if calls != len(names) {
 			t.Fatalf("workers=%d: progress fired %d times, want %d", workers, calls, len(names))
 		}
@@ -51,7 +55,10 @@ func TestSweepSchedulingWorkerCountInvariance(t *testing.T) {
 func TestSweepTableOverheadWorkerCountInvariance(t *testing.T) {
 	names := []string{"Abilene", "Basnet", "Epoch"}
 	csvAt := func(workers int) string {
-		outs := SweepTableOverhead(names, 7, scheduler.DefaultOptions(), workers, nil)
+		outs, err := SweepTableOverheadCtx(context.Background(), names, 7, scheduler.DefaultOptions(), workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var b bytes.Buffer
 		if err := WriteOverheadCSV(&b, outs); err != nil {
 			t.Fatal(err)
@@ -76,7 +83,7 @@ func TestChaosSweepCSVWorkerCountInvariance(t *testing.T) {
 	}
 	csvAt := func(workers int) string {
 		cfg.Workers = workers
-		results, _, err := chaos.Sweep(cfg, nil)
+		results, _, err := chaos.SweepCtx(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +110,10 @@ func TestParallelSweepRaceStress(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		names = append(names, "Abilene", "Basnet", "Epoch")
 	}
-	outs := SweepScheduling(names, 7, scheduler.DefaultOptions(), 8, nil)
+	outs, err := SweepSchedulingCtx(context.Background(), names, 7, scheduler.DefaultOptions(), 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(outs) != len(names) {
 		t.Fatalf("got %d outcomes, want %d", len(outs), len(names))
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 // Dist is a sample distribution sorted once at construction, so report
-// loops asking for several quantiles (median, P10, P90, CDF, …) of the same
+// loops asking for several statistics (median, P10, P90, fraction below, …) of
+// the same
 // data pay for a single copy-and-sort instead of one per call.
 type Dist struct {
 	sorted []float64
@@ -21,9 +22,6 @@ func NewDist(xs []float64) *Dist {
 	sort.Float64s(s)
 	return &Dist{sorted: s}
 }
-
-// N returns the sample count.
-func (d *Dist) N() int { return len(d.sorted) }
 
 // Percentile returns the p-th percentile (0–100) by linear interpolation.
 func (d *Dist) Percentile(p float64) float64 {
@@ -52,20 +50,6 @@ func (d *Dist) Median() float64 { return d.Percentile(50) }
 // Mean returns the arithmetic mean.
 func (d *Dist) Mean() float64 { return Mean(d.sorted) }
 
-// CDF returns the empirical cumulative distribution as (value, fraction)
-// pairs at each distinct data point.
-func (d *Dist) CDF() (values, fractions []float64) {
-	s := d.sorted
-	for i, v := range s {
-		if i+1 < len(s) && s[i+1] == v {
-			continue
-		}
-		values = append(values, v)
-		fractions = append(fractions, float64(i+1)/float64(len(s)))
-	}
-	return values, fractions
-}
-
 // FractionBelow returns the fraction of samples ≤ x.
 func (d *Dist) FractionBelow(x float64) float64 {
 	if len(d.sorted) == 0 {
@@ -84,39 +68,6 @@ func (d *Dist) FractionBelow(x float64) float64 {
 	return float64(lo) / float64(len(d.sorted))
 }
 
-// Percentile returns the p-th percentile (0–100) of xs by linear
-// interpolation; xs need not be sorted. The extremes are symmetric no-copy
-// fast paths: p ≤ 0 is a min scan and p ≥ 100 a max scan, neither copying
-// nor sorting. Callers needing several quantiles of one sample should sort
-// once via NewDist instead.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		min := xs[0]
-		for _, x := range xs[1:] {
-			if x < min {
-				min = x
-			}
-		}
-		return min
-	}
-	if p >= 100 {
-		max := xs[0]
-		for _, x := range xs[1:] {
-			if x > max {
-				max = x
-			}
-		}
-		return max
-	}
-	return NewDist(xs).Percentile(p)
-}
-
-// Median returns the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Mean returns the arithmetic mean.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -127,26 +78,6 @@ func Mean(xs []float64) float64 {
 		total += x
 	}
 	return total / float64(len(xs))
-}
-
-// CDF returns the empirical cumulative distribution as (value, fraction)
-// pairs at each distinct data point.
-func CDF(xs []float64) (values, fractions []float64) {
-	return NewDist(xs).CDF()
-}
-
-// FractionBelow returns the fraction of samples ≤ x.
-func FractionBelow(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	count := 0
-	for _, v := range xs {
-		if v <= x {
-			count++
-		}
-	}
-	return float64(count) / float64(len(xs))
 }
 
 // PearsonLogLog computes the Pearson correlation of log(x) vs log(y) for

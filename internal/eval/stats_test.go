@@ -7,34 +7,25 @@ import "testing"
 // without guarding every aggregation. These tests pin that contract.
 
 func TestStatsEmptySamples(t *testing.T) {
-	var none []float64
-	if got := Percentile(none, 50); got != 0 {
-		t.Errorf("Percentile(nil, 50) = %v, want 0", got)
-	}
+	none := NewDist(nil)
 	for _, p := range []float64{-1, 0, 50, 100, 101} {
-		if got := Percentile(none, p); got != 0 {
-			t.Errorf("Percentile(nil, %v) = %v, want 0", p, got)
+		if got := none.Percentile(p); got != 0 {
+			t.Errorf("NewDist(nil).Percentile(%v) = %v, want 0", p, got)
 		}
 	}
-	if got := Median(none); got != 0 {
-		t.Errorf("Median(nil) = %v, want 0", got)
+	if got := none.Median(); got != 0 {
+		t.Errorf("NewDist(nil).Median() = %v, want 0", got)
 	}
-	if got := Mean(none); got != 0 {
+	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", got)
 	}
-	if got := FractionBelow(none, 10); got != 0 {
-		t.Errorf("FractionBelow(nil, 10) = %v, want 0", got)
-	}
-	if vs, fs := CDF(none); len(vs) != 0 || len(fs) != 0 {
-		t.Errorf("CDF(nil) = %v, %v, want empty", vs, fs)
+	if got := none.FractionBelow(10); got != 0 {
+		t.Errorf("NewDist(nil).FractionBelow(10) = %v, want 0", got)
 	}
 }
 
 func TestDistEmpty(t *testing.T) {
 	d := NewDist(nil)
-	if d.N() != 0 {
-		t.Fatalf("N() = %d, want 0", d.N())
-	}
 	for _, p := range []float64{0, 10, 50, 90, 100} {
 		if got := d.Percentile(p); got != 0 {
 			t.Errorf("empty Dist.Percentile(%v) = %v, want 0", p, got)
@@ -71,8 +62,8 @@ func TestPercentileInterpolation(t *testing.T) {
 		{0, 1}, {100, 4}, {50, 2.5}, {25, 1.75}, {-5, 1}, {200, 4},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%v, %v) = %v, want %v", xs, c.p, got, c.want)
+		if got := NewDist(xs).Percentile(c.p); got != c.want {
+			t.Errorf("NewDist(%v).Percentile(%v) = %v, want %v", xs, c.p, got, c.want)
 		}
 	}
 }

@@ -150,7 +150,7 @@ func TestRepeatedStatesJudgedOnce(t *testing.T) {
 			// The facade's ExecuteCtx with a monitor, for two monitors.
 			ex := runtime.NewExecutor(net, runtime.Options{Seed: seed, PhaseObserver: tw.setPhase, Convergence: tw.once.Gate()})
 			unbind := tw.bind(net)
-			if _, err := ex.ExecuteMultiCtx(ctx, mp); err != nil {
+			if _, err := ex.ExecuteCtx(ctx, mp); err != nil {
 				t.Fatalf("%s: %v", tw.label, err)
 			}
 			unbind()

@@ -132,13 +132,14 @@ func (w *Writer) SetOption(key, value string) {
 	w.m.Options[key] = value
 }
 
-// validName rejects part names that would escape the bundle directory.
+// validName rejects part names that would escape the bundle directory or
+// name the directory itself ("." and "..").
 func validName(name string) error {
 	if name == "" || name == ManifestName {
 		return fmt.Errorf("bundle: invalid part name %q", name)
 	}
 	clean := filepath.ToSlash(filepath.Clean(name))
-	if clean != name || strings.HasPrefix(clean, "../") || filepath.IsAbs(name) {
+	if clean != name || clean == "." || clean == ".." || strings.HasPrefix(clean, "../") || filepath.IsAbs(name) {
 		return fmt.Errorf("bundle: part name %q is not a clean relative path", name)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package bundle
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -9,7 +10,7 @@ import (
 	"testing"
 )
 
-func writeBundle(t *testing.T, dir, scenario string, seed uint64, parts map[string]string) *Manifest {
+func writeBundle(t testing.TB, dir, scenario string, seed uint64, parts map[string]string) *Manifest {
 	t.Helper()
 	w, err := Create(dir, scenario, seed)
 	if err != nil {
@@ -147,7 +148,7 @@ func TestWriterRejectsBadParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"", ManifestName, "../escape.txt", "/abs.txt", "a/../../b"} {
+	for _, name := range []string{"", ManifestName, "../escape.txt", "/abs.txt", "a/../../b", ".", ".."} {
 		if err := w.AddPart(name, KindTrace, func(io.Writer) error { return nil }); err == nil {
 			t.Errorf("AddPart(%q) accepted an invalid name", name)
 		}
@@ -218,6 +219,36 @@ func TestOpenRejectsCorruptManifest(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "ID") {
 		t.Fatalf("Open() = %v, want ID mismatch", err)
+	}
+}
+
+// sealedManifest returns m's manifest.json bytes with the ID m's parts
+// content-address to, so Open gets past the ID check to whatever else is
+// wrong with m.
+func sealedManifest(t testing.TB, m Manifest) []byte {
+	t.Helper()
+	m.ID = m.ComputeID()
+	raw, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestOpenRejectsDirectoryPartNames: a manifest whose ID matches its parts
+// but which lists ".." (the bundle's parent directory) or "." (the bundle
+// directory itself) as a part is refused.
+func TestOpenRejectsDirectoryPartNames(t *testing.T) {
+	for _, name := range []string{"..", "."} {
+		dir := t.TempDir()
+		raw := sealedManifest(t, Manifest{Schema: Schema, Scenario: "smoke", Seed: 7,
+			Parts: []Part{{Name: name, Kind: KindTrace, SHA256: strings.Repeat("0", 64)}}})
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := Open(dir); err == nil {
+			t.Errorf("Open accepted part %q at %s", name, b.PartPath(b.Manifest.Parts[0]))
+		}
 	}
 }
 

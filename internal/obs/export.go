@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -200,8 +201,14 @@ func ValidateJSONL(r io.Reader) (spanCount int, err error) {
 			if err := json.Unmarshal([]byte(text), &jh); err != nil {
 				return 0, fmt.Errorf("obs: line %d: %w", line, err)
 			}
+			// Buckets count samples: none is negative and their sum fits
+			// an int64, so it cannot wrap around to a negative count.
 			var bucketSum int64
-			for _, c := range jh.Buckets {
+			for k, c := range jh.Buckets {
+				if c < 0 || bucketSum > math.MaxInt64-c {
+					return 0, fmt.Errorf("obs: line %d: hist %q bucket %s count %d is negative or overflows the sum",
+						line, jh.Name, k, c)
+				}
 				bucketSum += c
 			}
 			if bucketSum != jh.Count {

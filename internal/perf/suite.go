@@ -155,7 +155,7 @@ func scheduleBench(topo string) func() (Fn, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+		a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +243,7 @@ func replayBench(topo string, op func(base *chameleon.Reconfiguration) (Fn, erro
 		if err != nil {
 			return nil, err
 		}
-		base, err := chameleon.Plan(s, chameleon.PlanOptions{})
+		base, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 
 func compile(t testing.TB, s *scenario.Scenario) (*analyzer.Analysis, *scheduler.NodeSchedule, *plan.Plan) {
 	t.Helper()
-	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func compile(t testing.TB, s *scenario.Scenario) (*analyzer.Analysis, *scheduler
 		es = append(es, b.Reach(n))
 	}
 	sp := spec.NewSpec(b, b.Globally(b.And(es...)))
-	sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestWeightOrdering(t *testing.T) {
 
 func TestCompileRejectsIncompleteSchedule(t *testing.T) {
 	s := scenario.RunningExample()
-	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"chameleon/internal/obs"
+	"chameleon/internal/plan"
 	"chameleon/internal/runtime"
 	"chameleon/internal/scenario"
 	"chameleon/internal/sim"
@@ -30,7 +31,7 @@ func TestExecuteCtxCancelMidRound(t *testing.T) {
 		Apply: func(*sim.Network) { cancel() },
 	}}
 	ex := runtime.NewExecutor(s.Net, opts)
-	_, err := ex.ExecuteCtx(ctx, p)
+	_, err := ex.ExecuteCtx(ctx, plan.Single(p))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExecuteCtx = %v, want context.Canceled", err)
 	}
@@ -61,7 +62,7 @@ func TestExecuteCtxPreCancelled(t *testing.T) {
 	opts := runtime.Options{Seed: 1}
 	opts.Recorder = rec
 	ex := runtime.NewExecutor(s.Net, opts)
-	if _, err := ex.ExecuteCtx(ctx, p); !errors.Is(err, context.Canceled) {
+	if _, err := ex.ExecuteCtx(ctx, plan.Single(p)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExecuteCtx = %v, want context.Canceled", err)
 	}
 	counters := rec.Counters()

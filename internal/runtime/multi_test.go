@@ -32,12 +32,12 @@ func twoPrefixExample(t *testing.T) *scenario.Scenario {
 
 func planFor(t *testing.T, s *scenario.Scenario, prefix bgp.Prefix) *plan.Plan {
 	t.Helper()
-	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := eval.ReachabilitySpec(s.Graph)
-	sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestExecuteMultiTwoPrefixes(t *testing.T) {
 	var observed []string
 	opts.PhaseObserver = func(name string) { observed = append(observed, name) }
 	ex := runtime.NewExecutor(s.Net, opts)
-	res, err := ex.ExecuteMultiCtx(context.Background(), mp)
+	res, err := ex.ExecuteCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func TestExecuteSplit(t *testing.T) {
 		final := s.Net.Clone()
 		cmd.Apply(final)
 		final.Run()
-		a, err := analyzer.Analyze(s.Net, final, s.Prefix)
+		a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, final, s.Prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+		sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestExecuteSplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ex.Execute(p); err != nil {
+		if _, err := ex.ExecuteCtx(context.Background(), plan.Single(p)); err != nil {
 			t.Fatalf("%s: %v", cmd.Description, err)
 		}
 	}

@@ -16,9 +16,10 @@ import (
 	"chameleon/internal/sim"
 )
 
-// TestPlanIsMultiPlanOfOne: ExecuteCtx(p) and ExecuteMultiCtx(plan.Single(p))
-// are the same run — same Result, trace (counters included) and violation
-// timeline — fault-free and with every first push of a command dropped.
+// TestPlanIsMultiPlanOfOne: plan.Single(p) and plan.Align of p alone — the
+// multi-plan the facade's planner builds — are the same run: same Result,
+// trace (counters included) and violation timeline, fault-free and with
+// every first push of a command dropped.
 func TestPlanIsMultiPlanOfOne(t *testing.T) {
 	abilene, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
 	if err != nil {
@@ -31,7 +32,7 @@ func TestPlanIsMultiPlanOfOne(t *testing.T) {
 				res             *runtime.Result
 				trace, timeline string
 			}
-			exec := func(multi bool) run {
+			exec := func(aligned bool) run {
 				// The plan's commands are closures over node IDs: it runs on
 				// any clone of the network it was compiled for.
 				net := s.Net.Clone()
@@ -45,15 +46,16 @@ func TestPlanIsMultiPlanOfOne(t *testing.T) {
 				opts.PhaseObserver = mon.SetPhase
 				opts.Convergence = mon.Gate()
 				ex := runtime.NewExecutor(net, opts)
-				var out run
+				mp := plan.Single(p)
 				var err error
-				if multi {
-					out.res, err = ex.ExecuteMultiCtx(context.Background(), plan.Single(p))
-				} else {
-					out.res, err = ex.ExecuteCtx(context.Background(), p)
+				if aligned {
+					if mp, err = plan.Align([]*plan.Plan{p}, s.Commands); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err != nil {
-					t.Fatalf("%s faulted=%v multi=%v: %v", s.Name, faulted, multi, err)
+				var out run
+				if out.res, err = ex.ExecuteCtx(context.Background(), mp); err != nil {
+					t.Fatalf("%s faulted=%v aligned=%v: %v", s.Name, faulted, aligned, err)
 				}
 				var tr, tl bytes.Buffer
 				if err := opts.Recorder.WriteJSONL(&tr); err != nil {
@@ -65,18 +67,18 @@ func TestPlanIsMultiPlanOfOne(t *testing.T) {
 				out.trace, out.timeline = tr.String(), tl.String()
 				return out
 			}
-			one, many := exec(false), exec(true)
-			if faulted && one.res.Recovery.Retries == 0 {
+			single, viaAlign := exec(false), exec(true)
+			if faulted && single.res.Recovery.Retries == 0 {
 				t.Errorf("%s: no retry although every first push was dropped", s.Name)
 			}
-			if !reflect.DeepEqual(one.res, many.res) {
-				t.Errorf("%s faulted=%v: results differ:\n%+v\n%+v", s.Name, faulted, one.res, many.res)
+			if !reflect.DeepEqual(single.res, viaAlign.res) {
+				t.Errorf("%s faulted=%v: results differ:\n%+v\n%+v", s.Name, faulted, single.res, viaAlign.res)
 			}
-			if one.trace != many.trace {
-				t.Errorf("%s faulted=%v: trace JSONL differs:\n%s\nvs\n%s", s.Name, faulted, one.trace, many.trace)
+			if single.trace != viaAlign.trace {
+				t.Errorf("%s faulted=%v: trace JSONL differs:\n%s\nvs\n%s", s.Name, faulted, single.trace, viaAlign.trace)
 			}
-			if one.timeline != many.timeline {
-				t.Errorf("%s faulted=%v: violation timelines differ:\n%s\nvs\n%s", s.Name, faulted, one.timeline, many.timeline)
+			if single.timeline != viaAlign.timeline {
+				t.Errorf("%s faulted=%v: violation timelines differ:\n%s\nvs\n%s", s.Name, faulted, single.timeline, viaAlign.timeline)
 			}
 		}
 	}
@@ -89,7 +91,7 @@ func TestPlanIsMultiPlanOfOne(t *testing.T) {
 func alarmIn(t *testing.T, phase string) runtime.Options {
 	t.Helper()
 	s, mp := alignedTwoPrefixes(t)
-	dry, err := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1}).ExecuteMultiCtx(context.Background(), mp)
+	dry, err := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1}).ExecuteCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestMultiReplanErrorNamesRunningPlan(t *testing.T) {
 			phase = "d1 round 2"
 		}
 		ex := runtime.NewExecutor(s.Net, alarmIn(t, phase))
-		_, err := ex.ExecuteMultiCtx(context.Background(), mp)
+		_, err := ex.ExecuteCtx(context.Background(), mp)
 		var re *runtime.ReplanError
 		if !errors.As(err, &re) {
 			t.Fatalf("alarm in %q: err = %v, want a ReplanError", phase, err)

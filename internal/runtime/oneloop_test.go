@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"testing"
 
 	"chameleon/internal/obs"
@@ -37,7 +38,7 @@ func TestSlotReadbackBeforePushIsNoLostAck(t *testing.T) {
 	} {
 		opts := runtime.Options{Seed: 1}
 		opts.Recorder = obs.New()
-		res, err := runtime.NewExecutor(s.Net, opts).Execute(&c.plan)
+		res, err := runtime.NewExecutor(s.Net, opts).ExecuteCtx(context.Background(), plan.Single(&c.plan))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -75,7 +76,7 @@ func TestSlotRepushRefreshesLostConfiguration(t *testing.T) {
 		return sim.CommandFault{Kind: sim.FaultDrop}
 	}})
 	p := &plan.Plan{Prefix: s.Prefix, Between: [][]sim.Command{{cmdA, cmdB}}}
-	res, err := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1}).Execute(p)
+	res, err := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1}).ExecuteCtx(context.Background(), plan.Single(p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package runtime_test
 
 import (
+	"context"
 	"testing"
 
 	"chameleon/internal/analyzer"
 	"chameleon/internal/eval"
+	"chameleon/internal/plan"
 	"chameleon/internal/runtime"
 	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
@@ -30,17 +32,17 @@ func TestPipelinePropertyRandomScenarios(t *testing.T) {
 				if err != nil {
 					t.Skipf("scenario: %v", err)
 				}
-				a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+				a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 				if err != nil {
 					t.Fatalf("analyze: %v", err)
 				}
 				sp := eval.Eq4Spec(a, s.E1)
-				pl, err := eval.BuildPipeline(s, eval.SpecEq4, scheduler.DefaultOptions())
+				pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecEq4, scheduler.DefaultOptions())
 				if err != nil {
 					t.Fatalf("pipeline: %v", err)
 				}
 				ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: seed})
-				res, err := ex.Execute(pl.Plan)
+				res, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))
 				if err != nil {
 					t.Fatalf("execute: %v", err)
 				}

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestReplanErrorAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipeline(s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestReplanErrorAttribution(t *testing.T) {
 	}
 	opts.Reaction = runtime.ReactReplan
 	ex := runtime.NewExecutor(s.Net, opts)
-	_, err = ex.Execute(pl.Plan)
+	_, err = ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))
 	if err == nil {
 		t.Fatal("expected a replan error")
 	}
@@ -69,7 +70,7 @@ func TestReplanErrorCarriesEscalationCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipeline(s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestReplanErrorCarriesEscalationCause(t *testing.T) {
 	ex := runtime.NewExecutor(s.Net, opts)
 	s.Net.SetFaultInjector(dropAll{})
 	defer s.Net.SetFaultInjector(nil)
-	_, err = ex.Execute(pl.Plan)
+	_, err = ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))
 	if err == nil {
 		t.Fatal("expected the ladder to exhaust under total command loss")
 	}

@@ -354,42 +354,29 @@ func (e *Executor) endPhase(sp *obs.Span) {
 	}
 }
 
-// Execute runs the plan to completion. The network must be converged; on
+// ExecuteCtx runs a multi-destination reconfiguration (§5) to completion:
+// every destination's plan, aligned on the shared original commands; a
+// single plan goes in as plan.Single(p). The network must be converged; on
 // return it is converged in the final configuration. Forwarding traces
-// accumulate in the network's trace recorder for later verification. It is
-// ExecuteCtx under context.Background().
-func (e *Executor) Execute(p *plan.Plan) (*Result, error) {
-	return e.ExecuteCtx(context.Background(), p)
-}
-
-// ExecuteCtx is Execute with a context: cancellation is polled in every
-// supervision loop (per simulated event), so a cancelled execution returns
-// promptly mid-round with the context's error, and a recorder — from
-// Options.Recorder or, failing that, the context — receives an "execute"
-// span tree stamped with the simulated clock. A plan is a multi-plan of one.
-func (e *Executor) ExecuteCtx(ctx context.Context, p *plan.Plan) (*Result, error) {
-	return e.execute(ctx, plan.Single(p))
-}
-
-// ExecuteMultiCtx is ExecuteCtx for a multi-destination reconfiguration
-// (§5): every destination's plan, aligned on the shared original commands.
-func (e *Executor) ExecuteMultiCtx(ctx context.Context, mp *plan.MultiPlan) (*Result, error) {
+// accumulate in the network's trace recorder for later verification.
+// Cancellation is polled in every supervision loop (per simulated event), so
+// a cancelled execution returns promptly mid-round with the context's error,
+// and a recorder — from Options.Recorder or, failing that, the context —
+// receives an "execute" span tree stamped with the simulated clock.
+//
+// The run is the setup of every destination, then each destination's update
+// rounds up to the Between slot the next group of original commands sits in,
+// that group, and so on, and at last the cleanup of every destination. A
+// group is a run of mp.Order that every plan places in one slot; it is
+// pushed as one batch. An empty Between slot is a synchronization point all
+// the same: the network drains there before the plan's next round starts.
+// Phases are named setup, between k (the run's k-th synchronization point —
+// for one plan, its slot k), round k ("d7 round k" for destination 7 of
+// several) and cleanup.
+func (e *Executor) ExecuteCtx(ctx context.Context, mp *plan.MultiPlan) (*Result, error) {
 	if len(mp.Plans) == 0 {
 		return nil, fmt.Errorf("runtime: multi-plan holds no plan")
 	}
-	return e.execute(ctx, mp)
-}
-
-// execute is the one body behind both doors: the setup of every
-// destination, then each destination's update rounds up to the Between slot
-// the next group of original commands sits in, that group, and so on, and at
-// last the cleanup of every destination. A group is a run of mp.Order that
-// every plan places in one slot; it is pushed as one batch. An empty Between
-// slot is a synchronization point all the same: the network drains there
-// before the plan's next round starts. Phases are named setup, between k
-// (the run's k-th synchronization point — for one plan, its slot k), round k
-// ("d7 round k" for destination 7 of several) and cleanup.
-func (e *Executor) execute(ctx context.Context, mp *plan.MultiPlan) (*Result, error) {
 	if !e.net.Converged() {
 		return nil, fmt.Errorf("runtime: network not converged at start")
 	}

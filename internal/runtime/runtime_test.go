@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -18,11 +19,11 @@ import (
 // pipeline runs analyze → schedule → compile for a scenario.
 func pipeline(t *testing.T, s *scenario.Scenario, sp *spec.Spec) (*analyzer.Analysis, *scheduler.NodeSchedule, *plan.Plan) {
 	t.Helper()
-	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestEndToEndRunningExample(t *testing.T) {
 	sp := reachSpec(s.Graph)
 	a, sched, p := pipeline(t, s, sp)
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
-	res, err := ex.Execute(p)
+	res, err := ex.ExecuteCtx(context.Background(), plan.Single(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +149,14 @@ func TestEndToEndAbileneEq4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aTmp, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+	aTmp, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := eq4Spec(aTmp, s.E1)
 	_, sched, p := pipeline(t, s, sp)
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 7})
-	res, err := ex.Execute(p)
+	res, err := ex.ExecuteCtx(context.Background(), plan.Single(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestEndToEndSessionRemovalVariant(t *testing.T) {
 	sp := reachSpec(s.Graph)
 	_, _, p := pipeline(t, s, sp)
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 3})
-	res, err := ex.Execute(p)
+	res, err := ex.ExecuteCtx(context.Background(), plan.Single(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestEndToEndMoreTopologies(t *testing.T) {
 			sp := reachSpec(s.Graph)
 			_, _, p := pipeline(t, s, sp)
 			ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 21})
-			res, err := ex.Execute(p)
+			res, err := ex.ExecuteCtx(context.Background(), plan.Single(p))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +226,7 @@ func TestNoTransientEBGPLeak(t *testing.T) {
 	_, _, p := pipeline(t, s, sp)
 	before := s.Net.EBGPExports(s.Prefix)
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 7})
-	if _, err := ex.Execute(p); err != nil {
+	if _, err := ex.ExecuteCtx(context.Background(), plan.Single(p)); err != nil {
 		t.Fatal(err)
 	}
 	// Exports during reconfiguration: each of the ≤4 external peers may
@@ -270,7 +271,7 @@ func TestExternalEventLinkFailure(t *testing.T) {
 		Apply: func(n *sim.Network) { n.FailLink(la, lb) },
 	}}
 	ex := runtime.NewExecutor(s.Net, opts)
-	if _, err := ex.Execute(p); err != nil {
+	if _, err := ex.ExecuteCtx(context.Background(), plan.Single(p)); err != nil {
 		t.Fatalf("link failure broke the reconfiguration: %v", err)
 	}
 	// After the plan completes, all nodes must be on their final egress
@@ -298,7 +299,7 @@ func TestExecutorRequiresConvergedNetwork(t *testing.T) {
 	_, _, p := pipeline(t, s, sp)
 	s.Net.ScheduleAfter(time.Hour, func(*sim.Network) {})
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
-	if _, err := ex.Execute(p); err == nil {
+	if _, err := ex.ExecuteCtx(context.Background(), plan.Single(p)); err == nil {
 		t.Fatal("Execute must reject a non-converged network")
 	}
 }
@@ -325,7 +326,7 @@ func TestExternalEventNewRouteIgnored(t *testing.T) {
 		},
 	}}
 	ex := runtime.NewExecutor(s.Net, opts)
-	res, err := ex.Execute(p)
+	res, err := ex.ExecuteCtx(context.Background(), plan.Single(p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -52,7 +53,7 @@ func TestSelfHealingRetryOnDrop(t *testing.T) {
 	_, _, p := pipeline(t, s, sp)
 	s.Net.SetFaultInjector(dropFirstPush)
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
-	res, err := ex.Execute(p)
+	res, err := ex.ExecuteCtx(context.Background(), plan.Single(p))
 	if err != nil {
 		t.Fatalf("execution failed despite retries: %v", err)
 	}
@@ -89,7 +90,7 @@ func TestSelfHealingPartialAck(t *testing.T) {
 		},
 	})
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
-	res, err := ex.Execute(p)
+	res, err := ex.ExecuteCtx(context.Background(), plan.Single(p))
 	if err != nil {
 		t.Fatalf("execution failed: %v", err)
 	}
@@ -119,7 +120,7 @@ func TestSelfHealingEscalation(t *testing.T) {
 		},
 	})
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
-	_, err := ex.Execute(p)
+	_, err := ex.ExecuteCtx(context.Background(), plan.Single(p))
 	if err == nil {
 		t.Fatal("persistently dropped command must fail the plan under ReactIgnore")
 	}
@@ -140,7 +141,7 @@ func TestAbortCancelsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipeline(s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestAbortCancelsInFlight(t *testing.T) {
 	}
 	opts.Reaction = runtime.ReactReplan
 	ex := runtime.NewExecutor(s.Net, opts)
-	if _, err := ex.Execute(pl.Plan); !errors.Is(err, runtime.ErrReplanNeeded) {
+	if _, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan)); !errors.Is(err, runtime.ErrReplanNeeded) {
 		t.Fatalf("err = %v, want ErrReplanNeeded", err)
 	}
 	if s.Net.PendingCommands() == 0 {
@@ -197,7 +198,7 @@ func TestReplanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipeline(s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestReplanRoundTrip(t *testing.T) {
 	}
 	opts.Reaction = runtime.ReactReplan
 	ex := runtime.NewExecutor(s.Net, opts)
-	if _, err := ex.Execute(pl.Plan); !errors.Is(err, runtime.ErrReplanNeeded) {
+	if _, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan)); !errors.Is(err, runtime.ErrReplanNeeded) {
 		t.Fatalf("err = %v, want ErrReplanNeeded (deterministic monitor)", err)
 	}
 	ex.Abort(pl.Plan)
@@ -226,11 +227,11 @@ func TestReplanRoundTrip(t *testing.T) {
 		cmd.Apply(final)
 	}
 	final.Run()
-	a, err := analyzer.Analyze(s.Net, final, s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, final, s.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := scheduler.Schedule(a, eval.ReachabilitySpec(s.Graph), scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, eval.ReachabilitySpec(s.Graph), scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestReplanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex2 := runtime.NewExecutor(s.Net, runtime.Options{Seed: 8})
-	res, err := ex2.Execute(p2)
+	res, err := ex2.ExecuteCtx(context.Background(), plan.Single(p2))
 	if err != nil {
 		t.Fatalf("replanned execution failed: %v", err)
 	}

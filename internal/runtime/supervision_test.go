@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func e2e3Withdrawal(t *testing.T, reaction runtime.ReactionPolicy) (*scenario.Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipeline(s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func e2e3Withdrawal(t *testing.T, reaction runtime.ReactionPolicy) (*scenario.Sc
 		},
 	}}
 	ex := runtime.NewExecutor(s.Net, opts)
-	res, err := ex.Execute(pl.Plan)
+	res, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))
 	return s, res, err
 }
 
@@ -85,7 +86,7 @@ func TestSupervisionReplanPolicy(t *testing.T) {
 	// The aborted plan's pins are removed by compiling a throwaway abort:
 	// here we simply remove route-map overrides via a fresh executor
 	// Abort using the original plan.
-	pl, err := eval.BuildPipeline(s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,11 @@ func TestSupervisionReplanPolicy(t *testing.T) {
 		cmd.Apply(final)
 	}
 	final.Run()
-	a, err := analyzer.Analyze(s.Net, final, s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, final, s.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := scheduler.Schedule(a, eval.ReachabilitySpec(s.Graph), scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, eval.ReachabilitySpec(s.Graph), scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSupervisionReplanPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Execute(p2); err != nil {
+	if _, err := ex.ExecuteCtx(context.Background(), plan.Single(p2)); err != nil {
 		t.Fatalf("replanned execution failed: %v", err)
 	}
 	for _, n := range s.Graph.Internal() {
@@ -129,7 +130,7 @@ func TestAbortReleasesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipeline(s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestAbortReleasesState(t *testing.T) {
 	}
 	opts.Reaction = runtime.ReactReplan
 	ex2 := runtime.NewExecutor(s.Net, opts)
-	if _, err := ex2.Execute(pl.Plan); !errors.Is(err, runtime.ErrReplanNeeded) {
+	if _, err := ex2.ExecuteCtx(context.Background(), plan.Single(pl.Plan)); !errors.Is(err, runtime.ErrReplanNeeded) {
 		t.Fatalf("err = %v, want ErrReplanNeeded", err)
 	}
 	ex.Abort(pl.Plan)

@@ -169,15 +169,9 @@ func SplitNodeBudget(total int64, weights []int) []int64 {
 // the user that it cannot perform the reconfiguration safely" case (§8).
 var ErrUnschedulable = errors.New("scheduler: no safe schedule exists within the round limit")
 
-// Schedule searches for the minimum-round schedule satisfying sp.
-// The specification must hold in the initial and final states (checked
-// against rounds 0 and R of the induced trace). It is ScheduleCtx under
-// context.Background().
-func Schedule(a *analyzer.Analysis, sp *spec.Spec, opts Options) (*NodeSchedule, error) {
-	return ScheduleCtx(context.Background(), a, sp, opts)
-}
-
-// ScheduleCtx is Schedule with a context: cancellation propagates into the
+// ScheduleCtx searches for the minimum-round schedule satisfying sp. The
+// specification must hold in the initial and final states (checked against
+// rounds 0 and R of the induced trace). Cancellation propagates into the
 // MILP branch-and-bound (polled sparsely, so aborts are prompt but cheap),
 // and when ctx carries an *obs.Recorder the search records a "schedule"
 // span with one "solve" child per attempted round count, counting solver

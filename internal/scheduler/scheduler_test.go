@@ -1,6 +1,7 @@
 package scheduler_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -15,7 +16,7 @@ import (
 
 func analyze(t *testing.T, s *scenario.Scenario) *analyzer.Analysis {
 	t.Helper()
-	a, err := analyzer.Analyze(s.Net, s.FinalNetwork(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestScheduleRunningExampleReachability(t *testing.T) {
 	s := scenario.RunningExample()
 	a := analyze(t, s)
 	sp := reachSpec(s.Graph)
-	sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestScheduleIsMinimalRounds(t *testing.T) {
 	s := scenario.RunningExample()
 	a := analyze(t, s)
 	sp := reachSpec(s.Graph)
-	sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestScheduleIsMinimalRounds(t *testing.T) {
 	if sched.R > 1 {
 		opts := scheduler.DefaultOptions()
 		opts.MaxRounds = sched.R - 1
-		if _, err := scheduler.Schedule(a, sp, opts); !errors.Is(err, scheduler.ErrUnschedulable) {
+		if _, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts); !errors.Is(err, scheduler.ErrUnschedulable) {
 			t.Errorf("R-1 rounds unexpectedly schedulable (err=%v)", err)
 		}
 	}
@@ -96,7 +97,7 @@ func TestScheduleAbileneCaseStudyEq4(t *testing.T) {
 	}
 	a := analyze(t, s)
 	sp := caseStudySpec(a, s.E1)
-	sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestScheduleTuplesSatisfyEq1(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := analyze(t, s)
-	sched, err := scheduler.Schedule(a, reachSpec(s.Graph), scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, reachSpec(s.Graph), scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSchedulePerRoundIndependence(t *testing.T) {
 	}
 	a := analyze(t, s)
 	sp := reachSpec(s.Graph)
-	sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +166,11 @@ func TestImplicitVsExplicitLoopConstraints(t *testing.T) {
 	optsE := scheduler.DefaultOptions()
 	optsI := scheduler.DefaultOptions()
 	optsI.ExplicitLoopConstraints = false
-	se, err := scheduler.Schedule(a, sp, optsE)
+	se, err := scheduler.ScheduleCtx(context.Background(), a, sp, optsE)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, err := scheduler.Schedule(a, sp, optsI)
+	si, err := scheduler.ScheduleCtx(context.Background(), a, sp, optsI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestTemporalSpecSwitchOnce(t *testing.T) {
 		exprs = append(exprs, b.Until(b.Wp(n, e1), b.Globally(b.Wp(n, en))))
 	}
 	sp := spec.NewSpec(b, b.And(exprs...))
-	sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestUnschedulableSpecReported(t *testing.T) {
 	sp := spec.NewSpec(b, b.Globally(b.Wp(n4, s.Graph.MustNode("n1"))))
 	opts := scheduler.DefaultOptions()
 	opts.MaxRounds = 4
-	_, err := scheduler.Schedule(a, sp, opts)
+	_, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts)
 	if !errors.Is(err, scheduler.ErrUnschedulable) {
 		t.Fatalf("err = %v, want ErrUnschedulable", err)
 	}
@@ -253,7 +254,7 @@ func TestConstructiveVsILPRounds(t *testing.T) {
 	}
 	a := analyze(t, s)
 	sp := reachSpec(s.Graph)
-	ilp, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	ilp, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +278,11 @@ func TestMinimizeTempSessionsObjective(t *testing.T) {
 	withObj := scheduler.DefaultOptions()
 	noObj := scheduler.DefaultOptions()
 	noObj.MinimizeTempSessions = false
-	so, err := scheduler.Schedule(a, sp, withObj)
+	so, err := scheduler.ScheduleCtx(context.Background(), a, sp, withObj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := scheduler.Schedule(a, sp, noObj)
+	sf, err := scheduler.ScheduleCtx(context.Background(), a, sp, noObj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +295,11 @@ func TestMinimizeTempSessionsObjective(t *testing.T) {
 func TestEmptySwitchingSet(t *testing.T) {
 	// A no-op reconfiguration (final == initial) yields an empty schedule.
 	s := scenario.RunningExample()
-	a, err := analyzer.Analyze(s.Net, s.Net.Clone(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.Net.Clone(), s.Prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := scheduler.Schedule(a, reachSpec(s.Graph), scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, reachSpec(s.Graph), scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestScheduleNodeBudgetExhausted(t *testing.T) {
 	a := analyze(t, s)
 	opts := scheduler.DefaultOptions()
 	opts.SolverNodeBudget = 1
-	_, err = scheduler.Schedule(a, reachSpec(s.Graph), opts)
+	_, err = scheduler.ScheduleCtx(context.Background(), a, reachSpec(s.Graph), opts)
 	if !errors.Is(err, milp.ErrTimeout) {
 		t.Fatalf("err = %v, want milp.ErrTimeout", err)
 	}
@@ -345,7 +346,7 @@ func TestSearchTreePinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched, err := scheduler.Schedule(analyze(t, s), reachSpec(s.Graph), scheduler.DefaultOptions())
+		sched, err := scheduler.ScheduleCtx(context.Background(), analyze(t, s), reachSpec(s.Graph), scheduler.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", want.topo, err)
 		}
@@ -369,7 +370,7 @@ func TestHardCorpusDecides(t *testing.T) {
 		}
 		a, sp := analyze(t, s), reachSpec(s.Graph)
 		opts := scheduler.DefaultOptions()
-		sched, err := scheduler.Schedule(a, sp, opts)
+		sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", topo, err)
 		}
@@ -400,7 +401,7 @@ func TestSmallZooNoWorse(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, sp := analyze(t, s), reachSpec(s.Graph)
-		sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+		sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", was.topo, err)
 		}
@@ -417,7 +418,7 @@ func TestSmallZooNoWorse(t *testing.T) {
 func TestScheduleStats(t *testing.T) {
 	s := scenario.RunningExample()
 	a := analyze(t, s)
-	sched, err := scheduler.Schedule(a, reachSpec(s.Graph), scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, reachSpec(s.Graph), scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestScheduleStats(t *testing.T) {
 func TestScheduleStringFormatting(t *testing.T) {
 	s := scenario.RunningExample()
 	a := analyze(t, s)
-	sched, err := scheduler.Schedule(a, reachSpec(s.Graph), scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, reachSpec(s.Graph), scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,7 @@ func TestRoutingInvariantExits(t *testing.T) {
 		es = append(es, b.Until(b.Exits(n, s.E1), b.Globally(b.Exits(n, en))))
 	}
 	sp := spec.NewSpec(b, b.And(es...))
-	sched, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,13 +484,13 @@ func TestSerializeUpdatesAblation(t *testing.T) {
 	}
 	a := analyze(t, s)
 	sp := reachSpec(s.Graph)
-	conc, err := scheduler.Schedule(a, sp, scheduler.DefaultOptions())
+	conc, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := scheduler.DefaultOptions()
 	opts.SerializeUpdates = true
-	ser, err := scheduler.Schedule(a, sp, opts)
+	ser, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

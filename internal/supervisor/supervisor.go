@@ -161,14 +161,9 @@ type Supervisor struct {
 	commitReason string
 }
 
-// Run supervises the scenario's reconfiguration to termination. It is
-// RunCtx under context.Background().
-func Run(s *scenario.Scenario, opts Options) (*Result, error) {
-	return RunCtx(context.Background(), s, opts)
-}
-
-// RunCtx starts a fresh supervised reconfiguration, truncating any existing
-// journal at Options.JournalPath. The scenario's network must be converged.
+// RunCtx supervises the scenario's reconfiguration to termination, starting
+// fresh and truncating any existing journal at Options.JournalPath. The
+// scenario's network must be converged.
 func RunCtx(ctx context.Context, s *scenario.Scenario, opts Options) (*Result, error) {
 	sv := &Supervisor{s: s, opts: opts, applied: make([]bool, len(s.Commands)), result: &Result{}}
 	if !s.Net.Converged() {
@@ -412,7 +407,7 @@ func (sv *Supervisor) executeAttempt(ctx context.Context, p *plan.Plan) (bool, e
 	}
 	ex := runtime.NewExecutor(net, opts)
 	unbind := mon.Bind(net)
-	_, execErr := ex.ExecuteCtx(ctx, p)
+	_, execErr := ex.ExecuteCtx(ctx, plan.Single(p))
 	unbind()
 	if cerr := ctx.Err(); cerr != nil {
 		return false, cerr
@@ -542,7 +537,7 @@ func (sv *Supervisor) applyConfirmed(ctx context.Context, rung string, cmds []si
 	}
 	p := &plan.Plan{Prefix: sv.s.Prefix, Between: [][]sim.Command{cmds}}
 	ex := runtime.NewExecutor(net, runtime.Options{Seed: sv.execSeed()})
-	_, execErr := ex.ExecuteCtx(ctx, p)
+	_, execErr := ex.ExecuteCtx(ctx, plan.Single(p))
 	if jerr := sv.journal.Append(Entry{
 		Kind: KindExec, SimNS: int64(net.Now()), Rung: rung,
 		Attempt: sv.attempt, Err: errString(execErr),

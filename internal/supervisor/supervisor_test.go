@@ -54,7 +54,7 @@ func timelineBytes(t *testing.T, tls []*monitor.Timeline) []byte {
 func TestSuperviseHappyPath(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
 	s := scenario.RunningExample()
-	res, err := supervisor.Run(s, supervisor.Options{Seed: 11, JournalPath: jpath})
+	res, err := supervisor.RunCtx(context.Background(), s, supervisor.Options{Seed: 11, JournalPath: jpath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSuperviseHappyPath(t *testing.T) {
 // intermediate state, replans, and attempt 1 lands the reconfiguration.
 func TestSuperviseReplanRecovers(t *testing.T) {
 	s := scenario.RunningExample()
-	res, err := supervisor.Run(s, supervisor.Options{
+	res, err := supervisor.RunCtx(context.Background(), s, supervisor.Options{
 		Seed:            11,
 		InjectorFactory: dropUntil(1),
 	})
@@ -121,7 +121,7 @@ func TestSuperviseReplanRecovers(t *testing.T) {
 // fault clears.
 func TestSuperviseCommitRung(t *testing.T) {
 	s := scenario.RunningExample()
-	res, err := supervisor.Run(s, supervisor.Options{
+	res, err := supervisor.RunCtx(context.Background(), s, supervisor.Options{
 		Seed:            11,
 		MaxReplans:      -1,
 		InjectorFactory: dropUntil(1),
@@ -151,7 +151,7 @@ func TestSuperviseCommitRung(t *testing.T) {
 func TestSuperviseRollback(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
 	s := scenario.RunningExample()
-	res, err := supervisor.Run(s, supervisor.Options{
+	res, err := supervisor.RunCtx(context.Background(), s, supervisor.Options{
 		Seed:            11,
 		MaxReplans:      1,
 		JournalPath:     jpath,
@@ -226,7 +226,7 @@ func TestSuperviseForcedRollback(t *testing.T) {
 		Apply:       setLP(300),
 		Verify:      hasLP(300),
 	}}
-	res, err := supervisor.Run(s, supervisor.Options{
+	res, err := supervisor.RunCtx(context.Background(), s, supervisor.Options{
 		Seed:            11,
 		MaxReplans:      -1,
 		InjectorFactory: alwaysDrop,
@@ -253,7 +253,7 @@ func TestSuperviseForcedRollback(t *testing.T) {
 // straight to the commit rung rather than erroring out.
 func TestSuperviseInfeasibleReplanCommits(t *testing.T) {
 	s := scenario.RunningExample()
-	res, err := supervisor.Run(s, supervisor.Options{
+	res, err := supervisor.RunCtx(context.Background(), s, supervisor.Options{
 		Seed:             11,
 		SolverNodeBudget: 1,
 	})
@@ -287,7 +287,7 @@ func TestResumeReplaysJournal(t *testing.T) {
 
 	// Reference: the uninterrupted run (attempt 0 faulted, attempt 1 lands).
 	full := filepath.Join(dir, "full.jsonl")
-	ref, err := supervisor.Run(scenario.RunningExample(), opts(full))
+	ref, err := supervisor.RunCtx(context.Background(), scenario.RunningExample(), opts(full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestResumeReplaysJournal(t *testing.T) {
 func TestResumeFinishedJournal(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
 	s := scenario.RunningExample()
-	ref, err := supervisor.Run(s, supervisor.Options{Seed: 11, JournalPath: jpath})
+	ref, err := supervisor.RunCtx(context.Background(), s, supervisor.Options{Seed: 11, JournalPath: jpath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestResumeFinishedJournal(t *testing.T) {
 // or seed must not be replayed onto this network.
 func TestResumeRejectsForeignJournal(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	if _, err := supervisor.Run(scenario.RunningExample(),
+	if _, err := supervisor.RunCtx(context.Background(), scenario.RunningExample(),
 		supervisor.Options{Seed: 11, JournalPath: jpath}); err != nil {
 		t.Fatal(err)
 	}

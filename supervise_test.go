@@ -24,7 +24,7 @@ func (facadeDropAll) MessageFault(_, _ topology.NodeID) sim.MessageFault {
 func TestFacadeSupervise(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
 	s := chameleon.RunningExample()
-	res, err := chameleon.Supervise(s, chameleon.SuperviseOptions{
+	res, err := chameleon.SuperviseCtx(context.Background(), s, chameleon.SuperviseOptions{
 		Seed:        7,
 		JournalPath: jpath,
 		InjectorFactory: func(attempt int) sim.FaultInjector {

@@ -218,7 +218,7 @@ func (c *pollCancelCtx) Err() error {
 // (TestSearchTreePinned), so a context that cancels itself on its 16th poll
 // fires inside the search by construction — no goroutine races the solver.
 func TestPlanCtxCancelMidSolve(t *testing.T) {
-	s, err := chameleon.NewCaseStudy("Sprint", 7)
+	s, err := chameleon.NewCaseStudy("Sprint", chameleon.ScenarioConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestPlanCtxCancelMidSolve(t *testing.T) {
 // already-cancelled context without touching the network.
 func TestExecuteCtxFacadePreCancelled(t *testing.T) {
 	s := chameleon.RunningExample()
-	r, err := chameleon.Plan(s, chameleon.PlanOptions{})
+	r, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
