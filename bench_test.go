@@ -12,6 +12,7 @@ import (
 	"chameleon/internal/analyzer"
 	"chameleon/internal/eval"
 	"chameleon/internal/obs"
+	"chameleon/internal/plan"
 	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
 	"chameleon/internal/sitn"
@@ -41,7 +42,8 @@ func BenchmarkFig06PhaseTimeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecEq4, scheduler.DefaultOptions())
+		pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+			eval.Eq4For(s.E1), scheduler.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,24 +204,17 @@ func BenchmarkTable1CompilationRules(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecEq4, scheduler.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p2, err := rebuildPlan(pl)
+		pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+			eval.Eq4For(s.E1), scheduler.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if p2.Plan.NumSteps() == 0 {
+		if pl.Plan.NumSteps() == 0 {
 			b.Fatal("empty plan")
 		}
 	}
-}
-
-func rebuildPlan(pl *eval.Pipeline) (*eval.Pipeline, error) {
-	return eval.BuildPipelineCtx(context.Background(), pl.Scenario, eval.SpecEq4, scheduler.DefaultOptions())
 }
 
 // BenchmarkTable2NamedTopologies schedules the smallest Table 2 topology

@@ -365,9 +365,9 @@ func PlanCtx(ctx context.Context, s *Scenario, opts PlanOptions) (*Reconfigurati
 }
 
 // planClass runs the single-destination pipeline on one equivalence class:
-// analyze and schedule the representative once, then compile one plan per
-// member by retargeting the shared analysis — class members differ only in
-// the prefix value, so the dependency graph is reused, never re-derived.
+// plan.Build on the representative, then one plan per other member compiled
+// by retargeting the shared analysis — class members differ only in the
+// prefix value, so the dependency graph is reused, never re-derived.
 func planClass(ctx context.Context, s *Scenario, final *sim.Network, cls analyzer.Class,
 	sp *spec.Spec, so scheduler.Options) (PlannedClass, error) {
 	// Small classes can analyze and schedule in fewer solver nodes than the
@@ -381,22 +381,17 @@ func planClass(ctx context.Context, s *Scenario, final *sim.Network, cls analyze
 		obs.String("fingerprint", fmt.Sprintf("%016x", cls.Fingerprint)))
 	defer span.End()
 	out := PlannedClass{Class: cls, NodeBudget: so.SolverNodeBudget}
-	a, err := analyzer.AnalyzeCtx(ctx, s.Net, final, cls.Representative)
+	b, err := plan.Build(ctx, s.Net, final, cls.Representative, s.Commands,
+		func(*analyzer.Analysis) *spec.Spec { return sp }, so)
 	if err != nil {
-		return out, fmt.Errorf("chameleon: analyze: %w", err)
+		return out, fmt.Errorf("chameleon: %w", err)
 	}
-	sched, err := scheduler.ScheduleCtx(ctx, a, sp, so)
-	if err != nil {
-		return out, fmt.Errorf("chameleon: schedule: %w", err)
-	}
-	if err := scheduler.Validate(a, sp, sched); err != nil {
-		return out, fmt.Errorf("chameleon: schedule validation: %w", err)
-	}
-	span.Add(obs.CtrClassSolverNodes, sched.Stats.SolverNodes)
-	out.Analysis = a
-	out.Schedule = sched
-	for _, p := range cls.Members {
-		pl, err := plan.Compile(a.ForPrefix(p), sched, s.Commands)
+	span.Add(obs.CtrClassSolverNodes, b.Schedule.Stats.SolverNodes)
+	out.Analysis = b.Analysis
+	out.Schedule = b.Schedule
+	out.Plans = []*plan.Plan{b.Plan}
+	for _, p := range cls.Members[1:] {
+		pl, err := plan.Compile(b.Analysis.ForPrefix(p), b.Schedule, s.Commands)
 		if err != nil {
 			return out, fmt.Errorf("chameleon: compile: %w", err)
 		}
@@ -527,17 +522,10 @@ func (r *Reconfiguration) Verify(res *ExecResult) error {
 			return fmt.Errorf("chameleon: no forwarding trace recorded for prefix %d", prefix)
 		}
 		tr.Compact()
-		start := res.Start.Seconds()
-		var window []int
-		for i, ts := range tr.Times {
-			if ts >= start-1e-9 {
-				window = append(window, i)
-			}
-		}
-		if len(window) == 0 {
+		sub := tr.Since(res.Start.Seconds()).States
+		if len(sub) == 0 {
 			continue
 		}
-		sub := tr.States[window[0] : window[len(window)-1]+1]
 		if !r.Spec.Eval(sub) {
 			return fmt.Errorf("chameleon: specification %q violated during execution of prefix %d", r.Spec, prefix)
 		}

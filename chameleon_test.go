@@ -32,6 +32,28 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadePlansNoOpReconfiguration: a reconfiguration that changes no
+// forwarding schedules no round, and validation judges the specification
+// on the one state it leaves instead of refusing the plan.
+func TestFacadePlansNoOpReconfiguration(t *testing.T) {
+	s := chameleon.RunningExample()
+	s.Commands = nil
+	rec, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Schedule.R != 0 || rec.Plan.R != 0 {
+		t.Fatalf("no-op reconfiguration planned R = %d", rec.Schedule.R)
+	}
+	res, err := rec.ExecuteCtx(context.Background(), chameleon.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Verify(res); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFacadeCustomSpec(t *testing.T) {
 	s := chameleon.RunningExample()
 	sp, err := chameleon.ParseSpec("G (reach(n1) && reach(n4))", s.Graph)

@@ -20,6 +20,7 @@ import (
 	chameleon "chameleon"
 	"chameleon/internal/config"
 	"chameleon/internal/eval"
+	"chameleon/internal/plan"
 	"chameleon/internal/scheduler"
 )
 
@@ -85,13 +86,14 @@ func run() error {
 		opts.Spec = sp
 	} else if !*example && *configFlag == "" {
 		// Default to the paper's Eq. 4 for case studies.
-		pipe, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecEq4, schedOptsFrom(opts))
+		b, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+			eval.Eq4For(s.E1), schedOptsFrom(opts))
 		if err != nil {
 			return err
 		}
 		return report(&chameleon.Reconfiguration{
-			Scenario: s, Analysis: pipe.Analysis, Spec: pipe.Spec,
-			Schedule: pipe.Schedule, Plan: pipe.Plan,
+			Scenario: s, Analysis: b.Analysis, Spec: b.Spec,
+			Schedule: b.Schedule, Plan: b.Plan,
 		})
 	}
 	rec, err := chameleon.PlanCtx(context.Background(), s, opts)

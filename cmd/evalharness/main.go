@@ -84,6 +84,7 @@ import (
 	"chameleon/internal/monitor"
 	"chameleon/internal/obs"
 	"chameleon/internal/obs/bundle"
+	"chameleon/internal/plan"
 	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
 	"chameleon/internal/topology"
@@ -801,7 +802,8 @@ func (s *session) table1() error {
 	if err != nil {
 		return err
 	}
-	rec, err := eval.BuildPipelineCtx(s.ctx, sc, eval.SpecEq4, scheduler.DefaultOptions())
+	rec, err := plan.Build(s.ctx, sc.Net, sc.FinalNetwork(), sc.Prefix, sc.Commands,
+		eval.Eq4For(sc.E1), scheduler.DefaultOptions())
 	if err != nil {
 		return err
 	}

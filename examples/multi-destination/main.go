@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"log"
 
-	"chameleon/internal/analyzer"
 	"chameleon/internal/bgp"
-	"chameleon/internal/eval"
 	"chameleon/internal/plan"
 	"chameleon/internal/runtime"
 	"chameleon/internal/scenario"
@@ -36,22 +34,13 @@ func main() {
 	// multi-destination machinery).
 	var plans []*plan.Plan
 	for _, prefix := range []bgp.Prefix{0, 1} {
-		a, err := analyzer.AnalyzeCtx(ctx, s.Net, s.FinalNetwork(), prefix)
+		b, err := plan.Build(ctx, s.Net, s.FinalNetwork(), prefix, s.Commands, nil, scheduler.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
-		sched, err := scheduler.ScheduleCtx(ctx, a, eval.ReachabilitySpec(s.Graph), scheduler.DefaultOptions())
-		if err != nil {
-			log.Fatal(err)
-		}
-		p, err := plan.Compile(a, sched, s.Commands)
-		if err != nil {
-			log.Fatal(err)
-		}
-		p.Prefix = prefix
-		plans = append(plans, p)
+		plans = append(plans, b.Plan)
 		fmt.Printf("prefix %d: R=%d rounds, %d temp sessions\n",
-			prefix, sched.R, sched.TempOldSessions+sched.TempNewSessions)
+			prefix, b.Schedule.R, b.Schedule.TempOldSessions+b.Schedule.TempNewSessions)
 	}
 
 	// Align the shared original command and execute both in parallel.

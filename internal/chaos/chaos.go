@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"chameleon/internal/analyzer"
-	"chameleon/internal/fwd"
 	"chameleon/internal/monitor"
 	"chameleon/internal/obs"
 	"chameleon/internal/plan"
@@ -18,7 +17,6 @@ import (
 	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
 	"chameleon/internal/sim"
-	"chameleon/internal/spec"
 	"chameleon/internal/topology"
 )
 
@@ -205,14 +203,7 @@ func verifyEndState(a *analyzer.Analysis, s *scenario.Scenario, start time.Durat
 	// Restrict to the execution window: the trace also records the
 	// scenario's initial bring-up convergence, which precedes the plan and
 	// is outside Chameleon's responsibility.
-	lo := start.Seconds() - 1e-9
-	var tr fwd.Trace
-	for i, ts := range full.Times {
-		if ts >= lo {
-			tr.Times = append(tr.Times, ts)
-			tr.States = append(tr.States, full.States[i])
-		}
-	}
+	tr := full.Since(start.Seconds())
 	if len(tr.States) == 0 {
 		return []string{"no forwarding trace recorded during execution"}
 	}
@@ -267,18 +258,11 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := analyzer.AnalyzeCtx(ctx, s.Net, s.FinalNetwork(), s.Prefix)
+	b, err := plan.Build(ctx, s.Net, s.FinalNetwork(), s.Prefix, s.Commands, nil, scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
-	sched, err := scheduler.ScheduleCtx(ctx, a, spec.Reachability(s.Graph), scheduler.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Compile(a, sched, s.Commands)
-	if err != nil {
-		return nil, err
-	}
+	p := b.Plan
 
 	inj := injectorFor(c.Fault, c.Seed)
 	s.Net.SetFaultInjector(inj)
@@ -290,22 +274,17 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 	}
 
 	// The transient-state monitor observes every forwarding snapshot of
-	// the execution online (reach + loop-freedom, per-round attribution);
-	// the executor's alarm is its reachability invariant alone.
+	// the execution online (reach + loop-freedom, per-round attribution)
+	// and answers the executor's alarm; a loop drops traffic, so the alarm
+	// names reach whenever either invariant fails.
 	// No convergence gate here: chaos measures the executor under its
 	// default advancement policy, and gating would shift fault timing.
-	reach := monitor.ReachAll(s.Graph)
 	mon := monitor.New(monitor.Config{
 		Name:       "chaos",
-		Invariants: []monitor.Invariant{reach, monitor.LoopFree()},
+		Invariants: []monitor.Invariant{monitor.ReachAll(s.Graph), monitor.LoopFree()},
 	})
 	opts.PhaseObserver = mon.SetPhase
-	opts.Monitor = func(net *sim.Network) string {
-		if ok, _ := reach.Check(net.ForwardingState(s.Prefix)); !ok {
-			return reach.Name
-		}
-		return ""
-	}
+	opts.Monitor = mon.Alarm(s.Prefix)
 
 	ex := runtime.NewExecutor(s.Net, opts)
 	unbind := mon.Bind(s.Net)
@@ -324,7 +303,7 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 		Topology: c.Topology,
 		Fault:    c.Fault.String(),
 		Seed:     c.Seed,
-		Rounds:   sched.R,
+		Rounds:   p.R,
 		Recovery: rec,
 	}
 	if execErr != nil {
@@ -352,7 +331,7 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 			tl := mon.Finish(s.Net.Now())
 			out.TransientViolationTime = tl.TotalViolation()
 			out.Violations = append(timelineViolations(tl),
-				verifyEndState(a, s, res.Start, c.Fault != sim.FaultFlap)...)
+				verifyEndState(b.Analysis, s, res.Start, c.Fault != sim.FaultFlap)...)
 			switch {
 			case len(out.Violations) > 0:
 				out.Outcome = OutcomeViolation

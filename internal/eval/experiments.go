@@ -21,51 +21,6 @@ import (
 	"chameleon/internal/traffic"
 )
 
-// Pipeline bundles the analyze→schedule→compile chain for one scenario.
-type Pipeline struct {
-	Scenario *scenario.Scenario
-	Analysis *analyzer.Analysis
-	Spec     *spec.Spec
-	Schedule *scheduler.NodeSchedule
-	Plan     *plan.Plan
-}
-
-// SpecKind selects which specification a sweep uses.
-type SpecKind int
-
-// Specification kinds.
-const (
-	SpecReachability SpecKind = iota
-	SpecEq4
-)
-
-// BuildPipelineCtx analyzes, schedules and compiles the scenario under the
-// chosen specification. Cancellation reaches into the scheduler's
-// branch-and-bound, and a recorder carried by ctx observes the analyze and
-// schedule stages.
-func BuildPipelineCtx(ctx context.Context, s *scenario.Scenario, kind SpecKind, opts scheduler.Options) (*Pipeline, error) {
-	a, err := analyzer.AnalyzeCtx(ctx, s.Net, s.FinalNetwork(), s.Prefix)
-	if err != nil {
-		return nil, err
-	}
-	var sp *spec.Spec
-	switch kind {
-	case SpecEq4:
-		sp = Eq4Spec(a, s.E1)
-	default:
-		sp = ReachabilitySpec(s.Graph)
-	}
-	sched, err := scheduler.ScheduleCtx(ctx, a, sp, opts)
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Compile(a, sched, s.Commands)
-	if err != nil {
-		return nil, err
-	}
-	return &Pipeline{Scenario: s, Analysis: a, Spec: sp, Schedule: sched, Plan: p}, nil
-}
-
 // --- Figs. 1, 6, 12: case studies ------------------------------------------
 
 // CaseStudyResult compares Snowcap and Chameleon on one topology.
@@ -175,7 +130,8 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 	if err != nil {
 		return nil, err
 	}
-	pl, err := BuildPipelineCtx(context.Background(), sCham, SpecEq4, scheduler.DefaultOptions())
+	pl, err := plan.Build(context.Background(), sCham.Net, sCham.FinalNetwork(), sCham.Prefix,
+		sCham.Commands, Eq4For(sCham.E1), scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +356,8 @@ func overheadOutcome(ctx context.Context, name string, seed uint64, opts schedul
 		o.Err = err
 		return o
 	}
-	pl, err := BuildPipelineCtx(ctx, sCham, SpecEq4, opts)
+	pl, err := plan.Build(ctx, sCham.Net, sCham.FinalNetwork(), sCham.Prefix,
+		sCham.Commands, Eq4For(sCham.E1), opts)
 	if err != nil {
 		o.Err = err
 		return o
@@ -450,7 +407,8 @@ func RunLinkFailureExperiment(name string, seed uint64, failAfter time.Duration)
 	if err != nil {
 		return nil, err
 	}
-	pl, err := BuildPipelineCtx(context.Background(), s, SpecReachability, scheduler.DefaultOptions())
+	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix,
+		s.Commands, nil, scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +456,8 @@ func RunNewRouteExperiment(name string, seed uint64, announceAfter time.Duration
 	if err != nil {
 		return nil, err
 	}
-	pl, err := BuildPipelineCtx(context.Background(), s, SpecReachability, scheduler.DefaultOptions())
+	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix,
+		s.Commands, nil, scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

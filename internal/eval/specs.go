@@ -34,6 +34,12 @@ func Eq4Spec(a *analyzer.Analysis, e1 topology.NodeID) *spec.Spec {
 	return spec.NewSpec(b, b.And(es...))
 }
 
+// Eq4For derives Eq. 4 with e1 as the old egress from an analysis: the
+// specification plan.Build schedules a case study under.
+func Eq4For(e1 topology.NodeID) func(*analyzer.Analysis) *spec.Spec {
+	return func(a *analyzer.Analysis) *spec.Spec { return Eq4Spec(a, e1) }
+}
+
 // PhiN builds the non-temporal specification of §7.1:
 //
 //	φn = ∧_n G reach(n) ∧ ∧_{n∈Nφ} G (wp(n, e1) ∨ wp(n, e_n))

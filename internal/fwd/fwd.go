@@ -224,6 +224,17 @@ func (tr *Trace) At(t float64) State {
 	return tr.States[idx]
 }
 
+// Since returns the part of the trace recorded at or after t seconds (a
+// state recorded within a nanosecond before t counts as at t), sharing the
+// trace's storage: the window of an execution that started at t.
+func (tr *Trace) Since(t float64) Trace {
+	i := 0
+	for i < len(tr.Times) && tr.Times[i] < t-1e-9 {
+		i++
+	}
+	return Trace{Times: tr.Times[i:], States: tr.States[i:]}
+}
+
 // Append adds a state snapshot taken at time t. The trace stores a copy of
 // s, or, when s equals the last stored state, that state itself: a repeat
 // costs no allocation and shares the previous entry's backing.

@@ -332,6 +332,22 @@ func mergeNodes(a, b []topology.NodeID) []topology.NodeID {
 	return a
 }
 
+// Alarm returns an alarm for runtime.Options.Monitor: it names the first
+// tracked invariant with a violation open on prefix, "" while none is.
+// Bound to the network, the monitor has judged the prefix's state at
+// RecordInitialState and after every event that changed its routing, so
+// the alarm answers for the current state without checking it again.
+func (m *Monitor) Alarm(prefix bgp.Prefix) func(*sim.Network) string {
+	return func(*sim.Network) string {
+		for idx, inv := range m.cfg.Invariants {
+			if m.findOpen(idx, prefix) != nil {
+				return inv.Name
+			}
+		}
+		return ""
+	}
+}
+
 // Bind installs the monitor's ObserveProvenance as net's snapshot hook and
 // anchors the quiescence clock at the network's current time. It returns a
 // detach function restoring the previous (nil) hook; detach before

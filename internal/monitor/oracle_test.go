@@ -43,10 +43,12 @@ func execReplayTopologies(t *testing.T) []string {
 // the same checks re-wrapped as Invariant literals, which it runs on every
 // snapshot, repeated states included. Both observe one snapshot stream.
 type twins struct {
-	t         *testing.T
-	label     string
-	once, all *monitor.Monitor
-	diverged  bool
+	t                      *testing.T
+	label                  string
+	invs                   []monitor.Invariant
+	once, all              *monitor.Monitor
+	diverged, alarmDiffers bool
+	alarms                 int
 }
 
 func newTwins(t *testing.T, label string, invs []monitor.Invariant) *twins {
@@ -57,8 +59,34 @@ func newTwins(t *testing.T, label string, invs []monitor.Invariant) *twins {
 	return &twins{
 		t:     t,
 		label: label,
+		invs:  invs,
 		once:  monitor.New(monitor.Config{Name: "oracle", Invariants: invs}),
 		all:   monitor.New(monitor.Config{Name: "oracle", Invariants: literals}),
+	}
+}
+
+// poll checks the judged-once monitor's Alarm on every prefix against the
+// first invariant that fails on the prefix's live forwarding state. As an
+// executor alarm it never raises one itself, so the run is unchanged.
+func (tw *twins) poll(prefixes []bgp.Prefix) func(*sim.Network) string {
+	return func(net *sim.Network) string {
+		for _, p := range prefixes {
+			want := ""
+			for _, inv := range tw.invs {
+				if ok, _ := inv.Check(net.ForwardingState(p)); !ok {
+					want = inv.Name
+					break
+				}
+			}
+			if want != "" {
+				tw.alarms++
+			}
+			if got := tw.once.Alarm(p)(net); got != want && !tw.alarmDiffers {
+				tw.alarmDiffers = true
+				tw.t.Errorf("%s: alarm on prefix %d at %v is %q, the live state fails %q", tw.label, p, net.Now(), got, want)
+			}
+		}
+		return ""
 	}
 }
 
@@ -103,20 +131,23 @@ func (tw *twins) finish(at time.Duration) int {
 }
 
 // TestRepeatedStatesJudgedOnce is the oracle for skipping invariant checks
-// on a state equal to its prefix's previous one. Every exec-replay plan of
-// the repo benchmark runs clean and under injected command drops, as the
+// on a state equal to its prefix's previous one, and for the alarm the
+// monitor answers from its open violations. Every exec-replay plan of the
+// repo benchmark runs clean and under injected command drops, as the
 // benchmark runs it, and every scenario's original commands run unplanned,
 // all at once, which violates reachability while states repeat. One
 // snapshot stream feeds twin monitors: the package's invariants, and the
 // same checks as literals. Open violations must agree after every
-// snapshot, and the timelines must be byte-identical.
+// snapshot, and the timelines must be byte-identical. After every event —
+// at every executor poll, and at every step of the unplanned runs — the
+// alarm must name the first invariant the live state fails.
 func TestRepeatedStatesJudgedOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans 29 topologies")
 	}
 	const seed = 7
 	ctx := context.Background()
-	violations := 0
+	violations, alarms := 0, 0
 	for k, topo := range execReplayTopologies(t) {
 		s, err := scenario.CaseStudy(topo, scenario.Config{Seed: seed})
 		if err != nil {
@@ -130,6 +161,10 @@ func TestRepeatedStatesJudgedOnce(t *testing.T) {
 		mp := r.Multi
 		if mp == nil {
 			mp = plan.Single(r.Plan)
+		}
+		var planned []bgp.Prefix
+		for _, p := range mp.Plans {
+			planned = append(planned, p.Prefix)
 		}
 
 		for _, faulted := range []bool{false, true} {
@@ -148,13 +183,15 @@ func TestRepeatedStatesJudgedOnce(t *testing.T) {
 				}))
 			}
 			// The facade's ExecuteCtx with a monitor, for two monitors.
-			ex := runtime.NewExecutor(net, runtime.Options{Seed: seed, PhaseObserver: tw.setPhase, Convergence: tw.once.Gate()})
+			ex := runtime.NewExecutor(net, runtime.Options{Seed: seed, PhaseObserver: tw.setPhase,
+				Convergence: tw.once.Gate(), Monitor: tw.poll(planned)})
 			unbind := tw.bind(net)
 			if _, err := ex.ExecuteCtx(ctx, mp); err != nil {
 				t.Fatalf("%s: %v", tw.label, err)
 			}
 			unbind()
 			violations += tw.finish(net.Now())
+			alarms += tw.alarms
 		}
 
 		tw := newTwins(t, topo+" (unplanned)", invs)
@@ -163,11 +200,16 @@ func TestRepeatedStatesJudgedOnce(t *testing.T) {
 		for _, cmd := range s.Commands {
 			cmd.Apply(net)
 		}
-		net.Run()
+		poll := tw.poll(s.AllPrefixes())
+		for net.Step() {
+			poll(net)
+		}
 		unbind()
 		violations += tw.finish(net.Now())
+		alarms += tw.alarms
 	}
-	if violations == 0 {
-		t.Error("no run violated an invariant: the oracle never compares an open violation")
+	t.Logf("%d violations, %d polls with an alarm raised", violations, alarms)
+	if violations == 0 || alarms == 0 {
+		t.Errorf("%d violations, %d alarms: the oracle never compares an open violation or a raised alarm", violations, alarms)
 	}
 }

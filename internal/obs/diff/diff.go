@@ -257,52 +257,56 @@ func diffPart(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) {
 // first disagreement, reports the event and its causal provenance — the
 // root cause the monitor attributed to the violation that opened it.
 func diffTimeline(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) {
-	ra, err := readTimeline(a, pa)
+	return align(a, b, pa, pb, readTimeline, describeTimelineRecord,
+		"event", "record", "records are identical (non-canonical artifact)"), nil
+}
+
+// align parses both parts with read and compares the records index by
+// index, reporting one divergence of the given kind per record that
+// differs, described on each side by describe (a description and a root
+// cause, if it has one). noun names a record in the details. When every
+// record matches although the bytes differed, the artifact was not
+// canonical (unreachable given the round-trip contracts), and that is
+// reported as "bytes differ but parsed <identical>" rather than equality.
+func align[T any](a, b *bundle.Bundle, pa, pb bundle.Part,
+	read func(*bundle.Bundle, bundle.Part) ([]T, error), describe func(*T) (desc, cause string),
+	kind, noun, identical string) []Divergence {
+	ra, err := read(a, pa)
 	if err != nil {
-		return []Divergence{{Part: pa.Name, Kind: "parse", Detail: "A: " + err.Error()}}, nil
+		return []Divergence{{Part: pa.Name, Kind: "parse", Detail: "A: " + err.Error()}}
 	}
-	rb, err := readTimeline(b, pb)
+	rb, err := read(b, pb)
 	if err != nil {
-		return []Divergence{{Part: pb.Name, Kind: "parse", Detail: "B: " + err.Error()}}, nil
+		return []Divergence{{Part: pb.Name, Kind: "parse", Detail: "B: " + err.Error()}}
 	}
 	var divs []Divergence
-	n := len(ra)
-	if len(rb) > n {
-		n = len(rb)
-	}
-	for i := 0; i < n; i++ {
-		var da, db string
-		var ca, cb string
-		same := false
+	for i := 0; i < max(len(ra), len(rb)); i++ {
 		if i < len(ra) && i < len(rb) {
 			ja, _ := json.Marshal(&ra[i])
 			jb, _ := json.Marshal(&rb[i])
-			same = bytes.Equal(ja, jb)
+			if bytes.Equal(ja, jb) {
+				continue
+			}
 		}
-		if same {
-			continue
-		}
+		var da, db, ca, cb string
 		if i < len(ra) {
-			da, ca = describeTimelineRecord(&ra[i])
+			da, ca = describe(&ra[i])
 		}
 		if i < len(rb) {
-			db, cb = describeTimelineRecord(&rb[i])
+			db, cb = describe(&rb[i])
 		}
 		divs = append(divs, Divergence{
-			Part: pa.Name, Kind: "event",
-			Detail: fmt.Sprintf("record %d: %s ⇄ %s", i+1, orAbsent(da), orAbsent(db)),
+			Part: pa.Name, Kind: kind,
+			Detail: fmt.Sprintf("%s %d: %s ⇄ %s", noun, i+1, orAbsent(da), orAbsent(db)),
 			A:      da, B: db,
 			RootCauseA: ca, RootCauseB: cb,
 		})
 	}
 	if len(divs) == 0 {
-		// Hashes differed but every record re-marshals identically — the
-		// artifact was not canonical (should be unreachable given the
-		// round-trip contract); surface it rather than claiming equality.
 		divs = append(divs, Divergence{Part: pa.Name, Kind: "content",
-			Detail: "bytes differ but parsed records are identical (non-canonical artifact)"})
+			Detail: "bytes differ but parsed " + identical})
 	}
-	return divs, nil
+	return divs
 }
 
 func readTimeline(b *bundle.Bundle, p bundle.Part) ([]monitor.Record, error) {
@@ -564,45 +568,10 @@ func truncate(line string) string {
 // bundle against the original therefore shows exactly what the resume
 // added, never a rewrite of history.
 func diffJournal(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) {
-	ea, err := supervisor.ReadJournal(a.PartPath(pa))
-	if err != nil {
-		return []Divergence{{Part: pa.Name, Kind: "parse", Detail: "A: " + err.Error()}}, nil
+	read := func(b *bundle.Bundle, p bundle.Part) ([]supervisor.Entry, error) {
+		return supervisor.ReadJournal(b.PartPath(p))
 	}
-	eb, err := supervisor.ReadJournal(b.PartPath(pb))
-	if err != nil {
-		return []Divergence{{Part: pb.Name, Kind: "parse", Detail: "B: " + err.Error()}}, nil
-	}
-	var divs []Divergence
-	n := len(ea)
-	if len(eb) > n {
-		n = len(eb)
-	}
-	for i := 0; i < n; i++ {
-		var da, db string
-		same := false
-		if i < len(ea) && i < len(eb) {
-			ja, _ := json.Marshal(&ea[i])
-			jb, _ := json.Marshal(&eb[i])
-			same = bytes.Equal(ja, jb)
-		}
-		if same {
-			continue
-		}
-		if i < len(ea) {
-			da = supervisor.DescribeEntry(ea[i])
-		}
-		if i < len(eb) {
-			db = supervisor.DescribeEntry(eb[i])
-		}
-		divs = append(divs, Divergence{
-			Part: pa.Name, Kind: "journal",
-			Detail: fmt.Sprintf("entry %d: %s ⇄ %s", i+1, orAbsent(da), orAbsent(db)),
-			A:      da, B: db,
-		})
-	}
-	if len(divs) == 0 {
-		divs = append(divs, Divergence{Part: pa.Name, Kind: "content",
-			Detail: "bytes differ but parsed entries are identical (non-canonical journal)"})
-	}
-	return divs, nil
+	describe := func(e *supervisor.Entry) (string, string) { return supervisor.DescribeEntry(*e), "" }
+	return align(a, b, pa, pb, read, describe,
+		"journal", "entry", "entries are identical (non-canonical journal)"), nil
 }

@@ -106,24 +106,15 @@ func classesMonoBench(topo string) func() (Fn, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp := eval.ReachabilitySpec(s.Graph)
 		return func(ctx context.Context) error {
 			final := s.FinalNetwork()
 			var all []*plan.Plan
 			for _, p := range s.AllPrefixes() {
-				a, err := analyzer.AnalyzeCtx(ctx, s.Net, final, p)
+				b, err := plan.Build(ctx, s.Net, final, p, s.Commands, nil, scheduler.DefaultOptions())
 				if err != nil {
 					return err
 				}
-				sched, err := scheduler.ScheduleCtx(ctx, a, sp, scheduler.DefaultOptions())
-				if err != nil {
-					return err
-				}
-				pl, err := plan.Compile(a, sched, s.Commands)
-				if err != nil {
-					return err
-				}
-				all = append(all, pl)
+				all = append(all, b.Plan)
 			}
 			_, err := plan.Align(all, s.Commands)
 			return err

@@ -37,9 +37,13 @@ func TestPipelinePropertyRandomScenarios(t *testing.T) {
 					t.Fatalf("analyze: %v", err)
 				}
 				sp := eval.Eq4Spec(a, s.E1)
-				pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecEq4, scheduler.DefaultOptions())
+				pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+					eval.Eq4For(s.E1), scheduler.DefaultOptions())
 				if err != nil {
 					t.Fatalf("pipeline: %v", err)
+				}
+				if pl.Spec.String() != sp.String() {
+					t.Fatalf("pipeline scheduled under %s, want Eq. 4 %s", pl.Spec, sp)
 				}
 				ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: seed})
 				res, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"chameleon/internal/eval"
 	"chameleon/internal/plan"
 	"chameleon/internal/runtime"
 	"chameleon/internal/scenario"
@@ -23,7 +22,8 @@ func TestReplanErrorAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+		nil, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,8 @@ func TestReplanErrorCarriesEscalationCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+		nil, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

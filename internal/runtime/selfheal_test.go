@@ -141,7 +141,8 @@ func TestAbortCancelsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+		nil, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,8 @@ func TestReplanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+		nil, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,8 @@ func e2e3Withdrawal(t *testing.T, reaction runtime.ReactionPolicy) (*scenario.Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+		nil, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,8 @@ func TestSupervisionReplanPolicy(t *testing.T) {
 	// The aborted plan's pins are removed by compiling a throwaway abort:
 	// here we simply remove route-map overrides via a fresh executor
 	// Abort using the original plan.
-	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+		nil, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,8 @@ func TestAbortReleasesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := eval.BuildPipelineCtx(context.Background(), s, eval.SpecReachability, scheduler.DefaultOptions())
+	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
+		nil, scheduler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -347,8 +347,9 @@ func ValidateForwarding(a *analyzer.Analysis, sp *spec.Spec, s *NodeSchedule) er
 	}
 	if sp != nil {
 		// The encoder asserts the specification root at round 1 (§4.3);
-		// validate against the same semantics.
-		if !sp.Eval(trace[1:]) {
+		// validate against the same semantics. With R = 0 the trace is the
+		// one state, and the specification holds or fails on it.
+		if !sp.Eval(trace[min(1, s.R):]) {
 			return fmt.Errorf("specification violated by the induced trace")
 		}
 	}

@@ -308,6 +308,29 @@ func TestEmptySwitchingSet(t *testing.T) {
 	}
 }
 
+// TestValidateEmptySchedule: with R = 0 the induced trace is one state, and
+// validation judges the specification on it instead of on the empty tail
+// the rounds would leave.
+func TestValidateEmptySchedule(t *testing.T) {
+	s := scenario.RunningExample()
+	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.Net.Clone(), s.Prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := scheduler.ScheduleCtx(context.Background(), a, reachSpec(s.Graph), scheduler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scheduler.Validate(a, reachSpec(s.Graph), sched); err != nil {
+		t.Errorf("no-op schedule rejected: %v", err)
+	}
+	b := spec.NewBuilder()
+	never := spec.NewSpec(b, b.Globally(b.False()))
+	if err := scheduler.Validate(a, never, sched); err == nil {
+		t.Error("no-op schedule accepted under a specification its one state violates")
+	}
+}
+
 // TestScheduleNodeBudgetExhausted: with a budget no pass can decide any
 // round count in, Schedule reports the solver running out of nodes rather
 // than claiming the reconfiguration unschedulable.

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"os"
 
-	"chameleon/internal/analyzer"
 	"chameleon/internal/monitor"
 	"chameleon/internal/obs"
 	"chameleon/internal/plan"
@@ -44,7 +43,6 @@ import (
 	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
 	"chameleon/internal/sim"
-	"chameleon/internal/spec"
 )
 
 // Ladder rungs, journaled in snapshot entries.
@@ -103,9 +101,6 @@ type Options struct {
 	// (default scheduler.DeterministicNodeBudget): replans must terminate
 	// deterministically, never hang on an infeasible intermediate state.
 	SolverNodeBudget int64
-	// Spec, when non-nil, replaces the default all-internal-nodes
-	// reachability specification used for (re)planning.
-	Spec func(s *scenario.Scenario) *spec.Spec
 }
 
 func (o Options) maxAttempts() int {
@@ -353,26 +348,13 @@ func (sv *Supervisor) plan(ctx context.Context) (*plan.Plan, error) {
 		// and converge.
 		return &plan.Plan{Prefix: rem.Prefix}, nil
 	}
-	a, err := analyzer.AnalyzeCtx(ctx, rem.Net, rem.FinalNetwork(), rem.Prefix)
-	if err != nil {
-		return nil, err
-	}
 	schedOpts := scheduler.DefaultOptions()
 	schedOpts.SolverNodeBudget = sv.opts.SolverNodeBudget
-	var sp *spec.Spec
-	if sv.opts.Spec != nil {
-		sp = sv.opts.Spec(rem)
-	} else {
-		sp = spec.Reachability(rem.Graph)
-	}
-	sched, err := scheduler.ScheduleCtx(ctx, a, sp, schedOpts)
+	b, err := plan.Build(ctx, rem.Net, rem.FinalNetwork(), rem.Prefix, rem.Commands, nil, schedOpts)
 	if err != nil {
 		return nil, err
 	}
-	p, err := plan.Compile(a, sched, rem.Commands)
-	if err != nil {
-		return nil, err
-	}
+	p := b.Plan
 	if err := sv.journal.Append(Entry{
 		Kind: KindPlan, SimNS: int64(sv.s.Net.Now()),
 		Attempt: sv.attempt, Rounds: p.R, Steps: p.NumSteps(),
@@ -392,14 +374,17 @@ func (sv *Supervisor) executeAttempt(ctx context.Context, p *plan.Plan) (bool, e
 		net.SetFaultInjector(fi)
 		defer net.SetFaultInjector(nil)
 	}
+	// The monitor writes the timeline and raises the executor's alarm
+	// from the same verdicts: any violation it records also triggers a
+	// replan, so a supervised run has no silent violations by construction.
 	mon := monitor.New(monitor.Config{
 		Name:       fmt.Sprintf("attempt-%d", sv.attempt),
-		Invariants: sv.invariants(),
+		Invariants: []monitor.Invariant{monitor.ReachAll(sv.s.Graph), monitor.LoopFree()},
 	})
 	opts := runtime.Options{
 		Seed:          sv.execSeed(),
 		Reaction:      runtime.ReactReplan,
-		Monitor:       sv.alarm(),
+		Monitor:       mon.Alarm(sv.s.Prefix),
 		PhaseObserver: mon.SetPhase,
 	}
 	if sv.attempt == 0 {
@@ -669,30 +654,6 @@ func (sv *Supervisor) injector() sim.FaultInjector {
 		return nil
 	}
 	return sv.opts.InjectorFactory(sv.attempt)
-}
-
-func (sv *Supervisor) invariants() []monitor.Invariant {
-	return []monitor.Invariant{monitor.ReachAll(sv.s.Graph), monitor.LoopFree()}
-}
-
-// alarm is the executor's harmful-event monitor: every monitored invariant
-// (reachability and loop-freedom) must hold, and the first that does not is
-// named for ReplanError attribution. Checking the same invariants the
-// timeline records means any violation the monitor would write down also
-// raises the alarm — a supervised run has no silent violations by
-// construction.
-func (sv *Supervisor) alarm() func(*sim.Network) string {
-	invs := sv.invariants()
-	prefix := sv.s.Prefix
-	return func(net *sim.Network) string {
-		st := net.ForwardingState(prefix)
-		for _, inv := range invs {
-			if ok, _ := inv.Check(st); !ok {
-				return inv.Name
-			}
-		}
-		return ""
-	}
 }
 
 func commandNames(cmds []sim.Command) []string {

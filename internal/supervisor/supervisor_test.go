@@ -250,12 +250,15 @@ func TestSuperviseForcedRollback(t *testing.T) {
 
 // TestSuperviseInfeasibleReplanCommits: a solver budget too small to prove
 // any schedule makes planning itself fail, and the supervisor degrades
-// straight to the commit rung rather than erroring out.
+// straight to the commit rung rather than erroring out. The journaled
+// reason carries plan.Build's stage name.
 func TestSuperviseInfeasibleReplanCommits(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
 	s := scenario.RunningExample()
 	res, err := supervisor.RunCtx(context.Background(), s, supervisor.Options{
 		Seed:             11,
 		SolverNodeBudget: 1,
+		JournalPath:      jpath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,6 +271,21 @@ func TestSuperviseInfeasibleReplanCommits(t *testing.T) {
 	}
 	if res.Attempts != 0 {
 		t.Errorf("Attempts = %d, want 0 (no plan ever compiled)", res.Attempts)
+	}
+	// The journal names the planning stage that failed.
+	entries, err := supervisor.ReadJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reasons []string
+	for _, e := range entries {
+		if e.Kind == supervisor.KindDecision {
+			reasons = append(reasons, e.Decision+": "+e.Reason)
+		}
+	}
+	want := "commit: replan infeasible: schedule: scheduler: solving with R=16: milp: node limit exceeded"
+	if got := strings.Join(reasons, "; "); got != want {
+		t.Errorf("decisions = %q, want %q", got, want)
 	}
 }
 
