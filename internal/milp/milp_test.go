@@ -23,8 +23,8 @@ func solve(t *testing.T, m *Model, opts Options) *Solution {
 
 func TestFeasibilitySimple(t *testing.T) {
 	m := NewModel()
-	x := m.NewInt("x", 0, 10)
-	y := m.NewInt("y", 0, 10)
+	x := m.NewInt(0, 10)
+	y := m.NewInt(0, 10)
 	m.AddLe(Sum(x, y), 7)
 	m.AddGe(VarExpr(x), 3)
 	m.AddGe(VarExpr(y), 2)
@@ -36,7 +36,7 @@ func TestFeasibilitySimple(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	m := NewModel()
-	x := m.NewInt("x", 0, 5)
+	x := m.NewInt(0, 5)
 	m.AddGe(VarExpr(x), 3)
 	m.AddLe(VarExpr(x), 2)
 	if _, err := m.Solve(Options{}); !errors.Is(err, ErrInfeasible) {
@@ -44,14 +44,18 @@ func TestInfeasible(t *testing.T) {
 	}
 }
 
-func TestOptimizationKnapsack(t *testing.T) {
-	// max 10a+6b+4c s.t. a+b+c<=2 (0/1) -> 16.
-	m := NewModel()
-	a, b, c := m.NewBool("a"), m.NewBool("b"), m.NewBool("c")
+// knapsack builds max 10a+6b+4c s.t. a+b+c ≤ 2 over booleans into m.
+func knapsack(m *Model) Options {
+	a, b, c := m.NewBool(), m.NewBool(), m.NewBool()
 	m.AddLe(Sum(a, b, c), 2)
 	m.Maximize(Lin().Add(a, 10).Add(b, 6).Add(c, 4))
-	s := solve(t, m, Options{})
-	if got := 10*s.Values[a] + 6*s.Values[b] + 4*s.Values[c]; got != 16 {
+	return Options{}
+}
+
+func TestOptimizationKnapsack(t *testing.T) {
+	m := NewModel()
+	s := solve(t, m, knapsack(m))
+	if got := 10*s.Values[0] + 6*s.Values[1] + 4*s.Values[2]; got != 16 {
 		t.Errorf("objective value = %d, want 16", got)
 	}
 	if !s.Stats.Optimal {
@@ -61,8 +65,8 @@ func TestOptimizationKnapsack(t *testing.T) {
 
 func TestMinimize(t *testing.T) {
 	m := NewModel()
-	x := m.NewInt("x", 0, 100)
-	y := m.NewInt("y", 0, 100)
+	x := m.NewInt(0, 100)
+	y := m.NewInt(0, 100)
 	m.AddGe(Lin().Add(x, 2).Add(y, 3), 12)
 	m.Minimize(Sum(x, y))
 	s := solve(t, m, Options{})
@@ -73,8 +77,8 @@ func TestMinimize(t *testing.T) {
 
 func TestImplications(t *testing.T) {
 	m := NewModel()
-	b := m.NewBool("b")
-	x := m.NewInt("x", 0, 10)
+	b := m.NewBool()
+	x := m.NewInt(0, 10)
 	m.AddImpliesLe(b, VarExpr(x), 3)
 	m.AddImpliesGe(b, VarExpr(x), 2)
 	m.AddEq(VarExpr(b), 1)
@@ -87,8 +91,8 @@ func TestImplications(t *testing.T) {
 
 func TestImplicationInactiveWhenFalse(t *testing.T) {
 	m := NewModel()
-	b := m.NewBool("b")
-	x := m.NewInt("x", 0, 10)
+	b := m.NewBool()
+	x := m.NewInt(0, 10)
 	m.AddImpliesLe(b, VarExpr(x), 3)
 	m.AddEq(VarExpr(b), 0)
 	m.AddGe(VarExpr(x), 8) // only possible because b=0 disables the cap
@@ -101,8 +105,8 @@ func TestImplicationInactiveWhenFalse(t *testing.T) {
 func TestReifyLe(t *testing.T) {
 	for _, fix := range []int64{0, 1} {
 		m := NewModel()
-		x := m.NewInt("x", 0, 10)
-		b := m.ReifyLe("b", VarExpr(x), 5)
+		x := m.NewInt(0, 10)
+		b := m.ReifyLe(VarExpr(x), 5)
 		m.AddEq(VarExpr(b), fix)
 		s := solve(t, m, Options{})
 		if fix == 1 && s.Values[x] > 5 {
@@ -117,8 +121,8 @@ func TestReifyLe(t *testing.T) {
 func TestReifyEq(t *testing.T) {
 	for _, fix := range []int64{0, 1} {
 		m := NewModel()
-		x := m.NewInt("x", 0, 6)
-		b := m.ReifyEq("b", VarExpr(x), 4)
+		x := m.NewInt(0, 6)
+		b := m.ReifyEq(VarExpr(x), 4)
 		m.AddEq(VarExpr(b), fix)
 		s := solve(t, m, Options{})
 		if fix == 1 && s.Values[x] != 4 {
@@ -132,10 +136,10 @@ func TestReifyEq(t *testing.T) {
 
 func TestBoolLogic(t *testing.T) {
 	m := NewModel()
-	a, b := m.NewBool("a"), m.NewBool("b")
-	or := m.NewBool("or")
-	and := m.NewBool("and")
-	not := m.NewBool("not")
+	a, b := m.NewBool(), m.NewBool()
+	or := m.NewBool()
+	and := m.NewBool()
+	not := m.NewBool()
 	m.AddBoolOr(or, a, b)
 	m.AddBoolAnd(and, a, b)
 	m.AddBoolNot(not, a)
@@ -143,8 +147,8 @@ func TestBoolLogic(t *testing.T) {
 	for _, av := range []int64{0, 1} {
 		for _, bv := range []int64{0, 1} {
 			m2 := NewModel()
-			a2, b2 := m2.NewBool("a"), m2.NewBool("b")
-			or2, and2, not2 := m2.NewBool("or"), m2.NewBool("and"), m2.NewBool("not")
+			a2, b2 := m2.NewBool(), m2.NewBool()
+			or2, and2, not2 := m2.NewBool(), m2.NewBool(), m2.NewBool()
 			m2.AddBoolOr(or2, a2, b2)
 			m2.AddBoolAnd(and2, a2, b2)
 			m2.AddBoolNot(not2, a2)
@@ -173,7 +177,7 @@ func TestExactlyOneAndAtLeastOne(t *testing.T) {
 	m := NewModel()
 	var bs []VarID
 	for i := 0; i < 5; i++ {
-		bs = append(bs, m.NewBool("b"))
+		bs = append(bs, m.NewBool())
 	}
 	m.ExactlyOne(bs...)
 	m.Maximize(Sum(bs...))
@@ -189,7 +193,7 @@ func TestNodeLimit(t *testing.T) {
 	m := NewModel()
 	var vars []VarID
 	for i := 0; i < 40; i++ {
-		vars = append(vars, m.NewInt("x", 0, 1000))
+		vars = append(vars, m.NewInt(0, 1000))
 	}
 	// Σ 2·x_i = 39999: even = odd is infeasible, but bounds propagation
 	// sees only bounds and cannot refute it.
@@ -209,8 +213,8 @@ func TestNodeLimit(t *testing.T) {
 
 func TestBranchOrderRespected(t *testing.T) {
 	m := NewModel()
-	x := m.NewInt("x", 0, 5)
-	y := m.NewInt("y", 0, 5)
+	x := m.NewInt(0, 5)
+	y := m.NewInt(0, 5)
 	m.AddGe(Sum(x, y), 1)
 	s := solve(t, m, Options{BranchOrder: []VarID{y, x}})
 	// Ascending enumeration with y branched first gives y=0... then x
@@ -222,7 +226,7 @@ func TestBranchOrderRespected(t *testing.T) {
 
 func TestDuplicateTermsMerged(t *testing.T) {
 	m := NewModel()
-	x := m.NewInt("x", 0, 10)
+	x := m.NewInt(0, 10)
 	m.AddLe(Lin().Add(x, 1).Add(x, 1), 6) // 2x <= 6
 	m.Maximize(VarExpr(x))
 	s := solve(t, m, Options{})
@@ -241,7 +245,7 @@ func TestBruteForceCrossCheck(t *testing.T) {
 		m := NewModel()
 		var vars []VarID
 		for i := 0; i < n; i++ {
-			vars = append(vars, m.NewInt("v", 0, hi))
+			vars = append(vars, m.NewInt(0, hi))
 		}
 		type row struct {
 			coeffs []int64
@@ -321,12 +325,12 @@ func TestEmptyDomainPanics(t *testing.T) {
 		}
 	}()
 	m := NewModel()
-	m.NewInt("x", 3, 2)
+	m.NewInt(3, 2)
 }
 
 func TestFirstSolutionStopsEarly(t *testing.T) {
 	m := NewModel()
-	x := m.NewInt("x", 0, 1000)
+	x := m.NewInt(0, 1000)
 	m.Minimize(negateForTest(VarExpr(x))) // maximize x
 	m.AddLe(VarExpr(x), 900)
 	s, err := m.Solve(Options{FirstSolution: true})
@@ -352,7 +356,7 @@ func TestRestartsSolveAdversarialOrder(t *testing.T) {
 	m := NewModel()
 	var vars []VarID
 	for i := 0; i < 30; i++ {
-		vars = append(vars, m.NewInt("v", 0, 8))
+		vars = append(vars, m.NewInt(0, 8))
 	}
 	// Chain x_{i+1} >= x_i; and x_29 = 8 forces all high... branch order
 	// given ascending values on x_0 first explores 0..8 fruitlessly.
@@ -375,8 +379,8 @@ func TestRestartsSolveAdversarialOrder(t *testing.T) {
 func TestImpliesNotHelpers(t *testing.T) {
 	// b = 0 ⇒ x ≤ 3; with b forced 0, x must be ≤ 3.
 	m := NewModel()
-	b := m.NewBool("b")
-	x := m.NewInt("x", 0, 10)
+	b := m.NewBool()
+	x := m.NewInt(0, 10)
 	m.AddImpliesNotLe(b, VarExpr(x), 3)
 	m.AddEq(VarExpr(b), 0)
 	m.Maximize(VarExpr(x))
@@ -386,8 +390,8 @@ func TestImpliesNotHelpers(t *testing.T) {
 	}
 	// With b = 1 the implication is inactive.
 	m2 := NewModel()
-	b2 := m2.NewBool("b")
-	x2 := m2.NewInt("x", 0, 10)
+	b2 := m2.NewBool()
+	x2 := m2.NewInt(0, 10)
 	m2.AddImpliesNotLe(b2, VarExpr(x2), 3)
 	m2.AddEq(VarExpr(b2), 1)
 	m2.Maximize(VarExpr(x2))
@@ -397,8 +401,8 @@ func TestImpliesNotHelpers(t *testing.T) {
 	}
 	// b = 0 ⇒ x = 7 via AddImpliesNotEq.
 	m3 := NewModel()
-	b3 := m3.NewBool("b")
-	x3 := m3.NewInt("x", 0, 10)
+	b3 := m3.NewBool()
+	x3 := m3.NewInt(0, 10)
 	m3.AddImpliesNotEq(b3, VarExpr(x3), 7)
 	m3.AddEq(VarExpr(b3), 0)
 	s3 := solve(t, m3, Options{})
@@ -409,12 +413,12 @@ func TestImpliesNotHelpers(t *testing.T) {
 
 func TestNegativeBoundsVariables(t *testing.T) {
 	// Negative domains and negative coefficients exercise the gap-based
-	// tightening: with gap = rhs − minSum ≥ 0 the new bound is gap/a past
+	// tightening: with gap = rhs − act ≥ 0 the new bound is gap/a past
 	// the bound the term reads, and the truncating division must land on
 	// the floor for a > 0 and on the ceiling for a < 0.
 	m := NewModel()
-	x := m.NewInt("x", -10, 10)
-	y := m.NewInt("y", -10, 10)
+	x := m.NewInt(-10, 10)
+	y := m.NewInt(-10, 10)
 	m.AddLe(Lin().Add(x, -3), 7)  // -3x <= 7  ->  x >= -2 (ceil(-7/3))
 	m.AddGe(Lin().Add(y, -2), -6) // -2y >= -6 ->  y <= 3
 	m.Minimize(Sum(x, y))
@@ -429,14 +433,11 @@ func TestNegativeBoundsVariables(t *testing.T) {
 
 func TestSolutionStatsPopulated(t *testing.T) {
 	m := NewModel()
-	x := m.NewInt("x", 0, 3)
+	x := m.NewInt(0, 3)
 	m.AddGe(VarExpr(x), 1)
 	s := solve(t, m, Options{})
 	if s.Stats.Nodes == 0 || s.Stats.Propagations == 0 {
 		t.Errorf("stats empty: %+v", s.Stats)
-	}
-	if m.Name(x) != "x" {
-		t.Errorf("Name = %q", m.Name(x))
 	}
 	if lo, hi := m.Bounds(x); lo != 0 || hi != 3 {
 		t.Errorf("Bounds = %d, %d", lo, hi)
@@ -454,13 +455,18 @@ func TestSolutionStatsPopulated(t *testing.T) {
 // for.
 func pigeonholeGated(pigeons, holes int) (*Model, Options) {
 	m := NewModel()
-	g := m.NewBool("g")
+	return m, pigeonholeInto(m, pigeons, holes)
+}
+
+// pigeonholeInto builds pigeonholeGated's model into m.
+func pigeonholeInto(m *Model, pigeons, holes int) Options {
+	g := m.NewBool()
 	p := make([][]VarID, pigeons)
 	order := []VarID{g}
 	for i := range p {
 		p[i] = make([]VarID, holes)
 		for j := range p[i] {
-			p[i][j] = m.NewBool("p")
+			p[i][j] = m.NewBool()
 			order = append(order, p[i][j])
 		}
 	}
@@ -474,7 +480,7 @@ func pigeonholeGated(pigeons, holes int) (*Model, Options) {
 		}
 		m.AddLe(Sum(col...), 1) // each hole fits at most one pigeon
 	}
-	return m, Options{BranchOrder: order, PreferHigh: []VarID{g}}
+	return Options{BranchOrder: order, PreferHigh: []VarID{g}}
 }
 
 func TestRestartBudgetAccounting(t *testing.T) {
@@ -537,10 +543,10 @@ func TestConflictFreeSearchWalksBranchOrder(t *testing.T) {
 		m := NewModel()
 		var vars []VarID
 		for i := 0; i < n; i++ {
-			vars = append(vars, m.NewBool("v"))
+			vars = append(vars, m.NewBool())
 		}
 		m.AddLe(Sum(vars...), int64(c))
-		s := newSearcher(m, Options{BranchOrder: order, PreferHigh: vars})
+		s := m.searcher(Options{BranchOrder: order, PreferHigh: vars})
 		if err := s.feasible(noCutoff); err != nil {
 			t.Fatal(err)
 		}
@@ -568,12 +574,12 @@ func thrashing() (*Model, []VarID) {
 	m := NewModel()
 	var order []VarID
 	for i := 0; i < 14; i++ {
-		order = append(order, m.NewBool("free"))
+		order = append(order, m.NewBool())
 	}
 	var p [5][4]VarID
 	for i := range p {
 		for j := range p[i] {
-			p[i][j] = m.NewBool("p")
+			p[i][j] = m.NewBool()
 			order = append(order, p[i][j])
 		}
 		m.AtLeastOne(p[i][:]...)
@@ -629,7 +635,7 @@ func TestWeightsOutliveSearches(t *testing.T) {
 	m, opts := pigeonholeGated(8, 7)
 	m.Minimize(Lin().Add(opts.BranchOrder[0], -1))
 	opts.NodeLimit = 4 * restartBaseNodes
-	s := newSearcher(m, opts)
+	s := m.searcher(opts)
 	total := func() (sum int64) {
 		for _, w := range s.weight {
 			sum += w
@@ -645,7 +651,7 @@ func TestWeightsOutliveSearches(t *testing.T) {
 	if learnt == 0 {
 		t.Fatal("the first search met no conflict; the test needs one that does")
 	}
-	rows := len(m.cons)
+	rows := m.NumConstraints()
 	m.AddLe(m.obj, -1) // gate high: the pigeonhole
 	if err := s.feasible(-1); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -690,7 +696,7 @@ func TestCancellationLatency(t *testing.T) {
 	var atCancel int64
 	ctx := &pollCtx{Context: inner, cancelAt: 40, cancel: func() { atCancel = s.stats.Nodes; cancel() }}
 	opts.Ctx = ctx
-	s = newSearcher(m, opts)
+	s = m.searcher(opts)
 	if err := s.feasible(noCutoff); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -734,17 +740,13 @@ func TestSolveLeavesModelUntouched(t *testing.T) {
 	m := NewModel()
 	var vars []VarID
 	for i := 0; i < 6; i++ {
-		vars = append(vars, m.NewInt("v", 0, 3))
+		vars = append(vars, m.NewInt(0, 3))
 	}
 	for i := 0; i+1 < len(vars); i++ {
 		m.AddGe(Lin().Add(vars[i], 1).Add(vars[i+1], 2), 3)
 	}
 	m.Minimize(Sum(vars...))
 	rows, fp := m.NumConstraints(), m.Fingerprint()
-	var wakeLens []int
-	for _, w := range m.wake {
-		wakeLens = append(wakeLens, len(w))
-	}
 	first := solve(t, m, Options{})
 	if !first.Stats.Optimal {
 		t.Fatal("unbudgeted minimization must prove optimality")
@@ -753,13 +755,8 @@ func TestSolveLeavesModelUntouched(t *testing.T) {
 		t.Fatalf("Solve mutated the model: %d rows (fingerprint %#x), was %d (%#x)",
 			m.NumConstraints(), m.Fingerprint(), rows, fp)
 	}
-	// The cutoff rows left both wake lists of every variable too, so a
-	// second solve of the same model repeats the first one exactly.
-	for slot, w := range m.wake {
-		if len(w) != wakeLens[slot] {
-			t.Errorf("wake list %d of variable %d has %d rows after Solve, had %d", slot&1, slot/2, len(w), wakeLens[slot])
-		}
-	}
+	// Nothing of the cutoff rows is left, so a second solve of the same
+	// model repeats the first one exactly.
 	again := solve(t, m, Options{})
 	if again.Objective != first.Objective || again.Stats.Nodes != first.Stats.Nodes ||
 		again.Stats.Propagations != first.Stats.Propagations {
@@ -768,13 +765,74 @@ func TestSolveLeavesModelUntouched(t *testing.T) {
 	}
 }
 
+// TestResetIsFreshModel: a model that was Reset and rebuilt with the same
+// rows solves exactly like a new one — values, objective, nodes and
+// propagations — whatever it held before, also right after a Solve whose
+// cutoff loop posted and dropped rows.
+func TestResetIsFreshModel(t *testing.T) {
+	builds := []struct {
+		name  string
+		build func(*Model) Options
+	}{
+		{"pigeonhole", func(m *Model) Options {
+			// As many pigeons housed as possible, under a budget the proof
+			// of the optimum outlasts (see TestSolveDeterministic).
+			opts := pigeonholeInto(m, 8, 7)
+			m.Maximize(Sum(opts.BranchOrder[1:]...))
+			opts.NodeLimit = 3000
+			return opts
+		}},
+		{"knapsack", knapsack},
+	}
+	reused := NewModel()
+	solve(t, reused, knapsack(reused))
+	for _, b := range builds {
+		fresh := NewModel()
+		want := solve(t, fresh, b.build(fresh))
+		for round := 1; round <= 2; round++ {
+			reused.Reset()
+			got := solve(t, reused, b.build(reused))
+			if reused.NumConstraints() != fresh.NumConstraints() || reused.Fingerprint() != fresh.Fingerprint() {
+				t.Fatalf("%s, round %d: the rebuilt model differs from a new one", b.name, round)
+			}
+			got.Stats.Duration, want.Stats.Duration = 0, 0
+			if got.Stats != want.Stats || got.Objective != want.Objective || !slices.Equal(got.Values, want.Values) {
+				t.Errorf("%s, round %d: %+v (objective %d, values %v), a new model %+v (objective %d, values %v)",
+					b.name, round, got.Stats, got.Objective, got.Values, want.Stats, want.Objective, want.Values)
+			}
+		}
+	}
+	// Reset drops the objective too, and the caller owns the values: a
+	// later Solve of the model does not rewrite them.
+	m := NewModel()
+	sol := solve(t, m, knapsack(m))
+	values := slices.Clone(sol.Values)
+	m.Reset()
+	x := m.NewInt(0, 5)
+	m.AddGe(VarExpr(x), 4)
+	m.AddEq(Sum(m.NewBool(), m.NewBool()), 0)
+	if s := solve(t, m, Options{}); s.Values[x] != 4 || s.Objective != 0 {
+		t.Errorf("x = %d, objective %d after Reset; want the first solution, 4, and no objective", s.Values[x], s.Objective)
+	}
+	if !slices.Equal(sol.Values, values) {
+		t.Errorf("a Solve after Reset rewrote an earlier solution's values: %v, were %v", sol.Values, values)
+	}
+}
+
 // TestSolveReusesSearcher: one Solve sizes its search buffers once, so what
-// it allocates grows neither with the restart attempts nor with the nodes.
+// it allocates grows neither with the restart attempts nor with the nodes,
+// and a Solve after Reset reuses the last one's.
 func TestSolveReusesSearcher(t *testing.T) {
 	// Gate shut: an infeasible pigeonhole that no attempt below refutes
 	// within its cap, so a budget of the first k caps buys exactly k attempts.
-	m, opts := pigeonholeGated(9, 8)
-	m.AddEq(VarExpr(opts.BranchOrder[0]), 1)
+	m := NewModel()
+	var opts Options
+	build := func() {
+		m.Reset()
+		opts = pigeonholeInto(m, 9, 8)
+		m.AddEq(VarExpr(opts.BranchOrder[0]), 1)
+	}
+	build()
 	allocs := func(attempts int) float64 {
 		opts.NodeLimit = 0
 		for k := 1; k <= attempts; k++ {
@@ -790,6 +848,21 @@ func TestSolveReusesSearcher(t *testing.T) {
 	t.Logf("allocations per Solve: %.0f with one attempt, %.0f with 31 (%d nodes)", one, many, opts.NodeLimit)
 	if one > 32 || many > one+2 {
 		t.Errorf("Solve allocates %.0f times with one attempt and %.0f with 31; want a small constant", one, many)
+	}
+	// Reset and the same rows again: the Solve itself allocates its Solution
+	// and nothing else.
+	limit := opts.NodeLimit
+	rebuild := testing.AllocsPerRun(2, build)
+	both := testing.AllocsPerRun(2, func() {
+		build()
+		opts.NodeLimit = limit
+		if _, err := m.Solve(opts); err != ErrTimeout {
+			t.Fatalf("err = %v after Reset, want ErrTimeout", err)
+		}
+	})
+	t.Logf("allocations after Reset: %.0f to rebuild, %.0f to rebuild and solve", rebuild, both)
+	if both-rebuild > 1 {
+		t.Errorf("a Solve after Reset allocates %.0f times; want 1, its Solution", both-rebuild)
 	}
 }
 
@@ -819,8 +892,8 @@ func TestImprovementOutOfBudget(t *testing.T) {
 func TestFingerprintDistinguishesModels(t *testing.T) {
 	build := func(coeff, rhs, hi int64) *Model {
 		m := NewModel()
-		x := m.NewInt("x", 0, hi)
-		y := m.NewInt("y", 0, hi)
+		x := m.NewInt(0, hi)
+		y := m.NewInt(0, hi)
 		m.AddLe(Lin().Add(x, coeff).Add(y, 1), rhs)
 		return m
 	}

@@ -41,20 +41,14 @@ func (e LinExpr) Add(v VarID, coeff int64) LinExpr {
 	return e
 }
 
-// Plus returns e + c.
-func (e LinExpr) Plus(c int64) LinExpr {
-	e.Const += c
-	return e
-}
-
 // VarExpr returns the expression 1·v.
 func VarExpr(v VarID) LinExpr { return Lin().Add(v, 1) }
 
 // Sum returns Σ 1·v over vs.
 func Sum(vs ...VarID) LinExpr {
-	e := Lin()
-	for _, v := range vs {
-		e = e.Add(v, 1)
+	e := LinExpr{Terms: make([]Term, len(vs))}
+	for i, v := range vs {
+		e.Terms[i] = Term{v, 1}
 	}
 	return e
 }
@@ -69,56 +63,57 @@ const (
 	OpEq
 )
 
-// constraint is the normalized internal form Σ terms ≤ rhs.
-type constraint struct {
-	terms []Term
-	rhs   int64
-}
-
 // Model is a mixed-integer linear model. Build it with NewInt/NewBool and
 // the Add* helpers, then call Solve.
 type Model struct {
 	lo, hi []int64
-	names  []string
-	cons   []constraint
-	// wake[slot] lists, in posting order, the rows with a term that reads
-	// that bound slot (slotOf): wake[2v] those where v's coefficient is
-	// positive, wake[2v+1] those where it is negative. They are the rows
-	// whose minSum rises when the slot tightens.
-	wake   [][]int32
+	// The rows, each normalized to Σ terms ≤ rhs: row i is
+	// terms[start[i]:start[i+1]] ≤ rhs[i], and span[i] is the largest
+	// |a|·(hi − lo) of its terms at the declared bounds.
+	start  []int
+	terms  []Term
+	rhs    []int64
+	span   []int64
 	at     []int32 // addLe scratch: at[v]−1 is v's index in the row being merged
 	obj    LinExpr
 	hasObj bool
+	s      *searcher // the last Solve's: the next one reuses its buffers
 }
 
 // NewModel returns an empty model.
-func NewModel() *Model { return &Model{} }
+func NewModel() *Model { return &Model{start: []int{0}} }
+
+// Reset empties the model, keeping the storage of its variables, its rows
+// and its searcher for the next model built in it.
+func (m *Model) Reset() {
+	m.lo, m.hi, m.at = m.lo[:0], m.hi[:0], m.at[:0]
+	m.start, m.terms, m.rhs, m.span = m.start[:1], m.terms[:0], m.rhs[:0], m.span[:0]
+	m.obj, m.hasObj = LinExpr{}, false
+}
 
 // NewInt declares an integer variable with inclusive bounds [lo, hi].
-func (m *Model) NewInt(name string, lo, hi int64) VarID {
-	if lo > hi {
-		panic(fmt.Sprintf("milp: variable %s has empty domain [%d,%d]", name, lo, hi))
-	}
+func (m *Model) NewInt(lo, hi int64) VarID {
 	id := VarID(len(m.lo))
+	if lo > hi {
+		panic(fmt.Sprintf("milp: variable %d has empty domain [%d,%d]", id, lo, hi))
+	}
 	m.lo = append(m.lo, lo)
 	m.hi = append(m.hi, hi)
-	m.names = append(m.names, name)
-	m.wake = append(m.wake, nil, nil)
 	m.at = append(m.at, 0)
 	return id
 }
 
 // NewBool declares a 0/1 variable.
-func (m *Model) NewBool(name string) VarID { return m.NewInt(name, 0, 1) }
+func (m *Model) NewBool() VarID { return m.NewInt(0, 1) }
 
 // NumVars returns the number of declared variables.
 func (m *Model) NumVars() int { return len(m.lo) }
 
 // NumConstraints returns the number of normalized ≤ rows.
-func (m *Model) NumConstraints() int { return len(m.cons) }
+func (m *Model) NumConstraints() int { return len(m.rhs) }
 
-// Name returns the variable's name.
-func (m *Model) Name(v VarID) string { return m.names[v] }
+// row returns the terms of row i.
+func (m *Model) row(i int) []Term { return m.terms[m.start[i]:m.start[i+1]] }
 
 // Bounds returns the declared bounds of v.
 func (m *Model) Bounds(v VarID) (lo, hi int64) { return m.lo[v], m.hi[v] }
@@ -144,101 +139,74 @@ func (m *Model) AddEq(e LinExpr, rhs int64) { m.Add(e, OpEq, rhs) }
 
 // addLe posts sign·Σ terms ≤ rhs, sign being ±1.
 func (m *Model) addLe(terms []Term, sign, rhs int64) {
-	// Merge duplicate variables in first-occurrence order.
-	norm := make([]Term, 0, len(terms))
+	// Merge duplicate variables in first-occurrence order, at the tail of
+	// m.terms.
+	first := len(m.terms)
 	for _, t := range terms {
 		if i := m.at[t.Var]; i > 0 {
-			norm[i-1].Coeff += sign * t.Coeff
+			m.terms[first+int(i)-1].Coeff += sign * t.Coeff
 			continue
 		}
-		norm = append(norm, Term{t.Var, sign * t.Coeff})
-		m.at[t.Var] = int32(len(norm))
+		m.terms = append(m.terms, Term{t.Var, sign * t.Coeff})
+		m.at[t.Var] = int32(len(m.terms) - first)
 	}
 	// Drop zero coefficients.
-	n := 0
-	for _, t := range norm {
+	n, span := first, int64(0)
+	for _, t := range m.terms[first:] {
 		m.at[t.Var] = 0
 		if t.Coeff != 0 {
-			norm[n] = t
+			m.terms[n] = t
 			n++
+			span = max(span, max(t.Coeff, -t.Coeff)*(m.hi[t.Var]-m.lo[t.Var]))
 		}
 	}
-	norm = norm[:n]
-	if n == 0 && rhs >= 0 {
+	m.terms = m.terms[:n]
+	if n == first && rhs >= 0 {
 		return // 0 ≤ rhs holds; 0 ≤ rhs < 0 stays, as a row no search survives
 	}
-	idx := int32(len(m.cons))
-	m.cons = append(m.cons, constraint{norm, rhs})
-	for _, t := range norm {
-		m.wake[slotOf(t)] = append(m.wake[slotOf(t)], idx)
-	}
+	m.start = append(m.start, n)
+	m.rhs = append(m.rhs, rhs)
+	m.span = append(m.span, span)
 }
 
-// exprMax returns the maximum value of e under the declared bounds.
-func (m *Model) exprMax(e LinExpr) int64 {
-	v := e.Const
+// exprRange returns the minimum and maximum value of e under the declared
+// bounds.
+func (m *Model) exprRange(e LinExpr) (lo, hi int64) {
+	lo, hi = e.Const, e.Const
 	for _, t := range e.Terms {
-		if t.Coeff > 0 {
-			v += t.Coeff * m.hi[t.Var]
-		} else {
-			v += t.Coeff * m.lo[t.Var]
-		}
+		a, b := t.Coeff*m.lo[t.Var], t.Coeff*m.hi[t.Var]
+		lo, hi = lo+min(a, b), hi+max(a, b)
 	}
-	return v
-}
-
-// exprMin returns the minimum value of e under the declared bounds.
-func (m *Model) exprMin(e LinExpr) int64 {
-	v := e.Const
-	for _, t := range e.Terms {
-		if t.Coeff > 0 {
-			v += t.Coeff * m.lo[t.Var]
-		} else {
-			v += t.Coeff * m.hi[t.Var]
-		}
-	}
-	return v
+	return lo, hi
 }
 
 // AddImpliesLe posts b = 1 ⇒ e ≤ rhs using an automatically tightened
-// big-M derived from variable bounds.
+// big-M derived from variable bounds; nothing when e ≤ rhs always holds.
 func (m *Model) AddImpliesLe(b VarID, e LinExpr, rhs int64) {
-	bigM := m.exprMax(e) - rhs
-	if bigM <= 0 {
-		return // already always true
+	if _, hi := m.exprRange(e); hi > rhs {
+		m.AddLe(e.Add(b, hi-rhs), hi) // e + M·b ≤ rhs + M, M = hi − rhs
 	}
-	// e + M·b ≤ rhs + M.
-	m.AddLe(e.Add(b, bigM), rhs+bigM)
 }
 
 // AddImpliesGe posts b = 1 ⇒ e ≥ rhs.
 func (m *Model) AddImpliesGe(b VarID, e LinExpr, rhs int64) {
-	bigM := rhs - m.exprMin(e)
-	if bigM <= 0 {
-		return
+	if lo, _ := m.exprRange(e); lo < rhs {
+		m.AddGe(e.Add(b, lo-rhs), lo) // e − M·b ≥ rhs − M, M = rhs − lo
 	}
-	// e - M·b ≥ rhs - M.
-	m.AddGe(e.Add(b, -bigM), rhs-bigM)
 }
 
 // AddImpliesNotLe posts b = 0 ⇒ e ≤ rhs.
 func (m *Model) AddImpliesNotLe(b VarID, e LinExpr, rhs int64) {
-	bigM := m.exprMax(e) - rhs
-	if bigM <= 0 {
-		return
+	if _, hi := m.exprRange(e); hi > rhs {
+		m.AddLe(e.Add(b, rhs-hi), rhs) // e − M·b ≤ rhs
 	}
-	// e - M·b ≤ rhs
-	m.AddLe(e.Add(b, -bigM), rhs)
 }
 
 // AddImpliesNotGe posts b = 0 ⇒ e ≥ rhs.
 func (m *Model) AddImpliesNotGe(b VarID, e LinExpr, rhs int64) {
-	bigM := rhs - m.exprMin(e)
-	if bigM <= 0 {
-		return
+	if lo, _ := m.exprRange(e); lo < rhs {
+		m.AddGe(e.Add(b, rhs-lo), rhs) // e + M·b ≥ rhs
 	}
-	// e + M·b ≥ rhs
-	m.AddGe(e.Add(b, bigM), rhs)
 }
 
 // AddImpliesNotEq posts b = 0 ⇒ e = rhs.
@@ -254,25 +222,24 @@ func (m *Model) AddImpliesEq(b VarID, e LinExpr, rhs int64) {
 }
 
 // ReifyLe creates a fresh boolean b with b = 1 ⇔ e ≤ rhs.
-func (m *Model) ReifyLe(name string, e LinExpr, rhs int64) VarID {
-	b := m.NewBool(name)
+func (m *Model) ReifyLe(e LinExpr, rhs int64) VarID {
+	b := m.NewBool()
 	m.AddImpliesLe(b, e, rhs) // b ⇒ e ≤ rhs
-	// ¬b ⇒ e ≥ rhs+1: e ≥ rhs+1 - M·b.
-	bigM := rhs + 1 - m.exprMin(e)
-	if bigM > 0 {
-		m.AddGe(e.Add(b, bigM), rhs+1)
+	// ¬b ⇒ e ≥ rhs+1: e ≥ rhs+1 − M·b, M = rhs+1 − lo; if M ≤ 0, e ≤ rhs
+	// never holds and b is 0.
+	if lo, _ := m.exprRange(e); lo <= rhs {
+		m.AddGe(e.Add(b, rhs+1-lo), rhs+1)
 	} else {
-		// e ≥ rhs+1 always: b is forced... e ≤ rhs never holds.
 		m.AddEq(VarExpr(b), 0)
 	}
 	return b
 }
 
 // ReifyEq creates a fresh boolean b with b = 1 ⇔ e = rhs.
-func (m *Model) ReifyEq(name string, e LinExpr, rhs int64) VarID {
-	le := m.ReifyLe(name+"/le", e, rhs)
-	ge := m.ReifyLe(name+"/ge", negate(e), -rhs)
-	b := m.NewBool(name)
+func (m *Model) ReifyEq(e LinExpr, rhs int64) VarID {
+	le := m.ReifyLe(e, rhs)
+	ge := m.ReifyLe(negate(e), -rhs)
+	b := m.NewBool()
 	m.AddBoolAnd(b, le, ge)
 	return b
 }
@@ -349,16 +316,16 @@ func Eval(e LinExpr, values []int64) int64 {
 func (m *Model) Check(values []int64) string {
 	for i, v := range values {
 		if v < m.lo[i] || v > m.hi[i] {
-			return fmt.Sprintf("var %s=%d outside [%d,%d]", m.names[i], v, m.lo[i], m.hi[i])
+			return fmt.Sprintf("var %d=%d outside [%d,%d]", i, v, m.lo[i], m.hi[i])
 		}
 	}
-	for ci, c := range m.cons {
+	for ci, rhs := range m.rhs {
 		s := int64(0)
-		for _, t := range c.terms {
+		for _, t := range m.row(ci) {
 			s += t.Coeff * values[t.Var]
 		}
-		if s > c.rhs {
-			return fmt.Sprintf("constraint %d: %d > %d", ci, s, c.rhs)
+		if s > rhs {
+			return fmt.Sprintf("constraint %d: %d > %d", ci, s, rhs)
 		}
 	}
 	return ""
@@ -368,9 +335,8 @@ func (m *Model) Check(values []int64) string {
 // count and bounds, every normalized constraint row (variables,
 // coefficients, right-hand side) and the objective. Identical models hash
 // identically, so anything seeded from the fingerprint (the restart RNG)
-// stays deterministic; models differing in structure — not just name
-// strings — almost surely hash apart even when their constraint counts
-// coincide.
+// stays deterministic; models differing in structure almost surely hash
+// apart even when their constraint counts coincide.
 func (m *Model) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -389,14 +355,14 @@ func (m *Model) Fingerprint() uint64 {
 		mix(uint64(m.lo[i]))
 		mix(uint64(m.hi[i]))
 	}
-	mix(uint64(len(m.cons)))
-	for _, c := range m.cons {
-		mix(uint64(len(c.terms)))
-		for _, t := range c.terms {
+	mix(uint64(len(m.rhs)))
+	for ci, rhs := range m.rhs {
+		mix(uint64(len(m.row(ci))))
+		for _, t := range m.row(ci) {
 			mix(uint64(t.Var))
 			mix(uint64(t.Coeff))
 		}
-		mix(uint64(c.rhs))
+		mix(uint64(rhs))
 	}
 	if m.hasObj {
 		mix(uint64(len(m.obj.Terms)) + 1)
@@ -407,12 +373,4 @@ func (m *Model) Fingerprint() uint64 {
 		mix(uint64(m.obj.Const))
 	}
 	return h
-}
-
-// objRange returns the min/max of the objective under declared bounds.
-func (m *Model) objRange() (int64, int64) {
-	if !m.hasObj {
-		return 0, 0
-	}
-	return m.exprMin(m.obj), m.exprMax(m.obj)
 }

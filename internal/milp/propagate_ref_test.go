@@ -141,7 +141,11 @@ var (
 // and drives the kernel and the reference through both in lockstep: after
 // the root propagation and after every change the two must agree on
 // conflict or on every variable's bounds, and a conflicting change is taken
-// back on both sides (the kernel's by its trail) before the next.
+// back on both sides (the kernel's by its trail) before the next. Changes
+// that held are stacked, and an undo op takes the kernel back to the trail
+// mark before one of them and the reference to the bounds it saved there.
+// After every propagation and every undo each row's kept activity must
+// equal its sum recomputed from the bounds.
 //
 //	byte 0            2 + b%11 variables
 //	2 bytes/variable  lo = b%9 − 4, hi = lo + fuzzWidths[b%5]
@@ -149,8 +153,11 @@ var (
 //	per row           1 byte: operator b%3 (≤ ≥ =), (b/3)%6 terms;
 //	                  2 bytes/term: variable b%n, fuzzCoeffs[b%7];
 //	                  1 byte: rhs = b%41 − 20
-//	rest, 2 bytes/op  variable b%n; b&1 picks hi over lo, the new bound is
-//	                  declared lo − 1 + (b>>1)%(width+3)
+//	rest, 2 bytes/op  a first byte b ≥ 192 is an undo to before the stacked
+//	                  change b'%depth, b' being the second byte (none when
+//	                  the stack is empty); otherwise variable b%n, b'&1
+//	                  picks hi over lo, the new bound is declared
+//	                  lo − 1 + (b'>>1)%(width+3)
 //
 // A short string reads as zero bytes at its end.
 func checkPropagate(t *testing.T, data []byte) {
@@ -167,7 +174,7 @@ func checkPropagate(t *testing.T, data []byte) {
 	for v := 0; v < n; v++ {
 		lo := int64(next()%9) - 4
 		hi := lo + fuzzWidths[next()%len(fuzzWidths)]
-		m.NewInt("v", lo, hi)
+		m.NewInt(lo, hi)
 		ref.lo, ref.hi = append(ref.lo, lo), append(ref.hi, hi)
 	}
 	ref.varRows = make([][]int, n)
@@ -182,13 +189,25 @@ func checkPropagate(t *testing.T, data []byte) {
 		ref.add(e.Terms, Op(head%3), rhs)
 	}
 
-	s := newSearcher(m, Options{})
+	s := m.searcher(Options{})
 	sameBounds := func(step string) {
 		t.Helper()
 		for v := 0; v < n; v++ {
 			if s.bnd[2*v] != ref.lo[v] || s.bnd[2*v+1] != ref.hi[v] {
 				t.Fatalf("%s: variable %d is [%d,%d], reference [%d,%d]", step, v,
 					s.bnd[2*v], s.bnd[2*v+1], ref.lo[v], ref.hi[v])
+			}
+		}
+	}
+	sameActivity := func(step string) {
+		t.Helper()
+		for ci := range m.rhs {
+			var sum int64
+			for _, t := range m.row(ci) {
+				sum += t.Coeff * s.bnd[slotOf(t)]
+			}
+			if s.act[ci] != sum {
+				t.Fatalf("%s: row %d keeps activity %d, its terms sum to %d", step, ci, s.act[ci], sum)
 			}
 		}
 	}
@@ -200,14 +219,32 @@ func checkPropagate(t *testing.T, data []byte) {
 	if feasible != want {
 		t.Fatalf("root: kernel feasible = %v, reference %v", feasible, want)
 	}
+	sameActivity("root")
 	if feasible {
 		sameBounds("root")
 	}
+	type held struct {
+		mark             int
+		savedLo, savedHi []int64
+	}
+	var stack []held
 	for feasible && len(data) > 0 {
-		v, b := next()%n, next()
+		v, b := next(), next()
+		if v >= 192 {
+			if len(stack) > 0 {
+				h := stack[b%len(stack)]
+				stack = stack[:b%len(stack)]
+				s.undoTo(h.mark)
+				ref.lo, ref.hi = h.savedLo, h.savedHi
+				sameActivity("after an undo")
+				sameBounds("after an undo")
+			}
+			continue
+		}
+		v %= n
 		slot := 2*v + b&1
 		nv := m.lo[v] - 1 + int64(b>>1)%(m.hi[v]-m.lo[v]+3)
-		savedLo, savedHi, mark := slices.Clone(ref.lo), slices.Clone(ref.hi), len(s.trail)
+		h := held{len(s.trail), slices.Clone(ref.lo), slices.Clone(ref.hi)}
 		// The kernel's set takes strict, non-emptying tightenings only; the
 		// guards its callers do not need are spelled out here.
 		got := true
@@ -215,6 +252,7 @@ func checkPropagate(t *testing.T, data []byte) {
 			if got = s.bnd[2*v] <= nv && nv <= s.bnd[2*v+1]; got {
 				s.set(slot, nv)
 				got = s.propagate()
+				sameActivity("after a propagation")
 			}
 		}
 		if slot&1 == 0 {
@@ -226,9 +264,12 @@ func checkPropagate(t *testing.T, data []byte) {
 		if got != want {
 			t.Fatalf("bound %d of variable %d to %d: kernel feasible = %v, reference %v", slot&1, v, nv, got, want)
 		}
-		if !got {
-			s.undoTo(mark)
-			ref.lo, ref.hi = savedLo, savedHi
+		if got {
+			stack = append(stack, h)
+		} else {
+			s.undoTo(h.mark)
+			ref.lo, ref.hi = h.savedLo, h.savedHi
+			sameActivity("after a conflict's undo")
 		}
 		sameBounds("after a bound change")
 	}
@@ -249,7 +290,8 @@ func TestPropagateMatchesReference(t *testing.T) {
 
 // FuzzPropagateModel feeds arbitrary strings to the same check. The seed
 // corpus under testdata/fuzz holds a negative-domain model, a big-M
-// implication, and a row whose own tightenings used to re-wake it.
+// implication, a row whose own tightenings used to re-wake it, and a big-M
+// tightening taken back by an undo.
 func FuzzPropagateModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkPropagate(t, data) })
 }

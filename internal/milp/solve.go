@@ -82,22 +82,36 @@ type change struct {
 	old  int64
 }
 
+// reader is a wake-list entry: a row reading a bound slot, and its coefficient.
+type reader struct {
+	row   int32
+	coeff int64
+}
+
 // searcher holds the state of every search one Solve runs: its buffers are
 // sized once and reset, not re-made, for each restart attempt and each
-// improvement iteration.
+// improvement iteration, and the model keeps it for its next Solve.
 type searcher struct {
 	m *Model
 	// bnd interleaves the current domains: bnd[2v] is v's lower bound,
 	// bnd[2v+1] its upper bound. A term a·x reads the slot that gives its
 	// minimum (slotOf) and tightens the other one.
-	bnd   []int64
+	bnd []int64
+	// act[row] is Σ a·bnd[slotOf] over the row: every bound move updates it.
+	act   []int64
 	trail []change
 	queue []int32
 	inQ   []bool
+	// wake[wakeAt[slot]:wakeAt[slot+1]] lists, in posting order, the rows
+	// that read bound slot: for 2v those where v's coefficient is positive,
+	// for 2v+1 those where it is negative — the rows whose activity rises
+	// when the slot tightens. The cutoff rows, posted last, come last.
+	wakeAt []int32
+	wake   []reader
 
 	// weight[v] counts the conflicts met right after branching on v. It
-	// lives as long as the searcher: what one attempt or improvement
-	// iteration learns about where the model is tight steers the next.
+	// lives as long as the Solve: what one attempt or improvement iteration
+	// learns about where the model is tight steers the next.
 	weight     []int64
 	decision   []VarID // Options.BranchOrder without repeats
 	order      []VarID // decision as this attempt breaks ties: reshuffled by restarts
@@ -116,37 +130,45 @@ type searcher struct {
 	ctxErr   error   // set when opts.Ctx fired during the search
 }
 
-func newSearcher(m *Model, opts Options) *searcher {
-	n := len(m.lo)
-	s := &searcher{
-		m:          m,
-		bnd:        make([]int64, 2*n),
-		inQ:        make([]bool, len(m.cons)),
-		weight:     make([]int64, n),
-		decision:   make([]VarID, 0, len(opts.BranchOrder)),
-		rest:       make([]VarID, 0, n),
-		preferHigh: make([]bool, n),
-		values:     make([]int64, n),
-		seed:       m.Fingerprint(),
-		opts:       opts,
+// resize returns b at length n, its contents left to the caller. It reuses b's
+// array or doubles it: round scans and minimizations only grow a model.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n, max(n, 2*cap(b)))
 	}
-	s.rng = rand.New(&s.pcg)
+	return b[:n]
+}
+
+// searcher sets up m's searcher, and its buffers, for a Solve under opts;
+// root resets what each search needs afresh, feasible what each attempt does.
+func (m *Model) searcher(opts Options) *searcher {
+	if m.s == nil {
+		m.s = &searcher{}
+		m.s.rng = rand.New(&m.s.pcg)
+	}
+	s, n := m.s, len(m.lo)
+	s.m, s.opts, s.stats, s.ctxErr, s.seed = m, opts, Stats{}, nil, m.Fingerprint()
+	s.bnd, s.values, s.wakeAt = resize(s.bnd, 2*n), resize(s.values, n), resize(s.wakeAt, 2*n+2)
+	s.weight, s.preferHigh = resize(s.weight, n), resize(s.preferHigh, n)
+	clear(s.weight)
+	clear(s.preferHigh)
 	for _, v := range opts.PreferHigh {
 		s.preferHigh[v] = true
 	}
-	seen := make([]bool, n)
+	// weight marks the decision variables until the search starts.
+	s.decision, s.rest = s.decision[:0], s.rest[:0]
 	for _, v := range opts.BranchOrder {
-		if !seen[v] {
-			s.decision = append(s.decision, v)
-			seen[v] = true
+		if s.weight[v] == 0 {
+			s.decision, s.weight[v] = append(s.decision, v), 1
 		}
 	}
-	for v := range seen {
-		if !seen[v] {
+	for v, w := range s.weight {
+		if w == 0 {
 			s.rest = append(s.rest, VarID(v))
 		}
 	}
-	s.order = make([]VarID, len(s.decision))
+	clear(s.weight)
+	s.order = resize(s.order, len(s.decision))
 	return s
 }
 
@@ -168,13 +190,13 @@ const noCutoff = 1<<63 - 1
 // the Stats of the effort spent before failing.
 func (m *Model) Solve(opts Options) (*Solution, error) {
 	start := time.Now()
-	s := newSearcher(m, opts)
+	s := m.searcher(opts)
 	best := &Solution{}
 	err := s.feasible(noCutoff)
 	// Without an objective any feasible assignment is final.
 	optimal := err == nil && !m.hasObj
 	if err == nil && m.hasObj && !opts.FirstSolution {
-		rows := len(m.cons)
+		rows := len(m.rhs)
 		for err == nil {
 			// Every found assignment is strictly better than the last, so
 			// s.values always holds the best one.
@@ -191,7 +213,7 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		}
 	}
 	if err == nil {
-		best.Values = s.values
+		best.Values = append([]int64(nil), s.values...)
 		if m.hasObj {
 			best.Objective = Eval(m.obj, s.values)
 		}
@@ -202,17 +224,10 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 	return best, err
 }
 
-// dropRowsFrom removes the constraints with index ≥ n. They must be the
-// most recently posted ones, so each sits at the tail of the wake list of
-// every slot it reads.
+// dropRowsFrom removes the constraints with index ≥ n.
 func (m *Model) dropRowsFrom(n int) {
-	for _, c := range m.cons[n:] {
-		for _, t := range c.terms {
-			w := m.wake[slotOf(t)]
-			m.wake[slotOf(t)] = w[:len(w)-1]
-		}
-	}
-	m.cons = m.cons[:n]
+	m.terms = m.terms[:m.start[n]]
+	m.start, m.rhs, m.span = m.start[:n+1], m.rhs[:n], m.span[:n]
 }
 
 // feasible runs one feasibility search, under the objective cutoff given
@@ -270,20 +285,37 @@ func (s *searcher) feasible(cutoff int64) error {
 	}
 }
 
-// root loads the declared domains and propagates every row (a constant
-// infeasible row, 0 ≤ rhs < 0, fails there like any other); false means the
-// model is infeasible without branching.
+// root loads the declared domains, files every row — cutoff rows included
+// — in the wake lists of the slots it reads, computes its activity and
+// propagates it (a constant infeasible row, 0 ≤ rhs < 0, fails there like
+// any other); false means the model is infeasible without branching.
 func (s *searcher) root() bool {
-	for v, lo := range s.m.lo {
-		s.bnd[2*v], s.bnd[2*v+1] = lo, s.m.hi[v]
+	m := s.m
+	for v, lo := range m.lo {
+		s.bnd[2*v], s.bnd[2*v+1] = lo, m.hi[v]
 	}
 	s.trail = s.trail[:0]
-	for len(s.inQ) < len(s.m.cons) {
-		s.inQ = append(s.inQ, false) // cutoff rows posted since the last search
+	// Sum each slot's reader count into starts at at[slot+1]; filing a reader
+	// moves its slot's start up, to end where the next slot starts.
+	at := s.wakeAt
+	clear(at)
+	for _, t := range m.terms {
+		at[slotOf(t)+2]++
 	}
-	for i := range s.m.cons {
-		s.inQ[i] = true
-		s.queue = append(s.queue, int32(i))
+	for i := 2; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	rows := len(m.rhs)
+	s.wake, s.act, s.inQ = resize(s.wake, len(m.terms)), resize(s.act, rows), resize(s.inQ, rows)
+	for ci := range rows {
+		s.act[ci] = 0
+		for _, t := range m.row(ci) {
+			s.act[ci] += t.Coeff * s.bnd[slotOf(t)]
+			s.wake[at[slotOf(t)+1]] = reader{int32(ci), t.Coeff}
+			at[slotOf(t)+1]++
+		}
+		s.inQ[ci] = true
+		s.queue = append(s.queue, int32(ci))
 	}
 	return s.propagate()
 }
@@ -311,45 +343,50 @@ func (s *searcher) limitExceeded() bool {
 }
 
 // set moves bound slot to nv — a strict tightening that keeps the domain
-// non-empty — and wakes the rows whose minSum that raises: those reading
-// the slot. Rows holding the variable with the other sign only gain slack.
+// non-empty — and with it the activity of the rows reading the slot, which
+// it wakes. Rows holding the variable with the other sign only gain slack.
 func (s *searcher) set(slot int, nv int64) {
+	d := nv - s.bnd[slot]
 	s.trail = append(s.trail, change{slot, s.bnd[slot]})
 	s.bnd[slot] = nv
-	for _, ci := range s.m.wake[slot] {
-		if !s.inQ[ci] {
-			s.inQ[ci] = true
-			s.queue = append(s.queue, ci)
+	for _, r := range s.wake[s.wakeAt[slot]:s.wakeAt[slot+1]] {
+		s.act[r.row] += r.coeff * d
+		if !s.inQ[r.row] {
+			s.inQ[r.row] = true
+			s.queue = append(s.queue, r.row)
 		}
 	}
 }
 
+// undoTo takes back the bound moves trailed since mark, activities included.
 func (s *searcher) undoTo(mark int) {
 	for i := len(s.trail) - 1; i >= mark; i-- {
-		s.bnd[s.trail[i].slot] = s.trail[i].old
+		slot, old := s.trail[i].slot, s.trail[i].old
+		d := old - s.bnd[slot]
+		s.bnd[slot] = old
+		for _, r := range s.wake[s.wakeAt[slot]:s.wakeAt[slot+1]] {
+			s.act[r.row] += r.coeff * d
+		}
 	}
 	s.trail = s.trail[:mark]
 }
 
 // propagate runs bounds-consistency to fixpoint; false means conflict (and
-// an emptied queue). A visit of row Σ aᵢxᵢ ≤ rhs computes gap = rhs − minSum
-// and tightens exactly the terms with |a|·(hi−lo) > gap, to the bound
-// gap/a past the one the term reads; gap ≥ 0, so Go's truncating division
-// is the floor (a > 0) or the ceiling (a < 0) wanted. A tightening writes
-// the slot the row does not read, so it never re-wakes the row and never
-// fails: conflicts show as gap < 0 only.
+// an emptied queue). A visit of row Σ aᵢxᵢ ≤ rhs reads gap = rhs − act and
+// tightens exactly the terms with |a|·(hi−lo) > gap, to the bound gap/a past
+// the one the term reads; gap ≥ 0, so Go's truncating division is the floor
+// (a > 0) or the ceiling (a < 0) wanted. No term can when gap reaches the
+// row's span. A tightening writes the slot the row does not read, so it
+// never moves the row's activity, never re-wakes the row and never fails:
+// conflicts show as gap < 0 only.
 func (s *searcher) propagate() bool {
-	bnd := s.bnd
+	bnd, m := s.bnd, s.m
 	for len(s.queue) > 0 {
 		ci := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
 		s.inQ[ci] = false
 		s.stats.Propagations++
-		c := &s.m.cons[ci]
-		gap := c.rhs
-		for _, t := range c.terms {
-			gap -= t.Coeff * bnd[slotOf(t)]
-		}
+		gap := m.rhs[ci] - s.act[ci]
 		if gap < 0 {
 			for _, ci := range s.queue {
 				s.inQ[ci] = false
@@ -357,7 +394,10 @@ func (s *searcher) propagate() bool {
 			s.queue = s.queue[:0]
 			return false
 		}
-		for _, t := range c.terms {
+		if gap >= m.span[ci] {
+			continue
+		}
+		for _, t := range m.row(int(ci)) {
 			slot := slotOf(t)
 			if t.Coeff*(bnd[slot^1]-bnd[slot]) > gap {
 				s.set(slot^1, bnd[slot]+gap/t.Coeff)

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"chameleon/internal/analyzer"
@@ -67,10 +66,11 @@ type ek struct {
 	k int
 }
 
-func newEncoder(a *analyzer.Analysis, sp *spec.Spec, R int, opts Options) *encoder {
+// newEncoder encodes into model, which must be empty.
+func newEncoder(a *analyzer.Analysis, sp *spec.Spec, R int, opts Options, model *milp.Model) *encoder {
 	return &encoder{
 		a: a, sp: sp, R: R, opts: opts,
-		model:       milp.NewModel(),
+		model:       model,
 		g:           a.Graph,
 		isSwitching: make(map[topology.NodeID]bool),
 		rOld:        make(map[topology.NodeID]milp.VarID),
@@ -107,11 +107,11 @@ func (e *encoder) solve(ctx context.Context, nodes int64) (*NodeSchedule, milp.S
 		}
 	}
 	if e.opts.MinimizeTempSessions {
-		obj := milp.Lin()
+		obj := make([]milp.Term, 0, 2*len(e.a.Switching))
 		for _, n := range e.a.Switching {
-			obj = obj.Add(e.tOld[n], 1).Add(e.tNew[n], 1)
+			obj = append(obj, milp.Term{Var: e.tOld[n], Coeff: 1}, milp.Term{Var: e.tNew[n], Coeff: 1})
 		}
-		e.model.Minimize(obj)
+		e.model.Minimize(milp.LinExpr{Terms: obj})
 	}
 
 	// r_old variables prefer their upper bound (= r_nh: no temporary old
@@ -139,28 +139,26 @@ func (e *encoder) solve(ctx context.Context, nodes int64) (*NodeSchedule, milp.S
 func (e *encoder) buildScheduleVars() {
 	R := int64(e.R)
 	for _, n := range e.a.Switching {
-		name := fmt.Sprintf("n%d", n)
 		// r_old = 0 means "moved to the temporary old-egress session
 		// already during setup"; r_new = R+1 means "switches to the final
 		// route during cleanup". Both extend the paper's 1..R rounds with
 		// the setup/cleanup phases of §5.
-		e.rOld[n] = e.model.NewInt("rOld/"+name, 0, R)
-		e.rNh[n] = e.model.NewInt("rNh/"+name, 1, R)
-		e.rNew[n] = e.model.NewInt("rNew/"+name, 1, R+1)
+		e.rOld[n] = e.model.NewInt(0, R)
+		e.rNh[n] = e.model.NewInt(1, R)
+		e.rNew[n] = e.model.NewInt(1, R+1)
 		// r_old ≤ r_nh ≤ r_new (Eq. 1).
 		e.model.AddLe(milp.VarExpr(e.rOld[n]).Add(e.rNh[n], -1), 0)
 		e.model.AddLe(milp.VarExpr(e.rNh[n]).Add(e.rNew[n], -1), 0)
 		// Temporary-session indicators: r_nh − r_old ≤ R·tOld and
 		// r_new − r_nh ≤ R·tNew (§4.1 objective terms).
-		e.tOld[n] = e.model.NewBool("tOld/" + name)
-		e.tNew[n] = e.model.NewBool("tNew/" + name)
+		e.tOld[n] = e.model.NewBool()
+		e.tNew[n] = e.model.NewBool()
 		e.model.AddLe(milp.VarExpr(e.rNh[n]).Add(e.rOld[n], -1).Add(e.tOld[n], -R), 0)
 		e.model.AddLe(milp.VarExpr(e.rNew[n]).Add(e.rNh[n], -1).Add(e.tNew[n], -R), 0)
 		// leK channeling: leK[n][k-1] ⇔ r_nh(n) ≤ k.
 		les := make([]milp.VarID, 0, e.R-1)
 		for k := 1; k <= e.R-1; k++ {
-			les = append(les, e.model.ReifyLe(fmt.Sprintf("le/%s/%d", name, k),
-				milp.VarExpr(e.rNh[n]), int64(k)))
+			les = append(les, e.model.ReifyLe(milp.VarExpr(e.rNh[n]), int64(k)))
 		}
 		e.leK[n] = les
 	}
@@ -212,7 +210,7 @@ func (e *encoder) eqAt(n topology.NodeID, k int) bval {
 	case le.isConst && le.c && !lePrev.isConst:
 		b = e.not(lePrev) // eq = 1 − leK[k-1]
 	default:
-		v := e.model.NewBool(fmt.Sprintf("eq/n%d/%d", n, k))
+		v := e.model.NewBool()
 		// v = le − lePrev.
 		e.model.AddEq(milp.VarExpr(v).Add(le.v, -1).Add(lePrev.v, 1), 0)
 		b = vr(v)
@@ -228,7 +226,7 @@ func (e *encoder) not(b bval) bval {
 	if v, ok := e.notCache[b.v]; ok {
 		return vr(v)
 	}
-	v := e.model.NewBool("not/" + e.model.Name(b.v))
+	v := e.model.NewBool()
 	e.model.AddBoolNot(v, b.v)
 	e.notCache[b.v] = v
 	return vr(v)
@@ -297,7 +295,7 @@ func (e *encoder) buildHappensBefore() {
 				if !e.isSwitching[m] {
 					continue
 				}
-				y := e.model.NewBool(fmt.Sprintf("yOld/n%d/m%d", n, m))
+				y := e.model.NewBool()
 				// y ⇒ r_old(n) < r_old(m).
 				e.model.AddImpliesLe(y, milp.VarExpr(e.rOld[n]).Add(e.rOld[m], -1), -1)
 				ys = append(ys, y)
@@ -320,7 +318,7 @@ func (e *encoder) buildHappensBefore() {
 				if !e.isSwitching[m] {
 					continue
 				}
-				y := e.model.NewBool(fmt.Sprintf("yNew/n%d/m%d", n, m))
+				y := e.model.NewBool()
 				// y ⇒ r_new(n) > r_new(m).
 				e.model.AddImpliesGe(y, milp.VarExpr(e.rNew[n]).Add(e.rNew[m], -1), 1)
 				ys = append(ys, y)
@@ -379,7 +377,7 @@ func (e *encoder) buildConcurrency() {
 		}
 		ds := make([]milp.VarID, e.R)
 		for k := 1; k <= e.R; k++ {
-			ds[k-1] = e.model.NewBool(fmt.Sprintf("delta/n%d/%d", n, k))
+			ds[k-1] = e.model.NewBool()
 		}
 		e.delta[n] = ds
 	}
@@ -610,7 +608,7 @@ func (e *encoder) and(x, y bval) bval {
 	if x.v == y.v {
 		return x
 	}
-	v := e.model.NewBool("and")
+	v := e.model.NewBool()
 	e.model.AddBoolAnd(v, x.v, y.v)
 	return vr(v)
 }
@@ -631,7 +629,7 @@ func (e *encoder) or(x, y bval) bval {
 	if x.v == y.v {
 		return x
 	}
-	v := e.model.NewBool("or")
+	v := e.model.NewBool()
 	e.model.AddBoolOr(v, x.v, y.v)
 	return vr(v)
 }
@@ -661,7 +659,7 @@ func (e *encoder) reachVal(n topology.NodeID, k int) bval {
 	if b, ok := e.reachMemo[key]; ok {
 		return b
 	}
-	v := e.model.NewBool(fmt.Sprintf("reach/n%d/%d", n, k))
+	v := e.model.NewBool()
 	b := vr(v)
 	e.reachMemo[key] = b // memo before recursion (cycles hit the var)
 	le := e.leAt(n, k)
@@ -694,7 +692,7 @@ func (e *encoder) wpVal(w, n topology.NodeID, k int) bval {
 	if b, ok := e.wpMemo[key]; ok {
 		return b
 	}
-	v := e.model.NewBool(fmt.Sprintf("wp/w%d/n%d/%d", w, n, k))
+	v := e.model.NewBool()
 	b := vr(v)
 	e.wpMemo[key] = b
 	le := e.leAt(n, k)
@@ -739,7 +737,7 @@ func (e *encoder) exitsVal(target, n topology.NodeID, k int) bval {
 	if b, ok := e.exitsMemo[key]; ok {
 		return b
 	}
-	v := e.model.NewBool(fmt.Sprintf("exits/e%d/n%d/%d", target, n, k))
+	v := e.model.NewBool()
 	b := vr(v)
 	e.exitsMemo[key] = b
 	resolve := func(x topology.NodeID) bval {

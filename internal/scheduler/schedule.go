@@ -194,11 +194,15 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 			MOld: map[topology.NodeID]topology.NodeID{},
 			MNew: map[topology.NodeID]topology.NodeID{}, Stats: agg}, nil
 	}
+	// One model holds every round count's encoding in turn: Reset keeps its
+	// storage and its searcher's buffers for the next.
+	model := milp.NewModel()
 	attempt := func(r int, nodes int64) (*NodeSchedule, error) {
 		agg.RoundsTried++
 		span.Add(obs.CtrSchedRoundsTried, 1)
 		_, solveSpan := obs.StartSpan(ctx, "solve", obs.Int("R", int64(r)))
-		enc := newEncoder(a, sp, r, opts)
+		model.Reset()
+		enc := newEncoder(a, sp, r, opts, model)
 		sched, stats, err := enc.solve(ctx, nodes)
 		agg.SolverNodes += stats.Nodes
 		agg.Propagations += stats.Propagations
