@@ -413,10 +413,10 @@ type ExecOptions struct {
 	// Monitor, when non-nil, observes every transient forwarding state of
 	// the execution: it is bound to the network's snapshot stream for the
 	// duration of the run, told each phase as it starts (so violations are
-	// attributed to rounds, of every destination), and consulted as the
-	// executor's convergence gate (observed forwarding quiescence advances
-	// rounds; the watchdog remains the fallback). On success the monitor is
-	// finished and its Timeline is complete.
+	// attributed to rounds, of every destination). It only observes: a
+	// phase ends when BGP has settled, watched or not, so the run is the
+	// same with or without it. On success the monitor is finished and its
+	// Timeline is complete.
 	Monitor *Monitor
 	// ReleaseOnError, when set, releases the plan's transient state (the
 	// temporary sessions and route-map overrides of already-started rounds)
@@ -437,7 +437,6 @@ func (o ExecOptions) normalize(defaultSeed uint64) runtime.Options {
 	ro := runtime.Options{Seed: seed, Recorder: o.Recorder}
 	if o.Monitor != nil {
 		ro.PhaseObserver = o.Monitor.SetPhase
-		ro.Convergence = o.Monitor.Gate()
 	}
 	return ro
 }

@@ -651,11 +651,19 @@ func (s *session) fig11a() error {
 }
 
 func (s *session) fig11b() error {
-	r, err := eval.RunNewRouteExperiment("Abilene", s.seed, 30*time.Second)
+	const after = 30 * time.Second
+	r, err := eval.RunNewRouteExperiment("Abilene", s.seed, after)
 	if err != nil {
 		return err
 	}
-	s.printf("better route announced at e4 after 30 s (mid-update): ignored during the update phase\n")
+	// The phase the announcement fell in; a Between slot has no span.
+	in := "a between slot"
+	for _, ph := range r.Result.Phases {
+		if at := r.Result.Start + after; ph.Start < at && at <= ph.End {
+			in = ph.Name
+		}
+	}
+	s.printf("better route announced at e4 after %.0f s, delivered in %s: ignored during the update phase\n", after.Seconds(), in)
 	s.printf("reconfiguration completed in %.1f s; converged to e4 afterwards: %v\n",
 		r.Result.Duration().Seconds(), r.ConvergedToE4)
 	s.printf("drops during plan execution: %.0f packets\n", r.Measurement.TotalDropped)

@@ -20,9 +20,9 @@ func TestBundleAddressesPinned(t *testing.T) {
 		args []string
 		id   string
 	}{
-		{[]string{"-smoke", "-fig", "7", "-max-nodes", "15"}, "b577c91db65a9b3dc49031893993dd438ce09d016cb41a90150831a2684e53a6"},
-		{[]string{"-chaos"}, "34dc2581674db07343e4a51a1db3ba9f10a1575928f81c3ff6e9c26874d183fa"},
-		{[]string{"-supervise"}, "31a0f7e6969427133260043f832b14bb4e5b935cbb9318a7bf45028cbd8a38dd"},
+		{[]string{"-smoke", "-fig", "7", "-max-nodes", "15"}, "73473ef551d487457d3ad473e7cd03c31b750916afac1715632021c5f9970657"},
+		{[]string{"-chaos"}, "aa139a764107fbe3b3cff388a6f0b352339a1fcf5bd4353ca71fc94cb7fc2cdd"},
+		{[]string{"-supervise"}, "3c075fd9f8cad11c08740e6e2e0b362cb95ecf477ccc1ef611f51dba8c1a4bbb"},
 	} {
 		dir := filepath.Join(t.TempDir(), "bundle")
 		var stdout, stderr bytes.Buffer

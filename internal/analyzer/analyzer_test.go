@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"chameleon/internal/analyzer"
 	"chameleon/internal/bgp"
@@ -135,7 +134,8 @@ func TestSessionExists(t *testing.T) {
 
 func TestAnalyzeRejectsUnconverged(t *testing.T) {
 	s := scenario.RunningExample()
-	s.Net.ScheduleAfter(time.Hour, func(*sim.Network) {})
+	// A message in flight: BGP has not settled.
+	s.Net.InjectExternalRoute(s.Graph.MustNode("ext1"), sim.Announcement{Prefix: s.Prefix})
 	if _, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.Net, s.Prefix); err == nil {
 		t.Fatal("unconverged network accepted")
 	}

@@ -277,8 +277,6 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 	// the execution online (reach + loop-freedom, per-round attribution)
 	// and answers the executor's alarm; a loop drops traffic, so the alarm
 	// names reach whenever either invariant fails.
-	// No convergence gate here: chaos measures the executor under its
-	// default advancement policy, and gating would shift fault timing.
 	mon := monitor.New(monitor.Config{
 		Name:       "chaos",
 		Invariants: []monitor.Invariant{monitor.ReachAll(s.Graph), monitor.LoopFree()},

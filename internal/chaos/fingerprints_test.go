@@ -11,13 +11,13 @@ import (
 )
 
 // TestFingerprintTablesPinned holds the two default sweeps to the fingerprint
-// tables recorded before the executor's two supervision loops became one
-// (ISSUE 19): the chaos.txt and recovery.txt parts of `evalharness -chaos`
-// and `-supervise -bundle` at seed 7. Every field of a line — outcome,
-// simulated duration, fault counts, the per-case fingerprint over the
-// recovery statistics — is a deterministic function of the case, so a digest
-// that moves names a behaviour change in runtime, sim, supervisor or the
-// injector. A change that means to move one re-records it on purpose.
+// tables recorded since every phase ends when BGP is quiescent, so a timer
+// fires in the phase it falls in: the chaos.txt and recovery.txt parts of
+// `evalharness -chaos` and `-supervise -bundle` at seed 7. Every field of a
+// line — outcome, simulated duration, fault counts, the per-case fingerprint
+// over the recovery statistics — is a deterministic function of the case, so
+// a digest that moves names a behaviour change in runtime, sim, supervisor or
+// the injector. A change that means to move one re-records it on purpose.
 func TestFingerprintTablesPinned(t *testing.T) {
 	digest := func(write func(io.Writer) error) string {
 		t.Helper()
@@ -34,7 +34,7 @@ func TestFingerprintTablesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantChaos = "6f851a69e57c2cb02d8e9c57cbf6b9fddd88ebdc7f458efbfddbb8b2bf02c49c"
+	const wantChaos = "a91b8e252b41e818699c1ea969d0732224ac828144aea5e4e84f6eb98efe5941"
 	if got := digest(func(w io.Writer) error { return chaos.WriteFingerprints(w, results) }); got != wantChaos {
 		t.Errorf("chaos fingerprint table digest %s, want %s", got, wantChaos)
 	}
@@ -45,7 +45,7 @@ func TestFingerprintTablesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantRecovery = "8496ab8d317611e2837a29ed1a83450bfcc9fb825211575aa0c82b20cedc44f5"
+	const wantRecovery = "c9eb078569a9dc9ec2b445958db54c0f508afdc9f80134d2418ab2480c6b2b50"
 	if got := digest(func(w io.Writer) error { return chaos.WriteRecoveryFingerprints(w, recovered) }); got != wantRecovery {
 		t.Errorf("recovery fingerprint table digest %s, want %s", got, wantRecovery)
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -192,6 +193,25 @@ func TestRunNewRouteExperiment(t *testing.T) {
 	}
 	if !res.ConvergedToE4 {
 		t.Error("network did not adopt the e4 route after cleanup")
+	}
+	// The announcement meets the pinned transient state: it lands inside a
+	// round, not in a drain that idles up to it.
+	at, in := res.Result.Start+30*time.Second, ""
+	for _, ph := range res.Result.Phases {
+		if ph.Start < at && at <= ph.End {
+			in = ph.Name
+		}
+	}
+	if !strings.HasPrefix(in, "round ") {
+		t.Errorf("announcement at %v delivered in %q, want a round; phases %v", at, in, res.Result.Phases)
+	}
+}
+
+func TestRunCaseStudyHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunCaseStudyCtx(ctx, "Abilene", 7); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

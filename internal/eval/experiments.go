@@ -90,7 +90,9 @@ func waypointRules(a *analyzer.Analysis, e1 topology.NodeID) map[topology.NodeID
 // histogram samples (blame latency, violation duration, hop depth), and
 // the recorder's event stream, if any, gets a live record per violation.
 // The result and both timelines are byte-identical with or without a
-// recorder attached — histograms and streams are observation-only.
+// recorder attached — histograms and streams are observation-only. The
+// analyzer, the planner and the executor run under ctx, so cancelling it
+// stops the Chameleon run with ctx's error.
 func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyResult, error) {
 	rec := obs.RecorderFrom(ctx)
 	out := &CaseStudyResult{Topology: name}
@@ -100,7 +102,7 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 	if err != nil {
 		return nil, err
 	}
-	aSnow, err := analyzer.AnalyzeCtx(context.Background(), sSnow.Net, sSnow.FinalNetwork(), sSnow.Prefix)
+	aSnow, err := analyzer.AnalyzeCtx(ctx, sSnow.Net, sSnow.FinalNetwork(), sSnow.Prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +132,7 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 	if err != nil {
 		return nil, err
 	}
-	pl, err := plan.Build(context.Background(), sCham.Net, sCham.FinalNetwork(), sCham.Prefix,
+	pl, err := plan.Build(ctx, sCham.Net, sCham.FinalNetwork(), sCham.Prefix,
 		sCham.Commands, Eq4For(sCham.E1), scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -143,10 +145,9 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 	})
 	ro := runtime.Options{Seed: seed}
 	ro.PhaseObserver = mCham.SetPhase
-	ro.Convergence = mCham.Gate()
 	ex := runtime.NewExecutor(sCham.Net, ro)
 	unbind := mCham.Bind(sCham.Net)
-	res, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))
+	res, err := ex.ExecuteCtx(ctx, plan.Single(pl.Plan))
 	unbind()
 	if err != nil {
 		return nil, err

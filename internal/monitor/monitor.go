@@ -6,9 +6,9 @@
 // traces after the fact, the monitor closes the loop at execution time:
 // each snapshot becomes a checked, timestamped fact, violations become
 // timeline intervals with onset, duration, blast radius and per-round
-// attribution, and the observed quiescence of the forwarding plane gates
-// round advancement in the runtime executor (§8's runtime-monitoring
-// posture).
+// attribution, and an open violation is the executor's alarm (§8's
+// runtime-monitoring posture). It only observes: it never decides when a
+// phase ends.
 //
 // Determinism contract: the monitor is driven synchronously from the
 // simulator's event loop (snapshots arrive in event order, prefixes sorted
@@ -163,7 +163,6 @@ type Monitor struct {
 
 	statesChecked int
 	lastSeen      map[bgp.Prefix]fwd.State
-	lastChange    time.Duration
 	now           time.Duration
 
 	open     []*Violation // one per currently-violated (invariant, prefix)
@@ -221,7 +220,6 @@ func (m *Monitor) ObserveProvenance(at time.Duration, prefix bgp.Prefix, st fwd.
 	prev, seen := m.lastSeen[prefix]
 	repeat := seen && st.Equal(prev)
 	if !repeat {
-		m.lastChange = at
 		m.lastSeen[prefix] = st
 	}
 	for idx, inv := range m.cfg.Invariants {
@@ -349,39 +347,13 @@ func (m *Monitor) Alarm(prefix bgp.Prefix) func(*sim.Network) string {
 }
 
 // Bind installs the monitor's ObserveProvenance as net's snapshot hook and
-// anchors the quiescence clock at the network's current time. It returns a
+// starts the monitor's clock at the network's current time. It returns a
 // detach function restoring the previous (nil) hook; detach before
 // observing states that should not count, e.g. an Abort's teardown churn.
 func (m *Monitor) Bind(net *sim.Network) func() {
-	m.lastChange = net.Now()
 	m.now = net.Now()
 	net.SetSnapshotHook(m.ObserveProvenance)
 	return func() { net.SetSnapshotHook(nil) }
-}
-
-// DefaultGateWindow is the quiet period after which the forwarding plane is
-// considered converged: two orders of magnitude above the per-message
-// timescale (10 ms base delay + 20 ms jitter), far below the 8–12 s router
-// command latency, so gating never masks churn nor stretches rounds.
-const DefaultGateWindow = 2 * time.Second
-
-// Gate returns a convergence predicate for runtime.Options.Convergence:
-// the forwarding plane is quiescent when the event queue is empty, when no
-// forwarding change has been observed for DefaultGateWindow, or when no
-// pending event falls inside that window (nothing can change forwarding
-// before it closes).
-func (m *Monitor) Gate() func(*sim.Network) bool {
-	return func(net *sim.Network) bool {
-		if net.Converged() {
-			return true
-		}
-		quietAt := m.lastChange + DefaultGateWindow
-		if net.Now() >= quietAt {
-			return true
-		}
-		next, ok := net.NextEventAt()
-		return ok && next > quietAt
-	}
 }
 
 // ViolationCount returns the number of violation intervals recorded so

@@ -144,35 +144,6 @@ func TestTotalViolationUnion(t *testing.T) {
 	}
 }
 
-func TestGateQuiescence(t *testing.T) {
-	s := scenario.RunningExample()
-	net := s.Net
-	m := New(Config{Name: "gate"})
-	defer m.Bind(net)()
-	gate := m.Gate()
-	if !gate(net) {
-		t.Fatal("a converged network must pass the gate")
-	}
-	// A pending event inside the quiet window blocks the gate: forwarding
-	// could still change before the window closes.
-	t0 := net.Now()
-	net.ScheduleAt(t0+1*time.Second, func(*sim.Network) {})
-	if gate(net) {
-		t.Error("gate must hold while an event is pending inside the window")
-	}
-	// An event beyond the window cannot disturb it: the gate opens early
-	// instead of idling until the far-future event.
-	net.ScheduleAt(t0+time.Hour, func(*sim.Network) {})
-	for net.Now() < t0+1*time.Second {
-		if !net.Step() {
-			t.Fatal("queue drained unexpectedly")
-		}
-	}
-	if !gate(net) {
-		t.Error("gate must open when only events beyond the quiet window remain")
-	}
-}
-
 func TestBindObservesSnapshots(t *testing.T) {
 	s := scenario.RunningExample()
 	m := New(Config{Name: "bind", Invariants: []Invariant{noDrop()}})

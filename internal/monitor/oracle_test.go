@@ -184,7 +184,7 @@ func TestRepeatedStatesJudgedOnce(t *testing.T) {
 			}
 			// The facade's ExecuteCtx with a monitor, for two monitors.
 			ex := runtime.NewExecutor(net, runtime.Options{Seed: seed, PhaseObserver: tw.setPhase,
-				Convergence: tw.once.Gate(), Monitor: tw.poll(planned)})
+				Monitor: tw.poll(planned)})
 			unbind := tw.bind(net)
 			if _, err := ex.ExecuteCtx(ctx, mp); err != nil {
 				t.Fatalf("%s: %v", tw.label, err)

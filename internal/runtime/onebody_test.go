@@ -44,7 +44,6 @@ func TestPlanIsMultiPlanOfOne(t *testing.T) {
 				opts := runtime.Options{Seed: 7}
 				opts.Recorder = obs.New()
 				opts.PhaseObserver = mon.SetPhase
-				opts.Convergence = mon.Gate()
 				ex := runtime.NewExecutor(net, opts)
 				mp := plan.Single(p)
 				var err error

@@ -71,15 +71,6 @@ type Options struct {
 	// an exhausted escalation ladder. §8's third reaction, committing to the
 	// final configuration, is the supervisor's commit rung.
 	Reaction ReactionPolicy
-	// Convergence, when set, gates phase completion on observed forwarding
-	// convergence: a phase whose commands are all confirmed and whose
-	// post-conditions hold still keeps processing events until the gate
-	// reports the forwarding plane quiescent. An empty event queue always
-	// completes the phase regardless of the gate (nothing further can
-	// change), and the conditionTimeout watchdog remains the fallback for
-	// gates that never open. The transient-state monitor's Gate provides
-	// the canonical implementation.
-	Convergence func(*sim.Network) bool
 	// PhaseObserver, when set, is told the name of every execution phase as
 	// it starts (setup, between k, round k, cleanup), independent
 	// of whether a Recorder is attached. The transient-state monitor uses
@@ -356,9 +347,12 @@ func (e *Executor) endPhase(sp *obs.Span) {
 
 // ExecuteCtx runs a multi-destination reconfiguration (§5) to completion:
 // every destination's plan, aligned on the shared original commands; a
-// single plan goes in as plan.Single(p). The network must be converged; on
-// return it is converged in the final configuration. Forwarding traces
-// accumulate in the network's trace recorder for later verification.
+// single plan goes in as plan.Single(p). The network must be converged (BGP
+// quiescent, see sim.Network.Converged); on return it is converged in the
+// final configuration. A timer fires in the phase whose span it falls in,
+// and one scheduled past the end — an external event included — stays
+// queued. Forwarding traces accumulate in the network's trace recorder for
+// later verification.
 // Cancellation is polled in every supervision loop (per simulated event), so
 // a cancelled execution returns promptly mid-round with the context's error,
 // and a recorder — from Options.Recorder or, failing that, the context —
@@ -369,7 +363,7 @@ func (e *Executor) endPhase(sp *obs.Span) {
 // that group, and so on, and at last the cleanup of every destination. A
 // group is a run of mp.Order that every plan places in one slot; it is
 // pushed as one batch. An empty Between slot is a synchronization point all
-// the same: the network drains there before the plan's next round starts.
+// the same: BGP settles there before the plan's next round starts.
 // Phases are named setup, between k (the run's k-th synchronization point —
 // for one plan, its slot k), round k ("d7 round k" for destination 7 of
 // several) and cleanup.
@@ -425,7 +419,7 @@ func (e *Executor) ExecuteCtx(ctx context.Context, mp *plan.MultiPlan) (*Result,
 		sp := e.startPhase(name)
 		var err error
 		for _, p := range plans {
-			if err = e.runSteps(p.Prefix, steps(p), e.opts.Convergence); err != nil {
+			if err = e.runSteps(p.Prefix, steps(p)); err != nil {
 				break
 			}
 			res.CommandsApplied += len(steps(p))
@@ -441,21 +435,21 @@ func (e *Executor) ExecuteCtx(ctx context.Context, mp *plan.MultiPlan) (*Result,
 	// other: its steps are a group's original commands, which have no pre-
 	// or post-condition and so are pushed as one batch, and it ends once
 	// they are confirmed and the network has converged. Without steps it
-	// only drains. It belongs to no destination: a ReplanError raised here
-	// names the plan whose steps ran last.
+	// only waits for BGP to settle. It belongs to no destination: a
+	// ReplanError raised here names the plan whose steps ran last.
 	syncs := 0
 	between := func(group []plan.Step) error {
 		sp := e.startPhase(fmt.Sprintf("between %d", syncs))
 		syncs++
-		err := e.runSteps(e.curPrefix, group, (*sim.Network).Converged)
+		err := e.runSteps(e.curPrefix, group)
 		e.endPhase(sp)
 		if err == nil {
 			res.CommandsApplied += len(group)
 		}
 		return err
 	}
-	// advance takes plan i through its Between slots below to: slot k drains
-	// the network if it holds no command (one that does was pushed with its
+	// advance takes plan i through its Between slots below to: slot k lets
+	// BGP settle if it holds no command (one that does was pushed with its
 	// group), then round k+1 runs.
 	slot := make([]int, len(mp.Plans))
 	advance := func(i, to int) error {
@@ -511,8 +505,6 @@ func (e *Executor) ExecuteCtx(ctx context.Context, mp *plan.MultiPlan) (*Result,
 	if err := runPhase("cleanup", mp.Plans, func(p *plan.Plan) []plan.Step { return p.Cleanup }); err != nil {
 		return nil, err
 	}
-	// Let any remaining convergence settle.
-	e.net.Run()
 	res.End = e.net.Now()
 	res.MaxTableEntries = e.net.MaxTableEntries()
 	res.Recovery = e.rec
@@ -534,21 +526,6 @@ func sameSlots(plans []*plan.Plan, a, b int) bool {
 		}
 	}
 	return true
-}
-
-// superviseRun is the phase without steps: it drains the event queue like
-// sim.Network.Run but consults the Monitor after every event, so external
-// events landing in otherwise idle Between slots are still caught (§8).
-func (e *Executor) superviseRun() error {
-	for e.net.Step() {
-		if err := e.ctxDone(); err != nil {
-			return err
-		}
-		if err := e.pollMonitor(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // pollMonitor is §8 supervision: it asks the Monitor about the state the
@@ -622,14 +599,11 @@ type stepState struct {
 // phase apply concurrently), a pushed command is confirmed through its
 // acknowledgment or configuration readback — retried, re-pushed and finally
 // escalated if it stays unconfirmed — and the phase completes when every
-// post-condition holds and gate, if there is one, reports the network
-// settled: Options.Convergence for a plan's own phases, the empty event
-// queue for a Between slot, whose steps carry no condition to wait for.
-func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step, gate func(*sim.Network) bool) error {
+// post-condition holds and BGP has settled (sim.Network.Converged). A phase
+// without steps, such as an empty Between slot, is the same loop: it ends
+// once BGP settles, under the Monitor, the watchdog and the context.
+func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step) error {
 	e.curPrefix = prefix
-	if len(steps) == 0 {
-		return e.superviseRun()
-	}
 	st := make([]stepState, len(steps))
 	watchdog := e.net.Now() + conditionTimeout
 
@@ -739,32 +713,30 @@ func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step, gate func(*sim
 					steps[i].Command.Description, s.attempts))
 			}
 		}
-		// Done when all commands confirmed and all posts hold — and, when
-		// the phase has a gate, once that reports the network settled. An
-		// empty queue satisfies any gate (no event can change forwarding
-		// anymore), which keeps arbitrary gates from deadlocking a drained
-		// network.
-		done := true
-		for i := range steps {
-			if !st[i].pushed || !postOK(i) {
-				done = false
-				break
-			}
+		// Done when all commands confirmed, all posts hold and BGP has
+		// settled. A timer still queued belongs to a later phase.
+		done := e.net.Converged()
+		for i := 0; done && i < len(steps); i++ {
+			done = st[i].pushed && postOK(i)
 		}
-		if done && (gate == nil || e.net.Converged() || gate(e.net)) {
+		if done {
 			return nil
 		}
 		if progress {
 			watchdog = e.net.Now() + conditionTimeout
 		}
-		// Advance the network by one event. With an empty queue, advance
-		// the clock to the next verification deadline instead — dropped
-		// commands generate no events of their own.
-		if !e.net.Step() {
-			if next, ok := nextDeadline(st); ok && next > e.net.Now() {
+		// Advance the network by one event. While BGP is quiescent only
+		// timers are queued: if none is due by the next verification
+		// deadline, advance the clock to the deadline instead of stepping
+		// a later timer — dropped commands generate no events of their own.
+		if e.net.Converged() {
+			next, ok := nextDeadline(st)
+			if at, queued := e.net.NextEventAt(); ok && next > e.net.Now() && (!queued || at > next) {
 				e.net.RunUntil(next)
 				continue
 			}
+		}
+		if !e.net.Step() {
 			if !progress {
 				// Nothing pending and no new command became applicable:
 				// the plan is stuck — under supervision that is itself

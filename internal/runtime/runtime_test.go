@@ -297,7 +297,8 @@ func TestExecutorRequiresConvergedNetwork(t *testing.T) {
 	s := scenario.RunningExample()
 	sp := reachSpec(s.Graph)
 	_, _, p := pipeline(t, s, sp)
-	s.Net.ScheduleAfter(time.Hour, func(*sim.Network) {})
+	// A message in flight: BGP has not settled.
+	s.Net.InjectExternalRoute(s.Graph.MustNode("ext1"), sim.Announcement{Prefix: s.Prefix})
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
 	if _, err := ex.ExecuteCtx(context.Background(), plan.Single(p)); err == nil {
 		t.Fatal("Execute must reject a non-converged network")

@@ -12,15 +12,22 @@ import (
 // causal chain it belongs to: the root cause and the number of message hops
 // between the root and this event (see cause.go). A delivery is the
 // message's own delivery field, so a message and its event are one
-// allocation.
+// allocation. cmd marks a command application (ScheduleCommand): it and a
+// delivery are what BGP has in flight (see Converged); cmd sits in cause's
+// padding, which keeps an event at 48 bytes.
 type event struct {
 	at    time.Duration
 	seq   uint64 // tie-break, preserves insertion order at equal times
 	msg   *message
 	fn    func(*Network)
 	cause CauseID
+	cmd   bool
 	hops  int
 }
+
+// inFlight reports whether e is BGP work in flight: a delivery or a command
+// application.
+func (e *event) inFlight() bool { return e.msg != nil || e.cmd }
 
 // before orders events by (at, seq). seq is unique, so the order is total:
 // events pop in one order whatever shape the heap has.
@@ -80,6 +87,9 @@ func (n *Network) push(at time.Duration, e *event) {
 	e.at, e.seq = at, n.seq
 	n.queue.push(e)
 	n.seq++
+	if e.inFlight() {
+		n.inFlight++
+	}
 }
 
 // ScheduleAt runs fn when the simulated clock reaches t. Functions

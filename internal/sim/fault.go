@@ -143,7 +143,8 @@ func (t *CommandToken) Cancel() {
 // ScheduleCommand pushes cmd through the fault layer after delay — the way
 // a controller pushes configuration at a router. The returned token is the
 // controller's acknowledgment channel; with no injector installed the
-// command applies after exactly delay and acks.
+// command applies after exactly delay and acks. Until its applications (a
+// duplicate's included) have run, the network is not Converged.
 func (n *Network) ScheduleCommand(delay time.Duration, cmd Command, attempt int) *CommandToken {
 	n.count(obs.CtrCommandsScheduled, 1)
 	tk := &CommandToken{kind: FaultNone}
@@ -172,7 +173,7 @@ func (n *Network) ScheduleCommand(delay time.Duration, cmd Command, attempt int)
 	// Each scheduled application roots its own causal chain, so violations
 	// set off by the resulting BGP churn blame this command (cause.go).
 	cause := n.NewCause(CauseCommand, cmd.Description, cmd.Node)
-	n.ScheduleCausedAt(n.now+delay, cause, func(net *Network) {
+	n.push(n.now+delay, &event{cause: cause, cmd: true, fn: func(net *Network) {
 		if tk.cancelled {
 			return
 		}
@@ -182,7 +183,7 @@ func (n *Network) ScheduleCommand(delay time.Duration, cmd Command, attempt int)
 		if f.Kind != FaultPartial {
 			tk.acked = true
 		}
-	})
+	}})
 	if f.Kind == FaultDuplicate {
 		// A straggling second application. Commands are idempotent, so the
 		// duplicate matters only if it lands after a later command undid
@@ -191,12 +192,12 @@ func (n *Network) ScheduleCommand(delay time.Duration, cmd Command, attempt int)
 		if f.DelayFactor > 1 {
 			extra = time.Duration(float64(delay) * (f.DelayFactor - 1) / 2)
 		}
-		n.ScheduleCausedAt(n.now+delay+extra, cause, func(net *Network) {
+		n.push(n.now+delay+extra, &event{cause: cause, cmd: true, fn: func(net *Network) {
 			if tk.cancelled {
 				return
 			}
 			apply(net)
-		})
+		}})
 	}
 	return tk
 }

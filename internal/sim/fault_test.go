@@ -112,7 +112,16 @@ func TestCommandFaultDuplicate(t *testing.T) {
 	})
 	applied := 0
 	tk := net.ScheduleCommand(10*time.Second, countedCommand(s.E1, &applied), 0)
-	net.Run()
+	// Both applications are commands: BGP has not settled until the second
+	// has run.
+	if net.Converged() {
+		t.Error("converged with a command application pending")
+	}
+	for net.Step() {
+		if net.Converged() != (applied == 2) {
+			t.Errorf("after %d applications: Converged = %v", applied, net.Converged())
+		}
+	}
 	if applied != 2 {
 		t.Fatalf("duplicated command applied %d times, want 2", applied)
 	}

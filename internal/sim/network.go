@@ -51,8 +51,11 @@ type Network struct {
 
 	queue eventQueue
 	seq   uint64
-	now   time.Duration
-	rng   *rand.Rand
+	// inFlight counts the queued events that are BGP work: deliveries and
+	// command applications (see Converged).
+	inFlight int
+	now      time.Duration
+	rng      *rand.Rand
 	// inEvent is set while a scheduled function runs (see Step).
 	inEvent      bool
 	lastDelivery map[sessKey]time.Duration
@@ -395,6 +398,9 @@ func (n *Network) Step() bool {
 		return false
 	}
 	e := n.queue.pop()
+	if e.inFlight() {
+		n.inFlight--
+	}
 	n.now = e.at
 	n.curCause, n.curHops = e.cause, e.hops
 	n.activateCause(e.cause)
@@ -444,9 +450,8 @@ func (n *Network) RunUntil(t time.Duration) int {
 func (n *Network) Pending() int { return len(n.queue) }
 
 // NextEventAt returns the time of the earliest pending event, or false with
-// an empty queue. Convergence gates use it to tell "churn still in flight"
-// from "only far-future work remains": if nothing is scheduled inside the
-// quiet window, the forwarding plane cannot change before it closes.
+// an empty queue. On a converged network it is the next timer: the executor
+// advances the clock to a deadline that comes first instead of stepping it.
 func (n *Network) NextEventAt() (time.Duration, bool) {
 	if len(n.queue) == 0 {
 		return 0, false
@@ -454,8 +459,11 @@ func (n *Network) NextEventAt() (time.Duration, bool) {
 	return n.queue[0].at, true
 }
 
-// Converged reports whether no BGP messages or scheduled functions remain.
-func (n *Network) Converged() bool { return len(n.queue) == 0 }
+// Converged reports whether BGP is quiescent: no message is in flight and no
+// command application is pending. Timers — external events, flap hold-downs,
+// probes — may still be queued (Pending counts them); they fire when the
+// clock reaches them, not when the network settles. O(1).
+func (n *Network) Converged() bool { return n.inFlight == 0 }
 
 // decide re-runs best-path selection at r for prefix, updates the Loc-RIB
 // and the dirty set, and reports whether the selection changed. It never
@@ -749,8 +757,8 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 
 // Clone returns an independent copy of a converged network for what-if
 // exploration, in time proportional to routers, sessions and route-map
-// entries — not to prefixes. Pending events are NOT copied; clone a
-// converged network.
+// entries — not to prefixes. Pending events are NOT copied; the event queue
+// must be empty, timers included.
 //
 // Shared, copy-on-write: every route table (Adj-RIB-In, Loc-RIB,
 // Adj-RIB-Out) and the originated announcements of external networks — the
@@ -775,7 +783,7 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 // route, is interned by the network that sends it.
 func (n *Network) Clone() *Network {
 	if len(n.queue) > 0 {
-		panic("sim: Clone requires a converged network")
+		panic("sim: Clone requires an empty event queue")
 	}
 	c := newNetwork(n.graph, n.spf.Clone(), n.opts, n.attrs.Fork())
 	c.now = n.now

@@ -124,12 +124,18 @@ func TestPendingAndConverged(t *testing.T) {
 	if !s.Net.Converged() || s.Net.Pending() != 0 {
 		t.Fatal("fixture should be converged")
 	}
+	// A timer alone is not BGP work: the network stays converged.
 	s.Net.ScheduleAfter(time.Second, func(*sim.Network) {})
+	if !s.Net.Converged() || s.Net.Pending() != 1 {
+		t.Errorf("after a timer: Converged = %v, Pending = %d, want true and 1", s.Net.Converged(), s.Net.Pending())
+	}
+	// A message in flight is.
+	s.Net.InjectExternalRoute(s.Graph.MustNode("ext1"), sim.Announcement{Prefix: s.Prefix})
 	if s.Net.Converged() {
-		t.Error("pending event should mean not converged")
+		t.Error("a message in flight should mean not converged")
 	}
 	s.Net.Run()
-	if !s.Net.Converged() {
+	if !s.Net.Converged() || s.Net.Pending() != 0 {
 		t.Error("Run must drain the queue")
 	}
 }

@@ -97,13 +97,13 @@ func (rm *RouteMap) Entries() []Entry {
 }
 
 // CaptureState snapshots the network's complete configuration and routing
-// state. The network must be converged: in-flight events are not part of a
-// snapshot by design (the supervisor only snapshots at recovery boundaries,
-// after an abort has drained the queue). The result is deterministic —
-// identical networks capture to identical values.
+// state. The event queue must be empty, timers included: queued events are
+// not part of a snapshot by design (the supervisor only snapshots at
+// recovery boundaries, after an abort has drained the queue). The result is
+// deterministic — identical networks capture to identical values.
 func (n *Network) CaptureState() (*NetState, error) {
 	if len(n.queue) > 0 {
-		return nil, fmt.Errorf("sim: CaptureState requires a converged network (%d events pending)", len(n.queue))
+		return nil, fmt.Errorf("sim: CaptureState requires an empty event queue (%d events pending)", len(n.queue))
 	}
 	st := &NetState{
 		Now:             n.now,
@@ -193,7 +193,7 @@ func captureRouter(r *router) RouterState {
 // ever look at deliveries ≤ now, which cannot constrain future sends).
 func (n *Network) RestoreState(st *NetState) error {
 	if len(n.queue) > 0 {
-		return fmt.Errorf("sim: RestoreState requires a converged network (%d events pending)", len(n.queue))
+		return fmt.Errorf("sim: RestoreState requires an empty event queue (%d events pending)", len(n.queue))
 	}
 	if len(st.Routers) != len(n.routers) {
 		return fmt.Errorf("sim: snapshot has %d routers, network has %d", len(st.Routers), len(n.routers))

@@ -155,7 +155,8 @@ func TestSynthesizeDetectsImpossible(t *testing.T) {
 
 func TestApplyRejectsUnconverged(t *testing.T) {
 	s := scenario.RunningExample()
-	s.Net.ScheduleAfter(time.Hour, func(*sim.Network) {})
+	// A message in flight: BGP has not settled.
+	s.Net.InjectExternalRoute(s.Graph.MustNode("ext1"), sim.Announcement{Prefix: s.Prefix})
 	if _, err := snowcap.Apply(s.Net, s.Commands, []int{0}, time.Second); err == nil {
 		t.Fatal("expected error on unconverged network")
 	}

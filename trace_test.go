@@ -152,10 +152,10 @@ func TestExportFormatsPinned(t *testing.T) {
 		},
 	}
 	want := map[string]string{
-		"trace.jsonl": "72d41427d384033e505e7370bb466b01eeb96dca2cfd5c977d6595d166571777",
+		"trace.jsonl": "25f9e02e058843a53a0fb393e7f6898f2ad2057fa15aa2c39336999a8b2ac4cd",
 		"prometheus":  "44c437c90abcf5e7ba72bcb76a2a3196ed50806c7c0d06f2003cb1dd4e992dfd",
-		"flame":       "b25107dc4d099b48872469894f5cd0aff29ea592e698981f07d4bbc625a992ac",
-		"events":      "ebe25734e5df39595b087e7b59f852bd3884c05072ec8f9894d7c5c7a92f7d81",
+		"flame":       "89db6ef6b0a4eb0e0c5fbbba1bf8e3b956bc665433c1910ca0389a0ed382e206",
+		"events":      "5a4c3356d6b3b06a6cdd105f3e109c9a9cf158a06729d3a5fafd6dafe044d934",
 	}
 	for name, write := range outputs {
 		var b bytes.Buffer
