@@ -104,7 +104,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 func BenchmarkFig08SpecComplexity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, temporal := range []bool{false, true} {
-			if _, err := eval.SpecComplexitySweep("Aarnet", temporal, true,
+			if _, err := eval.SpecComplexitySweepCtx(context.Background(), "Aarnet", temporal, true,
 				[]float64{0, 1}, 2, 7); err != nil {
 				b.Fatal(err)
 			}
@@ -155,10 +155,10 @@ func BenchmarkFig10TableOverhead(b *testing.B) {
 // BenchmarkFig11ExternalEvents runs both external-event experiments.
 func BenchmarkFig11ExternalEvents(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.RunLinkFailureExperiment("Abilene", 7, 7*time.Second); err != nil {
+		if _, err := eval.RunLinkFailureExperimentCtx(context.Background(), "Abilene", 7, 7*time.Second); err != nil {
 			b.Fatal(err)
 		}
-		r, err := eval.RunNewRouteExperiment("Abilene", 7, 10*time.Second)
+		r, err := eval.RunNewRouteExperimentCtx(context.Background(), "Abilene", 7, 10*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func BenchmarkFig12SupplementaryCaseStudies(b *testing.B) {
 func BenchmarkFig13LoopConstraintAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, explicit := range []bool{true, false} {
-			if _, err := eval.SpecComplexitySweep("Sprint", true, explicit,
+			if _, err := eval.SpecComplexitySweepCtx(context.Background(), "Sprint", true, explicit,
 				[]float64{0, 1}, 2, 7); err != nil {
 				b.Fatal(err)
 			}

@@ -579,7 +579,7 @@ func (s *session) fig8() error {
 		if temporal {
 			label, name = "φt (temporal)", "fig8_phi_t.csv"
 		}
-		pts, err := eval.SpecComplexitySweep(topo, temporal, true, fracs, s.runs, s.seed)
+		pts, err := eval.SpecComplexitySweepCtx(s.ctx, topo, temporal, true, fracs, s.runs, s.seed)
 		if err != nil {
 			return err
 		}
@@ -639,7 +639,7 @@ func (s *session) fig10() error {
 }
 
 func (s *session) fig11a() error {
-	r, err := eval.RunLinkFailureExperiment("Abilene", s.seed, 7*time.Second)
+	r, err := eval.RunLinkFailureExperimentCtx(s.ctx, "Abilene", s.seed, 7*time.Second)
 	if err != nil {
 		return err
 	}
@@ -652,7 +652,7 @@ func (s *session) fig11a() error {
 
 func (s *session) fig11b() error {
 	const after = 30 * time.Second
-	r, err := eval.RunNewRouteExperiment("Abilene", s.seed, after)
+	r, err := eval.RunNewRouteExperimentCtx(s.ctx, "Abilene", s.seed, after)
 	if err != nil {
 		return err
 	}
@@ -691,7 +691,7 @@ func (s *session) fig13() error {
 	fracs := []float64{0, 0.5, 1}
 	s.printf("loop-constraint ablation on %s (temporal spec), %d runs per point\n", topo, s.runs)
 	for i, label := range []string{"explicit (with Eq. 3)", "implicit (without Eq. 3)"} {
-		pts, err := eval.SpecComplexitySweep(topo, true, i == 0, fracs, s.runs, s.seed)
+		pts, err := eval.SpecComplexitySweepCtx(s.ctx, topo, true, i == 0, fracs, s.runs, s.seed)
 		if err != nil {
 			return err
 		}

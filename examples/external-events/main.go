@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -16,8 +17,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fmt.Println("— Fig. 11a: link failure 7 s into the reconfiguration —")
-	a, err := eval.RunLinkFailureExperiment("Abilene", 7, 7*time.Second)
+	a, err := eval.RunLinkFailureExperimentCtx(ctx, "Abilene", 7, 7*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func main() {
 	fmt.Printf("packets lost: %.0f\n\n", a.Measurement.TotalDropped)
 
 	fmt.Println("— Fig. 11b: better route announced at e4 after 30 s (mid-update) —")
-	b, err := eval.RunNewRouteExperiment("Abilene", 7, 30*time.Second)
+	b, err := eval.RunNewRouteExperimentCtx(ctx, "Abilene", 7, 30*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestSweepSchedulingSmall(t *testing.T) {
 }
 
 func TestSpecComplexitySweepSmall(t *testing.T) {
-	pts, err := SpecComplexitySweep("Abilene", true, true, []float64{0, 1}, 2, 7)
+	pts, err := SpecComplexitySweepCtx(context.Background(), "Abilene", true, true, []float64{0, 1}, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSweepTableOverheadSmall(t *testing.T) {
 }
 
 func TestRunLinkFailureExperiment(t *testing.T) {
-	res, err := RunLinkFailureExperiment("Abilene", 7, 7*time.Second)
+	res, err := RunLinkFailureExperimentCtx(context.Background(), "Abilene", 7, 7*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestRunLinkFailureExperiment(t *testing.T) {
 }
 
 func TestRunNewRouteExperiment(t *testing.T) {
-	res, err := RunNewRouteExperiment("Abilene", 7, 30*time.Second)
+	res, err := RunNewRouteExperimentCtx(context.Background(), "Abilene", 7, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +212,31 @@ func TestRunCaseStudyHonoursContext(t *testing.T) {
 	cancel()
 	if _, err := RunCaseStudyCtx(ctx, "Abilene", 7); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestExperimentsHonourContext: the Fig. 8/13 sweep and both Fig. 11
+// experiments stop on the caller's cancelled context.
+func TestExperimentsHonourContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func() error{
+		"SpecComplexitySweepCtx": func() error {
+			_, err := SpecComplexitySweepCtx(ctx, "Abilene", true, true, []float64{0}, 1, 7)
+			return err
+		},
+		"RunLinkFailureExperimentCtx": func() error {
+			_, err := RunLinkFailureExperimentCtx(ctx, "Abilene", 7, 7*time.Second)
+			return err
+		},
+		"RunNewRouteExperimentCtx": func() error {
+			_, err := RunNewRouteExperimentCtx(ctx, "Abilene", 7, 30*time.Second)
+			return err
+		},
+	} {
+		if err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
 	}
 }
 
@@ -252,7 +277,7 @@ func TestCSVWriters(t *testing.T) {
 	}
 
 	buf.Reset()
-	pts, err := SpecComplexitySweep("Basnet", false, true, []float64{0}, 1, 7)
+	pts, err := SpecComplexitySweepCtx(context.Background(), "Basnet", false, true, []float64{0}, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,7 +255,7 @@ type SpecSweepPoint struct {
 	Times            []time.Duration
 }
 
-// SpecComplexitySweep measures scheduling time on one topology while the
+// SpecComplexitySweepCtx measures scheduling time on one topology while the
 // number of waypoint-constrained nodes |Nφ| grows, with temporal (φt) or
 // non-temporal (φn) constraints, and with or without explicit loop
 // constraints (Fig. 13's ablation). Each point runs `runs` times with a
@@ -264,12 +264,12 @@ type SpecSweepPoint struct {
 // This sweep stays deliberately sequential: its *only* output is wall-clock
 // scheduling time, and running points concurrently would let CPU contention
 // distort the medians Fig. 8 compares.
-func SpecComplexitySweep(name string, temporal, explicitLoops bool, fracs []float64, runs int, seed uint64) ([]SpecSweepPoint, error) {
+func SpecComplexitySweepCtx(ctx context.Context, name string, temporal, explicitLoops bool, fracs []float64, runs int, seed uint64) ([]SpecSweepPoint, error) {
 	s, err := scenario.CaseStudy(name, scenario.Config{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
+	a, err := analyzer.AnalyzeCtx(ctx, s.Net, s.FinalNetwork(), s.Prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +291,7 @@ func SpecComplexitySweep(name string, temporal, explicitLoops bool, fracs []floa
 				sp = PhiN(a, s.E1, nodes)
 			}
 			t0 := time.Now()
-			if _, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts); err != nil {
+			if _, err := scheduler.ScheduleCtx(ctx, a, sp, opts); err != nil {
 				return nil, fmt.Errorf("eval: spec sweep %s |Nφ|=%d run %d: %w", name, k, run, err)
 			}
 			d := time.Since(t0)
@@ -400,15 +400,15 @@ type ExternalEventResult struct {
 	ConvergedToE4 bool
 }
 
-// RunLinkFailureExperiment reproduces Fig. 11a: a link fails mid-update;
+// RunLinkFailureExperimentCtx reproduces Fig. 11a: a link fails mid-update;
 // OSPF reconverges (sub-second loss) but the reconfiguration completes
 // safely.
-func RunLinkFailureExperiment(name string, seed uint64, failAfter time.Duration) (*ExternalEventResult, error) {
+func RunLinkFailureExperimentCtx(ctx context.Context, name string, seed uint64, failAfter time.Duration) (*ExternalEventResult, error) {
 	s, err := scenario.CaseStudy(name, scenario.Config{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix,
+	pl, err := plan.Build(ctx, s.Net, s.FinalNetwork(), s.Prefix,
 		s.Commands, nil, scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -434,7 +434,7 @@ func RunLinkFailureExperiment(name string, seed uint64, failAfter time.Duration)
 		}}
 	}
 	ex := runtime.NewExecutor(s.Net, opts)
-	res, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))
+	res, err := ex.ExecuteCtx(ctx, plan.Single(pl.Plan))
 	if err != nil {
 		return nil, err
 	}
@@ -445,19 +445,19 @@ func RunLinkFailureExperiment(name string, seed uint64, failAfter time.Duration)
 	return &ExternalEventResult{Measurement: m, Result: res}, nil
 }
 
-// RunNewRouteExperiment reproduces Fig. 11b: a strictly better route is
+// RunNewRouteExperimentCtx reproduces Fig. 11b: a strictly better route is
 // announced at a fourth egress mid-update; the pinned transient state makes
 // routers ignore it until cleanup restores the original preferences, after
 // which the whole network adopts it. announceAfter should fall inside the
 // update phase: §8's guarantee covers events against the *installed*
 // transient state — an announcement racing the setup phase meets ordinary
 // unprotected BGP convergence, as it would without Chameleon.
-func RunNewRouteExperiment(name string, seed uint64, announceAfter time.Duration) (*ExternalEventResult, error) {
+func RunNewRouteExperimentCtx(ctx context.Context, name string, seed uint64, announceAfter time.Duration) (*ExternalEventResult, error) {
 	s, err := scenario.CaseStudy(name, scenario.Config{Seed: seed, SpareEgress: true})
 	if err != nil {
 		return nil, err
 	}
-	pl, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix,
+	pl, err := plan.Build(ctx, s.Net, s.FinalNetwork(), s.Prefix,
 		s.Commands, nil, scheduler.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -470,7 +470,7 @@ func RunNewRouteExperiment(name string, seed uint64, announceAfter time.Duration
 		},
 	}}
 	ex := runtime.NewExecutor(s.Net, opts)
-	res, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan))
+	res, err := ex.ExecuteCtx(ctx, plan.Single(pl.Plan))
 	if err != nil {
 		return nil, err
 	}

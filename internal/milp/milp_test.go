@@ -48,7 +48,7 @@ func TestInfeasible(t *testing.T) {
 func knapsack(m *Model) Options {
 	a, b, c := m.NewBool(), m.NewBool(), m.NewBool()
 	m.AddLe(Sum(a, b, c), 2)
-	m.Maximize(Lin().Add(a, 10).Add(b, 6).Add(c, 4))
+	m.Minimize(lin(Term{a, -10}, Term{b, -6}, Term{c, -4})) // maximize 10a+6b+4c
 	return Options{}
 }
 
@@ -67,7 +67,7 @@ func TestMinimize(t *testing.T) {
 	m := NewModel()
 	x := m.NewInt(0, 100)
 	y := m.NewInt(0, 100)
-	m.AddGe(Lin().Add(x, 2).Add(y, 3), 12)
+	m.AddGe(lin(Term{x, 2}, Term{y, 3}), 12)
 	m.Minimize(Sum(x, y))
 	s := solve(t, m, Options{})
 	if got := Eval(Sum(x, y), s.Values); got != 4 {
@@ -82,7 +82,7 @@ func TestImplications(t *testing.T) {
 	m.AddImpliesLe(b, VarExpr(x), 3)
 	m.AddImpliesGe(b, VarExpr(x), 2)
 	m.AddEq(VarExpr(b), 1)
-	m.AddEq(VarExpr(x).Add(b, 0), 3) // x = 3 is admissible
+	m.AddEq(lin(Term{x, 1}, Term{b, 0}), 3) // x = 3 is admissible
 	s := solve(t, m, Options{})
 	if s.Values[x] < 2 || s.Values[x] > 3 {
 		t.Errorf("x = %d, want in [2,3]", s.Values[x])
@@ -114,22 +114,6 @@ func TestReifyLe(t *testing.T) {
 		}
 		if fix == 0 && s.Values[x] <= 5 {
 			t.Errorf("b=0 but x=%d <= 5", s.Values[x])
-		}
-	}
-}
-
-func TestReifyEq(t *testing.T) {
-	for _, fix := range []int64{0, 1} {
-		m := NewModel()
-		x := m.NewInt(0, 6)
-		b := m.ReifyEq(VarExpr(x), 4)
-		m.AddEq(VarExpr(b), fix)
-		s := solve(t, m, Options{})
-		if fix == 1 && s.Values[x] != 4 {
-			t.Errorf("b=1 but x=%d", s.Values[x])
-		}
-		if fix == 0 && s.Values[x] == 4 {
-			t.Errorf("b=0 but x=4")
 		}
 	}
 }
@@ -173,17 +157,23 @@ func TestBoolLogic(t *testing.T) {
 	_ = not
 }
 
+// TestExactlyOneAndAtLeastOne: the fewest booleans AtLeastOne admits is
+// exactly one, and none at all is infeasible.
 func TestExactlyOneAndAtLeastOne(t *testing.T) {
 	m := NewModel()
 	var bs []VarID
 	for i := 0; i < 5; i++ {
 		bs = append(bs, m.NewBool())
 	}
-	m.ExactlyOne(bs...)
-	m.Maximize(Sum(bs...))
+	m.AtLeastOne(bs...)
+	m.Minimize(Sum(bs...))
 	s := solve(t, m, Options{})
 	if got := Eval(Sum(bs...), s.Values); got != 1 {
-		t.Errorf("ExactlyOne violated: sum=%d", got)
+		t.Errorf("minimum under AtLeastOne: sum=%d, want 1", got)
+	}
+	m.AddLe(Sum(bs...), 0)
+	if _, err := m.Solve(Options{}); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("AtLeastOne with every boolean 0: err = %v, want ErrInfeasible", err)
 	}
 }
 
@@ -197,9 +187,9 @@ func TestNodeLimit(t *testing.T) {
 	}
 	// Σ 2·x_i = 39999: even = odd is infeasible, but bounds propagation
 	// sees only bounds and cannot refute it.
-	e := Lin()
+	var e LinExpr
 	for _, v := range vars {
-		e = e.Add(v, 2)
+		e.Terms = append(e.Terms, Term{v, 2})
 	}
 	m.AddEq(e, 39999)
 	s, err := m.Solve(Options{NodeLimit: 10000})
@@ -224,14 +214,272 @@ func TestBranchOrderRespected(t *testing.T) {
 	}
 }
 
+// naiveRow is one row as the helpers are documented to post it, before
+// normalization: sign·(Σ terms) ≤ rhs.
+type naiveRow struct {
+	terms     []Term
+	sign, rhs int64
+}
+
+// naiveRange is the minimum and maximum of e at m's declared bounds.
+func naiveRange(m *Model, e LinExpr) (lo, hi int64) {
+	lo, hi = e.Const, e.Const
+	for _, t := range e.Terms {
+		a, b := t.Coeff*m.lo[t.Var], t.Coeff*m.hi[t.Var]
+		lo, hi = lo+min(a, b), hi+max(a, b)
+	}
+	return lo, hi
+}
+
+// naiveNormal merges r's duplicate variables in first-occurrence order,
+// multiplies by the sign (flipping a ≥ row), drops zero coefficients and
+// takes the span from m's declared bounds; ok is false for a row with no
+// term left that holds anyway.
+func naiveNormal(m *Model, r naiveRow) (terms []Term, rhs, span int64, ok bool) {
+	for _, t := range r.terms {
+		i := slices.IndexFunc(terms, func(u Term) bool { return u.Var == t.Var })
+		if i < 0 {
+			terms = append(terms, Term{t.Var, 0})
+			i = len(terms) - 1
+		}
+		terms[i].Coeff += r.sign * t.Coeff
+	}
+	terms = slices.DeleteFunc(terms, func(t Term) bool { return t.Coeff == 0 })
+	for _, t := range terms {
+		span = max(span, max(t.Coeff, -t.Coeff)*(m.hi[t.Var]-m.lo[t.Var]))
+	}
+	return terms, r.rhs, span, len(terms) > 0 || r.rhs < 0
+}
+
+// TestDuplicateTermsMerged posts random expressions — duplicate variables,
+// zero coefficients, constants — through every helper into a model that
+// already holds rows, and compares the rows posted with the naive normal
+// form of what the helper documents. The caller's terms are overwritten
+// right after each post, which must move nothing the model kept.
 func TestDuplicateTermsMerged(t *testing.T) {
 	m := NewModel()
 	x := m.NewInt(0, 10)
-	m.AddLe(Lin().Add(x, 1).Add(x, 1), 6) // 2x <= 6
-	m.Maximize(VarExpr(x))
-	s := solve(t, m, Options{})
-	if s.Values[x] != 3 {
+	m.AddLe(lin(Term{x, 1}, Term{x, 1}), 6) // 2x <= 6
+	obj := negateForTest(VarExpr(x))
+	m.Minimize(obj)
+	clear(obj.Terms) // Minimize keeps a copy
+	if s := solve(t, m, Options{}); s.Values[x] != 3 {
 		t.Errorf("x = %d, want 3", s.Values[x])
+	}
+
+	rng := rand.New(rand.NewPCG(7, 38))
+	randExpr := func(vars []VarID) LinExpr {
+		e := LinExpr{Const: int64(rng.IntN(7) - 3)}
+		for k := rng.IntN(6); k > 0; k-- {
+			e.Terms = append(e.Terms, Term{vars[rng.IntN(len(vars))], int64(rng.IntN(7) - 3)})
+		}
+		return e
+	}
+	pick := func(vars []VarID) []VarID {
+		bs := make([]VarID, 1+rng.IntN(4))
+		for i := range bs {
+			bs[i] = vars[rng.IntN(len(vars))]
+		}
+		return bs
+	}
+	with := func(e LinExpr, ts ...Term) []Term { return append(slices.Clone(e.Terms), ts...) }
+	termsOf := func(c int64, vs ...VarID) []Term {
+		ts := make([]Term, len(vs))
+		for i, v := range vs {
+			ts[i] = Term{v, c}
+		}
+		return ts
+	}
+	type post func(m *Model, ints, bools []VarID) (want []naiveRow, scribble func())
+	for _, tc := range []struct {
+		name string
+		post post
+	}{
+		{"Add", func(m *Model, ints, _ []VarID) ([]naiveRow, func()) {
+			e, op, r := randExpr(ints), Op(rng.IntN(3)), int64(rng.IntN(21)-10)
+			m.Add(e, op, r)
+			var want []naiveRow
+			if op != OpGe {
+				want = append(want, naiveRow{e.Terms, 1, r - e.Const})
+			}
+			if op != OpLe {
+				want = append(want, naiveRow{e.Terms, -1, e.Const - r})
+			}
+			return want, func() { clear(e.Terms) }
+		}},
+		{"AddLe", func(m *Model, ints, _ []VarID) ([]naiveRow, func()) {
+			e, r := randExpr(ints), int64(rng.IntN(21)-10)
+			m.AddLe(e, r)
+			return []naiveRow{{e.Terms, 1, r - e.Const}}, func() { clear(e.Terms) }
+		}},
+		{"AddGe", func(m *Model, ints, _ []VarID) ([]naiveRow, func()) {
+			e, r := randExpr(ints), int64(rng.IntN(21)-10)
+			m.AddGe(e, r)
+			return []naiveRow{{e.Terms, -1, e.Const - r}}, func() { clear(e.Terms) }
+		}},
+		{"AddEq", func(m *Model, ints, _ []VarID) ([]naiveRow, func()) {
+			e, r := randExpr(ints), int64(rng.IntN(21)-10)
+			m.AddEq(e, r)
+			return []naiveRow{{e.Terms, 1, r - e.Const}, {e.Terms, -1, e.Const - r}}, func() { clear(e.Terms) }
+		}},
+		{"AddImpliesLe", func(m *Model, ints, bools []VarID) ([]naiveRow, func()) {
+			b, e, r := bools[rng.IntN(len(bools))], randExpr(ints), int64(rng.IntN(21)-10)
+			var want []naiveRow
+			if _, hi := naiveRange(m, e); hi > r {
+				want = append(want, naiveRow{with(e, Term{b, hi - r}), 1, hi - e.Const})
+			}
+			m.AddImpliesLe(b, e, r)
+			return want, func() { clear(e.Terms) }
+		}},
+		{"AddImpliesGe", func(m *Model, ints, bools []VarID) ([]naiveRow, func()) {
+			b, e, r := bools[rng.IntN(len(bools))], randExpr(ints), int64(rng.IntN(21)-10)
+			var want []naiveRow
+			if lo, _ := naiveRange(m, e); lo < r {
+				want = append(want, naiveRow{with(e, Term{b, lo - r}), -1, e.Const - lo})
+			}
+			m.AddImpliesGe(b, e, r)
+			return want, func() { clear(e.Terms) }
+		}},
+		{"AddImpliesEq", func(m *Model, ints, bools []VarID) ([]naiveRow, func()) {
+			b, e, r := bools[rng.IntN(len(bools))], randExpr(ints), int64(rng.IntN(21)-10)
+			var want []naiveRow
+			lo, hi := naiveRange(m, e)
+			if hi > r {
+				want = append(want, naiveRow{with(e, Term{b, hi - r}), 1, hi - e.Const})
+			}
+			if lo < r {
+				want = append(want, naiveRow{with(e, Term{b, lo - r}), -1, e.Const - lo})
+			}
+			m.AddImpliesEq(b, e, r)
+			return want, func() { clear(e.Terms) }
+		}},
+		{"ReifyLe", func(m *Model, ints, _ []VarID) ([]naiveRow, func()) {
+			e, r := randExpr(ints), int64(rng.IntN(21)-10)
+			lo, hi := naiveRange(m, e)
+			b := m.ReifyLe(e, r)
+			var want []naiveRow
+			if hi > r {
+				want = append(want, naiveRow{with(e, Term{b, hi - r}), 1, hi - e.Const})
+			}
+			if lo <= r {
+				want = append(want, naiveRow{with(e, Term{b, r + 1 - lo}), -1, e.Const - r - 1})
+			} else {
+				want = append(want, naiveRow{[]Term{{b, 1}}, 1, 0}, naiveRow{[]Term{{b, 1}}, -1, 0})
+			}
+			return want, func() { clear(e.Terms) }
+		}},
+		{"AtLeastOne", func(m *Model, _, bools []VarID) ([]naiveRow, func()) {
+			bs := pick(bools)
+			m.AtLeastOne(bs...)
+			return []naiveRow{{termsOf(1, bs...), -1, -1}}, func() { clear(bs) }
+		}},
+		{"AddBoolOr", func(m *Model, _, bools []VarID) ([]naiveRow, func()) {
+			target, bs := bools[rng.IntN(len(bools))], pick(bools)
+			m.AddBoolOr(target, bs...)
+			var want []naiveRow
+			for _, b := range bs {
+				want = append(want, naiveRow{[]Term{{b, 1}, {target, -1}}, 1, 0})
+			}
+			want = append(want, naiveRow{append([]Term{{target, 1}}, termsOf(-1, bs...)...), 1, 0})
+			return want, func() { clear(bs) }
+		}},
+		{"AddBoolAnd", func(m *Model, _, bools []VarID) ([]naiveRow, func()) {
+			target, bs := bools[rng.IntN(len(bools))], pick(bools)
+			m.AddBoolAnd(target, bs...)
+			var want []naiveRow
+			for _, b := range bs {
+				want = append(want, naiveRow{[]Term{{target, 1}, {b, -1}}, 1, 0})
+			}
+			want = append(want, naiveRow{append([]Term{{target, 1}}, termsOf(-1, bs...)...), -1, int64(len(bs)) - 1})
+			return want, func() { clear(bs) }
+		}},
+		{"AddBoolNot", func(m *Model, _, bools []VarID) ([]naiveRow, func()) {
+			target, b := bools[rng.IntN(len(bools))], bools[rng.IntN(len(bools))]
+			m.AddBoolNot(target, b)
+			ts := []Term{{target, 1}, {b, 1}}
+			return []naiveRow{{ts, 1, 1}, {ts, -1, -1}}, func() {}
+		}},
+	} {
+		for iter := 0; iter < 200; iter++ {
+			m := NewModel()
+			var ints, bools []VarID
+			for range 4 {
+				lo := int64(rng.IntN(9) - 4)
+				ints = append(ints, m.NewInt(lo, lo+int64(rng.IntN(6))))
+				bools = append(bools, m.NewBool())
+			}
+			ints = append(ints, bools...)
+			// Rows already in the model: the helper posts after them.
+			for k := rng.IntN(3); k > 0; k-- {
+				m.AddLe(randExpr(ints), int64(rng.IntN(21)-10))
+			}
+			before := m.NumConstraints()
+			var kept [][]Term
+			for ci := range before {
+				kept = append(kept, slices.Clone(m.row(ci)))
+			}
+			want, scribble := tc.post(m, ints, bools)
+			// The expected rows are computed before the caller's terms go.
+			type normal struct {
+				terms     []Term
+				rhs, span int64
+			}
+			var exp []normal
+			for _, r := range want {
+				if ts, rhs, span, ok := naiveNormal(m, r); ok {
+					exp = append(exp, normal{ts, rhs, span})
+				}
+			}
+			scribble()
+			if got := m.NumConstraints() - before; got != len(exp) {
+				t.Fatalf("%s #%d: posted %d rows, want %d", tc.name, iter, got, len(exp))
+			}
+			for i, w := range exp {
+				ci := before + i
+				if !slices.Equal(m.row(ci), w.terms) || m.rhs[ci] != w.rhs || m.span[ci] != w.span {
+					t.Fatalf("%s #%d row %d: %v ≤ %d (span %d), want %v ≤ %d (span %d)", tc.name, iter, i,
+						m.row(ci), m.rhs[ci], m.span[ci], w.terms, w.rhs, w.span)
+				}
+			}
+			for ci, ts := range kept {
+				if !slices.Equal(m.row(ci), ts) {
+					t.Fatalf("%s #%d: earlier row %d moved: %v, was %v", tc.name, iter, ci, m.row(ci), ts)
+				}
+			}
+			for v, i := range m.at {
+				if i != 0 {
+					t.Fatalf("%s #%d: merge scratch of var %d left at %d", tc.name, iter, v, i)
+				}
+			}
+		}
+	}
+}
+
+// TestPostRowAllocFree: a model with spare capacity posts rows through every
+// helper, and takes an objective, without allocating; the short expressions
+// a caller builds inline stay on its stack.
+func TestPostRowAllocFree(t *testing.T) {
+	m := NewModel()
+	build := func() {
+		m.Reset()
+		x, y := m.NewInt(0, 9), m.NewInt(-3, 3)
+		b, c, d := m.NewBool(), m.NewBool(), m.NewBool()
+		m.Add(lin(Term{x, 1}, Term{y, 2}, Term{x, -1}), OpEq, 4)
+		m.AddLe(lin(Term{x, 1}, Term{y, -1}), 5)
+		m.AddGe(VarExpr(y), -2)
+		m.AddEq(LinExpr{}, 0)
+		m.AddImpliesLe(b, lin(Term{x, 1}, Term{y, 1}), 4)
+		m.AddImpliesGe(c, lin(Term{x, 2}, Term{c, 1}), 3)
+		m.AddImpliesEq(d, VarExpr(x), 7)
+		m.AddBoolNot(d, m.ReifyLe(VarExpr(x), 3))
+		m.AtLeastOne(b, c, d)
+		m.AddBoolOr(b, c, d, c)
+		m.AddBoolAnd(c, b, d)
+		m.Minimize(lin(Term{b, 1}, Term{c, 1}, Term{d, 1}))
+	}
+	build()
+	if n := testing.AllocsPerRun(10, build); n != 0 {
+		t.Errorf("posting into a model with spare capacity allocates %.0f times per model; want 0", n)
 	}
 }
 
@@ -255,19 +503,19 @@ func TestBruteForceCrossCheck(t *testing.T) {
 		nc := rng.IntN(4) + 1
 		for i := 0; i < nc; i++ {
 			r := row{coeffs: make([]int64, n), rhs: int64(rng.IntN(13) - 3)}
-			e := Lin()
+			var e LinExpr
 			for j := 0; j < n; j++ {
 				r.coeffs[j] = int64(rng.IntN(7) - 3)
-				e = e.Add(vars[j], r.coeffs[j])
+				e.Terms = append(e.Terms, Term{vars[j], r.coeffs[j]})
 			}
 			rows = append(rows, r)
 			m.AddLe(e, r.rhs)
 		}
 		objC := make([]int64, n)
-		obj := Lin()
+		var obj LinExpr
 		for j := 0; j < n; j++ {
 			objC[j] = int64(rng.IntN(9) - 4)
-			obj = obj.Add(vars[j], objC[j])
+			obj.Terms = append(obj.Terms, Term{vars[j], objC[j]})
 		}
 		m.Minimize(obj)
 
@@ -342,6 +590,9 @@ func TestFirstSolutionStopsEarly(t *testing.T) {
 	}
 }
 
+// lin returns Σ ts.
+func lin(ts ...Term) LinExpr { return LinExpr{Terms: ts} }
+
 func negateForTest(e LinExpr) LinExpr {
 	out := LinExpr{Const: -e.Const}
 	for _, t := range e.Terms {
@@ -361,7 +612,7 @@ func TestRestartsSolveAdversarialOrder(t *testing.T) {
 	// Chain x_{i+1} >= x_i; and x_29 = 8 forces all high... branch order
 	// given ascending values on x_0 first explores 0..8 fruitlessly.
 	for i := 0; i+1 < len(vars); i++ {
-		m.AddGe(VarExpr(vars[i+1]).Add(vars[i], -1), 0)
+		m.AddGe(lin(Term{vars[i+1], 1}, Term{vars[i], -1}), 0)
 	}
 	m.AddEq(VarExpr(vars[len(vars)-1]), 8)
 	m.AddGe(VarExpr(vars[0]), 8) // forces everything to 8
@@ -376,41 +627,6 @@ func TestRestartsSolveAdversarialOrder(t *testing.T) {
 	}
 }
 
-func TestImpliesNotHelpers(t *testing.T) {
-	// b = 0 ⇒ x ≤ 3; with b forced 0, x must be ≤ 3.
-	m := NewModel()
-	b := m.NewBool()
-	x := m.NewInt(0, 10)
-	m.AddImpliesNotLe(b, VarExpr(x), 3)
-	m.AddEq(VarExpr(b), 0)
-	m.Maximize(VarExpr(x))
-	s := solve(t, m, Options{})
-	if s.Values[x] != 3 {
-		t.Errorf("x = %d, want 3", s.Values[x])
-	}
-	// With b = 1 the implication is inactive.
-	m2 := NewModel()
-	b2 := m2.NewBool()
-	x2 := m2.NewInt(0, 10)
-	m2.AddImpliesNotLe(b2, VarExpr(x2), 3)
-	m2.AddEq(VarExpr(b2), 1)
-	m2.Maximize(VarExpr(x2))
-	s2 := solve(t, m2, Options{})
-	if s2.Values[x2] != 10 {
-		t.Errorf("x = %d, want 10", s2.Values[x2])
-	}
-	// b = 0 ⇒ x = 7 via AddImpliesNotEq.
-	m3 := NewModel()
-	b3 := m3.NewBool()
-	x3 := m3.NewInt(0, 10)
-	m3.AddImpliesNotEq(b3, VarExpr(x3), 7)
-	m3.AddEq(VarExpr(b3), 0)
-	s3 := solve(t, m3, Options{})
-	if s3.Values[x3] != 7 {
-		t.Errorf("x = %d, want 7", s3.Values[x3])
-	}
-}
-
 func TestNegativeBoundsVariables(t *testing.T) {
 	// Negative domains and negative coefficients exercise the gap-based
 	// tightening: with gap = rhs − act ≥ 0 the new bound is gap/a past
@@ -419,8 +635,8 @@ func TestNegativeBoundsVariables(t *testing.T) {
 	m := NewModel()
 	x := m.NewInt(-10, 10)
 	y := m.NewInt(-10, 10)
-	m.AddLe(Lin().Add(x, -3), 7)  // -3x <= 7  ->  x >= -2 (ceil(-7/3))
-	m.AddGe(Lin().Add(y, -2), -6) // -2y >= -6 ->  y <= 3
+	m.AddLe(lin(Term{x, -3}), 7)  // -3x <= 7  ->  x >= -2 (ceil(-7/3))
+	m.AddGe(lin(Term{y, -2}), -6) // -2y >= -6 ->  y <= 3
 	m.Minimize(Sum(x, y))
 	s := solve(t, m, Options{})
 	if s.Values[x] != -2 {
@@ -617,7 +833,7 @@ func TestSolveDeterministic(t *testing.T) {
 	// first attempt, every hole filled is one improvement, and the proof that
 	// seven holes house no eighth pigeon outlasts the budget.
 	m, opts := pigeonholeGated(8, 7)
-	m.Maximize(Sum(opts.BranchOrder[1:]...))
+	m.Minimize(negateForTest(Sum(opts.BranchOrder[1:]...)))
 	opts.NodeLimit = 3000
 	a, b := solve(t, m, opts), solve(t, m, opts)
 	a.Stats.Duration, b.Stats.Duration = 0, 0
@@ -633,7 +849,7 @@ func TestSolveDeterministic(t *testing.T) {
 // restart, cutoff row or new search resets a weight.
 func TestWeightsOutliveSearches(t *testing.T) {
 	m, opts := pigeonholeGated(8, 7)
-	m.Minimize(Lin().Add(opts.BranchOrder[0], -1))
+	m.Minimize(lin(Term{opts.BranchOrder[0], -1}))
 	opts.NodeLimit = 4 * restartBaseNodes
 	s := m.searcher(opts)
 	total := func() (sum int64) {
@@ -743,7 +959,7 @@ func TestSolveLeavesModelUntouched(t *testing.T) {
 		vars = append(vars, m.NewInt(0, 3))
 	}
 	for i := 0; i+1 < len(vars); i++ {
-		m.AddGe(Lin().Add(vars[i], 1).Add(vars[i+1], 2), 3)
+		m.AddGe(lin(Term{vars[i], 1}, Term{vars[i+1], 2}), 3)
 	}
 	m.Minimize(Sum(vars...))
 	rows, fp := m.NumConstraints(), m.Fingerprint()
@@ -778,7 +994,7 @@ func TestResetIsFreshModel(t *testing.T) {
 			// As many pigeons housed as possible, under a budget the proof
 			// of the optimum outlasts (see TestSolveDeterministic).
 			opts := pigeonholeInto(m, 8, 7)
-			m.Maximize(Sum(opts.BranchOrder[1:]...))
+			m.Minimize(negateForTest(Sum(opts.BranchOrder[1:]...)))
 			opts.NodeLimit = 3000
 			return opts
 		}},
@@ -874,7 +1090,7 @@ func TestImprovementOutOfBudget(t *testing.T) {
 	// g = 1, means refuting the pigeonhole.
 	m, opts := pigeonholeGated(8, 7)
 	g := opts.BranchOrder[0]
-	m.Minimize(Lin().Add(g, -1))
+	m.Minimize(lin(Term{g, -1}))
 	opts.PreferHigh = nil
 	opts.NodeLimit = 2000
 	s := solve(t, m, opts)
@@ -894,7 +1110,7 @@ func TestFingerprintDistinguishesModels(t *testing.T) {
 		m := NewModel()
 		x := m.NewInt(0, hi)
 		y := m.NewInt(0, hi)
-		m.AddLe(Lin().Add(x, coeff).Add(y, 1), rhs)
+		m.AddLe(lin(Term{x, coeff}, Term{y, 1}), rhs)
 		return m
 	}
 	base := build(2, 7, 10)

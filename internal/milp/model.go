@@ -26,23 +26,16 @@ type Term struct {
 // under a positive coefficient, the upper bound under a negative one.
 func slotOf(t Term) int { return int(t.Var)<<1 | int(uint64(t.Coeff)>>63) }
 
-// LinExpr is Σ terms + Const.
+// LinExpr is Σ terms + Const. The model never keeps a caller's Terms: every
+// helper copies them into its own arrays, so a caller may build them in a
+// buffer it reuses, or on its stack.
 type LinExpr struct {
 	Terms []Term
 	Const int64
 }
 
-// Lin builds an empty linear expression.
-func Lin() LinExpr { return LinExpr{} }
-
-// Add returns e + coeff·v.
-func (e LinExpr) Add(v VarID, coeff int64) LinExpr {
-	e.Terms = append(e.Terms[:len(e.Terms):len(e.Terms)], Term{v, coeff})
-	return e
-}
-
 // VarExpr returns the expression 1·v.
-func VarExpr(v VarID) LinExpr { return Lin().Add(v, 1) }
+func VarExpr(v VarID) LinExpr { return LinExpr{Terms: []Term{{v, 1}}} }
 
 // Sum returns Σ 1·v over vs.
 func Sum(vs ...VarID) LinExpr {
@@ -74,21 +67,32 @@ type Model struct {
 	terms  []Term
 	rhs    []int64
 	span   []int64
-	at     []int32 // addLe scratch: at[v]−1 is v's index in the row being merged
-	obj    LinExpr
+	at     []int32 // post's scratch: at[v]−1 is v's index in the row being merged
+	obj    LinExpr // the model's own copy of the objective's terms
 	hasObj bool
 	s      *searcher // the last Solve's: the next one reuses its buffers
+}
+
+// push appends vs to b, doubling b's array when it is full: every array of
+// a model grows by the policy the searcher's resize uses.
+func push[T any](b []T, vs ...T) []T {
+	if n := len(b) + len(vs); n > cap(b) {
+		nb := make([]T, len(b), max(n, 2*cap(b)))
+		copy(nb, b)
+		b = nb
+	}
+	return append(b, vs...)
 }
 
 // NewModel returns an empty model.
 func NewModel() *Model { return &Model{start: []int{0}} }
 
-// Reset empties the model, keeping the storage of its variables, its rows
-// and its searcher for the next model built in it.
+// Reset empties the model, keeping the storage of its variables, its rows,
+// its objective and its searcher for the next model built in it.
 func (m *Model) Reset() {
 	m.lo, m.hi, m.at = m.lo[:0], m.hi[:0], m.at[:0]
 	m.start, m.terms, m.rhs, m.span = m.start[:1], m.terms[:0], m.rhs[:0], m.span[:0]
-	m.obj, m.hasObj = LinExpr{}, false
+	m.obj, m.hasObj = LinExpr{Terms: m.obj.Terms[:0]}, false
 }
 
 // NewInt declares an integer variable with inclusive bounds [lo, hi].
@@ -97,9 +101,9 @@ func (m *Model) NewInt(lo, hi int64) VarID {
 	if lo > hi {
 		panic(fmt.Sprintf("milp: variable %d has empty domain [%d,%d]", id, lo, hi))
 	}
-	m.lo = append(m.lo, lo)
-	m.hi = append(m.hi, hi)
-	m.at = append(m.at, 0)
+	m.lo = push(m.lo, lo)
+	m.hi = push(m.hi, hi)
+	m.at = push(m.at, 0)
 	return id
 }
 
@@ -121,10 +125,10 @@ func (m *Model) Bounds(v VarID) (lo, hi int64) { return m.lo[v], m.hi[v] }
 // Add posts the constraint e (op) rhs.
 func (m *Model) Add(e LinExpr, op Op, rhs int64) {
 	if op != OpGe {
-		m.addLe(e.Terms, 1, rhs-e.Const)
+		m.post(push(m.terms, e.Terms...), 1, rhs-e.Const)
 	}
 	if op != OpLe {
-		m.addLe(e.Terms, -1, e.Const-rhs)
+		m.post(push(m.terms, e.Terms...), -1, e.Const-rhs)
 	}
 }
 
@@ -137,36 +141,36 @@ func (m *Model) AddGe(e LinExpr, rhs int64) { m.Add(e, OpGe, rhs) }
 // AddEq posts e = rhs.
 func (m *Model) AddEq(e LinExpr, rhs int64) { m.Add(e, OpEq, rhs) }
 
-// addLe posts sign·Σ terms ≤ rhs, sign being ±1.
-func (m *Model) addLe(terms []Term, sign, rhs int64) {
-	// Merge duplicate variables in first-occurrence order, at the tail of
-	// m.terms.
-	first := len(m.terms)
-	for _, t := range terms {
+// post files sign·Σ raw ≤ rhs, sign being ±1, where raw is m.terms with the
+// row's unmerged terms appended after the last row's. It merges duplicate
+// variables in first-occurrence order and drops zero coefficients, in place.
+func (m *Model) post(raw []Term, sign, rhs int64) {
+	first, n := len(m.terms), len(m.terms)
+	for _, t := range raw[first:] {
 		if i := m.at[t.Var]; i > 0 {
-			m.terms[first+int(i)-1].Coeff += sign * t.Coeff
+			raw[first+int(i)-1].Coeff += sign * t.Coeff
 			continue
 		}
-		m.terms = append(m.terms, Term{t.Var, sign * t.Coeff})
-		m.at[t.Var] = int32(len(m.terms) - first)
+		raw[n] = Term{t.Var, sign * t.Coeff}
+		n++
+		m.at[t.Var] = int32(n - first)
 	}
-	// Drop zero coefficients.
-	n, span := first, int64(0)
-	for _, t := range m.terms[first:] {
+	end, span := first, int64(0)
+	for _, t := range raw[first:n] {
 		m.at[t.Var] = 0
 		if t.Coeff != 0 {
-			m.terms[n] = t
-			n++
+			raw[end] = t
+			end++
 			span = max(span, max(t.Coeff, -t.Coeff)*(m.hi[t.Var]-m.lo[t.Var]))
 		}
 	}
-	m.terms = m.terms[:n]
-	if n == first && rhs >= 0 {
+	m.terms = raw[:end]
+	if end == first && rhs >= 0 {
 		return // 0 ≤ rhs holds; 0 ≤ rhs < 0 stays, as a row no search survives
 	}
-	m.start = append(m.start, n)
-	m.rhs = append(m.rhs, rhs)
-	m.span = append(m.span, span)
+	m.start = push(m.start, end)
+	m.rhs = push(m.rhs, rhs)
+	m.span = push(m.span, span)
 }
 
 // exprRange returns the minimum and maximum value of e under the declared
@@ -184,35 +188,17 @@ func (m *Model) exprRange(e LinExpr) (lo, hi int64) {
 // big-M derived from variable bounds; nothing when e ≤ rhs always holds.
 func (m *Model) AddImpliesLe(b VarID, e LinExpr, rhs int64) {
 	if _, hi := m.exprRange(e); hi > rhs {
-		m.AddLe(e.Add(b, hi-rhs), hi) // e + M·b ≤ rhs + M, M = hi − rhs
+		// e + M·b ≤ rhs + M, M = hi − rhs
+		m.post(push(push(m.terms, e.Terms...), Term{b, hi - rhs}), 1, hi-e.Const)
 	}
 }
 
 // AddImpliesGe posts b = 1 ⇒ e ≥ rhs.
 func (m *Model) AddImpliesGe(b VarID, e LinExpr, rhs int64) {
 	if lo, _ := m.exprRange(e); lo < rhs {
-		m.AddGe(e.Add(b, lo-rhs), lo) // e − M·b ≥ rhs − M, M = rhs − lo
+		// e − M·b ≥ rhs − M, M = rhs − lo
+		m.post(push(push(m.terms, e.Terms...), Term{b, lo - rhs}), -1, e.Const-lo)
 	}
-}
-
-// AddImpliesNotLe posts b = 0 ⇒ e ≤ rhs.
-func (m *Model) AddImpliesNotLe(b VarID, e LinExpr, rhs int64) {
-	if _, hi := m.exprRange(e); hi > rhs {
-		m.AddLe(e.Add(b, rhs-hi), rhs) // e − M·b ≤ rhs
-	}
-}
-
-// AddImpliesNotGe posts b = 0 ⇒ e ≥ rhs.
-func (m *Model) AddImpliesNotGe(b VarID, e LinExpr, rhs int64) {
-	if lo, _ := m.exprRange(e); lo < rhs {
-		m.AddGe(e.Add(b, rhs-lo), rhs) // e + M·b ≥ rhs
-	}
-}
-
-// AddImpliesNotEq posts b = 0 ⇒ e = rhs.
-func (m *Model) AddImpliesNotEq(b VarID, e LinExpr, rhs int64) {
-	m.AddImpliesNotLe(b, e, rhs)
-	m.AddImpliesNotGe(b, e, rhs)
 }
 
 // AddImpliesEq posts b = 1 ⇒ e = rhs.
@@ -228,78 +214,58 @@ func (m *Model) ReifyLe(e LinExpr, rhs int64) VarID {
 	// ¬b ⇒ e ≥ rhs+1: e ≥ rhs+1 − M·b, M = rhs+1 − lo; if M ≤ 0, e ≤ rhs
 	// never holds and b is 0.
 	if lo, _ := m.exprRange(e); lo <= rhs {
-		m.AddGe(e.Add(b, rhs+1-lo), rhs+1)
+		m.post(push(push(m.terms, e.Terms...), Term{b, rhs + 1 - lo}), -1, e.Const-rhs-1)
 	} else {
 		m.AddEq(VarExpr(b), 0)
 	}
 	return b
 }
 
-// ReifyEq creates a fresh boolean b with b = 1 ⇔ e = rhs.
-func (m *Model) ReifyEq(e LinExpr, rhs int64) VarID {
-	le := m.ReifyLe(e, rhs)
-	ge := m.ReifyLe(negate(e), -rhs)
-	b := m.NewBool()
-	m.AddBoolAnd(b, le, ge)
-	return b
-}
-
-func negate(e LinExpr) LinExpr {
-	out := LinExpr{Const: -e.Const, Terms: make([]Term, len(e.Terms))}
-	for i, t := range e.Terms {
-		out.Terms[i] = Term{t.Var, -t.Coeff}
-	}
-	return out
-}
-
 // AtLeastOne posts Σ bs ≥ 1.
-func (m *Model) AtLeastOne(bs ...VarID) { m.AddGe(Sum(bs...), 1) }
-
-// ExactlyOne posts Σ bs = 1.
-func (m *Model) ExactlyOne(bs ...VarID) { m.AddEq(Sum(bs...), 1) }
+func (m *Model) AtLeastOne(bs ...VarID) {
+	raw := m.terms
+	for _, b := range bs {
+		raw = push(raw, Term{b, 1})
+	}
+	m.post(raw, -1, -1)
+}
 
 // AddBoolOr posts target = OR(bs).
 func (m *Model) AddBoolOr(target VarID, bs ...VarID) {
 	for _, b := range bs {
-		// b ≤ target
-		m.AddLe(VarExpr(b).Add(target, -1), 0)
+		m.post(push(m.terms, Term{b, 1}, Term{target, -1}), 1, 0) // b ≤ target
 	}
 	// target ≤ Σ bs
-	e := VarExpr(target)
+	raw := push(m.terms, Term{target, 1})
 	for _, b := range bs {
-		e = e.Add(b, -1)
+		raw = push(raw, Term{b, -1})
 	}
-	m.AddLe(e, 0)
+	m.post(raw, 1, 0)
 }
 
 // AddBoolAnd posts target = AND(bs).
 func (m *Model) AddBoolAnd(target VarID, bs ...VarID) {
 	for _, b := range bs {
-		// target ≤ b
-		m.AddLe(VarExpr(target).Add(b, -1), 0)
+		m.post(push(m.terms, Term{target, 1}, Term{b, -1}), 1, 0) // target ≤ b
 	}
-	// target ≥ Σ bs - (n-1)
-	e := VarExpr(target)
+	// target ≥ Σ bs − (n−1)
+	raw := push(m.terms, Term{target, 1})
 	for _, b := range bs {
-		e = e.Add(b, -1)
+		raw = push(raw, Term{b, -1})
 	}
-	m.AddGe(e, 1-int64(len(bs)))
+	m.post(raw, -1, int64(len(bs))-1)
 }
 
 // AddBoolNot posts target = ¬b.
 func (m *Model) AddBoolNot(target, b VarID) {
-	m.AddEq(VarExpr(target).Add(b, 1), 1)
+	m.post(push(m.terms, Term{target, 1}, Term{b, 1}), 1, 1)
+	m.post(push(m.terms, Term{target, 1}, Term{b, 1}), -1, -1)
 }
 
 // Minimize sets the objective to minimize e.
 func (m *Model) Minimize(e LinExpr) {
-	m.obj = e
+	m.obj = LinExpr{Terms: push(m.obj.Terms[:0], e.Terms...), Const: e.Const}
 	m.hasObj = true
-}
-
-// Maximize sets the objective to maximize e.
-func (m *Model) Maximize(e LinExpr) {
-	m.Minimize(negate(e))
 }
 
 // Eval computes the value of e under an assignment.

@@ -182,7 +182,7 @@ func checkPropagate(t *testing.T, data []byte) {
 		head := next()
 		var e LinExpr
 		for k := head / 3 % 6; k > 0; k-- {
-			e = e.Add(VarID(next()%n), fuzzCoeffs[next()%len(fuzzCoeffs)])
+			e.Terms = append(e.Terms, Term{VarID(next() % n), fuzzCoeffs[next()%len(fuzzCoeffs)]})
 		}
 		rhs := int64(next()%41) - 20
 		m.Add(e, Op(head%3), rhs)

@@ -23,7 +23,16 @@ type bval struct {
 func cst(b bool) bval      { return bval{isConst: true, c: b} }
 func vr(v milp.VarID) bval { return bval{v: v} }
 
-// encoder builds the §4 ILP for a fixed round count R.
+// term, expr and diff build the short rows the encoder posts; inlined, their
+// terms stay on the caller's stack, since the model copies what it keeps.
+func term(v milp.VarID, c int64) milp.Term { return milp.Term{Var: v, Coeff: c} }
+func expr(ts ...milp.Term) milp.LinExpr    { return milp.LinExpr{Terms: ts} }
+func diff(x, y milp.VarID) milp.LinExpr    { return expr(term(x, 1), term(y, -1)) }
+
+// encoder builds the §4 ILP of one analysis and specification into one
+// model, for one round count R at a time: encode replaces the last R's
+// encoding with the next one's, keeping the storage of the model, of the memo
+// tables and of every per-node slice, so one encoder serves a round scan.
 type encoder struct {
 	a    *analyzer.Analysis
 	sp   *spec.Spec
@@ -40,8 +49,8 @@ type encoder struct {
 
 	// leK[n][k-1] = (r_nh(n) ≤ k) for k ∈ [1, R-1].
 	leK map[topology.NodeID][]milp.VarID
-	// eqCache[n][k] caches the (r_nh(n) = k) indicator.
-	eqCache  map[topology.NodeID]map[int]bval
+	// eqMemo[(n,k)] caches the (r_nh(n) = k) indicator.
+	eqMemo   map[nk]bval
 	notCache map[milp.VarID]milp.VarID
 
 	// delta[n][k-1] for nodes that change their next hop.
@@ -51,6 +60,16 @@ type encoder struct {
 	wpMemo    map[wnk]bval
 	exitsMemo map[wnk]bval
 	specMemo  map[ek]bval
+
+	// cycles are the simple cycles of the union forwarding graph, for the
+	// explicit loop constraints.
+	cycles [][]topology.NodeID
+	// byDepth is Switching in branch order (branchOrder). row and ys are
+	// the buffers of the rows built term by term, order and high those of
+	// the Solve options.
+	byDepth         []topology.NodeID
+	row             []milp.Term
+	ys, order, high []milp.VarID
 }
 
 type nk struct {
@@ -66,11 +85,11 @@ type ek struct {
 	k int
 }
 
-// newEncoder encodes into model, which must be empty.
-func newEncoder(a *analyzer.Analysis, sp *spec.Spec, R int, opts Options, model *milp.Model) *encoder {
-	return &encoder{
-		a: a, sp: sp, R: R, opts: opts,
-		model:       model,
+// newEncoder returns an encoder of a and sp into a model of its own.
+func newEncoder(a *analyzer.Analysis, sp *spec.Spec, opts Options) *encoder {
+	e := &encoder{
+		a: a, sp: sp, opts: opts,
+		model:       milp.NewModel(),
 		g:           a.Graph,
 		isSwitching: make(map[topology.NodeID]bool),
 		rOld:        make(map[topology.NodeID]milp.VarID),
@@ -79,7 +98,7 @@ func newEncoder(a *analyzer.Analysis, sp *spec.Spec, R int, opts Options, model 
 		tOld:        make(map[topology.NodeID]milp.VarID),
 		tNew:        make(map[topology.NodeID]milp.VarID),
 		leK:         make(map[topology.NodeID][]milp.VarID),
-		eqCache:     make(map[topology.NodeID]map[int]bval),
+		eqMemo:      make(map[nk]bval),
 		notCache:    make(map[milp.VarID]milp.VarID),
 		delta:       make(map[topology.NodeID][]milp.VarID),
 		reachMemo:   make(map[nk]bval),
@@ -87,14 +106,29 @@ func newEncoder(a *analyzer.Analysis, sp *spec.Spec, R int, opts Options, model 
 		exitsMemo:   make(map[wnk]bval),
 		specMemo:    make(map[ek]bval),
 	}
-}
-
-// solve builds the model for e.R rounds and searches it under a budget of
-// nodes per feasibility search.
-func (e *encoder) solve(ctx context.Context, nodes int64) (*NodeSchedule, milp.Stats, error) {
-	for _, n := range e.a.Switching {
+	for _, n := range a.Switching {
 		e.isSwitching[n] = true
 	}
+	e.byDepth = e.sortByDepth()
+	if opts.ExplicitLoopConstraints {
+		e.cycles = a.SimpleCycles(cycleLimit)
+	}
+	return e
+}
+
+// encode replaces the model with the encoding for R rounds. It empties the
+// model and the memo tables, keeping their storage; the variable maps need
+// no clearing, because every R declares the variables of the same nodes
+// (over the per-node slices of the last).
+func (e *encoder) encode(R int) {
+	e.R = R
+	e.model.Reset()
+	clear(e.eqMemo)
+	clear(e.notCache)
+	clear(e.reachMemo)
+	clear(e.wpMemo)
+	clear(e.exitsMemo)
+	clear(e.specMemo)
 	e.buildScheduleVars()
 	e.buildHappensBefore()
 	e.buildConcurrency()
@@ -102,28 +136,30 @@ func (e *encoder) solve(ctx context.Context, nodes int64) (*NodeSchedule, milp.S
 		e.buildLoopConstraints()
 	}
 	if e.sp != nil {
-		if err := e.buildSpec(); err != nil {
-			return nil, milp.Stats{}, err
-		}
+		e.buildSpec()
 	}
 	if e.opts.MinimizeTempSessions {
-		obj := make([]milp.Term, 0, 2*len(e.a.Switching))
+		e.row = e.row[:0]
 		for _, n := range e.a.Switching {
-			obj = append(obj, milp.Term{Var: e.tOld[n], Coeff: 1}, milp.Term{Var: e.tNew[n], Coeff: 1})
+			e.row = append(e.row, term(e.tOld[n], 1), term(e.tNew[n], 1))
 		}
-		e.model.Minimize(milp.LinExpr{Terms: obj})
+		e.model.Minimize(milp.LinExpr{Terms: e.row})
 	}
+}
 
+// solve searches the encoded model under a budget of nodes per feasibility
+// search.
+func (e *encoder) solve(ctx context.Context, nodes int64) (*NodeSchedule, milp.Stats, error) {
 	// r_old variables prefer their upper bound (= r_nh: no temporary old
 	// session); everything else ascends, so r_new lands on r_nh too.
-	var preferHigh []milp.VarID
+	e.high = e.high[:0]
 	for _, n := range e.a.Switching {
-		preferHigh = append(preferHigh, e.rOld[n])
+		e.high = append(e.high, e.rOld[n])
 	}
 	sol, err := e.model.Solve(milp.Options{
 		NodeLimit:     nodes,
 		BranchOrder:   e.branchOrder(),
-		PreferHigh:    preferHigh,
+		PreferHigh:    e.high,
 		FirstSolution: !e.opts.MinimizeTempSessions,
 		Ctx:           ctx,
 	})
@@ -147,16 +183,16 @@ func (e *encoder) buildScheduleVars() {
 		e.rNh[n] = e.model.NewInt(1, R)
 		e.rNew[n] = e.model.NewInt(1, R+1)
 		// r_old ≤ r_nh ≤ r_new (Eq. 1).
-		e.model.AddLe(milp.VarExpr(e.rOld[n]).Add(e.rNh[n], -1), 0)
-		e.model.AddLe(milp.VarExpr(e.rNh[n]).Add(e.rNew[n], -1), 0)
+		e.model.AddLe(diff(e.rOld[n], e.rNh[n]), 0)
+		e.model.AddLe(diff(e.rNh[n], e.rNew[n]), 0)
 		// Temporary-session indicators: r_nh − r_old ≤ R·tOld and
 		// r_new − r_nh ≤ R·tNew (§4.1 objective terms).
 		e.tOld[n] = e.model.NewBool()
 		e.tNew[n] = e.model.NewBool()
-		e.model.AddLe(milp.VarExpr(e.rNh[n]).Add(e.rOld[n], -1).Add(e.tOld[n], -R), 0)
-		e.model.AddLe(milp.VarExpr(e.rNew[n]).Add(e.rNh[n], -1).Add(e.tNew[n], -R), 0)
+		e.model.AddLe(expr(term(e.rNh[n], 1), term(e.rOld[n], -1), term(e.tOld[n], -R)), 0)
+		e.model.AddLe(expr(term(e.rNew[n], 1), term(e.rNh[n], -1), term(e.tNew[n], -R)), 0)
 		// leK channeling: leK[n][k-1] ⇔ r_nh(n) ≤ k.
-		les := make([]milp.VarID, 0, e.R-1)
+		les := e.leK[n][:0]
 		for k := 1; k <= e.R-1; k++ {
 			les = append(les, e.model.ReifyLe(milp.VarExpr(e.rNh[n]), int64(k)))
 		}
@@ -171,11 +207,11 @@ func (e *encoder) buildScheduleVars() {
 	for _, n := range e.a.Switching {
 		if eOld := e.a.POld[n].Egress; eOld != n && e.isSwitching[eOld] {
 			// r_nh(n) ≤ r_nh(e_old).
-			e.model.AddLe(milp.VarExpr(e.rNh[n]).Add(e.rNh[eOld], -1), 0)
+			e.model.AddLe(diff(e.rNh[n], e.rNh[eOld]), 0)
 		}
 		if eNew := e.a.PNew[n].Egress; eNew != n && e.isSwitching[eNew] {
 			// r_nh(n) ≥ r_nh(e_new).
-			e.model.AddGe(milp.VarExpr(e.rNh[n]).Add(e.rNh[eNew], -1), 0)
+			e.model.AddGe(diff(e.rNh[n], e.rNh[eNew]), 0)
 		}
 	}
 }
@@ -193,12 +229,8 @@ func (e *encoder) leAt(n topology.NodeID, k int) bval {
 
 // eqAt returns the (r_nh(n) = k) indicator.
 func (e *encoder) eqAt(n topology.NodeID, k int) bval {
-	if m := e.eqCache[n]; m != nil {
-		if b, ok := m[k]; ok {
-			return b
-		}
-	} else {
-		e.eqCache[n] = make(map[int]bval)
+	if b, ok := e.eqMemo[nk{n, k}]; ok {
+		return b
 	}
 	var b bval
 	le, lePrev := e.leAt(n, k), e.leAt(n, k-1)
@@ -212,10 +244,10 @@ func (e *encoder) eqAt(n topology.NodeID, k int) bval {
 	default:
 		v := e.model.NewBool()
 		// v = le − lePrev.
-		e.model.AddEq(milp.VarExpr(v).Add(le.v, -1).Add(lePrev.v, 1), 0)
+		e.model.AddEq(expr(term(v, 1), term(le.v, -1), term(lePrev.v, 1)), 0)
 		b = vr(v)
 	}
-	e.eqCache[n][k] = b
+	e.eqMemo[nk{n, k}] = b
 	return b
 }
 
@@ -255,7 +287,7 @@ func (e *encoder) impliesEq(cond bval, x, y bval) {
 		}
 		e.model.AddImpliesEq(cond.v, milp.VarExpr(x.v), val)
 	default:
-		e.model.AddImpliesEq(cond.v, milp.VarExpr(x.v).Add(y.v, -1), 0)
+		e.model.AddImpliesEq(cond.v, diff(x.v, y.v), 0)
 	}
 }
 
@@ -264,7 +296,7 @@ func (e *encoder) assertEq(x, y bval) {
 	case x.isConst && y.isConst:
 		if x.c != y.c {
 			// Infeasible model: 0 = 1.
-			e.model.AddEq(milp.Lin(), 1)
+			e.model.AddEq(milp.LinExpr{}, 1)
 		}
 	case x.isConst:
 		e.assertEq(y, x)
@@ -275,7 +307,7 @@ func (e *encoder) assertEq(x, y bval) {
 		}
 		e.model.AddEq(milp.VarExpr(x.v), val)
 	default:
-		e.model.AddEq(milp.VarExpr(x.v).Add(y.v, -1), 0)
+		e.model.AddEq(diff(x.v, y.v), 0)
 	}
 }
 
@@ -287,48 +319,48 @@ func (e *encoder) buildHappensBefore() {
 		if e.permanentOld(n) {
 			// The old route never disappears: no temporary session can
 			// ever be needed, so pin r_old = r_nh.
-			e.model.AddEq(milp.VarExpr(e.rOld[n]).Add(e.rNh[n], -1), 0)
+			e.model.AddEq(diff(e.rOld[n], e.rNh[n]), 0)
 			e.model.AddEq(milp.VarExpr(e.tOld[n]), 0)
 		} else {
-			var ys []milp.VarID
+			e.ys = e.ys[:0]
 			for _, m := range e.a.DOld[n] {
 				if !e.isSwitching[m] {
 					continue
 				}
 				y := e.model.NewBool()
 				// y ⇒ r_old(n) < r_old(m).
-				e.model.AddImpliesLe(y, milp.VarExpr(e.rOld[n]).Add(e.rOld[m], -1), -1)
-				ys = append(ys, y)
+				e.model.AddImpliesLe(y, diff(e.rOld[n], e.rOld[m]), -1)
+				e.ys = append(e.ys, y)
 			}
-			if len(ys) == 0 {
+			if len(e.ys) == 0 {
 				// No provider can outlive n: the temporary old-egress
 				// session must take over during setup.
 				e.model.AddEq(milp.VarExpr(e.rOld[n]), 0)
 			} else {
-				e.model.AtLeastOne(ys...)
+				e.model.AtLeastOne(e.ys...)
 			}
 		}
 		// New route availability.
 		if e.permanentNew(n) {
-			e.model.AddEq(milp.VarExpr(e.rNew[n]).Add(e.rNh[n], -1), 0)
+			e.model.AddEq(diff(e.rNew[n], e.rNh[n]), 0)
 			e.model.AddEq(milp.VarExpr(e.tNew[n]), 0)
 		} else {
-			var ys []milp.VarID
+			e.ys = e.ys[:0]
 			for _, m := range e.a.DNew[n] {
 				if !e.isSwitching[m] {
 					continue
 				}
 				y := e.model.NewBool()
 				// y ⇒ r_new(n) > r_new(m).
-				e.model.AddImpliesGe(y, milp.VarExpr(e.rNew[n]).Add(e.rNew[m], -1), 1)
-				ys = append(ys, y)
+				e.model.AddImpliesGe(y, diff(e.rNew[n], e.rNew[m]), 1)
+				e.ys = append(e.ys, y)
 			}
-			if len(ys) == 0 {
+			if len(e.ys) == 0 {
 				// No provider precedes n: the final route arrives only
 				// during cleanup, over the temporary new-egress session.
 				e.model.AddEq(milp.VarExpr(e.rNew[n]), int64(e.R)+1)
 			} else {
-				e.model.AtLeastOne(ys...)
+				e.model.AtLeastOne(e.ys...)
 			}
 		}
 	}
@@ -375,9 +407,9 @@ func (e *encoder) buildConcurrency() {
 		if !e.changesNH(n) {
 			continue
 		}
-		ds := make([]milp.VarID, e.R)
+		ds := e.delta[n][:0]
 		for k := 1; k <= e.R; k++ {
-			ds[k-1] = e.model.NewBool()
+			ds = append(ds, e.model.NewBool())
 		}
 		e.delta[n] = ds
 	}
@@ -385,7 +417,7 @@ func (e *encoder) buildConcurrency() {
 	// round, eliminating §4.2's concurrency entirely.
 	if e.opts.SerializeUpdates {
 		for k := 1; k <= e.R; k++ {
-			expr := milp.Lin()
+			e.row = e.row[:0]
 			constant := int64(0)
 			// Switching order, not map order: constraint emission order
 			// must be deterministic for traces to reproduce byte-for-byte.
@@ -397,9 +429,9 @@ func (e *encoder) buildConcurrency() {
 					}
 					continue
 				}
-				expr = expr.Add(eq.v, 1)
+				e.row = append(e.row, term(eq.v, 1))
 			}
-			e.model.AddLe(expr, 1-constant)
+			e.model.AddLe(milp.LinExpr{Terms: e.row}, 1-constant)
 		}
 	}
 	// Switching order, not map order over e.delta: the emitted constraint
@@ -456,15 +488,14 @@ func (e *encoder) deltaOf(n topology.NodeID, k int) bval {
 const cycleLimit = 10000
 
 func (e *encoder) buildLoopConstraints() {
-	cycles := e.a.SimpleCycles(cycleLimit)
-	for _, cyc := range cycles {
+	for _, cyc := range e.cycles {
 		j := len(cyc)
 		if j < 2 {
 			continue
 		}
 		for k := 1; k <= e.R; k++ {
 			// Σ active edges ≤ j−1.
-			expr := milp.Lin()
+			e.row = e.row[:0]
 			constant := int64(0)
 			for i, ni := range cyc {
 				next := cyc[(i+1)%j]
@@ -482,7 +513,7 @@ func (e *encoder) buildLoopConstraints() {
 						}
 					} else {
 						constant++
-						expr = expr.Add(le.v, -1)
+						e.row = append(e.row, term(le.v, -1))
 					}
 				case new_ && e.changesNH(ni):
 					le := e.leAt(ni, k)
@@ -491,29 +522,28 @@ func (e *encoder) buildLoopConstraints() {
 							constant++
 						}
 					} else {
-						expr = expr.Add(le.v, 1)
+						e.row = append(e.row, term(le.v, 1))
 					}
 				}
 			}
-			e.model.AddLe(expr, int64(j-1)-constant)
+			e.model.AddLe(milp.LinExpr{Terms: e.row}, int64(j-1)-constant)
 		}
 	}
 }
 
 // --- specification (§4.3) ---------------------------------------------------
 
-func (e *encoder) buildSpec() error {
+func (e *encoder) buildSpec() {
 	root := e.specVal(e.sp.Root, 1)
 	if root.isConst {
 		if !root.c {
 			// The specification can never hold at round 1 under any
 			// schedule with this R.
-			e.model.AddEq(milp.Lin(), 1) // 0 = 1: infeasible
+			e.model.AddEq(milp.LinExpr{}, 1) // 0 = 1: infeasible
 		}
-		return nil
+		return
 	}
 	e.model.AddEq(milp.VarExpr(root.v), 1)
-	return nil
 }
 
 // specVal encodes expression ex at round k (k ∈ [1, R]); round R persists.
@@ -754,12 +784,9 @@ func (e *encoder) exitsVal(target, n topology.NodeID, k int) bval {
 
 // --- branch order and extraction -------------------------------------------
 
-// branchOrder lists the decision variables — r_nh, then r_new and r_old, of
-// every switching node — by the node's depth in the new forwarding state
-// (closest to the new egress first), so that while the search has met no
-// conflict the ascending value enumeration builds the new tree outward — the
-// constructive order of App. B. Conflicts then reorder them (milp.Options).
-func (e *encoder) branchOrder() []milp.VarID {
+// sortByDepth returns the switching nodes by their depth in the new
+// forwarding state, closest to the new egress first, ties by node ID.
+func (e *encoder) sortByDepth() []topology.NodeID {
 	depth := make(map[topology.NodeID]int)
 	var depthOf func(n topology.NodeID) int
 	depthOf = func(n topology.NodeID) int {
@@ -782,14 +809,23 @@ func (e *encoder) branchOrder() []milp.VarID {
 		}
 		return nodes[i] < nodes[j]
 	})
-	var order []milp.VarID
-	for _, n := range nodes {
-		order = append(order, e.rNh[n])
+	return nodes
+}
+
+// branchOrder lists the decision variables — r_nh, then r_new and r_old, of
+// every switching node — in byDepth's order, so that while the search has
+// met no conflict the ascending value enumeration builds the new tree
+// outward — the constructive order of App. B. Conflicts then reorder them
+// (milp.Options).
+func (e *encoder) branchOrder() []milp.VarID {
+	e.order = e.order[:0]
+	for _, n := range e.byDepth {
+		e.order = append(e.order, e.rNh[n])
 	}
-	for _, n := range nodes {
-		order = append(order, e.rNew[n], e.rOld[n])
+	for _, n := range e.byDepth {
+		e.order = append(e.order, e.rNew[n], e.rOld[n])
 	}
-	return order
+	return e.order
 }
 
 func (e *encoder) extract(sol *milp.Solution) *NodeSchedule {

@@ -194,15 +194,15 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 			MOld: map[topology.NodeID]topology.NodeID{},
 			MNew: map[topology.NodeID]topology.NodeID{}, Stats: agg}, nil
 	}
-	// One model holds every round count's encoding in turn: Reset keeps its
-	// storage and its searcher's buffers for the next.
-	model := milp.NewModel()
+	// One encoder, and its one model, hold every round count's encoding in
+	// turn: each keeps its storage, and the model its searcher's buffers,
+	// for the next.
+	enc := newEncoder(a, sp, opts)
 	attempt := func(r int, nodes int64) (*NodeSchedule, error) {
 		agg.RoundsTried++
 		span.Add(obs.CtrSchedRoundsTried, 1)
 		_, solveSpan := obs.StartSpan(ctx, "solve", obs.Int("R", int64(r)))
-		model.Reset()
-		enc := newEncoder(a, sp, r, opts, model)
+		enc.encode(r)
 		sched, stats, err := enc.solve(ctx, nodes)
 		agg.SolverNodes += stats.Nodes
 		agg.Propagations += stats.Propagations

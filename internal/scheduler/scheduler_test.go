@@ -381,6 +381,84 @@ func TestSearchTreePinned(t *testing.T) {
 	}
 }
 
+// TestEncodingPinned holds the model of every round count the Abilene,
+// Sprint and Aarnet scans encode (reachability, scenario seed 7) to its
+// variable count, row count and structural fingerprint, recorded before the
+// encoder posted its rows in place and served a whole scan. Work on the
+// encoder or on milp's row posting must leave every row, its term order and
+// the order of the rows alone; a change that means to move the encoding edits
+// these numbers on purpose.
+func TestEncodingPinned(t *testing.T) {
+	type pin struct {
+		r, vars, cons int
+		fp            uint64
+	}
+	for _, want := range []struct {
+		topo string
+		pins []pin
+	}{
+		{"Abilene", []pin{
+			{1, 123, 226, 0xb7fdc00c38c78935},
+			{2, 169, 358, 0xda297fc11c926112},
+			{3, 223, 527, 0x6a1d5485cb0c8cb5},
+			{4, 277, 696, 0x115f3e38eaa3856e},
+		}},
+		{"Sprint", []pin{
+			{1, 120, 205, 0x4bcf69296e5c7dfa},
+			{2, 157, 306, 0x771784832ac75881},
+			{3, 199, 429, 0x89f49311edaee9c3},
+		}},
+		{"Aarnet", []pin{
+			{1, 231, 378, 0x7626bc51a6188e50},
+			{2, 295, 558, 0x8414a7ede27f44f5},
+			{3, 368, 780, 0xcd599299be8410fb},
+			{4, 441, 1002, 0x19e7a2d3e05179ab},
+			{5, 514, 1224, 0x2f2551a6662c4f47},
+		}},
+	} {
+		s, err := scenario.CaseStudy(want.topo, scenario.Config{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, sp, opts := analyze(t, s), reachSpec(s.Graph), scheduler.DefaultOptions()
+		sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", want.topo, err)
+		}
+		if sched.Stats.RoundsTried != len(want.pins) {
+			t.Errorf("%s: the scan encoded %d round counts, pinned %d", want.topo, sched.Stats.RoundsTried, len(want.pins))
+		}
+		scheduler.EncodeRounds(a, sp, opts, len(want.pins), func(r int, m *milp.Model) {
+			got := pin{r, m.NumVars(), m.NumConstraints(), m.Fingerprint()}
+			if w := want.pins[r-1]; got != w {
+				t.Errorf("%s: R=%d vars=%d rows=%d fingerprint=%#x, pinned vars=%d rows=%d fingerprint=%#x",
+					want.topo, r, got.vars, got.cons, got.fp, w.vars, w.cons, w.fp)
+			}
+		})
+	}
+}
+
+// TestScheduleAllocs: a round scan encodes every round count with one
+// encoder into one model, so scheduling Abilene (four round counts) costs a
+// few hundred allocations; each count building its own encoder, with rows
+// copied expression by expression, cost 4 452.
+func TestScheduleAllocs(t *testing.T) {
+	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, sp := analyze(t, s), reachSpec(s.Graph)
+	n := testing.AllocsPerRun(5, func() {
+		if _, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ScheduleCtx on Abilene: %.0f allocations", n)
+	if n > 1000 {
+		t.Errorf("ScheduleCtx on Abilene allocates %.0f times; want at most 1 000", n)
+	}
+}
+
 // TestHardCorpusDecides: two entries the static branch order left undecided
 // at every round count, whatever the pass. GtsCzechRepublic failed outright
 // and Cwix was rescued by the since-deleted slack phase with R = 64; under
