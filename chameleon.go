@@ -148,8 +148,8 @@ func DefaultInvariants(g *Graph) []MonitorInvariant {
 // NewRecorder returns an empty Recorder. Hand it to PlanOptions.Recorder
 // and ExecOptions.Recorder (or carry it in a context via the internal obs
 // package's WithRecorder for the eval and chaos sweeps), then export with
-// its WriteJSONL (spans, then counter and histogram totals), WritePrometheus
-// or FlameSummary methods. Recorded ticks and simulated-clock stamps are
+// its WriteJSONL (spans, then counter and histogram totals) or FlameSummary
+// methods. Recorded ticks and simulated-clock stamps are
 // deterministic: the same reconfiguration produces byte-identical dumps on
 // any machine at any concurrency.
 func NewRecorder() *Recorder { return obs.New() }

@@ -8,7 +8,6 @@
 //	benchrunner -out my.json         # run, write to an explicit path
 //	benchrunner -reps 9 -min-duration 200ms -filter plan-execute
 //	benchrunner -list                # print the suite and exit
-//	benchrunner -serve :8080         # live /metrics + /healthz + pprof while running
 //	benchrunner -mem-budget-mb 4096  # exit 1 if the runtime footprint blows the cap
 //	benchrunner -compare old.json new.json   # exit 1 on regressions
 //
@@ -35,7 +34,6 @@ import (
 	"regexp"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"chameleon/internal/obs"
@@ -49,7 +47,6 @@ var (
 	minDurFlag    = flag.Duration("min-duration", 0, "loop each repetition until this much wall time has elapsed")
 	filterFlag    = flag.String("filter", "", "run only benchmarks whose name contains this substring")
 	listFlag      = flag.Bool("list", false, "list the suite and exit")
-	serveFlag     = flag.String("serve", "", "serve live /metrics (Prometheus text format), /healthz and /debug/pprof on this address while running (\":0\" picks an ephemeral port; the bound address is printed)")
 	compareFlag   = flag.Bool("compare", false, "compare two BENCH files: benchrunner -compare old.json new.json")
 	thresholdFlag = flag.Float64("threshold", 0.10, "base relative slowdown tolerated by -compare")
 	noiseKFlag    = flag.Float64("noise-k", 3, "noise widening factor for -compare (K·(oldMAD+newMAD)/oldMedian)")
@@ -83,8 +80,6 @@ func run() error {
 		Filter:      *filterFlag,
 	}
 
-	var observers []func(bench string, rep int, rec *obs.Recorder)
-
 	// The memory-budget guard samples the runtime footprint at every
 	// repetition boundary. MemStats.Sys is what the process actually holds
 	// from the OS — it only ever grows, so the maximum across boundaries is
@@ -93,40 +88,11 @@ func run() error {
 	var peakSysMiB int64
 	var peakBench string
 	if *memBudgetFlag > 0 {
-		observers = append(observers, func(bench string, rep int, rec *obs.Recorder) {
+		cfg.Observer = func(bench string, rep int, rec *obs.Recorder) {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			if sys := int64(ms.Sys >> 20); sys > peakSysMiB {
 				peakSysMiB, peakBench = sys, bench
-			}
-		})
-	}
-
-	// The live endpoint serves an aggregate view: every finished
-	// repetition's counters folded together, updated as the run progresses.
-	if *serveFlag != "" {
-		live := obs.New()
-		var mu sync.Mutex
-		observers = append(observers, func(bench string, rep int, rec *obs.Recorder) {
-			mu.Lock()
-			defer mu.Unlock()
-			for name, v := range rec.Counters() {
-				live.Add(name, v)
-			}
-		})
-		_, bound, err := obs.Serve(*serveFlag, live, obs.ServeOptions{
-			Prom: obs.PromOptions{ConstLabels: map[string]string{"job": "benchrunner"}},
-		}, func(err error) { fmt.Fprintln(os.Stderr, "metrics server:", err) })
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics server:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(live metrics on http://%s/metrics, pprof on /debug/pprof/)\n", bound)
-	}
-	if len(observers) > 0 {
-		cfg.Observer = func(bench string, rep int, rec *obs.Recorder) {
-			for _, o := range observers {
-				o(bench, rep, rec)
 			}
 		}
 	}

@@ -30,12 +30,8 @@
 // re-runs and worker counts) for the monitored runs (-smoke, -fig 1); both
 // files are validated after writing. -explain FILE (or "-") renders the
 // human-readable causal chain of every monitored violation; -pprof ADDR
-// serves net/http/pprof for live profiling; -serve ADDR serves the live
-// counter/histogram state as Prometheus text format on /metrics plus a live
-// span/violation feed on /events (chunked JSONL; ?follow=0 for
-// backlog-only), /healthz and /debug/pprof while a long sweep is in flight
-// — ":0" picks an ephemeral port and the bound address is printed; -linger
-// DUR keeps those endpoints up after the runs finish. -bundle DIR seals
+// serves net/http/pprof for live profiling (":0" picks an ephemeral port;
+// the bound address is printed). -bundle DIR seals
 // every deterministic artifact of the run (trace, timelines, compiled
 // plans, chaos/recovery fingerprints, supervisor journals) into a
 // content-addressed run bundle that `obsdiff` can structurally compare
@@ -68,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -120,15 +117,13 @@ var experiments = []experiment{
 type session struct {
 	fig, table, topo, out, journal     string
 	trace, timeline, explain           string
-	pprof, serve, bundle               string
+	pprof, bundle                      string
 	all, full, smoke, chaos, supervise bool
 	maxNodes, runs, workers            int
 	seed                               uint64
-	linger                             time.Duration
 
 	ctx            context.Context // carries rec
-	rec            *obs.Recorder   // nil unless an artifact, -smoke or -serve needs one
-	stream         *obs.Stream     // the -serve /events feed; nil (a no-op) otherwise
+	rec            *obs.Recorder   // nil unless an artifact or -smoke needs one
 	stdout, stderr io.Writer
 
 	titles    []string            // experiments that ran: the bundle's scenario key
@@ -168,10 +163,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&s.workers, "workers", goruntime.NumCPU(), "parallel scenario runs for the corpus and chaos sweeps (1 = sequential)")
 	fs.StringVar(&s.trace, "trace", "", "write a structured span trace (JSONL) of the instrumented runs to this file")
 	fs.StringVar(&s.timeline, "timeline", "", "write the transient-state monitor's violation timelines (JSONL) to this file")
-	fs.StringVar(&s.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	fs.StringVar(&s.serve, "serve", "", "serve live /metrics (Prometheus text format), /events (live span/violation stream), /healthz and /debug/pprof on this address while the run is in flight (\":0\" picks an ephemeral port; the bound address is printed)")
+	fs.StringVar(&s.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; \":0\" picks an ephemeral port; the bound address is printed)")
 	fs.StringVar(&s.explain, "explain", "", "write a human-readable root-cause report of every monitored violation to this file (\"-\" for stdout)")
-	fs.DurationVar(&s.linger, "linger", 0, "keep the -serve endpoints alive for this long after the runs finish (CI smoke curls them)")
 	fs.BoolVar(&s.smoke, "smoke", false, "run one traced RunningExample reconfiguration and validate the span tree (CI gate)")
 	fs.StringVar(&s.bundle, "bundle", "", "seal a content-addressed run bundle (manifest + trace/timeline/plan/chaos/journal parts) into this directory; two same-seed runs bundle byte-identically at any -workers count, which `obsdiff` checks")
 	fs.SetOutput(stderr)
@@ -204,32 +197,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if s.pprof != "" {
-		srv := &http.Server{Addr: s.pprof} // nil Handler: net/http/pprof's DefaultServeMux
+		ln, err := net.Listen("tcp", s.pprof)
+		if err != nil {
+			fmt.Fprintln(stderr, "pprof server:", err)
+			return 1
+		}
+		srv := &http.Server{} // nil Handler: net/http/pprof's DefaultServeMux
 		go func() {
-			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
+			if err := srv.Serve(ln); err != http.ErrServerClosed {
 				fmt.Fprintln(stderr, "pprof server:", err)
 			}
 		}()
 		defer srv.Close()
-		s.printf("(pprof listening on http://%s/debug/pprof/)\n", s.pprof)
+		s.printf("(pprof listening on http://%s/debug/pprof/)\n", ln.Addr())
 	}
-	if s.trace != "" || s.smoke || s.serve != "" || s.bundle != "" {
+	if s.trace != "" || s.smoke || s.bundle != "" {
 		s.rec = obs.New()
 		s.ctx = obs.WithRecorder(s.ctx, s.rec)
-	}
-	if s.serve != "" {
-		s.stream = obs.NewStream(obs.DefaultStreamCapacity)
-		s.rec.SetStream(s.stream)
-		srv, bound, err := obs.Serve(s.serve, s.rec, obs.ServeOptions{
-			Prom:   obs.PromOptions{ConstLabels: map[string]string{"job": "evalharness"}},
-			Stream: s.stream,
-		}, func(err error) { fmt.Fprintln(stderr, "metrics server:", err) })
-		if err != nil {
-			fmt.Fprintln(stderr, "metrics server:", err)
-			return 1
-		}
-		defer srv.Close()
-		s.printf("(live metrics on http://%s/metrics, events on /events, pprof on /debug/pprof/)\n", bound)
 	}
 
 	for _, e := range selected {
@@ -244,10 +228,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		s.printf("---- %s done in %v\n", e.title, time.Since(start).Round(time.Millisecond))
 	}
 	s.finish()
-	if s.linger > 0 && s.serve != "" {
-		s.printf("(lingering %v for live endpoint probes)\n", s.linger)
-		time.Sleep(s.linger)
-	}
 	if s.errs > 0 {
 		fmt.Fprintf(stderr, "%d sweep run(s) or artifact write(s) failed\n", s.errs)
 		return 1
@@ -421,7 +401,6 @@ func (s *session) smokeTest() error {
 		Name:       "smoke",
 		Invariants: chameleon.DefaultInvariants(sc.Graph),
 		Recorder:   s.rec,
-		Stream:     s.stream,
 	})
 	rec, err := chameleon.PlanCtx(s.ctx, sc, chameleon.PlanOptions{Monitor: mon})
 	if err != nil {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -79,5 +81,38 @@ func TestFailedArtifactWriteFailsRun(t *testing.T) {
 		if strings.Contains(stdout.String(), "(wrote") {
 			t.Errorf("-out %s: failed write reported as written", out)
 		}
+	}
+}
+
+// TestPprofPrintsBoundAddress: -pprof with port 0 reports the port the
+// listener was given, not the 0 it asked for.
+func TestPprofPrintsBoundAddress(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-table", "1", "-pprof", "127.0.0.1:0"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	m := regexp.MustCompile(`pprof listening on http://127\.0\.0\.1:(\d+)/debug/pprof/`).FindStringSubmatch(stdout.String())
+	if m == nil {
+		t.Fatalf("no pprof address printed:\n%s", stdout.String())
+	}
+	if m[1] == "0" {
+		t.Errorf("printed port 0, not the bound port:\n%s", m[0])
+	}
+}
+
+// TestPprofPortTakenFailsRun: a -pprof address that cannot be bound fails
+// the run before any experiment starts.
+func TestPprofPortTakenFailsRun(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-table", "1", "-pprof", ln.Addr().String()}, &stdout, &stderr); code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if strings.Contains(stdout.String(), "pprof listening") || strings.Contains(stdout.String(), "Table 1") {
+		t.Errorf("run went on after the listen failed:\n%s", stdout.String())
 	}
 }

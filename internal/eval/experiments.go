@@ -87,10 +87,9 @@ func waypointRules(a *analyzer.Analysis, e1 topology.NodeID) map[topology.NodeID
 // topology: the same reconfiguration applied once via Snowcap (direct) and
 // once via Chameleon, with packet-level measurement of both runs. A recorder
 // carried by ctx (obs.WithRecorder) receives both monitors' counters and
-// histogram samples (blame latency, violation duration, hop depth), and
-// the recorder's event stream, if any, gets a live record per violation.
+// histogram samples (blame latency, violation duration, hop depth).
 // The result and both timelines are byte-identical with or without a
-// recorder attached — histograms and streams are observation-only. The
+// recorder attached — histograms are observation-only. The
 // analyzer, the planner and the executor run under ctx, so cancelling it
 // stops the Chameleon run with ctx's error.
 func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyResult, error) {
@@ -111,7 +110,6 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 		Name:       "snowcap",
 		Invariants: caseStudyInvariants(sSnow, aSnow),
 		Recorder:   rec,
-		Stream:     rec.EventStream(),
 	})
 	snowRes, err := snowcap.ApplyMonitored(sSnow.Net, sSnow.Prefix, sSnow.Commands,
 		[]int{0}, 1700*time.Millisecond, mSnow)
@@ -141,7 +139,6 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 		Name:       "chameleon",
 		Invariants: caseStudyInvariants(sCham, pl.Analysis),
 		Recorder:   rec,
-		Stream:     rec.EventStream(),
 	})
 	ro := runtime.Options{Seed: seed}
 	ro.PhaseObserver = mCham.SetPhase

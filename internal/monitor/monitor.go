@@ -146,11 +146,6 @@ type Config struct {
 	// blame-latency, violation-duration and hop-depth histograms. Nil
 	// disables recording.
 	Recorder *obs.Recorder
-	// Stream, when set, receives a live record per violation: one
-	// "violation_open" at onset and one "violation" (the final JSONL
-	// shape) at close. Observation-only; timelines are identical with or
-	// without it.
-	Stream *obs.Stream
 }
 
 // Monitor checks forwarding snapshots online and accumulates a violation
@@ -247,11 +242,6 @@ func (m *Monitor) ObserveProvenance(at time.Duration, prefix bgp.Prefix, st fwd.
 			}
 			m.open = append(m.open, nv)
 			m.openInv = append(m.openInv, idx)
-			if m.cfg.Stream != nil {
-				rec := violationRecord(m.cfg.Name, 0, nv)
-				rec.Type = "violation_open"
-				m.cfg.Stream.Publish(rec)
-			}
 		case !ok:
 			// Still violated: extend and widen the blast radius.
 			v.End = at
@@ -293,8 +283,7 @@ func (m *Monitor) findOpen(idx int, prefix bgp.Prefix) *Violation {
 }
 
 // closeViolation moves the open violation for (idx, prefix) to the
-// timeline with the given end time, samples the violation histograms and
-// publishes the closed record to the live stream.
+// timeline with the given end time and samples the violation histograms.
 func (m *Monitor) closeViolation(idx int, prefix bgp.Prefix, end time.Duration) {
 	for i, v := range m.open {
 		if m.openInv[i] != idx || v.Prefix != prefix {
@@ -308,9 +297,6 @@ func (m *Monitor) closeViolation(idx int, prefix bgp.Prefix, end time.Duration) 
 			rec.Observe(obs.HistViolationDuration, int64(v.Duration()))
 			rec.Observe(obs.HistBlameLatency, int64(v.Cause.Latency))
 			rec.Observe(obs.HistHopDepth, int64(v.Cause.Hops))
-		}
-		if m.cfg.Stream != nil {
-			m.cfg.Stream.Publish(violationRecord(m.cfg.Name, len(m.timeline.Violations), v))
 		}
 		return
 	}

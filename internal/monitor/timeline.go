@@ -182,8 +182,7 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// violationRecord renders one violation as its JSONL record; the live
-// event stream publishes the same shape.
+// violationRecord renders one violation as its JSONL record.
 func violationRecord(name string, seq int, v *Violation) Record {
 	nodes := make([]int, len(v.Nodes))
 	for j, n := range v.Nodes {

@@ -402,10 +402,8 @@ func (t total) String() string {
 // that does not is a parse divergence); then the first differing line —
 // trace artifacts are canonical byte streams, spans in ID order, so it IS
 // the first structural divergence — and every differing counter and
-// histogram total, by name, compared exactly. The live-stream drop counter
-// (obs.CtrStreamDropped) is left out of both: it depends on how fast an
-// /events client drained during the run, so it is never evidence of a
-// diverging run.
+// histogram total, by name, compared exactly. Every counter and histogram
+// is a pure function of the run, so none is exempt.
 func diffTrace(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) {
 	la, ta, err := readTrace(a, pa)
 	if err != nil {
@@ -445,16 +443,15 @@ func diffTrace(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) {
 		}
 		divs = append(divs, d)
 	}
-	if len(divs) == 0 {
+	if len(divs) == 0 { // the line split drops a '\r' and a missing final newline
 		divs = append(divs, Divergence{Part: pa.Name, Kind: "content",
-			Detail: "bytes differ only in exempted lines"})
+			Detail: "lines agree; bytes differ in line endings"})
 	}
 	return divs, nil
 }
 
 // readTrace validates a trace part and returns its lines and its counter
-// and histogram totals keyed "counter <name>" / "hist <name>", the
-// live-stream drop counter left out of both.
+// and histogram totals keyed "counter <name>" / "hist <name>".
 func readTrace(b *bundle.Bundle, p bundle.Part) ([]string, map[string]total, error) {
 	raw, err := b.ReadPart(p)
 	if err != nil {
@@ -467,19 +464,14 @@ func readTrace(b *bundle.Bundle, p bundle.Part) ([]string, map[string]total, err
 	if err != nil {
 		return nil, nil, err
 	}
-	lines := all[:0]
 	totals := make(map[string]total)
 	for _, line := range all {
 		var t total
 		if json.Unmarshal([]byte(line), &t) == nil && (t.Type == "counter" || t.Type == "hist") {
-			if t.Type == "counter" && t.Name == obs.CtrStreamDropped {
-				continue
-			}
 			totals[t.Type+" "+t.Name] = t
 		}
-		lines = append(lines, line)
 	}
-	return lines, totals, nil
+	return all, totals, nil
 }
 
 // firstLine reports the first differing line of two text parts, describing

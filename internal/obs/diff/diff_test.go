@@ -167,33 +167,32 @@ func TestTimelineExtraViolation(t *testing.T) {
 }
 
 // TestTraceCountersExemptNoise: a counter total that differs is named with
-// both values; the stream-drop counter never fails the comparison.
+// both values, and no counter is exempt: every differing total is reported.
 func TestTraceCountersExemptNoise(t *testing.T) {
 	a := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
 		"trace.jsonl": {bundle.KindTrace, traceText(t, func(r *obs.Recorder) {
+			r.Add("monitor_states_checked", 5)
 			r.Add("solver_nodes", 100)
-			r.Add(obs.CtrStreamDropped, 5)
 		})}})
 	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
 		"trace.jsonl": {bundle.KindTrace, traceText(t, func(r *obs.Recorder) {
+			r.Add("monitor_states_checked", 900)
 			r.Add("solver_nodes", 103)
-			r.Add(obs.CtrStreamDropped, 900)
 		})}})
 	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Empty() {
-		t.Fatal("solver_nodes 100 vs 103 must be flagged")
-	}
 	var buf bytes.Buffer
 	rep.WriteText(&buf)
 	out := buf.String()
-	if !strings.Contains(out, "[trace.jsonl] counter: counter solver_nodes: 100 vs 103") {
-		t.Errorf("missing solver_nodes delta:\n%s", out)
-	}
-	if strings.Contains(out, obs.CtrStreamDropped) {
-		t.Errorf("exempt counter leaked into report:\n%s", out)
+	for _, want := range []string{
+		"[trace.jsonl] counter: counter monitor_states_checked: 5 vs 900",
+		"[trace.jsonl] counter: counter solver_nodes: 100 vs 103",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -252,14 +251,14 @@ func TestMalformedTraceIsParseDivergence(t *testing.T) {
 }
 
 // TestTraceDivergenceFirstLine: the trace differ names the first differing
-// line, skipping exempted counter lines.
+// line, then every differing counter total.
 func TestTraceDivergenceFirstLine(t *testing.T) {
 	traceA := `{"type":"span","id":1,"name":"plan","start_tick":1,"end_tick":5}
-{"type":"counter","name":"obs_stream_dropped","value":3}
+{"type":"counter","name":"sim_events_processed","value":3}
 {"type":"counter","name":"solver_nodes","value":10}
 `
 	traceB := `{"type":"span","id":1,"name":"plan","start_tick":1,"end_tick":9}
-{"type":"counter","name":"obs_stream_dropped","value":700}
+{"type":"counter","name":"sim_events_processed","value":700}
 {"type":"counter","name":"solver_nodes","value":10}
 `
 	a := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
@@ -277,29 +276,26 @@ func TestTraceDivergenceFirstLine(t *testing.T) {
 	if f.Kind != "line" || !strings.Contains(f.A, `span #1 "plan"`) {
 		t.Errorf("First() = %+v", f)
 	}
-	if len(rep.Divergences) != 1 {
-		t.Errorf("dropped-counter line should be exempt; got %+v", rep.Divergences)
+	if len(rep.Divergences) != 2 || rep.Divergences[1].Detail != "counter sim_events_processed: 3 vs 700" {
+		t.Errorf("want the span line then the counter; got %+v", rep.Divergences)
 	}
 }
 
-// TestTraceOnlyIgnoredDiffers: when the sole byte difference is an
-// exempted counter line, the part yields a "content" note, not a failure
-// the gate would trip on... it IS still a divergence entry, so assert the
-// explicit detail wording instead.
-func TestTraceOnlyIgnoredDiffers(t *testing.T) {
+// TestTraceLineEndingsOnlyDiffer: two traces whose lines and totals agree
+// but whose bytes differ (CRLF against LF) yield one "content" divergence.
+func TestTraceLineEndingsOnlyDiffer(t *testing.T) {
+	lf := traceText(t, func(r *obs.Recorder) { r.Add("solver_nodes", 1) })
 	a := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
-		"trace.jsonl": {bundle.KindTrace, "{\"type\":\"counter\",\"name\":\"obs_stream_dropped\",\"value\":1}\n"}})
+		"trace.jsonl": {bundle.KindTrace, lf}})
 	b := writeBundle(t, t.TempDir(), "s", 1, map[string][2]string{
-		"trace.jsonl": {bundle.KindTrace, "{\"type\":\"counter\",\"name\":\"obs_stream_dropped\",\"value\":2}\n"}})
+		"trace.jsonl": {bundle.KindTrace, strings.ReplaceAll(lf, "\n", "\r\n")}})
 	rep, err := Bundles(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Divergences) != 1 || rep.Divergences[0].Kind != "content" {
+	if len(rep.Divergences) != 1 || rep.Divergences[0].Kind != "content" ||
+		rep.Divergences[0].Detail != "lines agree; bytes differ in line endings" {
 		t.Fatalf("Divergences = %+v", rep.Divergences)
-	}
-	if !strings.Contains(rep.Divergences[0].Detail, "exempted") {
-		t.Errorf("Detail = %q", rep.Divergences[0].Detail)
 	}
 }
 

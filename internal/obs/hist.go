@@ -34,7 +34,7 @@ func bucketBound(i int) uint64 { return 1 << uint(i) }
 
 // HistBucket is one exported histogram bucket: the inclusive upper bound
 // and the number of samples that landed in exactly this bucket
-// (non-cumulative; Prometheus exposition derives the cumulative form).
+// (non-cumulative).
 type HistBucket struct {
 	Le    uint64
 	Count int64

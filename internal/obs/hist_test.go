@@ -49,88 +49,6 @@ func TestHistogramNilSafe(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusHistogramExposition(t *testing.T) {
-	r := New()
-	r.Add("ctr", 1)
-	for _, v := range []int64{1, 3, 3, 9} {
-		r.Observe("blame_ns", v)
-	}
-	r.Observe("alpha", 1)
-
-	var b bytes.Buffer
-	if err := r.WritePrometheus(&b, PromOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	dump := b.String()
-
-	// Cumulative buckets: le=1 → 1, le=4 → 3, le=16 → 4, +Inf → 4.
-	for _, line := range []string{
-		`# TYPE chameleon_blame_ns histogram`,
-		`chameleon_blame_ns_bucket{le="1"} 1`,
-		`chameleon_blame_ns_bucket{le="4"} 3`,
-		`chameleon_blame_ns_bucket{le="16"} 4`,
-		`chameleon_blame_ns_bucket{le="+Inf"} 4`,
-		`chameleon_blame_ns_sum 16`,
-		`chameleon_blame_ns_count 4`,
-	} {
-		if !strings.Contains(dump, line+"\n") {
-			t.Errorf("exposition lacks %q:\n%s", line, dump)
-		}
-	}
-	// Stable group order: counters, then histograms sorted by name (alpha
-	// before blame_ns).
-	order := []string{
-		"chameleon_ctr_total ",
-		`chameleon_alpha_bucket{le="1"} 1`,
-		"chameleon_blame_ns_count 4",
-	}
-	last := -1
-	for _, marker := range order {
-		i := strings.Index(dump, marker)
-		if i < 0 {
-			t.Fatalf("exposition lacks %q:\n%s", marker, dump)
-		}
-		if i < last {
-			t.Errorf("%q appears out of order:\n%s", marker, dump)
-		}
-		last = i
-	}
-
-	// Byte-stable across scrapes.
-	var b2 bytes.Buffer
-	if err := r.WritePrometheus(&b2, PromOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if dump != b2.String() {
-		t.Error("two scrapes of an idle recorder differ")
-	}
-}
-
-func TestWritePrometheusHistogramConstLabels(t *testing.T) {
-	r := New()
-	r.Observe("h", 2)
-	var b bytes.Buffer
-	err := r.WritePrometheus(&b, PromOptions{
-		ConstLabels: map[string]string{"job": "bench"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dump := b.String()
-	// le is appended after the sorted const labels; _sum/_count carry the
-	// const labels only.
-	for _, line := range []string{
-		`chameleon_h_bucket{job="bench",le="2"} 1`,
-		`chameleon_h_bucket{job="bench",le="+Inf"} 1`,
-		`chameleon_h_sum{job="bench"} 2`,
-		`chameleon_h_count{job="bench"} 1`,
-	} {
-		if !strings.Contains(dump, line+"\n") {
-			t.Errorf("exposition lacks %q:\n%s", line, dump)
-		}
-	}
-}
-
 func TestAdoptMergesHistograms(t *testing.T) {
 	parent := New()
 	parent.Observe("h", 1)

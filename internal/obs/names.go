@@ -56,15 +56,6 @@ const (
 	CtrPlanClasses      = "plan_classes"
 	CtrClassSolverNodes = "class_solver_nodes"
 
-	// Live event stream. Counts records lost to slow /events subscribers
-	// (Stream.Publish offers to each subscriber without blocking), mirrored
-	// from the stream's own drop counter into the recorder so the loss is
-	// visible on /metrics and in the trace's counter records — not only via
-	// StreamSub. Inherently nondeterministic (it depends on subscriber
-	// scheduling), so the run-bundle differ exempts it from byte-identity
-	// comparisons.
-	CtrStreamDropped = "obs_stream_dropped"
-
 	// Transient-state monitor. Violation time is recorded in integer
 	// nanoseconds of simulated time (counters are int64; the unit is part
 	// of the name so dumps stay self-describing).

@@ -71,10 +71,6 @@ type Recorder struct {
 	spans    []spanRecord
 	counters map[string]int64
 	hists    map[string]*histRecord
-
-	// stream, when set, receives a live record for every span start and
-	// end (SetStream). Publishing happens outside the recorder lock.
-	stream *Stream
 }
 
 // New returns an empty Recorder with no clock: spans are stamped with
@@ -137,14 +133,7 @@ func (r *Recorder) StartSpan(parent *Span, name string, attrs ...Attr) *Span {
 	}
 	r.spans = append(r.spans, sp)
 	id := len(r.spans)
-	stream := r.stream
 	r.mu.Unlock()
-	if stream != nil {
-		stream.Publish(StreamRecord{
-			Type: "span_start", Name: name, Span: id,
-			Tick: sp.StartTick, SimNS: sp.SimStart,
-		})
-	}
 	return &Span{rec: r, id: id}
 }
 
@@ -155,25 +144,14 @@ func (s *Span) End() {
 		return
 	}
 	r := s.rec
-	var ended *StreamRecord
 	r.mu.Lock()
 	rec := &r.spans[s.id-1]
 	if rec.EndTick == 0 {
 		r.tick++
 		rec.EndTick = r.tick
 		rec.SimEnd = r.now()
-		if r.stream != nil {
-			ended = &StreamRecord{
-				Type: "span_end", Name: rec.Name, Span: rec.ID,
-				Tick: rec.EndTick, SimNS: rec.SimEnd,
-			}
-		}
 	}
-	stream := r.stream
 	r.mu.Unlock()
-	if stream != nil && ended != nil {
-		stream.Publish(*ended)
-	}
 }
 
 // SetAttr sets (or overwrites) an attribute on the span.
@@ -362,38 +340,6 @@ func (r *Recorder) Adopt(name string, child *Recorder) {
 		r.mu.Unlock()
 	}
 	wrapper.End()
-}
-
-// SetStream attaches (or, with nil, detaches) a live event stream: every
-// span start and end is published to it as it happens. The stream is
-// observation-only — attaching one cannot change recorded spans or ticks,
-// so trace dumps stay byte-identical with or without it. Attaching also
-// wires the stream's drop accounting into this recorder (countDropsInto),
-// so slow-subscriber loss surfaces as the CtrStreamDropped counter; that
-// counter is scheduling-dependent by nature and exempted from byte-identity
-// comparisons by the run-bundle differ.
-func (r *Recorder) SetStream(s *Stream) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	prev := r.stream
-	r.stream = s
-	r.mu.Unlock()
-	if prev != nil && prev != s {
-		prev.countDropsInto(nil)
-	}
-	s.countDropsInto(r)
-}
-
-// EventStream returns the attached live stream (nil when none).
-func (r *Recorder) EventStream() *Stream {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stream
 }
 
 // snapshot copies the recorder's spans and counter totals for export and

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
@@ -101,17 +100,13 @@ func TestTraceRunToRunDeterminism(t *testing.T) {
 
 // TestExportFormatsPinned pins every export format of one recording by
 // SHA-256: the traced running example, executed under a monitor whose
-// probe invariant fails on every other snapshot (so violations, their
-// histograms and their stream records exist), with a live stream attached
-// to both the recorder and the monitor. Run bundles carry only the trace;
-// this test also holds the Prometheus text, the flame summary and the
-// /events backlog, so a change to the obs layer that means to keep its
-// artifacts must leave all four digests as they are.
+// probe invariant fails on every other snapshot (so violations and their
+// histograms exist). Run bundles carry only the trace; this test also
+// holds the flame summary, so a change to the obs layer that means to keep
+// its artifacts must leave both digests as they are.
 func TestExportFormatsPinned(t *testing.T) {
 	s := chameleon.RunningExample()
 	rec := chameleon.NewRecorder()
-	stream := obs.NewStream(0)
-	rec.SetStream(stream)
 	r, err := chameleon.PlanCtx(context.Background(), s, chameleon.PlanOptions{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +120,6 @@ func TestExportFormatsPinned(t *testing.T) {
 		Name:       "pinned",
 		Invariants: append(chameleon.DefaultInvariants(s.Graph), probe),
 		Recorder:   rec,
-		Stream:     stream,
 	})
 	res, err := r.ExecuteCtx(context.Background(), chameleon.ExecOptions{Recorder: rec, Monitor: mon})
 	if err != nil {
@@ -140,22 +134,11 @@ func TestExportFormatsPinned(t *testing.T) {
 
 	outputs := map[string]func(*bytes.Buffer) error{
 		"trace.jsonl": func(b *bytes.Buffer) error { return rec.WriteJSONL(b) },
-		"prometheus": func(b *bytes.Buffer) error {
-			return rec.WritePrometheus(b, obs.PromOptions{ConstLabels: map[string]string{"job": "pinned"}})
-		},
-		"flame": func(b *bytes.Buffer) error { _, err := b.WriteString(rec.FlameSummary()); return err },
-		"events": func(b *bytes.Buffer) error {
-			w := httptest.NewRecorder()
-			obs.Handler(rec, obs.ServeOptions{Stream: stream}).ServeHTTP(w, httptest.NewRequest("GET", "/events?follow=0", nil))
-			_, err := b.Write(w.Body.Bytes())
-			return err
-		},
+		"flame":       func(b *bytes.Buffer) error { _, err := b.WriteString(rec.FlameSummary()); return err },
 	}
 	want := map[string]string{
 		"trace.jsonl": "25f9e02e058843a53a0fb393e7f6898f2ad2057fa15aa2c39336999a8b2ac4cd",
-		"prometheus":  "44c437c90abcf5e7ba72bcb76a2a3196ed50806c7c0d06f2003cb1dd4e992dfd",
 		"flame":       "89db6ef6b0a4eb0e0c5fbbba1bf8e3b956bc665433c1910ca0389a0ed382e206",
-		"events":      "5a4c3356d6b3b06a6cdd105f3e109c9a9cf158a06729d3a5fafd6dafe044d934",
 	}
 	for name, write := range outputs {
 		var b bytes.Buffer
