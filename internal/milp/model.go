@@ -88,8 +88,12 @@ func push[T any](b []T, vs ...T) []T {
 func NewModel() *Model { return &Model{start: []int{0}} }
 
 // Reset empties the model, keeping the storage of its variables, its rows,
-// its objective and its searcher for the next model built in it.
+// its objective and its searcher for the next model built in it. It drops the
+// last Solve's options, so a kept model does not pin the caller's Ctx.
 func (m *Model) Reset() {
+	if m.s != nil {
+		m.s.opts, m.s.ctxErr = Options{}, nil
+	}
 	m.lo, m.hi, m.at = m.lo[:0], m.hi[:0], m.at[:0]
 	m.start, m.terms, m.rhs, m.span = m.start[:1], m.terms[:0], m.rhs[:0], m.span[:0]
 	m.obj, m.hasObj = LinExpr{Terms: m.obj.Terms[:0]}, false

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"runtime"
 	"sort"
 
 	"chameleon/internal/analyzer"
@@ -32,7 +33,8 @@ func diff(x, y milp.VarID) milp.LinExpr    { return expr(term(x, 1), term(y, -1)
 // encoder builds the §4 ILP of one analysis and specification into one
 // model, for one round count R at a time: encode replaces the last R's
 // encoding with the next one's, keeping the storage of the model, of the memo
-// tables and of every per-node slice, so one encoder serves a round scan.
+// tables and of every per-node slice, so one encoder serves a round scan, and
+// the free list (encoders) hands it on to the next scan.
 type encoder struct {
 	a    *analyzer.Analysis
 	sp   *spec.Spec
@@ -85,27 +87,51 @@ type ek struct {
 	k int
 }
 
-// newEncoder returns an encoder of a and sp into a model of its own.
-func newEncoder(a *analyzer.Analysis, sp *spec.Spec, opts Options) *encoder {
-	e := &encoder{
-		a: a, sp: sp, opts: opts,
-		model:       milp.NewModel(),
-		g:           a.Graph,
-		isSwitching: make(map[topology.NodeID]bool),
-		rOld:        make(map[topology.NodeID]milp.VarID),
-		rNh:         make(map[topology.NodeID]milp.VarID),
-		rNew:        make(map[topology.NodeID]milp.VarID),
-		tOld:        make(map[topology.NodeID]milp.VarID),
-		tNew:        make(map[topology.NodeID]milp.VarID),
-		leK:         make(map[topology.NodeID][]milp.VarID),
-		eqMemo:      make(map[nk]bval),
-		notCache:    make(map[milp.VarID]milp.VarID),
-		delta:       make(map[topology.NodeID][]milp.VarID),
-		reachMemo:   make(map[nk]bval),
-		wpMemo:      make(map[wnk]bval),
-		exitsMemo:   make(map[wnk]bval),
-		specMemo:    make(map[ek]bval),
+// encoders is the free list of round-scan encoders: a finished scan hands its
+// encoder, with its model, the model's searcher, its tables and its buffers,
+// to the next scan, so planning grows them once and not once per call. It
+// holds at most GOMAXPROCS encoders, one per scan that class-parallel
+// planning and the parallel sweeps run at a time; getting and putting never
+// wait. A sync.Pool would drop its encoders at every other GC, which would
+// make the bytes a run allocates depend on when the GC ran.
+var encoders = make(chan *encoder, runtime.GOMAXPROCS(0))
+
+// getEncoder returns an encoder of a and sp: one from the free list when it
+// holds one, else a new one. A recycled encoder's maps keyed by node are
+// cleared: delta is read with ok and isSwitching as a bool, so a stale key
+// would change the encoding.
+func getEncoder(a *analyzer.Analysis, sp *spec.Spec, opts Options) *encoder {
+	var e *encoder
+	select {
+	case e = <-encoders:
+		clear(e.isSwitching)
+		clear(e.rOld)
+		clear(e.rNh)
+		clear(e.rNew)
+		clear(e.tOld)
+		clear(e.tNew)
+		clear(e.leK)
+		clear(e.delta)
+	default:
+		e = &encoder{
+			model:       milp.NewModel(),
+			isSwitching: make(map[topology.NodeID]bool),
+			rOld:        make(map[topology.NodeID]milp.VarID),
+			rNh:         make(map[topology.NodeID]milp.VarID),
+			rNew:        make(map[topology.NodeID]milp.VarID),
+			tOld:        make(map[topology.NodeID]milp.VarID),
+			tNew:        make(map[topology.NodeID]milp.VarID),
+			leK:         make(map[topology.NodeID][]milp.VarID),
+			eqMemo:      make(map[nk]bval),
+			notCache:    make(map[milp.VarID]milp.VarID),
+			delta:       make(map[topology.NodeID][]milp.VarID),
+			reachMemo:   make(map[nk]bval),
+			wpMemo:      make(map[wnk]bval),
+			exitsMemo:   make(map[wnk]bval),
+			specMemo:    make(map[ek]bval),
+		}
 	}
+	e.a, e.sp, e.opts, e.g = a, sp, opts, a.Graph
 	for _, n := range a.Switching {
 		e.isSwitching[n] = true
 	}
@@ -114,6 +140,21 @@ func newEncoder(a *analyzer.Analysis, sp *spec.Spec, opts Options) *encoder {
 		e.cycles = a.SimpleCycles(cycleLimit)
 	}
 	return e
+}
+
+// putEncoder hands e back to the free list, or drops it when the list is
+// full. It first drops e's references to the caller's analysis,
+// specification and graph (the spec memo's keys point into the
+// specification), and resets the model, which drops the searcher's options
+// and with them the caller's ctx and its recorder.
+func putEncoder(e *encoder) {
+	e.a, e.sp, e.g, e.cycles = nil, nil, nil, nil
+	clear(e.specMemo)
+	e.model.Reset()
+	select {
+	case encoders <- e:
+	default:
+	}
 }
 
 // encode replaces the model with the encoding for R rounds. It empties the

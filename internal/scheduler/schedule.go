@@ -196,8 +196,9 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 	}
 	// One encoder, and its one model, hold every round count's encoding in
 	// turn: each keeps its storage, and the model its searcher's buffers,
-	// for the next.
-	enc := newEncoder(a, sp, opts)
+	// for the next, and the scan hands all of it to the next scan.
+	enc := getEncoder(a, sp, opts)
+	defer putEncoder(enc)
 	attempt := func(r int, nodes int64) (*NodeSchedule, error) {
 		agg.RoundsTried++
 		span.Add(obs.CtrSchedRoundsTried, 1)

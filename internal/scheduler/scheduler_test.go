@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"chameleon/internal/analyzer"
@@ -439,23 +440,41 @@ func TestEncodingPinned(t *testing.T) {
 }
 
 // TestScheduleAllocs: a round scan encodes every round count with one
-// encoder into one model, so scheduling Abilene (four round counts) costs a
-// few hundred allocations; each count building its own encoder, with rows
-// copied expression by expression, cost 4 452.
+// encoder into one model, and takes that encoder, grown by the scans before
+// it, from the free list; so a warm scan of Abilene (four round counts) costs
+// about a hundred allocations and a dozen KiB. An encoder per scan cost 367
+// allocations and 314 536 B; an encoder per round count, with rows copied
+// expression by expression, 4 452 allocations.
 func TestScheduleAllocs(t *testing.T) {
 	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, sp := analyze(t, s), reachSpec(s.Graph)
-	n := testing.AllocsPerRun(5, func() {
+	run := func() {
 		if _, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("ScheduleCtx on Abilene: %.0f allocations", n)
-	if n > 1000 {
-		t.Errorf("ScheduleCtx on Abilene allocates %.0f times; want at most 1 000", n)
+	}
+	// Whatever earlier tests left on the free list, the scans below run on
+	// the one encoder this warm-up grows.
+	scheduler.DrainEncoders()
+	run()
+	n := testing.AllocsPerRun(5, run)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("ScheduleCtx on Abilene: %.0f allocations, %d B", n, bytes)
+	if n > 200 {
+		t.Errorf("ScheduleCtx on Abilene allocates %.0f times; want at most 200", n)
+	}
+	if bytes > 32<<10 {
+		t.Errorf("ScheduleCtx on Abilene allocates %d B; want at most 32 KiB", bytes)
 	}
 }
 
