@@ -7,8 +7,8 @@ import (
 )
 
 // SessionKind distinguishes the three BGP session roles a router can have
-// towards a neighbor.
-type SessionKind int
+// towards a neighbor. A byte, so that a simulator peer entry stays 48 bytes.
+type SessionKind uint8
 
 const (
 	// EBGP is an external BGP session.

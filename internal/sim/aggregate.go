@@ -26,9 +26,9 @@ func (n *Network) AddAggregate(node topology.NodeID, rule AggregateRule) {
 	r := n.routers[node]
 	r.aggRules = append(r.aggRules, rule)
 	n.evalAggregates(node)
-	for _, nb := range r.neighbors() {
+	for i := range r.peers {
 		for _, c := range rule.Contributors {
-			n.export(r, nb, []bgp.Prefix{c})
+			n.export(r, &r.peers[i], []bgp.Prefix{c})
 		}
 	}
 }
@@ -42,9 +42,9 @@ func (n *Network) RemoveAggregates(node topology.NodeID) {
 	for _, rule := range rules {
 		n.runDecision(node, rule.Summary)
 		// Previously suppressed contributors may flow again.
-		for _, nb := range r.neighbors() {
+		for i := range r.peers {
 			for _, c := range rule.Contributors {
-				n.export(r, nb, []bgp.Prefix{c})
+				n.export(r, &r.peers[i], []bgp.Prefix{c})
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"chameleon/internal/bgp"
 	"chameleon/internal/scenario"
 	"chameleon/internal/sim"
 	"chameleon/internal/topology"
@@ -100,13 +101,34 @@ func originator(t *testing.T, n *sim.Network) (topology.NodeID, []sim.Originated
 	return 0, nil
 }
 
+// deny returns a route-map mutation adding a deny entry for prefix at
+// order.
+func deny(order int, prefix bgp.Prefix) func(*sim.RouteMap) {
+	return func(rm *sim.RouteMap) {
+		rm.Add(sim.Entry{Order: order, Match: sim.Match{Prefix: sim.PrefixP(prefix)}, Action: sim.Action{Deny: true}})
+	}
+}
+
+// reconfigure writes configuration on n: an ingress route-map entry at a
+// towards b, then a teardown and re-establishment of their session.
+func reconfigure(n *sim.Network, a, b topology.NodeID, order int, prefix bgp.Prefix) {
+	n.UpdateRouteMap(a, b, sim.In, deny(order, prefix))
+	kind, _ := n.HasSession(a, b)
+	n.RemoveSession(a, b)
+	n.SetSession(a, b, kind)
+	n.Run()
+}
+
 // TestCloneIsolation writes to each side of a clone in turn — a withdrawal
-// on the clone, then a new prefix and a changed announcement on the source
-// — and checks that the other side's complete state did not move. A second
-// clone that never writes must not move either: on the small networks the
-// first clone's withdrawal copies every leaf it shares, so only the idle one
-// still shares nodes with the source. A clone that left either side owning
-// the shared trie nodes fails here.
+// and configuration (a route-map entry, a session torn down and brought
+// back) on the clone, then a new prefix, a changed announcement and the same
+// kind of configuration on the source — and checks that the other side's
+// complete state did not move. The route map written to exists before the
+// clone, so both sides start from equal copies of it. A second clone that
+// never writes must not move either: on the small networks the first
+// clone's withdrawal copies every leaf it shares, so only the idle one still
+// shares nodes with the source. A clone that left either side owning the
+// shared trie nodes, or sharing a peer table or a route map, fails here.
 func TestCloneIsolation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -120,25 +142,32 @@ func TestCloneIsolation(t *testing.T) {
 			n := tc.net(t)
 			n.Run()
 			ext, orig := originator(t, n)
+			// The router that learns from ext, and a prefix nobody announces
+			// for the route-map entry both sides inherit.
+			a := n.Sessions(ext)[0]
+			last := orig[len(orig)-1]
+			n.UpdateRouteMap(a, ext, sim.In, deny(10, last.Prefix+2))
+			n.Run()
 			c, idle := n.Clone(), n.Clone()
 			before, cloned := digest(t, n), digest(t, c) // idle's is c's
 
 			c.WithdrawExternalRoute(ext, orig[0].Prefix)
 			c.Run()
+			reconfigure(c, a, ext, 20, orig[0].Prefix)
 			if digest(t, n) != before {
-				t.Fatal("a withdrawal on the clone changed the source")
+				t.Fatal("writes on the clone changed the source")
 			}
 			after := digest(t, c)
 			if after == cloned {
-				t.Fatal("the withdrawal did not change the clone")
+				t.Fatal("the writes did not change the clone")
 			}
 
-			last := orig[len(orig)-1]
 			n.InjectExternalRoutes(ext, []sim.Announcement{
 				{Prefix: last.Prefix, ASPathLen: last.ASPathLen, MED: last.MED + 1},
 				{Prefix: last.Prefix + 1, ASPathLen: last.ASPathLen},
 			})
 			n.Run()
+			reconfigure(n, a, ext, 30, last.Prefix)
 			if digest(t, c) != after {
 				t.Fatal("writes on the source changed the clone")
 			}

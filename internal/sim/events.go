@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"chameleon/internal/obs"
-	"chameleon/internal/topology"
 )
 
 // event is a queue entry: either a message delivery or a scheduled function
@@ -13,8 +12,9 @@ import (
 // between the root and this event (see cause.go). A delivery is the
 // message's own delivery field, so a message and its event are one
 // allocation. cmd marks a command application (ScheduleCommand): it and a
-// delivery are what BGP has in flight (see Converged); cmd sits in cause's
-// padding, which keeps an event at 48 bytes.
+// delivery are what BGP has in flight (see Converged). epoch is a delivery's
+// session epoch at send time (see deliver). cmd, a 32-bit hops and epoch
+// share the word after cause, which keeps an event at 48 bytes.
 type event struct {
 	at    time.Duration
 	seq   uint64 // tie-break, preserves insertion order at equal times
@@ -22,7 +22,8 @@ type event struct {
 	fn    func(*Network)
 	cause CauseID
 	cmd   bool
-	hops  int
+	hops  int32
+	epoch uint32
 }
 
 // inFlight reports whether e is BGP work in flight: a delivery or a command
@@ -102,7 +103,7 @@ func (n *Network) ScheduleAt(t time.Duration, fn func(*Network)) {
 	if t < n.now {
 		t = n.now
 	}
-	n.push(t, &event{fn: fn, cause: n.curCause, hops: n.curHops})
+	n.push(t, &event{fn: fn, cause: n.curCause, hops: int32(n.curHops)})
 }
 
 // ScheduleAfter runs fn after the given delay from the current simulated
@@ -112,7 +113,8 @@ func (n *Network) ScheduleAfter(d time.Duration, fn func(*Network)) {
 }
 
 // sendMsg enqueues a BGP message honoring per-session FIFO ordering: a
-// message never overtakes an earlier message on the same directed session.
+// message never overtakes an earlier message on the same directed session
+// (the receiver's peer entry for the sender holds the clamp and the epoch).
 // An installed fault injector may delay or duplicate the delivery; the
 // fault is applied before the FIFO clamp so ordering is preserved.
 func (n *Network) sendMsg(m *message) {
@@ -133,23 +135,21 @@ func (n *Network) sendMsg(m *message) {
 			n.count(obs.CtrFaultsMessage, 1)
 		}
 	}
-	key := sessKey{m.from, m.to}
+	pe := n.routers[m.to].peerFor(m.from)
 	enqueue := func(at time.Duration, e *event) time.Duration {
-		if last, ok := n.lastDelivery[key]; ok && at <= last {
-			at = last + time.Microsecond
+		if at <= pe.last {
+			at = pe.last + time.Microsecond
 		}
-		n.lastDelivery[key] = at
+		pe.last = at
 		n.push(at, e)
 		return at
 	}
 	// A message is one propagation hop deeper than the event that sent it;
 	// the cause rides along unchanged.
-	m.delivery = event{msg: m, cause: n.curCause, hops: n.curHops + 1}
+	m.delivery = event{msg: m, cause: n.curCause, hops: int32(n.curHops + 1), epoch: pe.epoch}
 	at := enqueue(n.now+delay, &m.delivery)
 	if duplicate {
 		dup := m.delivery
 		enqueue(at+delay/2, &dup)
 	}
 }
-
-type sessKey struct{ from, to topology.NodeID }

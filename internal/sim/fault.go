@@ -237,13 +237,13 @@ func (n *Network) PendingCommands() int {
 // routes, as a real session restart would. Returns false if no session
 // exists.
 func (n *Network) FlapSession(a, b topology.NodeID, hold time.Duration) bool {
-	kind, ok := n.routers[a].sessions[b]
+	kind, ok := n.HasSession(a, b)
 	if !ok {
 		return false
 	}
 	n.RemoveSession(a, b)
 	n.ScheduleAfter(hold, func(net *Network) {
-		if _, up := net.routers[a].sessions[b]; up {
+		if _, up := net.HasSession(a, b); up {
 			return // something re-established it meanwhile
 		}
 		net.SetSession(a, b, kind)

@@ -106,9 +106,10 @@ func (n *Network) InjectExternalRoutes(ext topology.NodeID, anns []Announcement)
 	for _, ann := range anns {
 		r.originated.Set(ann.Prefix, ann)
 	}
-	for _, peer := range r.neighbors() {
+	n.RangeSessions(ext, func(peer topology.NodeID) bool {
 		n.originate(ext, peer, anns)
-	}
+		return true
+	})
 }
 
 // WithdrawExternalRoutes withdraws previously originated prefixes as one
@@ -128,9 +129,10 @@ func (n *Network) WithdrawExternalRoutes(ext topology.NodeID, prefixes []bgp.Pre
 	for _, p := range sorted {
 		r.originated.Delete(p)
 	}
-	for _, peer := range r.neighbors() {
+	n.RangeSessions(ext, func(peer topology.NodeID) bool {
 		n.sendMsg(&message{from: ext, to: peer, withdraws: sorted})
-	}
+		return true
+	})
 }
 
 // originate sends peer one message announcing anns (ascending by prefix) as
@@ -156,16 +158,17 @@ func (n *Network) originate(ext, peer topology.NodeID, anns []Announcement) {
 	n.sendMsg(m)
 }
 
-// deliver applies a message at its receiver: all Adj-RIB-In mutations
-// first, then one decision pass over the affected prefixes. The receiver
-// stores each handle the sender interned; nothing is hashed on this side.
-func (n *Network) deliver(m *message) {
+// deliver applies delivery e's message at its receiver: all Adj-RIB-In
+// mutations first, then one decision pass over the affected prefixes. The
+// receiver stores each handle the sender interned; nothing is hashed here.
+func (n *Network) deliver(e *event) {
+	m := e.msg
 	n.msgCount++
 	n.count(obs.CtrBGPUpdates, int64(len(m.updates)))
 	n.count(obs.CtrBGPWithdraws, int64(len(m.withdraws)))
 	r := n.routers[m.to]
-	if _, up := r.sessions[m.from]; !up {
-		return // session went away while the message was in flight
+	if pe := r.peer(m.from); pe == nil || !pe.up || pe.epoch != e.epoch {
+		return // the session it was sent on went away while it was in flight
 	}
 	if r.external {
 		// External networks are sinks; record exports for the
@@ -234,8 +237,8 @@ func (n *Network) runDecisions(r *router, prefixes []bgp.Prefix) {
 	if len(changed) == 0 {
 		return
 	}
-	for _, peer := range r.neighbors() {
-		n.export(r, peer, changed)
+	for i := range r.peers {
+		n.export(r, &r.peers[i], changed)
 	}
 	if contributor {
 		// A contributor change may (de)activate a summary (§8 aggregation).
@@ -244,20 +247,20 @@ func (n *Network) runDecisions(r *router, prefixes []bgp.Prefix) {
 }
 
 // export diffs the desired exports of r for the given prefixes against
-// Adj-RIB-Out towards peer and sends at most one message carrying all
+// Adj-RIB-Out towards pe and sends at most one message carrying all
 // resulting updates and withdrawals. It is the only place an export meets
 // the Adj-RIB-Out. A route is built in scratch, compared with the record
 // last sent, and interned once, only if it is sent: the handle goes into
 // Adj-RIB-Out and onto the message.
-func (n *Network) export(r *router, peer topology.NodeID, prefixes []bgp.Prefix) {
-	if r.external {
+func (n *Network) export(r *router, pe *peer, prefixes []bgp.Prefix) {
+	if r.external || !pe.up {
 		return
 	}
 	var m *message // made at the first difference
-	out := r.adjOut[peer]
+	out := pe.adjOut
 	var want bgp.Route
 	for i, p := range prefixes {
-		ok := r.exportTo(peer, p, &want, &n.bufs)
+		ok := r.exportTo(pe, p, &want, &n.bufs)
 		var sent uint32
 		wasSent := false
 		if out != nil {
@@ -267,11 +270,12 @@ func (n *Network) export(r *router, peer topology.NodeID, prefixes []bgp.Prefix)
 			continue
 		}
 		if m == nil {
-			m = &message{from: r.id, to: peer}
+			m = &message{from: r.id, to: pe.id}
 		}
 		if ok {
 			if out == nil {
-				out = r.adjOutFor(peer)
+				pe.adjOut = bgp.NewRIBOn(r.attrs)
+				out = pe.adjOut
 			}
 			h := n.attrs.Intern(&want)
 			out.SetHandle(p, h)

@@ -57,8 +57,7 @@ type Network struct {
 	now      time.Duration
 	rng      *rand.Rand
 	// inEvent is set while a scheduled function runs (see Step).
-	inEvent      bool
-	lastDelivery map[sessKey]time.Duration
+	inEvent bool
 
 	traces   map[bgp.Prefix]*fwd.Trace
 	traceAll bool
@@ -141,15 +140,14 @@ func New(g *topology.Graph, opts Options) *Network {
 // supplies, with no routers yet.
 func newNetwork(g *topology.Graph, spf *igp.SPF, opts Options, attrs *bgp.AttrTable) *Network {
 	n := &Network{
-		graph:        g,
-		spf:          spf,
-		opts:         opts,
-		rng:          rand.New(rand.NewPCG(opts.Seed, opts.Seed^0xda3e39cb94b95bdb)),
-		lastDelivery: make(map[sessKey]time.Duration),
-		traces:       make(map[bgp.Prefix]*fwd.Trace),
-		dirty:        make(map[bgp.Prefix]causeMark),
-		ebgpExports:  make(map[bgp.Prefix]int),
-		attrs:        attrs,
+		graph:       g,
+		spf:         spf,
+		opts:        opts,
+		rng:         rand.New(rand.NewPCG(opts.Seed, opts.Seed^0xda3e39cb94b95bdb)),
+		traces:      make(map[bgp.Prefix]*fwd.Trace),
+		dirty:       make(map[bgp.Prefix]causeMark),
+		ebgpExports: make(map[bgp.Prefix]int),
+		attrs:       attrs,
 	}
 	if opts.TracePrefixes == nil {
 		n.traceAll = true
@@ -226,21 +224,22 @@ func (n *Network) sessionDelay(a, b topology.NodeID) time.Duration {
 // kindAtA is a's role towards b (the reverse role is implied). Existing
 // best routes are advertised over the new session immediately.
 func (n *Network) SetSession(a, b topology.NodeID, kindAtA bgp.SessionKind) {
-	ra, rb := n.routers[a], n.routers[b]
-	_, existed := ra.sessions[b]
+	pa, pb := n.routers[a].peerFor(b), n.routers[b].peerFor(a)
+	existed := pa.up
 	if !existed {
 		n.count(obs.CtrSessionsOpened, 1)
 	}
-	ra.setSession(b, kindAtA)
-	rb.setSession(a, reverseKind(kindAtA))
+	pa.kind, pb.kind = kindAtA, reverseKind(kindAtA)
+	pa.up, pb.up = true, true
 	if existed {
 		// Role change: it alters not only what flows over this session but
 		// also how routes *learned* over it may be re-exported (client vs
 		// non-client reflection rules), so refresh both routers' exports
 		// towards every neighbor.
 		for _, node := range []topology.NodeID{a, b} {
-			for _, nb := range n.routers[node].neighbors() {
-				n.refreshExports(node, nb)
+			r := n.routers[node]
+			for i := range r.peers {
+				n.refreshExports(r, &r.peers[i])
 			}
 		}
 		return
@@ -263,22 +262,25 @@ func reverseKind(k bgp.SessionKind) bgp.SessionKind {
 // RemoveSession tears the session between a and b down. Both ends drop the
 // learned routes and re-run their decision process.
 func (n *Network) RemoveSession(a, b topology.NodeID) {
-	if _, ok := n.routers[a].sessions[b]; ok {
+	if _, up := n.HasSession(a, b); up {
 		n.count(obs.CtrSessionsClosed, 1)
 	}
 	n.teardownHalf(a, b)
 	n.teardownHalf(b, a)
 }
 
-func (n *Network) teardownHalf(at, peer topology.NodeID) {
+// teardownHalf takes at's side of its session towards nb down: a new epoch,
+// no Adj-RIB-Out, and a decision for every prefix nb had sent.
+func (n *Network) teardownHalf(at, nb topology.NodeID) {
 	r := n.routers[at]
-	if _, ok := r.sessions[peer]; !ok {
+	pe := r.peer(nb)
+	if pe == nil || !pe.up {
 		return
 	}
-	r.dropSession(peer)
-	delete(r.adjOut, peer)
+	pe.up, pe.adjOut = false, nil
+	pe.epoch++
 	before := r.adjIn.Size()
-	r.adjIn.DropNeighborRange(peer, func(p bgp.Prefix) bool {
+	r.adjIn.DropNeighborRange(nb, func(p bgp.Prefix) bool {
 		n.runDecision(at, p)
 		return true
 	})
@@ -290,22 +292,26 @@ func (n *Network) teardownHalf(at, peer topology.NodeID) {
 // HasSession reports whether a session between a and b exists and returns
 // a's role.
 func (n *Network) HasSession(a, b topology.NodeID) (bgp.SessionKind, bool) {
-	k, ok := n.routers[a].sessions[b]
-	return k, ok
+	return n.routers[a].session(b)
 }
 
 // Sessions returns node a's neighbors, sorted. The slice is the caller's
 // to keep.
 func (n *Network) Sessions(a topology.NodeID) []topology.NodeID {
-	return slices.Clone(n.routers[a].neighbors())
+	out := make([]topology.NodeID, 0, len(n.routers[a].peers))
+	n.RangeSessions(a, func(nb topology.NodeID) bool {
+		out = append(out, nb)
+		return true
+	})
+	return out
 }
 
 // RangeSessions calls fn with node a's neighbors in ascending order until fn
 // returns false. Allocation-free, for checks polled after every event; fn
 // must not add or remove a's sessions.
 func (n *Network) RangeSessions(a topology.NodeID, fn func(topology.NodeID) bool) {
-	for _, nb := range n.routers[a].neighbors() {
-		if !fn(nb) {
+	for _, p := range n.routers[a].peers {
+		if p.up && !fn(p.id) {
 			return
 		}
 	}
@@ -324,7 +330,7 @@ func (n *Network) UpdateRouteMap(node, neighbor topology.NodeID, dir Direction, 
 			return true
 		})
 	} else {
-		n.refreshExports(node, neighbor)
+		n.refreshExports(r, r.peer(neighbor))
 	}
 }
 
@@ -402,7 +408,7 @@ func (n *Network) Step() bool {
 		n.inFlight--
 	}
 	n.now = e.at
-	n.curCause, n.curHops = e.cause, e.hops
+	n.curCause, n.curHops = e.cause, int(e.hops)
 	n.activateCause(e.cause)
 	n.count(obs.CtrSimEvents, 1)
 	if e.fn != nil {
@@ -410,7 +416,7 @@ func (n *Network) Step() bool {
 		e.fn(n)
 		n.inEvent = false
 	} else if e.msg != nil {
-		n.deliver(e.msg)
+		n.deliver(e)
 	}
 	n.snapshotDirty()
 	n.trackTableSize()
@@ -522,14 +528,13 @@ func routesIdentical(a, b *bgp.Route) bool {
 		a.ASPathLen == b.ASPathLen && a.MED == b.MED && a.FromEBGP == b.FromEBGP
 }
 
-// refreshExports re-sends (or withdraws) node's exports of all prefixes
-// towards one neighbor, used after egress route-map or session changes.
-func (n *Network) refreshExports(node, neighbor topology.NodeID) {
-	r := n.routers[node]
+// refreshExports re-sends (or withdraws) r's exports of all prefixes
+// towards one peer, used after egress route-map or session changes.
+func (n *Network) refreshExports(r *router, pe *peer) {
 	// Stale Adj-RIB-Out entries (sent earlier, no longer selected) are
 	// collected up front: export deletes from the table being walked.
 	var stale []bgp.Prefix
-	if out := r.adjOut[neighbor]; out != nil {
+	if out := pe.adjOut; out != nil {
 		out.RangePrefixes(func(p bgp.Prefix) bool {
 			if _, ok := r.locRib.Handle(p); !ok {
 				stale = append(stale, p)
@@ -538,11 +543,11 @@ func (n *Network) refreshExports(node, neighbor topology.NodeID) {
 		})
 	}
 	r.locRib.RangePrefixes(func(p bgp.Prefix) bool {
-		n.export(r, neighbor, []bgp.Prefix{p})
+		n.export(r, pe, []bgp.Prefix{p})
 		return true
 	})
 	for _, p := range stale {
-		n.export(r, neighbor, []bgp.Prefix{p})
+		n.export(r, pe, []bgp.Prefix{p})
 	}
 }
 
@@ -550,7 +555,7 @@ func (n *Network) refreshExports(node, neighbor topology.NodeID) {
 func (n *Network) advertiseAll(node, neighbor topology.NodeID) {
 	r := n.routers[node]
 	if !r.external {
-		n.refreshExports(node, neighbor) // nothing sent yet: every selected route differs
+		n.refreshExports(r, r.peer(neighbor)) // nothing sent yet: every selected route differs
 		return
 	}
 	// Ascending prefix order fixes the jitter draws, and so the execution.
@@ -766,9 +771,9 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 // IGP, failed links included, until either side reconverges
 // (igp.SPF.Clone). The topology and Options are shared as they are.
 //
-// Copied: sessions and the sorted neighbor cache, route maps, aggregation
-// rules, the simulated clock and the current table-entry count. The
-// clone's Routers in CaptureState are byte-identical to the source's.
+// Copied: the peer tables (sessions, route maps, epochs, FIFO clamps),
+// aggregation rules, the simulated clock and the current table-entry count.
+// The clone's Routers in CaptureState are byte-identical to the source's.
 //
 // Reset on purpose, because they describe a history the clone did not live
 // through: the message count, the §7.3 maximum table size and the per-prefix

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"maps"
 	"slices"
+	"time"
 
 	"chameleon/internal/bgp"
 	"chameleon/internal/topology"
@@ -13,24 +13,15 @@ type router struct {
 	id       topology.NodeID
 	external bool
 
-	// sessions maps each BGP neighbor to this router's role towards it;
-	// nbrs mirrors its key set sorted, so the hot per-prefix propagation
-	// loop never re-sorts.
-	sessions map[topology.NodeID]bgp.SessionKind
-	nbrs     []topology.NodeID
-
-	// Route maps, per direction and neighbor.
-	maps map[Direction]map[topology.NodeID]*RouteMap
+	// peers is the peer table, sorted by neighbor ID: one entry per
+	// neighbor the router has had a session or a route map towards.
+	peers []peer
 
 	// attrs is the network's attribute table, which every table below
 	// interns into.
 	attrs  *bgp.AttrTable
 	adjIn  *bgp.AdjIn  // raw routes as received, before ingress policy
 	locRib *bgp.LocRIB // selected route per prefix, after ingress policy
-
-	// adjOut records the last route sent to each neighbor per prefix, so
-	// exports can be diffed and withdrawals generated.
-	adjOut map[topology.NodeID]*bgp.RIB
 
 	// originated holds the announcements of an external network, on the
 	// copy-on-write trie so a clone shares them; empty (and unallocated) at
@@ -39,6 +30,19 @@ type router struct {
 
 	// aggRules are the router's §8 border-aggregation rules.
 	aggRules []AggregateRule
+}
+
+// peer is everything a router keeps per neighbor. A torn-down session
+// keeps its entry, with up false and no Adj-RIB-Out, so its route maps,
+// epoch and FIFO clamp outlive it.
+type peer struct {
+	id     topology.NodeID
+	kind   bgp.SessionKind // the router's role towards id, while up
+	up     bool
+	epoch  uint32        // teardowns so far; a delivery sent before the last is stale (see deliver)
+	maps   [2]*RouteMap  // route maps by Direction (nil: permit all)
+	adjOut *bgp.RIB      // last route sent to id per prefix, so exports are diffs
+	last   time.Duration // latest delivery time from id: the FIFO clamp (see sendMsg)
 }
 
 // Announcement describes a route an external network originates.
@@ -53,98 +57,95 @@ func newRouter(id topology.NodeID, external bool, attrs *bgp.AttrTable) *router 
 		id:       id,
 		external: external,
 		attrs:    attrs,
-		sessions: make(map[topology.NodeID]bgp.SessionKind),
-		maps: map[Direction]map[topology.NodeID]*RouteMap{
-			In:  make(map[topology.NodeID]*RouteMap),
-			Out: make(map[topology.NodeID]*RouteMap),
-		},
-		adjIn:  bgp.NewAdjIn(attrs),
-		locRib: bgp.NewLocRIB(attrs),
-		adjOut: make(map[topology.NodeID]*bgp.RIB),
+		adjIn:    bgp.NewAdjIn(attrs),
+		locRib:   bgp.NewLocRIB(attrs),
 	}
 }
 
 // clone returns an independent copy of r whose tables intern into attrs, a
 // fork of r's attribute table. The route tables and originated
-// announcements are copy-on-write shares; the configuration — sessions, the
-// sorted neighbor cache, route maps (whose entries are already in order),
-// aggregation rules — is copied wholesale.
+// announcements are copy-on-write shares; the configuration — the peer
+// table and its route maps, aggregation rules — is copied wholesale.
 func (r *router) clone(attrs *bgp.AttrTable) *router {
 	c := &router{
 		id:         r.id,
 		external:   r.external,
 		attrs:      attrs,
-		sessions:   maps.Clone(r.sessions),
-		nbrs:       slices.Clone(r.nbrs),
-		maps:       make(map[Direction]map[topology.NodeID]*RouteMap, len(r.maps)),
+		peers:      slices.Clone(r.peers),
 		adjIn:      r.adjIn.CloneOn(attrs),
 		locRib:     r.locRib.CloneOn(attrs),
-		adjOut:     make(map[topology.NodeID]*bgp.RIB, len(r.adjOut)),
 		originated: r.originated.Clone(),
 		aggRules:   slices.Clone(r.aggRules),
 	}
-	for dir, byNb := range r.maps {
-		cm := make(map[topology.NodeID]*RouteMap, len(byNb))
-		for nb, rm := range byNb {
-			cm[nb] = &RouteMap{entries: slices.Clone(rm.entries)}
+	for i := range c.peers {
+		p := &c.peers[i]
+		for d, rm := range p.maps {
+			if rm != nil {
+				p.maps[d] = &RouteMap{entries: slices.Clone(rm.entries)}
+			}
 		}
-		c.maps[dir] = cm
-	}
-	for nb, t := range r.adjOut {
-		c.adjOut[nb] = t.CloneOn(attrs)
+		if p.adjOut != nil {
+			p.adjOut = p.adjOut.CloneOn(attrs)
+		}
 	}
 	return c
 }
 
-// setSession records (or re-types) the session towards peer, keeping the
-// sorted neighbor cache in sync.
-func (r *router) setSession(peer topology.NodeID, kind bgp.SessionKind) {
-	if _, ok := r.sessions[peer]; !ok {
-		i, _ := slices.BinarySearch(r.nbrs, peer)
-		r.nbrs = slices.Insert(r.nbrs, i, peer)
+// find returns where id's entry is, or would go, and whether it is there. On
+// slices.BinarySearchFunc's generic comparator exec-replay ran 15 % slower.
+func (r *router) find(id topology.NodeID) (int, bool) {
+	i, j := 0, len(r.peers)
+	for i < j {
+		if h := int(uint(i+j) >> 1); r.peers[h].id < id {
+			i = h + 1
+		} else {
+			j = h
+		}
 	}
-	r.sessions[peer] = kind
+	return i, i < len(r.peers) && r.peers[i].id == id
 }
 
-// dropSession removes the session towards peer from the map and the cache.
-func (r *router) dropSession(peer topology.NodeID) {
-	if _, ok := r.sessions[peer]; !ok {
-		return
+// peer returns id's entry, or nil; peerFor inserts an empty one first if
+// there is none. The pointer is into the table: it is valid until the next
+// insertion.
+func (r *router) peer(id topology.NodeID) *peer {
+	if i, ok := r.find(id); ok {
+		return &r.peers[i]
 	}
-	delete(r.sessions, peer)
-	if i, ok := slices.BinarySearch(r.nbrs, peer); ok {
-		r.nbrs = slices.Delete(r.nbrs, i, i+1)
-	}
+	return nil
 }
 
-// adjOutFor returns the Adj-RIB-Out table towards peer, creating it on
-// first use.
-func (r *router) adjOutFor(peer topology.NodeID) *bgp.RIB {
-	t := r.adjOut[peer]
-	if t == nil {
-		t = bgp.NewRIBOn(r.attrs)
-		r.adjOut[peer] = t
+func (r *router) peerFor(id topology.NodeID) *peer {
+	i, ok := r.find(id)
+	if !ok {
+		r.peers = slices.Insert(r.peers, i, peer{id: id})
 	}
-	return t
+	return &r.peers[i]
+}
+
+// session returns the router's role towards id and whether a session is
+// up.
+func (r *router) session(id topology.NodeID) (bgp.SessionKind, bool) {
+	if p := r.peer(id); p != nil && p.up {
+		return p.kind, true
+	}
+	return 0, false
 }
 
 func (r *router) routeMap(dir Direction, neighbor topology.NodeID) *RouteMap {
-	return r.maps[dir][neighbor]
+	if p := r.peer(neighbor); p != nil {
+		return p.maps[dir]
+	}
+	return nil
 }
 
 func (r *router) ensureRouteMap(dir Direction, neighbor topology.NodeID) *RouteMap {
-	rm := r.maps[dir][neighbor]
-	if rm == nil {
-		rm = &RouteMap{}
-		r.maps[dir][neighbor] = rm
+	rm := &r.peerFor(neighbor).maps[dir]
+	if *rm == nil {
+		*rm = &RouteMap{}
 	}
-	return rm
+	return *rm
 }
-
-// neighbors returns the router's BGP neighbors sorted by ID. The slice is
-// the router's cache: callers must not mutate or retain it across session
-// changes.
-func (r *router) neighbors() []topology.NodeID { return r.nbrs }
 
 // rangeIngress calls fn with every Adj-RIB-In route for prefix that ingress
 // policy admits, policy applied, in ascending neighbor order, until fn
@@ -180,21 +181,18 @@ func (r *router) acceptable(route *bgp.Route) bool {
 	return !slices.Contains(route.Path[:max(0, len(route.Path)-1)], r.id)
 }
 
-// exportTo builds in out the route this router would advertise to neighbor
+// exportTo builds in out the route this router would advertise to up peer p
 // for prefix, applying the iBGP/eBGP/route-reflection export rules and the
 // egress route map, and reports false if nothing may be advertised. The
 // selected route is read in place; the extended path and cluster list go
 // into b, and an unchanged cluster list stays the selected record's, which
 // nothing writes to.
-func (r *router) exportTo(neighbor topology.NodeID, prefix bgp.Prefix, out *bgp.Route, b *routeBufs) bool {
+func (r *router) exportTo(p *peer, prefix bgp.Prefix, out *bgp.Route, b *routeBufs) bool {
 	h, have := r.locRib.Handle(prefix)
 	if !have {
 		return false
 	}
-	toKind, connected := r.sessions[neighbor]
-	if !connected {
-		return false
-	}
+	neighbor, toKind := p.id, p.kind
 	// Summary-only aggregation suppresses the contributors (§8).
 	if r.suppressed(prefix) {
 		return false
@@ -219,7 +217,7 @@ func (r *router) exportTo(neighbor topology.NodeID, prefix bgp.Prefix, out *bgp.
 		case best.FromEBGP:
 			// eBGP-learned: advertise to every iBGP neighbor.
 		default:
-			fromKind := r.sessions[learnedFrom]
+			fromKind, _ := r.session(learnedFrom)
 			switch fromKind {
 			case bgp.IBGPClient:
 				// Learned from a client: reflect to all iBGP neighbors.
@@ -253,6 +251,6 @@ func (r *router) exportTo(neighbor topology.NodeID, prefix bgp.Prefix, out *bgp.
 		b.clusters = append(append(b.clusters[:0], best.ClusterList...), r.id)
 		out.ClusterList = b.clusters
 	}
-	permit, _ := r.routeMap(Out, neighbor).Apply(neighbor, out)
+	permit, _ := p.maps[Out].Apply(neighbor, out)
 	return permit
 }

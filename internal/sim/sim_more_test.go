@@ -247,3 +247,35 @@ func TestIBGPPolicies(t *testing.T) {
 		t.Error("n4 must still reach prefix 0")
 	}
 }
+
+// TestStaleDeliveryDiscarded: a message sent on a session that is torn down
+// and re-established before it arrives belongs to the old session and is
+// not applied on the new one. r0 learns p from ext and sends it to r1 over
+// a slow iBGP session; the session is removed, ext withdraws p, r0 drops it
+// with no session to tell, and the session comes back. Applied on the new
+// session, the old update would leave r1 a route via r0 that r0 no longer
+// has, and nothing would ever withdraw it.
+func TestStaleDeliveryDiscarded(t *testing.T) {
+	g := topology.New("stale")
+	r0, r1 := g.AddRouter("r0"), g.AddRouter("r1")
+	ext := g.AddExternal("ext", 65001)
+	g.AddLink(ext, r0, 1)
+	g.AddLink(r0, r1, 10)
+	net := sim.New(g, sim.Options{Seed: 1})
+	net.SetSession(r0, ext, bgp.EBGP)
+	net.SetSession(r0, r1, bgp.IBGPPeer)
+	const p = bgp.Prefix(1)
+	net.InjectExternalRoute(ext, sim.Announcement{Prefix: p})
+	net.Step() // r0 learns p and sends it to r1
+	net.RemoveSession(r0, r1)
+	net.WithdrawExternalRoute(ext, p)
+	net.Step() // the withdrawal overtakes the update: r0 drops p
+	if _, ok := net.Best(r0, p); ok {
+		t.Fatal("r0 still selects p after ext withdrew it")
+	}
+	net.SetSession(r0, r1, bgp.IBGPPeer)
+	net.Run()
+	if best, ok := net.Best(r1, p); ok {
+		t.Errorf("r1 selects p via %d, which no longer has it", best.Pre())
+	}
+}

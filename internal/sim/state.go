@@ -127,21 +127,16 @@ func (n *Network) CaptureState() (*NetState, error) {
 
 func captureRouter(r *router) RouterState {
 	rs := RouterState{ID: r.id, External: r.external}
-	for _, peer := range r.neighbors() {
-		rs.Sessions = append(rs.Sessions, SessionState{Peer: peer, Kind: r.sessions[peer]})
+	for _, p := range r.peers {
+		if p.up {
+			rs.Sessions = append(rs.Sessions, SessionState{Peer: p.id, Kind: p.kind})
+		}
 	}
 	for _, dir := range []Direction{In, Out} {
-		var nbs []topology.NodeID
-		for nb, rm := range r.maps[dir] {
-			if rm.Len() > 0 {
-				nbs = append(nbs, nb)
+		for i := range r.peers {
+			if rm := r.peers[i].maps[dir]; rm.Len() > 0 {
+				rs.RouteMaps = append(rs.RouteMaps, RouteMapState{Dir: dir, Neighbor: r.peers[i].id, Entries: rm.Entries()})
 			}
-		}
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
-		for _, nb := range nbs {
-			rs.RouteMaps = append(rs.RouteMaps, RouteMapState{
-				Dir: dir, Neighbor: nb, Entries: r.maps[dir][nb].Entries(),
-			})
 		}
 	}
 	r.adjIn.RangePrefixes(func(p bgp.Prefix) bool {
@@ -155,16 +150,12 @@ func captureRouter(r *router) RouterState {
 		rs.LocRIB = append(rs.LocRIB, rt)
 		return true
 	})
-	var outNbs []topology.NodeID
-	for nb, m := range r.adjOut {
-		if m.Len() > 0 {
-			outNbs = append(outNbs, nb)
+	for _, p := range r.peers {
+		if p.adjOut == nil || p.adjOut.Len() == 0 {
+			continue
 		}
-	}
-	sort.Slice(outNbs, func(i, j int) bool { return outNbs[i] < outNbs[j] })
-	for _, nb := range outNbs {
-		ao := AdjOutState{Neighbor: nb}
-		r.adjOut[nb].Range(func(_ bgp.Prefix, rt bgp.Route) bool {
+		ao := AdjOutState{Neighbor: p.id}
+		p.adjOut.Range(func(_ bgp.Prefix, rt bgp.Route) bool {
 			ao.Routes = append(ao.Routes, rt)
 			return true
 		})
@@ -189,8 +180,8 @@ func captureRouter(r *router) RouterState {
 // then restored from a snapshot continues exactly like the network the
 // snapshot was taken from — the clock matches, run-scoped RNG streams are
 // re-derived from the run index on the next BeginRun, and the drained queue
-// means no in-flight ordering state survives (per-session FIFO clamps only
-// ever look at deliveries ≤ now, which cannot constrain future sends).
+// means no in-flight ordering state survives (the restored routers' FIFO
+// clamps and session epochs start over, which no future send can tell).
 func (n *Network) RestoreState(st *NetState) error {
 	if len(n.queue) > 0 {
 		return fmt.Errorf("sim: RestoreState requires an empty event queue (%d events pending)", len(n.queue))
@@ -207,7 +198,8 @@ func (n *Network) RestoreState(st *NetState) error {
 	for i, rs := range st.Routers {
 		r := newRouter(rs.ID, rs.External, n.attrs)
 		for _, s := range rs.Sessions {
-			r.setSession(s.Peer, s.Kind)
+			p := r.peerFor(s.Peer)
+			p.kind, p.up = s.Kind, true
 		}
 		for _, rm := range rs.RouteMaps {
 			m := r.ensureRouteMap(rm.Dir, rm.Neighbor)
@@ -222,7 +214,8 @@ func (n *Network) RestoreState(st *NetState) error {
 			r.locRib.Set(rt)
 		}
 		for _, ao := range rs.AdjOut {
-			t := r.adjOutFor(ao.Neighbor)
+			t := bgp.NewRIBOn(r.attrs)
+			r.peerFor(ao.Neighbor).adjOut = t
 			for _, rt := range ao.Routes {
 				t.Set(rt)
 			}
@@ -244,7 +237,6 @@ func (n *Network) RestoreState(st *NetState) error {
 	n.dirty = make(map[bgp.Prefix]causeMark)
 	n.curCause, n.curHops = 0, 0
 	n.pendingCmds = nil
-	n.lastDelivery = make(map[sessKey]time.Duration)
 	n.recountTableEntries()
 	return nil
 }
