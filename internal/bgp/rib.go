@@ -38,24 +38,52 @@ func (k SessionKind) String() string {
 }
 
 // AdjIn is the per-neighbor inbound RIB: the most recent route announced by
-// each neighbor for each prefix. Storage is one RIB table per neighbor plus
-// an ordered prefix-union index, so walks never re-sort and the total entry
-// count is maintained incrementally.
+// each neighbor for each prefix. Storage is one slice of per-neighbor
+// tables, sorted by neighbor, plus an ordered prefix-union index, so walks
+// never re-sort, a clone copies one slice, and the total entry count is
+// maintained incrementally.
 type AdjIn struct {
-	attrs  *AttrTable
-	routes map[topology.NodeID]*RIB
-	// nbrs lists every neighbor with a table, sorted, so candidate walks
-	// are deterministic and allocation-free.
-	nbrs []topology.NodeID
+	attrs *AttrTable
+	// nbrs holds a table for every neighbor that announced a route and has
+	// not been dropped since, sorted by neighbor, so candidate walks are
+	// deterministic and allocation-free.
+	nbrs []adjInNeighbor
 	// index counts how many neighbors currently announce each prefix, so
 	// the prefix union walks in order without being re-derived.
 	index PrefixMap[int32]
 	size  int
 }
 
+// adjInNeighbor is one neighbor's table, held by value.
+type adjInNeighbor struct {
+	id  topology.NodeID
+	rib RIB
+}
+
 // NewAdjIn returns an empty Adj-RIB-In whose tables intern into attrs.
-func NewAdjIn(attrs *AttrTable) *AdjIn {
-	return &AdjIn{attrs: attrs, routes: make(map[topology.NodeID]*RIB)}
+func NewAdjIn(attrs *AttrTable) *AdjIn { return &AdjIn{attrs: attrs} }
+
+// find returns where neighbor's table is, or would go, and whether it is
+// there; a hand-written search, as the simulator's peer table has.
+func (a *AdjIn) find(neighbor topology.NodeID) (int, bool) {
+	i, j := 0, len(a.nbrs)
+	for i < j {
+		if h := int(uint(i+j) >> 1); a.nbrs[h].id < neighbor {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(a.nbrs) && a.nbrs[i].id == neighbor
+}
+
+// table returns neighbor's table, or nil. The pointer is into the slice: it
+// is valid until the next neighbor is added or dropped.
+func (a *AdjIn) table(neighbor topology.NodeID) *RIB {
+	if i, ok := a.find(neighbor); ok {
+		return &a.nbrs[i].rib
+	}
+	return nil
 }
 
 func (a *AdjIn) indexInc(p Prefix) {
@@ -82,14 +110,11 @@ func (a *AdjIn) Set(neighbor topology.NodeID, route Route) (added bool) {
 // SetHandle is Set of the route whose attributes the AdjIn's AttrTable holds
 // under h: a delivered message stores the handle its sender interned.
 func (a *AdjIn) SetHandle(neighbor topology.NodeID, prefix Prefix, h uint32) (added bool) {
-	t := a.routes[neighbor]
-	if t == nil {
-		t = NewRIBOn(a.attrs)
-		a.routes[neighbor] = t
-		i, _ := slices.BinarySearch(a.nbrs, neighbor)
-		a.nbrs = slices.Insert(a.nbrs, i, neighbor)
+	i, ok := a.find(neighbor)
+	if !ok {
+		a.nbrs = slices.Insert(a.nbrs, i, adjInNeighbor{id: neighbor, rib: *NewRIBOn(a.attrs)})
 	}
-	added = t.SetHandle(prefix, h)
+	added = a.nbrs[i].rib.SetHandle(prefix, h)
 	if added {
 		a.indexInc(prefix)
 		a.size++
@@ -100,7 +125,7 @@ func (a *AdjIn) SetHandle(neighbor topology.NodeID, prefix Prefix, h uint32) (ad
 // Withdraw removes the route for prefix announced by neighbor, reporting
 // whether one was present.
 func (a *AdjIn) Withdraw(neighbor topology.NodeID, prefix Prefix) bool {
-	t := a.routes[neighbor]
+	t := a.table(neighbor)
 	if t == nil || !t.Delete(prefix) {
 		return false
 	}
@@ -111,7 +136,7 @@ func (a *AdjIn) Withdraw(neighbor topology.NodeID, prefix Prefix) bool {
 
 // Get returns the route for prefix announced by neighbor, if any.
 func (a *AdjIn) Get(neighbor topology.NodeID, prefix Prefix) (Route, bool) {
-	t := a.routes[neighbor]
+	t := a.table(neighbor)
 	if t == nil {
 		return Route{}, false
 	}
@@ -123,14 +148,12 @@ func (a *AdjIn) Get(neighbor topology.NodeID, prefix Prefix) (Route, bool) {
 // order, until fn returns false. The neighbor's state is fully gone before
 // the first callback, so fn observes the post-teardown table.
 func (a *AdjIn) DropNeighborRange(neighbor topology.NodeID, fn func(Prefix) bool) {
-	t := a.routes[neighbor]
-	if t == nil {
+	i, ok := a.find(neighbor)
+	if !ok {
 		return
 	}
-	delete(a.routes, neighbor)
-	if i, ok := slices.BinarySearch(a.nbrs, neighbor); ok {
-		a.nbrs = slices.Delete(a.nbrs, i, i+1)
-	}
+	t := a.nbrs[i].rib
+	a.nbrs = slices.Delete(a.nbrs, i, i+1)
 	a.size -= t.Len()
 	t.RangePrefixes(func(p Prefix) bool {
 		a.indexDec(p)
@@ -151,9 +174,9 @@ func (a *AdjIn) RangeCandidates(prefix Prefix, fn func(topology.NodeID, Route) b
 // RangeHandles is RangeCandidates yielding the attribute handle of each
 // route instead of the route.
 func (a *AdjIn) RangeHandles(prefix Prefix, fn func(topology.NodeID, uint32) bool) {
-	for _, n := range a.nbrs {
-		if h, ok := a.routes[n].Handle(prefix); ok {
-			if !fn(n, h) {
+	for i := range a.nbrs {
+		if h, ok := a.nbrs[i].rib.Handle(prefix); ok {
+			if !fn(a.nbrs[i].id, h) {
 				return
 			}
 		}
@@ -183,10 +206,6 @@ func (a *AdjIn) RangePrefixes(fn func(Prefix) bool) {
 	a.index.Range(func(p Prefix, _ int32) bool { return fn(p) })
 }
 
-// Neighbors returns the neighbors with Adj-RIB-In state, sorted. The
-// returned slice is the AdjIn's own and must not be mutated.
-func (a *AdjIn) Neighbors() []topology.NodeID { return a.nbrs }
-
 // Size returns the total number of stored routes across all neighbors and
 // prefixes in O(1); this is the routing-table-size metric of §7.3.
 func (a *AdjIn) Size() int { return a.size }
@@ -196,14 +215,13 @@ func (a *AdjIn) Size() int { return a.size }
 // prefix index share unchanged subtrees with the original.
 func (a *AdjIn) CloneOn(attrs *AttrTable) *AdjIn {
 	c := &AdjIn{
-		attrs:  attrs,
-		routes: make(map[topology.NodeID]*RIB, len(a.routes)),
-		nbrs:   slices.Clone(a.nbrs),
-		index:  a.index.Clone(),
-		size:   a.size,
+		attrs: attrs,
+		nbrs:  slices.Clone(a.nbrs),
+		index: a.index.Clone(),
+		size:  a.size,
 	}
-	for n, t := range a.routes {
-		c.routes[n] = t.CloneOn(attrs)
+	for i := range c.nbrs {
+		c.nbrs[i].rib = *a.nbrs[i].rib.CloneOn(attrs)
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -476,6 +477,214 @@ func TestAdjInRangeAndClone(t *testing.T) {
 	}
 	if a.Size() != 1 {
 		t.Fatalf("size after drop %d", a.Size())
+	}
+
+	// A neighbor that first appears, or is dropped, on one side of a clone
+	// is an insert into or a delete from that side's neighbor slice alone.
+	root := newCheckedAdjIn(NewAttrTable())
+	for n := topology.NodeID(1); n <= 3; n++ {
+		root.set(t, n, Prefix(n), root.handles[n])
+	}
+	clone := root.cloneOn(root.attrs.Fork())
+	for _, step := range []struct {
+		writer *checkedAdjIn
+		write  func(*checkedAdjIn)
+	}{
+		{clone, func(c *checkedAdjIn) { c.set(t, 0, 7, c.handles[4]) }},  // before every neighbor
+		{clone, func(c *checkedAdjIn) { c.set(t, 9, 70, c.handles[5]) }}, // after every neighbor
+		{clone, func(c *checkedAdjIn) { c.drop(t, 2) }},
+		{root, func(c *checkedAdjIn) { c.set(t, 2, 8, c.handles[6]) }},
+		{root, func(c *checkedAdjIn) { c.drop(t, 1) }},
+		{root, func(c *checkedAdjIn) { c.set(t, 5, 2, c.handles[7]) }},
+		{clone, func(c *checkedAdjIn) { c.withdraw(t, 3, 3) }},
+	} {
+		step.write(step.writer)
+		root.check(t)
+		clone.check(t)
+	}
+
+	// Then the same in lockstep with the model over a long random sequence.
+	rng := rand.New(rand.NewSource(11))
+	data := make([]byte, 3*4000)
+	rng.Read(data)
+	runAdjInOps(t, data)
+}
+
+// checkedAdjIn drives an Adj-RIB-In and its model, a map of per-neighbor
+// maps of attribute handles, in lockstep. The handles are attrPool interned
+// once into the root table, so every fork resolves them.
+type checkedAdjIn struct {
+	adj     *AdjIn
+	attrs   *AttrTable
+	handles []uint32
+	model   map[topology.NodeID]map[Prefix]uint32
+}
+
+func newCheckedAdjIn(attrs *AttrTable) *checkedAdjIn {
+	c := &checkedAdjIn{adj: NewAdjIn(attrs), attrs: attrs, model: map[topology.NodeID]map[Prefix]uint32{}}
+	for i := range attrPool {
+		c.handles = append(c.handles, attrs.Intern(&attrPool[i]))
+	}
+	return c
+}
+
+func (c *checkedAdjIn) set(t testing.TB, n topology.NodeID, p Prefix, h uint32) {
+	t.Helper()
+	_, existed := c.model[n][p]
+	if c.model[n] == nil {
+		c.model[n] = map[Prefix]uint32{}
+	}
+	c.model[n][p] = h
+	if added := c.adj.SetHandle(n, p, h); added == existed {
+		t.Fatalf("SetHandle(%d, %d) reported added=%v, model had it: %v", n, p, added, existed)
+	}
+}
+
+func (c *checkedAdjIn) withdraw(t testing.TB, n topology.NodeID, p Prefix) {
+	t.Helper()
+	_, existed := c.model[n][p]
+	delete(c.model[n], p)
+	if got := c.adj.Withdraw(n, p); got != existed {
+		t.Fatalf("Withdraw(%d, %d) = %v, model says %v", n, p, got, existed)
+	}
+}
+
+// drop tears n down: the callback must see every prefix n announced, in
+// order, with n already gone from the table.
+func (c *checkedAdjIn) drop(t testing.TB, n topology.NodeID) {
+	t.Helper()
+	want := sortedKeys(c.model[n])
+	delete(c.model, n)
+	var got []Prefix
+	c.adj.DropNeighborRange(n, func(p Prefix) bool {
+		if _, ok := c.adj.Get(n, p); ok {
+			t.Fatalf("DropNeighborRange(%d) still holds prefix %d in its callback", n, p)
+		}
+		got = append(got, p)
+		return true
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("DropNeighborRange(%d) visited %v, model %v", n, got, want)
+	}
+}
+
+func (c *checkedAdjIn) cloneOn(attrs *AttrTable) *checkedAdjIn {
+	m := make(map[topology.NodeID]map[Prefix]uint32, len(c.model))
+	for n, ps := range c.model {
+		m[n] = maps.Clone(ps)
+	}
+	return &checkedAdjIn{adj: c.adj.CloneOn(attrs), attrs: attrs, handles: c.handles, model: m}
+}
+
+// check compares everything observable: Size, the prefix union, every
+// prefix's candidates in neighbor order, and Get of every model entry and
+// of neighbors the model does not hold.
+func (c *checkedAdjIn) check(t testing.TB) {
+	t.Helper()
+	size, union := 0, map[Prefix]bool{}
+	for _, ps := range c.model {
+		size += len(ps)
+		for p := range ps {
+			union[p] = true
+		}
+	}
+	if c.adj.Size() != size {
+		t.Fatalf("Size = %d, model has %d", c.adj.Size(), size)
+	}
+	var prefixes []Prefix
+	c.adj.RangePrefixes(func(p Prefix) bool {
+		prefixes = append(prefixes, p)
+		return true
+	})
+	if want := sortedKeys(union); !slices.Equal(prefixes, want) {
+		t.Fatalf("RangePrefixes = %v, model %v", prefixes, want)
+	}
+	nbrs := sortedKeys(c.model)
+	for _, p := range prefixes {
+		var got, want [][2]uint32
+		c.adj.RangeHandles(p, func(n topology.NodeID, h uint32) bool {
+			got = append(got, [2]uint32{uint32(n), h})
+			return true
+		})
+		for _, n := range nbrs {
+			if h, ok := c.model[n][p]; ok {
+				want = append(want, [2]uint32{uint32(n), h})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("RangeHandles(%d) = %v, model %v", p, got, want)
+		}
+	}
+	for n, ps := range c.model {
+		for p, h := range ps {
+			got, ok := c.adj.Get(n, p)
+			if !ok {
+				t.Fatalf("Get(%d, %d) found nothing; model has handle %d", n, p, h)
+			}
+			want := *c.attrs.At(h)
+			want.Prefix = p
+			checkRoute(t, fmt.Sprintf("Get(%d, %d)", n, p), got, want)
+		}
+	}
+	for n := topology.NodeID(-1); n <= adjInNeighbors; n++ {
+		if _, held := c.model[n]; !held {
+			if _, ok := c.adj.Get(n, 0); ok {
+				t.Fatalf("Get(%d, 0) found a route of a neighbor the model does not hold", n)
+			}
+		}
+	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// adjInNeighbors bounds the neighbor IDs runAdjInOps writes, so neighbors
+// recur, and are added and dropped, on both sides of clones.
+const adjInNeighbors = 6
+
+// runAdjInOps interprets data as three-byte operations — SetHandle,
+// Withdraw, DropNeighborRange, CloneOn onto a fork, switch table — over a
+// few Adj-RIB-Ins, checking the touched ones against their models after
+// every step and all of them at the end.
+func runAdjInOps(t testing.TB, data []byte) {
+	const maxTables = 6
+	tables := []*checkedAdjIn{newCheckedAdjIn(NewAttrTable())}
+	cur := tables[0]
+	for ; len(data) >= 3; data = data[3:] {
+		op, a, b := data[0], data[1], data[2]
+		n, p := topology.NodeID(a%adjInNeighbors), ribOpKey(b, b>>2)
+		switch op % 8 {
+		case 0, 1, 2:
+			cur.set(t, n, p, cur.handles[int(a>>3)%len(cur.handles)])
+		case 3, 4:
+			cur.withdraw(t, n, p)
+		case 5:
+			cur.drop(t, n)
+		case 6: // clone; odd a continues on the clone
+			c := cur.cloneOn(cur.attrs.Fork())
+			if len(tables) < maxTables {
+				tables = append(tables, c)
+			} else {
+				tables[int(b)%maxTables] = c
+			}
+			cur.check(t)
+			if a%2 == 1 {
+				cur = c
+			}
+		case 7:
+			cur = tables[int(b)%len(tables)]
+		}
+		cur.check(t)
+	}
+	for _, c := range tables {
+		c.check(t)
 	}
 }
 

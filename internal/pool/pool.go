@@ -105,10 +105,16 @@ func Map[T any](ctx context.Context, workers, n int, label func(i int) string, f
 		}()
 	}
 	for i := 0; i < n; i++ {
+		// Unstarted items report the cancellation cause. The check comes
+		// first because a select with both cases ready picks one at
+		// random: a worker waiting for work would still get the item.
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
+			continue
+		}
 		select {
 		case idx <- i:
 		case <-ctx.Done():
-			// Unstarted items report the cancellation cause.
 			errs[i] = ctx.Err()
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -91,24 +90,26 @@ func TestMapLowestIndexError(t *testing.T) {
 }
 
 func TestMapCancellation(t *testing.T) {
+	const workers = 2
 	var started int64
-	block := make(chan struct{})
-	var once sync.Once
-	_, err := Map(context.Background(), 2, 100, nil, func(ctx context.Context, i int) (int, error) {
+	_, err := Map(context.Background(), workers, 100, nil, func(ctx context.Context, i int) (int, error) {
 		atomic.AddInt64(&started, 1)
 		if i == 0 {
-			once.Do(func() { close(block) })
 			return 0, errors.New("first failure")
 		}
-		<-block
+		// Every other task holds its worker until the failure has
+		// cancelled the feed.
+		<-ctx.Done()
 		return 0, ctx.Err()
 	})
 	if err == nil {
 		t.Fatal("expected an error")
 	}
-	// Cancellation must stop the feed: far fewer than 100 tasks may start.
-	if s := atomic.LoadInt64(&started); s == 100 {
-		t.Errorf("all %d tasks started despite early failure", s)
+	// No task can end before the cancellation, so the workers are busy
+	// until then, and after it the feeder offers nothing: at most one
+	// index it was already offering when the context closed gets through.
+	if s := atomic.LoadInt64(&started); s > workers+1 {
+		t.Errorf("%d tasks started despite an early failure; want at most %d", s, workers+1)
 	}
 }
 

@@ -231,6 +231,10 @@ type Executor struct {
 	obsRec    *obs.Recorder
 	execSpan  *obs.Span
 	phaseSpan *obs.Span
+
+	// steps is runSteps' per-step state, kept from phase to phase and
+	// cleared at the start of each: one phase runs at a time.
+	steps []stepState
 }
 
 // NewExecutor wraps a converged network.
@@ -604,7 +608,11 @@ type stepState struct {
 // once BGP settles, under the Monitor, the watchdog and the context.
 func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step) error {
 	e.curPrefix = prefix
-	st := make([]stepState, len(steps))
+	if cap(e.steps) < len(steps) {
+		e.steps = make([]stepState, len(steps))
+	}
+	st := e.steps[:len(steps)]
+	clear(st)
 	watchdog := e.net.Now() + conditionTimeout
 
 	preOK := func(i int) bool {

@@ -79,29 +79,85 @@ type Provenance struct {
 // Rooted reports whether the snapshot descends from a registered cause.
 func (p Provenance) Rooted() bool { return p.Cause.ID != 0 }
 
+// causeChunk is how many records one block of the cause log holds: 2 KiB,
+// which a replay of Abilene's plan (46 causes) does not fill.
+const causeChunk = 64
+
+// causeRec is the cause log's record of one Cause, 32 bytes where a Cause
+// is 72: the ID and Seq follow from the record's position, the node fits
+// 32 bits, and the phase is an index into the network's phase table.
+type causeRec struct {
+	label string
+	at    time.Duration
+	node  int32
+	// meta is 1 + the phase's index in Network.phases (0: no phase)
+	// shifted left by 8, over the CauseKind in the low byte.
+	meta uint32
+}
+
+// maxPhases bounds the phase table: its index has the 24 bits above meta's
+// kind byte.
+const maxPhases = 1<<24 - 1
+
 // NewCause registers a cause and returns its ID. The cause inherits the
 // current phase label; its activation time is stamped when its root event
 // first executes.
 func (n *Network) NewCause(kind CauseKind, label string, node topology.NodeID) CauseID {
-	id := CauseID(len(n.causes) + 1)
-	n.causes = append(n.causes, Cause{
-		ID:    id,
-		Kind:  kind,
-		Label: label,
-		Node:  node,
-		Phase: n.curPhase,
-		Seq:   uint64(len(n.causes)),
-		At:    -1,
-	})
-	return id
+	i := n.ncauses
+	if i%causeChunk == 0 {
+		n.causes = append(n.causes, new([causeChunk]causeRec))
+	}
+	n.causes[i/causeChunk][i%causeChunk] = causeRec{
+		label: label,
+		at:    -1,
+		node:  int32(node),
+		meta:  n.phaseRef()<<8 | uint32(kind),
+	}
+	n.ncauses++
+	return CauseID(n.ncauses)
+}
+
+// phaseRef returns 1 + the index of the current phase label in the phase
+// table, or 0 when no phase is set. A label enters the table the first time
+// a cause registers under it since SetPhaseLabel named it, so the causes of
+// one phase share one entry.
+func (n *Network) phaseRef() uint32 {
+	if n.curPhase == "" {
+		return 0
+	}
+	if k := len(n.phases); k == 0 || n.phases[k-1] != n.curPhase {
+		if k == maxPhases {
+			panic("sim: phase table full")
+		}
+		n.phases = append(n.phases, n.curPhase)
+	}
+	return uint32(len(n.phases))
+}
+
+// cause returns id's record; id must be registered.
+func (n *Network) cause(id CauseID) *causeRec {
+	i := int(id) - 1
+	return &n.causes[i/causeChunk][i%causeChunk]
 }
 
 // CauseOf resolves a cause ID (false for 0 or unknown IDs).
 func (n *Network) CauseOf(id CauseID) (Cause, bool) {
-	if id == 0 || int(id) > len(n.causes) {
+	if id == 0 || int(id) > n.ncauses {
 		return Cause{}, false
 	}
-	return n.causes[id-1], true
+	r := n.cause(id)
+	c := Cause{
+		ID:    id,
+		Kind:  CauseKind(r.meta & 0xff),
+		Label: r.label,
+		Node:  topology.NodeID(r.node),
+		Seq:   uint64(id) - 1,
+		At:    r.at,
+	}
+	if ph := r.meta >> 8; ph != 0 {
+		c.Phase = n.phases[ph-1]
+	}
+	return c, true
 }
 
 // SetPhaseLabel names the execution phase newly registered causes are
@@ -127,8 +183,11 @@ func (n *Network) ScheduleEventAt(t time.Duration, label string, fn func(*Networ
 
 // activateCause stamps the cause's first firing time.
 func (n *Network) activateCause(id CauseID) {
-	if id != 0 && n.causes[id-1].At < 0 {
-		n.causes[id-1].At = n.now
+	if id == 0 {
+		return
+	}
+	if r := n.cause(id); r.at < 0 {
+		r.at = n.now
 	}
 }
 

@@ -169,3 +169,67 @@ func TestProvenanceDeterministic(t *testing.T) {
 		t.Errorf("provenance sequence lacks the command cause:\n%s", a)
 	}
 }
+
+// TestCauseLogLifecycle: CauseOf rebuilds every registered Cause — ID, Seq,
+// kind, label, node, phase and activation time — from the compact log,
+// across block boundaries and phase relabels (a label that returns after
+// another included), answers false for 0 and for IDs never registered, and
+// a clone starts its own log empty while the original keeps its own.
+func TestCauseLogLifecycle(t *testing.T) {
+	net := scenario.RunningExample().Net.Clone()
+	if _, ok := net.CauseOf(1); ok {
+		t.Fatal("a fresh clone resolves cause 1")
+	}
+	phases := []string{"setup", "round 1", "", "round 1", "between 1", "setup", "cleanup"}
+	total := 3*sim.CauseChunk + 5
+	var want []sim.Cause
+	for i := 0; i < total; i++ {
+		if i%7 == 0 {
+			net.SetPhaseLabel(phases[(i/7)%len(phases)])
+		}
+		kind, node := sim.CauseCommand, topology.NodeID(i%5)
+		if i%4 == 3 {
+			kind, node = sim.CauseEvent, topology.None
+		}
+		label := fmt.Sprintf("cause %d", i)
+		id := net.NewCause(kind, label, node)
+		c := sim.Cause{ID: id, Kind: kind, Label: label, Node: node,
+			Phase: phases[(i/7)%len(phases)], Seq: uint64(i), At: -1}
+		if id != sim.CauseID(i+1) {
+			t.Fatalf("cause %d registered as ID %d", i, id)
+		}
+		// Every third cause fires: its root event stamps At.
+		if i%3 == 0 {
+			at := net.Now() + time.Duration(i+1)*time.Millisecond
+			net.ScheduleCausedAt(at, id, func(*sim.Network) {})
+			c.At = at
+		}
+		want = append(want, c)
+	}
+	net.SetPhaseLabel("")
+	net.Run()
+	check := func(net *sim.Network, want []sim.Cause) {
+		t.Helper()
+		for _, w := range want {
+			if got, ok := net.CauseOf(w.ID); !ok || got != w {
+				t.Fatalf("CauseOf(%d) = %+v, %v; want %+v", w.ID, got, ok, w)
+			}
+		}
+		for _, id := range []sim.CauseID{0, sim.CauseID(len(want) + 1), ^sim.CauseID(0)} {
+			if c, ok := net.CauseOf(id); ok {
+				t.Fatalf("CauseOf(%d) = %+v for an unregistered ID", id, c)
+			}
+		}
+	}
+	check(net, want)
+
+	c := net.Clone()
+	check(c, nil)
+	c.SetPhaseLabel("round 9")
+	id := c.NewCause(sim.CauseCommand, "on the clone", 2)
+	check(c, []sim.Cause{{ID: id, Kind: sim.CauseCommand, Label: "on the clone", Node: 2, Phase: "round 9", Seq: 0, At: -1}})
+	if id != 1 {
+		t.Fatalf("the clone's first cause has ID %d", id)
+	}
+	check(net, want)
+}

@@ -28,6 +28,15 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
+// TestCauseRecordSize holds a cause log record at 32 bytes: every command
+// and external event registers one (a Cause, which the log stored before,
+// is 72).
+func TestCauseRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(causeRec{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(causeRec{}) = %d, want 32", got)
+	}
+}
+
 // TestEventQueueOrder runs the event heap in lockstep with a slice kept
 // sorted by (at, seq) over seeded push and pop sequences: times drawn from
 // a handful of values so most pushes tie on at, and deliveries duplicated

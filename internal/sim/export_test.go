@@ -33,3 +33,10 @@ func SnapshotChanged(n *Network, ps ...bgp.Prefix) {
 	}
 	n.snapshotDirty()
 }
+
+// PendingSlots returns the length of n's pending-command token list, which
+// holds applied and cancelled tokens too until a compaction drops them.
+func PendingSlots(n *Network) int { return len(n.pendingCmds) }
+
+// CauseChunk is the number of records one block of the cause log holds.
+const CauseChunk = causeChunk

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"chameleon/internal/obs"
@@ -169,6 +170,9 @@ func (n *Network) ScheduleCommand(delay time.Duration, cmd Command, attempt int)
 	}
 	tk.at = n.now + delay
 	apply := cmd.Apply
+	if len(n.pendingCmds) == cap(n.pendingCmds) {
+		n.compactPendingCmds()
+	}
 	n.pendingCmds = append(n.pendingCmds, tk)
 	// Each scheduled application roots its own causal chain, so violations
 	// set off by the resulting BGP churn blame this command (cause.go).
@@ -200,6 +204,25 @@ func (n *Network) ScheduleCommand(delay time.Duration, cmd Command, attempt int)
 		}})
 	}
 	return tk
+}
+
+// compactPendingCmds drops the applied and cancelled tokens from
+// pendingCmds, keeping the order of the rest, so the slice grows only when
+// what is pending fills it. It doubles the slice when compacting frees less
+// than a quarter of it, so a compaction is paid for by the appends it
+// makes room for.
+func (n *Network) compactPendingCmds() {
+	kept := n.pendingCmds[:0]
+	for _, tk := range n.pendingCmds {
+		if !tk.applied && !tk.cancelled {
+			kept = append(kept, tk)
+		}
+	}
+	clear(n.pendingCmds[len(kept):])
+	if len(kept) > cap(kept)*3/4 {
+		kept = slices.Grow(kept, cap(kept))
+	}
+	n.pendingCmds = kept
 }
 
 // CancelPendingCommands cancels every scheduled-but-unapplied command

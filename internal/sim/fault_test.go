@@ -173,6 +173,61 @@ func TestCancelPendingCommands(t *testing.T) {
 	}
 }
 
+// TestPendingCommandsAfterCompaction: the token list drops applied and
+// cancelled tokens when it is full, and PendingCommands and
+// CancelPendingCommands count the same as over the tokens themselves.
+func TestPendingCommandsAfterCompaction(t *testing.T) {
+	s := scenario.RunningExample()
+	net := s.Net
+	applied := 0
+	var tokens []*sim.CommandToken
+	pending := func() int {
+		n := 0
+		for _, tk := range tokens {
+			if !tk.Applied() && !tk.Cancelled() {
+				n++
+			}
+		}
+		return n
+	}
+	compactions := 0
+	for i := 0; i < 100; i++ {
+		before := sim.PendingSlots(net)
+		tk := net.ScheduleCommand(time.Duration(1+i%7)*time.Second, countedCommand(s.E1, &applied), 0)
+		tokens = append(tokens, tk)
+		if sim.PendingSlots(net) <= before {
+			compactions++
+		}
+		if i%3 == 0 {
+			tk.Cancel()
+		}
+		if i%5 == 4 {
+			net.RunUntil(net.Now() + 2*time.Second)
+		}
+		if got, want := net.PendingCommands(), pending(); got != want {
+			t.Fatalf("after %d commands: PendingCommands = %d, tokens say %d", i+1, got, want)
+		}
+	}
+	if compactions == 0 || sim.PendingSlots(net) >= len(tokens) {
+		t.Fatalf("%d compactions, %d of %d tokens still listed: the list never dropped a token",
+			compactions, sim.PendingSlots(net), len(tokens))
+	}
+	want, appliedBefore := pending(), applied
+	if want == 0 {
+		t.Fatal("no command left pending to cancel")
+	}
+	if got := net.CancelPendingCommands(); got != want {
+		t.Fatalf("CancelPendingCommands = %d, tokens say %d pending", got, want)
+	}
+	net.Run()
+	if applied != appliedBefore {
+		t.Errorf("%d cancelled commands applied", applied-appliedBefore)
+	}
+	if got := net.PendingCommands(); got != 0 {
+		t.Errorf("PendingCommands = %d after the cancel", got)
+	}
+}
+
 func TestCancelAlsoStopsDuplicates(t *testing.T) {
 	s := scenario.RunningExample()
 	net := s.Net

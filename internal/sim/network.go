@@ -63,10 +63,14 @@ type Network struct {
 	traceAll bool
 	dirty    map[bgp.Prefix]causeMark
 
-	// Causal provenance (see cause.go): the registry of roots, the cause
-	// and hop depth of the event being processed, and the phase label new
-	// causes are attributed to. None of it is inherited by Clone.
-	causes   []Cause
+	// Causal provenance (see cause.go): the cause log (ncauses records in
+	// fixed blocks, which never move) and the phase labels its records
+	// point into, the cause and hop depth of the event being processed,
+	// and the phase label new causes are attributed to. None of it is
+	// inherited by Clone.
+	causes   []*[causeChunk]causeRec
+	ncauses  int
+	phases   []string
 	curCause CauseID
 	curHops  int
 	curPhase string

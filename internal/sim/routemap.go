@@ -7,7 +7,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"chameleon/internal/bgp"
@@ -79,10 +79,11 @@ type RouteMap struct {
 // Add inserts an entry keeping the map sorted by Order (stable for equal
 // orders).
 func (rm *RouteMap) Add(e Entry) {
-	rm.entries = append(rm.entries, e)
-	sort.SliceStable(rm.entries, func(i, j int) bool {
-		return rm.entries[i].Order < rm.entries[j].Order
-	})
+	i := len(rm.entries)
+	for i > 0 && rm.entries[i-1].Order > e.Order {
+		i--
+	}
+	rm.entries = slices.Insert(rm.entries, i, e)
 }
 
 // Remove deletes all entries with the given order, reporting how many were

@@ -184,11 +184,16 @@ func TestRouteMapStringAndLen(t *testing.T) {
 	if rm.Len() != 2 {
 		t.Errorf("len = %d", rm.Len())
 	}
-	str := rm.String()
-	if str == "" || str == "(empty)" {
-		t.Errorf("String = %q", str)
+	// Entries stay sorted by order, and an entry joins those of equal order
+	// after them: the first match wins, so that order decides.
+	rm.Add(sim.Entry{Order: 5, Action: sim.Action{SetWeight: sim.IntP(1)}})
+	rm.Add(sim.Entry{Order: 9, Action: sim.Action{SetLocalPref: sim.U32P(100)}})
+	rm.Add(sim.Entry{Order: 2, Action: sim.Action{SetWeight: sim.IntP(3)}})
+	want := "2:permit weight=7 lp=300; 2:permit weight=3; 5:deny; 5:permit weight=1; 9:permit lp=100"
+	if str := rm.String(); str != want {
+		t.Errorf("String = %q, want %q", str, want)
 	}
-	if removed := rm.Remove(5); removed != 1 {
+	if removed := rm.Remove(5); removed != 2 {
 		t.Errorf("Remove(5) = %d", removed)
 	}
 	if removed := rm.Remove(99); removed != 0 {
