@@ -1,28 +1,27 @@
 // Command benchrunner runs the curated macro-benchmark suite
 // (internal/perf) and writes a machine-readable trajectory point, or
-// compares two such points with a noise-aware regression gate.
+// gates a run against a committed one.
 //
 // Usage:
 //
 //	benchrunner                      # run the suite, write BENCH_<n>.json
 //	benchrunner -out my.json         # run, write to an explicit path
-//	benchrunner -reps 9 -min-duration 200ms -filter plan-execute
+//	benchrunner -reps 9 -filter plan-execute
 //	benchrunner -list                # print the suite and exit
-//	benchrunner -mem-budget-mb 4096  # exit 1 if the runtime footprint blows the cap
-//	benchrunner -compare old.json new.json   # exit 1 on regressions
+//	benchrunner -compare run.json    # gate run.json against the latest BENCH_<n>.json
+//	benchrunner -compare old.json new.json   # gate new.json against old.json
 //
 // Without -out, the run is written to BENCH_<n>.json in the working
 // directory, where <n> is one past the highest existing number — so
 // successive runs build a trajectory: BENCH_1.json, BENCH_2.json, …
+// A run fails if the Go runtime footprint exceeds 4 GiB at any
+// repetition boundary.
 //
-// -compare diffs medians benchmark by benchmark. A benchmark regresses
-// when its new median time/op exceeds the old by more than
-// max(-threshold, -noise-k·(oldMAD+newMAD)/oldMedian) — runs that were
-// noisy must move further before they are believed. Domain counters
-// (solver nodes, sim events) are deterministic, so any drift there is
-// reported as "the workload itself changed", never as machine noise;
-// bytes/op nearly are, so a rise of more than 1 % is reported as
-// "[bytes grew: …]". Neither fails -compare by itself.
+// -compare exits 1 when perf.Compare fails any benchmark: a drifted
+// domain counter, bytes/op more than 1 % above the reference, median
+// time/op beyond its family's tolerance, or a benchmark missing from the
+// run. With one file, the reference is the highest-numbered
+// BENCH_<n>.json in the working directory.
 package main
 
 import (
@@ -30,9 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"regexp"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -41,16 +38,12 @@ import (
 )
 
 var (
-	outFlag       = flag.String("out", "", "output path (default: auto-numbered BENCH_<n>.json in the working directory)")
-	repsFlag      = flag.Int("reps", 5, "measured repetitions per benchmark")
-	warmupFlag    = flag.Int("warmup", 1, "discarded warmup repetitions per benchmark")
-	minDurFlag    = flag.Duration("min-duration", 0, "loop each repetition until this much wall time has elapsed")
-	filterFlag    = flag.String("filter", "", "run only benchmarks whose name contains this substring")
-	listFlag      = flag.Bool("list", false, "list the suite and exit")
-	compareFlag   = flag.Bool("compare", false, "compare two BENCH files: benchrunner -compare old.json new.json")
-	thresholdFlag = flag.Float64("threshold", 0.10, "base relative slowdown tolerated by -compare")
-	noiseKFlag    = flag.Float64("noise-k", 3, "noise widening factor for -compare (K·(oldMAD+newMAD)/oldMedian)")
-	memBudgetFlag = flag.Int64("mem-budget-mb", 0, "fail the run if the Go runtime footprint (MemStats.Sys) exceeds this many MiB at any repetition boundary (0: no guard)")
+	outFlag     = flag.String("out", "", "output path (default: auto-numbered BENCH_<n>.json in the working directory)")
+	repsFlag    = flag.Int("reps", 5, "measured repetitions per benchmark")
+	warmupFlag  = flag.Int("warmup", 1, "discarded warmup repetitions per benchmark")
+	filterFlag  = flag.String("filter", "", "run only benchmarks whose name contains this substring")
+	listFlag    = flag.Bool("list", false, "list the suite and exit")
+	compareFlag = flag.Bool("compare", false, "gate a run: benchrunner -compare [old.json] new.json (old defaults to the latest BENCH_<n>.json)")
 )
 
 func main() {
@@ -74,29 +67,10 @@ func run() error {
 	}
 
 	cfg := perf.Config{
-		Warmup:      *warmupFlag,
-		Reps:        *repsFlag,
-		MinDuration: *minDurFlag,
-		Filter:      *filterFlag,
+		Warmup: *warmupFlag,
+		Reps:   *repsFlag,
+		Filter: *filterFlag,
 	}
-
-	// The memory-budget guard samples the runtime footprint at every
-	// repetition boundary. MemStats.Sys is what the process actually holds
-	// from the OS — it only ever grows, so the maximum across boundaries is
-	// a floor on the run's peak; a benchmark whose working set blows the CI
-	// RAM cap trips this even if it would also finish.
-	var peakSysMiB int64
-	var peakBench string
-	if *memBudgetFlag > 0 {
-		cfg.Observer = func(bench string, rep int, rec *obs.Recorder) {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if sys := int64(ms.Sys >> 20); sys > peakSysMiB {
-				peakSysMiB, peakBench = sys, bench
-			}
-		}
-	}
-
 	start := time.Now()
 	results, err := perf.Run(context.Background(), suite, cfg)
 	if err != nil {
@@ -116,21 +90,13 @@ func run() error {
 		fmt.Println()
 	}
 
-	if *memBudgetFlag > 0 {
-		fmt.Printf("peak runtime footprint %d MiB (budget %d MiB, high-water at %s)\n",
-			peakSysMiB, *memBudgetFlag, peakBench)
-		if peakSysMiB > *memBudgetFlag {
-			return fmt.Errorf("memory budget exceeded: %d MiB > %d MiB (at %s)",
-				peakSysMiB, *memBudgetFlag, peakBench)
-		}
-	}
-
 	out := *outFlag
 	if out == "" {
-		var err error
-		if out, err = nextBenchPath("."); err != nil {
+		n, err := latestBench(".")
+		if err != nil {
 			return err
 		}
+		out = fmt.Sprintf("BENCH_%d.json", n+1)
 	}
 	f, err := os.Create(out)
 	if err != nil {
@@ -149,27 +115,38 @@ func run() error {
 
 var benchName = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
-// nextBenchPath picks BENCH_<n>.json with n one past the highest existing
-// trajectory point in dir.
-func nextBenchPath(dir string) (string, error) {
+// latestBench returns the highest n of a BENCH_<n>.json trajectory point
+// in dir, in numeric order (BENCH_19 after BENCH_9), or 0 if there is none.
+func latestBench(dir string) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return "", err
+		return 0, err
 	}
-	max := 0
+	latest := 0
 	for _, e := range entries {
 		if m := benchName.FindStringSubmatch(e.Name()); m != nil {
-			if n, err := strconv.Atoi(m[1]); err == nil && n > max {
-				max = n
+			if n, err := strconv.Atoi(m[1]); err == nil && n > latest {
+				latest = n
 			}
 		}
 	}
-	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", max+1)), nil
+	return latest, nil
 }
 
 func compare(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("-compare wants exactly two files: benchrunner -compare old.json new.json")
+	switch len(args) {
+	case 1:
+		n, err := latestBench(".")
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			return fmt.Errorf("-compare: no BENCH_<n>.json in the working directory to compare %s against", args[0])
+		}
+		args = []string{fmt.Sprintf("BENCH_%d.json", n), args[0]}
+	case 2:
+	default:
+		return fmt.Errorf("-compare wants one or two files: benchrunner -compare [old.json] new.json")
 	}
 	read := func(path string) (*perf.File, error) {
 		f, err := os.Open(path)
@@ -187,16 +164,14 @@ func compare(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep := perf.Compare(oldF, newF, perf.CompareOptions{
-		Threshold: *thresholdFlag,
-		NoiseK:    *noiseKFlag,
-	})
+	fmt.Printf("comparing %s against %s\n", args[1], args[0])
+	rep := perf.Compare(oldF, newF)
 	rep.WriteText(os.Stdout)
 	if rep.Mismatch != "" {
 		return fmt.Errorf("files are not comparable")
 	}
-	if n := rep.Regressions(); n > 0 {
-		return fmt.Errorf("%d regression(s) beyond the noise-aware threshold", n)
+	if n := rep.Failures(); n > 0 {
+		return fmt.Errorf("%d benchmark(s) failed the gate against %s", n, args[0])
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 )
 
 // Schema identifies the BENCH file format.
@@ -13,7 +12,8 @@ const Schema = "chameleon/bench/v1"
 
 // File is the on-disk benchmark trajectory point: one suite run on one
 // machine at one commit. Two Files compare cleanly iff their Schema and
-// SuiteVersion match.
+// SuiteVersion match. Keys older points carry that File no longer has
+// (min_duration_ns, cost, a result's iters) are ignored on read.
 type File struct {
 	Schema       string `json:"schema"`
 	SuiteVersion int    `json:"suite_version"`
@@ -22,9 +22,8 @@ type File struct {
 	GOARCH       string `json:"goarch"`
 
 	Config struct {
-		Warmup        int   `json:"warmup"`
-		Reps          int   `json:"reps"`
-		MinDurationNS int64 `json:"min_duration_ns"`
+		Warmup int `json:"warmup"`
+		Reps   int `json:"reps"`
 	} `json:"config"`
 
 	Benchmarks []Result `json:"benchmarks"`
@@ -43,7 +42,6 @@ func NewFile(results []Result, cfg Config) *File {
 	}
 	f.Config.Warmup = cfg.Warmup
 	f.Config.Reps = cfg.Reps
-	f.Config.MinDurationNS = int64(cfg.MinDuration / time.Nanosecond)
 	return f
 }
 

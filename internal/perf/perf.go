@@ -1,10 +1,9 @@
 // Package perf is the macro-benchmark trajectory harness: a curated suite
 // of end-to-end workloads (analysis, scheduling, simulator convergence,
-// full plan+execute, chaos) measured with warmup, repetition and
-// minimum-duration control, summarized robustly (median + MAD, so a single
-// GC pause or scheduler hiccup cannot masquerade as a regression), and
-// serialized to a machine-readable JSON file that cmd/benchrunner diffs
-// across commits with a noise-aware threshold.
+// full plan+execute, chaos) measured with warmup and repetition under a
+// memory guard, summarized robustly (median + MAD, so a single GC pause or
+// scheduler hiccup cannot masquerade as a regression), and serialized to a
+// machine-readable JSON file that Compare gates across commits.
 //
 // The harness reports three kinds of cost per benchmark:
 //
@@ -20,6 +19,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"chameleon/internal/obs"
@@ -45,15 +45,8 @@ type Config struct {
 	// Reps is how many measured repetitions each benchmark gets
 	// (default 5). Medians want odd counts.
 	Reps int
-	// MinDuration makes each repetition loop the operation until this much
-	// wall time has elapsed (default: a single iteration per repetition).
-	// Per-op figures divide by the iteration count.
-	MinDuration time.Duration
 	// Filter keeps only benchmarks whose name contains the substring.
 	Filter string
-	// Observer, when non-nil, sees every measured repetition's recorder
-	// right after it completes (live metrics endpoints hang off this).
-	Observer func(bench string, rep int, rec *obs.Recorder)
 }
 
 func (c Config) withDefaults() Config {
@@ -78,10 +71,8 @@ type Dist struct {
 // Result is one benchmark's measurement.
 type Result struct {
 	Name string `json:"name"`
-	// Reps and Iters record the shape of the measurement: how many
-	// repetitions ran and how many operations each looped.
-	Reps  int   `json:"reps"`
-	Iters []int `json:"iters"`
+	// Reps is how many measured repetitions ran, one operation each.
+	Reps int `json:"reps"`
 
 	TimeNSPerOp Dist `json:"time_ns_per_op"`
 	AllocsPerOp Dist `json:"allocs_per_op"`
@@ -99,7 +90,7 @@ func Run(ctx context.Context, suite []Benchmark, cfg Config) ([]Result, error) {
 	cfg = cfg.withDefaults()
 	var out []Result
 	for _, b := range suite {
-		if cfg.Filter != "" && !contains(b.Name, cfg.Filter) {
+		if cfg.Filter != "" && !strings.Contains(b.Name, cfg.Filter) {
 			continue
 		}
 		r, err := runOne(ctx, b, cfg)
@@ -111,15 +102,6 @@ func Run(ctx context.Context, suite []Benchmark, cfg Config) ([]Result, error) {
 	return out, nil
 }
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 func runOne(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
 	fn, err := b.Setup()
 	if err != nil {
@@ -128,29 +110,24 @@ func runOne(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
 	res := Result{Name: b.Name, Reps: cfg.Reps}
 
 	for w := 0; w < cfg.Warmup; w++ {
-		if _, _, err := oneRep(ctx, fn, cfg, nil); err != nil {
+		if _, err := oneRep(ctx, fn, nil); err != nil {
 			return Result{}, fmt.Errorf("warmup: %w", err)
 		}
 	}
 
 	var times, allocs, bts []float64
 	counters := map[string][]float64{}
-	for rep := 0; rep < cfg.Reps; rep++ {
+	for range cfg.Reps {
 		rec := obs.New()
-		m, iters, err := oneRep(ctx, fn, cfg, rec)
+		m, err := oneRep(ctx, fn, rec)
 		if err != nil {
 			return Result{}, err
 		}
-		res.Iters = append(res.Iters, iters)
-		n := float64(iters)
-		times = append(times, float64(m.ns)/n)
-		allocs = append(allocs, float64(m.mallocs)/n)
-		bts = append(bts, float64(m.bytes)/n)
+		times = append(times, float64(m.ns))
+		allocs = append(allocs, float64(m.mallocs))
+		bts = append(bts, float64(m.bytes))
 		for name, v := range rec.Counters() {
-			counters[name] = append(counters[name], float64(v)/n)
-		}
-		if cfg.Observer != nil {
-			cfg.Observer(b.Name, rep, rec)
+			counters[name] = append(counters[name], float64(v))
 		}
 	}
 
@@ -166,37 +143,39 @@ func runOne(ctx context.Context, b Benchmark, cfg Config) (Result, error) {
 	return res, nil
 }
 
+// memBudget caps the Go runtime footprint (MemStats.Sys, what the process
+// holds from the OS) at every repetition boundary. Sys only grows, so a
+// workload whose working set would not fit a CI runner's RAM fails the run
+// even if it would also finish.
+const memBudget = 4 << 30
+
 type repMeasure struct {
 	ns      int64
 	mallocs int64
 	bytes   int64
 }
 
-// oneRep loops fn until MinDuration has elapsed (at least once), measuring
-// wall time and allocation deltas around the whole loop. rec, when
+// oneRep runs fn once, measuring wall time and allocation deltas around
+// it, and fails once the runtime footprint exceeds memBudget. rec, when
 // non-nil, is carried to fn through the context.
-func oneRep(ctx context.Context, fn Fn, cfg Config, rec *obs.Recorder) (repMeasure, int, error) {
+func oneRep(ctx context.Context, fn Fn, rec *obs.Recorder) (repMeasure, error) {
 	rctx := obs.WithRecorder(ctx, rec)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	iters := 0
-	for {
-		if err := fn(rctx); err != nil {
-			return repMeasure{}, 0, err
-		}
-		iters++
-		if time.Since(start) >= cfg.MinDuration {
-			break
-		}
+	if err := fn(rctx); err != nil {
+		return repMeasure{}, err
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
+	if after.Sys > memBudget {
+		return repMeasure{}, fmt.Errorf("memory budget exceeded: runtime footprint %d MiB > %d MiB", after.Sys>>20, memBudget>>20)
+	}
 	return repMeasure{
 		ns:      elapsed.Nanoseconds(),
 		mallocs: int64(after.Mallocs - before.Mallocs),
 		bytes:   int64(after.TotalAlloc - before.TotalAlloc),
-	}, iters, nil
+	}, nil
 }
 
 // summarize computes the median + MAD of samples (both 0 for empty input).

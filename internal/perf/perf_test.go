@@ -44,10 +44,10 @@ func TestRunShapesAndCounters(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(results))
 	}
 	r := results[0]
-	if r.Name != "fast/op" || r.Reps != 3 || len(r.Iters) != 3 {
+	if r.Name != "fast/op" || r.Reps != 3 || len(r.TimeNSPerOp.Samples) != 3 {
 		t.Fatalf("unexpected shape: %+v", r)
 	}
-	// 1 warmup + 3 reps, one iteration each (MinDuration 0).
+	// 1 warmup + 3 reps, one operation each.
 	if calls != 4 {
 		t.Errorf("fn called %d times, want 4", calls)
 	}
@@ -60,23 +60,6 @@ func TestRunShapesAndCounters(t *testing.T) {
 	}
 	if results[1].TimeNSPerOp.Median < float64(50*time.Microsecond) {
 		t.Errorf("slow op measured implausibly fast: %v ns", results[1].TimeNSPerOp.Median)
-	}
-}
-
-func TestRunMinDurationLoops(t *testing.T) {
-	calls := 0
-	results, err := Run(context.Background(), fakeSuite(&calls)[:1], Config{
-		Warmup: 0, Reps: 1, MinDuration: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters := results[0].Iters[0]; iters < 2 {
-		t.Errorf("MinDuration produced only %d iteration(s)", iters)
-	}
-	// Counters stay per-op despite looping.
-	if m := results[0].Counters[obs.CtrMILPNodes].Median; m != 3 {
-		t.Errorf("per-op counter = %v, want 3", m)
 	}
 }
 
@@ -113,7 +96,7 @@ func TestMedianAndMAD(t *testing.T) {
 }
 
 func TestFileRoundTripAndValidation(t *testing.T) {
-	results := []Result{{Name: "x", Reps: 1, Iters: []int{1},
+	results := []Result{{Name: "x", Reps: 1,
 		TimeNSPerOp: Dist{Median: 10, Samples: []float64{10}}}}
 	f := NewFile(results, Config{})
 	var b bytes.Buffer
@@ -135,78 +118,141 @@ func TestFileRoundTripAndValidation(t *testing.T) {
 	}
 }
 
-func benchFile(name string, median, mad float64) *File {
-	return NewFile([]Result{{
-		Name: name, Reps: 3, Iters: []int{1, 1, 1},
-		TimeNSPerOp: Dist{Median: median, MAD: mad},
-		Counters:    map[string]Dist{"c": {Median: 7}},
-	}}, Config{})
+// gateFile is a reference point of four workloads, one of each narrower
+// family and two of the 4.0 ones: 1 ms/op with a 1 % MAD (so MAD
+// widening stays below every family's tolerance), 100 000 B/op, and one
+// domain counter.
+func gateFile() *File {
+	var results []Result
+	for _, name := range []string{"schedule/abilene", "prefix-scale/storm-10k-routes", "exec-replay/abilene", "chaos/smoke"} {
+		results = append(results, Result{
+			Name: name, Reps: 7,
+			TimeNSPerOp: Dist{Median: 1e6, MAD: 1e4},
+			BytesPerOp:  Dist{Median: 100_000},
+			Counters:    map[string]Dist{obs.CtrSimEvents: {Median: 7}},
+		})
+	}
+	return NewFile(results, Config{Reps: 7})
+}
+
+// TestCompareGate: Compare fails a run on a drifted counter, bytes/op more
+// than 1 % up, time/op beyond its family's tolerance (schedule/ 0.5,
+// prefix-scale/ 1.0, every other family 4.0) or a workload missing from
+// the run, and on nothing else.
+func TestCompareGate(t *testing.T) {
+	bench := func(f *File, name string) *Result {
+		for i := range f.Benchmarks {
+			if f.Benchmarks[i].Name == name {
+				return &f.Benchmarks[i]
+			}
+		}
+		t.Fatalf("no workload %s", name)
+		return nil
+	}
+	slower := func(name string, x float64) func(*File) {
+		return func(f *File) { bench(f, name).TimeNSPerOp.Median *= x }
+	}
+	moreBytes := func(x float64) func(*File) {
+		return func(f *File) { bench(f, "exec-replay/abilene").BytesPerOp.Median *= x }
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*File)
+		fail   bool
+		marker string
+	}{
+		{"unchanged", func(*File) {}, false, ""},
+		{"counter +1", func(f *File) {
+			bench(f, "chaos/smoke").Counters = map[string]Dist{obs.CtrSimEvents: {Median: 8}}
+		}, true, "[counters drifted: [" + obs.CtrSimEvents + "]]"},
+		{"counter added", func(f *File) {
+			bench(f, "chaos/smoke").Counters[obs.CtrMILPNodes] = Dist{Median: 1}
+		}, true, "[counters drifted: [" + obs.CtrMILPNodes + "]]"},
+		{"bytes +1.5 %", moreBytes(1.015), true, "[bytes grew: 100000 → 101500 B/op]"},
+		{"bytes +0.9 %", moreBytes(1.009), false, ""},
+		{"schedule/ ×1.6", slower("schedule/abilene", 1.6), true, "[time/op beyond tolerance]"},
+		{"schedule/ ×1.4", slower("schedule/abilene", 1.4), false, ""},
+		{"prefix-scale/ ×2.1", slower("prefix-scale/storm-10k-routes", 2.1), true, "[time/op beyond tolerance]"},
+		{"prefix-scale/ ×1.9", slower("prefix-scale/storm-10k-routes", 1.9), false, ""},
+		{"exec-replay/ ×5.2", slower("exec-replay/abilene", 5.2), true, "[time/op beyond tolerance]"},
+		{"chaos/ ×4.9", slower("chaos/smoke", 4.9), false, ""},
+		{"missing workload", func(f *File) { f.Benchmarks = f.Benchmarks[1:] }, true, "schedule/abilene           missing from new run  FAIL"},
+		{"new workload", func(f *File) {
+			f.Benchmarks = append(f.Benchmarks, Result{Name: "monitor/snapshot", TimeNSPerOp: Dist{Median: 1}})
+		}, false, "monitor/snapshot           new benchmark (no reference)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := gateFile()
+			c.mutate(run)
+			rep := Compare(gateFile(), run)
+			if rep.Mismatch != "" {
+				t.Fatalf("mismatch: %s", rep.Mismatch)
+			}
+			var b bytes.Buffer
+			rep.WriteText(&b)
+			if got := rep.Failures() > 0; got != c.fail {
+				t.Errorf("failed %v (%d failures), want %v:\n%s", got, rep.Failures(), c.fail, b.String())
+			}
+			if c.marker != "" && !strings.Contains(b.String(), c.marker) {
+				t.Errorf("report lacks %q:\n%s", c.marker, b.String())
+			}
+		})
+	}
 }
 
 func TestCompareSelfIsClean(t *testing.T) {
-	f := benchFile("a", 1000, 5)
-	rep := Compare(f, f, CompareOptions{})
-	if rep.Regressions() != 0 {
-		t.Fatalf("self-compare found %d regressions", rep.Regressions())
+	f := gateFile()
+	rep := Compare(f, f)
+	if rep.Failures() != 0 {
+		t.Fatalf("self-compare found %d failures", rep.Failures())
 	}
-	if len(rep.Deltas) != 1 || rep.Deltas[0].Ratio != 1 {
+	if len(rep.Deltas) != len(f.Benchmarks) || rep.Deltas[0].Ratio != 1 {
 		t.Fatalf("self-compare deltas: %+v", rep.Deltas)
 	}
 }
 
 func TestCompareFlagsRegressionBeyondNoise(t *testing.T) {
-	old := benchFile("a", 1000, 10)
-	slow := benchFile("a", 1300, 10)
-	rep := Compare(old, slow, CompareOptions{Threshold: 0.10, NoiseK: 3})
-	if rep.Regressions() != 1 {
-		t.Fatalf("30%% slowdown with tight noise not flagged: %+v", rep.Deltas)
+	timed := func(median, mad float64) *File {
+		f := gateFile()
+		f.Benchmarks = f.Benchmarks[:1] // schedule/abilene, tolerance 0.5
+		f.Benchmarks[0].TimeNSPerOp = Dist{Median: median, MAD: mad}
+		return f
 	}
-	// Same slowdown under huge noise: threshold widens past it.
-	noisyOld := benchFile("a", 1000, 100)
-	noisySlow := benchFile("a", 1300, 100)
-	rep = Compare(noisyOld, noisySlow, CompareOptions{Threshold: 0.10, NoiseK: 3})
-	if rep.Regressions() != 0 {
+	if rep := Compare(timed(1e6, 1e4), timed(1.6e6, 1e4)); rep.Failures() != 1 {
+		t.Fatalf("60%% slowdown with tight noise not flagged: %+v", rep.Deltas)
+	}
+	// Same slowdown under heavy noise: 3·(2e5+2e5)/1e6 = 1.2 widens the
+	// tolerance past it.
+	if rep := Compare(timed(1e6, 2e5), timed(1.6e6, 2e5)); rep.Failures() != 0 {
 		t.Fatalf("noise-covered slowdown flagged: %+v", rep.Deltas)
 	}
 	// A speedup is never a regression.
-	fast := benchFile("a", 500, 10)
-	if rep := Compare(old, fast, CompareOptions{}); rep.Regressions() != 0 {
-		t.Fatalf("speedup flagged as regression")
+	if rep := Compare(timed(1e6, 1e4), timed(5e5, 1e4)); rep.Failures() != 0 {
+		t.Fatalf("speedup flagged as regression: %+v", rep.Deltas)
 	}
 }
 
 func TestCompareSuiteDrift(t *testing.T) {
-	old := benchFile("a", 1000, 0)
-	cur := benchFile("b", 1000, 0)
-	rep := Compare(old, cur, CompareOptions{})
-	if len(rep.OnlyOld) != 1 || len(rep.OnlyNew) != 1 || len(rep.Deltas) != 0 {
+	old := gateFile()
+	cur := gateFile()
+	cur.Benchmarks[0].Name = "schedule/other"
+	rep := Compare(old, cur)
+	if len(rep.OnlyOld) != 1 || len(rep.OnlyNew) != 1 || len(rep.Deltas) != len(old.Benchmarks)-1 || rep.Failures() != 1 {
 		t.Fatalf("suite drift not reported: %+v", rep)
 	}
-	verDrift := benchFile("a", 1, 0)
+	verDrift := gateFile()
 	verDrift.SuiteVersion = SuiteVersion + 1
-	if rep := Compare(old, verDrift, CompareOptions{}); rep.Mismatch == "" {
+	if rep := Compare(old, verDrift); rep.Mismatch == "" {
 		t.Error("suite-version drift not rejected")
-	}
-
-	drift := benchFile("a", 1000, 0)
-	drift.Benchmarks[0].Counters = map[string]Dist{"c": {Median: 8}}
-	rep = Compare(old, drift, CompareOptions{})
-	if len(rep.Deltas) != 1 || len(rep.Deltas[0].CounterDrift) != 1 {
-		t.Fatalf("counter drift not reported: %+v", rep.Deltas)
-	}
-	var b bytes.Buffer
-	rep.WriteText(&b)
-	if !strings.Contains(b.String(), "counters drifted") {
-		t.Errorf("text report omits counter drift:\n%s", b.String())
 	}
 }
 
-// TestCompareReportsBytesGrowth: bytes/op that rise more than 1 % are
-// reported, and printed as the marker CI's prefix-scale gate fails on; a
-// smaller rise or a fall is not, and neither is ever a regression.
+// TestCompareReportsBytesGrowth: bytes/op that rise more than 1 % fail the
+// gate and print the `[bytes grew: …]` marker; a smaller rise or a fall do
+// neither.
 func TestCompareReportsBytesGrowth(t *testing.T) {
 	withBytes := func(b float64) *File {
-		f := benchFile("a", 1000, 0)
+		f := gateFile()
 		f.Benchmarks[0].BytesPerOp = Dist{Median: b}
 		return f
 	}
@@ -215,9 +261,9 @@ func TestCompareReportsBytesGrowth(t *testing.T) {
 		bytes float64
 		grew  bool
 	}{{101_001, true}, {101_000, false}, {50_000, false}} {
-		rep := Compare(old, withBytes(c.bytes), CompareOptions{})
-		if got := rep.Deltas[0].BytesGrew; got != c.grew || rep.Regressions() != 0 {
-			t.Errorf("100000 → %.0f B/op: BytesGrew %v, %d regressions; want %v, 0", c.bytes, got, rep.Regressions(), c.grew)
+		rep := Compare(old, withBytes(c.bytes))
+		if got := rep.Deltas[0].BytesGrew; got != c.grew || (rep.Failures() != 0) != c.grew {
+			t.Errorf("100000 → %.0f B/op: BytesGrew %v, %d failures; want %v", c.bytes, got, rep.Failures(), c.grew)
 		}
 		var b bytes.Buffer
 		rep.WriteText(&b)
@@ -228,49 +274,34 @@ func TestCompareReportsBytesGrowth(t *testing.T) {
 }
 
 // TestCommittedBenchPointsParse: every committed trajectory point still
-// reads, and the two points CI gates against (BENCH_8 for schedule/,
-// BENCH_14 for prefix-scale/) compare cleanly with a file this code writes
-// from the same results — no mismatch, no suite drift, no counter drift, no
-// bytes growth. Fields older points carry that File no longer has are
-// ignored on read.
+// reads unedited, and passes the gate against a file this code writes from
+// the same results: no mismatch, no suite drift, no failure. Keys older
+// points carry that File no longer has are ignored on read.
 func TestCommittedBenchPointsParse(t *testing.T) {
 	paths, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no committed BENCH points found (%v)", err)
 	}
-	read := func(path string) *File {
-		t.Helper()
+	for _, path := range paths {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := ReadFile(bytes.NewReader(raw))
+		old, err := ReadFile(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		return f
-	}
-	for _, path := range paths {
-		read(path)
-	}
-	for _, name := range []string{"BENCH_8.json", "BENCH_14.json"} {
-		old := read("../../" + name)
 		var b bytes.Buffer
 		if err := NewFile(old.Benchmarks, Config{}).Write(&b); err != nil {
 			t.Fatal(err)
 		}
 		fresh, err := ReadFile(&b)
 		if err != nil {
-			t.Fatalf("%s rewritten: %v", name, err)
+			t.Fatalf("%s rewritten: %v", path, err)
 		}
-		rep := Compare(old, fresh, CompareOptions{})
-		if rep.Mismatch != "" || len(rep.OnlyOld) != 0 || len(rep.OnlyNew) != 0 || len(rep.Deltas) != len(old.Benchmarks) {
-			t.Fatalf("%s against a freshly written file: %+v", name, rep)
-		}
-		for _, d := range rep.Deltas {
-			if d.Regressed || len(d.CounterDrift) != 0 || d.BytesGrew {
-				t.Errorf("%s: %s moved against itself: %+v", name, d.Name, d)
-			}
+		rep := Compare(old, fresh)
+		if rep.Mismatch != "" || len(rep.OnlyNew) != 0 || len(rep.Deltas) != len(old.Benchmarks) || rep.Failures() != 0 {
+			t.Errorf("%s against a freshly written file: %+v", path, rep)
 		}
 	}
 }
@@ -279,17 +310,15 @@ func TestDefaultSuiteSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("macro suite skipped in -short")
 	}
-	var observed int
 	results, err := Run(context.Background(), DefaultSuite(), Config{
 		Warmup: 0, Reps: 1,
-		Filter:   "schedule/abilene",
-		Observer: func(string, int, *obs.Recorder) { observed++ },
+		Filter: "schedule/abilene",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || observed != 1 {
-		t.Fatalf("suite smoke: %d results, %d observed", len(results), observed)
+	if len(results) != 1 {
+		t.Fatalf("suite smoke: %d results", len(results))
 	}
 	if _, ok := results[0].Counters[obs.CtrMILPNodes]; !ok {
 		t.Errorf("scheduling benchmark recorded no solver-effort counter: %+v", results[0].Counters)
