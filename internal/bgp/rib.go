@@ -212,11 +212,13 @@ func (a *AdjIn) Size() int { return a.size }
 
 // CloneOn returns an independent copy interning into attrs, which must be
 // a's attribute table or a fork of it. Every per-neighbor table and the
-// prefix index share unchanged subtrees with the original.
+// prefix index share unchanged subtrees with the original. The copy has
+// room for one more neighbor, so a what-if run whose reconfiguration opens
+// a session does not copy the slice again.
 func (a *AdjIn) CloneOn(attrs *AttrTable) *AdjIn {
 	c := &AdjIn{
 		attrs: attrs,
-		nbrs:  slices.Clone(a.nbrs),
+		nbrs:  append(make([]adjInNeighbor, 0, len(a.nbrs)+1), a.nbrs...),
 		index: a.index.Clone(),
 		size:  a.size,
 	}

@@ -50,11 +50,14 @@ func TestReplayAllocs(t *testing.T) {
 	t.Logf("replay of Abilene's plan on a clone: %.0f allocations, %d B", n, bytes)
 	// 1 218 allocations and 73 571 B while the cause log was a []Cause
 	// regrown by every clone, the Adj-RIB-In a map, runSteps made its step
-	// state per phase and RouteMap.Add re-sorted; 1 098 and 60 363 B since.
-	if n > 1120 {
-		t.Errorf("a replay allocates %.0f times; want at most 1 120", n)
+	// state per phase and RouteMap.Add re-sorted; 1 098 and 60 363 B after.
+	// 1 083 and 58 363 B since a message carries one payload slice and
+	// waits in its session's lane, a fork's attribute blocks start at 8
+	// records and a cloned Adj-RIB-In has room for one more neighbor.
+	if n > 1100 {
+		t.Errorf("a replay allocates %.0f times; want at most 1 100", n)
 	}
-	if bytes > 62_000 {
-		t.Errorf("a replay allocates %d B; want at most 62 000", bytes)
+	if bytes > 60_000 {
+		t.Errorf("a replay allocates %d B; want at most 60 000", bytes)
 	}
 }

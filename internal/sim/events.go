@@ -113,8 +113,7 @@ func (n *Network) ScheduleAfter(d time.Duration, fn func(*Network)) {
 }
 
 // sendMsg enqueues a BGP message honoring per-session FIFO ordering: a
-// message never overtakes an earlier message on the same directed session
-// (the receiver's peer entry for the sender holds the clamp and the epoch).
+// message never overtakes an earlier message on the same directed session.
 // An installed fault injector may delay or duplicate the delivery; the
 // fault is applied before the FIFO clamp so ordering is preserved.
 func (n *Network) sendMsg(m *message) {
@@ -135,21 +134,56 @@ func (n *Network) sendMsg(m *message) {
 			n.count(obs.CtrFaultsMessage, 1)
 		}
 	}
+	// The receiver's peer entry for the sender holds the session's lane and
+	// epoch.
 	pe := n.routers[m.to].peerFor(m.from)
-	enqueue := func(at time.Duration, e *event) time.Duration {
-		if at <= pe.last {
-			at = pe.last + time.Microsecond
-		}
-		pe.last = at
-		n.push(at, e)
-		return at
-	}
 	// A message is one propagation hop deeper than the event that sent it;
 	// the cause rides along unchanged.
 	m.delivery = event{msg: m, cause: n.curCause, hops: int32(n.curHops + 1), epoch: pe.epoch}
-	at := enqueue(n.now+delay, &m.delivery)
+	at := n.enqueue(pe, m, n.now+delay)
 	if duplicate {
-		dup := m.delivery
-		enqueue(at+delay/2, &dup)
+		// The copy shares the payload, which nothing writes to.
+		dup := *m
+		dup.delivery.msg = &dup
+		n.enqueue(pe, &dup, at+delay/2)
 	}
+}
+
+// enqueue puts m at the tail of pe's lane, the messages in flight on one
+// directed session in send order. m is due at at, or just after the lane's
+// current tail if that is due no earlier: the FIFO clamp. Only a lane's head
+// waits in the heap; Step moves the next message up when it pops one. An
+// empty lane needs no clamp: its last delivery happened at or before now,
+// and every delay is at least baseDelay. Within a lane at and seq both
+// strictly increase, so the heap pops events in the order it would if it
+// held every message. It returns the time m is due.
+func (n *Network) enqueue(pe *peer, m *message, at time.Duration) time.Duration {
+	e := &m.delivery
+	if pe.tail != nil && at <= pe.tail.delivery.at {
+		at = pe.tail.delivery.at + time.Microsecond
+	}
+	e.at, e.seq = at, n.seq
+	n.seq++
+	n.inFlight++
+	if pe.tail == nil {
+		n.queue.push(e)
+	} else {
+		pe.tail.next = m
+		n.laned++
+	}
+	pe.tail = m
+	return at
+}
+
+// dequeue takes m, just popped, off its lane: the next message on m's
+// session, if any, takes its place in the heap, else the lane is empty. A
+// delivered message keeps no link, so it holds nothing alive.
+func (n *Network) dequeue(m *message) {
+	if next := m.next; next != nil {
+		m.next = nil
+		n.laned--
+		n.queue.push(&next.delivery)
+		return
+	}
+	n.routers[m.to].peer(m.from).tail = nil
 }

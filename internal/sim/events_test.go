@@ -13,15 +13,17 @@ import (
 // a field that grows it grows every message in flight. A command flag
 // appended after hops made it 56 bytes and read +1.8 % exec-replay
 // alloc_mb_per_op (0.1848 → 0.1882 MB); in cause's padding it costs nothing.
-// A message, its delivery event included, stays inside the 128-byte size
-// class: the session epoch shares the word after cause with cmd and hops.
-// A peer entry is 48 bytes: a clone copies every router's peer table.
+// A message, its delivery event and lane link included, stays inside the
+// 112-byte size class: the session epoch shares the word after cause with
+// cmd and hops, and announcements and withdrawals share one payload slice
+// (two made it 128 bytes). A peer entry is 48 bytes: a clone copies every
+// router's peer table.
 func TestEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 48 {
 		t.Errorf("unsafe.Sizeof(event{}) = %d, want 48", got)
 	}
-	if got := unsafe.Sizeof(message{}); got > 128 {
-		t.Errorf("unsafe.Sizeof(message{}) = %d, want at most 128", got)
+	if got := unsafe.Sizeof(message{}); got > 112 {
+		t.Errorf("unsafe.Sizeof(message{}) = %d, want at most 112", got)
 	}
 	if got := unsafe.Sizeof(peer{}); got != 48 {
 		t.Errorf("unsafe.Sizeof(peer{}) = %d, want 48", got)

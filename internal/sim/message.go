@@ -26,43 +26,45 @@ import (
 // and delivery interleavings) differs.
 
 // message is a BGP message in flight on a directed session: the routes it
-// announces and the prefixes it withdraws, each in ascending prefix order.
-// A route travels as its prefix and the handle its sender interned into the
-// network's one attribute table, which the receiver stores as it is.
-// Nothing writes to a message once it is sent.
+// announces and the prefixes it withdraws, in ascending prefix order. A route
+// travels as its prefix and the handle its sender interned into the
+// network's one attribute table, which the receiver stores as it is; a
+// withdrawal is its prefix under the withdrawn handle. Nothing writes to a
+// message's payload once it is sent.
 type message struct {
 	// delivery is the message's queue event, so a message and its delivery
 	// are one allocation.
-	delivery  event
-	from, to  topology.NodeID
-	updates   []update
-	withdraws []bgp.Prefix
+	delivery event
+	// next is the message sent after this one on the same directed session
+	// while this one is in flight: the session's lane (see enqueue).
+	next     *message
+	from, to topology.NodeID
+	routes   []update
 
-	// one backs updates until a second route is announced, so the common
-	// message — one route — is a single allocation.
+	// one backs routes until a second one is added, so the common message
+	// — one route — is a single allocation.
 	one [1]update
 }
 
 // update announces the route for prefix whose attributes the network's
-// attribute table holds under h.
+// attribute table holds under h, or withdraws prefix when h is withdrawn.
 type update struct {
 	prefix bgp.Prefix
 	h      uint32
 }
 
-// announce adds the route (p, h) to the message. rest is the number of
-// routes, this one included, the sender may still add: a payload that
-// outgrows the inline array is sized once, never regrown.
-func (m *message) announce(p bgp.Prefix, h uint32, rest int) {
-	if m.updates == nil {
-		m.updates = m.one[:0]
-	}
-	m.updates = append(slices.Grow(m.updates, rest), update{p, h})
-}
+// withdrawn is the handle of a withdrawal. An attribute table hands out at
+// most 2^32 - 1 handles, so no record has it.
+const withdrawn = ^uint32(0)
 
-// withdraw adds p to the message's withdrawals; rest as for announce.
-func (m *message) withdraw(p bgp.Prefix, rest int) {
-	m.withdraws = append(slices.Grow(m.withdraws, rest), p)
+// add appends (p, h) to the message. rest is the number of routes, this one
+// included, the sender may still add: a payload that outgrows the inline
+// array is sized once, never regrown.
+func (m *message) add(p bgp.Prefix, h uint32, rest int) {
+	if m.routes == nil {
+		m.routes = m.one[:0]
+	}
+	m.routes = append(slices.Grow(m.routes, rest), update{p, h})
 }
 
 // routeBufs back the Path and ClusterList of a route built for interning.
@@ -123,14 +125,17 @@ func (n *Network) WithdrawExternalRoutes(ext topology.NodeID, prefixes []bgp.Pre
 	if len(prefixes) == 0 {
 		return
 	}
-	// The copy is the payload: the sessions' messages share it.
-	sorted := slices.Clone(prefixes)
-	slices.Sort(sorted)
-	for _, p := range sorted {
-		r.originated.Delete(p)
+	// The withdrawals are the payload: the sessions' messages share it.
+	sorted := make([]update, len(prefixes))
+	for i, p := range prefixes {
+		sorted[i] = update{p, withdrawn}
+	}
+	slices.SortFunc(sorted, func(a, b update) int { return cmp.Compare(a.prefix, b.prefix) })
+	for _, u := range sorted {
+		r.originated.Delete(u.prefix)
 	}
 	n.RangeSessions(ext, func(peer topology.NodeID) bool {
-		n.sendMsg(&message{from: ext, to: peer, withdraws: sorted})
+		n.sendMsg(&message{from: ext, to: peer, routes: sorted})
 		return true
 	})
 }
@@ -153,19 +158,26 @@ func (n *Network) originate(ext, peer topology.NodeID, anns []Announcement) {
 			FromEBGP:     true,
 			OriginatorID: topology.None,
 		}
-		m.announce(ann.Prefix, n.attrs.Intern(&rt), len(anns)-i)
+		m.add(ann.Prefix, n.attrs.Intern(&rt), len(anns)-i)
 	}
 	n.sendMsg(m)
 }
 
 // deliver applies delivery e's message at its receiver: all Adj-RIB-In
-// mutations first, then one decision pass over the affected prefixes. The
-// receiver stores each handle the sender interned; nothing is hashed here.
+// mutations first, announcements before withdrawals, then one decision pass
+// over the affected prefixes. The receiver stores each handle the sender
+// interned; nothing is hashed here.
 func (n *Network) deliver(e *event) {
 	m := e.msg
 	n.msgCount++
-	n.count(obs.CtrBGPUpdates, int64(len(m.updates)))
-	n.count(obs.CtrBGPWithdraws, int64(len(m.withdraws)))
+	withdraws := 0
+	for _, u := range m.routes {
+		if u.h == withdrawn {
+			withdraws++
+		}
+	}
+	n.count(obs.CtrBGPUpdates, int64(len(m.routes)-withdraws))
+	n.count(obs.CtrBGPWithdraws, int64(withdraws))
 	r := n.routers[m.to]
 	if pe := r.peer(m.from); pe == nil || !pe.up || pe.epoch != e.epoch {
 		return // the session it was sent on went away while it was in flight
@@ -173,17 +185,24 @@ func (n *Network) deliver(e *event) {
 	if r.external {
 		// External networks are sinks; record exports for the
 		// no-transient-leak invariant.
-		for _, u := range m.updates {
-			r.adjIn.SetHandle(m.from, u.prefix, u.h)
-			n.ebgpExports[u.prefix]++
+		for _, u := range m.routes {
+			if u.h != withdrawn {
+				r.adjIn.SetHandle(m.from, u.prefix, u.h)
+				n.ebgpExports[u.prefix]++
+			}
 		}
-		for _, p := range m.withdraws {
-			r.adjIn.Withdraw(m.from, p)
+		for _, u := range m.routes {
+			if u.h == withdrawn {
+				r.adjIn.Withdraw(m.from, u.prefix)
+			}
 		}
 		return
 	}
 	affected := n.affected[:0]
-	for _, u := range m.updates {
+	for _, u := range m.routes {
+		if u.h == withdrawn {
+			continue
+		}
 		if r.acceptable(n.attrs.At(u.h)) {
 			if r.adjIn.SetHandle(m.from, u.prefix, u.h) {
 				n.tableEntries++
@@ -195,9 +214,9 @@ func (n *Network) deliver(e *event) {
 		}
 		affected = append(affected, u.prefix)
 	}
-	for _, p := range m.withdraws {
-		if n.adjInWithdraw(r, m.from, p) {
-			affected = append(affected, p)
+	for _, u := range m.routes {
+		if u.h == withdrawn && n.adjInWithdraw(r, m.from, u.prefix) {
+			affected = append(affected, u.prefix)
 		}
 	}
 	n.affected = affected
@@ -279,10 +298,10 @@ func (n *Network) export(r *router, pe *peer, prefixes []bgp.Prefix) {
 			}
 			h := n.attrs.Intern(&want)
 			out.SetHandle(p, h)
-			m.announce(p, h, len(prefixes)-i)
+			m.add(p, h, len(prefixes)-i)
 		} else {
 			out.Delete(p)
-			m.withdraw(p, len(prefixes)-i)
+			m.add(p, withdrawn, len(prefixes)-i)
 		}
 	}
 	if m != nil {

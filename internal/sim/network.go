@@ -49,7 +49,11 @@ type Network struct {
 	routers []*router
 	opts    Options
 
+	// queue holds the timers, the command applications and the head of
+	// every session's lane; laned counts the messages waiting in a lane
+	// behind its head (see enqueue).
 	queue eventQueue
+	laned int
 	seq   uint64
 	// inFlight counts the queued events that are BGP work: deliveries and
 	// command applications (see Converged).
@@ -411,6 +415,9 @@ func (n *Network) Step() bool {
 	if e.inFlight() {
 		n.inFlight--
 	}
+	if e.msg != nil {
+		n.dequeue(e.msg)
+	}
 	n.now = e.at
 	n.curCause, n.curHops = e.cause, int(e.hops)
 	n.activateCause(e.cause)
@@ -456,8 +463,9 @@ func (n *Network) RunUntil(t time.Duration) int {
 	return count
 }
 
-// Pending returns the number of queued events.
-func (n *Network) Pending() int { return len(n.queue) }
+// Pending returns the number of queued events, messages waiting in a lane
+// included.
+func (n *Network) Pending() int { return len(n.queue) + n.laned }
 
 // NextEventAt returns the time of the earliest pending event, or false with
 // an empty queue. On a converged network it is the next timer: the executor
@@ -775,8 +783,9 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 // IGP, failed links included, until either side reconverges
 // (igp.SPF.Clone). The topology and Options are shared as they are.
 //
-// Copied: the peer tables (sessions, route maps, epochs, FIFO clamps),
-// aggregation rules, the simulated clock and the current table-entry count.
+// Copied: the peer tables (sessions, route maps, epochs; every lane is
+// empty), aggregation rules, the simulated clock and the current
+// table-entry count.
 // The clone's Routers in CaptureState are byte-identical to the source's.
 //
 // Reset on purpose, because they describe a history the clone did not live

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"slices"
-	"time"
 
 	"chameleon/internal/bgp"
 	"chameleon/internal/topology"
@@ -34,15 +33,15 @@ type router struct {
 
 // peer is everything a router keeps per neighbor. A torn-down session
 // keeps its entry, with up false and no Adj-RIB-Out, so its route maps,
-// epoch and FIFO clamp outlive it.
+// epoch and lane outlive it.
 type peer struct {
 	id     topology.NodeID
 	kind   bgp.SessionKind // the router's role towards id, while up
 	up     bool
-	epoch  uint32        // teardowns so far; a delivery sent before the last is stale (see deliver)
-	maps   [2]*RouteMap  // route maps by Direction (nil: permit all)
-	adjOut *bgp.RIB      // last route sent to id per prefix, so exports are diffs
-	last   time.Duration // latest delivery time from id: the FIFO clamp (see sendMsg)
+	epoch  uint32       // teardowns so far; a delivery sent before the last is stale (see deliver)
+	maps   [2]*RouteMap // route maps by Direction (nil: permit all)
+	adjOut *bgp.RIB     // last route sent to id per prefix, so exports are diffs
+	tail   *message     // newest message in flight from id: its lane's tail (see enqueue)
 }
 
 // Announcement describes a route an external network originates.

@@ -103,7 +103,7 @@ func (rm *RouteMap) Entries() []Entry {
 // deterministic — identical networks capture to identical values.
 func (n *Network) CaptureState() (*NetState, error) {
 	if len(n.queue) > 0 {
-		return nil, fmt.Errorf("sim: CaptureState requires an empty event queue (%d events pending)", len(n.queue))
+		return nil, fmt.Errorf("sim: CaptureState requires an empty event queue (%d events pending)", n.Pending())
 	}
 	st := &NetState{
 		Now:             n.now,
@@ -180,11 +180,11 @@ func captureRouter(r *router) RouterState {
 // then restored from a snapshot continues exactly like the network the
 // snapshot was taken from — the clock matches, run-scoped RNG streams are
 // re-derived from the run index on the next BeginRun, and the drained queue
-// means no in-flight ordering state survives (the restored routers' FIFO
-// clamps and session epochs start over, which no future send can tell).
+// means no in-flight ordering state survives (the restored routers' lanes
+// are empty and session epochs start over, which no future send can tell).
 func (n *Network) RestoreState(st *NetState) error {
 	if len(n.queue) > 0 {
-		return fmt.Errorf("sim: RestoreState requires an empty event queue (%d events pending)", len(n.queue))
+		return fmt.Errorf("sim: RestoreState requires an empty event queue (%d events pending)", n.Pending())
 	}
 	if len(st.Routers) != len(n.routers) {
 		return fmt.Errorf("sim: snapshot has %d routers, network has %d", len(st.Routers), len(n.routers))
