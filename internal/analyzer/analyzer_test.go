@@ -176,11 +176,11 @@ func TestEquivalenceClasses(t *testing.T) {
 	// prefix, so prefixes 0 and 1 behave identically; 2 differs.
 	final := net.Clone()
 	final.Run()
-	classes := analyzer.EquivalenceClasses(net, final, []bgp.Prefix{0, 1, 2})
+	classes := analyzer.Classes(net, final, []bgp.Prefix{0, 1, 2})
 	if len(classes) != 2 {
 		t.Fatalf("classes = %v, want 2", classes)
 	}
-	if len(classes[0]) != 2 || classes[0][0] != 0 || classes[0][1] != 1 {
-		t.Errorf("first class = %v, want [0 1]", classes[0])
+	if m := classes[0].Members; len(m) != 2 || m[0] != 0 || m[1] != 1 {
+		t.Errorf("first class = %v, want [0 1]", m)
 	}
 }

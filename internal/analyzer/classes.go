@@ -77,19 +77,6 @@ func Classes(initial, final *sim.Network, prefixes []bgp.Prefix) []Class {
 	return classes
 }
 
-// EquivalenceClasses groups prefixes whose initial and final routing states
-// are identical up to the prefix value — the paper's prefix equivalence
-// classes (§3): Chameleon schedules one representative per class. It is the
-// member view of Classes.
-func EquivalenceClasses(initial, final *sim.Network, prefixes []bgp.Prefix) [][]bgp.Prefix {
-	classes := Classes(initial, final, prefixes)
-	out := make([][]bgp.Prefix, len(classes))
-	for i, c := range classes {
-		out[i] = c.Members
-	}
-	return out
-}
-
 // ForPrefix returns the analysis retargeted at prefix p, which must be
 // §3-equivalent to a.Prefix: class members share initial and final routing
 // states up to the prefix value, so the whole dependency graph — selected

@@ -44,26 +44,6 @@ func TestRouteAccessors(t *testing.T) {
 	}
 }
 
-func TestExtendResetsLocalAttributes(t *testing.T) {
-	r := route(0, 0)
-	r.Weight = 500
-	r.FromEBGP = true
-	out := r.Extend(1)
-	if out.Weight != DefaultWeight {
-		t.Errorf("Extend kept weight %d", out.Weight)
-	}
-	if out.FromEBGP {
-		t.Error("Extend kept FromEBGP")
-	}
-	if out.At() != 1 || out.Pre() != 0 {
-		t.Errorf("Extend path wrong: %v", out.Path)
-	}
-	// The original must be unchanged (no aliasing).
-	if len(r.Path) != 1 {
-		t.Errorf("Extend mutated the source path: %v", r.Path)
-	}
-}
-
 func TestSameAnnouncement(t *testing.T) {
 	a := route(0, 0, 1)
 	b := route(0, 0, 2)
@@ -196,9 +176,13 @@ func TestAdjIn(t *testing.T) {
 	if got, ok := a.Get(0, 0); !ok || !got.PathEqual(r1) {
 		t.Error("Get(0) mismatch")
 	}
-	nrs := a.NeighborCandidates(0)
-	if len(nrs) != 2 || nrs[0].Neighbor != 0 || nrs[1].Neighbor != 2 {
-		t.Fatalf("NeighborCandidates = %v", nrs)
+	var nbs []topology.NodeID
+	a.RangeCandidates(0, func(n topology.NodeID, _ Route) bool {
+		nbs = append(nbs, n)
+		return true
+	})
+	if len(nbs) != 2 || nbs[0] != 0 || nbs[1] != 2 {
+		t.Fatalf("RangeCandidates neighbors = %v", nbs)
 	}
 	if !a.Withdraw(0, 0) {
 		t.Error("Withdraw should report true")

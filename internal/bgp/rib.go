@@ -183,23 +183,6 @@ func (a *AdjIn) RangeHandles(prefix Prefix, fn func(topology.NodeID, uint32) boo
 	}
 }
 
-// NeighborRoute pairs a route with the neighbor that announced it.
-type NeighborRoute struct {
-	Neighbor topology.NodeID
-	Route    Route
-}
-
-// NeighborCandidates returns all (neighbor, route) pairs known for prefix,
-// sorted by neighbor ID for determinism.
-func (a *AdjIn) NeighborCandidates(prefix Prefix) []NeighborRoute {
-	var out []NeighborRoute
-	a.RangeCandidates(prefix, func(n topology.NodeID, r Route) bool {
-		out = append(out, NeighborRoute{Neighbor: n, Route: r})
-		return true
-	})
-	return out
-}
-
 // RangePrefixes calls fn for every prefix with at least one candidate
 // route, in ascending order, until fn returns false. Allocation-free.
 func (a *AdjIn) RangePrefixes(fn func(Prefix) bool) {

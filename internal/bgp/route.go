@@ -72,17 +72,6 @@ func (r Route) Pre() topology.NodeID {
 	return r.Path[len(r.Path)-2]
 }
 
-// Extend returns a copy of the route as propagated to node n: the path is
-// extended, and non-transitive attributes (Weight) are reset.
-func (r Route) Extend(n topology.NodeID) Route {
-	out := r
-	out.Path = append(append(make([]topology.NodeID, 0, len(r.Path)+1), r.Path...), n)
-	out.Weight = DefaultWeight
-	out.FromEBGP = false
-	out.ClusterList = slices.Clone(r.ClusterList)
-	return out
-}
-
 // SameAnnouncement reports whether two routes stem from the same external
 // announcement (same prefix, same egress, same external neighbor),
 // regardless of the propagation path. This is the equivalence the paper

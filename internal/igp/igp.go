@@ -219,6 +219,3 @@ func (s *SPF) Path(a, b topology.NodeID) []topology.NodeID {
 	}
 	return path
 }
-
-// Reachable reports whether b is reachable from a.
-func (s *SPF) Reachable(a, b topology.NodeID) bool { return s.dist[a][b] < Infinity }

@@ -655,8 +655,8 @@ func TestSolutionStatsPopulated(t *testing.T) {
 	if s.Stats.Nodes == 0 || s.Stats.Propagations == 0 {
 		t.Errorf("stats empty: %+v", s.Stats)
 	}
-	if lo, hi := m.Bounds(x); lo != 0 || hi != 3 {
-		t.Errorf("Bounds = %d, %d", lo, hi)
+	if lo, hi := m.lo[x], m.hi[x]; lo != 0 || hi != 3 {
+		t.Errorf("bounds = %d, %d", lo, hi)
 	}
 	if m.NumVars() != 1 || m.NumConstraints() == 0 {
 		t.Errorf("counts: vars=%d cons=%d", m.NumVars(), m.NumConstraints())

@@ -123,9 +123,6 @@ func (m *Model) NumConstraints() int { return len(m.rhs) }
 // row returns the terms of row i.
 func (m *Model) row(i int) []Term { return m.terms[m.start[i]:m.start[i+1]] }
 
-// Bounds returns the declared bounds of v.
-func (m *Model) Bounds(v VarID) (lo, hi int64) { return m.lo[v], m.hi[v] }
-
 // Add posts the constraint e (op) rhs.
 func (m *Model) Add(e LinExpr, op Op, rhs int64) {
 	if op != OpGe {

@@ -1,5 +1,28 @@
 package monitor
 
+import (
+	"bufio"
+	"encoding/json"
+	"io"
+)
+
+// WriteRecords re-emits parsed timeline records in the canonical JSONL
+// form. WriteJSONL → ValidateJSONL → WriteRecords reproduces the original
+// bytes exactly (the round-trip tests pin this), which is what lets the
+// run-bundle differ treat timeline artifacts as canonical: any byte
+// difference between two artifacts is a structural difference between the
+// runs, never a serialization accident.
+func WriteRecords(w io.Writer, recs []Record) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
 // OpenViolations returns copies of the violations open so far, in onset
 // order: the part of a monitor's state no timeline shows until it closes.
 func (m *Monitor) OpenViolations() []Violation {

@@ -214,23 +214,6 @@ func violationRecord(name string, seq int, v *Violation) Record {
 	return rec
 }
 
-// WriteRecords re-emits parsed timeline records in the canonical JSONL
-// form. WriteJSONL → ValidateJSONL → WriteRecords reproduces the original
-// bytes exactly (the round-trip tests pin this), which is what lets the
-// run-bundle differ treat timeline artifacts as canonical: any byte
-// difference between two artifacts is a structural difference between the
-// runs, never a serialization accident.
-func WriteRecords(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ValidateJSONL structurally checks a timeline artifact: every line parses
 // as a Record, violation records follow their timeline's summary record
 // with 1-based consecutive seq numbers, intervals are well-formed

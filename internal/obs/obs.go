@@ -234,27 +234,6 @@ func (r *Recorder) NumSpans() int {
 	return len(r.spans)
 }
 
-// SpanCounters returns a copy of one span's counters, located by span name
-// (first match in ID order), for reconciliation tests. The boolean reports
-// whether a span with that name exists.
-func (r *Recorder) SpanCounters(name string) (map[string]int64, bool) {
-	if r == nil {
-		return nil, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.spans {
-		if r.spans[i].Name == name {
-			out := make(map[string]int64, len(r.spans[i].Counters))
-			for k, v := range r.spans[i].Counters {
-				out[k] = v
-			}
-			return out, true
-		}
-	}
-	return nil, false
-}
-
 // SpanNames returns the recorded span names in ID order.
 func (r *Recorder) SpanNames() []string {
 	if r == nil {

@@ -25,9 +25,8 @@ func TestSpanTreeAndValidate(t *testing.T) {
 	if got := r.Counter(CtrMILPNodes); got != 12 {
 		t.Fatalf("global counter = %d, want 12", got)
 	}
-	sc, ok := r.SpanCounters("schedule")
-	if !ok || sc[CtrMILPNodes] != 7 {
-		t.Fatalf("schedule span counters = %v, %v", sc, ok)
+	if sc := r.spans[child.id-1]; sc.Name != "schedule" || sc.Counters[CtrMILPNodes] != 7 {
+		t.Fatalf("span %q counters = %v, want schedule with %s 7", sc.Name, sc.Counters, CtrMILPNodes)
 	}
 	names := r.SpanNames()
 	want := []string{"plan", "schedule", "solve"}
@@ -237,8 +236,8 @@ func TestNilSafety(t *testing.T) {
 	if r.Counters() != nil || r.SpanNames() != nil {
 		t.Fatal("nil recorder returned maps")
 	}
-	if _, ok := r.SpanCounters("x"); ok {
-		t.Fatal("nil recorder found a span")
+	if sp != nil {
+		t.Fatal("nil recorder started a span")
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)

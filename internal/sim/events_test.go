@@ -17,7 +17,8 @@ import (
 // 112-byte size class: the session epoch shares the word after cause with
 // cmd and hops, and announcements and withdrawals share one payload slice
 // (two made it 128 bytes). A peer entry is 48 bytes: a clone copies every
-// router's peer table.
+// router's peer table. A router is at most 88 bytes: a clone allocates one
+// per node (§8 aggregation's rule slice made it 112).
 func TestEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 48 {
 		t.Errorf("unsafe.Sizeof(event{}) = %d, want 48", got)
@@ -27,6 +28,9 @@ func TestEventSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(peer{}); got != 48 {
 		t.Errorf("unsafe.Sizeof(peer{}) = %d, want 48", got)
+	}
+	if got := unsafe.Sizeof(router{}); got > 88 {
+		t.Errorf("unsafe.Sizeof(router{}) = %d, want at most 88", got)
 	}
 }
 

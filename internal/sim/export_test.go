@@ -1,6 +1,12 @@
 package sim
 
-import "chameleon/internal/bgp"
+import (
+	"chameleon/internal/bgp"
+	"chameleon/internal/igp"
+)
+
+// SPF returns the IGP state.
+func (n *Network) SPF() *igp.SPF { return n.spf }
 
 // QueueRetained counts the slots of n's event-queue backing array beyond its
 // length that still point at an event.

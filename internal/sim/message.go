@@ -239,18 +239,13 @@ func (n *Network) runDecision(node topology.NodeID, prefix bgp.Prefix) {
 	n.runDecisions(n.routers[node], []bgp.Prefix{prefix})
 }
 
-// runDecisions re-runs best-path selection at r for each of prefixes, sends
-// every neighbor what changed as one message, then re-evaluates r's
-// aggregates. Exports go first: a summary's own updates follow the
-// contributor's, as they do when routes arrive one message each. prefixes
-// is overwritten.
+// runDecisions re-runs best-path selection at r for each of prefixes and
+// sends every neighbor what changed as one message. prefixes is overwritten.
 func (n *Network) runDecisions(r *router, prefixes []bgp.Prefix) {
 	changed := prefixes[:0]
-	contributor := false
 	for _, p := range prefixes {
 		if n.decide(r, p) {
 			changed = append(changed, p)
-			contributor = contributor || len(r.aggRules) > 0 && !isSummary(r, p)
 		}
 	}
 	if len(changed) == 0 {
@@ -258,10 +253,6 @@ func (n *Network) runDecisions(r *router, prefixes []bgp.Prefix) {
 	}
 	for i := range r.peers {
 		n.export(r, &r.peers[i], changed)
-	}
-	if contributor {
-		// A contributor change may (de)activate a summary (§8 aggregation).
-		n.evalAggregates(r.id)
 	}
 }
 

@@ -55,9 +55,8 @@ func runDigest(t *testing.T, net *sim.Network, rec *obs.Recorder, prefixes []bgp
 // at the last commit that had separate per-route and batched delivery
 // paths (PR 17, 4633809). Every judged run — case studies, plan executions,
 // chaos — went through the per-route path, so it is the reference: a change
-// to message boundaries, send order, jitter draws or the order of exports
-// and aggregate re-evaluation moves a digest. One that means to re-records
-// them on purpose.
+// to message boundaries, send order or jitter draws moves a digest. One
+// that means to re-records them on purpose.
 func TestMessageForMessageIdentity(t *testing.T) {
 	universe := make([]bgp.Prefix, 48)
 	for i := range universe {
@@ -94,31 +93,6 @@ func TestMessageForMessageIdentity(t *testing.T) {
 			}
 			return runDigest(t, s.Net, rec, s.AllPrefixes())
 		}, "602f7e985c4fc23f"},
-		{"summary-only-aggregate", func(t *testing.T) string {
-			// aggregate_test.go's scenario under DefaultOptions jitter, then
-			// the summary losing and regaining a contributor and the rule
-			// going away: the runs in which exports and aggregate
-			// re-evaluation interleave.
-			s := scenario.RunningExample()
-			rec := obs.New()
-			s.Net.SetRecorder(rec)
-			ext1, n1 := s.Graph.MustNode("ext1"), s.Graph.MustNode("n1")
-			s.Net.InjectExternalRoute(ext1, sim.Announcement{Prefix: 10, ASPathLen: 2})
-			s.Net.InjectExternalRoute(ext1, sim.Announcement{Prefix: 11, ASPathLen: 2})
-			s.Net.Run()
-			s.Net.AddAggregate(n1, sim.AggregateRule{
-				Summary: 100, Contributors: []bgp.Prefix{10, 11}, SummaryOnly: true,
-			})
-			s.Net.Run()
-			s.Net.WithdrawExternalRoute(ext1, 10)
-			s.Net.WithdrawExternalRoute(ext1, 11)
-			s.Net.Run()
-			s.Net.InjectExternalRoute(ext1, sim.Announcement{Prefix: 11, ASPathLen: 3})
-			s.Net.Run()
-			s.Net.RemoveAggregates(n1)
-			s.Net.Run()
-			return runDigest(t, s.Net, rec, []bgp.Prefix{s.Prefix, 10, 11, 100})
-		}, "3b321dac2342bb99"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -207,9 +207,6 @@ func (n *Network) count(name string, delta int64) {
 // Graph returns the underlying topology.
 func (n *Network) Graph() *topology.Graph { return n.graph }
 
-// SPF returns the IGP state.
-func (n *Network) SPF() *igp.SPF { return n.spf }
-
 // Now returns the current simulated time.
 func (n *Network) Now() time.Duration { return n.now }
 
@@ -487,17 +484,13 @@ func (n *Network) Converged() bool { return n.inFlight == 0 }
 // and the dirty set, and reports whether the selection changed. It never
 // mutates the Adj-RIB-In, so callers may invoke it while ranging one. A
 // selection ingress policy left unchanged goes into the Loc-RIB as the
-// handle its Adj-RIB-In holds; only one policy or aggregation built is
-// interned.
+// handle its Adj-RIB-In holds; only one policy built is interned.
 func (n *Network) decide(r *router, prefix bgp.Prefix) bool {
 	cands, held := n.cands[:0], n.held[:0]
 	r.rangeIngress(prefix, func(route bgp.Route, h uint32) bool {
 		cands, held = append(cands, route), append(held, h)
 		return true
 	})
-	if agg, ok := r.aggregateRoute(prefix); ok {
-		cands, held = append(cands, agg), append(held, 0)
-	}
 	n.cands, n.held = cands, held
 	cmp := bgp.Comparator{SPF: n.spf, Node: r.id}
 	old, hadOld := r.locRib.Handle(prefix)
@@ -518,15 +511,6 @@ func (n *Network) decide(r *router, prefix bgp.Prefix) bool {
 	}
 	n.markDirty(prefix)
 	return true
-}
-
-func isSummary(r *router, prefix bgp.Prefix) bool {
-	for _, rule := range r.aggRules {
-		if rule.Summary == prefix {
-			return true
-		}
-	}
-	return false
 }
 
 // routesIdentical reports whether two routes for one prefix agree on the
@@ -784,8 +768,7 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 // (igp.SPF.Clone). The topology and Options are shared as they are.
 //
 // Copied: the peer tables (sessions, route maps, epochs; every lane is
-// empty), aggregation rules, the simulated clock and the current
-// table-entry count.
+// empty), the simulated clock and the current table-entry count.
 // The clone's Routers in CaptureState are byte-identical to the source's.
 //
 // Reset on purpose, because they describe a history the clone did not live

@@ -26,9 +26,6 @@ type router struct {
 	// copy-on-write trie so a clone shares them; empty (and unallocated) at
 	// internal routers.
 	originated bgp.PrefixMap[Announcement]
-
-	// aggRules are the router's §8 border-aggregation rules.
-	aggRules []AggregateRule
 }
 
 // peer is everything a router keeps per neighbor. A torn-down session
@@ -64,7 +61,7 @@ func newRouter(id topology.NodeID, external bool, attrs *bgp.AttrTable) *router 
 // clone returns an independent copy of r whose tables intern into attrs, a
 // fork of r's attribute table. The route tables and originated
 // announcements are copy-on-write shares; the configuration — the peer
-// table and its route maps, aggregation rules — is copied wholesale.
+// table and its route maps — is copied wholesale.
 func (r *router) clone(attrs *bgp.AttrTable) *router {
 	c := &router{
 		id:         r.id,
@@ -74,7 +71,6 @@ func (r *router) clone(attrs *bgp.AttrTable) *router {
 		adjIn:      r.adjIn.CloneOn(attrs),
 		locRib:     r.locRib.CloneOn(attrs),
 		originated: r.originated.Clone(),
-		aggRules:   slices.Clone(r.aggRules),
 	}
 	for i := range c.peers {
 		p := &c.peers[i]
@@ -192,10 +188,6 @@ func (r *router) exportTo(p *peer, prefix bgp.Prefix, out *bgp.Route, b *routeBu
 		return false
 	}
 	neighbor, toKind := p.id, p.kind
-	// Summary-only aggregation suppresses the contributors (§8).
-	if r.suppressed(prefix) {
-		return false
-	}
 	best := r.attrs.At(h)
 	// Never advertise a route back onto the session it was learned from.
 	learnedFrom := best.Pre()

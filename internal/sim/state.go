@@ -61,7 +61,6 @@ type RouterState struct {
 	LocRIB     []bgp.Route          `json:"loc_rib,omitempty"`
 	AdjOut     []AdjOutState        `json:"adj_out,omitempty"`
 	Originated []OriginatedState    `json:"originated,omitempty"`
-	AggRules   []AggregateRule      `json:"agg_rules,omitempty"`
 }
 
 // PrefixCount is one per-prefix counter in a snapshot.
@@ -72,10 +71,10 @@ type PrefixCount struct {
 
 // NetState is a serializable snapshot of a converged network: everything a
 // restarted controller needs to reconstruct the intermediate state —
-// configuration (sessions, route maps, aggregation), routing (Adj-RIB-In,
-// Loc-RIB, Adj-RIB-Out, originations), the simulated clock and the RNG run
-// index — but no in-flight events (capture requires convergence) and no
-// wall-clock residue.
+// configuration (sessions, route maps), routing (Adj-RIB-In, Loc-RIB,
+// Adj-RIB-Out, originations), the simulated clock and the RNG run index —
+// but no in-flight events (capture requires convergence) and no wall-clock
+// residue.
 type NetState struct {
 	Now             time.Duration `json:"now_ns"`
 	Run             uint64        `json:"run"`
@@ -165,7 +164,6 @@ func captureRouter(r *router) RouterState {
 		rs.Originated = append(rs.Originated, OriginatedState{Prefix: p, Announcement: a})
 		return true
 	})
-	rs.AggRules = append(rs.AggRules, r.aggRules...)
 	return rs
 }
 
@@ -223,7 +221,6 @@ func (n *Network) RestoreState(st *NetState) error {
 		for _, o := range rs.Originated {
 			r.originated.Set(o.Prefix, o.Announcement)
 		}
-		r.aggRules = append(r.aggRules, rs.AggRules...)
 		n.routers[i] = r
 	}
 	n.now = st.Now
