@@ -536,6 +536,7 @@ func (s *session) fig7() error {
 		return err
 	}
 	s.saveCSV("fig7_scheduling.csv", func(w io.Writer) error { return eval.WriteSweepCSV(w, outs) })
+	s.saveCSV("ledger.csv", func(w io.Writer) error { return eval.WriteLedgerCSV(w, outs) })
 	var crs, times []float64
 	for _, o := range outs {
 		if o.Err == nil {

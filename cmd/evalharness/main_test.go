@@ -22,9 +22,9 @@ func TestBundleAddressesPinned(t *testing.T) {
 		args []string
 		id   string
 	}{
-		{[]string{"-smoke", "-fig", "7", "-max-nodes", "15"}, "73473ef551d487457d3ad473e7cd03c31b750916afac1715632021c5f9970657"},
-		{[]string{"-chaos"}, "aa139a764107fbe3b3cff388a6f0b352339a1fcf5bd4353ca71fc94cb7fc2cdd"},
-		{[]string{"-supervise"}, "3c075fd9f8cad11c08740e6e2e0b362cb95ecf477ccc1ef611f51dba8c1a4bbb"},
+		{[]string{"-smoke", "-fig", "7", "-max-nodes", "15"}, "34dbf09e91271424d898f288368dedb95b314d1d5bceab1fb45ab0248310f668"},
+		{[]string{"-chaos"}, "99ee3e26ac5b0910a55fd13f73e61d426ae33e2db7e951eabbdb282b3378b5f9"},
+		{[]string{"-supervise"}, "46f820d8e08b408da00bcd0fb30ace66a28dbe6f1a2d0a2a4aaa954d110effe2"},
 	} {
 		dir := filepath.Join(t.TempDir(), "bundle")
 		var stdout, stderr bytes.Buffer

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -274,6 +275,15 @@ func TestCSVWriters(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Basnet") {
 		t.Error("sweep CSV missing topology row")
+	}
+	buf.Reset()
+	if err := WriteLedgerCSV(&buf, outs); err != nil {
+		t.Fatal(err)
+	}
+	const ledgerHeader = "topology,nodes,switching,cr,rounds,temp_sessions,solver_nodes,propagations,objective_proven,error\n"
+	if o := outs[0]; buf.String() != fmt.Sprintf("%sBasnet,%d,%d,%d,%d,%d,%d,%d,%v,\n", ledgerHeader,
+		o.Nodes, o.Switching, o.Cr, o.R, o.TempSessions, o.SolverNodes, o.Propagations, o.ObjectiveOpt) || o.SolverNodes == 0 {
+		t.Errorf("ledger CSV:\n%s", buf.String())
 	}
 
 	buf.Reset()

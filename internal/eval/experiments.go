@@ -168,12 +168,17 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 
 // SweepOutcome is one corpus scenario's scheduling result.
 type SweepOutcome struct {
-	Name           string
-	Nodes          int
-	Switching      int
-	Cr             int
-	R              int
-	TempSessions   int
+	Name         string
+	Nodes        int
+	Switching    int
+	Cr           int
+	R            int
+	TempSessions int
+	// SolverNodes, Propagations and ObjectiveOpt are the scheduler's Stats:
+	// the counted work, and whether the temp-session minimum was proven.
+	SolverNodes    int64
+	Propagations   int64
+	ObjectiveOpt   bool
 	SchedulingTime time.Duration
 	// EstimatedReconfTime is T̃ = T̃rm (2 + R) with T̃rm = 12 s (§7.2).
 	EstimatedReconfTime time.Duration
@@ -238,6 +243,7 @@ func schedulingOutcome(ctx context.Context, name string, seed uint64, opts sched
 	}
 	o.R = sched.R
 	o.TempSessions = sched.TempOldSessions + sched.TempNewSessions
+	o.SolverNodes, o.Propagations, o.ObjectiveOpt = sched.Stats.SolverNodes, sched.Stats.Propagations, sched.Stats.ObjectiveOpt
 	o.EstimatedReconfTime = runtime.EstimateReconfigurationTime(sched.R)
 	return o
 }

@@ -33,12 +33,16 @@ func TestSweepSchedulingWorkerCountInvariance(t *testing.T) {
 		if calls != len(names) {
 			t.Fatalf("workers=%d: progress fired %d times, want %d", workers, calls, len(names))
 		}
-		// scheduling_time_s is the single wall-clock column; everything
-		// else must be byte-identical at any worker count.
+		// The ledger has no wall-clock column, so it is written as it
+		// comes. scheduling_time_s is the sweep CSV's single one;
+		// everything else must be byte-identical at any worker count.
+		var b bytes.Buffer
+		if err := WriteLedgerCSV(&b, outs); err != nil {
+			t.Fatal(err)
+		}
 		for i := range outs {
 			outs[i].SchedulingTime = 0
 		}
-		var b bytes.Buffer
 		if err := WriteSweepCSV(&b, outs); err != nil {
 			t.Fatal(err)
 		}

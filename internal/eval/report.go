@@ -55,11 +55,29 @@ func WriteCaseStudyCSV(w io.Writer, m *traffic.Measurement) error {
 // WriteSweepCSV writes the Fig. 7 / Fig. 9 / Table 2 sweep results, rows
 // sorted by topology name.
 func WriteSweepCSV(w io.Writer, outs []SweepOutcome) error {
+	return writeSweep(w, []string{"scheduling_time_s", "estimated_reconf_time_s"}, outs, func(o SweepOutcome) []string {
+		return []string{formatF(o.SchedulingTime.Seconds()), formatF(o.EstimatedReconfTime.Seconds())}
+	})
+}
+
+// WriteLedgerCSV writes the sweep as a ledger of counted work, rows sorted by
+// topology name: solver nodes, propagations and whether the temp-session
+// minimum was proven beside each entry's R and temporary sessions. It has no
+// time field, so a sweep writes it byte for byte at any speed and worker
+// count, and a change to the scheduler shows as a diff.
+func WriteLedgerCSV(w io.Writer, outs []SweepOutcome) error {
+	return writeSweep(w, []string{"solver_nodes", "propagations", "objective_proven"}, outs, func(o SweepOutcome) []string {
+		return []string{strconv.FormatInt(o.SolverNodes, 10), strconv.FormatInt(o.Propagations, 10), strconv.FormatBool(o.ObjectiveOpt)}
+	})
+}
+
+// writeSweep writes one row per outcome, sorted by topology name: the
+// scenario's shape and schedule, the columns extra names and returns, and the
+// error.
+func writeSweep(w io.Writer, extra []string, outs []SweepOutcome, row func(SweepOutcome) []string) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"topology", "nodes", "switching", "cr", "rounds", "temp_sessions",
-		"scheduling_time_s", "estimated_reconf_time_s", "error",
-	}); err != nil {
+	header := append([]string{"topology", "nodes", "switching", "cr", "rounds", "temp_sessions"}, extra...)
+	if err := cw.Write(append(header, "error")); err != nil {
 		return err
 	}
 	outs = sortedByKey(outs, func(a, b SweepOutcome) bool { return a.Name < b.Name })
@@ -68,12 +86,9 @@ func WriteSweepCSV(w io.Writer, outs []SweepOutcome) error {
 		if o.Err != nil {
 			errStr = o.Err.Error()
 		}
-		if err := cw.Write([]string{
-			o.Name, strconv.Itoa(o.Nodes), strconv.Itoa(o.Switching),
-			strconv.Itoa(o.Cr), strconv.Itoa(o.R), strconv.Itoa(o.TempSessions),
-			formatF(o.SchedulingTime.Seconds()),
-			formatF(o.EstimatedReconfTime.Seconds()), errStr,
-		}); err != nil {
+		rec := []string{o.Name, strconv.Itoa(o.Nodes), strconv.Itoa(o.Switching),
+			strconv.Itoa(o.Cr), strconv.Itoa(o.R), strconv.Itoa(o.TempSessions)}
+		if err := cw.Write(append(append(rec, row(o)...), errStr)); err != nil {
 			return err
 		}
 	}

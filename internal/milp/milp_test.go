@@ -840,9 +840,21 @@ func TestSolveDeterministic(t *testing.T) {
 	if a.Stats != b.Stats || a.Objective != b.Objective || !slices.Equal(a.Values, b.Values) {
 		t.Fatalf("two solves of one model differ: %+v (objective %d) vs %+v (objective %d)", a.Stats, a.Objective, b.Stats, b.Objective)
 	}
-	if a.Stats.Nodes <= opts.NodeLimit {
-		t.Fatalf("%d nodes: the solve was meant to span several searches and restarts", a.Stats.Nodes)
+	// The last improvement search runs out of its NodeLimit/2, several
+	// restart caps; every node beyond it and the first search is an
+	// improvement found on the way.
+	first := firstSearch(t, m, opts)
+	if a.Stats.Optimal || a.Stats.Nodes <= first+opts.NodeLimit/2 {
+		t.Fatalf("%d nodes (first search %d, optimal %v): the solve was meant to span several searches and restarts", a.Stats.Nodes, first, a.Stats.Optimal)
 	}
+}
+
+// firstSearch returns the nodes of opts' first feasibility search on m: a
+// FirstSolution solve runs that search alone.
+func firstSearch(t *testing.T, m *Model, opts Options) int64 {
+	t.Helper()
+	opts.FirstSolution = true
+	return solve(t, m, opts).Stats.Nodes
 }
 
 // TestWeightsOutliveSearches: what one search learns steers the next, so no
@@ -1082,9 +1094,9 @@ func TestSolveReusesSearcher(t *testing.T) {
 	}
 }
 
-// TestImprovementOutOfBudget: when an improvement iteration runs out of
-// NodeLimit, Solve answers the best solution so far, unproven — not an
-// error.
+// TestImprovementOutOfBudget: when an improvement iteration runs out of its
+// NodeLimit/2 nodes, Solve answers the best solution so far, unproven — not
+// an error.
 func TestImprovementOutOfBudget(t *testing.T) {
 	// Minimizing −g: g = 0 is found at once, and the only improvement,
 	// g = 1, means refuting the pigeonhole.
@@ -1100,8 +1112,8 @@ func TestImprovementOutOfBudget(t *testing.T) {
 	if s.Stats.Optimal {
 		t.Error("an improvement search cut short by NodeLimit must not claim optimality")
 	}
-	if s.Stats.Nodes <= opts.NodeLimit {
-		t.Errorf("Stats.Nodes = %d, want > %d: the failed improvement search spent its whole NodeLimit", s.Stats.Nodes, opts.NodeLimit)
+	if want := firstSearch(t, m, opts) + opts.NodeLimit/2; s.Stats.Nodes != want {
+		t.Errorf("Stats.Nodes = %d, want %d: the first search's nodes and the failed improvement search's whole NodeLimit/2", s.Stats.Nodes, want)
 	}
 }
 

@@ -49,6 +49,38 @@ func (r *refPropagator) add(terms []Term, op Op, rhs int64) {
 	}
 }
 
+// solutions enumerates every integer point of the box lo..hi and returns
+// those that satisfy every row: the brute-force answer to what a complete
+// search must decide. The box must be small.
+func (r *refPropagator) solutions(lo, hi []int64) [][]int64 {
+	var out [][]int64
+	x := slices.Clone(lo)
+	for {
+		ok := true
+		for _, row := range r.rows {
+			var sum int64
+			for _, t := range row.terms {
+				sum += t.Coeff * x[t.Var]
+			}
+			if sum > row.rhs {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			out = append(out, slices.Clone(x))
+		}
+		v := 0
+		for ; v < len(x) && x[v] == hi[v]; v++ {
+			x[v] = lo[v]
+		}
+		if v == len(x) {
+			return out
+		}
+		x[v]++
+	}
+}
+
 func (r *refPropagator) wake(v VarID) {
 	for _, ci := range r.varRows[v] {
 		if !r.inQ[ci] {

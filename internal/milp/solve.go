@@ -37,9 +37,10 @@ func luby(i int) int64 {
 type Options struct {
 	// NodeLimit bounds the nodes one feasibility search may explore across
 	// all its restart attempts (0: unlimited). When Solve minimizes, every
-	// improvement iteration is a search of its own and gets NodeLimit
-	// afresh. It is the only budget, so the same model under the same limit
-	// returns the same result regardless of machine speed or load.
+	// improvement iteration is a search of its own and gets NodeLimit/2
+	// afresh: it branches toward the incumbent first, so what it finds it
+	// finds early. It is the only budget, so the same model under the same
+	// limit returns the same result regardless of machine speed or load.
 	NodeLimit int64
 	// BranchOrder lists the decision variables. While one of them is unfixed
 	// the search branches on the one with the largest (1 + conflict weight) ÷
@@ -118,6 +119,7 @@ type searcher struct {
 	rest       []VarID // the non-decision variables, in declaration order
 	preferHigh []bool
 	high       bool // this attempt honours preferHigh
+	guided     bool // an improvement iteration: branch toward values first
 	pcg        rand.PCG
 	rng        *rand.Rand
 	seed       uint64 // the model's fingerprint before any cutoff row
@@ -125,7 +127,7 @@ type searcher struct {
 	maxNodes int64 // stats.Nodes at which this attempt stops
 	opts     Options
 	stats    Stats   // the effort of every search so far
-	values   []int64 // the latest full assignment
+	values   []int64 // the latest full assignment: the incumbent while guided
 	found    bool    // this attempt stored one in values
 	ctxErr   error   // set when opts.Ctx fired during the search
 }
@@ -183,8 +185,10 @@ const noCutoff = 1<<63 - 1
 // and bound when the objective is a sum of many indicator variables (the
 // scheduler's temp-session count). Stats.Optimal reports whether the last
 // search proved that nothing better exists; an improvement search that runs
-// out of NodeLimit instead ends the loop with the best solution so far. The
-// cutoff rows are removed again before Solve returns.
+// out of its NodeLimit/2 nodes instead ends the loop with the best solution so
+// far. Each improvement search is guided by the incumbent (solution-guided
+// search): on every variable it branches toward the incumbent's value first.
+// The cutoff rows are removed again before Solve returns.
 //
 // Solve never returns a nil Solution: on error it carries no Values, only
 // the Stats of the effort spent before failing.
@@ -236,10 +240,11 @@ func (m *Model) dropRowsFrom(n int) {
 // decision order — the tie-break among equally weighted variables — is
 // reshuffled deterministically and the value preference alternates, which
 // tames the heavy-tailed runtime of chronological backtracking; the conflict
-// weights carry what the lost attempts learnt into the next. On a nil error
-// the assignment is in s.values. s.stats is charged with every attempt, failed
-// ones included, on every return. The error is nil, ErrInfeasible, ErrTimeout
-// or the context's, each bare.
+// weights carry what the lost attempts learnt into the next. An improvement
+// search (any cutoff) is guided by the incumbent in s.values and gets
+// NodeLimit/2 nodes. On a nil error the assignment is in s.values. s.stats is
+// charged with every attempt, failed ones included, on every return. The error
+// is nil, ErrInfeasible, ErrTimeout or the context's, each bare.
 func (s *searcher) feasible(cutoff int64) error {
 	// Seed the restart RNG from a structural fingerprint of the model, not
 	// just the constraint count: two different models with equal len(cons)
@@ -250,7 +255,12 @@ func (s *searcher) feasible(cutoff int64) error {
 	if !s.root() {
 		return ErrInfeasible
 	}
-	limit := s.stats.Nodes + s.opts.NodeLimit
+	s.guided = cutoff != noCutoff
+	budget := s.opts.NodeLimit
+	if s.guided {
+		budget /= 2
+	}
+	limit := s.stats.Nodes + budget
 	copy(s.order, s.decision)
 	for k := 0; ; k++ {
 		s.maxNodes = s.stats.Nodes + restartBaseNodes*luby(k+1)
@@ -445,7 +455,16 @@ func (s *searcher) search(from int) bool {
 	// excludes it — the variable was unfixed, so a value is left — and
 	// picks afresh, so the enumeration stays complete.
 	keep, step := 2*int(pick), int64(1)
-	if s.high && s.preferHigh[pick] {
+	if s.guided {
+		// Toward the incumbent's value v: fix x = lo when v ≤ lo, fix x = hi
+		// when v ≥ hi, and otherwise try x ≤ v before x ≥ v+1. s.values is
+		// only written when the search stops, so it holds v throughout.
+		if v := s.values[pick]; v >= s.bnd[keep+1] {
+			keep, step = keep+1, -1
+		} else if v > s.bnd[keep] {
+			return s.branch(pick, keep+1, v, from) || s.branch(pick, keep, v+1, from)
+		}
+	} else if s.high && s.preferHigh[pick] {
 		keep, step = keep+1, -1
 	}
 	val := s.bnd[keep]

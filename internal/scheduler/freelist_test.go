@@ -87,7 +87,7 @@ func TestRecycledEncoderIsInvisible(t *testing.T) {
 	if _, err := scheduler.ScheduleCtx(ctx, aAarnet, nil, opts); !errors.Is(err, milp.ErrTimeout) {
 		t.Fatalf("Aarnet serialized: err = %v, want milp.ErrTimeout", err)
 	}
-	// Sprint's scan walks 32 854 nodes, polling every 256: the 16th poll
+	// Sprint's scan walks 16 466 nodes, polling every 256: the 16th poll
 	// falls inside a search.
 	inner, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -81,7 +81,7 @@ type Options struct {
 	// SolverNodeBudget is the deterministic unit every solver budget is a
 	// multiple of (0: DeterministicNodeBudget): scan attempts get
 	// SolverNodeBudget nodes each, retry attempts retryBudgetFactor× that,
-	// and the temp-session minimization as many nodes per improvement
+	// and the temp-session minimization half as many nodes per improvement
 	// iteration as the attempt it follows. No clock bounds a solve, so the
 	// schedule for a given analysis and spec is machine- and
 	// load-independent — which the parallel evaluation sweeps rely on to
@@ -105,8 +105,12 @@ type Options struct {
 // DeterministicNodeBudget is the default SolverNodeBudget. The scan pass
 // decides every scenario of the 5-60-router Zoo corpus within it, so it binds
 // only on the search that closes a minimization: that one proves the minimum
-// on half of the corpus and on the other half (Sprint is in it) spends all of
-// the budget finding nothing.
+// on about half of the corpus and on the other half (Sprint is in it) spends
+// its 2¹⁴ nodes finding nothing. An improvement iteration gets half the
+// budget because it branches toward the incumbent: so guided, 4 038 of the
+// 4 039 improvements found under the full 2¹⁵ on four corpora (Fig. 7,
+// plan-zoo, plan-hard, seed 11) land within 2¹⁴ nodes of their iteration's
+// start.
 const DeterministicNodeBudget = 1 << 15
 
 // The budget policy: the scan pass over R = 1..MaxRounds gives each round

@@ -362,9 +362,9 @@ func TestSearchTreePinned(t *testing.T) {
 		nodes    int64
 		provenOK bool
 	}{
-		{"Abilene", 4, 4, 195, true},
-		{"Sprint", 3, 6, 32854, false},
-		{"Aarnet", 5, 1, 1154, true},
+		{"Abilene", 4, 4, 230, true},
+		{"Sprint", 3, 6, 16466, false},
+		{"Aarnet", 5, 1, 1225, true},
 	} {
 		s, err := scenario.CaseStudy(want.topo, scenario.Config{Seed: 7})
 		if err != nil {

@@ -137,8 +137,8 @@ func TestExportFormatsPinned(t *testing.T) {
 		"flame":       func(b *bytes.Buffer) error { _, err := b.WriteString(rec.FlameSummary()); return err },
 	}
 	want := map[string]string{
-		"trace.jsonl": "25f9e02e058843a53a0fb393e7f6898f2ad2057fa15aa2c39336999a8b2ac4cd",
-		"flame":       "89db6ef6b0a4eb0e0c5fbbba1bf8e3b956bc665433c1910ca0389a0ed382e206",
+		"trace.jsonl": "d578d03c058ddf4cd371ef038bbf3dcdb5efc84b692d9ce7da394d838f6a1bf6",
+		"flame":       "a0765c9c0daba62f9a7bca77a336433d633e63f22a9fcea5c58423ca5b69b97c",
 	}
 	for name, write := range outputs {
 		var b bytes.Buffer
@@ -197,7 +197,7 @@ func (c *pollCancelCtx) Err() error {
 
 // TestPlanCtxCancelMidSolve cancels while the Sprint schedule is being
 // solved. The branch-and-bound polls the context every 256 nodes and before
-// every restart attempt, and Sprint's solve walks 32 854 nodes
+// every restart attempt, and Sprint's solve walks 16 466 nodes
 // (TestSearchTreePinned), so a context that cancels itself on its 16th poll
 // fires inside the search by construction — no goroutine races the solver.
 func TestPlanCtxCancelMidSolve(t *testing.T) {
