@@ -22,7 +22,7 @@ func TestBundleAddressesPinned(t *testing.T) {
 		args []string
 		id   string
 	}{
-		{[]string{"-smoke", "-fig", "7", "-max-nodes", "15"}, "34dbf09e91271424d898f288368dedb95b314d1d5bceab1fb45ab0248310f668"},
+		{[]string{"-smoke", "-fig", "7", "-max-nodes", "15"}, "9d6c0557a74d15e30954b3448048515855af09f0d57045678bb3a02a69161fe6"},
 		{[]string{"-chaos"}, "99ee3e26ac5b0910a55fd13f73e61d426ae33e2db7e951eabbdb282b3378b5f9"},
 		{[]string{"-supervise"}, "46f820d8e08b408da00bcd0fb30ace66a28dbe6f1a2d0a2a4aaa954d110effe2"},
 	} {

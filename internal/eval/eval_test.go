@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"chameleon/internal/chaos"
+	"chameleon/internal/milp"
 	"chameleon/internal/runtime"
 	"chameleon/internal/scheduler"
 	"chameleon/internal/topology"
@@ -280,9 +281,8 @@ func TestCSVWriters(t *testing.T) {
 	if err := WriteLedgerCSV(&buf, outs); err != nil {
 		t.Fatal(err)
 	}
-	const ledgerHeader = "topology,nodes,switching,cr,rounds,temp_sessions,solver_nodes,propagations,objective_proven,error\n"
-	if o := outs[0]; buf.String() != fmt.Sprintf("%sBasnet,%d,%d,%d,%d,%d,%d,%d,%v,\n", ledgerHeader,
-		o.Nodes, o.Switching, o.Cr, o.R, o.TempSessions, o.SolverNodes, o.Propagations, o.ObjectiveOpt) || o.SolverNodes == 0 {
+	if o := outs[0]; buf.String() != fmt.Sprintf("%sBasnet,%d,%d,%d,%d,%d,%d,%d,%v,%v,\n", ledgerHeader,
+		o.Nodes, o.Switching, o.Cr, o.R, o.TempSessions, o.SolverNodes, o.Propagations, o.ObjectiveOpt, o.RProven) || o.SolverNodes == 0 {
 		t.Errorf("ledger CSV:\n%s", buf.String())
 	}
 
@@ -357,5 +357,32 @@ func TestChaosReport(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Errorf("chaos table missing %q:\n%s", want, table)
 		}
+	}
+}
+
+const ledgerHeader = "topology,nodes,switching,cr,rounds,temp_sessions,solver_nodes,propagations,objective_proven,r_proven,error\n"
+
+// TestFailedScanInLedger: a scan that finds no schedule still spent solver
+// effort, and its ledger line shows it beside the error. Two nodes per round
+// count are too few for any R on Basnet.
+func TestFailedScanInLedger(t *testing.T) {
+	opts := scheduler.DefaultOptions()
+	opts.SolverNodeBudget = 2
+	outs, err := SweepSchedulingCtx(context.Background(), []string{"Basnet"}, 7, opts, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := outs[0]
+	if !errors.Is(o.Err, milp.ErrTimeout) || o.SolverNodes == 0 || o.Propagations == 0 || o.RProven {
+		t.Fatalf("err %v, %d nodes, %d propagations, r_proven %v; want a timeout, its effort and R unproven", o.Err, o.SolverNodes, o.Propagations, o.RProven)
+	}
+	var buf strings.Builder
+	if err := WriteLedgerCSV(&buf, outs); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%sBasnet,%d,%d,%d,0,0,%d,%d,false,false,%s\n", ledgerHeader,
+		o.Nodes, o.Switching, o.Cr, o.SolverNodes, o.Propagations, o.Err)
+	if buf.String() != want {
+		t.Errorf("ledger CSV:\n%s\nwant\n%s", buf.String(), want)
 	}
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -174,11 +175,14 @@ type SweepOutcome struct {
 	Cr           int
 	R            int
 	TempSessions int
-	// SolverNodes, Propagations and ObjectiveOpt are the scheduler's Stats:
-	// the counted work, and whether the temp-session minimum was proven.
+	// SolverNodes, Propagations, ObjectiveOpt and RProven are the
+	// scheduler's Stats: the counted work, a failed scan's included, whether
+	// the temp-session minimum was proven, and whether every smaller round
+	// count was proven infeasible.
 	SolverNodes    int64
 	Propagations   int64
 	ObjectiveOpt   bool
+	RProven        bool
 	SchedulingTime time.Duration
 	// EstimatedReconfTime is T̃ = T̃rm (2 + R) with T̃rm = 12 s (§7.2).
 	EstimatedReconfTime time.Duration
@@ -238,12 +242,17 @@ func schedulingOutcome(ctx context.Context, name string, seed uint64, opts sched
 	sched, err := scheduler.ScheduleCtx(ctx, a, sp, opts)
 	o.SchedulingTime = time.Since(t0)
 	if err != nil {
+		var scan *scheduler.ScanError
+		if errors.As(err, &scan) {
+			o.SolverNodes, o.Propagations, o.RProven = scan.Stats.SolverNodes, scan.Stats.Propagations, scan.Stats.RProven
+		}
 		o.Err = err
 		return o
 	}
 	o.R = sched.R
 	o.TempSessions = sched.TempOldSessions + sched.TempNewSessions
-	o.SolverNodes, o.Propagations, o.ObjectiveOpt = sched.Stats.SolverNodes, sched.Stats.Propagations, sched.Stats.ObjectiveOpt
+	o.SolverNodes, o.Propagations = sched.Stats.SolverNodes, sched.Stats.Propagations
+	o.ObjectiveOpt, o.RProven = sched.Stats.ObjectiveOpt, sched.Stats.RProven
 	o.EstimatedReconfTime = runtime.EstimateReconfigurationTime(sched.R)
 	return o
 }

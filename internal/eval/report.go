@@ -61,13 +61,15 @@ func WriteSweepCSV(w io.Writer, outs []SweepOutcome) error {
 }
 
 // WriteLedgerCSV writes the sweep as a ledger of counted work, rows sorted by
-// topology name: solver nodes, propagations and whether the temp-session
-// minimum was proven beside each entry's R and temporary sessions. It has no
-// time field, so a sweep writes it byte for byte at any speed and worker
-// count, and a change to the scheduler shows as a diff.
+// topology name: solver nodes, propagations, whether the temp-session minimum
+// was proven and whether every smaller R was proven infeasible, beside each
+// entry's R and temporary sessions. A failed entry shows the effort its scan
+// spent. It has no time field, so a sweep writes it byte for byte at any
+// speed and worker count, and a change to the scheduler shows as a diff.
 func WriteLedgerCSV(w io.Writer, outs []SweepOutcome) error {
-	return writeSweep(w, []string{"solver_nodes", "propagations", "objective_proven"}, outs, func(o SweepOutcome) []string {
-		return []string{strconv.FormatInt(o.SolverNodes, 10), strconv.FormatInt(o.Propagations, 10), strconv.FormatBool(o.ObjectiveOpt)}
+	return writeSweep(w, []string{"solver_nodes", "propagations", "objective_proven", "r_proven"}, outs, func(o SweepOutcome) []string {
+		return []string{strconv.FormatInt(o.SolverNodes, 10), strconv.FormatInt(o.Propagations, 10),
+			strconv.FormatBool(o.ObjectiveOpt), strconv.FormatBool(o.RProven)}
 	})
 }
 

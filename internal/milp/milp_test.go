@@ -827,26 +827,44 @@ func TestConflictWeightsEscapeThrashing(t *testing.T) {
 }
 
 // TestSolveDeterministic: a Solve is a pure function of (model, options) —
-// restarts, shuffles, weights and improvement iterations included.
+// restarts, shuffles, weights, improvement iterations and the lower bound
+// included.
 func TestSolveDeterministic(t *testing.T) {
-	// As many pigeons housed as possible: the gate's pigeonhole costs the
-	// first attempt, every hole filled is one improvement, and the proof that
-	// seven holes house no eighth pigeon outlasts the budget.
+	// As few pigeons left unhoused as possible: the gate's pigeonhole costs
+	// the first attempt, every pigeon housed is one improvement, and the
+	// proof that seven holes house no eighth pigeon outlasts both the bound
+	// (no set of the indicators proves a core within a check) and the budget.
 	m, opts := pigeonholeGated(8, 7)
-	m.Minimize(negateForTest(Sum(opts.BranchOrder[1:]...)))
+	m.Minimize(Sum(unhoused(m, opts, 8, 7)...))
 	opts.NodeLimit = 3000
-	a, b := solve(t, m, opts), solve(t, m, opts)
+	a := solve(t, m, opts)
+	bound := m.s.boundNodes
+	b := solve(t, m, opts)
 	a.Stats.Duration, b.Stats.Duration = 0, 0
 	if a.Stats != b.Stats || a.Objective != b.Objective || !slices.Equal(a.Values, b.Values) {
 		t.Fatalf("two solves of one model differ: %+v (objective %d) vs %+v (objective %d)", a.Stats, a.Objective, b.Stats, b.Objective)
 	}
 	// The last improvement search runs out of its NodeLimit/2, several
-	// restart caps; every node beyond it and the first search is an
-	// improvement found on the way.
+	// restart caps, on top of what the bound spent; every node beyond them
+	// and the first search is an improvement found on the way.
 	first := firstSearch(t, m, opts)
-	if a.Stats.Optimal || a.Stats.Nodes <= first+opts.NodeLimit/2 {
-		t.Fatalf("%d nodes (first search %d, optimal %v): the solve was meant to span several searches and restarts", a.Stats.Nodes, first, a.Stats.Optimal)
+	if a.Stats.Optimal || a.Objective != 1 || bound == 0 || a.Stats.Nodes <= first+opts.NodeLimit/2+bound {
+		t.Fatalf("%d nodes (first search %d, bound %d, optimal %v, objective %d): the solve was meant to span several searches, restarts and bounds",
+			a.Stats.Nodes, first, bound, a.Stats.Optimal, a.Objective)
 	}
+}
+
+// unhoused adds to pigeonholeGated's model one 0/1 indicator per pigeon that
+// must be 1 when the pigeon has no hole, and returns them.
+func unhoused(m *Model, opts Options, pigeons, holes int) []VarID {
+	u := make([]VarID, pigeons)
+	for i := range u {
+		u[i] = m.NewBool()
+		row := Sum(opts.BranchOrder[1+i*holes : 1+(i+1)*holes]...)
+		row.Terms = append(row.Terms, Term{u[i], 1})
+		m.AddGe(row, 1)
+	}
+	return u
 }
 
 // firstSearch returns the nodes of opts' first feasibility search on m: a
@@ -1096,24 +1114,29 @@ func TestSolveReusesSearcher(t *testing.T) {
 
 // TestImprovementOutOfBudget: when an improvement iteration runs out of its
 // NodeLimit/2 nodes, Solve answers the best solution so far, unproven — not
-// an error.
+// an error. The lower bound it ran at its first restart spent nodes of its
+// own, beside the iteration's NodeLimit/2.
 func TestImprovementOutOfBudget(t *testing.T) {
-	// Minimizing −g: g = 0 is found at once, and the only improvement,
-	// g = 1, means refuting the pigeonhole.
+	// Minimizing h = ¬g: h = 1 is found at once, and the only improvement,
+	// g = 1, means refuting the pigeonhole — as does the bound's one check,
+	// {h} a core, which its restartBaseNodes cannot.
 	m, opts := pigeonholeGated(8, 7)
-	g := opts.BranchOrder[0]
-	m.Minimize(lin(Term{g, -1}))
+	g, h := opts.BranchOrder[0], m.NewBool()
+	m.AddBoolNot(h, g)
+	m.Minimize(VarExpr(h))
 	opts.PreferHigh = nil
 	opts.NodeLimit = 2000
 	s := solve(t, m, opts)
-	if s.Values[g] != 0 || s.Objective != 0 {
+	bound := m.s.boundNodes
+	if s.Values[g] != 0 || s.Objective != 1 {
 		t.Fatalf("g = %d, objective %d; want the g = 0 solution", s.Values[g], s.Objective)
 	}
 	if s.Stats.Optimal {
 		t.Error("an improvement search cut short by NodeLimit must not claim optimality")
 	}
-	if want := firstSearch(t, m, opts) + opts.NodeLimit/2; s.Stats.Nodes != want {
-		t.Errorf("Stats.Nodes = %d, want %d: the first search's nodes and the failed improvement search's whole NodeLimit/2", s.Stats.Nodes, want)
+	if want := firstSearch(t, m, opts) + opts.NodeLimit/2 + restartBaseNodes; s.Stats.Nodes != want || bound != restartBaseNodes {
+		t.Errorf("Stats.Nodes = %d, the bound's %d; want %d: the first search's nodes, the bound's one capped check and the failed improvement search's whole NodeLimit/2",
+			s.Stats.Nodes, bound, want)
 	}
 }
 

@@ -70,6 +70,7 @@ type Model struct {
 	at     []int32 // post's scratch: at[v]−1 is v's index in the row being merged
 	obj    LinExpr // the model's own copy of the objective's terms
 	hasObj bool
+	group  int       // the objective's terms come in consecutive groups of this size
 	s      *searcher // the last Solve's: the next one reuses its buffers
 }
 
@@ -264,9 +265,20 @@ func (m *Model) AddBoolNot(target, b VarID) {
 }
 
 // Minimize sets the objective to minimize e.
-func (m *Model) Minimize(e LinExpr) {
+func (m *Model) Minimize(e LinExpr) { m.MinimizeGroups(e, 1) }
+
+// MinimizeGroups sets the objective to minimize e, whose terms come in
+// consecutive groups of size terms (the last may be shorter): indicators of
+// one underlying choice, such as the two temporary sessions of one node, of
+// which a solution tends to need at least one. Solve's lower bound first
+// tries each term together with the other terms of its group; the groups
+// change nothing else.
+func (m *Model) MinimizeGroups(e LinExpr, size int) {
+	if size < 1 {
+		panic(fmt.Sprintf("milp: objective group size %d", size))
+	}
 	m.obj = LinExpr{Terms: push(m.obj.Terms[:0], e.Terms...), Const: e.Const}
-	m.hasObj = true
+	m.hasObj, m.group = true, size
 }
 
 // Eval computes the value of e under an assignment.

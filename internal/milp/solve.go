@@ -39,8 +39,11 @@ type Options struct {
 	// all its restart attempts (0: unlimited). When Solve minimizes, every
 	// improvement iteration is a search of its own and gets NodeLimit/2
 	// afresh: it branches toward the incumbent first, so what it finds it
-	// finds early. It is the only budget, so the same model under the same
-	// limit returns the same result regardless of machine speed or load.
+	// finds early. The lower bound an iteration may run at its first restart
+	// spends nodes of its own, beside the NodeLimit/2, and only as many as
+	// closing the iteration would spare it. It is the only budget, so the
+	// same model under the same limit returns the same result regardless of
+	// machine speed or load.
 	NodeLimit int64
 	// BranchOrder lists the decision variables. While one of them is unfixed
 	// the search branches on the one with the largest (1 + conflict weight) ÷
@@ -130,7 +133,32 @@ type searcher struct {
 	values   []int64 // the latest full assignment: the incumbent while guided
 	found    bool    // this attempt stored one in values
 	ctxErr   error   // set when opts.Ctx fired during the search
+
+	// The lower bound of the improvement iterations (coreBound), kept when
+	// every objective term is a 0/1 variable with coefficient 1 (bounded).
+	// inCore marks the terms of the disjoint cores found since the Solve
+	// began, cores counts them, and boundNodes counts the nodes the bound's
+	// earlier runs spent. need, spare and runFrom are the current run's:
+	// the cores that close its iteration, the budget a close would spare,
+	// and Stats.Nodes at its start. witnesses holds the objective of every
+	// solution a check came upon, one bit per term and words words each.
+	// fixed is the set a check zeroes (the stack QuickXplain grows), cand the
+	// terms a core may shed; incumbent and savedWeight keep what checks
+	// overwrite.
+	bounded              bool
+	cores, boundNodes    int64
+	need, spare, runFrom int64
+	inCore               []bool
+	witnesses            []uint64
+	words                int
+	fixed, cand          []int32
+	incumbent            []int64
+	savedWeight          []int64
 }
+
+// noCoreBound holds the lower bound off: a test hook, which compares every
+// Solve with the same Solve unbounded.
+var noCoreBound bool
 
 // resize returns b at length n, its contents left to the caller. It reuses b's
 // array or doubles it: round scans and minimizations only grow a model.
@@ -171,6 +199,15 @@ func (m *Model) searcher(opts Options) *searcher {
 	}
 	clear(s.weight)
 	s.order = resize(s.order, len(s.decision))
+	s.bounded = m.hasObj && !opts.FirstSolution && !noCoreBound
+	for _, t := range m.obj.Terms {
+		s.bounded = s.bounded && t.Coeff == 1 && m.lo[t.Var] >= 0 && m.hi[t.Var] <= 1
+	}
+	terms := len(m.obj.Terms)
+	s.cores, s.boundNodes, s.witnesses, s.words = 0, 0, s.witnesses[:0], (terms+63)/64
+	s.inCore, s.fixed, s.cand = resize(s.inCore, terms), resize(s.fixed, terms), resize(s.cand, terms)
+	s.incumbent, s.savedWeight = resize(s.incumbent, n), resize(s.savedWeight, n)
+	clear(s.inCore)
 	return s
 }
 
@@ -188,6 +225,11 @@ const noCutoff = 1<<63 - 1
 // out of its NodeLimit/2 nodes instead ends the loop with the best solution so
 // far. Each improvement search is guided by the incumbent (solution-guided
 // search): on every variable it branches toward the incumbent's value first.
+// When every objective term is a 0/1 variable with coefficient 1, an
+// improvement search that outlasts its first restart cap also counts
+// disjoint cores (coreBound): when they reach the incumbent's objective, the
+// incumbent is proven optimal there and then. The bound only ends searches
+// that could find nothing, so it changes Stats and never the solution.
 // The cutoff rows are removed again before Solve returns.
 //
 // Solve never returns a nil Solution: on error it carries no Values, only
@@ -252,10 +294,13 @@ func (s *searcher) feasible(cutoff int64) error {
 	// identical (deterministic) restart sequences. The cutoff rows differ
 	// from search to search by their right-hand side only.
 	s.pcg.Seed(s.seed, uint64(cutoff))
+	s.guided = cutoff != noCutoff
+	if s.guided && s.closed(cutoff) {
+		return ErrInfeasible // by the cores of earlier iterations
+	}
 	if !s.root() {
 		return ErrInfeasible
 	}
-	s.guided = cutoff != noCutoff
 	budget := s.opts.NodeLimit
 	if s.guided {
 		budget /= 2
@@ -263,14 +308,28 @@ func (s *searcher) feasible(cutoff int64) error {
 	limit := s.stats.Nodes + budget
 	copy(s.order, s.decision)
 	for k := 0; ; k++ {
+		// Charge the nodes attempts actually explored, not the caps they
+		// were granted: an attempt that returns early must not exhaust
+		// NodeLimit on paper while the search barely ran.
+		if s.opts.NodeLimit > 0 && s.stats.Nodes >= limit {
+			return ErrTimeout
+		}
+		if k == 1 && s.guided && s.bounded {
+			// The bound's nodes are its own: the iteration's budget, and
+			// the caps of its attempts, start after them, so an iteration
+			// the bound cannot close runs as it would without it.
+			spent := s.stats.Nodes
+			closed := s.coreBound(cutoff, limit-spent)
+			if s.ctxErr != nil {
+				return s.ctxErr
+			}
+			if closed {
+				return ErrInfeasible
+			}
+			limit += s.stats.Nodes - spent
+		}
 		s.maxNodes = s.stats.Nodes + restartBaseNodes*luby(k+1)
 		if s.opts.NodeLimit > 0 {
-			// Charge the nodes attempts actually explored, not the caps
-			// they were granted: an attempt that returns early must not
-			// exhaust NodeLimit on paper while the search barely ran.
-			if s.stats.Nodes >= limit {
-				return ErrTimeout
-			}
 			s.maxNodes = min(s.maxNodes, limit)
 		}
 		if k > 0 {
@@ -293,6 +352,182 @@ func (s *searcher) feasible(cutoff int64) error {
 			return ErrInfeasible
 		}
 	}
+}
+
+// closed reports whether the cores found so far leave no objective value ≤
+// cutoff: each holds a term at 1 in every solution, and no two share one.
+func (s *searcher) closed(cutoff int64) bool {
+	return s.bounded && s.cores+s.m.obj.Const > cutoff
+}
+
+// coreBound runs at an improvement iteration's first restart, at the root
+// fixpoint of the cut model, and reports whether disjoint cores prove the
+// cut model infeasible: sets of objective terms that cannot all be 0, as in
+// the core-guided lower bounds of MaxSAT solvers. A core of one cut model is
+// a core of every later one, which only adds rows, so the cores persist until
+// the Solve ends. For each term the incumbent sets to 1 and no core holds,
+// in term order, it looks for a core (findCore) and stops at the first term
+// it finds none for (the bound cannot reach the incumbent's objective then),
+// or as soon as more checks are not worthwhile. spare is the iteration's
+// budget left. It leaves the searcher as it found it — the incumbent in
+// values, the weights, the trail — so an iteration it does not close goes on
+// unchanged.
+func (s *searcher) coreBound(cutoff, spare int64) bool {
+	copy(s.incumbent, s.values)
+	copy(s.savedWeight, s.weight)
+	s.guided, s.high = false, true
+	s.need, s.spare, s.runFrom = cutoff-s.m.obj.Const+1, spare, s.stats.Nodes
+	for i, t := range s.m.obj.Terms {
+		if s.cores >= s.need {
+			break
+		}
+		if s.incumbent[t.Var] == 1 && !s.inCore[i] && !s.findCore(int32(i)) {
+			break
+		}
+	}
+	copy(s.values, s.incumbent)
+	copy(s.weight, s.savedWeight)
+	s.guided = true
+	s.boundNodes += s.stats.Nodes - s.runFrom
+	return s.cores >= s.need
+}
+
+// worthwhile reports whether the cores still missing are worth another
+// check: at the nodes per core the Solve's bound has paid so far (all of
+// them, while no core is found), they must not cost more than spare, the
+// iteration's budget that closing it would save. Without a NodeLimit there
+// is no budget to weigh them against.
+func (s *searcher) worthwhile() bool {
+	spent := s.boundNodes + s.stats.Nodes - s.runFrom
+	return s.opts.NodeLimit == 0 || spent*(s.need-s.cores)/max(s.cores, 1) <= s.spare
+}
+
+// findCore files a core that holds term i and no term of an earlier core, if
+// one of two sets proves to be one: i with the other free terms of its group
+// (Model.MinimizeGroups; i alone when none is free) or else i with every free
+// term, which QuickXplain (shrink) then cuts down to a minimal core around i.
+// A term is free when no core holds it, the incumbent sets it to 0 and the
+// root fixpoint leaves it the value 1.
+func (s *searcher) findCore(i int32) bool {
+	obj, g := s.m.obj.Terms, int32(s.m.group)
+	s.fixed = append(s.fixed[:0], i)
+	for j := i - i%g; j < min(i-i%g+g, int32(len(obj))); j++ {
+		if j != i && s.free(j) {
+			s.fixed = append(s.fixed, j)
+		}
+	}
+	if s.isCore(s.fixed) {
+		return s.file(s.fixed)
+	}
+	s.fixed = s.fixed[:1]
+	s.cand = s.cand[:0]
+	for j := range int32(len(obj)) {
+		if j != i && s.free(j) {
+			s.cand = append(s.cand, j)
+		}
+	}
+	if len(s.cand) == 0 || !s.isCore(append(s.fixed, s.cand...)) {
+		return false
+	}
+	n := s.shrink(s.cand, false)
+	return s.file(append(s.fixed, s.cand[:n]...))
+}
+
+// free reports whether objective term j may join a core (see findCore).
+func (s *searcher) free(j int32) bool {
+	v := s.m.obj.Terms[j].Var
+	return !s.inCore[j] && s.incumbent[v] == 0 && s.bnd[2*v+1] > 0
+}
+
+// file records core as one of the bound's disjoint cores.
+func (s *searcher) file(core []int32) bool {
+	for _, j := range core {
+		s.inCore[j] = true
+	}
+	s.cores++
+	return true
+}
+
+// shrink is QuickXplain: with s.fixed ∪ c a core, it reorders c so that
+// c[:n], n returned, is a subset with s.fixed ∪ c[:n] still a core, minimal
+// as far as the checks decide; check says whether s.fixed alone is worth a
+// check (it is not when the caller's checks already covered it). s.fixed
+// grows as a stack and is back at its length on return. A check that runs
+// out of nodes counts as no core, which only keeps more of c: every set the
+// recursion returns is one whose core-ness a check proved, or the caller's.
+func (s *searcher) shrink(c []int32, check bool) int {
+	if check && s.isCore(s.fixed) {
+		return 0
+	}
+	if len(c) == 1 {
+		return 1
+	}
+	h, mark := len(c)/2, len(s.fixed)
+	s.fixed = append(s.fixed, c[:h]...)
+	n2 := s.shrink(c[h:], true)
+	s.fixed = append(s.fixed[:mark], c[h:h+n2]...)
+	n1 := s.shrink(c[:h], n2 > 0)
+	s.fixed = s.fixed[:mark]
+	copy(c[n1:], c[h:h+n2])
+	return n1 + n2
+}
+
+// isCore reports whether the cut model has no solution with every term of
+// set at 0. A check fixes them, propagates, and runs the complete search
+// unguided and without restarts, capped at restartBaseNodes nodes: an
+// exhausted search proves a core, a solution found joins the witnesses, and
+// a capped one proves nothing. A set some witness zeroes is no core, and one
+// the bound no longer finds worthwhile (or a fired context) proves nothing:
+// neither costs a check. It starts and ends at the root fixpoint.
+func (s *searcher) isCore(set []int32) bool {
+	obj := s.m.obj.Terms
+	for _, j := range set {
+		if s.bnd[2*obj[j].Var] > 0 {
+			return true // a term the root fixpoint sets to 1
+		}
+	}
+	if s.ctxErr != nil || !s.worthwhile() || s.witnessed(set) {
+		return false
+	}
+	mark := len(s.trail)
+	for _, j := range set {
+		if slot := 2*int(obj[j].Var) + 1; s.bnd[slot] > 0 {
+			s.set(slot, 0)
+		}
+	}
+	core := !s.propagate()
+	if !core {
+		s.maxNodes, s.found = s.stats.Nodes+restartBaseNodes, false
+		core = !s.search(0)
+		if s.found {
+			s.witnesses = append(s.witnesses, make([]uint64, s.words)...)
+			w := s.witnesses[len(s.witnesses)-s.words:]
+			for j, t := range obj {
+				if s.values[t.Var] == 1 {
+					w[j/64] |= 1 << (j % 64)
+				}
+			}
+		}
+	}
+	s.undoTo(mark)
+	return core
+}
+
+// witnessed reports whether some witness sets every term of set to 0.
+func (s *searcher) witnessed(set []int32) bool {
+	for at := 0; at < len(s.witnesses); at += s.words {
+		w, zero := s.witnesses[at:at+s.words], true
+		for _, j := range set {
+			if w[j/64]&(1<<(j%64)) != 0 {
+				zero = false
+				break
+			}
+		}
+		if zero {
+			return true
+		}
+	}
+	return false
 }
 
 // root loads the declared domains, files every row — cutoff rows included

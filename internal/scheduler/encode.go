@@ -180,11 +180,14 @@ func (e *encoder) encode(R int) {
 		e.buildSpec()
 	}
 	if e.opts.MinimizeTempSessions {
+		// One group per node: a node that cannot take its old route, its
+		// next hop and its new route in one round needs one temporary
+		// session or the other.
 		e.row = e.row[:0]
 		for _, n := range e.a.Switching {
 			e.row = append(e.row, term(e.tOld[n], 1), term(e.tNew[n], 1))
 		}
-		e.model.Minimize(milp.LinExpr{Terms: e.row})
+		e.model.MinimizeGroups(milp.LinExpr{Terms: e.row}, 2)
 	}
 }
 

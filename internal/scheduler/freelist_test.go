@@ -62,7 +62,7 @@ func TestRecycledEncoderIsInvisible(t *testing.T) {
 	ctx := context.Background()
 	abilene, aAbilene := caseStudy(t, "Abilene")
 	sprint, aSprint := caseStudy(t, "Sprint")
-	_, aAarnet := caseStudy(t, "Aarnet")
+	aarnet, aAarnet := caseStudy(t, "Aarnet")
 	spAbilene := reachSpec(abilene.Graph)
 
 	scheduler.DrainEncoders()
@@ -87,12 +87,12 @@ func TestRecycledEncoderIsInvisible(t *testing.T) {
 	if _, err := scheduler.ScheduleCtx(ctx, aAarnet, nil, opts); !errors.Is(err, milp.ErrTimeout) {
 		t.Fatalf("Aarnet serialized: err = %v, want milp.ErrTimeout", err)
 	}
-	// Sprint's scan walks 16 466 nodes, polling every 256: the 16th poll
-	// falls inside a search.
+	// Aarnet's scan walks 1 225 nodes over 21 polls, one every 256 nodes
+	// and one before every restart attempt: the 10th falls inside a search.
 	inner, cancel := context.WithCancel(ctx)
 	defer cancel()
-	pc := &pollCtx{Context: inner, cancel: cancel, cancelAt: 16}
-	if _, err := scheduler.ScheduleCtx(pc, aSprint, reachSpec(sprint.Graph), scheduler.DefaultOptions()); !errors.Is(err, context.Canceled) {
+	pc := &pollCtx{Context: inner, cancel: cancel, cancelAt: 10}
+	if _, err := scheduler.ScheduleCtx(pc, aAarnet, reachSpec(aarnet.Graph), scheduler.DefaultOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled scan: err = %v, want context.Canceled", err)
 	}
 	if pc.polls < pc.cancelAt {

@@ -57,6 +57,10 @@ type Stats struct {
 	Variables    int
 	Constraints  int
 	ObjectiveOpt bool
+	// RProven is true when every round count below R (up to MaxRounds, when
+	// the scan finds no schedule) was proven infeasible, false when some
+	// attempt at one ended undecided.
+	RProven      bool
 	TempSessions int
 }
 
@@ -104,11 +108,13 @@ type Options struct {
 
 // DeterministicNodeBudget is the default SolverNodeBudget. The scan pass
 // decides every scenario of the 5-60-router Zoo corpus within it, so it binds
-// only on the search that closes a minimization: that one proves the minimum
-// on about half of the corpus and on the other half (Sprint is in it) spends
-// its 2¹⁴ nodes finding nothing. An improvement iteration gets half the
-// budget because it branches toward the incumbent: so guided, 4 038 of the
-// 4 039 improvements found under the full 2¹⁵ on four corpora (Fig. 7,
+// only on the search that closes a minimization. That one proves the minimum
+// on 84 of the 101 Fig. 7 scenarios, 31 of them (Sprint is one) only thanks
+// to the solver's disjoint-core lower bound, which ends the closing search
+// long before its budget; on the other 17 it spends its 2¹⁴ nodes, and what
+// the bound spent beside them, finding nothing. An improvement iteration gets
+// half the budget because it branches toward the incumbent: so guided, 4 038
+// of the 4 039 improvements found under the full 2¹⁵ on four corpora (Fig. 7,
 // plan-zoo, plan-hard, seed 11) land within 2¹⁴ nodes of their iteration's
 // start.
 const DeterministicNodeBudget = 1 << 15
@@ -173,6 +179,18 @@ func SplitNodeBudget(total int64, weights []int) []int64 {
 // the user that it cannot perform the reconfiguration safely" case (§8).
 var ErrUnschedulable = errors.New("scheduler: no safe schedule exists within the round limit")
 
+// ScanError is the error of a round scan that found no schedule: Err is
+// ErrUnschedulable, or the last undecided attempt's error wrapping
+// milp.ErrTimeout, and Stats the effort the scan spent. errors.Is sees
+// through it to either.
+type ScanError struct {
+	Err   error
+	Stats Stats
+}
+
+func (e *ScanError) Error() string { return e.Err.Error() }
+func (e *ScanError) Unwrap() error { return e.Err }
+
 // ScheduleCtx searches for the minimum-round schedule satisfying sp. The
 // specification must hold in the initial and final states (checked against
 // rounds 0 and R of the induced trace). Cancellation propagates into the
@@ -190,7 +208,7 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 	ctx, span := obs.StartSpan(ctx, "schedule")
 	defer span.End()
 	start := time.Now()
-	var agg Stats
+	agg := Stats{RProven: true}
 	if len(a.Switching) == 0 {
 		// Nothing changes announcements; the whole reconfiguration is
 		// setup/cleanup only.
@@ -225,8 +243,9 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 		solveSpan.End()
 		return sched, err
 	}
-	finish := func(sched *NodeSchedule) (*NodeSchedule, error) {
+	finish := func(sched *NodeSchedule, rProven bool) (*NodeSchedule, error) {
 		agg.Duration = time.Since(start)
+		agg.RProven = rProven
 		sched.Stats = agg
 		sched.Stats.TempSessions = sched.TempOldSessions + sched.TempNewSessions
 		return sched, nil
@@ -238,7 +257,7 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 	for r := 1; r <= opts.MaxRounds; r++ {
 		sched, err := attempt(r, opts.SolverNodeBudget)
 		if err == nil {
-			return finish(sched)
+			return finish(sched, len(undecided) == 0)
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -256,7 +275,7 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 	for _, r := range undecided {
 		sched, err := attempt(r, retryBudgetFactor*opts.SolverNodeBudget)
 		if err == nil {
-			return finish(sched)
+			return finish(sched, lastErr == nil)
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -265,10 +284,12 @@ func ScheduleCtx(ctx context.Context, a *analyzer.Analysis, sp *spec.Spec, opts 
 			lastErr = fmt.Errorf("scheduler: solving with R=%d: %w", r, err)
 		}
 	}
-	if lastErr != nil {
-		return nil, lastErr
+	agg.Duration = time.Since(start)
+	agg.RProven = lastErr == nil
+	if lastErr == nil {
+		lastErr = ErrUnschedulable
 	}
-	return nil, ErrUnschedulable
+	return nil, &ScanError{Err: lastErr, Stats: agg}
 }
 
 // Validate checks a schedule against the §4 constraints independently of

@@ -195,18 +195,18 @@ func (c *pollCancelCtx) Err() error {
 	}
 }
 
-// TestPlanCtxCancelMidSolve cancels while the Sprint schedule is being
+// TestPlanCtxCancelMidSolve cancels while the Aarnet schedule is being
 // solved. The branch-and-bound polls the context every 256 nodes and before
-// every restart attempt, and Sprint's solve walks 16 466 nodes
-// (TestSearchTreePinned), so a context that cancels itself on its 16th poll
+// every restart attempt, and Aarnet's scan walks 1 225 nodes over 21 polls
+// (TestSearchTreePinned), so a context that cancels itself on its 10th poll
 // fires inside the search by construction — no goroutine races the solver.
 func TestPlanCtxCancelMidSolve(t *testing.T) {
-	s, err := chameleon.NewCaseStudy("Sprint", chameleon.ScenarioConfig{Seed: 7})
+	s, err := chameleon.NewCaseStudy("Aarnet", chameleon.ScenarioConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := chameleon.NewRecorder()
-	ctx := cancelOnPoll(16)
+	ctx := cancelOnPoll(10)
 	_, err = chameleon.PlanCtx(ctx, s, chameleon.PlanOptions{Recorder: rec})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("PlanCtx = %v, want context.Canceled", err)
