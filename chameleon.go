@@ -133,9 +133,9 @@ func NewRIB() *RIB { return bgp.NewRIB() }
 // NewMonitor returns a transient-state monitor over cfg. Hand it to
 // PlanOptions.Monitor (the compiled specification is then tracked as an
 // additional invariant) and ExecOptions.Monitor (execution binds it to the
-// network's snapshot stream, attributes violations to rounds, and gates
-// round advancement on observed forwarding convergence). After execution
-// the completed timeline is available via its Timeline method.
+// network's snapshot stream and attributes violations to rounds; it only
+// observes, so the run is the same without it). After execution the
+// completed timeline is available via its Timeline method.
 func NewMonitor(cfg MonitorConfig) *Monitor { return monitor.New(cfg) }
 
 // DefaultInvariants returns the invariants every reconfiguration must
@@ -148,10 +148,10 @@ func DefaultInvariants(g *Graph) []MonitorInvariant {
 // NewRecorder returns an empty Recorder. Hand it to PlanOptions.Recorder
 // and ExecOptions.Recorder (or carry it in a context via the internal obs
 // package's WithRecorder for the eval and chaos sweeps), then export with
-// its WriteJSONL (spans, then counter and histogram totals) or FlameSummary
-// methods. Recorded ticks and simulated-clock stamps are
-// deterministic: the same reconfiguration produces byte-identical dumps on
-// any machine at any concurrency.
+// its WriteJSONL (spans, then counter totals) or FlameSummary methods.
+// Recorded ticks and simulated-clock stamps are deterministic: the same
+// reconfiguration produces byte-identical dumps on any machine at any
+// concurrency.
 func NewRecorder() *Recorder { return obs.New() }
 
 // NewGraph returns an empty topology.
@@ -222,7 +222,7 @@ type PlanOptions struct {
 	ClassParallelism int
 	// Recorder, when non-nil, traces planning: an analyze span, a
 	// schedule span with one solve child per attempted round count, and
-	// solver-effort counters (nodes, propagations, LP pivots).
+	// solver-effort counters (nodes, propagations).
 	Recorder *Recorder
 	// Monitor, when non-nil, additionally tracks the compiled
 	// specification as an online invariant: its steady-state projection is

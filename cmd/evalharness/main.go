@@ -24,7 +24,7 @@
 //
 // Observability: -trace FILE writes a structured span trace (JSONL, one
 // span per line, deterministic bytes for deterministic runs) of every
-// instrumented stage, closed by the final counter and histogram totals;
+// instrumented stage, closed by the final counter totals;
 // -timeline FILE writes the transient-state monitor's violation timelines
 // (JSONL, with per-violation root-cause records, byte-identical across
 // re-runs and worker counts) for the monitored runs (-smoke, -fig 1); both

@@ -87,12 +87,12 @@ func waypointRules(a *analyzer.Analysis, e1 topology.NodeID) map[topology.NodeID
 // RunCaseStudyCtx reproduces the Figs. 1/6/12 experiment on the named
 // topology: the same reconfiguration applied once via Snowcap (direct) and
 // once via Chameleon, with packet-level measurement of both runs. A recorder
-// carried by ctx (obs.WithRecorder) receives both monitors' counters and
-// histogram samples (blame latency, violation duration, hop depth).
+// carried by ctx (obs.WithRecorder) receives both monitors' counters; each
+// violation's blame latency, duration and hop depth are in the timelines.
 // The result and both timelines are byte-identical with or without a
-// recorder attached — histograms are observation-only. The
-// analyzer, the planner and the executor run under ctx, so cancelling it
-// stops the Chameleon run with ctx's error.
+// recorder attached — the counters are observation-only. The analyzer, the
+// planner and the executor run under ctx, so cancelling it stops the
+// Chameleon run with ctx's error.
 func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyResult, error) {
 	rec := obs.RecorderFrom(ctx)
 	out := &CaseStudyResult{Topology: name}

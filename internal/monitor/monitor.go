@@ -142,9 +142,8 @@ type Config struct {
 	// Recorder, when set, receives the monitor counters at Finish:
 	// monitor_states_checked, monitor_violations, monitor_violation_time_ns
 	// and one monitor_violations_<invariant> counter per violated
-	// invariant — plus, per closed violation, one sample in each of the
-	// blame-latency, violation-duration and hop-depth histograms. Nil
-	// disables recording.
+	// invariant. Each violation's duration, blame latency and hop depth
+	// are in the timeline, not the recorder. Nil disables recording.
 	Recorder *obs.Recorder
 }
 
@@ -283,7 +282,7 @@ func (m *Monitor) findOpen(idx int, prefix bgp.Prefix) *Violation {
 }
 
 // closeViolation moves the open violation for (idx, prefix) to the
-// timeline with the given end time and samples the violation histograms.
+// timeline with the given end time.
 func (m *Monitor) closeViolation(idx int, prefix bgp.Prefix, end time.Duration) {
 	for i, v := range m.open {
 		if m.openInv[i] != idx || v.Prefix != prefix {
@@ -293,11 +292,6 @@ func (m *Monitor) closeViolation(idx int, prefix bgp.Prefix, end time.Duration) 
 		m.timeline.Violations = append(m.timeline.Violations, *v)
 		m.open = slices.Delete(m.open, i, i+1)
 		m.openInv = slices.Delete(m.openInv, i, i+1)
-		if rec := m.cfg.Recorder; rec != nil {
-			rec.Observe(obs.HistViolationDuration, int64(v.Duration()))
-			rec.Observe(obs.HistBlameLatency, int64(v.Cause.Latency))
-			rec.Observe(obs.HistHopDepth, int64(v.Cause.Hops))
-		}
 		return
 	}
 }

@@ -1,9 +1,9 @@
 // Package bundle turns one harness run into a durable, content-addressed,
 // diffable artifact: a directory of canonical parts (trace JSONL with its
-// counter and histogram totals, violation timelines, compiled plans, chaos
-// fingerprints, execution journals) plus a manifest.json recording the schema
-// version, the run's scenario key and seeds, the producing binary's build
-// info, and the SHA-256 of every part.
+// counter totals, violation timelines, compiled plans, chaos fingerprints,
+// execution journals) plus a manifest.json recording the schema version,
+// the run's scenario key and seeds, the producing binary's build info, and
+// the SHA-256 of every part.
 //
 // The bundle ID is the content address: the SHA-256 of the schema line,
 // the scenario key, the seed, and the sorted (name, kind, sha256) part
@@ -42,7 +42,7 @@ const ManifestName = "manifest.json"
 
 // Part kinds. The differ dispatches its structural comparison on these.
 const (
-	KindTrace    = "trace"    // obs span/counter/histogram JSONL (obs.WriteJSONL)
+	KindTrace    = "trace"    // obs span/counter JSONL (obs.WriteJSONL)
 	KindTimeline = "timeline" // monitor violation timelines JSONL (monitor.WriteJSONL)
 	KindPlan     = "plan"     // rendered reconfiguration plan (plan.Plan.String)
 	KindChaos    = "chaos"    // chaos / recovery sweep fingerprint table

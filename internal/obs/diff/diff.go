@@ -2,11 +2,11 @@
 // and explains how the runs behind them differ. Matching part hashes short
 // out immediately; for parts that differ it parses the canonical artifact
 // formats and reports structured divergences — the first diverging record
-// and every differing counter and histogram total for traces,
-// record-by-record timeline alignment for violation timelines,
-// entry alignment for supervisor journals — and, where the artifact
-// carries causal provenance (timeline violation records), walks it to name
-// the first diverging event's root cause.
+// and every differing counter total for traces, record-by-record timeline
+// alignment for violation timelines, entry alignment for supervisor
+// journals — and, where the artifact carries causal provenance (timeline
+// violation records), walks it to name the first diverging event's root
+// cause.
 //
 // The empty report is the determinism gate: two runs of the same seeds
 // must produce it at any parallelism, which CI enforces by running the
@@ -37,7 +37,7 @@ type Divergence struct {
 	// Part is the part name, or "manifest" for bundle-level mismatches.
 	Part string
 	// Kind classifies the difference: "meta", "missing-part",
-	// "extra-part", "parse", "event", "line", "counter", "hist",
+	// "extra-part", "parse", "event", "line", "counter",
 	// "journal", "content".
 	Kind string
 	// Detail is the human-readable description (may span lines).
@@ -368,42 +368,12 @@ func describeTimelineRecord(rec *monitor.Record) (desc, cause string) {
 
 // --- traces and generic text parts ----------------------------------------
 
-// total is a counter or histogram total record of a trace.
-type total struct {
-	Type    string           `json:"type"`
-	Name    string           `json:"name"`
-	Value   int64            `json:"value"`
-	Buckets map[string]int64 `json:"buckets"`
-	Sum     int64            `json:"sum"`
-	Count   int64            `json:"count"`
-}
-
-// String renders the total: a counter's value, or a histogram's samples,
-// sum and buckets in bound order ("3 samples, sum 9 le1=1 le4=2").
-func (t total) String() string {
-	if t.Type == "counter" {
-		return fmt.Sprint(t.Value)
-	}
-	les := make([]string, 0, len(t.Buckets))
-	for le := range t.Buckets {
-		les = append(les, le)
-	}
-	sort.Slice(les, func(i, j int) bool { // numeric order for decimal bounds
-		return len(les[i]) < len(les[j]) || len(les[i]) == len(les[j]) && les[i] < les[j]
-	})
-	s := fmt.Sprintf("%d samples, sum %d", t.Count, t.Sum)
-	for _, le := range les {
-		s += fmt.Sprintf(" le%s=%d", le, t.Buckets[le])
-	}
-	return s
-}
-
 // diffTrace compares two trace dumps. Both must validate as traces (a part
 // that does not is a parse divergence); then the first differing line —
 // trace artifacts are canonical byte streams, spans in ID order, so it IS
-// the first structural divergence — and every differing counter and
-// histogram total, by name, compared exactly. Every counter and histogram
-// is a pure function of the run, so none is exempt.
+// the first structural divergence — and every differing counter total, by
+// name, compared exactly. Every counter is a pure function of the run, so
+// none is exempt.
 func diffTrace(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) {
 	la, ta, err := readTrace(a, pa)
 	if err != nil {
@@ -426,18 +396,18 @@ func diffTrace(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) {
 			keys = append(keys, k)
 		}
 	}
-	sort.Strings(keys) // counters, then histograms, each in name order
+	sort.Strings(keys)
 	for _, k := range keys {
 		x, inA := ta[k]
 		y, inB := tb[k]
-		d := Divergence{Part: pa.Name, Kind: x.Type}
+		d := Divergence{Part: pa.Name, Kind: "counter"}
 		switch {
 		case !inB:
-			d.Detail = fmt.Sprintf("%s: %s in A, absent in B", k, x)
+			d.Detail = fmt.Sprintf("%s: %d in A, absent in B", k, x)
 		case !inA:
-			d.Kind, d.Detail = y.Type, fmt.Sprintf("%s: absent in A, %s in B", k, y)
-		case x.String() != y.String():
-			d.Detail = fmt.Sprintf("%s: %s vs %s", k, x, y)
+			d.Detail = fmt.Sprintf("%s: absent in A, %d in B", k, y)
+		case x != y:
+			d.Detail = fmt.Sprintf("%s: %d vs %d", k, x, y)
 		default:
 			continue
 		}
@@ -451,8 +421,8 @@ func diffTrace(a, b *bundle.Bundle, pa, pb bundle.Part) ([]Divergence, error) {
 }
 
 // readTrace validates a trace part and returns its lines and its counter
-// and histogram totals keyed "counter <name>" / "hist <name>".
-func readTrace(b *bundle.Bundle, p bundle.Part) ([]string, map[string]total, error) {
+// totals keyed "counter <name>".
+func readTrace(b *bundle.Bundle, p bundle.Part) ([]string, map[string]int64, error) {
 	raw, err := b.ReadPart(p)
 	if err != nil {
 		return nil, nil, err
@@ -464,11 +434,14 @@ func readTrace(b *bundle.Bundle, p bundle.Part) ([]string, map[string]total, err
 	if err != nil {
 		return nil, nil, err
 	}
-	totals := make(map[string]total)
+	totals := make(map[string]int64)
 	for _, line := range all {
-		var t total
-		if json.Unmarshal([]byte(line), &t) == nil && (t.Type == "counter" || t.Type == "hist") {
-			totals[t.Type+" "+t.Name] = t
+		var t struct {
+			Type, Name string
+			Value      int64
+		}
+		if json.Unmarshal([]byte(line), &t) == nil && t.Type == "counter" {
+			totals["counter "+t.Name] = t.Value
 		}
 	}
 	return all, totals, nil

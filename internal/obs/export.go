@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -33,30 +32,9 @@ type jsonMetric struct {
 	Value int64  `json:"value"`
 }
 
-// jsonHist is the JSONL wire form of one histogram: non-cumulative bucket
-// counts keyed by the rendered inclusive upper bound (map values marshal
-// with sorted keys — numerically unordered but deterministic) plus the sum
-// and sample count.
-type jsonHist struct {
-	Type    string           `json:"type"` // "hist"
-	Name    string           `json:"name"`
-	Buckets map[string]int64 `json:"buckets"`
-	Sum     int64            `json:"sum"`
-	Count   int64            `json:"count"`
-}
-
-func histToJSON(h HistSnapshot) jsonHist {
-	jh := jsonHist{Type: "hist", Name: h.Name, Sum: h.Sum, Count: h.Count,
-		Buckets: make(map[string]int64, len(h.Buckets))}
-	for _, b := range h.Buckets {
-		jh.Buckets[fmt.Sprintf("%d", b.Le)] = b.Count
-	}
-	return jh
-}
-
 // WriteJSONL emits the trace: one JSON object per line — every span in ID
-// order, then every counter in name order, then every histogram. The output
-// is byte-identical for identical recordings.
+// order, then every counter in name order. The output is byte-identical for
+// identical recordings.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -84,11 +62,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	}
 	for _, name := range sortedKeys(counters) {
 		if err := enc.Encode(jsonMetric{Type: "counter", Name: name, Value: counters[name]}); err != nil {
-			return err
-		}
-	}
-	for _, h := range r.Histograms() {
-		if err := enc.Encode(histToJSON(h)); err != nil {
 			return err
 		}
 	}
@@ -195,25 +168,6 @@ func ValidateJSONL(r io.Reader) (spanCount int, err error) {
 			var jm jsonMetric
 			if err := json.Unmarshal([]byte(text), &jm); err != nil {
 				return 0, fmt.Errorf("obs: line %d: %w", line, err)
-			}
-		case "hist":
-			var jh jsonHist
-			if err := json.Unmarshal([]byte(text), &jh); err != nil {
-				return 0, fmt.Errorf("obs: line %d: %w", line, err)
-			}
-			// Buckets count samples: none is negative and their sum fits
-			// an int64, so it cannot wrap around to a negative count.
-			var bucketSum int64
-			for k, c := range jh.Buckets {
-				if c < 0 || bucketSum > math.MaxInt64-c {
-					return 0, fmt.Errorf("obs: line %d: hist %q bucket %s count %d is negative or overflows the sum",
-						line, jh.Name, k, c)
-				}
-				bucketSum += c
-			}
-			if bucketSum != jh.Count {
-				return 0, fmt.Errorf("obs: line %d: hist %q buckets sum to %d, count is %d",
-					line, jh.Name, bucketSum, jh.Count)
 			}
 		default:
 			return 0, fmt.Errorf("obs: line %d: unknown record type %q", line, head.Type)

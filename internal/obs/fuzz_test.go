@@ -2,11 +2,16 @@ package obs
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// rejectedTraces are hostile trace parts ValidateJSONL must refuse.
+// rejectedTraces are hostile trace parts ValidateJSONL must refuse. The
+// three hist records are refused as an unknown record type: a trace has no
+// histograms.
 var rejectedTraces = []struct{ why, trace string }{
 	{"duplicate span id",
 		`{"type":"span","id":1,"parent":0,"name":"a","start_tick":1,"end_tick":4,"sim_start_ns":-1,"sim_end_ns":-1}` + "\n" +
@@ -25,11 +30,11 @@ var rejectedTraces = []struct{ why, trace string }{
 // hostile trace parts, never panics on arbitrary bytes; and every trace
 // WriteJSONL emits validates. The same input doubles as a script for the
 // recorder whose trace is checked: each byte opens a span under the
-// innermost open one, ends it, adds to a counter or observes a histogram
-// sample. The corpus under testdata/fuzz/FuzzValidateTrace/ holds a real
-// -smoke trace and six hostile inputs (a histogram before a counter, a
-// repeated field, blank and whitespace lines, numbers spelled "01" and
-// "+5"); rejectedTraces and the records below seed it too.
+// innermost open one, ends it or adds to a counter. The corpus under
+// testdata/fuzz/FuzzValidateTrace/ holds a real -smoke trace and six
+// hostile inputs (a hist record before a counter, a repeated field, blank
+// and whitespace lines, numbers spelled "01" and "+5"); rejectedTraces and
+// the records below seed it too.
 func FuzzValidateTrace(f *testing.F) {
 	for _, c := range rejectedTraces {
 		f.Add(c.trace)
@@ -49,7 +54,7 @@ func FuzzValidateTrace(f *testing.F) {
 		for i := 0; i < len(input); i++ {
 			c := input[i]
 			name := input[i:min(i+3, len(input))]
-			switch c % 4 {
+			switch c % 3 {
 			case 0:
 				var parent *Span
 				if len(open) > 0 {
@@ -66,8 +71,6 @@ func FuzzValidateTrace(f *testing.F) {
 					open[len(open)-1].Add(name, int64(c))
 				}
 				r.Add(name, -int64(c))
-			case 3:
-				r.Observe(name, int64(c)<<(c%48))
 			}
 		}
 		for len(open) > 0 {
@@ -84,4 +87,40 @@ func FuzzValidateTrace(f *testing.F) {
 				input, n, len(spans), err, buf.String())
 		}
 	})
+}
+
+// TestHistRecordsRefused: the hist records among the hostile inputs, the
+// three of rejectedTraces and the two corpus files, are refused as an
+// unknown record type, not for what their buckets say.
+func TestHistRecordsRefused(t *testing.T) {
+	var traces []string
+	for _, c := range rejectedTraces {
+		if strings.Contains(c.trace, `"type":"hist"`) {
+			traces = append(traces, c.trace)
+		}
+	}
+	for _, name := range []string{"hist-before-counter", "hist-sum-twice"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzValidateTrace", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\nstring(")
+		if !ok || !strings.HasSuffix(body, ")") {
+			t.Fatalf("%s: not a one-string corpus file:\n%s", name, raw)
+		}
+		trace, err := strconv.Unquote(strings.TrimSuffix(body, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		traces = append(traces, trace)
+	}
+	if len(traces) != 5 {
+		t.Fatalf("%d hist inputs, want 5", len(traces))
+	}
+	for _, trace := range traces {
+		_, err := ValidateJSONL(strings.NewReader(trace))
+		if err == nil || !strings.Contains(err.Error(), `unknown record type "hist"`) {
+			t.Errorf("ValidateJSONL(%q) = %v, want unknown record type \"hist\"", trace, err)
+		}
+	}
 }

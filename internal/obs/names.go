@@ -63,16 +63,3 @@ const (
 	CtrMonitorViolations    = "monitor_violations"
 	CtrMonitorViolationTime = "monitor_violation_time_ns"
 )
-
-// Histogram inventory (Recorder.Observe; log-bucketed powers of two, see
-// hist.go). The monitor observes all three once per closed violation.
-// Units, where any, are part of the name.
-const (
-	// HistBlameLatency is simulated time from a violation's root cause
-	// firing to the violation's onset.
-	HistBlameLatency = "monitor_blame_latency_ns"
-	// HistViolationDuration is each violation's duration in simulated time.
-	HistViolationDuration = "monitor_violation_duration_ns"
-	// HistHopDepth is the BGP propagation hop depth at violation onset.
-	HistHopDepth = "monitor_violation_hop_depth"
-)

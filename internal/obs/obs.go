@@ -1,10 +1,9 @@
 // Package obs is the pipeline's zero-dependency observability substrate:
-// hierarchical spans, monotonic counters and histograms, recorded
-// against a deterministic logical clock (ticks) plus, where one exists, the
-// simulated clock — never the wall clock. A trace recorded from the same
-// seeds is therefore byte-identical run to run and at any sweep worker
-// count, which is the contract the evaluation's worker-invariance tests
-// enforce.
+// hierarchical spans and monotonic counters, recorded against a
+// deterministic logical clock (ticks) plus, where one exists, the simulated
+// clock — never the wall clock. A trace recorded from the same seeds is
+// therefore byte-identical run to run and at any sweep worker count, which
+// is the contract the evaluation's worker-invariance tests enforce.
 //
 // Everything is nil-safe: a nil *Recorder (and the nil *Span it hands out)
 // turns every method into an immediate return, so uninstrumented runs pay a
@@ -59,18 +58,17 @@ type Span struct {
 	id  int
 }
 
-// Recorder accumulates spans, counters and histograms. It is safe for
-// concurrent use; parallel sweeps nevertheless give every run its own
-// Recorder and merge them in index order (Adopt), because interleaving
-// updates from concurrent runs into one recorder would order ticks by
-// scheduling rather than by work index.
+// Recorder accumulates spans and counters. It is safe for concurrent use;
+// parallel sweeps nevertheless give every run its own Recorder and merge
+// them in index order (Adopt), because interleaving updates from concurrent
+// runs into one recorder would order ticks by scheduling rather than by
+// work index.
 type Recorder struct {
 	mu       sync.Mutex
 	clock    func() time.Duration
 	tick     uint64
 	spans    []spanRecord
 	counters map[string]int64
-	hists    map[string]*histRecord
 }
 
 // New returns an empty Recorder with no clock: spans are stamped with
@@ -250,11 +248,10 @@ func (r *Recorder) SpanNames() []string {
 
 // Adopt merges child — a Recorder that observed one complete unit of work,
 // typically a parallel sweep run — into r under a fresh wrapper span named
-// name. Child span IDs and ticks are rebased past r's, child counters fold
-// into both the wrapper span and r's totals, and child histograms add into
-// r's. Adopting the per-run recorders in work-index order after a parallel
-// sweep therefore yields the same bytes as running sequentially — the
-// worker-invariance contract. The child must be quiescent (no open spans,
+// name. Child span IDs and ticks are rebased past r's, and child counters
+// fold into both the wrapper span and r's totals. Adopting the per-run
+// recorders in work-index order after a parallel sweep therefore yields the
+// same bytes as running sequentially — the worker-invariance contract. The child must be quiescent (no open spans,
 // no concurrent use); Adopt validates nothing and simply copies.
 func (r *Recorder) Adopt(name string, child *Recorder) {
 	if r == nil {
@@ -268,14 +265,6 @@ func (r *Recorder) Adopt(name string, child *Recorder) {
 		counters := make(map[string]int64, len(child.counters))
 		for k, v := range child.counters {
 			counters[k] = v
-		}
-		hists := make(map[string]*histRecord, len(child.hists))
-		for name, h := range child.hists {
-			cp := &histRecord{buckets: make(map[int]int64, len(h.buckets)), sum: h.sum, count: h.count}
-			for i, c := range h.buckets {
-				cp.buckets[i] = c
-			}
-			hists[name] = cp
 		}
 		childTicks := child.tick
 		child.mu.Unlock()
@@ -315,7 +304,6 @@ func (r *Recorder) Adopt(name string, child *Recorder) {
 			w.Counters[k] += v
 			r.counters[k] += v
 		}
-		r.adoptHistsLocked(hists)
 		r.mu.Unlock()
 	}
 	wrapper.End()

@@ -82,8 +82,8 @@ func TestTraceReconciliation(t *testing.T) {
 }
 
 // TestTraceRunToRunDeterminism: two identical traced runs produce
-// byte-identical JSONL, counter and histogram totals included — the
-// contract that makes traces diffable across machines and CI runs.
+// byte-identical JSONL, counter totals included — the contract that makes
+// traces diffable across machines and CI runs.
 func TestTraceRunToRunDeterminism(t *testing.T) {
 	dump := func() string {
 		rec, _, _ := tracedRun(t)
@@ -100,10 +100,11 @@ func TestTraceRunToRunDeterminism(t *testing.T) {
 
 // TestExportFormatsPinned pins every export format of one recording by
 // SHA-256: the traced running example, executed under a monitor whose
-// probe invariant fails on every other snapshot (so violations and their
-// histograms exist). Run bundles carry only the trace; this test also
-// holds the flame summary, so a change to the obs layer that means to keep
-// its artifacts must leave both digests as they are.
+// probe invariant fails on every other snapshot (so violations exist, and
+// the trace's monitor_violations total counts them). Run bundles carry only
+// the trace; this test also holds the flame summary, so a change to the obs
+// layer that means to keep its artifacts must leave both digests as they
+// are.
 func TestExportFormatsPinned(t *testing.T) {
 	s := chameleon.RunningExample()
 	rec := chameleon.NewRecorder()
@@ -128,8 +129,9 @@ func TestExportFormatsPinned(t *testing.T) {
 	if err := r.Verify(res); err != nil {
 		t.Fatal(err)
 	}
-	if len(mon.Timeline().Violations) == 0 || len(rec.Histograms()) == 0 {
-		t.Fatal("the probe invariant never failed: no violation reaches the exports")
+	if n := len(mon.Timeline().Violations); n == 0 || rec.Counter(obs.CtrMonitorViolations) != int64(n) {
+		t.Fatalf("the trace counts %d violations, the timeline %d: violations must reach the exports",
+			rec.Counter(obs.CtrMonitorViolations), n)
 	}
 
 	outputs := map[string]func(*bytes.Buffer) error{
@@ -137,7 +139,7 @@ func TestExportFormatsPinned(t *testing.T) {
 		"flame":       func(b *bytes.Buffer) error { _, err := b.WriteString(rec.FlameSummary()); return err },
 	}
 	want := map[string]string{
-		"trace.jsonl": "d578d03c058ddf4cd371ef038bbf3dcdb5efc84b692d9ce7da394d838f6a1bf6",
+		"trace.jsonl": "eb18a2b2193e00a40d1ed1c46db3d181a28158678811e55d31b9766c3123b33f",
 		"flame":       "a0765c9c0daba62f9a7bca77a336433d633e63f22a9fcea5c58423ca5b69b97c",
 	}
 	for name, write := range outputs {
