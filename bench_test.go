@@ -15,8 +15,6 @@ import (
 	"chameleon/internal/plan"
 	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
-	"chameleon/internal/sitn"
-	"chameleon/internal/snowcap"
 )
 
 // BenchmarkFig01AbileneCaseStudy runs the full Fig. 1 comparison: Snowcap's
@@ -237,37 +235,6 @@ func BenchmarkTable2NamedTopologies(b *testing.B) {
 
 // --- Ablations (DESIGN.md §4) ----------------------------------------------
 
-// BenchmarkAblationObjective compares scheduling with and without the
-// temp-session minimization objective.
-func BenchmarkAblationObjective(b *testing.B) {
-	s, err := scenario.CaseStudy("Aarnet", scenario.Config{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp := eval.ReachabilitySpec(s.Graph)
-	for _, minimize := range []bool{true, false} {
-		name := "feasibility-only"
-		if minimize {
-			name = "minimize-sessions"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := scheduler.DefaultOptions()
-			opts.MinimizeTempSessions = minimize
-			for i := 0; i < b.N; i++ {
-				sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(sched.TempOldSessions+sched.TempNewSessions), "temp-sessions")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationConstructive compares the ILP scheduler against the
 // App. B constructive traversal for pure reachability.
 func BenchmarkAblationConstructive(b *testing.B) {
@@ -300,40 +267,6 @@ func BenchmarkAblationConstructive(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationBaselineSITN measures SITN's migration machinery.
-func BenchmarkAblationBaselineSITN(b *testing.B) {
-	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	final := s.FinalNetwork()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, err := sitn.NewDualPlane(s.Net, final, s.Prefix)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.Migrate(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSnowcapSynthesis measures the baseline's ordering search.
-func BenchmarkSnowcapSynthesis(b *testing.B) {
-	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp := eval.ReachabilitySpec(s.Graph)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := snowcap.Synthesize(s.Net, s.Prefix, s.Commands, sp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulatorConvergence measures raw event-processing throughput of
 // the BGP simulator substrate on a mid-sized network. sim_events/op counts
 // every simulator event (deliveries and scheduled functions), msgs only the
@@ -348,36 +281,4 @@ func BenchmarkSimulatorConvergence(b *testing.B) {
 		b.ReportMetric(float64(s.Net.MessagesProcessed()), "msgs")
 	}
 	b.ReportMetric(float64(rec.Counter(obs.CtrSimEvents))/float64(b.N), "sim_events/op")
-}
-
-// BenchmarkAblationConcurrency quantifies §4.2's concurrent updates: the
-// round count (and hence T̃) with concurrency enabled vs fully serialized
-// updates.
-func BenchmarkAblationConcurrency(b *testing.B) {
-	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp := eval.ReachabilitySpec(s.Graph)
-	for _, serialize := range []bool{false, true} {
-		name := "concurrent"
-		if serialize {
-			name = "serialized"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := scheduler.DefaultOptions()
-			opts.SerializeUpdates = serialize
-			for i := 0; i < b.N; i++ {
-				sched, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(sched.R), "rounds")
-			}
-		})
-	}
 }

@@ -14,7 +14,8 @@
 //   - analyzer / scheduler / plan / runtime — Chameleon's four stages:
 //     happens-before extraction, ILP scheduling, plan compilation, and the
 //     runtime controller.
-//   - snowcap / sitn — the baselines the paper compares against.
+//   - snowcap — the baseline of Fig. 1, pushing the original command; the
+//     other baseline, SITN, is only a table size (eval's Fig. 10 sweep).
 //   - eval / traffic — the full evaluation harness for every figure/table.
 //
 // A minimal use:
@@ -434,7 +435,7 @@ func (o ExecOptions) normalize(defaultSeed uint64) runtime.Options {
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	ro := runtime.Options{Seed: seed, Recorder: o.Recorder}
+	ro := runtime.Options{Seed: seed}
 	if o.Monitor != nil {
 		ro.PhaseObserver = o.Monitor.SetPhase
 	}

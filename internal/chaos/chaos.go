@@ -103,7 +103,7 @@ type CaseResult struct {
 // command eventually lands — persistent-fault escalation is exercised
 // separately by the runtime tests.
 func injectorFor(kind sim.FaultKind, seed uint64) *Injector {
-	cfg := InjectorConfig{Seed: seed, DelayFactor: 3, MaxAttemptFaults: 2}
+	cfg := InjectorConfig{Seed: seed, MaxAttemptFaults: 2}
 	switch kind {
 	case sim.FaultDrop:
 		cfg.CommandRate = 0.30

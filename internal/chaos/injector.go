@@ -31,8 +31,6 @@ type InjectorConfig struct {
 	MessageRate float64
 	// MessageKinds are the fault kinds drawn for faulted messages.
 	MessageKinds []sim.FaultKind
-	// DelayFactor multiplies latencies for delay faults (default 3).
-	DelayFactor float64
 	// MaxAttemptFaults caps how many application attempts of the same
 	// command may be faulted, so a self-healing controller's retries
 	// eventually land (0 means unlimited — the escalation path).
@@ -60,11 +58,12 @@ type Injector struct {
 	decisions []Decision
 }
 
-// NewInjector builds an injector from cfg, applying defaults.
+// delayFactor multiplies the latency of a command or message hit by a delay
+// fault.
+const delayFactor = 3
+
+// NewInjector builds an injector from cfg.
 func NewInjector(cfg InjectorConfig) *Injector {
-	if cfg.DelayFactor <= 1 {
-		cfg.DelayFactor = 3
-	}
 	return &Injector{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
@@ -88,7 +87,7 @@ func (in *Injector) CommandFault(node topology.NodeID, description string, attem
 	in.perCmd[description]++
 	in.cmdFaults++
 	in.decisions = append(in.decisions, Decision{Target: description, Attempt: attempt, Kind: kind})
-	return sim.CommandFault{Kind: kind, DelayFactor: in.cfg.DelayFactor}
+	return sim.CommandFault{Kind: kind, DelayFactor: delayFactor}
 }
 
 // MessageFault implements sim.FaultInjector.
@@ -106,7 +105,7 @@ func (in *Injector) MessageFault(from, to topology.NodeID) sim.MessageFault {
 		Target: fmt.Sprintf("msg n%d→n%d", int(from), int(to)),
 		Kind:   kind,
 	})
-	return sim.MessageFault{Kind: kind, DelayFactor: in.cfg.DelayFactor}
+	return sim.MessageFault{Kind: kind, DelayFactor: delayFactor}
 }
 
 // CommandFaults returns the number of faulted command attempts.

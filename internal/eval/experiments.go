@@ -15,7 +15,6 @@ import (
 	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
 	"chameleon/internal/sim"
-	"chameleon/internal/sitn"
 	"chameleon/internal/snowcap"
 	"chameleon/internal/spec"
 	"chameleon/internal/topology"
@@ -356,6 +355,10 @@ func overheadOutcome(ctx context.Context, name string, seed uint64, opts schedul
 		o.Err = err
 		return o
 	}
+	// SITN [36] runs the initial and the final configuration side by side
+	// as two control planes, so its table holds both planes' Adj-RIB-In
+	// entries. FinalNetwork works on a clone: sBase stays initial.
+	dual := sBase.Net.TableEntries() + sBase.FinalNetwork().TableEntries()
 	sBase.Net.ResetMaxTableEntries()
 	if _, err := snowcap.Apply(sBase.Net, sBase.Commands, []int{0}, time.Second); err != nil {
 		o.Err = err
@@ -385,19 +388,7 @@ func overheadOutcome(ctx context.Context, name string, seed uint64, opts schedul
 	if o.Chameleon < 0 {
 		o.Chameleon = 0
 	}
-
-	// SITN.
-	sSitn, err := scenario.CaseStudy(name, scenario.Config{Seed: seed})
-	if err != nil {
-		o.Err = err
-		return o
-	}
-	dual, err := sitn.NewDualPlane(sSitn.Net, sSitn.FinalNetwork(), sSitn.Prefix)
-	if err != nil {
-		o.Err = err
-		return o
-	}
-	o.SITN = float64(dual.TableEntries()-o.Baseline) / float64(o.Baseline)
+	o.SITN = float64(dual-o.Baseline) / float64(o.Baseline)
 	return o
 }
 

@@ -214,6 +214,21 @@ func TestContextHelpers(t *testing.T) {
 	if r.spans[1].Parent != r.spans[0].ID {
 		t.Fatalf("inner span parent = %d, want %d", r.spans[1].Parent, r.spans[0].ID)
 	}
+	// Another recorder detaches the context's span: it belongs to r, so a
+	// span started under b is a root in b. The same recorder keeps it.
+	b := New()
+	cb := WithRecorder(ctx, b)
+	if RecorderFrom(cb) != b || SpanFrom(cb) != nil {
+		t.Fatalf("WithRecorder(ctx with r's span, b): recorder %p, span %v; want b, nil", RecorderFrom(cb), SpanFrom(cb))
+	}
+	_, other := StartSpan(cb, "other")
+	other.End()
+	if len(b.spans) != 1 || b.spans[0].Parent != 0 {
+		t.Fatalf("span started under b: %+v, want one root", b.spans)
+	}
+	if SpanFrom(WithRecorder(ctx, r)) != root {
+		t.Fatal("re-installing the context's own recorder dropped its span")
+	}
 	if WithRecorder(context.Background(), nil) != context.Background() {
 		t.Fatal("WithRecorder(nil) should return ctx unchanged")
 	}

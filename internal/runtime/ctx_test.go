@@ -25,13 +25,12 @@ func TestExecuteCtxCancelMidRound(t *testing.T) {
 	defer cancel()
 	rec := obs.New()
 	opts := runtime.Options{Seed: 1}
-	opts.Recorder = rec
 	opts.ExternalEvents = []runtime.ScheduledEvent{{
 		After: 20 * time.Second, Name: "cancel",
 		Apply: func(*sim.Network) { cancel() },
 	}}
 	ex := runtime.NewExecutor(s.Net, opts)
-	_, err := ex.ExecuteCtx(ctx, plan.Single(p))
+	_, err := ex.ExecuteCtx(obs.WithRecorder(ctx, rec), plan.Single(p))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExecuteCtx = %v, want context.Canceled", err)
 	}
@@ -59,10 +58,8 @@ func TestExecuteCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rec := obs.New()
-	opts := runtime.Options{Seed: 1}
-	opts.Recorder = rec
-	ex := runtime.NewExecutor(s.Net, opts)
-	if _, err := ex.ExecuteCtx(ctx, plan.Single(p)); !errors.Is(err, context.Canceled) {
+	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
+	if _, err := ex.ExecuteCtx(obs.WithRecorder(ctx, rec), plan.Single(p)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExecuteCtx = %v, want context.Canceled", err)
 	}
 	counters := rec.Counters()

@@ -57,17 +57,17 @@ func TestExecuteMultiTwoPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := runtime.Options{Seed: 1}
-	opts.Recorder = obs.New()
+	rec := obs.New()
 	var observed []string
+	opts := runtime.Options{Seed: 1}
 	opts.PhaseObserver = func(name string) { observed = append(observed, name) }
 	ex := runtime.NewExecutor(s.Net, opts)
-	res, err := ex.ExecuteCtx(context.Background(), mp)
+	res, err := ex.ExecuteCtx(obs.WithRecorder(context.Background(), rec), mp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every phase is a span under "execute" and is announced as it starts.
-	if spans := opts.Recorder.SpanNames()[1:]; !slices.Equal(observed, spans) {
+	if spans := rec.SpanNames()[1:]; !slices.Equal(observed, spans) {
 		t.Errorf("phase observer saw %v, trace has %v", observed, spans)
 	}
 	for _, name := range []string{"setup", "d0 round 1", "d1 round 4", "cleanup"} {

@@ -41,10 +41,8 @@ func TestPlanIsMultiPlanOfOne(t *testing.T) {
 				}
 				mon := monitor.New(monitor.Config{Name: "one-body", Invariants: []monitor.Invariant{monitor.ReachAll(s.Graph), monitor.LoopFree()}})
 				defer mon.Bind(net)()
-				opts := runtime.Options{Seed: 7}
-				opts.Recorder = obs.New()
-				opts.PhaseObserver = mon.SetPhase
-				ex := runtime.NewExecutor(net, opts)
+				rec := obs.New()
+				ex := runtime.NewExecutor(net, runtime.Options{Seed: 7, PhaseObserver: mon.SetPhase})
 				mp := plan.Single(p)
 				var err error
 				if aligned {
@@ -53,11 +51,11 @@ func TestPlanIsMultiPlanOfOne(t *testing.T) {
 					}
 				}
 				var out run
-				if out.res, err = ex.ExecuteCtx(context.Background(), mp); err != nil {
+				if out.res, err = ex.ExecuteCtx(obs.WithRecorder(context.Background(), rec), mp); err != nil {
 					t.Fatalf("%s faulted=%v aligned=%v: %v", s.Name, faulted, aligned, err)
 				}
 				var tr, tl bytes.Buffer
-				if err := opts.Recorder.WriteJSONL(&tr); err != nil {
+				if err := rec.WriteJSONL(&tr); err != nil {
 					t.Fatal(err)
 				}
 				if err := mon.Finish(net.Now()).WriteJSONL(&tl); err != nil {

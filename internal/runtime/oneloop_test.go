@@ -36,16 +36,15 @@ func TestSlotReadbackBeforePushIsNoLostAck(t *testing.T) {
 		{"slot", plan.Plan{Prefix: s.Prefix, Between: [][]sim.Command{{noop}}}},
 		{"setup", plan.Plan{Prefix: s.Prefix, Setup: []plan.Step{{Command: noop}}}},
 	} {
-		opts := runtime.Options{Seed: 1}
-		opts.Recorder = obs.New()
-		res, err := runtime.NewExecutor(s.Net, opts).ExecuteCtx(context.Background(), plan.Single(&c.plan))
+		rec := obs.New()
+		res, err := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1}).ExecuteCtx(obs.WithRecorder(context.Background(), rec), plan.Single(&c.plan))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if res.CommandsApplied != 1 {
 			t.Errorf("%s: CommandsApplied = %d, want 1", c.name, res.CommandsApplied)
 		}
-		if lost, healed := res.Recovery.AcksLost, opts.Recorder.Counter(obs.CtrFaultsHealed); lost != 0 || healed != 0 {
+		if lost, healed := res.Recovery.AcksLost, rec.Counter(obs.CtrFaultsHealed); lost != 0 || healed != 0 {
 			t.Errorf("%s: AcksLost = %d, faults_healed = %d on a fault-free run, want 0 / 0", c.name, lost, healed)
 		}
 	}

@@ -73,15 +73,9 @@ type Options struct {
 	Reaction ReactionPolicy
 	// PhaseObserver, when set, is told the name of every execution phase as
 	// it starts (setup, between k, round k, cleanup), independent
-	// of whether a Recorder is attached. The transient-state monitor uses
+	// of whether a recorder is attached. The transient-state monitor uses
 	// it to attribute violations to the round that caused them.
 	PhaseObserver func(name string)
-	// Recorder, when set, receives the execution trace: an "execute" span
-	// with one child per phase (setup, between k, round k, cleanup),
-	// stamped with the simulated clock, plus the command/retry/
-	// escalation counters. A recorder on the execution context (see
-	// ExecuteCtx) is used when this is nil.
-	Recorder *obs.Recorder
 }
 
 // ReactionPolicy is the §8 response to harmful external events.
@@ -359,8 +353,10 @@ func (e *Executor) endPhase(sp *obs.Span) {
 // later verification.
 // Cancellation is polled in every supervision loop (per simulated event), so
 // a cancelled execution returns promptly mid-round with the context's error,
-// and a recorder — from Options.Recorder or, failing that, the context —
-// receives an "execute" span tree stamped with the simulated clock.
+// and the context's recorder (obs.WithRecorder) receives the execution
+// trace: an "execute" span under the context's span, with one child per
+// phase, stamped with the simulated clock, plus the command/retry/escalation
+// counters.
 //
 // The run is the setup of every destination, then each destination's update
 // rounds up to the Between slot the next group of original commands sits in,
@@ -379,10 +375,7 @@ func (e *Executor) ExecuteCtx(ctx context.Context, mp *plan.MultiPlan) (*Result,
 		return nil, fmt.Errorf("runtime: network not converged at start")
 	}
 	e.ctx = ctx
-	e.obsRec = e.opts.Recorder
-	if e.obsRec == nil {
-		e.obsRec = obs.RecorderFrom(ctx)
-	}
+	e.obsRec = obs.RecorderFrom(ctx)
 	if e.obsRec != nil {
 		// The simulated clock is the only time source a trace may carry —
 		// wall clock would break byte-identical reproducibility.

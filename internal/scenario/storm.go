@@ -15,9 +15,6 @@ import (
 type StormConfig struct {
 	// Prefixes is the number of distinct destinations announced.
 	Prefixes int
-	// Routers is the number of internal routers in the iBGP full mesh
-	// (minimum 2; default 4).
-	Routers int
 	// Seed drives message jitter; storms default to zero jitter so batched
 	// and route-by-route injection execute the identical schedule.
 	Seed uint64
@@ -28,6 +25,9 @@ type StormConfig struct {
 	// so convergence counters (events, messages) attribute to the build.
 	Recorder *obs.Recorder
 }
+
+// stormRouters is the size of a storm's iBGP full mesh.
+const stormRouters = 4
 
 // Storm is a converged prefix-scale network: a chain-linked iBGP full mesh
 // whose border router learned every prefix from one external peer.
@@ -47,15 +47,8 @@ func BuildStorm(cfg StormConfig) (*Storm, error) {
 	if cfg.Prefixes <= 0 {
 		return nil, fmt.Errorf("scenario: storm needs at least one prefix")
 	}
-	nr := cfg.Routers
-	if nr == 0 {
-		nr = 4
-	}
-	if nr < 2 {
-		return nil, fmt.Errorf("scenario: storm needs at least two routers")
-	}
-	g := topology.New(fmt.Sprintf("Storm-%dp-%dr", cfg.Prefixes, nr))
-	routers := make([]topology.NodeID, nr)
+	g := topology.New(fmt.Sprintf("Storm-%dp-%dr", cfg.Prefixes, stormRouters))
+	routers := make([]topology.NodeID, stormRouters)
 	for i := range routers {
 		routers[i] = g.AddRouter(fmt.Sprintf("r%d", i))
 		if i > 0 {

@@ -179,16 +179,14 @@ func (e *encoder) encode(R int) {
 	if e.sp != nil {
 		e.buildSpec()
 	}
-	if e.opts.MinimizeTempSessions {
-		// One group per node: a node that cannot take its old route, its
-		// next hop and its new route in one round needs one temporary
-		// session or the other.
-		e.row = e.row[:0]
-		for _, n := range e.a.Switching {
-			e.row = append(e.row, term(e.tOld[n], 1), term(e.tNew[n], 1))
-		}
-		e.model.MinimizeGroups(milp.LinExpr{Terms: e.row}, 2)
+	// The secondary objective (§4.1), one group per node: a node that
+	// cannot take its old route, its next hop and its new route in one
+	// round needs one temporary session or the other.
+	e.row = e.row[:0]
+	for _, n := range e.a.Switching {
+		e.row = append(e.row, term(e.tOld[n], 1), term(e.tNew[n], 1))
 	}
+	e.model.MinimizeGroups(milp.LinExpr{Terms: e.row}, 2)
 }
 
 // solve searches the encoded model under a budget of nodes per feasibility
@@ -201,11 +199,10 @@ func (e *encoder) solve(ctx context.Context, nodes int64) (*NodeSchedule, milp.S
 		e.high = append(e.high, e.rOld[n])
 	}
 	sol, err := e.model.Solve(milp.Options{
-		NodeLimit:     nodes,
-		BranchOrder:   e.branchOrder(),
-		PreferHigh:    e.high,
-		FirstSolution: !e.opts.MinimizeTempSessions,
-		Ctx:           ctx,
+		NodeLimit:   nodes,
+		BranchOrder: e.branchOrder(),
+		PreferHigh:  e.high,
+		Ctx:         ctx,
 	})
 	if err != nil {
 		// An infeasibility proof or an exhausted budget is effort too.
@@ -456,27 +453,6 @@ func (e *encoder) buildConcurrency() {
 			ds = append(ds, e.model.NewBool())
 		}
 		e.delta[n] = ds
-	}
-	// Ablation: full serialization — at most one forwarding change per
-	// round, eliminating §4.2's concurrency entirely.
-	if e.opts.SerializeUpdates {
-		for k := 1; k <= e.R; k++ {
-			e.row = e.row[:0]
-			constant := int64(0)
-			// Switching order, not map order: constraint emission order
-			// must be deterministic for traces to reproduce byte-for-byte.
-			for _, n := range e.a.Switching {
-				eq := e.eqAt(n, k)
-				if eq.isConst {
-					if eq.c {
-						constant++
-					}
-					continue
-				}
-				e.row = append(e.row, term(eq.v, 1))
-			}
-			e.model.AddLe(milp.LinExpr{Terms: e.row}, 1-constant)
-		}
 	}
 	// Switching order, not map order over e.delta: the emitted constraint
 	// order decides the propagation queue's visit order, and with it the

@@ -78,14 +78,14 @@ func TestRecycledEncoderIsInvisible(t *testing.T) {
 	if _, err := scheduler.ScheduleCtx(ctx, aSprint, eval.Eq4Spec(aSprint, sprint.E1), scheduler.DefaultOptions()); err != nil {
 		t.Fatalf("Sprint under Eq. 4: %v", err)
 	}
-	// Serialized, Aarnet's nine next-hop changes need nine rounds, and no
-	// budget this small decides one: the scan encodes R = 1..16 and ends
-	// undecided, leaving the encoder its largest model.
+	// Without the Eq. 3 loop constraints, no budget of 16 nodes or fewer
+	// decides any of Aarnet's round counts (24 does): the scan encodes
+	// R = 1..16 and ends undecided, leaving the encoder its largest model.
 	opts := scheduler.DefaultOptions()
-	opts.ExplicitLoopConstraints, opts.SerializeUpdates = false, true
-	opts.SolverNodeBudget = 64
+	opts.ExplicitLoopConstraints = false
+	opts.SolverNodeBudget = 16
 	if _, err := scheduler.ScheduleCtx(ctx, aAarnet, nil, opts); !errors.Is(err, milp.ErrTimeout) {
-		t.Fatalf("Aarnet serialized: err = %v, want milp.ErrTimeout", err)
+		t.Fatalf("Aarnet at 16 nodes: err = %v, want milp.ErrTimeout", err)
 	}
 	// Aarnet's scan walks 1 225 nodes over 21 polls, one every 256 nodes
 	// and one before every restart attempt: the 10th falls inside a search.

@@ -97,13 +97,6 @@ type Options struct {
 	// They are implied by the concurrency constraints (App. D) but reduce
 	// solving variance; default true, disabled for the Fig. 13 ablation.
 	ExplicitLoopConstraints bool
-	// MinimizeTempSessions runs the secondary objective (§4.1); when
-	// false the first feasible schedule at the minimum R is returned.
-	MinimizeTempSessions bool
-	// SerializeUpdates forbids concurrent forwarding changes entirely: at
-	// most one next-hop change per round (ablation of §4.2's concurrent
-	// updates — quantifies how much concurrency shortens reconfigurations).
-	SerializeUpdates bool
 }
 
 // DeterministicNodeBudget is the default SolverNodeBudget. The scan pass
@@ -134,7 +127,6 @@ func DefaultOptions() Options {
 		MaxRounds:               16,
 		SolverNodeBudget:        DeterministicNodeBudget,
 		ExplicitLoopConstraints: true,
-		MinimizeTempSessions:    true,
 	}
 }
 

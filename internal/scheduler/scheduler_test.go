@@ -269,30 +269,6 @@ func TestConstructiveVsILPRounds(t *testing.T) {
 	t.Logf("rounds: ILP=%d constructive=%d", ilp.R, con.R)
 }
 
-func TestMinimizeTempSessionsObjective(t *testing.T) {
-	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := analyze(t, s)
-	sp := reachSpec(s.Graph)
-	withObj := scheduler.DefaultOptions()
-	noObj := scheduler.DefaultOptions()
-	noObj.MinimizeTempSessions = false
-	so, err := scheduler.ScheduleCtx(context.Background(), a, sp, withObj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := scheduler.ScheduleCtx(context.Background(), a, sp, noObj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if so.Stats.TempSessions > sf.TempOldSessions+sf.TempNewSessions {
-		t.Errorf("objective produced MORE temp sessions (%d) than feasibility (%d)",
-			so.Stats.TempSessions, sf.TempOldSessions+sf.TempNewSessions)
-	}
-}
-
 func TestEmptySwitchingSet(t *testing.T) {
 	// A no-op reconfiguration (final == initial) yields an empty schedule.
 	s := scenario.RunningExample()
@@ -592,44 +568,5 @@ func TestRoutingInvariantExits(t *testing.T) {
 	}
 	if err := scheduler.Validate(a, sp, sched); err != nil {
 		t.Fatalf("invalid schedule under routing invariants: %v", err)
-	}
-}
-
-// TestSerializeUpdatesAblation: with full serialization every round
-// contains at most one forwarding change, and R can only grow.
-func TestSerializeUpdatesAblation(t *testing.T) {
-	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := analyze(t, s)
-	sp := reachSpec(s.Graph)
-	conc, err := scheduler.ScheduleCtx(context.Background(), a, sp, scheduler.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := scheduler.DefaultOptions()
-	opts.SerializeUpdates = true
-	ser, err := scheduler.ScheduleCtx(context.Background(), a, sp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ser.R < conc.R {
-		t.Errorf("serialized R=%d below concurrent R=%d", ser.R, conc.R)
-	}
-	// At most one next-hop change per round.
-	perRound := map[int]int{}
-	for n, tp := range ser.Tuples {
-		if a.ChangesNextHop(n) {
-			perRound[tp.NH]++
-		}
-	}
-	for k, c := range perRound {
-		if c > 1 {
-			t.Errorf("round %d has %d forwarding changes under serialization", k, c)
-		}
-	}
-	if err := scheduler.Validate(a, sp, ser); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -4,19 +4,17 @@
 // satisfies the specification — but provides no guarantees about the
 // transient states BGP explores while converging after each command. For
 // single-command reconfigurations (the paper's §6/§7 scenario) Snowcap
-// simply pushes the command to the network.
+// simply pushes the command to the network; that push is all this package
+// implements.
 package snowcap
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"chameleon/internal/bgp"
-	"chameleon/internal/fwd"
 	"chameleon/internal/monitor"
 	"chameleon/internal/sim"
-	"chameleon/internal/spec"
 )
 
 // Result describes one Snowcap reconfiguration run.
@@ -25,8 +23,6 @@ type Result struct {
 	Start, End time.Duration
 	// Order is the command order applied (indices into the input).
 	Order []int
-	// StatesExplored counts steady states evaluated during synthesis.
-	StatesExplored int
 	// Timeline, from ApplyMonitored, records the transient invariant
 	// violations the steady-state-only ordering cannot see, and
 	// ViolationTime is their union duration — the paper's Fig. 1 measure
@@ -37,10 +33,6 @@ type Result struct {
 
 // Duration returns the reconfiguration time.
 func (r *Result) Duration() time.Duration { return r.End - r.Start }
-
-// ErrNoOrdering is returned when no command ordering yields correct steady
-// states (Snowcap's failure mode).
-var ErrNoOrdering = errors.New("snowcap: no safe command ordering exists")
 
 // Apply performs the reconfiguration the Snowcap way: commands are pushed
 // in the given order, each after the previous one's convergence, with a
@@ -83,63 +75,5 @@ func ApplyMonitored(net *sim.Network, prefix bgp.Prefix, cmds []sim.Command, ord
 	tl := m.Finish(net.Now())
 	res.Timeline = tl
 	res.ViolationTime = tl.TotalViolation()
-	return res, nil
-}
-
-// Synthesize finds a command ordering whose steady states all satisfy the
-// (non-temporal projection of the) specification, by depth-first search
-// over orderings with memoization on applied-command sets — a faithful
-// miniature of Snowcap's ordering synthesis. The network is not modified.
-func Synthesize(net *sim.Network, prefix bgp.Prefix, cmds []sim.Command, sp *spec.Spec) (*Result, error) {
-	if len(cmds) == 0 {
-		return &Result{}, nil
-	}
-	res := &Result{}
-	seen := make(map[uint64]bool)
-	var order []int
-
-	ok := func(n *sim.Network) bool {
-		st := n.ForwardingState(prefix)
-		// Snowcap checks steady states only: evaluate the spec over the
-		// single-state trace.
-		return sp.Eval([]fwd.State{st})
-	}
-
-	var dfs func(n *sim.Network, applied uint64) bool
-	dfs = func(n *sim.Network, applied uint64) bool {
-		if applied == (uint64(1)<<len(cmds))-1 {
-			return true
-		}
-		if seen[applied] {
-			return false
-		}
-		seen[applied] = true
-		for i := range cmds {
-			bit := uint64(1) << i
-			if applied&bit != 0 {
-				continue
-			}
-			next := n.Clone()
-			cmds[i].Apply(next)
-			next.Run()
-			res.StatesExplored++
-			if !ok(next) {
-				continue
-			}
-			order = append(order, i)
-			if dfs(next, applied|bit) {
-				return true
-			}
-			order = order[:len(order)-1]
-		}
-		return false
-	}
-	if !ok(net) {
-		return nil, fmt.Errorf("snowcap: initial state already violates the specification")
-	}
-	if !dfs(net, 0) {
-		return nil, ErrNoOrdering
-	}
-	res.Order = append([]int(nil), order...)
 	return res, nil
 }

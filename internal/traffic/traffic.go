@@ -25,11 +25,6 @@ type Options struct {
 	From, To float64
 }
 
-// DefaultOptions mirror the paper's testbed rates.
-func DefaultOptions() Options {
-	return Options{RatePerNode: 1500, Step: 0.1}
-}
-
 // Sample is one measurement instant.
 type Sample struct {
 	Time float64
