@@ -12,6 +12,7 @@ import (
 	"chameleon/internal/chaos"
 	"chameleon/internal/milp"
 	"chameleon/internal/runtime"
+	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
 	"chameleon/internal/topology"
 )
@@ -173,6 +174,54 @@ func TestSweepTableOverheadSmall(t *testing.T) {
 		if o.Chameleon < 0 || o.Chameleon > 0.6 {
 			t.Errorf("%s: Chameleon overhead %.2f outside plausible range", o.Name, o.Chameleon)
 		}
+	}
+}
+
+// TestDualPlaneTableDuplication checks the SITN table size the Fig. 10
+// sweep reads: the initial and the final plane side by side hold about
+// twice the entries of one plane, and FinalNetwork leaves the initial
+// network as it was.
+func TestDualPlaneTableDuplication(t *testing.T) {
+	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldOnly := s.Net.TableEntries()
+	total := oldOnly + s.FinalNetwork().TableEntries()
+	if s.Net.TableEntries() != oldOnly {
+		t.Errorf("FinalNetwork changed the initial table: %d entries, was %d", s.Net.TableEntries(), oldOnly)
+	}
+	// SITN runs both control planes: entries ≈ double the baseline (the
+	// paper reports 96% overhead in the median).
+	if total < oldOnly+oldOnly/2 {
+		t.Errorf("dual-plane entries %d vs single %d: duplication missing", total, oldOnly)
+	}
+}
+
+// TestOverheadMetric checks that one scenario's SITN overhead is the
+// dual-plane size relative to the baseline maximum, and that a scenario
+// that cannot be built reports its error.
+func TestOverheadMetric(t *testing.T) {
+	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dual := s.Net.TableEntries() + s.FinalNetwork().TableEntries()
+	o := overheadOutcome(context.Background(), "Abilene", 7, scheduler.DefaultOptions())
+	if o.Err != nil {
+		t.Fatal(o.Err)
+	}
+	if o.Baseline <= 0 {
+		t.Fatalf("baseline maximum %d entries, want > 0", o.Baseline)
+	}
+	if want := float64(dual-o.Baseline) / float64(o.Baseline); o.SITN != want {
+		t.Errorf("SITN overhead = %v, want %v (dual plane %d, baseline %d)", o.SITN, want, dual, o.Baseline)
+	}
+	if o.SITN <= 0.5 {
+		t.Errorf("SITN overhead = %v, want close to 1 (≈ doubling)", o.SITN)
+	}
+	if bad := overheadOutcome(context.Background(), "NoSuchTopology", 7, scheduler.DefaultOptions()); bad.Err == nil {
+		t.Error("unknown topology yields no error")
 	}
 }
 
