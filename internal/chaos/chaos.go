@@ -266,6 +266,7 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 
 	inj := injectorFor(c.Fault, c.Seed)
 	s.Net.SetFaultInjector(inj)
+	s.Net.SetDelivery(inj)
 
 	flapped := 0
 	opts := runtime.Options{Seed: c.Seed}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
+	"time"
 
 	"chameleon/internal/sim"
 	"chameleon/internal/topology"
@@ -26,10 +27,11 @@ type InjectorConfig struct {
 	CommandRate float64
 	// CommandKinds are the fault kinds drawn for faulted commands.
 	CommandKinds []sim.FaultKind
-	// MessageRate is the probability that a BGP message delivery is
-	// faulted with one of MessageKinds (delay/duplicate only).
+	// MessageRate is the probability that Deliver faults a BGP message
+	// with one of MessageKinds.
 	MessageRate float64
-	// MessageKinds are the fault kinds drawn for faulted messages.
+	// MessageKinds are the fault kinds drawn for faulted messages:
+	// FaultDuplicate copies the message, any other kind stretches its delay.
 	MessageKinds []sim.FaultKind
 	// MaxAttemptFaults caps how many application attempts of the same
 	// command may be faulted, so a self-healing controller's retries
@@ -45,9 +47,10 @@ type Decision struct {
 	Kind    sim.FaultKind
 }
 
-// Injector is a seeded, deterministic sim.FaultInjector. Its decisions are
-// a pure function of the seed and the consultation order, which the
-// discrete-event simulation makes deterministic.
+// Injector is a seeded, deterministic sim.FaultInjector and sim.Delivery
+// (install it as both to fault messages too). Its decisions are a pure
+// function of the seed and the consultation order, which the discrete-event
+// simulation makes deterministic.
 type Injector struct {
 	cfg       InjectorConfig
 	rng       *rand.Rand
@@ -90,14 +93,12 @@ func (in *Injector) CommandFault(node topology.NodeID, description string, attem
 	return sim.CommandFault{Kind: kind, DelayFactor: delayFactor}
 }
 
-// MessageFault implements sim.FaultInjector.
-func (in *Injector) MessageFault(from, to topology.NodeID) sim.MessageFault {
+// Deliver implements sim.Delivery: a faulted message is copied half its
+// delay behind, or takes delayFactor times its delay.
+func (in *Injector) Deliver(from, to topology.NodeID, delay time.Duration) (time.Duration, time.Duration) {
 	in.consulted++
-	if len(in.cfg.MessageKinds) == 0 || in.cfg.MessageRate <= 0 {
-		return sim.MessageFault{}
-	}
-	if in.rng.Float64() >= in.cfg.MessageRate {
-		return sim.MessageFault{}
+	if len(in.cfg.MessageKinds) == 0 || in.cfg.MessageRate <= 0 || in.rng.Float64() >= in.cfg.MessageRate {
+		return delay, 0
 	}
 	kind := in.cfg.MessageKinds[in.rng.IntN(len(in.cfg.MessageKinds))]
 	in.msgFaults++
@@ -105,7 +106,10 @@ func (in *Injector) MessageFault(from, to topology.NodeID) sim.MessageFault {
 		Target: fmt.Sprintf("msg n%d→n%d", int(from), int(to)),
 		Kind:   kind,
 	})
-	return sim.MessageFault{Kind: kind, DelayFactor: delayFactor}
+	if kind == sim.FaultDuplicate {
+		return delay, delay / 2
+	}
+	return time.Duration(float64(delay) * delayFactor), 0
 }
 
 // CommandFaults returns the number of faulted command attempts.

@@ -101,10 +101,6 @@ func (p persistentInjector) CommandFault(node topology.NodeID, desc string, _ in
 	return sim.CommandFault{Kind: sim.FaultNone}
 }
 
-func (persistentInjector) MessageFault(_, _ topology.NodeID) sim.MessageFault {
-	return sim.MessageFault{Kind: sim.FaultNone}
-}
-
 // PersistentDropFactory builds a supervisor InjectorFactory: invocations
 // before until (or all of them, when until < 0) see every matching command
 // dropped; later invocations run fault-free. A nil match drops everything.

@@ -274,7 +274,7 @@ func monitorSnapshot(base *chameleon.Reconfiguration) (Fn, error) {
 	}, nil
 }
 
-// chaosBench measures one fault-injected case (message drops) including
+// chaosBench measures one fault-injected case (command drops) including
 // the recovery ladder, via the chaos harness's single-case entry point.
 func chaosBench(topo string) func() (Fn, error) {
 	return func() (Fn, error) {

@@ -65,7 +65,7 @@ func TestSlotRepushRefreshesLostConfiguration(t *testing.T) {
 		Apply: func(*sim.Network) { b = true }, Verify: func(*sim.Network) bool { return b }}
 	// B is dropped on its push and its three retries; A's effect vanishes
 	// as B's third retry goes out, after A was confirmed.
-	s.Net.SetFaultInjector(faultScript{cmd: func(_ topology.NodeID, desc string, attempt int) sim.CommandFault {
+	s.Net.SetFaultInjector(faultScript(func(_ topology.NodeID, desc string, attempt int) sim.CommandFault {
 		if desc != "B" || attempt > 3 {
 			return sim.CommandFault{}
 		}
@@ -73,7 +73,7 @@ func TestSlotRepushRefreshesLostConfiguration(t *testing.T) {
 			a = false
 		}
 		return sim.CommandFault{Kind: sim.FaultDrop}
-	}})
+	}))
 	p := &plan.Plan{Prefix: s.Prefix, Between: [][]sim.Command{{cmdA, cmdB}}}
 	res, err := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1}).ExecuteCtx(context.Background(), plan.Single(p))
 	if err != nil {

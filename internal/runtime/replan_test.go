@@ -93,14 +93,11 @@ func TestReplanErrorCarriesEscalationCause(t *testing.T) {
 	}
 }
 
-// dropAll loses every command, never any message.
+// dropAll loses every command.
 type dropAll struct{}
 
 func (dropAll) CommandFault(_ topology.NodeID, _ string, _ int) sim.CommandFault {
 	return sim.CommandFault{Kind: sim.FaultDrop}
-}
-func (dropAll) MessageFault(_, _ topology.NodeID) sim.MessageFault {
-	return sim.MessageFault{Kind: sim.FaultNone}
 }
 
 // TestAbortIdempotent is the double-Abort regression test: aborting the same

@@ -16,33 +16,20 @@ import (
 	"chameleon/internal/topology"
 )
 
-// faultScript adapts closures to sim.FaultInjector for executor tests.
-type faultScript struct {
-	cmd func(node topology.NodeID, desc string, attempt int) sim.CommandFault
-	msg func(from, to topology.NodeID) sim.MessageFault
-}
+// faultScript adapts a closure to sim.FaultInjector for executor tests.
+type faultScript func(node topology.NodeID, desc string, attempt int) sim.CommandFault
 
 func (s faultScript) CommandFault(n topology.NodeID, d string, a int) sim.CommandFault {
-	if s.cmd == nil {
-		return sim.CommandFault{}
-	}
-	return s.cmd(n, d, a)
-}
-
-func (s faultScript) MessageFault(f, t topology.NodeID) sim.MessageFault {
-	if s.msg == nil {
-		return sim.MessageFault{}
-	}
-	return s.msg(f, t)
+	return s(n, d, a)
 }
 
 // dropFirstPush drops the first application attempt of every command.
-var dropFirstPush = faultScript{cmd: func(_ topology.NodeID, _ string, attempt int) sim.CommandFault {
+var dropFirstPush = faultScript(func(_ topology.NodeID, _ string, attempt int) sim.CommandFault {
 	if attempt == 0 {
 		return sim.CommandFault{Kind: sim.FaultDrop}
 	}
 	return sim.CommandFault{}
-}}
+})
 
 // TestSelfHealingRetryOnDrop drops the first application attempt of every
 // command; the executor must detect the losses via the per-command timeout,
@@ -81,14 +68,12 @@ func TestSelfHealingPartialAck(t *testing.T) {
 	s := scenario.RunningExample()
 	sp := reachSpec(s.Graph)
 	_, _, p := pipeline(t, s, sp)
-	s.Net.SetFaultInjector(faultScript{
-		cmd: func(_ topology.NodeID, _ string, attempt int) sim.CommandFault {
-			if attempt == 0 {
-				return sim.CommandFault{Kind: sim.FaultPartial}
-			}
-			return sim.CommandFault{}
-		},
-	})
+	s.Net.SetFaultInjector(faultScript(func(_ topology.NodeID, _ string, attempt int) sim.CommandFault {
+		if attempt == 0 {
+			return sim.CommandFault{Kind: sim.FaultPartial}
+		}
+		return sim.CommandFault{}
+	}))
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
 	res, err := ex.ExecuteCtx(context.Background(), plan.Single(p))
 	if err != nil {
@@ -111,14 +96,12 @@ func TestSelfHealingEscalation(t *testing.T) {
 		t.Fatal("plan has no setup steps")
 	}
 	victim := p.Setup[0].Command.Description
-	s.Net.SetFaultInjector(faultScript{
-		cmd: func(_ topology.NodeID, desc string, _ int) sim.CommandFault {
-			if desc == victim {
-				return sim.CommandFault{Kind: sim.FaultDrop}
-			}
-			return sim.CommandFault{}
-		},
-	})
+	s.Net.SetFaultInjector(faultScript(func(_ topology.NodeID, desc string, _ int) sim.CommandFault {
+		if desc == victim {
+			return sim.CommandFault{Kind: sim.FaultDrop}
+		}
+		return sim.CommandFault{}
+	}))
 	ex := runtime.NewExecutor(s.Net, runtime.Options{Seed: 1})
 	_, err := ex.ExecuteCtx(context.Background(), plan.Single(p))
 	if err == nil {

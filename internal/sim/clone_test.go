@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"chameleon/internal/bgp"
 	"chameleon/internal/scenario"
@@ -208,4 +209,33 @@ func TestCloneCostIndependentOfPrefixes(t *testing.T) {
 		t.Errorf("Clone allocates %d B at 20 000 prefixes and %d B at 1 000: cost grows with the table", bl, bs)
 	}
 	t.Logf("Clone allocates %d B at 1 000 prefixes, %d B at 20 000", bs, bl)
+}
+
+// TestCloneInheritsNoFaultHooks: a clone of a network with a fault injector
+// and a Delivery installed consults neither, as SetFaultInjector and
+// SetDelivery document; the source, running the same command, consults
+// both.
+func TestCloneInheritsNoFaultHooks(t *testing.T) {
+	s := scenario.RunningExample()
+	s.Net.Run()
+	cmds, msgs := 0, 0
+	s.Net.SetFaultInjector(scriptInjector(func(topology.NodeID, string, int) sim.CommandFault {
+		cmds++
+		return sim.CommandFault{}
+	}))
+	s.Net.SetDelivery(deliverFunc(func(_, _ topology.NodeID, d time.Duration) (time.Duration, time.Duration) {
+		msgs++
+		return d, 0
+	}))
+	c := s.Net.Clone()
+	c.ScheduleCommand(time.Second, s.Commands[0], 0)
+	c.Run()
+	if cmds != 0 || msgs != 0 {
+		t.Errorf("the clone consulted its source's hooks: %d commands, %d messages", cmds, msgs)
+	}
+	s.Net.ScheduleCommand(time.Second, s.Commands[0], 0)
+	s.Net.Run()
+	if cmds == 0 || msgs == 0 {
+		t.Errorf("the source consulted its hooks for %d commands and %d messages; want both > 0", cmds, msgs)
+	}
 }

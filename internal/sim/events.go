@@ -114,25 +114,20 @@ func (n *Network) ScheduleAfter(d time.Duration, fn func(*Network)) {
 
 // sendMsg enqueues a BGP message honoring per-session FIFO ordering: a
 // message never overtakes an earlier message on the same directed session.
-// An installed fault injector may delay or duplicate the delivery; the
-// fault is applied before the FIFO clamp so ordering is preserved.
+// An installed Delivery may change the delay or copy the message; the FIFO
+// clamp applies after it, so ordering is preserved.
 func (n *Network) sendMsg(m *message) {
 	delay := n.sessionDelay(m.from, m.to)
 	if n.opts.Jitter > 0 {
 		delay += time.Duration(n.rng.Int64N(int64(n.opts.Jitter)))
 	}
-	duplicate := false
-	if n.faults != nil {
-		switch f := n.faults.MessageFault(m.from, m.to); f.Kind {
-		case FaultDelay:
-			if f.DelayFactor > 1 {
-				delay = time.Duration(float64(delay) * f.DelayFactor)
-				n.count(obs.CtrFaultsMessage, 1)
-			}
-		case FaultDuplicate:
-			duplicate = true
+	var dup time.Duration
+	if n.delivery != nil {
+		took, d := n.delivery.Deliver(m.from, m.to, delay)
+		if took != delay || d > 0 {
 			n.count(obs.CtrFaultsMessage, 1)
 		}
+		delay, dup = took, d
 	}
 	// The receiver's peer entry for the sender holds the session's lane and
 	// epoch.
@@ -141,11 +136,11 @@ func (n *Network) sendMsg(m *message) {
 	// the cause rides along unchanged.
 	m.delivery = event{msg: m, cause: n.curCause, hops: int32(n.curHops + 1), epoch: pe.epoch}
 	at := n.enqueue(pe, m, n.now+delay)
-	if duplicate {
+	if dup > 0 {
 		// The copy shares the payload, which nothing writes to.
-		dup := *m
-		dup.delivery.msg = &dup
-		n.enqueue(pe, &dup, at+delay/2)
+		c := *m
+		c.delivery.msg = &c
+		n.enqueue(pe, &c, at+dup)
 	}
 }
 
@@ -154,9 +149,9 @@ func (n *Network) sendMsg(m *message) {
 // current tail if that is due no earlier: the FIFO clamp. Only a lane's head
 // waits in the heap; Step moves the next message up when it pops one. An
 // empty lane needs no clamp: its last delivery happened at or before now,
-// and every delay is at least baseDelay. Within a lane at and seq both
-// strictly increase, so the heap pops events in the order it would if it
-// held every message. It returns the time m is due.
+// and no delivery is due before now (a Delivery's delay is ≥ 0). Within a
+// lane at and seq both strictly increase, so the heap pops events in the
+// order it would if it held every message. It returns the time m is due.
 func (n *Network) enqueue(pe *peer, m *message, at time.Duration) time.Duration {
 	e := &m.delivery
 	if pe.tail != nil && at <= pe.tail.delivery.at {

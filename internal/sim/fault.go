@@ -9,36 +9,37 @@ import (
 	"chameleon/internal/topology"
 )
 
-// This file implements the simulator's fault-injection layer: a seeded,
-// deterministic hook on configuration-command application and BGP message
-// delivery. It models the unreliable substrate a real controller pushes
-// commands into — commands can be lost, delayed, applied twice, or applied
-// without the acknowledgment making it back — and BGP sessions can flap.
-// The runtime controller is expected to observe faults only through the
-// CommandToken (the ack channel) and the network state itself, never
-// through the injector's internal truth.
+// This file implements the simulator's fault-injection layer: seeded,
+// deterministic hooks on configuration-command application (FaultInjector)
+// and BGP message timing (Delivery). They model the unreliable substrate a
+// real controller pushes commands into — commands can be lost, delayed,
+// applied twice, or applied without the acknowledgment making it back —
+// and BGP sessions can flap. The runtime controller is expected to observe
+// faults only through the CommandToken (the ack channel) and the network
+// state itself, never through the injector's internal truth.
 
-// FaultKind enumerates the injectable fault classes.
+// FaultKind enumerates the injectable fault classes. A FaultInjector applies
+// them to commands; a message's fate is a Delivery's delay and copy spacing.
 type FaultKind int
 
 const (
-	// FaultNone leaves the command/message untouched.
+	// FaultNone leaves the command untouched.
 	FaultNone FaultKind = iota
 	// FaultDrop silently loses a command: it never reaches the router and
-	// no acknowledgment is produced. Not honored for messages — the
-	// simulated sessions run over TCP and never lose individual messages;
-	// whole-session loss is modeled by FlapSession.
+	// no acknowledgment is produced. Messages are never lost — the
+	// simulated sessions run over TCP; whole-session loss is modeled by
+	// FlapSession.
 	FaultDrop
-	// FaultDelay multiplies the command/message latency by DelayFactor.
+	// FaultDelay multiplies the command latency by DelayFactor.
 	FaultDelay
-	// FaultDuplicate applies the command (or delivers the message) twice,
-	// the second copy arriving later. Chameleon's commands are idempotent,
-	// so a duplicate is only harmful through its timing.
+	// FaultDuplicate applies the command twice, the second copy arriving
+	// later. Chameleon's commands are idempotent, so a duplicate is only
+	// harmful through its timing.
 	FaultDuplicate
 	// FaultPartial applies the command's effect but loses the
 	// acknowledgment: the controller sees a failure for a command that in
 	// fact (partially or fully) ran, and must verify the effect on the
-	// network instead of trusting the ack. Command-only.
+	// network instead of trusting the ack.
 	FaultPartial
 	// FaultFlap is not decided per command: it names the scheduled
 	// session-flap fault (teardown + re-establish after a hold time) in
@@ -46,20 +47,11 @@ const (
 	FaultFlap
 )
 
+var faultKindNames = [...]string{"none", "drop", "delay", "duplicate", "partial", "flap"}
+
 func (k FaultKind) String() string {
-	switch k {
-	case FaultNone:
-		return "none"
-	case FaultDrop:
-		return "drop"
-	case FaultDelay:
-		return "delay"
-	case FaultDuplicate:
-		return "duplicate"
-	case FaultPartial:
-		return "partial"
-	case FaultFlap:
-		return "flap"
+	if k >= 0 && int(k) < len(faultKindNames) {
+		return faultKindNames[k]
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
@@ -73,29 +65,36 @@ type CommandFault struct {
 	DelayFactor float64
 }
 
-// MessageFault is the injector's decision for one BGP message delivery.
-// Only FaultDelay and FaultDuplicate are honored (see FaultDrop).
-type MessageFault struct {
-	Kind        FaultKind
-	DelayFactor float64
-}
-
-// FaultInjector decides the fate of every command application and message
-// delivery. Implementations must be deterministic functions of their own
-// seeded state and the call sequence, so a fixed seed reproduces the exact
-// fault schedule.
+// FaultInjector decides the fate of every command application.
+// Implementations must be deterministic functions of their own seeded state
+// and the call sequence, so a fixed seed reproduces the exact fault
+// schedule.
 type FaultInjector interface {
 	// CommandFault is consulted once per scheduled command application;
 	// attempt counts the controller's pushes of the same command (0 for
 	// the first push, 1 for the first retry, …).
 	CommandFault(node topology.NodeID, description string, attempt int) CommandFault
-	// MessageFault is consulted once per enqueued BGP message.
-	MessageFault(from, to topology.NodeID) MessageFault
+}
+
+// Delivery decides when every BGP message arrives; like a FaultInjector, it
+// must be deterministic in its seeded state and the call sequence.
+type Delivery interface {
+	// Deliver is consulted once per message, when from sends it to to,
+	// with the session's seeded delay (propagation plus jitter). It returns
+	// the delay the message takes, which must be ≥ 0, and, if dup > 0, a
+	// copy's spacing: the copy follows the original dup later on the same
+	// lane, in the session's FIFO order. A message whose delay Deliver
+	// changed or that it copied counts once in faults_injected_message.
+	Deliver(from, to topology.NodeID, delay time.Duration) (took, dup time.Duration)
 }
 
 // SetFaultInjector installs fi on the network (nil removes it). Cloned
 // networks never inherit the injector.
 func (n *Network) SetFaultInjector(fi FaultInjector) { n.faults = fi }
+
+// SetDelivery installs d on the network (nil restores the seeded timing).
+// Cloned networks never inherit it.
+func (n *Network) SetDelivery(d Delivery) { n.delivery = d }
 
 // CommandToken is the controller's view of one pushed command: whether the
 // router acknowledged it, and a handle to cancel it while still in flight.

@@ -9,24 +9,18 @@ import (
 	"chameleon/internal/topology"
 )
 
-// scriptInjector adapts plain closures to sim.FaultInjector.
-type scriptInjector struct {
-	cmd func(node topology.NodeID, desc string, attempt int) sim.CommandFault
-	msg func(from, to topology.NodeID) sim.MessageFault
-}
+// scriptInjector adapts a closure to sim.FaultInjector.
+type scriptInjector func(node topology.NodeID, desc string, attempt int) sim.CommandFault
 
 func (s scriptInjector) CommandFault(n topology.NodeID, d string, a int) sim.CommandFault {
-	if s.cmd == nil {
-		return sim.CommandFault{}
-	}
-	return s.cmd(n, d, a)
+	return s(n, d, a)
 }
 
-func (s scriptInjector) MessageFault(f, t topology.NodeID) sim.MessageFault {
-	if s.msg == nil {
-		return sim.MessageFault{}
-	}
-	return s.msg(f, t)
+// deliverFunc adapts a closure to sim.Delivery.
+type deliverFunc func(from, to topology.NodeID, delay time.Duration) (time.Duration, time.Duration)
+
+func (f deliverFunc) Deliver(from, to topology.NodeID, delay time.Duration) (time.Duration, time.Duration) {
+	return f(from, to, delay)
 }
 
 // countedCommand returns a no-op command whose applications are counted.
@@ -62,11 +56,9 @@ func TestScheduleCommandAcks(t *testing.T) {
 func TestCommandFaultDrop(t *testing.T) {
 	s := scenario.RunningExample()
 	net := s.Net
-	net.SetFaultInjector(scriptInjector{
-		cmd: func(topology.NodeID, string, int) sim.CommandFault {
-			return sim.CommandFault{Kind: sim.FaultDrop}
-		},
-	})
+	net.SetFaultInjector(scriptInjector(func(topology.NodeID, string, int) sim.CommandFault {
+		return sim.CommandFault{Kind: sim.FaultDrop}
+	}))
 	applied := 0
 	tk := net.ScheduleCommand(10*time.Second, countedCommand(s.E1, &applied), 0)
 	net.Run()
@@ -81,11 +73,9 @@ func TestCommandFaultDrop(t *testing.T) {
 func TestCommandFaultDelay(t *testing.T) {
 	s := scenario.RunningExample()
 	net := s.Net
-	net.SetFaultInjector(scriptInjector{
-		cmd: func(topology.NodeID, string, int) sim.CommandFault {
-			return sim.CommandFault{Kind: sim.FaultDelay, DelayFactor: 3}
-		},
-	})
+	net.SetFaultInjector(scriptInjector(func(topology.NodeID, string, int) sim.CommandFault {
+		return sim.CommandFault{Kind: sim.FaultDelay, DelayFactor: 3}
+	}))
 	applied := 0
 	start := net.Now()
 	tk := net.ScheduleCommand(10*time.Second, countedCommand(s.E1, &applied), 0)
@@ -105,11 +95,9 @@ func TestCommandFaultDelay(t *testing.T) {
 func TestCommandFaultDuplicate(t *testing.T) {
 	s := scenario.RunningExample()
 	net := s.Net
-	net.SetFaultInjector(scriptInjector{
-		cmd: func(topology.NodeID, string, int) sim.CommandFault {
-			return sim.CommandFault{Kind: sim.FaultDuplicate}
-		},
-	})
+	net.SetFaultInjector(scriptInjector(func(topology.NodeID, string, int) sim.CommandFault {
+		return sim.CommandFault{Kind: sim.FaultDuplicate}
+	}))
 	applied := 0
 	tk := net.ScheduleCommand(10*time.Second, countedCommand(s.E1, &applied), 0)
 	// Both applications are commands: BGP has not settled until the second
@@ -133,11 +121,9 @@ func TestCommandFaultDuplicate(t *testing.T) {
 func TestCommandFaultPartial(t *testing.T) {
 	s := scenario.RunningExample()
 	net := s.Net
-	net.SetFaultInjector(scriptInjector{
-		cmd: func(topology.NodeID, string, int) sim.CommandFault {
-			return sim.CommandFault{Kind: sim.FaultPartial}
-		},
-	})
+	net.SetFaultInjector(scriptInjector(func(topology.NodeID, string, int) sim.CommandFault {
+		return sim.CommandFault{Kind: sim.FaultPartial}
+	}))
 	applied := 0
 	tk := net.ScheduleCommand(10*time.Second, countedCommand(s.E1, &applied), 0)
 	net.Run()
@@ -231,11 +217,9 @@ func TestPendingCommandsAfterCompaction(t *testing.T) {
 func TestCancelAlsoStopsDuplicates(t *testing.T) {
 	s := scenario.RunningExample()
 	net := s.Net
-	net.SetFaultInjector(scriptInjector{
-		cmd: func(topology.NodeID, string, int) sim.CommandFault {
-			return sim.CommandFault{Kind: sim.FaultDuplicate}
-		},
-	})
+	net.SetFaultInjector(scriptInjector(func(topology.NodeID, string, int) sim.CommandFault {
+		return sim.CommandFault{Kind: sim.FaultDuplicate}
+	}))
 	applied := 0
 	net.ScheduleCommand(10*time.Second, countedCommand(s.E1, &applied), 0)
 	net.CancelPendingCommands()
@@ -289,18 +273,16 @@ func TestMessageFaultsPreserveConvergence(t *testing.T) {
 
 	faulty := scenario.RunningExample()
 	i := 0
-	faulty.Net.SetFaultInjector(scriptInjector{
-		msg: func(topology.NodeID, topology.NodeID) sim.MessageFault {
-			i++
-			switch i % 3 {
-			case 0:
-				return sim.MessageFault{Kind: sim.FaultDelay, DelayFactor: 4}
-			case 1:
-				return sim.MessageFault{Kind: sim.FaultDuplicate}
-			}
-			return sim.MessageFault{}
-		},
-	})
+	faulty.Net.SetDelivery(deliverFunc(func(_, _ topology.NodeID, delay time.Duration) (time.Duration, time.Duration) {
+		i++
+		switch i % 3 {
+		case 0:
+			return 4 * delay, 0
+		case 1:
+			return delay, delay / 2
+		}
+		return delay, 0
+	}))
 	faulty.Commands[0].Apply(faulty.Net)
 	faulty.Net.Run()
 

@@ -57,36 +57,47 @@ func directedSessions(n *Network) int {
 	return d
 }
 
-// laneFaults delays or duplicates a seeded share of the messages.
-type laneFaults struct{ rng *rand.Rand }
+// laneDelivery delays or duplicates a seeded share of the messages; with
+// shorten it speeds a share up instead, some to no delay at all.
+type laneDelivery struct {
+	rng     *rand.Rand
+	shorten bool
+}
 
-func (f laneFaults) CommandFault(topology.NodeID, string, int) CommandFault { return CommandFault{} }
-
-func (f laneFaults) MessageFault(topology.NodeID, topology.NodeID) MessageFault {
+func (f laneDelivery) Deliver(_, _ topology.NodeID, delay time.Duration) (time.Duration, time.Duration) {
 	switch f.rng.IntN(6) {
 	case 0:
-		return MessageFault{Kind: FaultDelay, DelayFactor: 1 + 4*f.rng.Float64()}
+		if f.shorten {
+			return time.Duration(float64(delay) * f.rng.Float64()), 0
+		}
+		return time.Duration(float64(delay) * (1 + 4*f.rng.Float64())), 0
 	case 1:
-		return MessageFault{Kind: FaultDuplicate}
+		return delay, delay / 2
+	case 2:
+		if f.shorten {
+			return 0, 0
+		}
 	}
-	return MessageFault{}
+	return delay, 0
 }
 
 // TestLanesMatchSortedReference runs seeded networks in lockstep with a
 // slice of every pending event, kept sorted by (at, seq): announcements and
 // withdrawals route by route on every session, with jitter, delayed and
 // duplicated messages, and a session torn down and re-established while
-// messages are in flight on it. Every step must deliver the event the slice
-// holds first, in FIFO order per session; Pending and Converged must agree
-// with the slice; no delivered message may keep its link, and every lane
-// must be empty once the run drains.
+// messages are in flight on it. Seeds past 16 shorten delays instead, down
+// to 0, so a message can fall due before the ones sent ahead of it. Every
+// step must deliver the event the slice holds first, in FIFO order per
+// session; Pending and Converged must agree with the slice; no delivered
+// message may keep its link, and every lane must be empty once the run
+// drains.
 func TestLanesMatchSortedReference(t *testing.T) {
 	longest, stale := 0, 0
-	for seed := uint64(1); seed <= 16; seed++ {
+	for seed := uint64(1); seed <= 24; seed++ {
 		n, routers, exts := laneNetwork(4, 2, DefaultOptions(seed))
 		n.Run()
 		rng := rand.New(rand.NewPCG(seed, 29))
-		n.SetFaultInjector(laneFaults{rng: rand.New(rand.NewPCG(seed, 31))})
+		n.SetDelivery(laneDelivery{rng: rand.New(rand.NewPCG(seed, 31)), shorten: seed > 16})
 		for i := range 80 {
 			p, at := bgp.Prefix(i%24), time.Duration(rng.IntN(300))*time.Millisecond
 			ext := exts[i%2]

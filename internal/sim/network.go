@@ -116,10 +116,11 @@ type Network struct {
 	affected []bgp.Prefix
 	bufs     routeBufs
 
-	// faults, when set, decides the fate of every scheduled command and
-	// delivered message (see fault.go). pendingCmds tracks in-flight
+	// faults and delivery, when set, decide the fate of every scheduled
+	// command and sent message (see fault.go). pendingCmds tracks in-flight
 	// command tokens so an abort can cancel them deterministically.
 	faults      FaultInjector
+	delivery    Delivery
 	pendingCmds []*CommandToken
 
 	// rec, when set, receives the sim-layer counters (messages by type,
@@ -776,7 +777,8 @@ func (n *Network) RecordInitialState(prefix bgp.Prefix) {
 // eBGP export counts start at zero; forwarding traces start empty; the run
 // index is 0 and jitter restarts from the constructor stream of
 // Options.Seed. Not inherited either: causal provenance, the snapshot hook,
-// the recorder and its span, the fault injector and pending commands.
+// the recorder and its span, the fault injector, the Delivery and pending
+// commands.
 // The tables intern into a fork of the source's attribute table
 // (bgp.AttrTable.Fork), which resolves every shared handle and appends into
 // storage of its own. No handle crosses from one network to the other: the

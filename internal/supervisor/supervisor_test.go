@@ -15,15 +15,12 @@ import (
 	"chameleon/internal/topology"
 )
 
-// dropAll loses every command, never any message — the persistent fault
+// dropAll loses every command — the persistent fault
 // that exhausts the executor's escalation ladder.
 type dropAll struct{}
 
 func (dropAll) CommandFault(_ topology.NodeID, _ string, _ int) sim.CommandFault {
 	return sim.CommandFault{Kind: sim.FaultDrop}
-}
-func (dropAll) MessageFault(_, _ topology.NodeID) sim.MessageFault {
-	return sim.MessageFault{Kind: sim.FaultNone}
 }
 
 // dropUntil drops every command on invocations < n, none afterwards.

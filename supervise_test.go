@@ -11,14 +11,11 @@ import (
 	"chameleon/internal/topology"
 )
 
-// facadeDropAll loses every command, never any message.
+// facadeDropAll loses every command.
 type facadeDropAll struct{}
 
 func (facadeDropAll) CommandFault(_ topology.NodeID, _ string, _ int) sim.CommandFault {
 	return sim.CommandFault{Kind: sim.FaultDrop}
-}
-func (facadeDropAll) MessageFault(_, _ topology.NodeID) sim.MessageFault {
-	return sim.MessageFault{Kind: sim.FaultNone}
 }
 
 func TestFacadeSupervise(t *testing.T) {
