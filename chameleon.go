@@ -134,7 +134,8 @@ func NewRIB() *RIB { return bgp.NewRIB() }
 // NewMonitor returns a transient-state monitor over cfg. Hand it to
 // PlanOptions.Monitor (the compiled specification is then tracked as an
 // additional invariant) and ExecOptions.Monitor (execution binds it to the
-// network's snapshot stream and attributes violations to rounds; it only
+// network's snapshot stream, and each violation takes the phase the
+// network is in at onset, so it is attributed to a round; it only
 // observes, so the run is the same without it). After execution the
 // completed timeline is available via its Timeline method.
 func NewMonitor(cfg MonitorConfig) *Monitor { return monitor.New(cfg) }
@@ -413,11 +414,11 @@ type ExecOptions struct {
 	Recorder *Recorder
 	// Monitor, when non-nil, observes every transient forwarding state of
 	// the execution: it is bound to the network's snapshot stream for the
-	// duration of the run, told each phase as it starts (so violations are
-	// attributed to rounds, of every destination). It only observes: a
-	// phase ends when BGP has settled, watched or not, so the run is the
-	// same with or without it. On success the monitor is finished and its
-	// Timeline is complete.
+	// duration of the run and attributes each violation to the phase the
+	// network is in at onset (so to rounds, of every destination). It only
+	// observes: a phase ends when BGP has settled, watched or not, so the
+	// run is the same with or without it. On success the monitor is
+	// finished and its Timeline is complete.
 	Monitor *Monitor
 	// ReleaseOnError, when set, releases the plan's transient state (the
 	// temporary sessions and route-map overrides of already-started rounds)
@@ -435,11 +436,7 @@ func (o ExecOptions) normalize(defaultSeed uint64) runtime.Options {
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	ro := runtime.Options{Seed: seed}
-	if o.Monitor != nil {
-		ro.PhaseObserver = o.Monitor.SetPhase
-	}
-	return ro
+	return runtime.Options{Seed: seed}
 }
 
 // ExecuteCtx applies the compiled plan to the scenario's live network,

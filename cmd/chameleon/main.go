@@ -18,10 +18,9 @@ import (
 	"time"
 
 	chameleon "chameleon"
+	"chameleon/internal/analyzer"
 	"chameleon/internal/config"
 	"chameleon/internal/eval"
-	"chameleon/internal/plan"
-	"chameleon/internal/scheduler"
 )
 
 var (
@@ -86,15 +85,11 @@ func run() error {
 		opts.Spec = sp
 	} else if !*example && *configFlag == "" {
 		// Default to the paper's Eq. 4 for case studies.
-		b, err := plan.Build(context.Background(), s.Net, s.FinalNetwork(), s.Prefix, s.Commands,
-			eval.Eq4For(s.E1), schedOptsFrom(opts))
+		a, err := analyzer.AnalyzeCtx(context.Background(), s.Net, s.FinalNetwork(), s.Prefix)
 		if err != nil {
 			return err
 		}
-		return report(&chameleon.Reconfiguration{
-			Scenario: s, Analysis: b.Analysis, Spec: b.Spec,
-			Schedule: b.Schedule, Plan: b.Plan,
-		})
+		opts.Spec = eval.Eq4Spec(a, s.E1)
 	}
 	rec, err := chameleon.PlanCtx(context.Background(), s, opts)
 	if err != nil {
@@ -128,12 +123,4 @@ func report(rec *chameleon.Reconfiguration) error {
 	}
 	fmt.Println("post-check: specification held in every transient state ✓")
 	return nil
-}
-
-func schedOptsFrom(o chameleon.PlanOptions) scheduler.Options {
-	out := scheduler.DefaultOptions()
-	if o.MaxRounds > 0 {
-		out.MaxRounds = o.MaxRounds
-	}
-	return out
 }

@@ -206,22 +206,6 @@ func TestAdjIn(t *testing.T) {
 	}
 }
 
-func TestLocRIB(t *testing.T) {
-	l := NewLocRIB(NewAttrTable())
-	r := route(0, 0, 1)
-	l.Set(r)
-	if got, ok := l.Get(0); !ok || !got.PathEqual(r) {
-		t.Error("Get mismatch")
-	}
-	if l.Size() != 1 {
-		t.Errorf("Size = %d", l.Size())
-	}
-	l.Clear(0)
-	if _, ok := l.Get(0); ok {
-		t.Error("Clear did not remove")
-	}
-}
-
 func TestSessionKindString(t *testing.T) {
 	kinds := map[SessionKind]string{
 		EBGP: "eBGP", IBGPPeer: "iBGP-peer", IBGPClient: "iBGP-client", IBGPUp: "iBGP-up",

@@ -210,22 +210,3 @@ func (a *AdjIn) CloneOn(attrs *AttrTable) *AdjIn {
 	}
 	return c
 }
-
-// LocRIB is the per-prefix best-route table of one router: a RIB whose
-// entries are its selections.
-type LocRIB struct {
-	*RIB
-}
-
-// NewLocRIB returns an empty Loc-RIB interning into attrs.
-func NewLocRIB(attrs *AttrTable) *LocRIB { return &LocRIB{NewRIBOn(attrs)} }
-
-// Clear removes the selection for prefix.
-func (l *LocRIB) Clear(prefix Prefix) { l.Delete(prefix) }
-
-// Size returns the number of selected routes.
-func (l *LocRIB) Size() int { return l.Len() }
-
-// CloneOn returns an independent copy sharing unchanged subtrees, interning
-// into attrs as RIB.CloneOn does.
-func (l *LocRIB) CloneOn(attrs *AttrTable) *LocRIB { return &LocRIB{l.RIB.CloneOn(attrs)} }

@@ -282,7 +282,6 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 		Name:       "chaos",
 		Invariants: []monitor.Invariant{monitor.ReachAll(s.Graph), monitor.LoopFree()},
 	})
-	opts.PhaseObserver = mon.SetPhase
 	opts.Monitor = mon.Alarm(s.Prefix)
 
 	ex := runtime.NewExecutor(s.Net, opts)

@@ -21,6 +21,11 @@ import (
 	"chameleon/internal/traffic"
 )
 
+// paperRatePerNode is the traffic every internal router injects, in
+// packets/s: the paper's testbed sends 16.5 kpkt/s over Abilene's 11
+// internal routers.
+const paperRatePerNode = 16500 / 11
+
 // --- Figs. 1, 6, 12: case studies ------------------------------------------
 
 // CaseStudyResult compares Snowcap and Chameleon on one topology.
@@ -121,7 +126,7 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 	out.SnowcapViolationTime = snowRes.ViolationTime
 	out.Snowcap = traffic.Measure(sSnow.Net.Trace(sSnow.Prefix), sSnow.Graph.Internal(),
 		waypointRules(aSnow, sSnow.E1), traffic.Options{
-			RatePerNode: 1500, Step: 0.01,
+			RatePerNode: paperRatePerNode, Step: 0.01,
 			From: start.Seconds(), To: sSnow.Net.Now().Seconds() + 0.1,
 		})
 
@@ -140,9 +145,7 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 		Invariants: caseStudyInvariants(sCham, pl.Analysis),
 		Recorder:   rec,
 	})
-	ro := runtime.Options{Seed: seed}
-	ro.PhaseObserver = mCham.SetPhase
-	ex := runtime.NewExecutor(sCham.Net, ro)
+	ex := runtime.NewExecutor(sCham.Net, runtime.Options{Seed: seed})
 	unbind := mCham.Bind(sCham.Net)
 	res, err := ex.ExecuteCtx(ctx, plan.Single(pl.Plan))
 	unbind()
@@ -158,7 +161,7 @@ func RunCaseStudyCtx(ctx context.Context, name string, seed uint64) (*CaseStudyR
 	out.PlanText = pl.Plan.String()
 	out.Chameleon = traffic.Measure(sCham.Net.Trace(sCham.Prefix), sCham.Graph.Internal(),
 		waypointRules(pl.Analysis, sCham.E1), traffic.Options{
-			RatePerNode: 1500, Step: 0.05,
+			RatePerNode: paperRatePerNode, Step: 0.05,
 			From: res.Start.Seconds(), To: res.End.Seconds() + 0.1,
 		})
 	return out, nil
@@ -442,7 +445,7 @@ func RunLinkFailureExperimentCtx(ctx context.Context, name string, seed uint64, 
 		return nil, err
 	}
 	m := traffic.Measure(s.Net.Trace(s.Prefix), s.Graph.Internal(), nil, traffic.Options{
-		RatePerNode: 1500, Step: 0.05,
+		RatePerNode: paperRatePerNode, Step: 0.05,
 		From: res.Start.Seconds(), To: res.End.Seconds() + 0.1,
 	})
 	return &ExternalEventResult{Measurement: m, Result: res}, nil
@@ -487,7 +490,7 @@ func RunNewRouteExperimentCtx(ctx context.Context, name string, seed uint64, ann
 		}
 	}
 	m := traffic.Measure(s.Net.Trace(s.Prefix), s.Graph.Internal(), nil, traffic.Options{
-		RatePerNode: 1500, Step: 0.05,
+		RatePerNode: paperRatePerNode, Step: 0.05,
 		From: res.Start.Seconds(), To: until.Seconds(),
 	})
 	out := &ExternalEventResult{Measurement: m, Result: res, ConvergedToE4: true}

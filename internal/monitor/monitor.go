@@ -151,9 +151,9 @@ type Config struct {
 // timeline. It is driven from the simulator's event loop and is not safe
 // for concurrent use.
 type Monitor struct {
-	cfg   Config
-	phase string
-	tick  uint64
+	cfg  Config
+	net  *sim.Network // bound network, whose phase label violations open under
+	tick uint64
 
 	statesChecked int
 	lastSeen      map[bgp.Prefix]fwd.State
@@ -184,11 +184,6 @@ func (m *Monitor) Track(inv Invariant) {
 	m.cfg.Invariants = append(m.cfg.Invariants, inv)
 }
 
-// SetPhase labels subsequently-observed violations with the named execution
-// phase; wire it to runtime.Options.PhaseObserver for per-round
-// attribution.
-func (m *Monitor) SetPhase(name string) { m.phase = name }
-
 // Observe checks one forwarding-state snapshot with no provenance (the
 // root cause comes out as "init"). Kept for direct callers; the simulator
 // hook is ObserveProvenance.
@@ -197,10 +192,10 @@ func (m *Monitor) Observe(at time.Duration, prefix bgp.Prefix, st fwd.State) {
 }
 
 // ObserveProvenance checks one forwarding-state snapshot, attributing any
-// violation it opens to the snapshot's causal root. Its signature matches
-// sim.SnapshotHook, so it can be installed directly (Bind does). The
-// monitor retains st as the prefix's last state: the caller must not write
-// to it afterwards.
+// violation it opens to the snapshot's causal root and to the bound
+// network's current phase. Its signature matches sim.SnapshotHook, so it
+// can be installed directly (Bind does). The monitor retains st as the
+// prefix's last state: the caller must not write to it afterwards.
 //
 // A snapshot equal to the prefix's previous state is still counted, and
 // still extends every violation open for the prefix, but invariants built
@@ -235,7 +230,7 @@ func (m *Monitor) ObserveProvenance(at time.Duration, prefix bgp.Prefix, st fwd.
 				Start:     at,
 				End:       at,
 				StartTick: m.tick,
-				Phase:     m.phase,
+				Phase:     m.phase(),
 				Nodes:     slices.Clone(affected),
 				Cause:     rootCause(at, prov),
 			}
@@ -247,6 +242,15 @@ func (m *Monitor) ObserveProvenance(at time.Duration, prefix bgp.Prefix, st fwd.
 			v.Nodes = mergeNodes(v.Nodes, affected)
 		}
 	}
+}
+
+// phase is the execution phase a violation opening now is attributed to:
+// the bound network's phase label, "" when the monitor is unbound.
+func (m *Monitor) phase() string {
+	if m.net == nil {
+		return ""
+	}
+	return m.net.PhaseLabel()
 }
 
 // rootCause resolves a snapshot's provenance into the violation's
@@ -327,13 +331,20 @@ func (m *Monitor) Alarm(prefix bgp.Prefix) func(*sim.Network) string {
 }
 
 // Bind installs the monitor's ObserveProvenance as net's snapshot hook and
-// starts the monitor's clock at the network's current time. It returns a
-// detach function restoring the previous (nil) hook; detach before
+// starts the monitor's clock at the network's current time. While bound,
+// each violation the monitor opens is attributed to the phase net is
+// labelled with at that snapshot (sim.Network.SetPhaseLabel, which the
+// runtime executor sets per phase). It returns a detach function restoring
+// the previous (nil) hook and unbinding the network; detach before
 // observing states that should not count, e.g. an Abort's teardown churn.
 func (m *Monitor) Bind(net *sim.Network) func() {
 	m.now = net.Now()
+	m.net = net
 	net.SetSnapshotHook(m.ObserveProvenance)
-	return func() { net.SetSnapshotHook(nil) }
+	return func() {
+		net.SetSnapshotHook(nil)
+		m.net = nil
+	}
 }
 
 // ViolationCount returns the number of violation intervals recorded so

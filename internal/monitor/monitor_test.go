@@ -36,13 +36,15 @@ func noDrop() Invariant {
 func TestObserveOpenExtendClose(t *testing.T) {
 	const pfx = bgp.Prefix(1)
 	m := New(Config{Name: "t", Invariants: []Invariant{noDrop()}})
-	m.SetPhase("setup")
+	net := sim.New(topology.New("t"), sim.Options{})
+	m.Bind(net)
+	net.SetPhaseLabel("setup")
 	m.Observe(0, pfx, fwd.State{fwd.External, fwd.External})
-	m.SetPhase("round 1")
+	net.SetPhaseLabel("round 1")
 	m.Observe(1*time.Second, pfx, fwd.State{fwd.Drop, fwd.External}) // opens
 	m.Observe(2*time.Second, pfx, fwd.State{fwd.Drop, fwd.Drop})     // extends + widens
 	m.Observe(3*time.Second, pfx, fwd.State{fwd.External, fwd.External})
-	m.SetPhase("cleanup")
+	net.SetPhaseLabel("cleanup")
 	m.Observe(4*time.Second, pfx, fwd.State{fwd.External, fwd.Drop}) // opens, never recovers
 	if got := m.ViolationCount(); got != 2 {
 		t.Errorf("ViolationCount = %d, want 2", got)
@@ -77,6 +79,39 @@ func TestObserveOpenExtendClose(t *testing.T) {
 	// Finish is idempotent.
 	if tl2 := m.Finish(99 * time.Second); len(tl2.Violations) != 2 || tl2.End != 5*time.Second {
 		t.Error("second Finish must be a no-op")
+	}
+}
+
+// TestViolationPhaseIsOnsetLabel pins where a violation's phase comes from:
+// the label the bound network carries at the snapshot that opens it, kept
+// however the label changes while the violation stays open, and "" once
+// the monitor is unbound.
+func TestViolationPhaseIsOnsetLabel(t *testing.T) {
+	const pfx = bgp.Prefix(1)
+	ok, drop := fwd.State{fwd.External}, fwd.State{fwd.Drop}
+	m := New(Config{Name: "t", Invariants: []Invariant{noDrop()}})
+	net := sim.New(topology.New("t"), sim.Options{})
+	unbind := m.Bind(net)
+	net.SetPhaseLabel("round 1")
+	m.Observe(1*time.Second, pfx, drop) // opens under round 1
+	net.SetPhaseLabel("round 2")
+	m.Observe(2*time.Second, pfx, drop) // stays open across the change
+	m.Observe(3*time.Second, pfx, ok)
+	m.Observe(4*time.Second, pfx, drop) // opens under round 2
+	m.Observe(5*time.Second, pfx, ok)
+	net.SetPhaseLabel("")
+	m.Observe(6*time.Second, pfx, drop) // opens outside any phase
+	net.SetPhaseLabel("cleanup")
+	m.Observe(7*time.Second, pfx, ok)
+	unbind()
+	m.Observe(8*time.Second, pfx, drop) // unbound: the label is not read
+	tl := m.Finish(9 * time.Second)
+	var got []string
+	for _, v := range tl.Violations {
+		got = append(got, v.Phase)
+	}
+	if want := []string{"round 1", "round 2", "", ""}; !slices.Equal(got, want) {
+		t.Errorf("violation phases = %q, want %q", got, want)
 	}
 }
 

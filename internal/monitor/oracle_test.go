@@ -107,11 +107,6 @@ func (tw *twins) bind(net *sim.Network) func() {
 	return func() { net.SetSnapshotHook(nil) }
 }
 
-func (tw *twins) setPhase(name string) {
-	tw.once.SetPhase(name)
-	tw.all.SetPhase(name)
-}
-
 // finish closes both timelines and requires them byte-identical with the
 // same state count. It returns the number of violations.
 func (tw *twins) finish(at time.Duration) int {
@@ -183,8 +178,7 @@ func TestRepeatedStatesJudgedOnce(t *testing.T) {
 				}))
 			}
 			// The facade's ExecuteCtx with a monitor, for two monitors.
-			ex := runtime.NewExecutor(net, runtime.Options{Seed: seed, PhaseObserver: tw.setPhase,
-				Monitor: tw.poll(planned)})
+			ex := runtime.NewExecutor(net, runtime.Options{Seed: seed, Monitor: tw.poll(planned)})
 			unbind := tw.bind(net)
 			if _, err := ex.ExecuteCtx(ctx, mp); err != nil {
 				t.Fatalf("%s: %v", tw.label, err)

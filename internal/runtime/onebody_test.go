@@ -42,7 +42,7 @@ func TestPlanIsMultiPlanOfOne(t *testing.T) {
 				mon := monitor.New(monitor.Config{Name: "one-body", Invariants: []monitor.Invariant{monitor.ReachAll(s.Graph), monitor.LoopFree()}})
 				defer mon.Bind(net)()
 				rec := obs.New()
-				ex := runtime.NewExecutor(net, runtime.Options{Seed: 7, PhaseObserver: mon.SetPhase})
+				ex := runtime.NewExecutor(net, runtime.Options{Seed: 7})
 				mp := plan.Single(p)
 				var err error
 				if aligned {

@@ -71,11 +71,6 @@ type Options struct {
 	// an exhausted escalation ladder. §8's third reaction, committing to the
 	// final configuration, is the supervisor's commit rung.
 	Reaction ReactionPolicy
-	// PhaseObserver, when set, is told the name of every execution phase as
-	// it starts (setup, between k, round k, cleanup), independent
-	// of whether a recorder is attached. The transient-state monitor uses
-	// it to attribute violations to the round that caused them.
-	PhaseObserver func(name string)
 }
 
 // ReactionPolicy is the §8 response to harmful external events.
@@ -315,15 +310,12 @@ func (e *Executor) count(name string, delta int64) {
 	e.execSpan.Add(name, delta)
 }
 
-// startPhase opens a trace span for one phase, points the sim layer's
-// counter attribution at it and labels the network's provenance layer so
-// causes registered during the phase carry its name; endPhase closes the
-// span and reverts attribution and label. Phase observers are notified
-// first, recorder or not.
+// startPhase labels the network with one phase's name, recorder or not, so
+// causes registered and violations a bound monitor opens during the phase
+// carry it; it then opens a trace span for the phase and points the sim
+// layer's counter attribution at it. endPhase closes the span and reverts
+// attribution and label.
 func (e *Executor) startPhase(name string) *obs.Span {
-	if e.opts.PhaseObserver != nil {
-		e.opts.PhaseObserver(name)
-	}
 	e.net.SetPhaseLabel(name)
 	if e.obsRec == nil {
 		return nil

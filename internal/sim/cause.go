@@ -164,6 +164,9 @@ func (n *Network) CauseOf(id CauseID) (Cause, bool) {
 // attributed to (empty clears it). The runtime executor sets it per phase.
 func (n *Network) SetPhaseLabel(phase string) { n.curPhase = phase }
 
+// PhaseLabel returns the label SetPhaseLabel last set ("" outside a phase).
+func (n *Network) PhaseLabel() string { return n.curPhase }
+
 // ScheduleCausedAt runs fn when the simulated clock reaches t, rooting the
 // causal chain of everything fn sets in motion at the given cause.
 func (n *Network) ScheduleCausedAt(t time.Duration, id CauseID, fn func(*Network)) {

@@ -504,7 +504,7 @@ func (n *Network) decide(r *router, prefix bgp.Prefix) bool {
 	}
 	switch {
 	case i < 0:
-		r.locRib.Clear(prefix)
+		r.locRib.Delete(prefix)
 	case held[i] > 0:
 		r.locRib.SetHandle(prefix, held[i]-1)
 	default:

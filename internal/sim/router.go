@@ -19,8 +19,8 @@ type router struct {
 	// attrs is the network's attribute table, which every table below
 	// interns into.
 	attrs  *bgp.AttrTable
-	adjIn  *bgp.AdjIn  // raw routes as received, before ingress policy
-	locRib *bgp.LocRIB // selected route per prefix, after ingress policy
+	adjIn  *bgp.AdjIn // raw routes as received, before ingress policy
+	locRib *bgp.RIB   // selected route per prefix, after ingress policy
 
 	// originated holds the announcements of an external network, on the
 	// copy-on-write trie so a clone shares them; empty (and unallocated) at
@@ -54,7 +54,7 @@ func newRouter(id topology.NodeID, external bool, attrs *bgp.AttrTable) *router 
 		external: external,
 		attrs:    attrs,
 		adjIn:    bgp.NewAdjIn(attrs),
-		locRib:   bgp.NewLocRIB(attrs),
+		locRib:   bgp.NewRIBOn(attrs),
 	}
 }
 

@@ -382,10 +382,9 @@ func (sv *Supervisor) executeAttempt(ctx context.Context, p *plan.Plan) (bool, e
 		Invariants: []monitor.Invariant{monitor.ReachAll(sv.s.Graph), monitor.LoopFree()},
 	})
 	opts := runtime.Options{
-		Seed:          sv.execSeed(),
-		Reaction:      runtime.ReactReplan,
-		Monitor:       mon.Alarm(sv.s.Prefix),
-		PhaseObserver: mon.SetPhase,
+		Seed:     sv.execSeed(),
+		Reaction: runtime.ReactReplan,
+		Monitor:  mon.Alarm(sv.s.Prefix),
 	}
 	if sv.attempt == 0 {
 		opts.ExternalEvents = sv.opts.ExternalEvents
