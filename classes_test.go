@@ -256,10 +256,11 @@ func TestClassDecompositionInvariance(t *testing.T) {
 
 // TestMultiClassExecutionContract: a multi-class run goes through the same
 // executor body as a single-destination one, so it is traced phase by phase
-// (setup, cleanup and one span per destination and round), the monitor is
-// told each phase as it starts — the violations of a probe invariant that
-// fails on every other snapshot are attributed to phases of the trace, rounds
-// of every destination among them — and a fault-free run reports no recovery:
+// (setup, cleanup and one span per destination and round), the monitor
+// reads each phase from the network it is bound to — the violations of a
+// probe invariant that fails on every other snapshot are attributed to
+// phases of the trace, rounds of every destination among them — and a
+// fault-free run reports no recovery:
 // the temporary-session steps the per-destination plans share are not lost
 // acknowledgments.
 func TestMultiClassExecutionContract(t *testing.T) {

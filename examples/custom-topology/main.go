@@ -59,16 +59,9 @@ func main() {
 
 	// The reconfiguration: drop peerA's preference to 50, shifting all
 	// traffic to peerB — the Fig. 3 pattern.
-	cmd := sim.Command{
-		Node:        edgeA,
-		Description: "edgeA: lower peerA local-pref to 50",
-		Apply: func(n *sim.Network) {
-			n.UpdateRouteMap(edgeA, extA, sim.In, func(rm *sim.RouteMap) {
-				rm.Remove(10)
-				rm.Add(sim.Entry{Order: 10, Action: sim.Action{SetLocalPref: sim.U32P(50)}})
-			})
-		},
-	}
+	cmd := sim.SetIngressEntry(edgeA, extA,
+		sim.Entry{Order: 10, Action: sim.Action{SetLocalPref: sim.U32P(50)}},
+		"edgeA: lower peerA local-pref to 50")
 	s := &scenario.Scenario{
 		Name: "custom", Net: net, Graph: g, Prefix: prefix,
 		E1: edgeA, E2: edgeB, E3: edgeB,

@@ -439,47 +439,26 @@ func (c *Config) buildCommand(d CommandDecl, lookup func(string) (topology.NodeI
 	if err != nil {
 		return sim.Command{}, err
 	}
+	var cmd sim.Command
 	switch d.Kind {
 	case CmdDeny:
-		prefix := d.Prefix
-		order := d.Order
-		return sim.Command{
-			Node:        node,
-			Description: fmt.Sprintf("%s: deny routes from %s", d.Node, d.From),
-			DeniesOld:   true,
-			Apply: func(net *sim.Network) {
-				net.UpdateRouteMap(node, from, sim.In, func(m *sim.RouteMap) {
-					e := sim.Entry{Order: order, Action: sim.Action{Deny: true}}
-					if prefix >= 0 {
-						e.Match.Prefix = sim.PrefixP(bgp.Prefix(prefix))
-					}
-					m.Add(e)
-				})
-			},
-		}, nil
+		e := sim.Entry{Order: d.Order, Action: sim.Action{Deny: true}}
+		if d.Prefix >= 0 {
+			e.Match.Prefix = sim.PrefixP(bgp.Prefix(d.Prefix))
+		}
+		cmd = sim.AddIngressEntry(node, from, e, fmt.Sprintf("%s: deny routes from %s", d.Node, d.From))
+		cmd.DeniesOld = true
 	case CmdLocalPref:
-		order, lp := d.Order, d.LocalPref
-		return sim.Command{
-			Node:        node,
-			Description: fmt.Sprintf("%s: set local-pref of routes from %s to %d", d.Node, d.From, lp),
-			Apply: func(net *sim.Network) {
-				net.UpdateRouteMap(node, from, sim.In, func(m *sim.RouteMap) {
-					m.Remove(order)
-					m.Add(sim.Entry{Order: order, Action: sim.Action{SetLocalPref: sim.U32P(lp)}})
-				})
-			},
-		}, nil
+		cmd = sim.SetIngressEntry(node, from,
+			sim.Entry{Order: d.Order, Action: sim.Action{SetLocalPref: sim.U32P(d.LocalPref)}},
+			fmt.Sprintf("%s: set local-pref of routes from %s to %d", d.Node, d.From, d.LocalPref))
 	case CmdRemoveSession:
-		return sim.Command{
-			Node:        node,
-			Description: fmt.Sprintf("remove session %s–%s", d.Node, d.From),
-			DeniesOld:   true,
-			Apply: func(net *sim.Network) {
-				net.RemoveSession(node, from)
-			},
-		}, nil
+		cmd = sim.CloseSession(node, from, fmt.Sprintf("remove session %s–%s", d.Node, d.From))
+		cmd.DeniesOld = true
+	default:
+		return sim.Command{}, fmt.Errorf("config: unknown command kind %q", d.Kind)
 	}
-	return sim.Command{}, fmt.Errorf("config: unknown command kind %q", d.Kind)
+	return cmd, nil
 }
 
 // Scenario materializes the configuration as a reconfiguration scenario

@@ -2,6 +2,8 @@ package config_test
 
 import (
 	"context"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,7 +12,9 @@ import (
 	"chameleon/internal/eval"
 	"chameleon/internal/plan"
 	"chameleon/internal/runtime"
+	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
+	"chameleon/internal/sim"
 )
 
 // runningExampleDSL is the Fig. 3 network in the configuration DSL.
@@ -245,4 +249,79 @@ func TestRemoveSessionCommand(t *testing.T) {
 			t.Errorf("node %d best %v after session removal", n, best)
 		}
 	}
+}
+
+// TestRunningExampleFileMatchesScenario: Fig. 3 is stated twice, as
+// testdata/running-example.conf and as scenario.RunningExample. Both must
+// build the same network: the same selected routes, forwarding state and
+// route maps when converged, and again after their one command.
+func TestRunningExampleFileMatchesScenario(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/running-example.conf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := config.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := c.Scenario(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtIn := scenario.RunningExample()
+	nodes := builtIn.Graph.Nodes()
+	if len(fromFile.Graph.Nodes()) != len(nodes) {
+		t.Fatalf("%d nodes from the file, %d built in", len(fromFile.Graph.Nodes()), len(nodes))
+	}
+	for _, n := range nodes {
+		if got := fromFile.Graph.Node(n.ID).Name; got != n.Name {
+			t.Fatalf("node %d is %q from the file, %q built in", n.ID, got, n.Name)
+		}
+	}
+	if len(fromFile.Commands) != 1 || len(builtIn.Commands) != 1 {
+		t.Fatalf("%d commands from the file, %d built in; want one each", len(fromFile.Commands), len(builtIn.Commands))
+	}
+	same := func(when string) {
+		t.Helper()
+		fr, fh := fromFile.Net.RoutingState(fromFile.Prefix)
+		br, bh := builtIn.Net.RoutingState(builtIn.Prefix)
+		if !reflect.DeepEqual(fr, br) || !reflect.DeepEqual(fh, bh) {
+			t.Errorf("%s: selected routes differ:\nfile     %v\nbuilt-in %v", when, fr, br)
+		}
+		if f, b := fromFile.Net.ForwardingState(fromFile.Prefix), builtIn.Net.ForwardingState(builtIn.Prefix); !reflect.DeepEqual(f, b) {
+			t.Errorf("%s: forwarding state differs: file %v, built-in %v", when, f, b)
+		}
+		if f, b := routeMaps(t, fromFile.Net), routeMaps(t, builtIn.Net); !reflect.DeepEqual(f, b) {
+			t.Errorf("%s: route maps differ:\nfile     %+v\nbuilt-in %+v", when, f, b)
+		}
+	}
+	same("converged")
+	for _, s := range []*scenario.Scenario{fromFile, builtIn} {
+		s.Commands[0].Apply(s.Net)
+		s.Net.Run()
+	}
+	same("after the command")
+}
+
+// routeMaps captures every router's route maps. A match on the neighbor a
+// map already belongs to matches every route the map sees, so it is
+// dropped before comparing.
+func routeMaps(t *testing.T, net *sim.Network) [][]sim.RouteMapState {
+	t.Helper()
+	st, err := net.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]sim.RouteMapState, len(st.Routers))
+	for i, r := range st.Routers {
+		for _, rm := range r.RouteMaps {
+			for j, e := range rm.Entries {
+				if e.Match.Neighbor != nil && *e.Match.Neighbor == rm.Neighbor {
+					rm.Entries[j].Match.Neighbor = nil
+				}
+			}
+			out[i] = append(out[i], rm)
+		}
+	}
+	return out
 }

@@ -22,7 +22,11 @@ func Compile(a *analyzer.Analysis, s *scheduler.NodeSchedule, originals []sim.Co
 		Rounds:  make([][]Step, s.R),
 		Between: make([][]sim.Command, s.R+1),
 	}
-	c := &compiler{a: a, s: s, p: p, sessions: make(map[Session]bool)}
+	c := &compiler{a: a, s: s, p: p, sessions: make(map[Session]bool),
+		prefix: sim.PrefixP(a.Prefix), ids: make([]topology.NodeID, a.Graph.NumNodes())}
+	for i := range c.ids {
+		c.ids[i] = topology.NodeID(i)
+	}
 
 	// Deterministic node order.
 	nodes := append([]topology.NodeID(nil), a.Switching...)
@@ -46,6 +50,10 @@ type compiler struct {
 	s        *scheduler.NodeSchedule
 	p        *Plan
 	sessions map[Session]bool
+	// prefix and ids are what the weight entries' matches point to, one
+	// copy shared by every entry of the plan: the prefix and each node ID.
+	prefix *bgp.Prefix
+	ids    []topology.NodeID
 }
 
 // addStep places a step: round 0 → setup, rounds 1..R → update phase,
@@ -74,21 +82,9 @@ func (c *compiler) ensureTempSession(n, egress topology.NodeID) {
 	}
 	c.sessions[key] = true
 	c.p.TempSessions = append(c.p.TempSessions, key)
-	nn, ee := n, egress
 	c.p.Setup = append(c.p.Setup, Step{
-		Command: sim.Command{
-			Node:        nn,
-			Description: fmt.Sprintf("establish temporary iBGP session n%d–n%d", int(nn), int(ee)),
-			Apply: func(net *sim.Network) {
-				if _, up := net.HasSession(nn, ee); !up {
-					net.SetSession(nn, ee, bgp.IBGPPeer)
-				}
-			},
-			Verify: func(net *sim.Network) bool {
-				_, up := net.HasSession(nn, ee)
-				return up
-			},
-		},
+		Command: sim.OpenSession(n, egress, bgp.IBGPPeer,
+			fmt.Sprintf("establish temporary iBGP session n%d–n%d", int(n), int(egress))),
 		// The session must deliver the egress's current best route.
 		Post: nil,
 	})
@@ -96,29 +92,13 @@ func (c *compiler) ensureTempSession(n, egress topology.NodeID) {
 
 // weightEntry returns a command installing an ingress route-map entry at n
 // matching (neighbor=from, egress) with the given weight.
-func weightEntry(n, from, egress topology.NodeID, prefix bgp.Prefix, order, weight int, what string) sim.Command {
-	return sim.Command{
-		Node: n,
-		Description: fmt.Sprintf("n%d: prefer %s (weight %d on routes from n%d with egress n%d)",
-			int(n), what, weight, int(from), int(egress)),
-		Apply: func(net *sim.Network) {
-			net.UpdateRouteMap(n, from, sim.In, func(rm *sim.RouteMap) {
-				rm.Remove(orderFor(order, prefix))
-				rm.Add(sim.Entry{
-					Order: orderFor(order, prefix),
-					Match: sim.Match{
-						Prefix:   sim.PrefixP(prefix),
-						Neighbor: sim.NodeP(from),
-						Egress:   sim.NodeP(egress),
-					},
-					Action: sim.Action{SetWeight: sim.IntP(weight)},
-				})
-			})
-		},
-		Verify: func(net *sim.Network) bool {
-			return net.RouteMapOf(n, from, sim.In).Has(orderFor(order, prefix))
-		},
-	}
+func (c *compiler) weightEntry(n, from, egress topology.NodeID, order, weight int, what string) sim.Command {
+	return sim.SetIngressEntry(n, from, sim.Entry{
+		Order:  orderFor(order, *c.prefix),
+		Match:  sim.Match{Prefix: c.prefix, Neighbor: &c.ids[from], Egress: &c.ids[egress]},
+		Action: sim.Action{SetWeight: sim.IntP(weight)},
+	}, fmt.Sprintf("n%d: prefer %s (weight %d on routes from n%d with egress n%d)",
+		int(n), what, weight, int(from), int(egress)))
 }
 
 // compileNode applies the Table 1 rules for one switching node.
@@ -140,7 +120,7 @@ func (c *compiler) compileNode(n topology.NodeID) error {
 	}
 	if mOld != topology.None && t.Old >= 1 {
 		c.addStep(0, Step{
-			Command: weightEntry(n, mOld, eOld, c.a.Prefix, orderPinOld, WeightPinOld,
+			Command: c.weightEntry(n, mOld, eOld, orderPinOld, WeightPinOld,
 				fmt.Sprintf("its old route from n%d", int(mOld))),
 			Post: []Condition{{Kind: CondSelects, Node: n, Egress: eOld, From: mOld}},
 		})
@@ -150,7 +130,7 @@ func (c *compiler) compileNode(n topology.NodeID) error {
 	if t.Old < t.NH {
 		c.ensureTempSession(n, eOld)
 		c.addStep(t.Old, Step{
-			Command: weightEntry(n, eOld, eOld, c.a.Prefix, orderTempOld, WeightTempOld,
+			Command: c.weightEntry(n, eOld, eOld, orderTempOld, WeightTempOld,
 				fmt.Sprintf("the temp route from old egress n%d", int(eOld))),
 			Pre:  []Condition{{Kind: CondKnows, Node: n, Egress: eOld, From: eOld}},
 			Post: []Condition{{Kind: CondSelects, Node: n, Egress: eOld, From: eOld}},
@@ -161,7 +141,7 @@ func (c *compiler) compileNode(n topology.NodeID) error {
 	if t.NH < t.New {
 		c.ensureTempSession(n, eNew)
 		c.addStep(t.NH, Step{
-			Command: weightEntry(n, eNew, eNew, c.a.Prefix, orderTempNew, WeightTempNew,
+			Command: c.weightEntry(n, eNew, eNew, orderTempNew, WeightTempNew,
 				fmt.Sprintf("the temp route from new egress n%d", int(eNew))),
 			Pre:  []Condition{{Kind: CondKnows, Node: n, Egress: eNew, From: eNew}},
 			Post: []Condition{{Kind: CondSelects, Node: n, Egress: eNew, From: eNew}},
@@ -180,7 +160,7 @@ func (c *compiler) compileNode(n topology.NodeID) error {
 	}
 	if mNew != topology.None {
 		c.addStep(t.New, Step{
-			Command: weightEntry(n, mNew, eNew, c.a.Prefix, orderNew, WeightNew,
+			Command: c.weightEntry(n, mNew, eNew, orderNew, WeightNew,
 				fmt.Sprintf("its new route from n%d", int(mNew))),
 			Pre:  []Condition{{Kind: CondKnows, Node: n, Egress: eNew, From: mNew}},
 			Post: []Condition{{Kind: CondSelects, Node: n, Egress: eNew, From: mNew}},
@@ -215,7 +195,7 @@ func (c *compiler) compileEquivalentSwitches() {
 		}
 		egress := c.a.PNew[n].Egress
 		c.addStep(0, Step{
-			Command: weightEntry(n, pin, egress, c.a.Prefix, orderPinOld, WeightPinOld,
+			Command: c.weightEntry(n, pin, egress, orderPinOld, WeightPinOld,
 				fmt.Sprintf("its stable equivalent route from n%d", int(pin))),
 			Pre:  []Condition{{Kind: CondKnows, Node: n, Egress: egress, From: pin}},
 			Post: []Condition{{Kind: CondSelects, Node: n, Egress: egress, From: pin}},
@@ -260,54 +240,18 @@ func (c *compiler) compileCleanup(nodes []topology.NodeID) {
 	all := append([]topology.NodeID(nil), nodes...)
 	all = append(all, c.a.EquivalentSwitch...)
 	for _, n := range all {
-		n := n
 		c.p.Cleanup = append(c.p.Cleanup, Step{
-			Command: sim.Command{
-				Node:        n,
-				Description: fmt.Sprintf("n%d: remove temporary route-map entries", int(n)),
-				Apply: func(net *sim.Network) {
-					for _, nb := range net.Sessions(n) {
-						nb := nb
-						if rm := net.RouteMapOf(n, nb, sim.In); rm != nil {
-							net.UpdateRouteMap(n, nb, sim.In, func(rm *sim.RouteMap) {
-								for _, o := range cleanupOrders {
-									rm.Remove(o)
-								}
-							})
-						}
-					}
-				},
-				Verify: func(net *sim.Network) bool {
-					clean := true
-					net.RangeSessions(n, func(nb topology.NodeID) bool {
-						rm := net.RouteMapOf(n, nb, sim.In)
-						for _, o := range cleanupOrders {
-							clean = clean && !rm.Has(o)
-						}
-						return clean
-					})
-					return clean
-				},
-			},
+			Command: sim.SweepIngressOrders(n, cleanupOrders,
+				fmt.Sprintf("n%d: remove temporary route-map entries", int(n))),
 			// External events may legitimately change the post-cleanup
 			// best route (Fig. 11), so only route presence is asserted.
 			Post: []Condition{{Kind: CondHasRoute, Node: n, Egress: topology.None, From: topology.None}},
 		})
 	}
 	for _, sess := range c.p.TempSessions {
-		sess := sess
 		c.p.Cleanup = append(c.p.Cleanup, Step{
-			Command: sim.Command{
-				Node:        sess.A,
-				Description: fmt.Sprintf("remove temporary session n%d–n%d", int(sess.A), int(sess.B)),
-				Apply: func(net *sim.Network) {
-					net.RemoveSession(sess.A, sess.B)
-				},
-				Verify: func(net *sim.Network) bool {
-					_, up := net.HasSession(sess.A, sess.B)
-					return !up
-				},
-			},
+			Command: sim.CloseSession(sess.A, sess.B,
+				fmt.Sprintf("remove temporary session n%d–n%d", int(sess.A), int(sess.B))),
 		})
 	}
 }

@@ -54,8 +54,10 @@ func TestReplayAllocs(t *testing.T) {
 	// 1 083 and 58 363 B since a message carries one payload slice and
 	// waits in its session's lane, a fork's attribute blocks start at 8
 	// records and a cloned Adj-RIB-In has room for one more neighbor.
-	if n > 1100 {
-		t.Errorf("a replay allocates %.0f times; want at most 1 100", n)
+	// 965 and 57 195 B since a weight entry's pointers are built with its
+	// command instead of on every apply.
+	if n > 1000 {
+		t.Errorf("a replay allocates %.0f times; want at most 1 000", n)
 	}
 	if bytes > 60_000 {
 		t.Errorf("a replay allocates %d B; want at most 60 000", bytes)

@@ -99,37 +99,12 @@ func RunningExample() *Scenario {
 	net.InjectExternalRoute(ext6, sim.Announcement{Prefix: prefix, ASPathLen: 2})
 	net.Run()
 
-	setLP := func(lp uint32) func(*sim.Network) {
-		return func(net *sim.Network) {
-			net.UpdateRouteMap(n[1], ext1, sim.In, func(rm *sim.RouteMap) {
-				rm.Remove(10)
-				rm.Add(sim.Entry{Order: 10, Action: sim.Action{SetLocalPref: sim.U32P(lp)}})
-			})
-		}
+	setLP := func(lp uint32, desc string) sim.Command {
+		return sim.SetIngressEntry(n[1], ext1,
+			sim.Entry{Order: 10, Action: sim.Action{SetLocalPref: sim.U32P(lp)}}, desc)
 	}
-	hasLP := func(lp uint32) func(*sim.Network) bool {
-		return func(net *sim.Network) bool {
-			for _, e := range net.RouteMapOf(n[1], ext1, sim.In).Entries() {
-				if e.Order == 10 && e.Action.SetLocalPref != nil && *e.Action.SetLocalPref == lp {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	cmd := sim.Command{
-		Node:        n[1],
-		Description: "n1: set local-pref of routes from ext1 to 50",
-		DeniesOld:   false,
-		Apply:       setLP(50),
-		Verify:      hasLP(50),
-	}
-	undo := sim.Command{
-		Node:        n[1],
-		Description: "n1: restore local-pref of routes from ext1 to 200",
-		Apply:       setLP(200),
-		Verify:      hasLP(200),
-	}
+	cmd := setLP(50, "n1: set local-pref of routes from ext1 to 50")
+	undo := setLP(200, "n1: restore local-pref of routes from ext1 to 200")
 	return &Scenario{
 		Name: "RunningExample", Net: net, Graph: g, Prefix: prefix,
 		E1: n[1], E2: n[6], E3: n[6],
@@ -273,62 +248,18 @@ func CaseStudyOn(g *topology.Graph, cfg Config) (*Scenario, error) {
 	}
 	net.Run()
 
+	e1Name := g.Node(e1).Name
 	var cmd, undo sim.Command
 	if cfg.RemoveSession {
-		cmd = sim.Command{
-			Node:        e1,
-			Description: fmt.Sprintf("%s: remove eBGP session to ext1", g.Node(e1).Name),
-			DeniesOld:   true,
-			Apply: func(net *sim.Network) {
-				net.RemoveSession(e1, exts[0])
-			},
-			Verify: func(net *sim.Network) bool {
-				_, up := net.HasSession(e1, exts[0])
-				return !up
-			},
-		}
-		undo = sim.Command{
-			Node:        e1,
-			Description: fmt.Sprintf("%s: restore eBGP session to ext1", g.Node(e1).Name),
-			Apply: func(net *sim.Network) {
-				if _, up := net.HasSession(e1, exts[0]); !up {
-					net.SetSession(e1, exts[0], bgp.EBGP)
-				}
-			},
-			Verify: func(net *sim.Network) bool {
-				_, up := net.HasSession(e1, exts[0])
-				return up
-			},
-		}
+		cmd = sim.CloseSession(e1, exts[0], e1Name+": remove eBGP session to ext1")
+		undo = sim.OpenSession(e1, exts[0], bgp.EBGP, e1Name+": restore eBGP session to ext1")
 	} else {
-		cmd = sim.Command{
-			Node:        e1,
-			Description: fmt.Sprintf("%s: route-map deny routes from ext1", g.Node(e1).Name),
-			DeniesOld:   true,
-			Apply: func(net *sim.Network) {
-				net.UpdateRouteMap(e1, exts[0], sim.In, func(rm *sim.RouteMap) {
-					if !rm.Has(5) {
-						rm.Add(sim.Entry{Order: 5, Action: sim.Action{Deny: true}})
-					}
-				})
-			},
-			Verify: func(net *sim.Network) bool {
-				return net.RouteMapOf(e1, exts[0], sim.In).Has(5)
-			},
-		}
-		undo = sim.Command{
-			Node:        e1,
-			Description: fmt.Sprintf("%s: remove route-map deny of routes from ext1", g.Node(e1).Name),
-			Apply: func(net *sim.Network) {
-				net.UpdateRouteMap(e1, exts[0], sim.In, func(rm *sim.RouteMap) {
-					rm.Remove(5)
-				})
-			},
-			Verify: func(net *sim.Network) bool {
-				return !net.RouteMapOf(e1, exts[0], sim.In).Has(5)
-			},
-		}
+		cmd = sim.SetIngressEntry(e1, exts[0], sim.Entry{Order: 5, Action: sim.Action{Deny: true}},
+			e1Name+": route-map deny routes from ext1")
+		undo = sim.RemoveIngressOrders(e1, exts[0], []int{5},
+			e1Name+": remove route-map deny of routes from ext1")
 	}
+	cmd.DeniesOld = true
 
 	s := &Scenario{
 		Name: g.Name, Net: net, Graph: g, Prefix: prefix,

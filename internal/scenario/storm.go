@@ -60,7 +60,7 @@ func BuildStorm(cfg StormConfig) (*Storm, error) {
 
 	opts := sim.DefaultOptions(cfg.Seed)
 	opts.Jitter = 0
-	opts.TracePrefixes = []bgp.Prefix{} // empty non-nil: tracing off
+	opts.NoTrace = true
 	net := sim.New(g, opts)
 	net.SetRecorder(cfg.Recorder)
 	for i, a := range routers {

@@ -33,8 +33,8 @@ const (
 	// FaultDelay multiplies the command latency by DelayFactor.
 	FaultDelay
 	// FaultDuplicate applies the command twice, the second copy arriving
-	// later. Chameleon's commands are idempotent, so a duplicate is only
-	// harmful through its timing.
+	// later. Every configuration command is idempotent (command.go), so a
+	// duplicate is only harmful through its timing.
 	FaultDuplicate
 	// FaultPartial applies the command's effect but loses the
 	// acknowledgment: the controller sees a failure for a command that in

@@ -30,7 +30,7 @@ func laneNetwork(k, exts int, opts Options) (*Network, []topology.NodeID, []topo
 		ext[i] = g.AddExternal(fmt.Sprintf("ext%d", i), uint32(65001+i))
 		g.AddLink(ext[i], b, 1)
 	}
-	opts.TracePrefixes = []bgp.Prefix{}
+	opts.NoTrace = true
 	n := New(g, opts)
 	for i, a := range routers {
 		for _, b := range routers[i+1:] {

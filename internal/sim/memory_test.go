@@ -150,7 +150,7 @@ func TestDeliveryInternsNothing(t *testing.T) {
 	ext := g.AddExternal("ext", 65001)
 	g.AddLink(ext, r, 1)
 	opts := sim.DefaultOptions(1)
-	opts.TracePrefixes = []bgp.Prefix{}
+	opts.NoTrace = true
 	net := sim.New(g, opts)
 	net.SetSession(r, ext, bgp.EBGP)
 	anns := make([]sim.Announcement, n)
@@ -184,7 +184,7 @@ func TestDeliveryInternsNothing(t *testing.T) {
 // TestUntracedDecisionsMarkNothing: a decision marks its prefix for the
 // snapshot the event ends with only if the prefix is traced. An ingress
 // policy change outside the event loop re-selects every prefix of a storm
-// at its border router; with tracing off (TracePrefixes empty) the dirty
+// at its border router; with tracing off (NoTrace) the dirty
 // set stays empty. On the running example, which traces every prefix, the
 // same change marks the one prefix it re-selects.
 func TestUntracedDecisionsMarkNothing(t *testing.T) {

@@ -315,7 +315,7 @@ func TestSingleRouteMessageAllocs(t *testing.T) {
 	ext := g.AddExternal("ext", 65001)
 	g.AddLink(ext, clients[0], 1)
 	opts := sim.DefaultOptions(1)
-	opts.TracePrefixes = []bgp.Prefix{} // tracing off: snapshots are not the subject
+	opts.NoTrace = true // tracing off: snapshots are not the subject
 	net := sim.New(g, opts)
 	for _, c := range clients {
 		net.SetSession(rr, c, bgp.IBGPClient)

@@ -19,11 +19,11 @@ type Options struct {
 	// Jitter is the maximum random extra delay added to each message,
 	// exploring different BGP message interleavings. Zero disables jitter.
 	Jitter time.Duration
-	// TracePrefixes enables forwarding-trace recording for these prefixes
-	// (nil records all). Pass an empty non-nil slice to disable tracing
-	// entirely — prefix-scale scenarios must, or trace storage dominates
-	// memory.
-	TracePrefixes []bgp.Prefix
+	// NoTrace switches forwarding-trace recording off: by default every
+	// prefix is traced, and prefix-scale scenarios must set it, or trace
+	// storage dominates memory. RecordInitialState still starts a trace for
+	// its prefix.
+	NoTrace bool
 }
 
 // The jitter-free message delay: baseDelay plus delayPerIGPUnit per unit of
@@ -148,7 +148,7 @@ func New(g *topology.Graph, opts Options) *Network {
 // newNetwork is a network over an IGP and an attribute table the caller
 // supplies, with no routers yet.
 func newNetwork(g *topology.Graph, spf *igp.SPF, opts Options, attrs *bgp.AttrTable) *Network {
-	n := &Network{
+	return &Network{
 		graph:       g,
 		spf:         spf,
 		opts:        opts,
@@ -157,15 +157,8 @@ func newNetwork(g *topology.Graph, spf *igp.SPF, opts Options, attrs *bgp.AttrTa
 		dirty:       make(map[bgp.Prefix]causeMark),
 		ebgpExports: make(map[bgp.Prefix]int),
 		attrs:       attrs,
+		traceAll:    !opts.NoTrace,
 	}
-	if opts.TracePrefixes == nil {
-		n.traceAll = true
-	} else {
-		for _, p := range opts.TracePrefixes {
-			n.traces[p] = &fwd.Trace{}
-		}
-	}
-	return n
 }
 
 // BeginRun gives the next execution on this network exclusive ownership of
@@ -688,8 +681,8 @@ func (n *Network) Trace(prefix bgp.Prefix) *fwd.Trace {
 type SnapshotHook func(at time.Duration, prefix bgp.Prefix, state fwd.State, prov Provenance)
 
 // SetSnapshotHook installs (or, with nil, removes) the snapshot hook. Only
-// prefixes with tracing enabled produce snapshots; pass the prefixes of
-// interest via Options.TracePrefixes (or nil to trace all).
+// prefixes with tracing enabled produce snapshots: every prefix unless
+// Options.NoTrace is set, else those RecordInitialState has started.
 func (n *Network) SetSnapshotHook(h SnapshotHook) { n.snapHook = h }
 
 // snapshotDirty records a forwarding-state snapshot for every prefix whose

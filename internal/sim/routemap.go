@@ -71,6 +71,22 @@ type Entry struct {
 	Action Action
 }
 
+// equal reports whether e and o are the same clause, comparing what their
+// pointer fields point to.
+func (e *Entry) equal(o *Entry) bool {
+	return e.Order == o.Order &&
+		samePointee(e.Match.Prefix, o.Match.Prefix) &&
+		samePointee(e.Match.Neighbor, o.Match.Neighbor) &&
+		samePointee(e.Match.Egress, o.Match.Egress) &&
+		e.Action.Deny == o.Action.Deny &&
+		samePointee(e.Action.SetWeight, o.Action.SetWeight) &&
+		samePointee(e.Action.SetLocalPref, o.Action.SetLocalPref)
+}
+
+func samePointee[T comparable](a, b *T) bool {
+	return a == b || (a != nil && b != nil && *a == *b)
+}
+
 // RouteMap is an ordered list of entries.
 type RouteMap struct {
 	entries []Entry
@@ -89,26 +105,36 @@ func (rm *RouteMap) Add(e Entry) {
 // Remove deletes all entries with the given order, reporting how many were
 // removed.
 func (rm *RouteMap) Remove(order int) int {
-	kept := rm.entries[:0]
-	removed := 0
-	for _, e := range rm.entries {
-		if e.Order == order {
-			removed++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	rm.entries = kept
-	return removed
+	n := len(rm.entries)
+	rm.entries = slices.DeleteFunc(rm.entries, func(e Entry) bool { return e.Order == order })
+	return n - len(rm.entries)
 }
 
-// Has reports whether any entry with the given order exists.
-func (rm *RouteMap) Has(order int) bool {
+// removeAll deletes every entry whose order is one of orders.
+func (rm *RouteMap) removeAll(orders []int) {
+	rm.entries = slices.DeleteFunc(rm.entries, func(e Entry) bool { return slices.Contains(orders, e.Order) })
+}
+
+// contains reports whether an entry equal to e is in the map.
+func (rm *RouteMap) contains(e *Entry) bool {
 	if rm == nil {
 		return false
 	}
-	for _, e := range rm.entries {
-		if e.Order == order {
+	for i := range rm.entries {
+		if rm.entries[i].equal(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasAny reports whether an entry exists at any of the orders.
+func (rm *RouteMap) hasAny(orders []int) bool {
+	if rm == nil {
+		return false
+	}
+	for i := range rm.entries {
+		if slices.Contains(orders, rm.entries[i].Order) {
 			return true
 		}
 	}

@@ -15,8 +15,9 @@ import (
 
 // Options configure the measurement.
 type Options struct {
-	// RatePerNode is the injection rate at each node in packets/second.
-	// The paper's 16.5 kpkt/s over 11 nodes corresponds to 1500.
+	// RatePerNode is the injection rate at each node in packets/second;
+	// zero counts no traffic. The paper's 16.5 kpkt/s over 11 nodes
+	// corresponds to 1500.
 	RatePerNode float64
 	// Step is the sampling interval in seconds.
 	Step float64
@@ -62,9 +63,6 @@ type Measurement struct {
 // Measure samples the trace for the given source nodes. rules may be nil
 // (no waypoint requirements).
 func Measure(tr *fwd.Trace, sources []topology.NodeID, rules map[topology.NodeID]*WaypointRule, opts Options) *Measurement {
-	if opts.RatePerNode == 0 {
-		opts.RatePerNode = 1500
-	}
 	if opts.Step == 0 {
 		opts.Step = 0.1
 	}

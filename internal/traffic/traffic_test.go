@@ -108,8 +108,9 @@ func TestDefaultsApplied(t *testing.T) {
 	if len(m.Samples) == 0 {
 		t.Fatal("no samples with default options")
 	}
-	if m.Samples[0].Delivered != 1500 {
-		t.Errorf("default rate = %v, want 1500", m.Samples[0].Delivered)
+	// A zero rate has no default: it counts no traffic.
+	if s := m.Samples[0]; s.Delivered != 0 || s.Dropped != 0 {
+		t.Errorf("zero rate counted delivered %v, dropped %v; want 0, 0", s.Delivered, s.Dropped)
 	}
 }
 
