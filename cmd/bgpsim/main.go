@@ -180,29 +180,14 @@ func (r *repl) exec(line string) {
 		}
 		r.planSteps = r.planSteps[:0]
 		r.stepPhase = r.stepPhase[:0]
-		add := func(phase string, steps []plan.Step) {
-			for _, st := range steps {
-				r.planSteps = append(r.planSteps, st)
-				r.stepPhase = append(r.stepPhase, phase)
-			}
-		}
-		add("setup", rec.Plan.Setup)
-		for k := 1; k <= rec.Plan.R; k++ {
-			if k-1 < len(rec.Plan.Between) {
-				for _, cmd := range rec.Plan.Between[k-1] {
-					r.planSteps = append(r.planSteps, plan.Step{Command: cmd})
-					r.stepPhase = append(r.stepPhase, fmt.Sprintf("before round %d (original)", k))
+		for _, ph := range plan.Single(rec.Plan).Phases() {
+			for _, part := range ph.Parts {
+				for _, st := range part.Steps {
+					r.planSteps = append(r.planSteps, st)
+					r.stepPhase = append(r.stepPhase, ph.Name)
 				}
 			}
-			add(fmt.Sprintf("round %d", k), rec.Plan.Rounds[k-1])
 		}
-		if rec.Plan.R < len(rec.Plan.Between) {
-			for _, cmd := range rec.Plan.Between[rec.Plan.R] {
-				r.planSteps = append(r.planSteps, plan.Step{Command: cmd})
-				r.stepPhase = append(r.stepPhase, "after last round (original)")
-			}
-		}
-		add("cleanup", rec.Plan.Cleanup)
 		r.stepApplied = make([]bool, len(r.planSteps))
 		fmt.Printf("plan ready: R=%d, %d steps, %d temp sessions (use plan-status / plan-next)\n",
 			rec.Plan.R, len(r.planSteps), len(rec.Plan.TempSessions))

@@ -382,7 +382,7 @@ func (c *Config) Build(seed uint64) (*topology.Graph, *sim.Network, []sim.Comman
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		entry := sim.Entry{Order: rm.Order, Match: sim.Match{Neighbor: sim.NodeP(from)}}
+		entry := sim.Entry{Order: rm.Order}
 		if rm.Deny {
 			entry.Action.Deny = true
 		}

@@ -4,7 +4,18 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"time"
+
+	"chameleon/internal/bgp"
+	"chameleon/internal/fwd"
+	"chameleon/internal/sim"
 )
+
+// Observe checks one forwarding-state snapshot with no provenance (the
+// root cause comes out as "init").
+func (m *Monitor) Observe(at time.Duration, prefix bgp.Prefix, st fwd.State) {
+	m.ObserveProvenance(at, prefix, st, sim.Provenance{})
+}
 
 // WriteRecords re-emits parsed timeline records in the canonical JSONL
 // form. WriteJSONL → ValidateJSONL → WriteRecords reproduces the original

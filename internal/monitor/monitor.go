@@ -184,13 +184,6 @@ func (m *Monitor) Track(inv Invariant) {
 	m.cfg.Invariants = append(m.cfg.Invariants, inv)
 }
 
-// Observe checks one forwarding-state snapshot with no provenance (the
-// root cause comes out as "init"). Kept for direct callers; the simulator
-// hook is ObserveProvenance.
-func (m *Monitor) Observe(at time.Duration, prefix bgp.Prefix, st fwd.State) {
-	m.ObserveProvenance(at, prefix, st, sim.Provenance{})
-}
-
 // ObserveProvenance checks one forwarding-state snapshot, attributing any
 // violation it opens to the snapshot's causal root and to the bound
 // network's current phase. Its signature matches sim.SnapshotHook, so it

@@ -186,20 +186,6 @@ func (w *Writer) AddPart(name, kind string, write func(io.Writer) error) error {
 	return nil
 }
 
-// AddFile copies an existing file (a supervisor journal) into the bundle as
-// a part.
-func (w *Writer) AddFile(name, kind, src string) error {
-	return w.AddPart(name, kind, func(dst io.Writer) error {
-		f, err := os.Open(src)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		_, err = io.Copy(dst, f)
-		return err
-	})
-}
-
 // Close sorts the parts, computes the content address, and writes the
 // manifest. The returned manifest is the sealed bundle's.
 func (w *Writer) Close() (*Manifest, error) {

@@ -172,25 +172,25 @@ func TestWriterRejectsBadParts(t *testing.T) {
 	}
 }
 
-func TestAddFile(t *testing.T) {
-	src := filepath.Join(t.TempDir(), "journal.jsonl")
-	if err := os.WriteFile(src, []byte(`{"seq":1,"kind":"begin"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+func TestAddJournalPart(t *testing.T) {
+	journal := `{"seq":1,"kind":"begin"}` + "\n"
 	dir := filepath.Join(t.TempDir(), "b")
 	w, err := Create(dir, "supervise", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddFile("journals/journal.jsonl", KindJournal, src); err != nil {
+	if err := w.AddPart("journals/journal.jsonl", KindJournal, func(dst io.Writer) error {
+		_, err := io.WriteString(dst, journal)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := w.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := m.Parts[0]; p.Kind != KindJournal || p.Size != int64(len(`{"seq":1,"kind":"begin"}`)+1) {
-		t.Fatalf("AddFile part = %+v", p)
+	if p := m.Parts[0]; p.Kind != KindJournal || p.Size != int64(len(journal)) {
+		t.Fatalf("journal part = %+v", p)
 	}
 	b, err := Open(dir)
 	if err != nil {

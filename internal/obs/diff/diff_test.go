@@ -412,7 +412,14 @@ func TestJournalDivergenceNamesEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.AddFile("journal/exec.jsonl", bundle.KindJournal, src); err != nil {
+		journal, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AddPart("journal/exec.jsonl", bundle.KindJournal, func(dst io.Writer) error {
+			_, err := dst.Write(journal)
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := w.Close(); err != nil {

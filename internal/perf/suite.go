@@ -267,7 +267,7 @@ func monitorSnapshot(base *chameleon.Reconfiguration) (Fn, error) {
 	return func(ctx context.Context) error {
 		mon := specMonitor(ctx, base)
 		for i, st := range tr.States {
-			mon.Observe(time.Duration(tr.Times[i]*float64(time.Second)), prefix, st)
+			mon.ObserveProvenance(time.Duration(tr.Times[i]*float64(time.Second)), prefix, st, sim.Provenance{})
 		}
 		mon.Finish(end)
 		return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"chameleon/internal/bgp"
 	"chameleon/internal/sim"
 )
 
@@ -91,6 +92,113 @@ func Single(p *Plan) *MultiPlan {
 		}
 	}
 	return mp
+}
+
+// Phase is one stretch of a run, executed as one span: its parts in turn.
+type Phase struct {
+	// Name is setup, between k (the run's k-th synchronization point — for
+	// one plan, its Between slot k), round k ("d7 round k" for destination
+	// 7 of several) or cleanup.
+	Name string
+	// Sync marks a synchronization point: BGP settles there before any
+	// plan's next round starts. Its one part holds a group of original
+	// commands (a run of Order that every plan places in one slot, pushed as
+	// one batch), or no step for an empty Between slot, and carries the
+	// prefix of the destination whose steps ran last.
+	Sync  bool
+	Parts []Part
+}
+
+// Part is one destination's share of a phase.
+type Part struct {
+	Prefix bgp.Prefix
+	Steps  []Step
+}
+
+// Phases returns the run in order (§5): the setup of every destination,
+// then each destination's update rounds up to the Between slot the next
+// group of original commands sits in, that group, and so on, and at last
+// the cleanup of every destination. Every plan's empty Between slot is a
+// synchronization point of its own, before the plan's next round.
+func (mp *MultiPlan) Phases() []Phase {
+	// Every slice is sized once: syncs are at most one per group and one
+	// per Between slot, so no append below grows its array.
+	rounds, maxSyncs := 0, len(mp.Order)
+	for _, p := range mp.Plans {
+		rounds += p.R
+		maxSyncs += len(p.Between)
+	}
+	phases := make([]Phase, 0, 2+rounds+maxSyncs)
+	parts := make([]Part, 0, 2*len(mp.Plans)+rounds+maxSyncs)
+	originals := make([]Step, len(mp.Order))
+	add := func(name string, sync bool, from int) {
+		phases = append(phases, Phase{Name: name, Sync: sync, Parts: parts[from:len(parts):len(parts)]})
+	}
+	every := func(name string, steps func(*Plan) []Step) {
+		from := len(parts)
+		for _, p := range mp.Plans {
+			parts = append(parts, Part{Prefix: p.Prefix, Steps: steps(p)})
+		}
+		add(name, false, from)
+	}
+	syncs := 0
+	between := func(group []Step) {
+		parts = append(parts, Part{Prefix: parts[len(parts)-1].Prefix, Steps: group})
+		add(fmt.Sprintf("between %d", syncs), true, len(parts)-1)
+		syncs++
+	}
+	// advance takes plan i through its Between slots below to: slot k is a
+	// synchronization point if it holds no command (one that does is its
+	// group's), then round k+1 runs.
+	slot := make([]int, len(mp.Plans))
+	advance := func(i, to int) {
+		p := mp.Plans[i]
+		for ; slot[i] < to; slot[i]++ {
+			k := slot[i]
+			if k < len(p.Between) && len(p.Between[k]) == 0 {
+				between(nil)
+			}
+			if k < p.R {
+				name := fmt.Sprintf("round %d", k+1)
+				if len(mp.Plans) > 1 {
+					name = fmt.Sprintf("d%d round %d", int(p.Prefix), k+1)
+				}
+				parts = append(parts, Part{Prefix: p.Prefix, Steps: p.Rounds[k]})
+				add(name, false, len(parts)-1)
+			}
+		}
+	}
+
+	every("setup", func(p *Plan) []Step { return p.Setup })
+	for next := 0; next < len(mp.Order); {
+		first := mp.Order[next]
+		end := next
+		for end < len(mp.Order) && mp.sameSlots(first, mp.Order[end]) {
+			originals[end] = Step{Command: mp.Originals[mp.Order[end]]}
+			end++
+		}
+		for i, p := range mp.Plans {
+			advance(i, p.OriginalSlots[first])
+		}
+		between(originals[next:end:end])
+		next = end
+	}
+	for i, p := range mp.Plans {
+		advance(i, p.R+1)
+	}
+	every("cleanup", func(p *Plan) []Step { return p.Cleanup })
+	return phases
+}
+
+// sameSlots reports whether every plan places original commands a and b in
+// the same Between slot.
+func (mp *MultiPlan) sameSlots(a, b int) bool {
+	for _, p := range mp.Plans {
+		if p.OriginalSlots[a] != p.OriginalSlots[b] {
+			return false
+		}
+	}
+	return true
 }
 
 // TempSessions returns the union of all plans' temporary sessions.

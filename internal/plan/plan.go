@@ -9,6 +9,7 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
 	"chameleon/internal/bgp"
 	"chameleon/internal/sim"
@@ -160,13 +161,23 @@ func (p *Plan) NumCommands() int {
 	return n
 }
 
-// String renders the plan in the style of Fig. 4's right-hand column.
+// String renders the plan in the style of Fig. 4's right-hand column: its
+// phases in run order, an original command beside the round it precedes.
 func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Reconfiguration plan (prefix %d, %d rounds, %d temp sessions)\n",
 		int(p.Prefix), p.R, len(p.TempSessions))
-	writeSteps := func(title string, steps []Step) {
-		fmt.Fprintf(&b, "%s:\n", title)
+	for _, ph := range Single(p).Phases() {
+		steps := ph.Parts[0].Steps
+		if ph.Sync {
+			for _, s := range steps {
+				fmt.Fprintf(&b, "  ⚡ original command: %s\n", s.Command.Description)
+			}
+			continue
+		}
+		b.WriteRune(unicode.ToUpper(rune(ph.Name[0])))
+		b.WriteString(ph.Name[1:])
+		b.WriteString(":\n")
 		for _, s := range steps {
 			fmt.Fprintf(&b, "  • %s\n", s.Command.Description)
 			for _, c := range s.Pre {
@@ -177,20 +188,5 @@ func (p *Plan) String() string {
 			}
 		}
 	}
-	writeSteps("Setup", p.Setup)
-	for k := 1; k <= p.R; k++ {
-		if len(p.Between) > k-1 {
-			for _, c := range p.Between[k-1] {
-				fmt.Fprintf(&b, "  ⚡ original command: %s\n", c.Description)
-			}
-		}
-		writeSteps(fmt.Sprintf("Round %d", k), p.Rounds[k-1])
-	}
-	if len(p.Between) > p.R {
-		for _, c := range p.Between[p.R] {
-			fmt.Fprintf(&b, "  ⚡ original command: %s\n", c.Description)
-		}
-	}
-	writeSteps("Cleanup", p.Cleanup)
 	return b.String()
 }

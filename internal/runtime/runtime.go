@@ -350,15 +350,9 @@ func (e *Executor) endPhase(sp *obs.Span) {
 // phase, stamped with the simulated clock, plus the command/retry/escalation
 // counters.
 //
-// The run is the setup of every destination, then each destination's update
-// rounds up to the Between slot the next group of original commands sits in,
-// that group, and so on, and at last the cleanup of every destination. A
-// group is a run of mp.Order that every plan places in one slot; it is
-// pushed as one batch. An empty Between slot is a synchronization point all
-// the same: BGP settles there before the plan's next round starts.
-// Phases are named setup, between k (the run's k-th synchronization point —
-// for one plan, its slot k), round k ("d7 round k" for destination 7 of
-// several) and cleanup.
+// The phases are mp.Phases(), run in order; each ends once its steps are
+// confirmed and BGP has settled, and Result.Phases lists all but the
+// synchronization points.
 func (e *Executor) ExecuteCtx(ctx context.Context, mp *plan.MultiPlan) (*Result, error) {
 	if len(mp.Plans) == 0 {
 		return nil, fmt.Errorf("runtime: multi-plan holds no plan")
@@ -401,98 +395,27 @@ func (e *Executor) ExecuteCtx(ctx context.Context, mp *plan.MultiPlan) (*Result,
 		e.net.ScheduleEventAt(res.Start+ev.After, ev.Name, func(n *sim.Network) { ev.Apply(n) })
 	}
 
-	// runPhase runs, as one named phase, the steps it is handed of each of
-	// plans in turn.
-	runPhase := func(name string, plans []*plan.Plan, steps func(*plan.Plan) []plan.Step) error {
+	for _, ph := range mp.Phases() {
 		start := e.net.Now()
-		sp := e.startPhase(name)
+		sp := e.startPhase(ph.Name)
 		var err error
-		for _, p := range plans {
-			if err = e.runSteps(p.Prefix, steps(p)); err != nil {
+		for _, part := range ph.Parts {
+			if err = e.runSteps(part.Prefix, part.Steps); err != nil {
 				break
 			}
-			res.CommandsApplied += len(steps(p))
+			res.CommandsApplied += len(part.Steps)
 		}
 		e.endPhase(sp)
-		if err != nil {
-			return fmt.Errorf("runtime: %s: %w", name, err)
-		}
-		res.Phases = append(res.Phases, PhaseSpan{Name: name, Start: start, End: e.net.Now()})
-		return nil
-	}
-	// between is the run's next synchronization point, a phase like any
-	// other: its steps are a group's original commands, which have no pre-
-	// or post-condition and so are pushed as one batch, and it ends once
-	// they are confirmed and the network has converged. Without steps it
-	// only waits for BGP to settle. It belongs to no destination: a
-	// ReplanError raised here names the plan whose steps ran last.
-	syncs := 0
-	between := func(group []plan.Step) error {
-		sp := e.startPhase(fmt.Sprintf("between %d", syncs))
-		syncs++
-		err := e.runSteps(e.curPrefix, group)
-		e.endPhase(sp)
-		if err == nil {
-			res.CommandsApplied += len(group)
-		}
-		return err
-	}
-	// advance takes plan i through its Between slots below to: slot k lets
-	// BGP settle if it holds no command (one that does was pushed with its
-	// group), then round k+1 runs.
-	slot := make([]int, len(mp.Plans))
-	advance := func(i, to int) error {
-		p := mp.Plans[i]
-		for ; slot[i] < to; slot[i]++ {
-			k := slot[i]
-			if k < len(p.Between) && len(p.Between[k]) == 0 {
-				if err := between(nil); err != nil {
-					return err
-				}
-			}
-			if k < p.R {
-				name := fmt.Sprintf("round %d", k+1)
-				if len(mp.Plans) > 1 {
-					name = fmt.Sprintf("d%d round %d", int(p.Prefix), k+1)
-				}
-				err := runPhase(name, mp.Plans[i:i+1], func(p *plan.Plan) []plan.Step { return p.Rounds[k] })
-				if err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	if err := runPhase("setup", mp.Plans, func(p *plan.Plan) []plan.Step { return p.Setup }); err != nil {
-		return nil, err
-	}
-	for next := 0; next < len(mp.Order); {
-		first := mp.Order[next]
-		var group []plan.Step
-		for _, ci := range mp.Order[next:] {
-			if !sameSlots(mp.Plans, first, ci) {
-				break
-			}
-			group = append(group, plan.Step{Command: mp.Originals[ci]})
-		}
-		for i, p := range mp.Plans {
-			if err := advance(i, p.OriginalSlots[first]); err != nil {
-				return nil, err
-			}
-		}
-		if err := between(group); err != nil {
+		switch {
+		case err != nil && ph.Sync:
+			// Unwrapped: supervisor journals and chaos fingerprints carry
+			// a failed synchronization point's error text as it is.
 			return nil, err
+		case err != nil:
+			return nil, fmt.Errorf("runtime: %s: %w", ph.Name, err)
+		case !ph.Sync:
+			res.Phases = append(res.Phases, PhaseSpan{Name: ph.Name, Start: start, End: e.net.Now()})
 		}
-		next += len(group)
-	}
-	for i, p := range mp.Plans {
-		if err := advance(i, p.R+1); err != nil {
-			return nil, err
-		}
-	}
-	if err := runPhase("cleanup", mp.Plans, func(p *plan.Plan) []plan.Step { return p.Cleanup }); err != nil {
-		return nil, err
 	}
 	res.End = e.net.Now()
 	res.MaxTableEntries = e.net.MaxTableEntries()
@@ -504,17 +427,6 @@ func (e *Executor) ExecuteCtx(ctx context.Context, mp *plan.MultiPlan) (*Result,
 	e.execSpan.Add(obs.CtrExecAcksLost, int64(e.rec.AcksLost))
 	e.execSpan.Add(obs.CtrExecMonitorAlarms, int64(e.rec.MonitorAlarms))
 	return res, nil
-}
-
-// sameSlots reports whether every plan places original commands a and b in
-// the same Between slot.
-func sameSlots(plans []*plan.Plan, a, b int) bool {
-	for _, p := range plans {
-		if p.OriginalSlots[a] != p.OriginalSlots[b] {
-			return false
-		}
-	}
-	return true
 }
 
 // pollMonitor is §8 supervision: it asks the Monitor about the state the

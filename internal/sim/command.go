@@ -96,14 +96,15 @@ func RemoveIngressOrders(node, neighbor topology.NodeID, orders []int, desc stri
 
 // SweepIngressOrders returns a command that deletes every entry at the
 // given orders from node's ingress route map towards each neighbor it has
-// a session with. Its readback holds when none of the orders is present in
-// any of those maps.
+// a session with; a map holding none of them is left alone, so the node
+// re-decides only for neighbors whose map changed. Its readback holds when
+// none of the orders is present in any of those maps.
 func SweepIngressOrders(node topology.NodeID, orders []int, desc string) Command {
 	return Command{
 		Node: node, Description: desc,
 		Apply: func(net *Network) {
 			for _, nb := range net.Sessions(node) {
-				if net.RouteMapOf(node, nb, In) != nil {
+				if net.RouteMapOf(node, nb, In).hasAny(orders) {
 					net.UpdateRouteMap(node, nb, In, func(rm *RouteMap) { rm.removeAll(orders) })
 				}
 			}
