@@ -41,7 +41,6 @@ import (
 	"chameleon/internal/monitor"
 	"chameleon/internal/obs"
 	"chameleon/internal/plan"
-	"chameleon/internal/pool"
 	"chameleon/internal/runtime"
 	"chameleon/internal/scenario"
 	"chameleon/internal/scheduler"
@@ -267,19 +266,8 @@ type Reconfiguration struct {
 	Multi *MultiPlan
 }
 
-// PlannedClass is the planning output of one prefix equivalence class:
-// the analysis and schedule computed once on the representative, and one
-// compiled plan per member prefix reusing that shared dependency graph.
-type PlannedClass struct {
-	Class    EquivalenceClass
-	Analysis *Analysis
-	Schedule *NodeSchedule
-	// Plans is index-aligned with Class.Members.
-	Plans []*ReconfigurationPlan
-	// NodeBudget is this class's slice of the global SolverNodeBudget
-	// (member-count-proportional).
-	NodeBudget int64
-}
+// PlannedClass is the planning output of one prefix equivalence class.
+type PlannedClass = plan.ClassPlan
 
 // PlanCtx runs Chameleon's analyzer, scheduler and compiler on a scenario.
 // Cancelling ctx aborts the ILP branch-and-bound mid-solve (the search
@@ -288,14 +276,12 @@ type PlannedClass struct {
 // pipeline is traced under a "plan" span with one "class" child per
 // equivalence class.
 //
-// Planning is decomposed by prefix equivalence class (§3): the scenario's
-// prefixes are partitioned against the initial and final networks, each
-// class is analyzed, scheduled and compiled independently — fanned out on
-// a bounded worker pool (opts.ClassParallelism) with its member-
-// proportional slice of the global solver node budget — and the per-class
-// plans are stitched back in partition order into one aligned MultiPlan.
-// Scheduling cost therefore scales with the largest class, not the whole
-// prefix set, and the result is byte-identical at any worker count.
+// Planning is decomposed by prefix equivalence class (§3): plan.BuildClasses
+// plans each class of the scenario's prefixes under opts.Spec, on
+// opts.ClassParallelism workers with its member-proportional slice of the
+// solver node budget, and aligns the plans into one MultiPlan. Scheduling
+// cost therefore scales with the largest class, not the whole prefix set,
+// and the result is byte-identical at any worker count.
 func PlanCtx(ctx context.Context, s *Scenario, opts PlanOptions) (*Reconfiguration, error) {
 	ctx = obs.WithRecorder(ctx, opts.Recorder)
 	ctx, span := obs.StartSpan(ctx, "plan", obs.String("scenario", s.Name))
@@ -304,41 +290,12 @@ func PlanCtx(ctx context.Context, s *Scenario, opts PlanOptions) (*Reconfigurati
 	if sp == nil {
 		sp = eval.ReachabilitySpec(s.Graph)
 	}
-	final := s.FinalNetwork()
-	classes := analyzer.Classes(s.Net, final, s.AllPrefixes())
-	span.Add(obs.CtrPlanClasses, int64(len(classes)))
-	span.SetAttr("classes", fmt.Sprintf("%d", len(classes)))
-	so := opts.normalize()
-	weights := make([]int, len(classes))
-	for i, c := range classes {
-		weights[i] = len(c.Members)
-	}
-	budgets := scheduler.SplitNodeBudget(so.SolverNodeBudget, weights)
-
-	var planned []PlannedClass
-	var err error
-	if len(classes) == 1 {
-		// Single class: plan on the calling goroutine with the parent
-		// recorder, so spans stream as they open (callers watch NumSpans
-		// to cancel mid-solve) instead of appearing all at once on adopt.
-		co := so
-		co.SolverNodeBudget = budgets[0]
-		var pc PlannedClass
-		pc, err = planClass(ctx, s, final, classes[0], sp, co)
-		planned = []PlannedClass{pc}
-	} else {
-		// Each class records into its own fork, adopted as "class <i>" in
-		// partition order (see pool.Map).
-		planned, err = pool.Map(ctx, opts.ClassParallelism, len(classes),
-			func(i int) string { return fmt.Sprintf("class %d", i) },
-			func(wctx context.Context, i int) (PlannedClass, error) {
-				co := so
-				co.SolverNodeBudget = budgets[i]
-				return planClass(wctx, s, final, classes[i], sp, co)
-			})
-	}
+	planned, mp, err := plan.BuildClasses(ctx, s.Net, s.FinalNetwork(), s.AllPrefixes(), s.Commands,
+		func(*Analysis) *Spec { return sp }, opts.normalize(), opts.ClassParallelism)
+	span.Add(obs.CtrPlanClasses, int64(len(planned)))
+	span.SetAttr("classes", fmt.Sprintf("%d", len(planned)))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("chameleon: %w", err)
 	}
 
 	// The single-destination view stays anchored at s.Prefix, which is
@@ -349,57 +306,13 @@ func PlanCtx(ctx context.Context, s *Scenario, opts PlanOptions) (*Reconfigurati
 		Schedule: planned[0].Schedule,
 		Plan:     planned[0].Plans[0],
 	}
-	var all []*plan.Plan
-	for _, pc := range planned {
-		all = append(all, pc.Plans...)
-	}
-	if len(all) > 1 {
-		mp, err := plan.Align(all, s.Commands)
-		if err != nil {
-			return nil, fmt.Errorf("chameleon: align: %w", err)
-		}
+	if len(mp.Plans) > 1 {
 		r.Multi = mp
 	}
 	if opts.Monitor != nil {
 		opts.Monitor.Track(monitor.FromSpec("spec", sp))
 	}
 	return r, nil
-}
-
-// planClass runs the single-destination pipeline on one equivalence class:
-// plan.Build on the representative, then one plan per other member compiled
-// by retargeting the shared analysis — class members differ only in the
-// prefix value, so the dependency graph is reused, never re-derived.
-func planClass(ctx context.Context, s *Scenario, final *sim.Network, cls analyzer.Class,
-	sp *spec.Spec, so scheduler.Options) (PlannedClass, error) {
-	// Small classes can analyze and schedule in fewer solver nodes than the
-	// branch-and-bound's sparse context poll, so check once up front: a
-	// cancelled plan must never hand back a completed class.
-	if cerr := ctx.Err(); cerr != nil {
-		return PlannedClass{}, cerr
-	}
-	ctx, span := obs.StartSpan(ctx, "class",
-		obs.Int("members", int64(len(cls.Members))),
-		obs.String("fingerprint", fmt.Sprintf("%016x", cls.Fingerprint)))
-	defer span.End()
-	out := PlannedClass{Class: cls, NodeBudget: so.SolverNodeBudget}
-	b, err := plan.Build(ctx, s.Net, final, cls.Representative, s.Commands,
-		func(*analyzer.Analysis) *spec.Spec { return sp }, so)
-	if err != nil {
-		return out, fmt.Errorf("chameleon: %w", err)
-	}
-	span.Add(obs.CtrClassSolverNodes, b.Schedule.Stats.SolverNodes)
-	out.Analysis = b.Analysis
-	out.Schedule = b.Schedule
-	out.Plans = []*plan.Plan{b.Plan}
-	for _, p := range cls.Members[1:] {
-		pl, err := plan.Compile(b.Analysis.ForPrefix(p), b.Schedule, s.Commands)
-		if err != nil {
-			return out, fmt.Errorf("chameleon: compile: %w", err)
-		}
-		out.Plans = append(out.Plans, pl)
-	}
-	return out, nil
 }
 
 // ExecOptions tune plan execution.
@@ -466,9 +379,7 @@ func (r *Reconfiguration) ExecuteCtx(ctx context.Context, opts ExecOptions) (*Ex
 	}
 	if err != nil {
 		if opts.ReleaseOnError {
-			for _, p := range mp.Plans {
-				ex.Abort(p)
-			}
+			ex.Abort(mp.Plans...)
 		}
 		// Leave the monitor open: the caller may observe the abort or
 		// finish it at a time of their choosing.

@@ -23,8 +23,8 @@ func TestBundleAddressesPinned(t *testing.T) {
 		id   string
 	}{
 		{[]string{"-smoke", "-fig", "7", "-max-nodes", "15"}, "9d6c0557a74d15e30954b3448048515855af09f0d57045678bb3a02a69161fe6"},
-		{[]string{"-chaos"}, "99ee3e26ac5b0910a55fd13f73e61d426ae33e2db7e951eabbdb282b3378b5f9"},
-		{[]string{"-supervise"}, "46f820d8e08b408da00bcd0fb30ace66a28dbe6f1a2d0a2a4aaa954d110effe2"},
+		{[]string{"-chaos"}, "bea49c74b900ef2abfd1487e9527905324a296fba07f46c4fd5a18122ae9d60f"},
+		{[]string{"-supervise"}, "95ae6019da7e787cfc25d49bdad7a751f3a7c23d5a14694c70d1dd9c2d2bdae4"},
 	} {
 		dir := filepath.Join(t.TempDir(), "bundle")
 		var stdout, stderr bytes.Buffer

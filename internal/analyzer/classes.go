@@ -5,6 +5,7 @@ import (
 
 	"chameleon/internal/bgp"
 	"chameleon/internal/sim"
+	"chameleon/internal/topology"
 )
 
 // Class is one prefix equivalence class (§3): the prefixes whose initial
@@ -24,31 +25,30 @@ type Class struct {
 	Fingerprint uint64
 }
 
-// classKey serializes the initial and final routing states of prefix p up
-// to the prefix value: two prefixes with equal keys are §3-equivalent.
-func classKey(initial, final *sim.Network, p bgp.Prefix) string {
-	key := ""
+// appendClassKey appends the initial and final routing states of prefix p
+// at the internal routers, serialized up to the prefix value, to key: two
+// prefixes with equal keys are §3-equivalent.
+func appendClassKey(key []byte, internal []topology.NodeID, initial, final *sim.Network, p bgp.Prefix) []byte {
 	for _, net := range []*sim.Network{initial, final} {
-		routes, have := net.RoutingState(p)
-		for _, n := range net.Graph().Internal() {
-			if !have[n] {
-				key += "|-"
+		for _, n := range internal {
+			r, ok := net.Best(n, p)
+			if !ok {
+				key = append(key, "|-"...)
 				continue
 			}
-			r := routes[n]
-			key += fmt.Sprintf("|%d:%d:%v:%d:%d:%d", r.Egress, r.External, r.Path,
+			key = fmt.Appendf(key, "|%d:%d:%v:%d:%d:%d", r.Egress, r.External, r.Path,
 				r.LocalPref, r.ASPathLen, r.MED)
 		}
-		key += "##"
+		key = append(key, "##"...)
 	}
 	return key
 }
 
-// fnv1a hashes s with 64-bit FNV-1a.
-func fnv1a(s string) uint64 {
+// fnv1a hashes b with 64-bit FNV-1a.
+func fnv1a(b []byte) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for _, c := range b {
+		h ^= uint64(c)
 		h *= 1099511628211
 	}
 	return h
@@ -61,17 +61,19 @@ func fnv1a(s string) uint64 {
 func Classes(initial, final *sim.Network, prefixes []bgp.Prefix) []Class {
 	var classes []Class
 	idx := make(map[string]int)
+	internal := initial.Graph().Internal()
+	key := make([]byte, 0, 1024) // one key's worth on a mid-sized topology
 	for _, p := range prefixes {
-		k := classKey(initial, final, p)
-		if i, ok := idx[k]; ok {
+		key = appendClassKey(key[:0], internal, initial, final, p)
+		if i, ok := idx[string(key)]; ok {
 			classes[i].Members = append(classes[i].Members, p)
 			continue
 		}
-		idx[k] = len(classes)
+		idx[string(key)] = len(classes)
 		classes = append(classes, Class{
 			Representative: p,
 			Members:        []bgp.Prefix{p},
-			Fingerprint:    fnv1a(k),
+			Fingerprint:    fnv1a(key),
 		})
 	}
 	return classes

@@ -79,7 +79,8 @@ type CaseResult struct {
 	Err     string
 	// SimDuration is the simulated execution time (zero when aborted).
 	SimDuration time.Duration
-	Rounds      int
+	// Rounds is the largest R among the destinations' plans.
+	Rounds int
 
 	CommandsApplied int
 	CommandFaults   int
@@ -236,13 +237,13 @@ func verifyEndState(a *analyzer.Analysis, s *scenario.Scenario, start time.Durat
 	return viol
 }
 
-// RunCaseCtx executes one chaos case end to end: build the scenario, compile
-// a plan, install the seeded injector (and flap schedule), execute under
-// supervision, then classify the outcome and verify the invariants
-// offline. The same Case always produces the identical CaseResult.
-// Cancellation propagates into the scheduler's solver and the executor's
-// supervision loop, and a recorder carried by ctx observes the run (a
-// chaos-case span over the analyze, schedule and execute spans, plus the
+// RunCaseCtx executes one chaos case end to end: build the scenario, plan
+// every destination, install the seeded injector (and flap schedule),
+// execute under supervision, then classify the outcome and verify the
+// invariants offline. The same Case always produces the identical
+// CaseResult. Cancellation propagates into the scheduler's solver and the
+// executor's supervision loop, and a recorder carried by ctx observes the
+// run (a chaos-case span over the class and execute spans, plus the
 // chaos_cases / chaos_violations counters). Observation never perturbs the
 // case: the CaseResult — and its fingerprint — is identical with and
 // without a recorder.
@@ -258,11 +259,10 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := plan.Build(ctx, s.Net, s.FinalNetwork(), s.Prefix, s.Commands, nil, scheduler.DefaultOptions())
+	classes, mp, err := plan.BuildClasses(ctx, s.Net, s.FinalNetwork(), s.AllPrefixes(), s.Commands, nil, scheduler.DefaultOptions(), 1)
 	if err != nil {
 		return nil, err
 	}
-	p := b.Plan
 
 	inj := injectorFor(c.Fault, c.Seed)
 	s.Net.SetFaultInjector(inj)
@@ -282,11 +282,11 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 		Name:       "chaos",
 		Invariants: []monitor.Invariant{monitor.ReachAll(s.Graph), monitor.LoopFree()},
 	})
-	opts.Monitor = mon.Alarm(s.Prefix)
+	opts.Monitor = mon.Alarm()
 
 	ex := runtime.NewExecutor(s.Net, opts)
 	unbind := mon.Bind(s.Net)
-	res, execErr := ex.ExecuteCtx(ctx, plan.Single(p))
+	res, execErr := ex.ExecuteCtx(ctx, mp)
 	// Unbind before any Abort below: teardown churn is outside the §3
 	// guarantee and must not enter the timeline.
 	unbind()
@@ -301,13 +301,13 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 		Topology: c.Topology,
 		Fault:    c.Fault.String(),
 		Seed:     c.Seed,
-		Rounds:   p.R,
+		Rounds:   mp.R(),
 		Recovery: rec,
 	}
 	if execErr != nil {
 		// The controller gave up; release the transient state so the
 		// network is left clean — a visible abort, never a silent one.
-		ex.Abort(p)
+		ex.Abort(mp.Plans...)
 		out.Outcome = OutcomeAborted
 		out.Err = execErr.Error()
 	} else {
@@ -329,7 +329,7 @@ func RunCaseCtx(ctx context.Context, c Case) (*CaseResult, error) {
 			tl := mon.Finish(s.Net.Now())
 			out.TransientViolationTime = tl.TotalViolation()
 			out.Violations = append(timelineViolations(tl),
-				verifyEndState(b.Analysis, s, res.Start, c.Fault != sim.FaultFlap)...)
+				verifyEndState(classes[0].Analysis, s, res.Start, c.Fault != sim.FaultFlap)...)
 			switch {
 			case len(out.Violations) > 0:
 				out.Outcome = OutcomeViolation

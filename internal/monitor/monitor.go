@@ -308,14 +308,15 @@ func mergeNodes(a, b []topology.NodeID) []topology.NodeID {
 }
 
 // Alarm returns an alarm for runtime.Options.Monitor: it names the first
-// tracked invariant with a violation open on prefix, "" while none is.
-// Bound to the network, the monitor has judged the prefix's state at
-// RecordInitialState and after every event that changed its routing, so
-// the alarm answers for the current state without checking it again.
-func (m *Monitor) Alarm(prefix bgp.Prefix) func(*sim.Network) string {
+// tracked invariant, in invariant order, with a violation open on any
+// prefix, "" while none is. Bound to the network, the monitor has judged
+// every traced prefix's state at RecordInitialState and after every event
+// that changed its routing, so the alarm answers for the current states
+// without checking them again.
+func (m *Monitor) Alarm() func(*sim.Network) string {
 	return func(*sim.Network) string {
 		for idx, inv := range m.cfg.Invariants {
-			if m.findOpen(idx, prefix) != nil {
+			if slices.Contains(m.openInv, idx) {
 				return inv.Name
 			}
 		}

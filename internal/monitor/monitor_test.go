@@ -130,6 +130,34 @@ func TestObservePerPrefixIndependence(t *testing.T) {
 	}
 }
 
+// TestAlarmOnAnyPrefix: the alarm names the first invariant, in invariant
+// order, with a violation open on any prefix — one open only on a prefix
+// other than the base prefix 0 included — and "" once every violation has
+// closed.
+func TestAlarmOnAnyPrefix(t *testing.T) {
+	m := New(Config{Name: "t", Invariants: []Invariant{noDrop(), LoopFree()}})
+	alarm := m.Alarm()
+	ok, drop, loop := fwd.State{fwd.External, fwd.External}, fwd.State{fwd.Drop, fwd.External}, fwd.State{1, 0}
+	steps := []struct {
+		prefix bgp.Prefix
+		st     fwd.State
+		want   string
+	}{
+		{0, ok, ""},
+		{1, ok, ""},
+		{1, drop, "no-drop"}, // open on the non-base prefix only
+		{0, loop, "no-drop"}, // invariant order, not prefix order
+		{1, ok, "loop-free"}, // no-drop closed
+		{0, ok, ""},          // everything closed
+	}
+	for i, st := range steps {
+		m.Observe(time.Duration(i)*time.Second, st.prefix, st.st)
+		if got := alarm(nil); got != st.want {
+			t.Errorf("after snapshot %d (prefix %d): alarm %q, want %q", i, st.prefix, got, st.want)
+		}
+	}
+}
+
 func TestFinishFlushesCounters(t *testing.T) {
 	rec := obs.New()
 	m := New(Config{Name: "t", Invariants: []Invariant{noDrop()}, Recorder: rec})

@@ -65,26 +65,28 @@ func newTwins(t *testing.T, label string, invs []monitor.Invariant) *twins {
 	}
 }
 
-// poll checks the judged-once monitor's Alarm on every prefix against the
-// first invariant that fails on the prefix's live forwarding state. As an
-// executor alarm it never raises one itself, so the run is unchanged.
+// poll checks the judged-once monitor's Alarm against the first invariant,
+// in invariant order, that fails on any prefix's live forwarding state. As
+// an executor alarm it never raises one itself, so the run is unchanged.
 func (tw *twins) poll(prefixes []bgp.Prefix) func(*sim.Network) string {
+	alarm := tw.once.Alarm()
 	return func(net *sim.Network) string {
-		for _, p := range prefixes {
-			want := ""
-			for _, inv := range tw.invs {
+		want := ""
+	invariants:
+		for _, inv := range tw.invs {
+			for _, p := range prefixes {
 				if ok, _ := inv.Check(net.ForwardingState(p)); !ok {
 					want = inv.Name
-					break
+					break invariants
 				}
 			}
-			if want != "" {
-				tw.alarms++
-			}
-			if got := tw.once.Alarm(p)(net); got != want && !tw.alarmDiffers {
-				tw.alarmDiffers = true
-				tw.t.Errorf("%s: alarm on prefix %d at %v is %q, the live state fails %q", tw.label, p, net.Now(), got, want)
-			}
+		}
+		if want != "" {
+			tw.alarms++
+		}
+		if got := alarm(net); got != want && !tw.alarmDiffers {
+			tw.alarmDiffers = true
+			tw.t.Errorf("%s: alarm at %v is %q, the live states fail %q", tw.label, net.Now(), got, want)
 		}
 		return ""
 	}

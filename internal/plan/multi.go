@@ -201,6 +201,24 @@ func (mp *MultiPlan) sameSlots(a, b int) bool {
 	return true
 }
 
+// R returns the largest round count among the plans.
+func (mp *MultiPlan) R() int {
+	r := 0
+	for _, p := range mp.Plans {
+		r = max(r, p.R)
+	}
+	return r
+}
+
+// NumSteps returns the plans' synchronized steps in total.
+func (mp *MultiPlan) NumSteps() int {
+	n := 0
+	for _, p := range mp.Plans {
+		n += p.NumSteps()
+	}
+	return n
+}
+
 // TempSessions returns the union of all plans' temporary sessions.
 func (mp *MultiPlan) TempSessions() []Session {
 	seen := make(map[Session]bool)

@@ -92,7 +92,7 @@ const (
 var ErrReplanNeeded = errors.New("runtime: external event detected; replan required")
 
 // ReplanError is the structured form of ErrReplanNeeded: it records what
-// fired (the invariant Options.Monitor named, if one did), where (the plan's
+// fired (the invariant Options.Monitor named, if one did), where (the running
 // prefix) and when (simulated time), so supervisor decisions and chaos
 // classifications are attributable to a concrete detection instead of a bare
 // sentinel. It wraps ErrReplanNeeded — errors.Is(err, ErrReplanNeeded)
@@ -101,7 +101,7 @@ var ErrReplanNeeded = errors.New("runtime: external event detected; replan requi
 type ReplanError struct {
 	// Invariant is the name of the firing invariant, "" when unknown.
 	Invariant string
-	// Prefix is the prefix under reconfiguration.
+	// Prefix is the prefix of the part whose steps were running.
 	Prefix bgp.Prefix
 	// SimTime is the simulated time of the detection.
 	SimTime time.Duration
@@ -202,10 +202,6 @@ type Executor struct {
 	// runs counts executions on this executor; each gets its own derived
 	// RNG stream (see beginRun).
 	runs uint64
-
-	// curPrefix is the prefix of the plan whose steps ran last, stamped
-	// into ReplanErrors.
-	curPrefix bgp.Prefix
 
 	// aborted remembers the last plan released by Abort, making Abort
 	// idempotent: callers (the facade's ReleaseOnError, the supervisor, and
@@ -431,8 +427,9 @@ func (e *Executor) ExecuteCtx(ctx context.Context, mp *plan.MultiPlan) (*Result,
 
 // pollMonitor is §8 supervision: it asks the Monitor about the state the
 // last event left and hands a violated invariant to the reaction policy at
-// once. Nil means healthy, or an alarm the policy ignores.
-func (e *Executor) pollMonitor() error {
+// once, while prefix's steps run. Nil means healthy, or an alarm the policy
+// ignores.
+func (e *Executor) pollMonitor(prefix bgp.Prefix) error {
 	if e.opts.Monitor == nil {
 		return nil
 	}
@@ -441,7 +438,7 @@ func (e *Executor) pollMonitor() error {
 		return nil
 	}
 	e.rec.MonitorAlarms++
-	return e.react(invariant, nil)
+	return e.react(prefix, invariant, nil)
 }
 
 // nextDeadline returns the earliest verification deadline among the steps
@@ -457,25 +454,28 @@ func nextDeadline(st []stepState) (time.Duration, bool) {
 	return best, found
 }
 
-// Abort releases a (possibly partially executed) plan's transient state by
-// applying its cleanup commands immediately and letting the network
-// converge — the prelude to replanning under ReactReplan. Every in-flight
-// scheduled command (including retries and fault-layer duplicates) is
-// cancelled first and the queue drained, so no stale configuration can
-// land after the cleanup: aborting is deterministic. Abort is idempotent:
-// aborting the same plan twice (facade auto-release plus a manual call, or
-// a supervisor retrying its recovery path) re-runs nothing.
-func (e *Executor) Abort(p *plan.Plan) {
-	if p != nil && e.aborted == p {
-		return
+// Abort releases the transient state of (possibly partially executed)
+// plans, such as every plan of a multi-plan, one after another: it applies
+// each plan's cleanup commands immediately and lets the network converge,
+// the prelude to replanning under ReactReplan. Every in-flight scheduled command
+// (including retries and fault-layer duplicates) is cancelled first and the
+// queue drained, so no stale configuration can land after the cleanup:
+// aborting is deterministic. Abort is idempotent: aborting the same plan
+// twice in a row (facade auto-release plus a manual call, or a supervisor
+// retrying its recovery path) re-runs nothing.
+func (e *Executor) Abort(plans ...*plan.Plan) {
+	for _, p := range plans {
+		if p == e.aborted {
+			continue
+		}
+		e.net.CancelPendingCommands()
+		e.net.Run()
+		for _, st := range p.Cleanup {
+			st.Command.Apply(e.net)
+		}
+		e.net.Run()
+		e.aborted = p
 	}
-	e.net.CancelPendingCommands()
-	e.net.Run()
-	for _, st := range p.Cleanup {
-		st.Command.Apply(e.net)
-	}
-	e.net.Run()
-	e.aborted = p
 }
 
 // stepState tracks one plan step through push, acknowledgment and
@@ -504,7 +504,6 @@ type stepState struct {
 // without steps, such as an empty Between slot, is the same loop: it ends
 // once BGP settles, under the Monitor, the watchdog and the context.
 func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step) error {
-	e.curPrefix = prefix
 	if cap(e.steps) < len(steps) {
 		e.steps = make([]stepState, len(steps))
 	}
@@ -613,7 +612,7 @@ func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step) error {
 				// Ladder 3: the fault is persistent; degrade per the §8
 				// policy instead of wedging until the phase deadline.
 				e.rec.Escalations++
-				return e.react("", fmt.Errorf(
+				return e.react(prefix, "", fmt.Errorf(
 					"command %q unconfirmed after %d attempts (last fault presumed persistent)",
 					steps[i].Command.Description, s.attempts))
 			}
@@ -647,27 +646,27 @@ func (e *Executor) runSteps(prefix bgp.Prefix, steps []plan.Step) error {
 				// the plan is stuck — under supervision that is itself
 				// the §8 "long-term anomaly" signal (an external event
 				// invalidated a pre- or post-condition).
-				return e.react("", e.stuckError(prefix, steps, st))
+				return e.react(prefix, "", e.stuckError(prefix, steps, st))
 			}
 			continue
 		}
-		if err := e.pollMonitor(); err != nil {
+		if err := e.pollMonitor(prefix); err != nil {
 			return err
 		}
 		if e.net.Now() > watchdog {
-			return e.react("", e.stuckError(prefix, steps, st))
+			return e.react(prefix, "", e.stuckError(prefix, steps, st))
 		}
 	}
 }
 
 // react translates a detected anomaly — the invariant a Monitor alarm named,
-// or the error of an exhausted ladder or a stuck phase — into the configured
-// reaction: a ReplanError under ReactReplan, otherwise the original error
-// (nil fallbackErr means the monitor fired but the policy is ReactIgnore —
-// keep going).
-func (e *Executor) react(invariant string, fallbackErr error) error {
+// or the error of an exhausted ladder or a stuck phase — while prefix's
+// steps run into the configured reaction: a ReplanError under ReactReplan,
+// otherwise the original error (nil fallbackErr means the monitor fired but
+// the policy is ReactIgnore — keep going).
+func (e *Executor) react(prefix bgp.Prefix, invariant string, fallbackErr error) error {
 	if e.opts.Reaction == ReactReplan {
-		return &ReplanError{Invariant: invariant, Prefix: e.curPrefix, SimTime: e.net.Now(), Cause: fallbackErr}
+		return &ReplanError{Invariant: invariant, Prefix: prefix, SimTime: e.net.Now(), Cause: fallbackErr}
 	}
 	return fallbackErr
 }

@@ -8,6 +8,7 @@ import (
 
 	"chameleon/internal/analyzer"
 	"chameleon/internal/eval"
+	"chameleon/internal/obs"
 	"chameleon/internal/plan"
 	"chameleon/internal/runtime"
 	"chameleon/internal/scenario"
@@ -120,7 +121,8 @@ func TestSelfHealingEscalation(t *testing.T) {
 // still in flight when the plan is interrupted must be cancelled by Abort,
 // so no stale configuration lands after the cleanup.
 func TestAbortCancelsInFlight(t *testing.T) {
-	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7})
+	rec := obs.New()
+	s, err := scenario.CaseStudy("Abilene", scenario.Config{Seed: 7, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +147,11 @@ func TestAbortCancelsInFlight(t *testing.T) {
 	if _, err := ex.ExecuteCtx(context.Background(), plan.Single(pl.Plan)); !errors.Is(err, runtime.ErrReplanNeeded) {
 		t.Fatalf("err = %v, want ErrReplanNeeded", err)
 	}
-	if s.Net.PendingCommands() == 0 {
+	ex.Abort(pl.Plan)
+	if rec.Counter(obs.CtrCommandsCancelled) == 0 {
 		t.Fatal("test needs in-flight commands at interruption to be meaningful")
 	}
-	ex.Abort(pl.Plan)
-	if got := s.Net.PendingCommands(); got != 0 {
+	if got := s.Net.CancelPendingCommands(); got != 0 {
 		t.Errorf("%d commands still pending after abort", got)
 	}
 	if !s.Net.Converged() {

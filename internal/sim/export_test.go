@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"time"
+
 	"chameleon/internal/bgp"
 	"chameleon/internal/igp"
+	"chameleon/internal/topology"
 )
 
 // SPF returns the IGP state.
@@ -46,3 +49,28 @@ func PendingSlots(n *Network) int { return len(n.pendingCmds) }
 
 // CauseChunk is the number of records one block of the cause log holds.
 const CauseChunk = causeChunk
+
+// Cancelled reports whether the token was cancelled before applying.
+func (t *CommandToken) Cancelled() bool { return t.cancelled }
+
+// ScheduledAt returns the (post-fault) simulated time the primary
+// application is due; meaningless for dropped commands.
+func (t *CommandToken) ScheduledAt() time.Duration { return t.at }
+
+// PendingCommands returns the number of scheduled commands that have
+// neither applied nor been cancelled yet.
+func (n *Network) PendingCommands() int {
+	pending := 0
+	for _, tk := range n.pendingCmds {
+		if !tk.applied && !tk.cancelled {
+			pending++
+		}
+	}
+	return pending
+}
+
+// MessagesProcessed returns the number of BGP messages delivered so far.
+func (n *Network) MessagesProcessed() uint64 { return n.msgCount }
+
+// NodeP returns a pointer to n.
+func NodeP(n topology.NodeID) *topology.NodeID { return &n }

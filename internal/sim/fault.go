@@ -122,15 +122,8 @@ func (t *CommandToken) Applied() bool { return t.applied }
 // (ground truth).
 func (t *CommandToken) Dropped() bool { return t.dropped }
 
-// Cancelled reports whether the token was cancelled before applying.
-func (t *CommandToken) Cancelled() bool { return t.cancelled }
-
 // Fault returns the fault kind injected into this application.
 func (t *CommandToken) Fault() FaultKind { return t.kind }
-
-// ScheduledAt returns the (post-fault) simulated time the primary
-// application is due; meaningless for dropped commands.
-func (t *CommandToken) ScheduledAt() time.Duration { return t.at }
 
 // Cancel prevents a not-yet-applied command (and any pending duplicate of
 // it) from ever applying. Cancelling an already-applied command is a no-op.
@@ -239,18 +232,6 @@ func (n *Network) CancelPendingCommands() int {
 	n.pendingCmds = n.pendingCmds[:0]
 	n.count(obs.CtrCommandsCancelled, int64(cancelled))
 	return cancelled
-}
-
-// PendingCommands returns the number of scheduled commands that have
-// neither applied nor been cancelled yet.
-func (n *Network) PendingCommands() int {
-	pending := 0
-	for _, tk := range n.pendingCmds {
-		if !tk.applied && !tk.cancelled {
-			pending++
-		}
-	}
-	return pending
 }
 
 // FlapSession models a BGP session flap: the session between a and b is

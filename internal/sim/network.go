@@ -204,9 +204,6 @@ func (n *Network) Graph() *topology.Graph { return n.graph }
 // Now returns the current simulated time.
 func (n *Network) Now() time.Duration { return n.now }
 
-// MessagesProcessed returns the number of BGP messages delivered so far.
-func (n *Network) MessagesProcessed() uint64 { return n.msgCount }
-
 // sessionDelay returns the jitter-free delay of a BGP message between a and
 // b: the base delay plus the IGP distance scaled by delayPerIGPUnit.
 func (n *Network) sessionDelay(a, b topology.NodeID) time.Duration {

@@ -208,9 +208,6 @@ func (rm *RouteMap) String() string {
 // PrefixP returns a pointer to p.
 func PrefixP(p bgp.Prefix) *bgp.Prefix { return &p }
 
-// NodeP returns a pointer to n.
-func NodeP(n topology.NodeID) *topology.NodeID { return &n }
-
 // IntP returns a pointer to v.
 func IntP(v int) *int { return &v }
 

@@ -64,7 +64,8 @@ type Entry struct {
 	Applied []bool        `json:"applied,omitempty"`
 	State   *sim.NetState `json:"state,omitempty"`
 
-	// plan
+	// plan: the largest R among the destinations' plans, and their steps
+	// in total
 	Rounds int `json:"rounds,omitempty"`
 	Steps  int `json:"steps,omitempty"`
 

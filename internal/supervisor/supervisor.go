@@ -312,7 +312,7 @@ func (sv *Supervisor) executeRung(ctx context.Context) (bool, error) {
 		if err := sv.snapshot(RungExecute); err != nil {
 			return false, err
 		}
-		p, planErr := sv.plan(ctx)
+		mp, planErr := sv.plan(ctx)
 		if planErr != nil {
 			// Replanning from this intermediate state is infeasible (or the
 			// solver budget ran out): descend to the commit rung.
@@ -322,7 +322,7 @@ func (sv *Supervisor) executeRung(ctx context.Context) (bool, error) {
 			sv.decide("commit", fmt.Sprintf("replan infeasible: %v", planErr), "")
 			return false, nil
 		}
-		ok, err := sv.executeAttempt(ctx, p)
+		ok, err := sv.executeAttempt(ctx, mp)
 		if err != nil {
 			return false, err
 		}
@@ -338,45 +338,46 @@ func (sv *Supervisor) executeRung(ctx context.Context) (bool, error) {
 	return false, nil
 }
 
-// plan compiles a fresh plan from the network's current (possibly
-// intermediate) state towards the final configuration, covering exactly the
-// not-yet-applied original commands, under a deterministic solver budget.
-func (sv *Supervisor) plan(ctx context.Context) (*plan.Plan, error) {
+// plan compiles a fresh multi-plan from the network's current (possibly
+// intermediate) state towards the final configuration, covering every
+// destination and exactly the not-yet-applied original commands, under a
+// deterministic solver budget.
+func (sv *Supervisor) plan(ctx context.Context) (*plan.MultiPlan, error) {
 	rem := sv.s.Remaining(sv.s.Net, sv.applied)
 	if len(rem.Commands) == 0 {
 		// Everything already landed; a trivial plan lets the attempt verify
 		// and converge.
-		return &plan.Plan{Prefix: rem.Prefix}, nil
+		return plan.Single(&plan.Plan{Prefix: rem.Prefix}), nil
 	}
 	schedOpts := scheduler.DefaultOptions()
 	schedOpts.SolverNodeBudget = sv.opts.SolverNodeBudget
-	b, err := plan.Build(ctx, rem.Net, rem.FinalNetwork(), rem.Prefix, rem.Commands, nil, schedOpts)
+	_, mp, err := plan.BuildClasses(ctx, rem.Net, rem.FinalNetwork(), rem.AllPrefixes(), rem.Commands, nil, schedOpts, 1)
 	if err != nil {
 		return nil, err
 	}
-	p := b.Plan
 	if err := sv.journal.Append(Entry{
 		Kind: KindPlan, SimNS: int64(sv.s.Net.Now()),
-		Attempt: sv.attempt, Rounds: p.R, Steps: p.NumSteps(),
+		Attempt: sv.attempt, Rounds: mp.R(), Steps: mp.NumSteps(),
 	}); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return mp, nil
 }
 
-// executeAttempt runs one plan under ReactReplan with a fresh executor,
-// injector and monitor. It returns ok = true on success; on a replan signal
-// it aborts, reads back which originals landed, journals the decision and
-// advances the attempt counter.
-func (sv *Supervisor) executeAttempt(ctx context.Context, p *plan.Plan) (bool, error) {
+// executeAttempt runs one multi-plan under ReactReplan with a fresh
+// executor, injector and monitor. It returns ok = true on success; on a
+// replan signal it aborts every plan, reads back which originals landed,
+// journals the decision and advances the attempt counter.
+func (sv *Supervisor) executeAttempt(ctx context.Context, mp *plan.MultiPlan) (bool, error) {
 	net := sv.s.Net
 	if fi := sv.injector(); fi != nil {
 		net.SetFaultInjector(fi)
 		defer net.SetFaultInjector(nil)
 	}
 	// The monitor writes the timeline and raises the executor's alarm
-	// from the same verdicts: any violation it records also triggers a
-	// replan, so a supervised run has no silent violations by construction.
+	// from the same verdicts, on every destination: any violation it
+	// records also triggers a replan, so a supervised run has no silent
+	// violations by construction (TestSuperviseWatchesEveryPrefix).
 	mon := monitor.New(monitor.Config{
 		Name:       fmt.Sprintf("attempt-%d", sv.attempt),
 		Invariants: []monitor.Invariant{monitor.ReachAll(sv.s.Graph), monitor.LoopFree()},
@@ -384,14 +385,14 @@ func (sv *Supervisor) executeAttempt(ctx context.Context, p *plan.Plan) (bool, e
 	opts := runtime.Options{
 		Seed:     sv.execSeed(),
 		Reaction: runtime.ReactReplan,
-		Monitor:  mon.Alarm(sv.s.Prefix),
+		Monitor:  mon.Alarm(),
 	}
 	if sv.attempt == 0 {
 		opts.ExternalEvents = sv.opts.ExternalEvents
 	}
 	ex := runtime.NewExecutor(net, opts)
 	unbind := mon.Bind(net)
-	_, execErr := ex.ExecuteCtx(ctx, plan.Single(p))
+	_, execErr := ex.ExecuteCtx(ctx, mp)
 	unbind()
 	if cerr := ctx.Err(); cerr != nil {
 		return false, cerr
@@ -419,7 +420,7 @@ func (sv *Supervisor) executeAttempt(ctx context.Context, p *plan.Plan) (bool, e
 		// Not a replan signal (e.g. the network was perturbed outside the
 		// executor's model): still recover, via the commit rung, rather
 		// than surface a pinned network.
-		ex.Abort(p)
+		ex.Abort(mp.Plans...)
 		if err := sv.journal.Append(Entry{Kind: KindAbort, SimNS: int64(net.Now()), Attempt: sv.attempt}); err != nil {
 			return false, err
 		}
@@ -432,7 +433,7 @@ func (sv *Supervisor) executeAttempt(ctx context.Context, p *plan.Plan) (bool, e
 
 	// §8 reaction 2: release the transient state, note which originals are
 	// already in the network, and replan from the intermediate state.
-	ex.Abort(p)
+	ex.Abort(mp.Plans...)
 	if err := sv.journal.Append(Entry{Kind: KindAbort, SimNS: int64(net.Now()), Attempt: sv.attempt}); err != nil {
 		return false, err
 	}

@@ -52,6 +52,31 @@ func TestFacadeSupervise(t *testing.T) {
 	}
 }
 
+// TestSuperviseWatchesEveryPrefix: a supervised multi-class run plans,
+// executes and watches every destination. On Abilene with three extra
+// prefixes (three classes, four destinations) it ends in the verified final
+// configuration with no violation on any prefix; a supervisor that plans
+// only the base prefix leaves the other three black-holing while the
+// original command lands.
+func TestSuperviseWatchesEveryPrefix(t *testing.T) {
+	s := multiClassScenario(t)
+	res, err := chameleon.SuperviseCtx(context.Background(), s, chameleon.SuperviseOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != chameleon.OutcomeFinal || !res.Verified {
+		t.Fatalf("Outcome = %v (verified %v), want verified final", res.Outcome, res.Verified)
+	}
+	for _, tl := range res.Timelines {
+		if tl.StatesChecked == 0 {
+			t.Errorf("%s: no state checked", tl.Name)
+		}
+		for _, v := range tl.Violations {
+			t.Errorf("%s: %s violated on prefix %d in %q for %v", tl.Name, v.Invariant, v.Prefix, v.Phase, v.End-v.Start)
+		}
+	}
+}
+
 // TestFacadeReleaseOnError: a failed execution with ReleaseOnError releases
 // the plan's transient state (the executor's Abort — cleanup commands run
 // exactly once); without the option the network is left as the error found
